@@ -228,7 +228,7 @@ func BenchmarkHijack(b *testing.B) {
 	if len(all) == 0 {
 		b.Fatal("no VRPs")
 	}
-	r := router.New(router.StaticVRPs{VRPs: s.VRPs}, true)
+	r := router.NewWithPolicy(router.StaticVRPs{VRPs: s.VRPs}, router.PolicyDropInvalid)
 	events := make([]bgp.RouteEvent, 0, 1000)
 	for i := 0; i < 1000; i++ {
 		v := all[i%len(all)]

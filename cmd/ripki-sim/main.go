@@ -56,7 +56,6 @@ func main() {
 		sampleEvery   = flag.Int("sample-every", 2, "probe cadence in ticks")
 		sampleDomains = flag.Int("sample-domains", 1500, "probe's stratified domain sample size")
 		format        = flag.String("format", "tsv", `output format: "tsv" or "json"`)
-		incremental   = flag.Bool("incremental", true, "incremental probe measurement and delta revalidation; -incremental=false forces full recomputation (output is byte-identical either way)")
 		narrate       = flag.Bool("narrate", false, "narrate bus events to stderr while running")
 		eventsPath    = flag.String("events", "", "write the typed incident stream (hijacks, ROA moves, outages, RP lag episodes) to this file as JSONL (virtual-clock timestamps; byte-identical for the same seed and flags)")
 		tracePath     = flag.String("trace", "", "write a structured trace of the run to this file (virtual-clock timestamps; byte-identical for the same seed and flags)")
@@ -75,15 +74,14 @@ func main() {
 	}
 
 	sim, err := ripki.NewSimulation(ripki.SimConfig{
-		Scenario:           *scenario,
-		Params:             ripki.SimParams(params),
-		Seed:               *seed,
-		Domains:            *domains,
-		Tick:               *tick,
-		Duration:           *duration,
-		SampleEvery:        *sampleEvery,
-		SampleDomains:      *sampleDomains,
-		DisableIncremental: !*incremental,
+		Scenario:      *scenario,
+		Params:        ripki.SimParams(params),
+		Seed:          *seed,
+		Domains:       *domains,
+		Tick:          *tick,
+		Duration:      *duration,
+		SampleEvery:   *sampleEvery,
+		SampleDomains: *sampleDomains,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -82,8 +82,8 @@ func main() {
 	}
 	fmt.Printf("RTR: router synced %d VRPs from %s\n", client.Len(), ln.Addr())
 
-	protected := router.New(client, true)
-	unprotected := router.New(router.StaticVRPs{VRPs: result.VRPs}, false)
+	protected := router.NewWithPolicy(client, router.PolicyDropInvalid)
+	unprotected := router.NewWithPolicy(router.StaticVRPs{VRPs: result.VRPs}, router.PolicyAcceptAll)
 
 	// --- 3. Announcements arrive. ---------------------------------------
 	legitimate := bgp.RouteEvent{

@@ -2,8 +2,8 @@
 // collector needs: message framing, OPEN negotiation with the 4-octet
 // AS capability (RFC 6793), UPDATE encoding/decoding with the path
 // attributes relevant to origin extraction (ORIGIN, AS_PATH, NEXT_HOP,
-// and MP-BGP reach/unreach for IPv6, RFC 4760), and passive/active
-// session endpoints.
+// and MP-BGP reach/unreach for IPv6, RFC 4760). RouteEvent is the
+// flattened per-prefix form the RIB and router layers consume.
 //
 // The paper derives each route's origin AS as "the right most ASN in
 // the AS path" and excludes AS_SET routes; OriginAS implements exactly

@@ -41,7 +41,8 @@ import (
 // unchanged domain's inputs are untouched by construction, its cached
 // row equals what a fresh measurement would produce, and the refreshed
 // Dataset is byte-identical to a full Run against the mutated world.
-// The sim engine's CI determinism job enforces exactly that contract.
+// The sim engine's lock-step test (TestIncrementalMatchesFull) enforces
+// exactly that contract end to end.
 //
 // Incremental is not safe for concurrent use; Refresh parallelises
 // internally just as Run does.

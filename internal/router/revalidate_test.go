@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ripki/internal/bgp"
+	"ripki/internal/rib"
 	"ripki/internal/rpki/vrp"
 )
 
@@ -140,5 +141,39 @@ func TestRevalidateAcceptAll(t *testing.T) {
 	}
 	if r.Table().Len() != 2 {
 		t.Errorf("accept-all mutated the RIB: %d prefixes", r.Table().Len())
+	}
+}
+
+// TestReannounceClearsDepreferenceMark: a depreference mark must not
+// outlive the validation outcome it recorded. The invalid more-specific
+// is withdrawn, its ROA revoked while it is absent (so delta-scoped
+// revalidation finds no Adj-RIB-In entry to clear the mark on), and
+// then re-announced — now NotFound, so traffic must follow it again.
+func TestReannounceClearsDepreferenceMark(t *testing.T) {
+	roa := vrp.VRP{Prefix: netip.MustParsePrefix("203.0.0.0/20"), MaxLength: 20, ASN: 65001}
+	src := &swapSource{set: revMustSet(t, roa)}
+	r := NewWithPolicy(src, PolicyPreferValid)
+	revAnnounce(t, r, "203.0.0.0/20", 65001)
+	if d := revAnnounce(t, r, "203.0.4.0/22", 65551); !d.Deprefered {
+		t.Fatalf("invalid more-specific not deprefered: %+v", d)
+	}
+	if _, err := r.Process(bgp.RouteEvent{
+		PeerAS: 64500, PeerID: netip.MustParseAddr("10.0.0.1"),
+		Prefix: netip.MustParsePrefix("203.0.4.0/22"), Withdraw: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	src.set = vrp.NewSet()
+	r.RevalidateAffected([]netip.Prefix{roa.Prefix})
+
+	if d := revAnnounce(t, r, "203.0.4.0/22", 65551); d.State != vrp.NotFound || d.Deprefered {
+		t.Fatalf("re-announced route: %+v", d)
+	}
+	want := rib.PrefixOrigin{Prefix: netip.MustParsePrefix("203.0.4.0/22"), Origin: 65551}
+	if po, ok := r.Forward(netip.MustParseAddr("203.0.4.7")); !ok || po != want {
+		t.Errorf("forward = %+v, %v (want the NotFound more-specific %+v)", po, ok, want)
+	}
+	if res := r.Revalidate(); res.Deprefered != 0 {
+		t.Errorf("full revalidation still finds marks: %+v", res)
 	}
 }

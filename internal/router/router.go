@@ -77,19 +77,17 @@ func (s StaticVRPs) Set() *vrp.Set { return s.VRPs }
 // Router is an origin-validating BGP route processor feeding a local
 // RIB.
 type Router struct {
-	// DropInvalid enables the protective policy. When false the router
-	// accepts everything (the common, unprotected configuration the
-	// paper laments). Kept for API compatibility; Policy supersedes it.
-	DropInvalid bool
-	// Policy selects the validation stance; the zero value defers to
-	// DropInvalid for backward compatibility.
+	// Policy selects the validation stance.
 	Policy Policy
 
 	source VRPSource
 	table  *rib.Table
 
-	mu         sync.Mutex
-	decided    map[vrp.State]int
+	mu      sync.Mutex
+	decided map[vrp.State]int
+	// deprefered marks the (prefix, origin) pairs PolicyPreferValid
+	// currently routes around: exactly the pairs some Adj-RIB-In entry
+	// announces and the last validation found Invalid.
 	deprefered map[rib.PrefixOrigin]bool
 	// adjIn retains every received (non-withdrawn) announcement — the
 	// Adj-RIB-In. Policy filters what reaches the local RIB, but
@@ -112,34 +110,17 @@ type adjKey struct {
 	peerID netip.Addr
 }
 
-// New creates a router fed by the given VRP source.
-func New(source VRPSource, dropInvalid bool) *Router {
-	policy := PolicyAcceptAll
-	if dropInvalid {
-		policy = PolicyDropInvalid
-	}
-	return NewWithPolicy(source, policy)
-}
-
-// NewWithPolicy creates a router with an explicit validation policy.
+// NewWithPolicy creates a router fed by the given VRP source, applying
+// the given validation policy.
 func NewWithPolicy(source VRPSource, policy Policy) *Router {
 	return &Router{
-		DropInvalid: policy == PolicyDropInvalid,
-		Policy:      policy,
-		source:      source,
-		table:       rib.New(),
-		decided:     make(map[vrp.State]int),
-		deprefered:  make(map[rib.PrefixOrigin]bool),
-		adjIn:       make(map[adjKey]bgp.RouteEvent),
+		Policy:     policy,
+		source:     source,
+		table:      rib.New(),
+		decided:    make(map[vrp.State]int),
+		deprefered: make(map[rib.PrefixOrigin]bool),
+		adjIn:      make(map[adjKey]bgp.RouteEvent),
 	}
-}
-
-// effectivePolicy resolves the Policy/DropInvalid compatibility split.
-func (r *Router) effectivePolicy() Policy {
-	if r.Policy == PolicyAcceptAll && r.DropInvalid {
-		return PolicyDropInvalid
-	}
-	return r.Policy
 }
 
 // validateRoute classifies one announcement against a VRP set under a
@@ -162,28 +143,20 @@ func validateRoute(set *vrp.Set, prefix netip.Prefix, path []bgp.Segment, policy
 func (r *Router) Table() *rib.Table { return r.table }
 
 // Process applies origin validation and policy to one route event and
-// updates the local RIB accordingly.
+// updates the Adj-RIB-In and the local RIB accordingly. An announcement
+// replaces the same peer's previous one for the prefix (RFC 4271
+// implicit withdraw), whatever policy then decides about the new route.
 func (r *Router) Process(ev bgp.RouteEvent) (Decision, error) {
 	key := adjKey{prefix: ev.Prefix.Masked(), peerAS: ev.PeerAS, peerID: ev.PeerID}
+	r.mu.Lock()
+	r.forgetLocked(key)
 	if ev.Withdraw {
-		r.mu.Lock()
-		delete(r.adjIn, key)
-		if m, ok := r.adjIdx.Lookup(key.prefix); ok {
-			delete(m, key)
-			if len(m) == 0 {
-				r.adjIdx.Delete(key.prefix)
-			}
-		}
 		r.mu.Unlock()
 		if err := r.table.Apply(ev); err != nil {
 			return Decision{}, err
 		}
 		return Decision{State: vrp.NotFound, Accepted: true}, nil
 	}
-	policy := r.effectivePolicy()
-	state, origin, ok := validateRoute(r.source.Set(), ev.Prefix, ev.Path, policy)
-	r.mu.Lock()
-	r.decided[state]++
 	r.adjIn[key] = ev
 	if m, ok := r.adjIdx.Lookup(key.prefix); ok {
 		m[key] = struct{}{}
@@ -192,20 +165,67 @@ func (r *Router) Process(ev bgp.RouteEvent) (Decision, error) {
 		_ = r.adjIdx.Insert(key.prefix, map[adjKey]struct{}{key: {}})
 	}
 	r.mu.Unlock()
-	if policy == PolicyDropInvalid && state == vrp.Invalid {
-		return Decision{State: state, Accepted: false}, nil
+	d, _, err := r.apply(r.source.Set(), ev)
+	r.mu.Lock()
+	r.decided[d.State]++
+	r.mu.Unlock()
+	return d, err
+}
+
+// forgetLocked removes key's announcement from the Adj-RIB-In and, once
+// no other peer announces the same (prefix, origin), the pair's
+// depreference mark with it. Called with r.mu held.
+func (r *Router) forgetLocked(key adjKey) {
+	old, ok := r.adjIn[key]
+	if !ok {
+		return
+	}
+	delete(r.adjIn, key)
+	peers, _ := r.adjIdx.Lookup(key.prefix)
+	delete(peers, key)
+	if len(peers) == 0 {
+		r.adjIdx.Delete(key.prefix)
+	}
+	origin, ok := bgp.OriginAS(old.Path)
+	if !ok || len(r.deprefered) == 0 {
+		return
+	}
+	for k := range peers {
+		if o, ok := bgp.OriginAS(r.adjIn[k].Path); ok && o == origin {
+			return
+		}
+	}
+	delete(r.deprefered, rib.PrefixOrigin{Prefix: key.prefix, Origin: origin})
+}
+
+// apply runs one announcement through origin validation against set and
+// then policy: under PolicyDropInvalid an Invalid route leaves the local
+// RIB (dropped reports whether it was installed), anything else is
+// (re)installed, and under PolicyPreferValid the pair's depreference
+// mark becomes state == Invalid. Process and both revalidation passes
+// decide every route here, so they cannot drift apart.
+func (r *Router) apply(set *vrp.Set, ev bgp.RouteEvent) (d Decision, dropped bool, err error) {
+	state, origin, ok := validateRoute(set, ev.Prefix, ev.Path, r.Policy)
+	d.State = state
+	if r.Policy == PolicyDropInvalid && state == vrp.Invalid {
+		return d, r.table.WithdrawEvent(ev), nil
 	}
 	if err := r.table.Apply(ev); err != nil {
-		return Decision{State: state}, err
+		return d, false, err
 	}
-	d := Decision{State: state, Accepted: true}
-	if policy == PolicyPreferValid && state == vrp.Invalid && ok {
-		d.Deprefered = true
+	d.Accepted = true
+	if r.Policy == PolicyPreferValid && ok {
+		d.Deprefered = state == vrp.Invalid
+		pair := rib.PrefixOrigin{Prefix: ev.Prefix.Masked(), Origin: origin}
 		r.mu.Lock()
-		r.deprefered[rib.PrefixOrigin{Prefix: ev.Prefix.Masked(), Origin: origin}] = true
+		if d.Deprefered {
+			r.deprefered[pair] = true
+		} else {
+			delete(r.deprefered, pair)
+		}
 		r.mu.Unlock()
 	}
-	return d, nil
+	return d, false, nil
 }
 
 // RevalidationResult tallies one Revalidate pass.
@@ -217,8 +237,8 @@ type RevalidationResult struct {
 	// Dropped is how many now-invalid routes PolicyDropInvalid removed
 	// from the local RIB.
 	Dropped int
-	// Deprefered is how many routes PolicyPreferValid now marks less
-	// attractive.
+	// Deprefered is how many (prefix, origin) pairs PolicyPreferValid
+	// now marks less attractive.
 	Deprefered int
 }
 
@@ -232,68 +252,25 @@ type RevalidationResult struct {
 // else is (re)installed; under PolicyPreferValid the depreference marks
 // are rebuilt from scratch.
 func (r *Router) Revalidate() RevalidationResult {
-	policy := r.effectivePolicy()
-	set := r.source.Set()
 	r.mu.Lock()
 	events := make([]bgp.RouteEvent, 0, len(r.adjIn))
 	for _, ev := range r.adjIn {
 		events = append(events, ev)
 	}
+	clear(r.deprefered)
 	r.mu.Unlock()
-
-	var res RevalidationResult
-	fresh := make(map[rib.PrefixOrigin]bool)
-	for _, ev := range events {
-		res.Routes++
-		state, origin, ok := validateRoute(set, ev.Prefix, ev.Path, policy)
-		switch state {
-		case vrp.Valid:
-			res.Valid++
-		case vrp.Invalid:
-			res.Invalid++
-		default:
-			res.NotFound++
-		}
-		if policy == PolicyDropInvalid && state == vrp.Invalid {
-			if r.table.WithdrawEvent(ev) {
-				res.Dropped++
-			}
-			continue
-		}
-		// (Re)install: routes previously dropped under a now-revoked ROA
-		// return to the local RIB; installed routes are replaced in
-		// place.
-		if err := r.table.Apply(ev); err != nil {
-			continue
-		}
-		if policy == PolicyPreferValid && state == vrp.Invalid && ok {
-			fresh[rib.PrefixOrigin{Prefix: ev.Prefix.Masked(), Origin: origin}] = true
-		}
-	}
-	if policy == PolicyPreferValid {
-		r.mu.Lock()
-		r.deprefered = fresh
-		r.mu.Unlock()
-		res.Deprefered = len(fresh)
-	}
-	return res
+	return r.revalidate(events)
 }
 
-// RevalidateAffected re-applies origin validation and policy to exactly
-// the Adj-RIB-In routes whose validation outcome may have changed after
-// a VRP delta: those announced at one of the changed prefixes or below
-// (RFC 6811 validates a route against its covering VRPs, so a VRP
-// change at Q can only flip routes at Q or more-specific). For those
-// routes the outcome — local-RIB content, drop count, depreference
-// marks — matches a full Revalidate; unaffected routes cannot change
-// state and are left untouched. The tallies cover only the routes
-// examined, and under PolicyPreferValid a mark whose last announcing
-// route has since been withdrawn persists until the next full
-// Revalidate (such a mark names an unrouted pair, so Forward never sees
-// it).
+// RevalidateAffected is Revalidate scoped to the Adj-RIB-In routes
+// whose validation outcome may have changed after a VRP delta: those
+// announced at one of the changed prefixes or below (RFC 6811 validates
+// a route against its covering VRPs, so a VRP change at Q can only flip
+// routes at Q or more-specific). Unaffected routes cannot change state
+// and are left untouched, so the router ends up exactly where a full
+// Revalidate would put it; the per-state tallies cover only the routes
+// examined.
 func (r *Router) RevalidateAffected(changed []netip.Prefix) RevalidationResult {
-	policy := r.effectivePolicy()
-	set := r.source.Set()
 	r.mu.Lock()
 	var events []bgp.RouteEvent
 	seen := make(map[adjKey]struct{})
@@ -311,12 +288,20 @@ func (r *Router) RevalidateAffected(changed []netip.Prefix) RevalidationResult {
 		}
 	}
 	r.mu.Unlock()
+	return r.revalidate(events)
+}
 
-	var res RevalidationResult
+// revalidate applies the source's current VRP set to the given
+// Adj-RIB-In entries and tallies the outcome.
+func (r *Router) revalidate(events []bgp.RouteEvent) RevalidationResult {
+	set := r.source.Set()
+	res := RevalidationResult{Routes: len(events)}
 	for _, ev := range events {
-		res.Routes++
-		state, origin, ok := validateRoute(set, ev.Prefix, ev.Path, policy)
-		switch state {
+		// An entry is in the Adj-RIB-In because Process already applied
+		// it, so the only error apply can return — a malformed prefix —
+		// was reported then.
+		d, dropped, _ := r.apply(set, ev)
+		switch d.State {
 		case vrp.Valid:
 			res.Valid++
 		case vrp.Invalid:
@@ -324,31 +309,13 @@ func (r *Router) RevalidateAffected(changed []netip.Prefix) RevalidationResult {
 		default:
 			res.NotFound++
 		}
-		if policy == PolicyDropInvalid && state == vrp.Invalid {
-			if r.table.WithdrawEvent(ev) {
-				res.Dropped++
-			}
-			continue
-		}
-		if err := r.table.Apply(ev); err != nil {
-			continue
-		}
-		if policy == PolicyPreferValid && ok {
-			key := rib.PrefixOrigin{Prefix: ev.Prefix.Masked(), Origin: origin}
-			r.mu.Lock()
-			if state == vrp.Invalid {
-				r.deprefered[key] = true
-			} else {
-				delete(r.deprefered, key)
-			}
-			r.mu.Unlock()
+		if dropped {
+			res.Dropped++
 		}
 	}
-	if policy == PolicyPreferValid {
-		r.mu.Lock()
-		res.Deprefered = len(r.deprefered)
-		r.mu.Unlock()
-	}
+	r.mu.Lock()
+	res.Deprefered = len(r.deprefered)
+	r.mu.Unlock()
 	return res
 }
 
@@ -385,5 +352,5 @@ func (r *Router) Counts() map[vrp.State]int {
 
 // String summarises the router.
 func (r *Router) String() string {
-	return fmt.Sprintf("router(%s, %d prefixes)", r.effectivePolicy(), r.table.Len())
+	return fmt.Sprintf("router(%s, %d prefixes)", r.Policy, r.table.Len())
 }

@@ -33,7 +33,7 @@ func newVRPs(t *testing.T) *vrp.Set {
 // TestHijackSuppression is the §2.3 attacker-model experiment in
 // miniature: the legitimate route survives, the hijack does not.
 func TestHijackSuppression(t *testing.T) {
-	r := New(StaticVRPs{VRPs: newVRPs(t)}, true)
+	r := NewWithPolicy(StaticVRPs{VRPs: newVRPs(t)}, PolicyDropInvalid)
 
 	// Legitimate announcement.
 	d, err := r.Process(announce("193.0.6.0/24", 3333))
@@ -61,7 +61,7 @@ func TestHijackSuppression(t *testing.T) {
 }
 
 func TestUnprotectedRouterAcceptsHijack(t *testing.T) {
-	r := New(StaticVRPs{VRPs: newVRPs(t)}, false)
+	r := NewWithPolicy(StaticVRPs{VRPs: newVRPs(t)}, PolicyAcceptAll)
 	if _, err := r.Process(announce("193.0.6.0/24", 3333)); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestUnprotectedRouterAcceptsHijack(t *testing.T) {
 }
 
 func TestNotFoundRoutesAccepted(t *testing.T) {
-	r := New(StaticVRPs{VRPs: newVRPs(t)}, true)
+	r := NewWithPolicy(StaticVRPs{VRPs: newVRPs(t)}, PolicyDropInvalid)
 	d, err := r.Process(announce("8.8.8.0/24", 15169))
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestASSetPolicy(t *testing.T) {
 		},
 		NextHop: netutil.MustAddr("10.0.0.1"),
 	}
-	strict := New(StaticVRPs{VRPs: newVRPs(t)}, true)
+	strict := NewWithPolicy(StaticVRPs{VRPs: newVRPs(t)}, PolicyDropInvalid)
 	d, err := strict.Process(ev)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestASSetPolicy(t *testing.T) {
 	if d.Accepted {
 		t.Error("strict router accepted AS_SET route")
 	}
-	lax := New(StaticVRPs{VRPs: newVRPs(t)}, false)
+	lax := NewWithPolicy(StaticVRPs{VRPs: newVRPs(t)}, PolicyAcceptAll)
 	d, err = lax.Process(ev)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestASSetPolicy(t *testing.T) {
 }
 
 func TestWithdrawAlwaysProcessed(t *testing.T) {
-	r := New(StaticVRPs{VRPs: newVRPs(t)}, true)
+	r := NewWithPolicy(StaticVRPs{VRPs: newVRPs(t)}, PolicyDropInvalid)
 	r.Process(announce("193.0.6.0/24", 3333))
 	wd := bgp.RouteEvent{
 		PeerAS: 100, PeerID: netutil.MustAddr("10.0.0.1"),
@@ -139,7 +139,7 @@ func TestWithdrawAlwaysProcessed(t *testing.T) {
 }
 
 func TestCounts(t *testing.T) {
-	r := New(StaticVRPs{VRPs: newVRPs(t)}, true)
+	r := NewWithPolicy(StaticVRPs{VRPs: newVRPs(t)}, PolicyDropInvalid)
 	r.Process(announce("193.0.6.0/24", 3333)) // valid
 	r.Process(announce("193.0.7.0/24", 666))  // invalid
 	r.Process(announce("8.8.8.0/24", 15169))  // not found

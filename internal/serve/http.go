@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/netip"
@@ -13,6 +14,13 @@ import (
 // maxBatchRoutes bounds one POST /v1/validate body; larger batches
 // should be split by the client (loadgen's default is far below this).
 const maxBatchRoutes = 4096
+
+// maxValidateBody bounds the bytes of one POST /v1/validate body, so an
+// oversized request is refused while it is read rather than decoded
+// whole and then counted. 128 bytes a route is roomy: the longest
+// compact route object (a full-length IPv6 prefix, a ten-digit ASN) is
+// under 80.
+const maxValidateBody = maxBatchRoutes * 128
 
 // Handler returns the service's HTTP API. Every handler follows the
 // same discipline: load the snapshot pointer once, answer entirely from
@@ -171,9 +179,14 @@ func (s *Service) handleValidatePost(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req validateRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxValidateBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxValidateBody)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -156,6 +156,29 @@ func TestValidateEndpoint(t *testing.T) {
 	}
 }
 
+// TestValidateBodyCap: the POST body is bounded while it is read. A body
+// of exactly maxValidateBody bytes is served; one byte more is refused
+// with 413 before the route-count check ever sees it. The padding leads
+// the JSON value, so the decoder has to cross the cap to finish it.
+func TestValidateBodyCap(t *testing.T) {
+	h := testService(t).Handler()
+	route := `{"prefix": "203.0.113.0/24", "asn": 64999}`
+	atCap := strings.Repeat(" ", maxValidateBody-len(route)) + route
+	if rec, resp := do(t, h, "POST", "/v1/validate", atCap); rec.Code != http.StatusOK {
+		t.Fatalf("body of exactly %d bytes: %d %v", len(atCap), rec.Code, resp)
+	}
+	rec, resp := do(t, h, "POST", "/v1/validate", " "+atCap)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body of %d bytes: %d %v, want 413", len(atCap)+1, rec.Code, resp)
+	}
+	// A full-size batch of the longest routes still fits under the cap.
+	long := `{"prefix":"2001:0db8:85a3:0000:0000:8a2e:0370:7334/128","asn":4294967295}`
+	batch := `{"routes":[` + strings.Repeat(long+",", maxBatchRoutes-1) + long + `]}`
+	if rec, resp := do(t, h, "POST", "/v1/validate", batch); rec.Code != http.StatusOK || len(resp["results"].([]any)) != maxBatchRoutes {
+		t.Fatalf("full batch of %d bytes: %d", len(batch), rec.Code)
+	}
+}
+
 func TestDomainEndpoint(t *testing.T) {
 	s := testService(t)
 	h := s.Handler()

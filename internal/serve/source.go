@@ -123,8 +123,8 @@ func (s *Service) RunSim(ctx context.Context, cfg sim.Config, interval time.Dura
 		}
 		// The truth generation counts mutations, so comparing it
 		// detects "this tick changed the VRPs" without a diff (the
-		// incremental engine edits TruthSet in place, so pointer
-		// identity would miss changes).
+		// engine edits TruthSet in place, so pointer identity would
+		// miss changes).
 		if gen := sm.TruthGen(); gen != last {
 			last = gen
 			if err := publish(); err != nil {

@@ -76,36 +76,36 @@ type Simulation struct {
 	RPs    []*RP
 	Series *TimeSeries
 
-	scenario   Scenario
-	truth      map[vrp.VRP]bool
-	truthCache *vrp.Set // memoised TruthSet; nil after a mutation (full mode only)
-	truthGen   uint64   // bumped on every truth mutation; see TruthGen
+	scenario Scenario
+	// truth is the ground-truth VRP set, maintained by delta-apply: it
+	// starts out aliasing the world's memoised validation (shared across
+	// sweep cells, and the set handed to the RTR server), is cloned on
+	// the first mutation (truthOwned) and edited in place from then on.
+	truth      *vrp.Set
+	truthOwned bool
+	truthGen   uint64 // bumped on every truth mutation; see TruthGen
 	dirty      bool
 	outage     bool // cold cache restart in progress: no flushes
 
-	// Incremental-mode state. incremental is the default; with it on,
-	// truthCache is maintained by delta-apply (clone-on-write out of the
-	// world's shared snapshot, then in-place edits), pending accumulates
-	// the VRPs touched since the last flush so the cache can be updated
-	// by delta, needFull forces the next flush onto the full-set path
-	// after a cold restart emptied the cache, and inc is the probe's
-	// incremental dataset (built lazily at the first probe).
-	incremental bool
-	truthOwned  bool
-	needFull    bool
-	pending     map[vrp.VRP]bool // desired membership of touched VRPs
-	inc         *measure.Incremental
-	start       time.Time
-	now         time.Time
-	end         time.Time
-	tick        int
-	session     uint16
-	err         error
-	ln          net.Listener
-	probeList   *alexa.List
-	headCut     int
-	hijacks     []*Hijack
-	closed      bool
+	// pending accumulates the VRPs touched since the last flush so the
+	// cache can be updated by delta, needFull forces the next flush onto
+	// the full-set path after a cold restart emptied the cache, and inc
+	// is the probe's incremental dataset (built lazily at the first
+	// probe).
+	needFull  bool
+	pending   map[vrp.VRP]bool // desired membership of touched VRPs
+	inc       *measure.Incremental
+	start     time.Time
+	now       time.Time
+	end       time.Time
+	tick      int
+	session   uint16
+	err       error
+	ln        net.Listener
+	probeList *alexa.List
+	headCut   int
+	hijacks   []*Hijack
+	closed    bool
 
 	trace       *obs.Trace
 	hijackStart map[string]time.Duration
@@ -133,27 +133,21 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	// Memoized per generated world: clones of a shared world (sweep's
 	// shared-world mode) pay certificate-path validation once, not per
-	// cell. The per-run truth map below is this run's own mutable copy.
+	// cell.
 	validation := world.Validation()
-	truth := make(map[vrp.VRP]bool)
-	for _, v := range validation.VRPs.All() {
-		truth[v] = true
-	}
 
 	s := &Simulation{
-		Cfg:         cfg,
-		World:       world,
-		Rand:        rand.New(rand.NewSource(cfg.Seed)),
-		Queue:       NewQueue(),
-		Bus:         NewBus(),
-		scenario:    scenario,
-		truth:       truth,
-		truthCache:  validation.VRPs,
-		incremental: !cfg.DisableIncremental,
-		pending:     make(map[vrp.VRP]bool),
-		start:       world.MeasureTime(),
-		session:     uint16(cfg.Seed),
-		headCut:     cfg.Domains / 10,
+		Cfg:      cfg,
+		World:    world,
+		Rand:     rand.New(rand.NewSource(cfg.Seed)),
+		Queue:    NewQueue(),
+		Bus:      NewBus(),
+		scenario: scenario,
+		truth:    validation.VRPs,
+		pending:  make(map[vrp.VRP]bool),
+		start:    world.MeasureTime(),
+		session:  uint16(cfg.Seed),
+		headCut:  cfg.Domains / 10,
 	}
 	if s.headCut == 0 {
 		s.headCut = 1
@@ -198,7 +192,7 @@ func New(cfg Config) (*Simulation, error) {
 				return nil, fmt.Errorf("sim: initial sync for %s: %w", spec.Name, err)
 			}
 			rp.Client = client
-			rp.source.set = client.Set()
+			rp.source.set = client.View()
 			// The initial Reset marked every synced prefix as changed;
 			// the routers are seeded against this state below, so the
 			// first delta-scoped revalidation must not replay it.
@@ -261,13 +255,11 @@ func New(cfg Config) (*Simulation, error) {
 	// registry is this run's own (sweep shared-world mode deep-copies it
 	// per cell), so the hook does not leak across simulations; Close
 	// detaches it.
-	if s.incremental {
-		s.World.Registry.SetMutationHook(func(name string) {
-			if s.inc != nil {
-				s.inc.DirtyHost(name)
-			}
-		})
-	}
+	s.World.Registry.SetMutationHook(func(name string) {
+		if s.inc != nil {
+			s.inc.DirtyHost(name)
+		}
+	})
 
 	// Setup is always Composite.Setup, which repoints Rand at each
 	// component's derived stream in turn — single scenarios included, so
@@ -389,9 +381,7 @@ func (s *Simulation) Close() error {
 	}
 	s.closed = true
 	s.closeTrace()
-	if s.incremental {
-		s.World.Registry.SetMutationHook(nil)
-	}
+	s.World.Registry.SetMutationHook(nil)
 	for _, rp := range s.RPs {
 		if rp.Client != nil {
 			rp.Client.Close()
@@ -438,40 +428,22 @@ func (s *Simulation) Publish(topic Topic, detail string, data any) {
 }
 
 // HasVRP reports whether the ground truth currently contains v.
-func (s *Simulation) HasVRP(v vrp.VRP) bool { return s.truth[v] }
+func (s *Simulation) HasVRP(v vrp.VRP) bool { return s.truth.Contains(v) }
 
 // TruthVRPs returns the ground-truth VRPs, sorted.
-func (s *Simulation) TruthVRPs() []vrp.VRP {
-	out := make([]vrp.VRP, 0, len(s.truth))
-	for v := range s.truth {
-		out = append(out, v)
-	}
-	sortVRPs(out)
-	return out
-}
+func (s *Simulation) TruthVRPs() []vrp.VRP { return s.truth.All() }
 
-// TruthSet returns the ground truth as a queryable set, memoised
-// between mutations. The returned set must be treated as read-only; in
-// incremental mode it is additionally live — later truth mutations
-// edit it in place rather than producing a fresh set — so callers that
-// need a frozen view must Clone it, and callers that need to detect
-// change must compare TruthGen values, not pointers.
-func (s *Simulation) TruthSet() *vrp.Set {
-	if s.truthCache == nil {
-		set, err := vrp.FromVRPs(s.TruthVRPs())
-		if err != nil {
-			s.fail(err)
-			return vrp.NewSet()
-		}
-		s.truthCache = set
-	}
-	return s.truthCache
-}
+// TruthSet returns the ground truth as a queryable set. The returned
+// set must be treated as read-only, and it is live — later truth
+// mutations edit it in place rather than producing a fresh set — so
+// callers that need a frozen view must Clone it, and callers that need
+// to detect change must compare TruthGen values, not pointers.
+func (s *Simulation) TruthSet() *vrp.Set { return s.truth }
 
 // TruthGen is a generation counter bumped on every ground-truth
 // mutation. It is the change-detection contract for TruthSet: the
-// incremental engine maintains the set by in-place delta-apply, so the
-// pointer stays stable across mutations and only the generation moves.
+// engine maintains the set by in-place delta-apply, so the pointer
+// stays stable across mutations and only the generation moves.
 func (s *Simulation) TruthGen() uint64 { return s.truthGen }
 
 // ROAData is the typed payload on TopicROA events: the VRP that moved,
@@ -485,56 +457,44 @@ type ROAData struct {
 // IssueVRP adds a validated ROA payload to the ground truth; the change
 // reaches relying parties at the next flush + their next refresh.
 func (s *Simulation) IssueVRP(v vrp.VRP, detail string) {
-	if s.truth[v] {
+	if s.truth.Contains(v) {
 		return
 	}
-	s.truth[v] = true
+	s.ensureTruthOwned()
+	if err := s.truth.Add(v); err != nil {
+		s.fail(fmt.Errorf("sim: issuing %v: %w", v, err))
+		return
+	}
 	s.dirty = true
 	s.truthGen++
-	if s.incremental {
-		s.ensureTruthOwned()
-		if err := s.truthCache.Add(v); err != nil {
-			s.fail(fmt.Errorf("sim: issuing %v: %w", v, err))
-			return
-		}
-		s.pending[v] = true
-		if s.inc != nil {
-			s.inc.DirtyVRP(v.Prefix)
-		}
-	} else {
-		s.truthCache = nil
+	s.pending[v] = true
+	if s.inc != nil {
+		s.inc.DirtyVRP(v.Prefix)
 	}
 	s.Publish(TopicROA, fmt.Sprintf("issue %v (%s)", v, detail), ROAData{VRP: v, Reason: detail})
 }
 
 // RevokeVRP removes a payload from the ground truth.
 func (s *Simulation) RevokeVRP(v vrp.VRP, detail string) {
-	if !s.truth[v] {
+	if !s.truth.Contains(v) {
 		return
 	}
-	delete(s.truth, v)
+	s.ensureTruthOwned()
+	s.truth.Remove(v)
 	s.dirty = true
 	s.truthGen++
-	if s.incremental {
-		s.ensureTruthOwned()
-		s.truthCache.Remove(v)
-		s.pending[v] = false
-		if s.inc != nil {
-			s.inc.DirtyVRP(v.Prefix)
-		}
-	} else {
-		s.truthCache = nil
+	s.pending[v] = false
+	if s.inc != nil {
+		s.inc.DirtyVRP(v.Prefix)
 	}
 	s.Publish(TopicROA, fmt.Sprintf("revoke %v (%s)", v, detail), ROAData{VRP: v, Revoke: true, Reason: detail})
 }
 
-// ensureTruthOwned makes truthCache this run's private copy. It starts
-// out aliasing the world's memoised validation set (shared across sweep
-// cells) and the set handed to the RTR server, so the first delta-apply
-// must clone before editing in place.
+// ensureTruthOwned makes truth this run's private copy before the first
+// in-place edit.
 func (s *Simulation) ensureTruthOwned() {
 	if !s.truthOwned {
-		s.truthCache = s.truthCache.Clone()
+		s.truth = s.truth.Clone()
 		s.truthOwned = true
 	}
 }
@@ -662,15 +622,21 @@ func (s *Simulation) RestartCache(cold bool) {
 
 // flush pushes the ground truth to the cache when it changed this tick.
 // During a cold-restart outage the cache has nothing validated to serve,
-// so flushes are held back until revalidation completes. In incremental
-// mode the accumulated pending delta is applied instead of diffing the
-// full set; both server paths no-op identically on a net-zero change,
-// so the serial sequence — and every byte downstream — is the same.
+// so flushes are held back until revalidation completes. The
+// accumulated pending delta is applied rather than the full set diffed,
+// except after a cold restart (needFull); both server paths no-op
+// identically on a net-zero change, so the serial sequence — and every
+// byte downstream — is the same either way.
 func (s *Simulation) flush() {
 	if !s.dirty || s.outage {
 		return
 	}
-	if s.incremental && !s.needFull {
+	if s.needFull {
+		// The server retains the set it is handed while the engine's
+		// copy keeps being edited in place, so hand over a snapshot.
+		s.Server.Update(s.truth.Clone())
+		s.needFull = false
+	} else {
 		var ann, wd []vrp.VRP
 		for v, want := range s.pending {
 			if want {
@@ -682,20 +648,10 @@ func (s *Simulation) flush() {
 		slices.SortFunc(ann, vrp.Compare)
 		slices.SortFunc(wd, vrp.Compare)
 		s.Server.UpdateDelta(ann, wd)
-	} else {
-		set := s.TruthSet()
-		if s.incremental {
-			// The server retains the set it is handed while the
-			// engine's copy keeps being edited in place, so hand over a
-			// snapshot.
-			set = set.Clone()
-		}
-		s.Server.Update(set)
-		s.needFull = false
 	}
 	clear(s.pending)
 	s.dirty = false
-	vrps := s.TruthSet().Len()
+	vrps := s.truth.Len()
 	s.Publish(TopicRTR, fmt.Sprintf("flush serial=%d vrps=%d", s.Server.Serial(), vrps),
 		FlushData{Serial: s.Server.Serial(), VRPs: vrps})
 }
@@ -722,11 +678,10 @@ type RefreshData struct {
 // bounded worker pool — each RP owns its client connection, router, and
 // local RIB, so the units are independent — and results land in
 // index-addressed slots, published afterwards in roster order, so the
-// event stream is identical regardless of goroutine scheduling. In
-// incremental mode each RP revalidates only the routes under the
-// prefixes its poll actually changed; a full-resync fallback (session
-// reset, delta history gone) marks everything and degrades gracefully
-// to the complete Adj-RIB-In.
+// event stream is identical regardless of goroutine scheduling. Each RP
+// revalidates only the routes under the prefixes its poll actually
+// changed; a full-resync fallback (session reset, delta history gone)
+// marks everything and degrades gracefully to the complete Adj-RIB-In.
 func (s *Simulation) refreshDue() {
 	var due []*RP
 	for _, rp := range s.RPs {
@@ -750,15 +705,9 @@ func (s *Simulation) refreshDue() {
 			outs[i].err = fmt.Errorf("sim: %s poll: %w", rp.Spec.Name, err)
 			return
 		}
-		var res router.RevalidationResult
-		if s.incremental {
-			changed := rp.Client.TakeDelta()
-			rp.source.set = rp.Client.View()
-			res = rp.Router.RevalidateAffected(changed)
-		} else {
-			rp.source.set = rp.Client.Set()
-			res = rp.Router.Revalidate()
-		}
+		changed := rp.Client.TakeDelta()
+		rp.source.set = rp.Client.View()
+		res := rp.Router.RevalidateAffected(changed)
 		outs[i] = outcome{serial: rp.Client.Serial(), vrps: rp.Client.Len(), dropped: res.Dropped}
 	})
 	for i, rp := range due {
@@ -810,38 +759,32 @@ func parallelFor(n, workers int, fn func(int)) {
 // shows up in the vrps_* columns and its routing consequences in the
 // hijacked_* columns.
 func (s *Simulation) probe() {
-	var ds *measure.Dataset
-	if s.incremental {
-		if s.inc == nil {
-			inc, err := measure.NewIncremental(s.probeList, s.measureConfig())
-			if err != nil {
-				s.fail(fmt.Errorf("sim: probe: %w", err))
-				return
-			}
-			s.inc = inc
-		} else {
-			s.inc.SetVRPs(s.TruthSet())
-			if err := s.inc.Refresh(); err != nil {
-				s.fail(fmt.Errorf("sim: probe: %w", err))
-				return
-			}
-		}
-		ds = s.inc.Dataset()
-	} else {
-		var err error
-		ds, err = measure.Run(s.probeList, s.measureConfig())
+	if s.inc == nil {
+		inc, err := measure.NewIncremental(s.probeList, measure.Config{
+			Resolver: dns.RegistryResolver{Registry: s.World.Registry},
+			RIB:      s.World.RIB,
+			VRPs:     s.truth,
+			BinWidth: s.headCut,
+		})
 		if err != nil {
 			s.fail(fmt.Errorf("sim: probe: %w", err))
 			return
 		}
+		s.inc = inc
+	} else {
+		s.inc.SetVRPs(s.truth)
+		if err := s.inc.Refresh(); err != nil {
+			s.fail(fmt.Errorf("sim: probe: %w", err))
+			return
+		}
 	}
-	snap := measure.Snapshot(ds, s.headCut)
+	snap := measure.Snapshot(s.inc.Dataset(), s.headCut)
 
 	row := []float64{
 		s.T().Seconds(),
 		float64(s.tick),
 		float64(s.Server.Serial()),
-		float64(len(s.truth)),
+		float64(s.truth.Len()),
 	}
 	// The per-RP columns — synced payload counts, then hijack-forward
 	// outcomes — fan out across the worker pool into index-addressed
@@ -888,30 +831,13 @@ func (s *Simulation) probe() {
 		SampleData{
 			Tick:     s.tick,
 			Serial:   s.Server.Serial(),
-			VRPs:     len(s.truth),
+			VRPs:     s.truth.Len(),
 			Valid:    snap.Valid,
 			Invalid:  snap.Invalid,
 			NotFound: snap.NotFound,
 			Coverage: snap.Coverage,
 			Hijacks:  len(s.hijacks),
 		})
-}
-
-// measureConfig wires the probe's measurement pipeline to this run's
-// world and ground truth.
-func (s *Simulation) measureConfig() measure.Config {
-	return measure.Config{
-		Resolver: dns.RegistryResolver{Registry: s.World.Registry},
-		RIB:      s.World.RIB,
-		VRPs:     s.TruthSet(),
-		BinWidth: s.headCut,
-	}
-}
-
-// sortVRPs orders VRPs with vrp.Compare — the same total order
-// vrp.Set.All uses, shared so the two orderings cannot drift.
-func sortVRPs(vs []vrp.VRP) {
-	slices.SortFunc(vs, vrp.Compare)
 }
 
 // RunScenario is the one-call entry point: build, run, close, return the

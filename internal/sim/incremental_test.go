@@ -2,9 +2,12 @@ package sim
 
 import (
 	"bytes"
+	"container/heap"
+	"reflect"
 	"testing"
 	"time"
 
+	"ripki/internal/rib"
 	"ripki/internal/router"
 )
 
@@ -24,21 +27,97 @@ func runJSON(t *testing.T, cfg Config) []byte {
 	return buf.Bytes()
 }
 
-// TestIncrementalMatchesFull is the incremental layer's contract: for
-// every registered scenario (and a three-way composition), the default
-// incremental paths — dirty-set probe, delta-applied truth, delta
-// cache updates, delta-scoped revalidation — produce output
-// byte-identical to the full-recompute escape hatch.
+// runEverythingDirty runs cfg on the same engine with every O(changes)
+// shortcut defeated through the engine's own fallbacks, so each tick
+// recomputes the world: needFull before every flush (the cold-restart
+// path: the whole truth set pushed and diffed, not the pending delta),
+// measure.Incremental.DirtyAll before every probe (every sampled domain
+// re-measured), and a full Router.Revalidate after every refresh — which
+// must find nothing left to do, or delta-scoped revalidation missed a
+// route. It steps the queue itself, exactly as Step does, to reach
+// between the events.
+func runEverythingDirty(t *testing.T, cfg Config) []byte {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", cfg.Scenario, err)
+	}
+	defer s.Close()
+	for s.err == nil && !s.now.After(s.end) {
+		for len(s.Queue.h) > 0 && !s.Queue.h[0].at.After(s.now) {
+			e := heap.Pop(&s.Queue.h).(*event)
+			switch e.class {
+			case classFlush:
+				s.needFull = true
+			case classProbe:
+				if s.inc != nil {
+					s.inc.DirtyAll()
+				}
+			}
+			e.fn()
+			if e.class == classRefresh {
+				assertRevalidateIsNoop(t, s)
+			}
+		}
+		s.now = s.now.Add(s.Cfg.Tick)
+		s.tick++
+	}
+	if s.err != nil {
+		t.Fatalf("%s: %v", cfg.Scenario, s.err)
+	}
+	var buf bytes.Buffer
+	if err := s.Series.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// assertRevalidateIsNoop runs a full Adj-RIB-In revalidation on every
+// relying party that just refreshed and fails if it moved anything: a route in or out of
+// the local RIB, or where traffic to a hijack victim is forwarded.
+// Revalidation re-applies the very events the table was built from, so
+// it can only withdraw an installed route (counted in Dropped) or
+// install a missing one (the route count grows); neither happening
+// means the table is unchanged.
+func assertRevalidateIsNoop(t *testing.T, s *Simulation) {
+	t.Helper()
+	forwards := func(rp *RP) []rib.PrefixOrigin {
+		out := make([]rib.PrefixOrigin, len(s.hijacks))
+		for i, h := range s.hijacks {
+			out[i], _ = rp.Router.Forward(h.Victim)
+		}
+		return out
+	}
+	for _, rp := range s.RPs {
+		if rp.Client == nil || s.tick%rp.Spec.RefreshTicks != 0 {
+			continue // did not refresh this tick
+		}
+		routes, fwd := rp.Router.Table().Routes(), forwards(rp)
+		res := rp.Router.Revalidate()
+		if now := rp.Router.Table().Routes(); res.Dropped != 0 || now != routes {
+			t.Fatalf("tick %d: full revalidation changed %s's table after a delta-scoped refresh: %d -> %d routes, %+v",
+				s.tick, rp.Spec.Name, routes, now, res)
+		}
+		if now := forwards(rp); !reflect.DeepEqual(fwd, now) {
+			t.Fatalf("tick %d: full revalidation moved %s's hijack forwarding: %v -> %v", s.tick, rp.Spec.Name, fwd, now)
+		}
+	}
+}
+
+// TestIncrementalMatchesFull is the O(changes) engine's contract: for
+// every registered scenario (and a three-way composition), an ordinary
+// run — dirty-set probe, delta cache updates, delta-scoped
+// revalidation — exports JSON (rows and event stream) byte-identical to
+// the same engine recomputing everything every tick. Full recompute is
+// not a second engine; it is this one with everything marked dirty.
 func TestIncrementalMatchesFull(t *testing.T) {
 	specs := append(Names(), "hijack-window+rp-lag+roa-churn")
 	for _, name := range specs {
 		t.Run(name, func(t *testing.T) {
 			inc := runJSON(t, testConfig(name))
-			cfg := testConfig(name)
-			cfg.DisableIncremental = true
-			full := runJSON(t, cfg)
+			full := runEverythingDirty(t, testConfig(name))
 			if !bytes.Equal(inc, full) {
-				t.Errorf("incremental and full recompute differ for %s:\n--- incremental ---\n%s\n--- full ---\n%s", name, inc, full)
+				t.Errorf("ordinary and everything-dirty runs differ for %s:\n--- ordinary ---\n%s\n--- everything dirty ---\n%s", name, inc, full)
 			}
 		})
 	}

@@ -564,7 +564,7 @@ func (o *taOutage) anchorTruth(s *Simulation, name string) []vrp.VRP {
 // RPKI is whole but NotFound once the anchor's subtree is gone — i.e.
 // covered only by a tightly signed VRP the outage removes.
 func (o *taOutage) outageTarget(s *Simulation, lost []vrp.VRP) (netip.Prefix, netip.Addr, error) {
-	remaining := make([]vrp.VRP, 0, len(s.truth))
+	remaining := make([]vrp.VRP, 0, s.truth.Len())
 	gone := make(map[vrp.VRP]bool, len(lost))
 	for _, v := range lost {
 		gone[v] = true

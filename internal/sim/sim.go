@@ -160,14 +160,6 @@ type Config struct {
 	// World reuses a prebuilt ecosystem; Seed/Domains still drive the
 	// scenario randomness.
 	World *webworld.World
-	// DisableIncremental forces the full-recompute paths: every probe
-	// re-measures the whole sample, the truth set is rebuilt from
-	// scratch after each mutation, and relying parties revalidate their
-	// entire Adj-RIB-In at each refresh. The default (incremental)
-	// paths produce byte-identical output; this escape hatch exists to
-	// prove it — the CI determinism job diffs the two — and as a
-	// debugging aid.
-	DisableIncremental bool
 }
 
 // WithDefaults returns the config with unset fields filled in — the

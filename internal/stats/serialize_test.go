@@ -135,120 +135,6 @@ func TestStreamingRoundTripRejectsTornState(t *testing.T) {
 	}
 }
 
-// TestStreamingMergeExactPhases: while both sides are within the exact
-// buffer, Merge replays the right side's buffered values — count, min,
-// max and all three percentiles match single-stream folding exactly
-// (mean up to floating-point association).
-func TestStreamingMergeExactPhases(t *testing.T) {
-	rnd := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rnd.Intn(24)
-		vs := make([]float64, n)
-		for i := range vs {
-			vs[i] = rnd.Float64() * 50
-		}
-		single := foldN(vs, n).Summary()
-		for split := 0; split <= n; split++ {
-			left := foldN(vs, split)
-			right := NewStreamingSummary()
-			for _, v := range vs[split:] {
-				right.Add(v)
-			}
-			left.Merge(right)
-			got := left.Summary()
-			if got.Count != single.Count || got.Min != single.Min || got.Max != single.Max {
-				t.Fatalf("trial %d split %d: count/min/max diverged: %+v vs %+v", trial, split, got, single)
-			}
-			if got.P50 != single.P50 || got.P95 != single.P95 || got.P99 != single.P99 {
-				t.Fatalf("trial %d split %d: exact-phase merge percentiles diverged: %+v vs %+v",
-					trial, split, got, single)
-			}
-			if !closeRel(got.Mean, single.Mean, 1e-9) {
-				t.Fatalf("trial %d split %d: mean %v vs %v", trial, split, got.Mean, single.Mean)
-			}
-		}
-	}
-}
-
-// TestStreamingMergeWithinBounds property-tests the documented merge
-// bounds once either side is past its exact phase: against the exact
-// sample quantile of the combined stream, |Δp50| ≤ 0.25 × range,
-// |Δp95| ≤ 0.25 × range, |Δp99| ≤ 0.30 × range — across uniform,
-// Gaussian and exponential streams and asymmetric splits. Count, min
-// and max stay exact; estimates stay inside [min, max].
-func TestStreamingMergeWithinBounds(t *testing.T) {
-	rnd := rand.New(rand.NewSource(2026))
-	for trial := 0; trial < 200; trial++ {
-		n := 30 + rnd.Intn(500)
-		vs := make([]float64, n)
-		scale := math.Pow(10, float64(rnd.Intn(4)))
-		for i := range vs {
-			switch trial % 3 {
-			case 0:
-				vs[i] = rnd.Float64() * scale
-			case 1:
-				vs[i] = rnd.NormFloat64() * scale
-			default:
-				vs[i] = rnd.ExpFloat64() * scale
-			}
-		}
-		split := 1 + rnd.Intn(n-1)
-		left := foldN(vs, split)
-		right := NewStreamingSummary()
-		for _, v := range vs[split:] {
-			right.Add(v)
-		}
-		left.Merge(right)
-		got := left.Summary()
-		exact := Summarize(vs)
-		if got.Count != exact.Count || got.Min != exact.Min || got.Max != exact.Max {
-			t.Fatalf("trial %d: count/min/max diverged: %+v vs %+v", trial, got, exact)
-		}
-		if !closeRel(got.Mean, exact.Mean, 1e-9) {
-			t.Fatalf("trial %d: mean %v vs %v", trial, got.Mean, exact.Mean)
-		}
-		span := exact.Max - exact.Min
-		if d := math.Abs(got.P50 - exact.P50); d > 0.25*span+1e-12 {
-			t.Fatalf("trial %d n=%d split=%d: merged p50 %v vs exact %v (|Δ|=%v > 0.25×%v)",
-				trial, n, split, got.P50, exact.P50, d, span)
-		}
-		if d := math.Abs(got.P95 - exact.P95); d > 0.25*span+1e-12 {
-			t.Fatalf("trial %d n=%d split=%d: merged p95 %v vs exact %v (|Δ|=%v > 0.25×%v)",
-				trial, n, split, got.P95, exact.P95, d, span)
-		}
-		if d := math.Abs(got.P99 - exact.P99); d > 0.30*span+1e-12 {
-			t.Fatalf("trial %d n=%d split=%d: merged p99 %v vs exact %v (|Δ|=%v > 0.30×%v)",
-				trial, n, split, got.P99, exact.P99, d, span)
-		}
-		if got.P50 < exact.Min || got.P50 > exact.Max ||
-			got.P95 < exact.Min || got.P95 > exact.Max ||
-			got.P99 < exact.Min || got.P99 > exact.Max {
-			t.Fatalf("trial %d: merged quantiles escape [min, max]: %+v", trial, got)
-		}
-	}
-}
-
-// TestStreamingMergeEmptySides: merging an empty accumulator in either
-// direction is a no-op / a copy.
-func TestStreamingMergeEmptySides(t *testing.T) {
-	vs := []float64{5, 1, 9, 3}
-	folded := foldN(vs, len(vs))
-	folded.Merge(NewStreamingSummary())
-	if !sameSummary(folded.Summary(), foldN(vs, len(vs)).Summary()) {
-		t.Fatalf("merge of empty changed the receiver: %+v", folded.Summary())
-	}
-	empty := NewStreamingSummary()
-	empty.Merge(foldN(vs, len(vs)))
-	if !sameSummary(empty.Summary(), foldN(vs, len(vs)).Summary()) {
-		t.Fatalf("merge into empty lost state: %+v", empty.Summary())
-	}
-	both := NewStreamingSummary()
-	both.Merge(NewStreamingSummary())
-	if both.Count() != 0 || !math.IsNaN(both.Summary().P50) {
-		t.Fatalf("empty-empty merge: %+v", both.Summary())
-	}
-}
-
 // TestSummaryJSONRoundTrip: the Summary wire rendering (null for
 // non-finite values) decodes back to the same Summary, NaN for NaN and
 // float for float — what lets exact-mode cell aggregates cross the

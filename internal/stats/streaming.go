@@ -87,47 +87,6 @@ func (s *StreamingSummary) Add(v float64) {
 // Count returns the number of finite observations folded so far.
 func (s *StreamingSummary) Count() int { return s.count }
 
-// Merge folds every observation o has absorbed into s, leaving o
-// untouched. Count, Min and Max stay exact; Mean becomes the weighted
-// combination of the two means (exact up to floating-point
-// association, like sequential folding). Percentiles: while both sides
-// are still in their exact phase the merge replays o's buffered values
-// and stays exact (and, if the combined stream still fits the buffer,
-// identical to single-stream folding); once either side has entered
-// the P² phase the merge replays o's five markers weighted by the
-// sample mass between them, and the estimates carry looser, documented
-// bounds than single-stream folding — property-tested at
-// |Δp50| ≤ 0.25 × range, |Δp95| ≤ 0.25 × range and
-// |Δp99| ≤ 0.30 × range versus the exact sample quantile.
-//
-// Distributed sweeps do NOT rely on Merge for their byte-identical
-// contract (cells are leased whole, so each cell's accumulators are
-// always single-stream folds in replicate order); Merge exists for
-// consumers that genuinely combine independently-folded streams, e.g.
-// adaptive refinement topping up a cell with extra replicates.
-func (s *StreamingSummary) Merge(o *StreamingSummary) {
-	if o == nil || o.count == 0 {
-		return
-	}
-	if s.count == 0 {
-		s.min, s.max = o.min, o.max
-		s.mean = o.mean
-	} else {
-		if o.min < s.min {
-			s.min = o.min
-		}
-		if o.max > s.max {
-			s.max = o.max
-		}
-		s.mean = (s.mean*float64(s.count) + o.mean*float64(o.count)) /
-			float64(s.count+o.count)
-	}
-	s.count += o.count
-	s.p50.merge(&o.p50)
-	s.p95.merge(&o.p95)
-	s.p99.merge(&o.p99)
-}
-
 // streamingSummaryJSON is the serialised accumulator state. Every field
 // a fold touches is carried verbatim — float64 values survive
 // encoding/json exactly (shortest round-tripping decimal) — so a
@@ -325,60 +284,6 @@ func (e *p2Quantile) parabolic(i int, d float64) float64 {
 func (e *p2Quantile) linear(i int, d float64) float64 {
 	j := i + int(d)
 	return e.q[i] + d*(e.q[j]-e.q[i])/(e.pos[j]-e.pos[i])
-}
-
-// merge replays o's observations into e. An exact-phase o contributes
-// its buffered values verbatim (in insertion order, so merging two
-// exact-phase accumulators is literally sequential folding); a P²-phase
-// o is approximated by its five markers, each replayed as many times as
-// the sample mass it represents (half the span to each neighbouring
-// marker), ascending — the looser bounds documented on
-// StreamingSummary.Merge come entirely from this branch.
-func (e *p2Quantile) merge(o *p2Quantile) {
-	if o.n == 0 {
-		return
-	}
-	if o.n <= o.cap() {
-		for _, v := range o.buf {
-			e.add(v)
-		}
-		return
-	}
-	// Marker i stands in for the observations between the midpoints of
-	// its neighbouring spans. Weights are rounded down; the remainder is
-	// assigned to the middle marker (the quantile's own neighbourhood),
-	// keeping the replayed count equal to o.n.
-	var w [5]int
-	total := 0
-	for i := 0; i < 5; i++ {
-		lo, hi := o.pos[0], o.pos[4]
-		if i > 0 {
-			lo = (o.pos[i-1] + o.pos[i]) / 2
-		}
-		if i < 4 {
-			hi = (o.pos[i] + o.pos[i+1]) / 2
-		}
-		if i == 0 {
-			lo = o.pos[0] - 0.5
-		}
-		if i == 4 {
-			hi = o.pos[4] + 0.5
-		}
-		w[i] = int(hi - lo)
-		if w[i] < 1 {
-			w[i] = 1
-		}
-		total += w[i]
-	}
-	w[2] += o.n - total
-	if w[2] < 1 {
-		w[2] = 1
-	}
-	for i := 0; i < 5; i++ {
-		for k := 0; k < w[i]; k++ {
-			e.add(o.q[i])
-		}
-	}
 }
 
 // p2QuantileJSON mirrors p2Quantile field-for-field; bufN disambiguates

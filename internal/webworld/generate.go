@@ -10,7 +10,6 @@ import (
 	"ripki/internal/bgp"
 	"ripki/internal/dns"
 	"ripki/internal/mrt"
-	"ripki/internal/netutil"
 	"ripki/internal/rib"
 	"ripki/internal/rpki/cert"
 	"ripki/internal/rpki/repo"
@@ -462,51 +461,4 @@ func (w *World) path(peer, origin uint32) []bgp.Segment {
 	}
 	asns = append(asns, origin)
 	return []bgp.Segment{{Type: bgp.SegmentSequence, ASNs: asns}}
-}
-
-// ReplayBGP re-announces the whole RIB over a live BGP session to the
-// given collector address, one speaker per vantage peer. It is used by
-// integration tests and examples to exercise the wire path end to end.
-func (w *World) ReplayBGP(addr string) error {
-	peers := w.RIB.Peers()
-	speakers := make(map[uint16]*bgp.Speaker, len(peers))
-	defer func() {
-		for _, sp := range speakers {
-			sp.Close()
-		}
-	}()
-	var outer error
-	w.RIB.WalkRoutes(func(r rib.Route) bool {
-		sp := speakers[r.PeerIndex]
-		if sp == nil {
-			var err error
-			p := peers[r.PeerIndex]
-			sp, err = bgp.DialSpeaker(addr, p.ASN, p.BGPID)
-			if err != nil {
-				outer = err
-				return false
-			}
-			speakers[r.PeerIndex] = sp
-		}
-		up := &bgp.Update{ASPath: r.Path}
-		if r.Prefix.Addr().Is4() {
-			up.NLRI = []netip.Prefix{r.Prefix}
-			up.NextHop = r.NextHop
-			if !up.NextHop.Is4() {
-				up.NextHop = netip.AddrFrom4([4]byte{10, 99, 0, 1})
-			}
-		} else {
-			nh := r.NextHop
-			if !nh.Is6() || nh.Is4() {
-				nh = netutil.MustAddr("2001:db8:ffff::1")
-			}
-			up.MPReach = &bgp.MPReach{NextHop: nh, NLRI: []netip.Prefix{r.Prefix}}
-		}
-		if err := sp.Send(up); err != nil {
-			outer = err
-			return false
-		}
-		return true
-	})
-	return outer
 }

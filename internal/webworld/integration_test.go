@@ -2,12 +2,8 @@ package webworld
 
 import (
 	"bytes"
-	"net"
-	"sync"
 	"testing"
-	"time"
 
-	"ripki/internal/bgp"
 	"ripki/internal/netutil"
 	"ripki/internal/rib"
 )
@@ -44,77 +40,5 @@ func TestMRTRoundTripOfWorld(t *testing.T) {
 		if want[i] != have[i] {
 			t.Fatalf("OriginPairs[%d]: %v vs %v", i, want[i], have[i])
 		}
-	}
-}
-
-// TestReplayBGPIntoCollector replays a small world's routing table over
-// live RFC 4271 sessions into a collector and verifies the received
-// table matches — end-to-end wire validation of the BGP substrate.
-func TestReplayBGPIntoCollector(t *testing.T) {
-	w, err := Generate(Config{Seed: 5, Domains: 1500, Hosters: 80, ISPs: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
-	received := rib.New()
-	var mu sync.Mutex
-	col := &bgp.Collector{
-		ASN: 12654,
-		ID:  netutil.MustAddr("193.0.4.28"),
-		Handle: func(ev bgp.RouteEvent) {
-			mu.Lock()
-			defer mu.Unlock()
-			if err := received.Apply(ev); err != nil {
-				t.Errorf("apply: %v", err)
-			}
-		},
-		Logf: t.Logf,
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go col.Serve(ln)
-	defer col.Close()
-
-	if err := w.ReplayBGP(ln.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-	// The collector processes asynchronously; wait for all routes.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		mu.Lock()
-		n := received.Routes()
-		mu.Unlock()
-		if n == w.RIB.Routes() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("received %d of %d routes", n, w.RIB.Routes())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if received.Len() != w.RIB.Len() {
-		t.Fatalf("prefixes: %d vs %d", received.Len(), w.RIB.Len())
-	}
-	// Origin extraction must agree everywhere.
-	mismatch := 0
-	w.RIB.WalkRoutes(func(r rib.Route) bool {
-		a := hostAddr(r.Prefix, 7)
-		want := w.RIB.OriginPairs(a)
-		have := received.OriginPairs(a)
-		if len(want) != len(have) {
-			mismatch++
-			return mismatch < 5
-		}
-		for i := range want {
-			if want[i] != have[i] {
-				mismatch++
-				return mismatch < 5
-			}
-		}
-		return true
-	})
-	if mismatch != 0 {
-		t.Fatalf("%d origin-pair mismatches after wire replay", mismatch)
 	}
 }

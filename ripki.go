@@ -62,8 +62,6 @@ type (
 	Table = stats.Table
 	// Dataset is the full measurement output.
 	Dataset = measure.Dataset
-	// DomainResult is one domain's measurement.
-	DomainResult = measure.DomainResult
 	// WorldConfig parameterises the synthetic ecosystem.
 	WorldConfig = webworld.Config
 	// World is the generated ecosystem.
@@ -133,11 +131,6 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ripki: generating world: %w", err)
 	}
-	return NewStudyFromWorld(world, cfg)
-}
-
-// NewStudyFromWorld runs the pipeline over an existing world.
-func NewStudyFromWorld(world *World, cfg StudyConfig) (*Study, error) {
 	validation := world.Repo.Validate(world.MeasureTime())
 	ha := httparchive.New(world.CDNSuffixes)
 	if cfg.HTTPArchiveLimit > 0 {
@@ -272,22 +265,14 @@ type (
 	SimComposite = sim.Composite
 	// TimeSeries is the per-tick simulation output.
 	TimeSeries = sim.TimeSeries
-	// SimSampleData is the typed payload on sample-topic SimEvents.
-	SimSampleData = sim.SampleData
-	// Incident is one typed incident record (hijack announce, ROA move,
-	// trust-anchor outage, RP lag episode) derived from the bus; attach
-	// a recorder with Simulation.AttachIncidents.
-	Incident = sim.Incident
-	// IncidentSource names the feed and observer of an Incident.
-	IncidentSource = sim.IncidentSource
-	// IncidentLog accumulates incidents and exports canonical JSONL
-	// (byte-identical per seed).
+	// IncidentLog accumulates typed incident records (hijack announce,
+	// ROA move, trust-anchor outage, RP lag episode) derived from the
+	// bus — attach its Add with Simulation.AttachIncidents — and exports
+	// canonical JSONL (byte-identical per seed).
 	IncidentLog = sim.IncidentLog
 	// Trace is a deterministic structured trace recorder (attach to a
 	// Simulation with AttachTrace; export with WriteJSONL/WriteChrome).
 	Trace = obs.Trace
-	// TraceEvent is one recorded trace event.
-	TraceEvent = obs.TraceEvent
 )
 
 // NewTrace creates an empty trace recorder.
@@ -316,18 +301,6 @@ func RegisterScenario(name string, f func(SimParams) Scenario) { sim.Register(na
 // composition.
 func NewScenario(spec string, p SimParams) (Scenario, error) { return sim.NewScenario(spec, p) }
 
-// ScenarioComponents splits a scenario spec into its component names in
-// canonical (sorted) order; single names come back as one element.
-func ScenarioComponents(spec string) ([]string, error) { return sim.ParseSpec(spec) }
-
-// SimComponentSeed derives a scenario component's RNG stream seed from
-// the master seed, the component name, and its occurrence index — the
-// derivation that makes a component's randomness identical whether it
-// runs alone or inside any composition.
-func SimComponentSeed(master int64, name string, occurrence int) int64 {
-	return sim.ComponentSeed(master, name, occurrence)
-}
-
 // --- sweeps ------------------------------------------------------------
 
 // Re-exported sweep types: parameter grids of simulations sharded
@@ -348,20 +321,6 @@ type (
 	SweepResult = sweep.Result
 	// SweepRunResult is one run's scalar summary.
 	SweepRunResult = sweep.RunResult
-	// SweepCell is one cell's cross-run aggregate (per-tick summaries,
-	// per-RP hijack-success rates).
-	SweepCell = sweep.Cell
-	// WorldSnapshot is an immutable captured world; Clone hands each
-	// simulation its own safely-mutable copy (shared-world sweeps).
-	WorldSnapshot = webworld.Snapshot
-	// StreamingSummary is the online (O(1)-memory) counterpart of
-	// stats.Summarize: exact count/min/max/mean, exact p50/p95 up to 25
-	// values (p99 up to 100), P² estimates beyond. Streaming sweeps keep
-	// one per (cell, tick, metric).
-	StreamingSummary = stats.StreamingSummary
-	// StatsSummary is the count/min/max/mean/p50/p95/p99 description
-	// sweep aggregation folds each metric into.
-	StatsSummary = stats.Summary
 )
 
 // RunSweep expands the grid, runs every simulation across the worker
@@ -382,10 +341,6 @@ func RunSweepPlan(ctx context.Context, p *SweepPlan, opt SweepOptions) (*SweepRe
 // fields rejected).
 func ParseSweepGrid(data []byte) (SweepGrid, error) { return sweep.ParseGrid(data) }
 
-// MarshalSweepGrid renders a grid in the schema ParseSweepGrid accepts
-// (ParseSweepGrid(MarshalSweepGrid(g)) re-expands the identical plan).
-func MarshalSweepGrid(g SweepGrid) ([]byte, error) { return sweep.MarshalGrid(g) }
-
 // --- distributed sweeps ------------------------------------------------
 
 // Re-exported distributed-sweep types: one plan sharded across
@@ -400,16 +355,10 @@ type (
 	DistCoordinatorConfig = distsweep.CoordinatorConfig
 	// DistWorkerConfig is the worker's local execution tuning.
 	DistWorkerConfig = distsweep.WorkerConfig
-	// SweepCellPartial is one completed cell crossing the
-	// worker→coordinator wire.
-	SweepCellPartial = sweep.CellPartial
 	// DistProgress is a running distributed sweep's standing (the
 	// coordinator's GET /progress body and the -status renderer's
 	// input).
 	DistProgress = distsweep.Progress
-	// DistProgressWorker is one worker's live standing within a
-	// DistProgress report.
-	DistProgressWorker = distsweep.ProgressWorker
 )
 
 // NewDistCoordinator expands the grid, binds addr, and loads any
@@ -427,39 +376,17 @@ func DistWork(ctx context.Context, addr string, cfg DistWorkerConfig) error {
 
 // --- serving -----------------------------------------------------------
 
-// Re-exported serving types: the always-on origin-validation and
-// web-exposure query service (cmd/ripki-served, docs/serve.md).
-type (
-	// ServeService publishes immutable snapshots behind an atomic
-	// pointer and answers validation and exposure queries lock-free.
-	ServeService = serve.Service
-	// ServeSnapshot is one immutable, serial-stamped query state.
-	ServeSnapshot = serve.Snapshot
-	// ServeDomainTable is the VRP-independent domain→route exposure map.
-	ServeDomainTable = serve.DomainTable
-	// ServeRouteResult is one route's validation outcome with covering
-	// VRPs.
-	ServeRouteResult = serve.RouteResult
-	// ServeDomainVerdict is a per-domain exposure verdict (both name
-	// variants, strict-filtering reachability).
-	ServeDomainVerdict = serve.DomainVerdict
-	// VRPIndex is the immutable, lock-free counterpart of a VRP set.
-	VRPIndex = vrp.Index
-)
-
-// NewServeService builds a query service from a generated world: the
-// domain exposure table plus the world's own validated payloads as the
-// first snapshot. Wire it to HTTP via its Handler method, and to live
-// update sources via RunRTR / RunSim.
-func NewServeService(w *World) (*ServeService, error) { return serve.NewFromWorld(w) }
+// ServeService is the always-on origin-validation and web-exposure
+// query service (cmd/ripki-served, docs/serve.md): it publishes
+// immutable snapshots behind an atomic pointer and answers validation
+// and exposure queries lock-free.
+type ServeService = serve.Service
 
 // ServeStudy exposes a completed study as a query service: the study's
-// world backs the domain table and its validated VRPs the snapshot
-// (Study.VRPs is the world's own memoised validation, so this is
-// NewServeService of the study's world).
+// world backs the domain exposure table and its validated VRPs (the
+// world's own memoised validation) the first snapshot. Wire it to HTTP
+// via its Handler method, and to live update sources via RunRTR /
+// RunSim.
 func (s *Study) ServeStudy() (*ServeService, error) {
 	return serve.NewFromWorld(s.World)
 }
-
-// NewVRPIndex freezes VRPs into a lock-free query index.
-func NewVRPIndex(vs []VRP) (*VRPIndex, error) { return vrp.NewIndex(vs) }
