@@ -2,6 +2,7 @@ package dns
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -17,7 +18,10 @@ const maxChase = 16
 type Registry struct {
 	mu      sync.RWMutex
 	records map[string][]RR // canonical name → records
-	hook    func(name string)
+	// shared is set while another registry may alias records (see
+	// Clone): nobody writes an aliased map, the first writer copies it.
+	shared bool
+	hook   func(name string)
 }
 
 // NewRegistry creates an empty registry.
@@ -54,6 +58,7 @@ func (r *Registry) Add(rr RR) {
 		rr.Class = ClassINET
 	}
 	r.mu.Lock()
+	r.ownLocked()
 	r.records[rr.Name] = append(r.records[rr.Name], rr)
 	hook := r.hook
 	r.mu.Unlock()
@@ -67,6 +72,7 @@ func (r *Registry) Add(rr RR) {
 // each shard accumulates its records and replays them in rank order.
 func (r *Registry) AddBatch(rrs []RR) {
 	r.mu.Lock()
+	r.ownLocked()
 	names := make([]string, 0, len(rrs))
 	for _, rr := range rrs {
 		rr.Name = CanonicalName(rr.Name)
@@ -88,21 +94,35 @@ func (r *Registry) AddBatch(rrs []RR) {
 	}
 }
 
-// Clone returns a deep copy of the registry: the copy and the original
-// can be mutated independently. Record order within each owner name is
-// preserved, so a clone resolves identically to its source. Shared-world
-// simulations clone the registry per run — it is the only part of a
-// generated world that scenarios mutate.
+// Clone returns a registry that resolves identically to its source and
+// can be mutated independently of it, in O(1): the two share the record
+// map until either side's first Add, AddBatch or Remove, which deep-
+// copies it (owner names and per-name record order preserved) before
+// writing. Shared-world simulations clone the registry per run — it is
+// the only part of a generated world that scenarios mutate, and most
+// scenarios never do, so most clones never pay for a copy. The hook is
+// not inherited. Clone is safe to call concurrently with anything.
 func (r *Registry) Clone() *Registry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	c := &Registry{records: make(map[string][]RR, len(r.records))}
-	for name, rrs := range r.records {
-		cp := make([]RR, len(rrs))
-		copy(cp, rrs)
-		c.records[name] = cp
+	// The write lock, because the source is marked too: its next write
+	// must leave the map its clones still read alone.
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.shared = true
+	return &Registry{records: r.records, shared: true}
+}
+
+// ownLocked gives the registry a record map of its own before a write.
+// Every per-name slice is copied too: Remove filters them in place.
+// Called with r.mu held for writing.
+func (r *Registry) ownLocked() {
+	if !r.shared {
+		return
 	}
-	return c
+	own := make(map[string][]RR, len(r.records))
+	for name, rrs := range r.records {
+		own[name] = slices.Clone(rrs)
+	}
+	r.records, r.shared = own, false
 }
 
 // AddCNAME is shorthand for a CNAME record.
@@ -117,6 +137,7 @@ func (r *Registry) AddCNAME(name, target string, ttl uint32) {
 func (r *Registry) Remove(name string, typ uint16) int {
 	name = CanonicalName(name)
 	r.mu.Lock()
+	r.ownLocked()
 	rrs := r.records[name]
 	kept := rrs[:0]
 	removed := 0

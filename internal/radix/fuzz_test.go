@@ -13,7 +13,10 @@ import (
 // by live VRP withdrawals) leaves structural nodes behind by design —
 // so Covering/Delete interleavings deserve model-based testing: every
 // operation is mirrored into a plain map and the tree must agree with
-// the brute-force answer afterwards.
+// the brute-force answer afterwards. Clone is in the op stream too:
+// every tree carries its own model, so a write on a clone or on its
+// parent that leaked through a shared node shows up as a disagreement
+// on the other side.
 
 // model is the naive reference: a map of valued canonical prefixes.
 type model map[netip.Prefix]int
@@ -90,78 +93,108 @@ func smallPrefix4(rnd *rand.Rand) netip.Prefix {
 	return p
 }
 
+// modelled is one tree and the reference it must agree with.
+type modelled struct {
+	tr *Tree[int]
+	m  model
+}
+
+// clone forks the tree in O(1) and the model by copying it.
+func (x modelled) clone() modelled {
+	m := make(model, len(x.m))
+	for p, v := range x.m {
+		m[p] = v
+	}
+	return modelled{tr: x.tr.Clone(), m: m}
+}
+
+func (x modelled) insert(t *testing.T, p netip.Prefix, v int) {
+	t.Helper()
+	if err := x.tr.Insert(p, v); err != nil {
+		t.Fatal(err)
+	}
+	x.m[p] = v
+}
+
+func (x modelled) delete(t *testing.T, p netip.Prefix) {
+	t.Helper()
+	got := x.tr.Delete(p)
+	if _, want := x.m[p]; got != want {
+		t.Fatalf("Delete(%v) = %v, model says %v", p, got, want)
+	}
+	delete(x.m, p)
+}
+
+// maxTrees bounds the family a Clone-happy op stream can grow.
+const maxTrees = 6
+
 // TestCoveringDeleteInterleavingsProperty runs randomized
-// insert/delete/re-insert interleavings against the model. Deletes
-// leave structural nodes in place, so re-inserting under a deleted
-// glue node is exactly the shape that needs coverage.
+// insert/delete/re-insert/clone interleavings over a family of trees
+// against their models. Deletes leave structural nodes in place, so
+// re-inserting under a deleted glue node is exactly the shape that
+// needs coverage; clones share those nodes, so every write must copy
+// its path before it lands.
 func TestCoveringDeleteInterleavingsProperty(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
-		var tr Tree[int]
-		m := model{}
+		trees := []modelled{{tr: new(Tree[int]), m: model{}}}
 		probes := make([]netip.Addr, 0, 16)
 		for i := 0; i < 16; i++ {
 			probes = append(probes, netip.AddrFrom4([4]byte{byte(10 + rnd.Intn(2)), byte(rnd.Intn(4)), byte(rnd.Intn(4)), byte(rnd.Intn(2))}))
 		}
-		for op := 0; op < 400; op++ {
-			p := smallPrefix4(rnd)
-			switch rnd.Intn(3) {
-			case 0, 1: // insert wins 2:1 so the tree stays populated
-				v := rnd.Intn(1000)
-				if err := tr.Insert(p, v); err != nil {
-					t.Fatal(err)
-				}
-				m[p] = v
-			case 2:
-				got := tr.Delete(p)
-				_, want := m[p]
-				if got != want {
-					t.Fatalf("seed %d op %d: Delete(%v) = %v, model says %v", seed, op, p, got, want)
-				}
-				delete(m, p)
-			}
-			if op%40 == 39 {
-				checkAgainstModel(t, &tr, m, probes)
+		checkAll := func() {
+			for _, x := range trees {
+				checkAgainstModel(t, x.tr, x.m, probes)
 			}
 		}
-		checkAgainstModel(t, &tr, m, probes)
+		for op := 0; op < 400; op++ {
+			x := trees[rnd.Intn(len(trees))]
+			p := smallPrefix4(rnd)
+			switch k := rnd.Intn(30); {
+			case k < 19: // insert wins 2:1 so the trees stay populated
+				x.insert(t, p, rnd.Intn(1000))
+			case k < 29:
+				x.delete(t, p)
+			case len(trees) < maxTrees:
+				trees = append(trees, x.clone())
+			}
+			if op%40 == 39 {
+				checkAll()
+			}
+		}
+		checkAll()
 	}
 }
 
-// FuzzCoveringDelete interprets fuzz bytes as an op sequence over a
-// tiny prefix universe and cross-checks the tree against the model
-// after every query. Run with `go test -fuzz FuzzCoveringDelete`; the
-// seed corpus keeps it meaningful as a plain test.
+// FuzzCoveringDelete interprets fuzz bytes as an op sequence — inserts,
+// deletes, covering queries and clones — over a tiny prefix universe
+// and a small family of trees, and cross-checks each tree against its
+// own model after every query and at the end. Run with
+// `go test -fuzz FuzzCoveringDelete`; the seed corpus keeps it
+// meaningful as a plain test.
 func FuzzCoveringDelete(f *testing.F) {
 	f.Add([]byte{0x00, 0x12, 0x83, 0x45, 0x02, 0x7f})
 	f.Add([]byte{0xff, 0x01, 0x80, 0x81, 0x82, 0x83, 0x84, 0x85})
 	f.Add([]byte("interleave-deletes-with-covering-queries"))
+	f.Add([]byte{0x00, 0x12, 0x83, 0x04, 0x00, 0x00, 0x00, 0x12, 0x07, 0x06, 0x12, 0x83, 0x0b, 0x12, 0x83})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var tr Tree[int]
-		m := model{}
+		trees := []modelled{{tr: new(Tree[int]), m: model{}}}
 		for i := 0; i+2 < len(data); i += 3 {
 			op, a, b := data[i], data[i+1], data[i+2]
+			// The high bits pick the tree, the low three the operation.
+			x := trees[int(op>>3)%len(trees)]
 			bits := int(a) % 25
 			addr := netip.AddrFrom4([4]byte{10, a % 4, b % 4, 0})
 			p, _ := netutil.Canonical(netip.PrefixFrom(addr, bits))
-			switch op % 4 {
-			case 0, 1:
-				v := int(b)
-				if err := tr.Insert(p, v); err != nil {
-					t.Fatal(err)
-				}
-				m[p] = v
-			case 2:
-				got := tr.Delete(p)
-				_, want := m[p]
-				if got != want {
-					t.Fatalf("Delete(%v) = %v, model says %v", p, got, want)
-				}
-				delete(m, p)
-			case 3:
+			switch op % 8 {
+			case 0, 1, 5:
+				x.insert(t, p, int(b))
+			case 2, 6:
+				x.delete(t, p)
+			case 3, 7:
 				probe := netip.AddrFrom4([4]byte{10, a % 4, b % 4, b % 2})
-				got := tr.Covering(probe, nil)
-				want := m.covering(probe)
+				got := x.tr.Covering(probe, nil)
+				want := x.m.covering(probe)
 				if len(got) != len(want) {
 					t.Fatalf("Covering(%v): %v, model says %v", probe, got, want)
 				}
@@ -170,10 +203,27 @@ func FuzzCoveringDelete(f *testing.F) {
 						t.Fatalf("Covering(%v)[%d] = %v, model says %v", probe, j, got[j], want[j])
 					}
 				}
+			case 4:
+				if len(trees) < maxTrees {
+					trees = append(trees, x.clone())
+				}
 			}
 		}
-		if tr.Len() != len(m) {
-			t.Fatalf("Len = %d, model has %d", tr.Len(), len(m))
+		// Every tree against its own model: a write that reached a node
+		// another tree still shares shows here.
+		for _, x := range trees {
+			checkAgainstModel(t, x.tr, x.m, nil)
+			n := 0
+			x.tr.Walk(func(p netip.Prefix, v int) bool {
+				if x.m[p] != v {
+					t.Fatalf("Walk yields %v=%d, model has %d", p, v, x.m[p])
+				}
+				n++
+				return true
+			})
+			if n != len(x.m) {
+				t.Fatalf("Walk visited %d entries, model has %d", n, len(x.m))
+			}
 		}
 	})
 }

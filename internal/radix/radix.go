@@ -11,23 +11,45 @@
 //
 // The trie stores one arbitrary value per canonical prefix. It is not
 // safe for concurrent mutation; wrap it in a lock or use one goroutine.
+//
+// Clone is O(1): the two trees then share every node, and each copies a
+// node the first time it writes through it (see Clone). Queries never
+// look at ownership, so sharing costs readers nothing.
 package radix
 
 import (
 	"fmt"
 	"net/netip"
+	"sync/atomic"
 
 	"ripki/internal/netutil"
 )
 
 // node is a trie node. Internal nodes may carry no value (hasValue
-// false); path compression is achieved by storing full prefixes at nodes
+// reports false); path compression is achieved by storing full prefixes at nodes
 // and branching on the first bit after the node's prefix length.
 type node[V any] struct {
-	prefix   netip.Prefix
-	value    V
-	hasValue bool
-	child    [2]*node[V]
+	prefix netip.Prefix
+	value  V
+	child  [2]*node[V]
+	// tag is the id of the tree that created the node — which may
+	// therefore write it in place, where every other tree reaching it
+	// (after a Clone) copies it first — shifted left over one bit that
+	// says whether the node carries a value. One word for both keeps
+	// nodes the size they were before trees could be cloned.
+	tag uint64
+}
+
+func (n *node[V]) hasValue() bool { return n.tag&1 != 0 }
+func (n *node[V]) owner() uint64  { return n.tag &^ 1 }
+
+// set stores or clears the node's value.
+func (n *node[V]) set(value V, has bool) {
+	n.value = value
+	n.tag &^= 1
+	if has {
+		n.tag |= 1
+	}
 }
 
 // Tree is a prefix-keyed radix tree. The zero value is ready to use.
@@ -35,6 +57,54 @@ type Tree[V any] struct {
 	root4 *node[V]
 	root6 *node[V]
 	count int
+	// owner is this tree's id, as node tags hold it (shifted, flag bit
+	// clear): a tree that was never cloned owns everything under 0. ids
+	// numbers a family — a tree and everything cloned from it or from
+	// its clones — which is as far as nodes are ever shared.
+	owner uint64
+	ids   *atomic.Uint64
+}
+
+// Clone returns an independent tree holding the same entries, in O(1):
+// both trees keep every existing node and both take a fresh id, so the
+// first Insert or Delete either makes through a shared node copies it
+// (path copying, root to the written node) and writes the copy in place
+// from then on. A write on one side is never visible on the other.
+// Values are shared, not copied: a value reached through a tree that
+// has been cloned must be treated as immutable and replaced by Insert,
+// never edited in place.
+//
+// Clone writes the receiver's id, so it needs the same exclusion from
+// writers and other Clones of the receiver as Insert does; concurrent
+// readers, and Clones of other trees of the family, are unaffected.
+func (t *Tree[V]) Clone() *Tree[V] {
+	if t.ids == nil {
+		t.ids = new(atomic.Uint64)
+	}
+	c := &Tree[V]{root4: t.root4, root6: t.root6, count: t.count, ids: t.ids}
+	t.owner, c.owner = t.ids.Add(1)<<1, t.ids.Add(1)<<1
+	return c
+}
+
+// newNode returns a node of this tree's, valued or (glue) not.
+func (t *Tree[V]) newNode(p netip.Prefix, value V, has bool) *node[V] {
+	n := &node[V]{prefix: p, tag: t.owner}
+	n.set(value, has)
+	return n
+}
+
+// own returns the node at *np as one this tree may write in place,
+// replacing it in its parent with a private copy first if another tree
+// created it. The parent slot np must already be this tree's.
+func (t *Tree[V]) own(np **node[V]) *node[V] {
+	n := *np
+	if n.owner() != t.owner {
+		c := *n
+		c.tag = t.owner | n.tag&1
+		n = &c
+		*np = n
+	}
+	return n
 }
 
 // Len returns the number of prefixes with values in the tree.
@@ -102,34 +172,38 @@ func (t *Tree[V]) Insert(p netip.Prefix, value V) error {
 func (t *Tree[V]) insert(np **node[V], p netip.Prefix, value V) bool {
 	n := *np
 	if n == nil {
-		*np = &node[V]{prefix: p, value: value, hasValue: true}
+		*np = t.newNode(p, value, true)
 		return true
 	}
 	cb := commonBits(n.prefix.Addr(), p.Addr(), minInt(n.prefix.Bits(), p.Bits()))
 	switch {
 	case cb == n.prefix.Bits() && cb == p.Bits():
 		// Same prefix: replace or set value.
-		created := !n.hasValue
-		n.value, n.hasValue = value, true
+		n = t.own(np)
+		created := !n.hasValue()
+		n.set(value, true)
 		return created
 	case cb == n.prefix.Bits():
 		// p is longer and inside n: descend.
+		n = t.own(np)
 		b := bitAfter(p.Addr(), n.prefix.Bits())
 		return t.insert(&n.child[b], p, value)
 	case cb == p.Bits():
-		// p is shorter and covers n: p becomes the parent of n.
-		nn := &node[V]{prefix: p, value: value, hasValue: true}
+		// p is shorter and covers n: p becomes the parent of n, which
+		// is linked, not written, and so stays whoever's it was.
+		nn := t.newNode(p, value, true)
 		b := bitAfter(n.prefix.Addr(), p.Bits())
 		nn.child[b] = n
 		*np = nn
 		return true
 	default:
 		// Diverge below cb: create a glue node.
-		glue := &node[V]{prefix: netip.PrefixFrom(n.prefix.Addr(), cb).Masked()}
+		var none V
+		glue := t.newNode(netip.PrefixFrom(n.prefix.Addr(), cb).Masked(), none, false)
 		nb := bitAfter(n.prefix.Addr(), cb)
 		pb := bitAfter(p.Addr(), cb)
 		glue.child[nb] = n
-		glue.child[pb] = &node[V]{prefix: p, value: value, hasValue: true}
+		glue.child[pb] = t.newNode(p, value, true)
 		*np = glue
 		return true
 	}
@@ -156,7 +230,7 @@ func (t *Tree[V]) Lookup(p netip.Prefix) (V, bool) {
 			return zero, false
 		}
 		if n.prefix.Bits() == cp.Bits() {
-			if n.hasValue {
+			if n.hasValue() {
 				return n.value, true
 			}
 			return zero, false
@@ -175,24 +249,21 @@ func (t *Tree[V]) Delete(p netip.Prefix) bool {
 	if err != nil {
 		return false
 	}
-	n := *t.rootFor(cp)
-	for n != nil {
-		cb := commonBits(n.prefix.Addr(), cp.Addr(), minInt(n.prefix.Bits(), cp.Bits()))
-		if cb < n.prefix.Bits() {
-			return false
-		}
-		if n.prefix.Bits() == cp.Bits() {
-			if n.hasValue {
-				var zero V
-				n.value, n.hasValue = zero, false
-				t.count--
-				return true
-			}
-			return false
-		}
-		n = n.child[bitAfter(cp.Addr(), n.prefix.Bits())]
+	// A miss must not copy anything, so look before writing.
+	if _, ok := t.Lookup(cp); !ok {
+		return false
 	}
-	return false
+	np := t.rootFor(cp)
+	for {
+		n := t.own(np)
+		if n.prefix.Bits() == cp.Bits() {
+			var zero V
+			n.set(zero, false)
+			t.count--
+			return true
+		}
+		np = &n.child[bitAfter(cp.Addr(), n.prefix.Bits())]
+	}
 }
 
 // Covering appends to dst every (prefix, value) pair whose prefix
@@ -215,7 +286,7 @@ func (t *Tree[V]) Covering(addr netip.Addr, dst []Entry[V]) []Entry[V] {
 		if cb < n.prefix.Bits() {
 			break
 		}
-		if n.hasValue {
+		if n.hasValue() {
 			dst = append(dst, Entry[V]{Prefix: n.prefix, Value: n.value})
 		}
 		if n.prefix.Bits() >= max {
@@ -243,7 +314,7 @@ func (t *Tree[V]) CoveringPrefix(p netip.Prefix, dst []Entry[V]) []Entry[V] {
 		if cb < n.prefix.Bits() {
 			break
 		}
-		if n.hasValue {
+		if n.hasValue() {
 			dst = append(dst, Entry[V]{Prefix: n.prefix, Value: n.value})
 		}
 		if n.prefix.Bits() == cp.Bits() {
@@ -284,7 +355,7 @@ func walk[V any](n *node[V], fn func(netip.Prefix, V) bool) bool {
 	if n == nil {
 		return true
 	}
-	if n.hasValue {
+	if n.hasValue() {
 		if !fn(n.prefix, n.value) {
 			return false
 		}

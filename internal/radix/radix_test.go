@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"ripki/internal/netutil"
 )
@@ -341,5 +342,21 @@ func BenchmarkCovering(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = tr.Covering(addrs[i%len(addrs)], buf[:0])
+	}
+}
+
+// TestNodeSizeUnchangedByOwnership pins the node at the allocator size
+// class it had before trees could be cloned: the validation service
+// keeps several 300k-VRP trees live, and one more word per node moves
+// it up a class (80 → 96 bytes for a slice value).
+func TestNodeSizeUnchangedByOwnership(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(node[[]int]{}); got != 80 {
+		t.Errorf("node with a slice value is %d bytes, want 80", got)
+	}
+	if got := unsafe.Sizeof(node[map[int]struct{}]{}); got != 64 {
+		t.Errorf("node with a map value is %d bytes, want 64", got)
 	}
 }

@@ -9,10 +9,12 @@
 package rib
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -40,13 +42,16 @@ type PrefixOrigin struct {
 
 // Table is a collector RIB. It is safe for concurrent use.
 type Table struct {
-	mu       sync.RWMutex
-	peers    []mrt.Peer
-	peerIdx  map[peerKey]uint16
-	tree     radix.Tree[map[uint16]*Route]
-	routes   int
-	prefixes int
-	hook     func(netip.Prefix)
+	mu      sync.RWMutex
+	peers   []mrt.Peer
+	peerIdx map[peerKey]uint16
+	// tree maps each routed prefix to its routes, sorted by peer index.
+	// A stored slice is never written again — Insert and Withdraw build
+	// the next one and replace it — because after Clone other tables
+	// reach the same slice through the nodes they share.
+	tree   radix.Tree[[]Route]
+	routes int
+	hook   func(netip.Prefix)
 }
 
 type peerKey struct {
@@ -57,6 +62,23 @@ type peerKey struct {
 // New creates an empty table.
 func New() *Table {
 	return &Table{peerIdx: make(map[peerKey]uint16)}
+}
+
+// Clone returns an independent table with the same peers and routes in
+// O(peers): the prefix tree is forked copy-on-write (radix.Tree.Clone),
+// so the two tables share every route until one of them writes under a
+// prefix, and a write on either is never visible in the other. The
+// mutation hook is not inherited.
+func (t *Table) Clone() *Table {
+	// The write lock: forking the tree retags the receiver's side too.
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return &Table{
+		peers:   slices.Clip(t.peers),
+		peerIdx: maps.Clone(t.peerIdx),
+		tree:    *t.tree.Clone(),
+		routes:  t.routes,
+	}
 }
 
 // AddPeer registers a collector peer and returns its index. Registering
@@ -78,20 +100,24 @@ func (t *Table) addPeerLocked(p mrt.Peer) uint16 {
 	return i
 }
 
+// eventPeerLocked resolves (registering it as needed) the peer a
+// collector event came from.
+func (t *Table) eventPeerLocked(ev bgp.RouteEvent) uint16 {
+	return t.addPeerLocked(mrt.Peer{BGPID: ev.PeerID, Addr: ev.PeerID, ASN: ev.PeerAS})
+}
+
 // Peers returns a copy of the registered peer table.
 func (t *Table) Peers() []mrt.Peer {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]mrt.Peer, len(t.peers))
-	copy(out, t.peers)
-	return out
+	return slices.Clone(t.peers)
 }
 
 // Len returns the number of distinct prefixes in the table.
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.prefixes
+	return t.tree.Len()
 }
 
 // Routes returns the total number of (prefix, peer) paths.
@@ -112,31 +138,38 @@ func (t *Table) SetMutationHook(fn func(netip.Prefix)) {
 	t.mu.Unlock()
 }
 
+// byPeer orders a prefix's routes for binary search.
+func byPeer(r Route, peer uint16) int { return cmp.Compare(r.PeerIndex, peer) }
+
 // Insert stores or replaces the route from the given peer.
 func (t *Table) Insert(r Route) error {
-	cp, err := netutil.Canonical(r.Prefix)
-	if err != nil {
-		return fmt.Errorf("rib: %w", err)
-	}
-	r.Prefix = cp
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if int(r.PeerIndex) >= len(t.peers) {
 		return fmt.Errorf("rib: unknown peer index %d", r.PeerIndex)
 	}
-	m, ok := t.tree.Lookup(cp)
-	if !ok || m == nil {
-		m = make(map[uint16]*Route, 2)
-		if err := t.tree.Insert(cp, m); err != nil {
-			return err
-		}
-		t.prefixes++
+	return t.insertLocked(r)
+}
+
+func (t *Table) insertLocked(r Route) error {
+	cp, err := netutil.Canonical(r.Prefix)
+	if err != nil {
+		return fmt.Errorf("rib: %w", err)
 	}
-	if _, exists := m[r.PeerIndex]; !exists {
+	r.Prefix = cp
+	old, _ := t.tree.Lookup(cp)
+	i, replace := slices.BinarySearchFunc(old, r.PeerIndex, byPeer)
+	rest := old[i:]
+	if replace {
+		rest = rest[1:]
+	} else {
 		t.routes++
 	}
-	rr := r
-	m[r.PeerIndex] = &rr
+	next := make([]Route, 0, i+1+len(rest))
+	next = append(append(append(next, old[:i]...), r), rest...)
+	if err := t.tree.Insert(cp, next); err != nil {
+		return err
+	}
 	if t.hook != nil {
 		t.hook(cp)
 	}
@@ -146,25 +179,28 @@ func (t *Table) Insert(r Route) error {
 // Withdraw removes the route for prefix from the given peer. It reports
 // whether a route was removed.
 func (t *Table) Withdraw(peer uint16, prefix netip.Prefix) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.withdrawLocked(peer, prefix)
+}
+
+func (t *Table) withdrawLocked(peer uint16, prefix netip.Prefix) bool {
 	cp, err := netutil.Canonical(prefix)
 	if err != nil {
 		return false
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	m, ok := t.tree.Lookup(cp)
-	if !ok || m == nil {
+	old, _ := t.tree.Lookup(cp)
+	i, ok := slices.BinarySearchFunc(old, peer, byPeer)
+	if !ok {
 		return false
 	}
-	if _, exists := m[peer]; !exists {
-		return false
-	}
-	delete(m, peer)
-	t.routes--
-	if len(m) == 0 {
+	if len(old) == 1 {
 		t.tree.Delete(cp)
-		t.prefixes--
+	} else {
+		// cp is canonical and already in the tree: Insert cannot fail.
+		_ = t.tree.Insert(cp, slices.Delete(slices.Clone(old), i, i+1))
 	}
+	t.routes--
 	if t.hook != nil {
 		t.hook(cp)
 	}
@@ -179,11 +215,10 @@ func (t *Table) Apply(ev bgp.RouteEvent) error {
 		return nil
 	}
 	t.mu.Lock()
-	idx := t.addPeerLocked(mrt.Peer{BGPID: ev.PeerID, Addr: ev.PeerID, ASN: ev.PeerAS})
-	t.mu.Unlock()
-	return t.Insert(Route{
+	defer t.mu.Unlock()
+	return t.insertLocked(Route{
 		Prefix:    ev.Prefix,
-		PeerIndex: idx,
+		PeerIndex: t.eventPeerLocked(ev),
 		Path:      ev.Path,
 		NextHop:   ev.NextHop,
 	})
@@ -195,9 +230,8 @@ func (t *Table) Apply(ev bgp.RouteEvent) error {
 // for callers that count drops.
 func (t *Table) WithdrawEvent(ev bgp.RouteEvent) bool {
 	t.mu.Lock()
-	idx := t.addPeerLocked(mrt.Peer{BGPID: ev.PeerID, Addr: ev.PeerID, ASN: ev.PeerAS})
-	t.mu.Unlock()
-	return t.Withdraw(idx, ev.Prefix)
+	defer t.mu.Unlock()
+	return t.withdrawLocked(t.eventPeerLocked(ev), ev.Prefix)
 }
 
 // Covering returns all routed prefixes containing addr, shortest first.
@@ -207,9 +241,7 @@ func (t *Table) Covering(addr netip.Addr) []netip.Prefix {
 	entries := t.tree.Covering(addr, nil)
 	out := make([]netip.Prefix, 0, len(entries))
 	for _, e := range entries {
-		if len(e.Value) > 0 {
-			out = append(out, e.Prefix)
-		}
+		out = append(out, e.Prefix)
 	}
 	return out
 }
@@ -221,63 +253,56 @@ func (t *Table) Reachable(addr netip.Addr) bool {
 }
 
 // OriginPairs returns every (covering prefix, origin AS) pair for addr,
-// deduplicated, with AS_SET-terminated paths excluded. This is the
-// paper's unit of measurement.
+// deduplicated, with AS_SET-terminated paths excluded, ordered by
+// prefix (netutil.ComparePrefixes) and then origin. This is the paper's
+// unit of measurement.
 func (t *Table) OriginPairs(addr netip.Addr) []PrefixOrigin {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	entries := t.tree.Covering(addr, nil)
 	var out []PrefixOrigin
-	seen := make(map[PrefixOrigin]bool, 4)
-	for _, e := range entries {
+	// Covering yields the prefixes shortest first, which for prefixes
+	// containing one address is ComparePrefixes order already; within a
+	// prefix the handful of origins are kept sorted as they arrive.
+	for _, e := range t.tree.Covering(addr, nil) {
+		first := len(out)
 		for _, r := range e.Value {
 			origin, ok := bgp.OriginAS(r.Path)
 			if !ok {
 				continue // AS_SET or empty path: excluded
 			}
-			po := PrefixOrigin{Prefix: e.Prefix, Origin: origin}
-			if !seen[po] {
-				seen[po] = true
-				out = append(out, po)
+			at, dup := slices.BinarySearchFunc(out[first:], origin,
+				func(po PrefixOrigin, o uint32) int { return cmp.Compare(po.Origin, o) })
+			if !dup {
+				out = slices.Insert(out, first+at, PrefixOrigin{Prefix: e.Prefix, Origin: origin})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := netutil.ComparePrefixes(out[i].Prefix, out[j].Prefix); c != 0 {
-			return c < 0
-		}
-		return out[i].Origin < out[j].Origin
-	})
 	return out
 }
 
 // Snapshot returns a copy of every route, grouped by prefix in lexical
 // order (peers ascending within a prefix). Unlike WalkRoutes it holds no
 // lock when it returns, so callers may mutate the table while iterating
-// the result — the revalidation path depends on this.
+// the result.
 func (t *Table) Snapshot() []Route {
 	t.mu.RLock()
+	defer t.mu.RUnlock()
 	out := make([]Route, 0, t.routes)
-	t.mu.RUnlock()
-	t.WalkRoutes(func(r Route) bool {
-		out = append(out, r)
+	t.tree.Walk(func(_ netip.Prefix, rs []Route) bool {
+		out = append(out, rs...)
 		return true
 	})
 	return out
 }
 
-// WalkRoutes visits every route, grouped by prefix in lexical order.
+// WalkRoutes visits every route, grouped by prefix in lexical order
+// (peers ascending within a prefix).
 func (t *Table) WalkRoutes(fn func(Route) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.tree.Walk(func(p netip.Prefix, m map[uint16]*Route) bool {
-		idxs := make([]int, 0, len(m))
-		for i := range m {
-			idxs = append(idxs, int(i))
-		}
-		sort.Ints(idxs)
-		for _, i := range idxs {
-			if !fn(*m[uint16(i)]) {
+	t.tree.Walk(func(_ netip.Prefix, rs []Route) bool {
+		for _, r := range rs {
+			if !fn(r) {
 				return false
 			}
 		}
@@ -293,15 +318,9 @@ func (t *Table) DumpMRT(w io.Writer, collectorID netip.Addr, view string, stamp 
 	}
 	var outer error
 	t.mu.RLock()
-	t.tree.Walk(func(p netip.Prefix, m map[uint16]*Route) bool {
-		idxs := make([]int, 0, len(m))
-		for i := range m {
-			idxs = append(idxs, int(i))
-		}
-		sort.Ints(idxs)
-		entries := make([]mrt.RIBEntry, 0, len(m))
-		for _, i := range idxs {
-			r := m[uint16(i)]
+	t.tree.Walk(func(p netip.Prefix, rs []Route) bool {
+		entries := make([]mrt.RIBEntry, 0, len(rs))
+		for _, r := range rs {
 			entries = append(entries, mrt.RIBEntry{
 				PeerIndex:  r.PeerIndex,
 				Originated: r.Originated,

@@ -2,7 +2,10 @@ package rib
 
 import (
 	"bytes"
+	"math/rand"
 	"net/netip"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -229,5 +232,133 @@ func TestSnapshotMutationSafe(t *testing.T) {
 	}
 	if len(tb.Snapshot()) != 0 {
 		t.Error("snapshot of empty table not empty")
+	}
+}
+
+// originPairsOracle is OriginPairs as it was before the per-prefix
+// routes were kept sorted: collect, dedupe through a map, sort.
+func originPairsOracle(tb *Table, addr netip.Addr) []PrefixOrigin {
+	var out []PrefixOrigin
+	seen := make(map[PrefixOrigin]bool)
+	tb.WalkRoutes(func(r Route) bool {
+		origin, ok := bgp.OriginAS(r.Path)
+		po := PrefixOrigin{Prefix: r.Prefix, Origin: origin}
+		if ok && r.Prefix.Contains(addr) && !seen[po] {
+			seen[po] = true
+			out = append(out, po)
+		}
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool {
+		if c := netutil.ComparePrefixes(out[i].Prefix, out[j].Prefix); c != 0 {
+			return c < 0
+		}
+		return out[i].Origin < out[j].Origin
+	})
+	return out
+}
+
+// randomRoute draws from nested v4 and v6 prefixes, a few peers and a
+// few origins, so one address is covered at several lengths, the same
+// pair arrives from several peers, and some paths end in an AS_SET.
+func randomRoute(rnd *rand.Rand, peers int) Route {
+	var p netip.Prefix
+	if rnd.Intn(3) == 0 {
+		p = netip.PrefixFrom(netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, byte(rnd.Intn(2))}), 32+8*rnd.Intn(3)).Masked()
+	} else {
+		p = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(rnd.Intn(2)), byte(16 * rnd.Intn(3)), 0}), 8+4*rnd.Intn(5)).Masked()
+	}
+	path := seq(64500, uint32(65001+rnd.Intn(4)))
+	if rnd.Intn(8) == 0 {
+		path = append(path, bgp.Segment{Type: bgp.SegmentSet, ASNs: []uint32{1, 2}})
+	}
+	return Route{Prefix: p, PeerIndex: uint16(rnd.Intn(peers)), Path: path}
+}
+
+func TestOriginPairsMatchesOracle(t *testing.T) {
+	probes := []netip.Addr{
+		netutil.MustAddr("10.0.0.1"), netutil.MustAddr("10.0.16.9"), netutil.MustAddr("10.1.32.1"),
+		netutil.MustAddr("10.1.0.255"), netutil.MustAddr("11.0.0.1"),
+		netutil.MustAddr("2001:db8::1"), netutil.MustAddr("2001:db8:100::1"), netutil.MustAddr("2001:db9::1"),
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		tb := New()
+		const peers = 5
+		for i := 0; i < peers; i++ {
+			tb.AddPeer(mrt.Peer{BGPID: netip.AddrFrom4([4]byte{10, 255, 0, byte(i)}), ASN: uint32(64500 + i)})
+		}
+		for step := 0; step < 300; step++ {
+			r := randomRoute(rnd, peers)
+			if rnd.Intn(4) == 0 {
+				tb.Withdraw(r.PeerIndex, r.Prefix)
+			} else if err := tb.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+			if step%10 != 9 {
+				continue
+			}
+			for _, addr := range probes {
+				if got, want := tb.OriginPairs(addr), originPairsOracle(tb, addr); !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: OriginPairs(%v) = %v, oracle says %v", seed, step, addr, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestCloneIsIndependent(t *testing.T) {
+	rnd := rand.New(rand.NewSource(7))
+	base, _, _ := newTable(t)
+	for i := 0; i < 60; i++ {
+		if err := base.Insert(randomRoute(rnd, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hooked := 0
+	base.SetMutationHook(func(netip.Prefix) { hooked++ })
+	want := base.Snapshot()
+
+	a, b := base.Clone(), base.Clone()
+	hooked = 0
+	// Each side goes its own way: a new peer and routes on a, withdrawals
+	// on b; the base and the sibling must not notice.
+	p2 := a.AddPeer(mrt.Peer{BGPID: netutil.MustAddr("10.0.0.3"), ASN: 64999})
+	for i := 0; i < 40; i++ {
+		r := randomRoute(rnd, 2)
+		r.PeerIndex = p2
+		if err := a.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range want[:len(want)/2] {
+		if !b.Withdraw(r.PeerIndex, r.Prefix) {
+			t.Fatalf("withdraw %v from clone failed", r.Prefix)
+		}
+	}
+	if hooked != 0 {
+		t.Errorf("clones inherited the mutation hook (%d calls)", hooked)
+	}
+	same := func(x, y []Route) bool {
+		return slices.EqualFunc(x, y, func(p, q Route) bool {
+			return p.Prefix == q.Prefix && p.PeerIndex == q.PeerIndex && slices.EqualFunc(p.Path, q.Path,
+				func(s, u bgp.Segment) bool { return s.Type == u.Type && slices.Equal(s.ASNs, u.ASNs) })
+		})
+	}
+	if got := base.Snapshot(); !same(got, want) || base.Routes() != len(want) || len(base.Peers()) != 2 {
+		t.Errorf("writes on clones reached the base: %d routes, %d peers", len(got), len(base.Peers()))
+	}
+	if a.Routes() <= len(want) || a.Routes() != len(a.Snapshot()) || len(a.Peers()) != 3 {
+		t.Errorf("clone a: Routes %d, snapshot %d, peers %d", a.Routes(), len(a.Snapshot()), len(a.Peers()))
+	}
+	if got := b.Snapshot(); !same(got, want[len(want)/2:]) || b.Routes() != len(got) {
+		t.Errorf("clone b holds %d routes (Routes %d), want the %d not withdrawn", len(got), b.Routes(), len(want)-len(want)/2)
+	}
+	// And the other direction: a write on the base after cloning.
+	if !base.Withdraw(want[len(want)-1].PeerIndex, want[len(want)-1].Prefix) {
+		t.Fatal("withdraw from base failed")
+	}
+	if got := b.Snapshot(); !same(got, want[len(want)/2:]) {
+		t.Error("a write on the base reached a clone")
 	}
 }

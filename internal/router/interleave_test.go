@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ripki/internal/bgp"
@@ -23,18 +24,21 @@ func ribContents(r *Router) map[string]string {
 	return out
 }
 
-// TestRevalidateAffectedRandomInterleavings is the router-side twin of
-// measure's TestIncrementalRandomInterleavings: under seeded random
-// interleavings of announcements, withdrawals and VRP issues/revokes
-// from several peers, a router kept current by Process and
-// RevalidateAffected must be indistinguishable — local RIB, Forward for
-// an address inside every prefix in play, depreference marks — from a
-// fresh router that is handed the surviving Adj-RIB-In under the
-// current VRP set. Nested prefixes, few origins and few peers keep the
-// collisions (same pair from two peers, re-announcement under a changed
-// ROA, replacement by a rejected route) frequent.
-func TestRevalidateAffectedRandomInterleavings(t *testing.T) {
-	prefixes := []netip.Prefix{
+// adjRoutes lists a router's Adj-RIB-In in tree order.
+func adjRoutes(r *Router) []bgp.RouteEvent {
+	var out []bgp.RouteEvent
+	r.adjIn.Walk(func(_ netip.Prefix, evs []bgp.RouteEvent) bool {
+		out = append(out, evs...)
+		return true
+	})
+	return out
+}
+
+// Nested prefixes, few origins and few peers keep the collisions (same
+// pair from two peers, re-announcement under a changed ROA, replacement
+// by a rejected route) frequent.
+var (
+	ilPrefixes = []netip.Prefix{
 		netip.MustParsePrefix("10.0.0.0/16"),
 		netip.MustParsePrefix("10.0.0.0/20"),
 		netip.MustParsePrefix("10.0.4.0/22"),
@@ -44,8 +48,8 @@ func TestRevalidateAffectedRandomInterleavings(t *testing.T) {
 		netip.MustParsePrefix("2001:db8::/32"),
 		netip.MustParsePrefix("2001:db8:1::/48"),
 	}
-	origins := []uint32{65001, 65002, 65003}
-	peers := []struct {
+	ilOrigins = []uint32{65001, 65002, 65003}
+	ilPeers   = []struct {
 		as uint32
 		id netip.Addr
 	}{
@@ -53,77 +57,201 @@ func TestRevalidateAffectedRandomInterleavings(t *testing.T) {
 		{64501, netip.MustParseAddr("10.255.0.2")},
 		{64502, netip.MustParseAddr("10.255.0.3")},
 	}
+)
+
+// interleaver drives one router, and the VRP set behind it, with a
+// seeded random stream of announcements, withdrawals and VRP moves. The
+// stream is a function of the seed and of the set's contents alone, so
+// two interleavers started from equal sets with equal seeds issue the
+// same operations.
+type interleaver struct {
+	r   *Router
+	set *vrp.Set
+	rnd *rand.Rand
+}
+
+// randomVRP draws a VRP at one of the prefixes in play.
+func (x *interleaver) randomVRP() vrp.VRP {
+	p := ilPrefixes[x.rnd.Intn(len(ilPrefixes))]
+	return vrp.VRP{Prefix: p, MaxLength: p.Bits() + x.rnd.Intn(2)*4, ASN: ilOrigins[x.rnd.Intn(len(ilOrigins))]}
+}
+
+// step performs one random operation and describes it.
+func (x *interleaver) step() (what string, err error) {
+	rnd := x.rnd
+	peer := ilPeers[rnd.Intn(len(ilPeers))]
+	prefix := ilPrefixes[rnd.Intn(len(ilPrefixes))]
+	switch op := rnd.Intn(10); {
+	case op < 4:
+		path := []bgp.Segment{{Type: bgp.SegmentSequence, ASNs: []uint32{peer.as, ilOrigins[rnd.Intn(len(ilOrigins))]}}}
+		if rnd.Intn(12) == 0 {
+			path = append(path, bgp.Segment{Type: bgp.SegmentSet, ASNs: []uint32{1, 2}})
+		}
+		what = fmt.Sprintf("announce %v %v from AS%d", prefix, path, peer.as)
+		_, err = x.r.Process(bgp.RouteEvent{PeerAS: peer.as, PeerID: peer.id, Prefix: prefix, Path: path, NextHop: peer.id})
+	case op < 6:
+		what = fmt.Sprintf("withdraw %v from AS%d", prefix, peer.as)
+		_, err = x.r.Process(bgp.RouteEvent{PeerAS: peer.as, PeerID: peer.id, Prefix: prefix, Withdraw: true})
+	default:
+		// One RTR sync: a few VRP moves, then one scoped pass.
+		var changed []netip.Prefix
+		for n := 1 + rnd.Intn(3); n > 0; n-- {
+			if all := x.set.All(); len(all) > 0 && rnd.Intn(2) == 0 {
+				v := all[rnd.Intn(len(all))]
+				x.set.Remove(v)
+				changed = append(changed, v.Prefix)
+				continue
+			}
+			v := x.randomVRP()
+			if err := x.set.Add(v); err != nil {
+				return "", err
+			}
+			changed = append(changed, v.Prefix)
+		}
+		what = fmt.Sprintf("VRP moves at %v", changed)
+		if res := x.r.RevalidateAffected(changed); res.Deprefered != len(x.r.deprefered) {
+			err = fmt.Errorf("result counts %d marks, router holds %d", res.Deprefered, len(x.r.deprefered))
+		}
+	}
+	return what, err
+}
+
+// sameRouting reports how two routers differ in what they route: local
+// RIB, depreference marks, and Forward for an address inside every
+// prefix in play.
+func sameRouting(got, want *Router) error {
+	if g, w := ribContents(got), ribContents(want); !reflect.DeepEqual(g, w) {
+		return fmt.Errorf("local RIB diverged\n got %v\nwant %v", g, w)
+	}
+	if !reflect.DeepEqual(got.deprefered, want.deprefered) {
+		return fmt.Errorf("depreference marks diverged (%d vs %d)\n got %v\nwant %v",
+			len(got.deprefered), len(want.deprefered), got.deprefered, want.deprefered)
+	}
+	for _, p := range ilPrefixes {
+		g, gok := got.Forward(p.Addr().Next())
+		w, wok := want.Forward(p.Addr().Next())
+		if g != w || gok != wok {
+			return fmt.Errorf("Forward(%v) = %v, %v; want %v, %v", p.Addr().Next(), g, gok, w, wok)
+		}
+	}
+	return nil
+}
+
+// TestRevalidateAffectedRandomInterleavings is the router-side twin of
+// measure's TestIncrementalRandomInterleavings: under seeded random
+// interleavings of announcements, withdrawals and VRP issues/revokes
+// from several peers, a router kept current by Process and
+// RevalidateAffected must be indistinguishable — local RIB, Forward for
+// an address inside every prefix in play, depreference marks — from a
+// fresh router that is handed the surviving Adj-RIB-In under the
+// current VRP set.
+func TestRevalidateAffectedRandomInterleavings(t *testing.T) {
 	for _, policy := range []Policy{PolicyAcceptAll, PolicyDropInvalid, PolicyPreferValid} {
 		for seed := int64(1); seed <= 12; seed++ {
-			rnd := rand.New(rand.NewSource(seed))
 			set := vrp.NewSet()
-			r := NewWithPolicy(StaticVRPs{VRPs: set}, policy)
+			x := &interleaver{r: NewWithPolicy(StaticVRPs{VRPs: set}, policy), set: set, rnd: rand.New(rand.NewSource(seed))}
 			for step := 0; step < 250; step++ {
-				var what string
-				peer := peers[rnd.Intn(len(peers))]
-				prefix := prefixes[rnd.Intn(len(prefixes))]
-				switch op := rnd.Intn(10); {
-				case op < 4:
-					path := []bgp.Segment{{Type: bgp.SegmentSequence, ASNs: []uint32{peer.as, origins[rnd.Intn(len(origins))]}}}
-					if rnd.Intn(12) == 0 {
-						path = append(path, bgp.Segment{Type: bgp.SegmentSet, ASNs: []uint32{1, 2}})
-					}
-					what = fmt.Sprintf("announce %v %v from AS%d", prefix, path, peer.as)
-					if _, err := r.Process(bgp.RouteEvent{PeerAS: peer.as, PeerID: peer.id, Prefix: prefix, Path: path, NextHop: peer.id}); err != nil {
-						t.Fatal(err)
-					}
-				case op < 6:
-					what = fmt.Sprintf("withdraw %v from AS%d", prefix, peer.as)
-					if _, err := r.Process(bgp.RouteEvent{PeerAS: peer.as, PeerID: peer.id, Prefix: prefix, Withdraw: true}); err != nil {
-						t.Fatal(err)
-					}
-				default:
-					// One RTR sync: a few VRP moves, then one scoped pass.
-					var changed []netip.Prefix
-					for n := 1 + rnd.Intn(3); n > 0; n-- {
-						if all := set.All(); len(all) > 0 && rnd.Intn(2) == 0 {
-							v := all[rnd.Intn(len(all))]
-							set.Remove(v)
-							changed = append(changed, v.Prefix)
-							continue
-						}
-						p := prefixes[rnd.Intn(len(prefixes))]
-						v := vrp.VRP{Prefix: p, MaxLength: p.Bits() + rnd.Intn(2)*4, ASN: origins[rnd.Intn(len(origins))]}
-						if err := set.Add(v); err != nil {
-							t.Fatal(err)
-						}
-						changed = append(changed, p)
-					}
-					what = fmt.Sprintf("VRP moves at %v", changed)
-					res := r.RevalidateAffected(changed)
-					if res.Deprefered != len(r.deprefered) {
-						t.Fatalf("%v seed %d step %d (%s): result counts %d marks, router holds %d",
-							policy, seed, step, what, res.Deprefered, len(r.deprefered))
-					}
+				what, err := x.step()
+				at := fmt.Sprintf("%v seed %d step %d (%s)", policy, seed, step, what)
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
 				}
-
 				fresh := NewWithPolicy(StaticVRPs{VRPs: set}, policy)
-				for _, ev := range r.adjIn {
+				for _, ev := range adjRoutes(x.r) {
 					if _, err := fresh.Process(ev); err != nil {
 						t.Fatal(err)
 					}
 				}
-				at := fmt.Sprintf("%v seed %d step %d (%s)", policy, seed, step, what)
-				if got, want := ribContents(r), ribContents(fresh); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: local RIB diverged\n got %v\nwant %v", at, got, want)
-				}
-				if !reflect.DeepEqual(r.deprefered, fresh.deprefered) {
-					t.Fatalf("%s: depreference marks diverged (%d vs %d)\n got %v\nwant %v",
-						at, len(r.deprefered), len(fresh.deprefered), r.deprefered, fresh.deprefered)
-				}
-				for _, p := range prefixes {
-					got, gok := r.Forward(p.Addr().Next())
-					want, wok := fresh.Forward(p.Addr().Next())
-					if got != want || gok != wok {
-						t.Fatalf("%s: Forward(%v) = %v, %v; fresh router says %v, %v", at, p.Addr().Next(), got, gok, want, wok)
-					}
+				if err := sameRouting(x.r, fresh); err != nil {
+					t.Fatalf("%s: %v", at, err)
 				}
 			}
+		}
+	}
+}
+
+// TestForksReplayIndependently is the sharing contract sim.New rests
+// on: K forks of one seeded template, each driven by its own random
+// stream on its own goroutine (run under -race), must each end up
+// exactly where a fresh router ends up that replayed the seed and then
+// the same stream through Process — local RIB, marks, Forward and
+// Counts — and the template must afterwards still equal a fresh seed.
+func TestForksReplayIndependently(t *testing.T) {
+	const forks, steps = 6, 200
+	for _, policy := range []Policy{PolicyAcceptAll, PolicyDropInvalid, PolicyPreferValid} {
+		// The seed: a VRP set and a table's worth of announcements, some
+		// of them invalid under it.
+		seedSet := vrp.NewSet()
+		seeder := &interleaver{set: seedSet, rnd: rand.New(rand.NewSource(99))}
+		for i := 0; i < 6; i++ {
+			if err := seedSet.Add(seeder.randomVRP()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var seedEvents []bgp.RouteEvent
+		for _, p := range ilPrefixes {
+			for _, peer := range ilPeers[:2] {
+				path := []bgp.Segment{{Type: bgp.SegmentSequence, ASNs: []uint32{peer.as, ilOrigins[seeder.rnd.Intn(len(ilOrigins))]}}}
+				seedEvents = append(seedEvents, bgp.RouteEvent{PeerAS: peer.as, PeerID: peer.id, Prefix: p, Path: path, NextHop: peer.id})
+			}
+		}
+		seeded := func(set *vrp.Set) *Router {
+			r := NewWithPolicy(StaticVRPs{VRPs: set}, policy)
+			for _, ev := range seedEvents {
+				if _, err := r.Process(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return r
+		}
+		template := seeded(seedSet)
+
+		got := make([]*interleaver, forks)
+		errs := make([]error, forks)
+		var wg sync.WaitGroup
+		for i := range got {
+			set := seedSet.Clone()
+			got[i] = &interleaver{r: template.Fork(StaticVRPs{VRPs: set}), set: set, rnd: rand.New(rand.NewSource(int64(i)))}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for step := 0; step < steps && errs[i] == nil; step++ {
+					_, errs[i] = got[i].step()
+				}
+			}()
+		}
+		wg.Wait()
+
+		for i, x := range got {
+			if errs[i] != nil {
+				t.Fatalf("%v fork %d: %v", policy, i, errs[i])
+			}
+			set := seedSet.Clone()
+			want := &interleaver{r: seeded(set), set: set, rnd: rand.New(rand.NewSource(int64(i)))}
+			for step := 0; step < steps; step++ {
+				if _, err := want.step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sameRouting(x.r, want.r); err != nil {
+				t.Errorf("%v fork %d vs replay: %v", policy, i, err)
+			}
+			if g, w := x.r.Counts(), want.r.Counts(); !reflect.DeepEqual(g, w) {
+				t.Errorf("%v fork %d vs replay: Counts %v, want %v", policy, i, g, w)
+			}
+			if g, w := adjRoutes(x.r), adjRoutes(want.r); !reflect.DeepEqual(g, w) {
+				t.Errorf("%v fork %d vs replay: Adj-RIB-In holds %d routes, want %d", policy, i, len(g), len(w))
+			}
+		}
+		fresh := seeded(seedSet)
+		if err := sameRouting(template, fresh); err != nil {
+			t.Errorf("%v: template changed under its forks: %v", policy, err)
+		}
+		if g, w := template.Counts(), fresh.Counts(); !reflect.DeepEqual(g, w) {
+			t.Errorf("%v: template Counts %v, want %v", policy, g, w)
+		}
+		if g, w := adjRoutes(template), adjRoutes(fresh); !reflect.DeepEqual(g, w) {
+			t.Errorf("%v: template Adj-RIB-In changed under its forks", policy)
 		}
 	}
 }

@@ -10,8 +10,11 @@
 package router
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"net/netip"
+	"slices"
 	"sync"
 
 	"ripki/internal/bgp"
@@ -84,30 +87,27 @@ type Router struct {
 	table  *rib.Table
 
 	mu      sync.Mutex
-	decided map[vrp.State]int
+	decided [3]int // processed announcements per vrp.State
 	// deprefered marks the (prefix, origin) pairs PolicyPreferValid
 	// currently routes around: exactly the pairs some Adj-RIB-In entry
-	// announces and the last validation found Invalid.
-	deprefered map[rib.PrefixOrigin]bool
+	// announces and the last validation found Invalid. After a Fork the
+	// map is aliased by another router (marksShared) and copied before
+	// the next write.
+	deprefered  map[rib.PrefixOrigin]bool
+	marksShared bool
 	// adjIn retains every received (non-withdrawn) announcement — the
-	// Adj-RIB-In. Policy filters what reaches the local RIB, but
-	// revalidation must reconsider everything ever received: a route
-	// dropped as Invalid comes back once the offending ROA is revoked,
-	// exactly as RFC 6811 routers re-apply policy to Adj-RIB-In.
-	adjIn map[adjKey]bgp.RouteEvent
-	// adjIdx indexes adjIn keys by announced prefix so revalidation
-	// scoped to a VRP delta finds the affected announcements without
-	// scanning the full Adj-RIB-In: a VRP change at prefix Q can only
-	// flip routes announced at Q or below (RFC 6811 consults covering
-	// VRPs), and those are exactly the subtree of Q here.
-	adjIdx radix.Tree[map[adjKey]struct{}]
-}
-
-// adjKey identifies one peer's announcement of one prefix.
-type adjKey struct {
-	prefix netip.Prefix
-	peerAS uint32
-	peerID netip.Addr
+	// Adj-RIB-In — as one slice per announced prefix, sorted by peer.
+	// Policy filters what reaches the local RIB, but revalidation must
+	// reconsider everything ever received: a route dropped as Invalid
+	// comes back once the offending ROA is revoked, exactly as RFC 6811
+	// routers re-apply policy to Adj-RIB-In. Keyed by prefix so that
+	// revalidation scoped to a VRP delta finds the affected
+	// announcements without scanning all of it: a VRP change at prefix Q
+	// can only flip routes announced at Q or below (RFC 6811 consults
+	// covering VRPs), and those are exactly the subtree of Q here. A
+	// stored slice is never written again (forks share it); a change
+	// replaces it.
+	adjIn radix.Tree[[]bgp.RouteEvent]
 }
 
 // NewWithPolicy creates a router fed by the given VRP source, applying
@@ -117,10 +117,48 @@ func NewWithPolicy(source VRPSource, policy Policy) *Router {
 		Policy:     policy,
 		source:     source,
 		table:      rib.New(),
-		decided:    make(map[vrp.State]int),
 		deprefered: make(map[rib.PrefixOrigin]bool),
-		adjIn:      make(map[adjKey]bgp.RouteEvent),
 	}
+}
+
+// Fork returns an independent router in the receiver's exact state —
+// Adj-RIB-In, local RIB, depreference marks, tallies — validating
+// against source from now on, in time independent of the table size:
+// both trees are forked copy-on-write (radix.Tree.Clone) and the marks
+// are copied by whichever side writes them first. Nothing either router
+// does afterwards is visible in the other. The state forked is only as
+// good as the claim that source currently yields the set the receiver
+// last validated against; Fork does not revalidate.
+func (r *Router) Fork(source VRPSource) *Router {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.marksShared = true
+	return &Router{
+		Policy:      r.Policy,
+		source:      source,
+		table:       r.table.Clone(),
+		decided:     r.decided,
+		deprefered:  r.deprefered,
+		marksShared: true,
+		adjIn:       *r.adjIn.Clone(),
+	}
+}
+
+// ownMarksLocked makes the depreference marks private before a write.
+// Called with r.mu held.
+func (r *Router) ownMarksLocked() {
+	if r.marksShared {
+		r.deprefered = maps.Clone(r.deprefered)
+		r.marksShared = false
+	}
+}
+
+// byPeer orders a prefix's announcements by sending peer.
+func byPeer(a, b bgp.RouteEvent) int {
+	if c := cmp.Compare(a.PeerAS, b.PeerAS); c != 0 {
+		return c
+	}
+	return a.PeerID.Compare(b.PeerID)
 }
 
 // validateRoute classifies one announcement against a VRP set under a
@@ -147,24 +185,15 @@ func (r *Router) Table() *rib.Table { return r.table }
 // replaces the same peer's previous one for the prefix (RFC 4271
 // implicit withdraw), whatever policy then decides about the new route.
 func (r *Router) Process(ev bgp.RouteEvent) (Decision, error) {
-	key := adjKey{prefix: ev.Prefix.Masked(), peerAS: ev.PeerAS, peerID: ev.PeerID}
 	r.mu.Lock()
-	r.forgetLocked(key)
+	r.replaceLocked(ev)
+	r.mu.Unlock()
 	if ev.Withdraw {
-		r.mu.Unlock()
 		if err := r.table.Apply(ev); err != nil {
 			return Decision{}, err
 		}
 		return Decision{State: vrp.NotFound, Accepted: true}, nil
 	}
-	r.adjIn[key] = ev
-	if m, ok := r.adjIdx.Lookup(key.prefix); ok {
-		m[key] = struct{}{}
-	} else {
-		// adjKey prefixes are masked, so Insert cannot fail.
-		_ = r.adjIdx.Insert(key.prefix, map[adjKey]struct{}{key: {}})
-	}
-	r.mu.Unlock()
 	d, _, err := r.apply(r.source.Set(), ev)
 	r.mu.Lock()
 	r.decided[d.State]++
@@ -172,30 +201,49 @@ func (r *Router) Process(ev bgp.RouteEvent) (Decision, error) {
 	return d, err
 }
 
-// forgetLocked removes key's announcement from the Adj-RIB-In and, once
-// no other peer announces the same (prefix, origin), the pair's
-// depreference mark with it. Called with r.mu held.
-func (r *Router) forgetLocked(key adjKey) {
-	old, ok := r.adjIn[key]
+// replaceLocked removes the sending peer's previous announcement of
+// ev's prefix from the Adj-RIB-In — and, once no other peer announces
+// the same (prefix, origin), the pair's depreference mark with it —
+// and, unless ev is a withdrawal, records ev in its place. Called with
+// r.mu held.
+func (r *Router) replaceLocked(ev bgp.RouteEvent) {
+	prefix := ev.Prefix.Masked()
+	old, _ := r.adjIn.Lookup(prefix)
+	i, had := slices.BinarySearchFunc(old, ev, byPeer)
+	if !had && ev.Withdraw {
+		return
+	}
+	rest := old[i:]
+	if had {
+		rest = rest[1:]
+	}
+	next := make([]bgp.RouteEvent, 0, len(old)+1)
+	next = append(next, old[:i]...)
+	if !ev.Withdraw {
+		next = append(next, ev)
+	}
+	next = append(next, rest...)
+	if len(next) == 0 {
+		r.adjIn.Delete(prefix)
+	} else {
+		// Insert fails only on an invalid prefix, which the local RIB
+		// rejects too: Process reports that error.
+		_ = r.adjIn.Insert(prefix, next)
+	}
+	if !had || len(r.deprefered) == 0 {
+		return
+	}
+	origin, ok := bgp.OriginAS(old[i].Path)
 	if !ok {
 		return
 	}
-	delete(r.adjIn, key)
-	peers, _ := r.adjIdx.Lookup(key.prefix)
-	delete(peers, key)
-	if len(peers) == 0 {
-		r.adjIdx.Delete(key.prefix)
-	}
-	origin, ok := bgp.OriginAS(old.Path)
-	if !ok || len(r.deprefered) == 0 {
-		return
-	}
-	for k := range peers {
-		if o, ok := bgp.OriginAS(r.adjIn[k].Path); ok && o == origin {
+	for j, other := range old {
+		if o, ok := bgp.OriginAS(other.Path); j != i && ok && o == origin {
 			return
 		}
 	}
-	delete(r.deprefered, rib.PrefixOrigin{Prefix: key.prefix, Origin: origin})
+	r.ownMarksLocked()
+	delete(r.deprefered, rib.PrefixOrigin{Prefix: prefix, Origin: origin})
 }
 
 // apply runs one announcement through origin validation against set and
@@ -218,10 +266,13 @@ func (r *Router) apply(set *vrp.Set, ev bgp.RouteEvent) (d Decision, dropped boo
 		d.Deprefered = state == vrp.Invalid
 		pair := rib.PrefixOrigin{Prefix: ev.Prefix.Masked(), Origin: origin}
 		r.mu.Lock()
-		if d.Deprefered {
-			r.deprefered[pair] = true
-		} else {
-			delete(r.deprefered, pair)
+		if d.Deprefered != r.deprefered[pair] {
+			r.ownMarksLocked()
+			if d.Deprefered {
+				r.deprefered[pair] = true
+			} else {
+				delete(r.deprefered, pair)
+			}
 		}
 		r.mu.Unlock()
 	}
@@ -250,14 +301,18 @@ type RevalidationResult struct {
 // comes back once the offending ROA is revoked. Under PolicyDropInvalid
 // now-invalid routes are withdrawn from the local RIB and everything
 // else is (re)installed; under PolicyPreferValid the depreference marks
-// are rebuilt from scratch.
+// are rebuilt from scratch. Routes are reconsidered in prefix order
+// (IPv4 before IPv6, peers ascending within a prefix) — the order the
+// Adj-RIB-In tree walks in — so a pass is reproducible run to run.
 func (r *Router) Revalidate() RevalidationResult {
 	r.mu.Lock()
-	events := make([]bgp.RouteEvent, 0, len(r.adjIn))
-	for _, ev := range r.adjIn {
-		events = append(events, ev)
-	}
-	clear(r.deprefered)
+	var events []bgp.RouteEvent
+	r.adjIn.Walk(func(_ netip.Prefix, evs []bgp.RouteEvent) bool {
+		events = append(events, evs...)
+		return true
+	})
+	r.deprefered = make(map[rib.PrefixOrigin]bool)
+	r.marksShared = false
 	r.mu.Unlock()
 	return r.revalidate(events)
 }
@@ -273,18 +328,18 @@ func (r *Router) Revalidate() RevalidationResult {
 func (r *Router) RevalidateAffected(changed []netip.Prefix) RevalidationResult {
 	r.mu.Lock()
 	var events []bgp.RouteEvent
-	seen := make(map[adjKey]struct{})
-	var entries []radix.Entry[map[adjKey]struct{}]
+	// Changed prefixes may nest, so one announced prefix can sit under
+	// several of them; it is revalidated once.
+	seen := make(map[netip.Prefix]struct{})
+	var entries []radix.Entry[[]bgp.RouteEvent]
 	for _, p := range changed {
-		entries = r.adjIdx.Subtree(p, entries[:0])
+		entries = r.adjIn.Subtree(p, entries[:0])
 		for _, e := range entries {
-			for k := range e.Value {
-				if _, dup := seen[k]; dup {
-					continue
-				}
-				seen[k] = struct{}{}
-				events = append(events, r.adjIn[k])
+			if _, dup := seen[e.Prefix]; dup {
+				continue
 			}
+			seen[e.Prefix] = struct{}{}
+			events = append(events, e.Value...)
 		}
 	}
 	r.mu.Unlock()
@@ -344,8 +399,10 @@ func (r *Router) Counts() map[vrp.State]int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make(map[vrp.State]int, len(r.decided))
-	for k, v := range r.decided {
-		out[k] = v
+	for state, n := range r.decided {
+		if n > 0 {
+			out[vrp.State(state)] = n
+		}
 	}
 	return out
 }

@@ -16,6 +16,7 @@ import (
 	"ripki/internal/bgp"
 	"ripki/internal/dns"
 	"ripki/internal/measure"
+	"ripki/internal/mrt"
 	"ripki/internal/obs"
 	"ripki/internal/rib"
 	"ripki/internal/router"
@@ -77,6 +78,8 @@ type Simulation struct {
 	Series *TimeSeries
 
 	scenario Scenario
+	// vantage is the collector peer injected routes are heard from.
+	vantage mrt.Peer
 	// truth is the ground-truth VRP set, maintained by delta-apply: it
 	// starts out aliasing the world's memoised validation (shared across
 	// sweep cells, and the set handed to the RTR server), is cloned on
@@ -113,8 +116,11 @@ type Simulation struct {
 
 // New builds a simulation: generates (or adopts) the world, validates
 // its RPKI into the ground-truth VRP state, starts an RTR cache over
-// loopback TCP, connects and seeds the relying parties, and runs the
-// scenario's Setup. Call Run (or Step) next, then Close.
+// loopback TCP, connects the relying parties and forks each one's
+// router from the world's seeded template, and runs the scenario's
+// Setup. Call Run (or Step) next, then Close. Validation and seeding
+// are per world (memoised on it and shared by its clones); the cache,
+// the sessions, the forks and everything after are per run.
 func New(cfg Config) (*Simulation, error) {
 	cfg = cfg.WithDefaults()
 	if cfg.Scenario == "" {
@@ -154,6 +160,9 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	s.now = s.start
 	s.end = s.start.Add(cfg.Duration)
+	if peers := world.RIB.Peers(); len(peers) > 0 {
+		s.vantage = peers[0]
+	}
 
 	// The cache, served over loopback TCP so the real RTR wire path
 	// (PDUs, serials, deltas, session resets) is exercised end to end.
@@ -180,49 +189,40 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	for _, spec := range specs {
 		rp := &RP{Spec: spec, source: &swapSource{set: vrp.NewSet()}}
-		rp.Router = router.NewWithPolicy(rp.source, spec.Policy)
+		s.RPs = append(s.RPs, rp)
 		if spec.RefreshTicks > 0 {
 			client, err := rtr.Dial(ln.Addr().String())
 			if err != nil {
 				s.Close()
 				return nil, fmt.Errorf("sim: dialing cache: %w", err)
 			}
+			rp.Client = client
 			if err := client.Reset(); err != nil {
 				s.Close()
 				return nil, fmt.Errorf("sim: initial sync for %s: %w", spec.Name, err)
 			}
-			rp.Client = client
+			// The router below is forked from one validated against the
+			// world's set, not against what came over the wire; the wire
+			// is lossless, and the count is what checking that costs O(1).
+			if got, want := client.Len(), validation.VRPs.Len(); got != want {
+				s.Close()
+				return nil, fmt.Errorf("sim: initial sync for %s: %d VRPs, cache serves %d", spec.Name, got, want)
+			}
 			rp.source.set = client.View()
 			// The initial Reset marked every synced prefix as changed;
-			// the routers are seeded against this state below, so the
-			// first delta-scoped revalidation must not replay it.
+			// the router is seeded against this state, so the first
+			// delta-scoped revalidation must not replay it.
 			client.TakeDelta()
 		}
-		s.RPs = append(s.RPs, rp)
-	}
-
-	// Seed every router with the world's routing table.
-	peers := world.RIB.Peers()
-	var feedErr error
-	world.RIB.WalkRoutes(func(r rib.Route) bool {
-		ev := bgp.RouteEvent{
-			PeerAS:  peers[r.PeerIndex].ASN,
-			PeerID:  peers[r.PeerIndex].BGPID,
-			Prefix:  r.Prefix,
-			Path:    r.Path,
-			NextHop: r.NextHop,
+		// Every RP of every run on this world starts from the same routing
+		// table and one of two VRP views, so the seeded router is built
+		// once per world and forked here in O(1).
+		seeded, err := seededRouter(world, spec.Policy, rp.Client != nil)
+		if err != nil {
+			s.Close()
+			return nil, fmt.Errorf("sim: seeding routers: %w", err)
 		}
-		for _, rp := range s.RPs {
-			if _, err := rp.Router.Process(ev); err != nil {
-				feedErr = err
-				return false
-			}
-		}
-		return true
-	})
-	if feedErr != nil {
-		s.Close()
-		return nil, fmt.Errorf("sim: seeding routers: %w", feedErr)
+		rp.Router = seeded.Fork(rp.source)
 	}
 
 	// Runs are labelled by the canonical spec (components in sorted-name
@@ -252,9 +252,9 @@ func New(cfg Config) (*Simulation, error) {
 
 	// DNS mutations (scenarios re-point CDN chains and cache hosts)
 	// flow into the probe's dirty set through the registry hook. The
-	// registry is this run's own (sweep shared-world mode deep-copies it
-	// per cell), so the hook does not leak across simulations; Close
-	// detaches it.
+	// registry is this run's own (sweep shared-world mode hands each
+	// cell a clone, and clones do not inherit hooks), so the hook does
+	// not leak across simulations; Close detaches it.
 	s.World.Registry.SetMutationHook(func(name string) {
 		if s.inc != nil {
 			s.inc.DirtyHost(name)
@@ -269,6 +269,55 @@ func New(cfg Config) (*Simulation, error) {
 		return nil, fmt.Errorf("sim: scenario %s setup: %w", cfg.Scenario, err)
 	}
 	return s, nil
+}
+
+// seedKey names one seeded router on the world's memo. Seeded state is
+// a function of the world's routing table, the policy, and the VRP view
+// the routes were validated against — of which a run's start knows two:
+// the world's validated set (an RP just synced) and nothing (a router
+// with no RTR session).
+type seedKey struct {
+	policy router.Policy
+	synced bool
+}
+
+type seedResult struct {
+	router *router.Router
+	err    error
+}
+
+// seededRouter returns the world's router for (policy, synced) with the
+// whole routing table already processed: built on first use, kept on
+// the world's memo, and never written again — callers Fork it.
+func seededRouter(world *webworld.World, policy router.Policy, synced bool) (*router.Router, error) {
+	res := world.Derived(seedKey{policy, synced}, func() any {
+		set := vrp.NewSet()
+		if synced {
+			set = world.Validation().VRPs
+		}
+		r, err := seedRouter(world.RIB, router.StaticVRPs{VRPs: set}, policy)
+		return seedResult{r, err}
+	}).(seedResult)
+	return res.router, res.err
+}
+
+// seedRouter replays a routing table through a fresh router.
+func seedRouter(table *rib.Table, source router.VRPSource, policy router.Policy) (*router.Router, error) {
+	r := router.NewWithPolicy(source, policy)
+	peers := table.Peers()
+	var err error
+	table.WalkRoutes(func(rt rib.Route) bool {
+		peer := peers[rt.PeerIndex]
+		_, err = r.Process(bgp.RouteEvent{
+			PeerAS:  peer.ASN,
+			PeerID:  peer.BGPID,
+			Prefix:  rt.Prefix,
+			Path:    rt.Path,
+			NextHop: rt.NextHop,
+		})
+		return err == nil
+	})
+	return r, err
 }
 
 // columns builds the time-series header for the configured RP roster.
@@ -501,7 +550,7 @@ func (s *Simulation) ensureTruthOwned() {
 
 // routeEvent builds a collector route event from the first vantage peer.
 func (s *Simulation) routeEvent(prefix netip.Prefix, path []uint32, withdraw bool) bgp.RouteEvent {
-	peer := s.World.RIB.Peers()[0]
+	peer := s.vantage
 	asns := append([]uint32{peer.ASN}, path...)
 	return bgp.RouteEvent{
 		PeerAS:   peer.ASN,

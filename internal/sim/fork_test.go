@@ -1,0 +1,97 @@
+package sim
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+
+	"ripki/internal/rib"
+	"ripki/internal/router"
+	"ripki/internal/webworld"
+)
+
+// assertStartsLikeReplay checks, for every relying party of a freshly
+// built simulation, that the router New forked from the world's seeded
+// template is the router the pre-fork engine built — the world's whole
+// routing table replayed through Process against that RP's own VRP
+// view — in local RIB, tallies and forwarding (which is where
+// depreference marks show), and that a synced client holds exactly the
+// world's validated set, which is what the template was validated
+// against.
+func assertStartsLikeReplay(t *testing.T, s *Simulation) {
+	t.Helper()
+	validated := s.World.Validation().VRPs.All()
+	var probes []rib.PrefixOrigin
+	s.World.RIB.WalkRoutes(func(r rib.Route) bool {
+		probes = append(probes, rib.PrefixOrigin{Prefix: r.Prefix})
+		return true
+	})
+	for _, rp := range s.RPs {
+		if rp.Client != nil {
+			if got := rp.Client.View().All(); !slices.Equal(got, validated) {
+				t.Errorf("%s synced %d VRPs, the world validated %d, and they differ", rp.Spec.Name, len(got), len(validated))
+			}
+		}
+		replay, err := seedRouter(s.World.RIB, rp.source, rp.Spec.Policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := rp.Router, replay
+		if g, w := got.Table().Peers(), want.Table().Peers(); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: fork knows peers %v, replay %v", rp.Spec.Name, g, w)
+		}
+		if g, w := got.Table().Snapshot(), want.Table().Snapshot(); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: fork's local RIB holds %d routes, replay's %d, and they differ", rp.Spec.Name, len(g), len(w))
+		}
+		if g, w := got.Counts(), want.Counts(); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: fork's Counts %v, replay's %v", rp.Spec.Name, g, w)
+		}
+		for _, p := range probes {
+			g, gok := got.Forward(p.Prefix.Addr())
+			w, wok := want.Forward(p.Prefix.Addr())
+			if g != w || gok != wok {
+				t.Fatalf("%s: fork forwards %v to %v (%v), replay to %v (%v)", rp.Spec.Name, p.Prefix.Addr(), g, gok, w, wok)
+			}
+		}
+	}
+}
+
+// TestForkedRoutersMatchReplay runs every registered scenario's New on
+// clones of one world, so the seeded templates are built by the first
+// and forked by all the rest, and holds each against the replay oracle.
+// A last roster crosses every policy with synced and unsynced.
+func TestForkedRoutersMatchReplay(t *testing.T) {
+	w, err := webworld.Generate(webworld.Config{Seed: 1, Domains: 4000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := w.Snapshot()
+	check := func(name string, cfg Config) {
+		t.Run(name, func(t *testing.T) {
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			assertStartsLikeReplay(t, s)
+		})
+	}
+	for _, name := range Names() {
+		cfg := testConfig(name)
+		cfg.World = snap.Clone()
+		check(name, cfg)
+	}
+
+	cfg := testConfig("hijack-window+rp-lag+roa-churn")
+	cfg.World = snap.Clone()
+	for _, policy := range []router.Policy{router.PolicyAcceptAll, router.PolicyDropInvalid, router.PolicyPreferValid} {
+		cfg.RPs = append(cfg.RPs,
+			RPSpec{Name: "synced-" + policy.String(), RefreshTicks: 2, Policy: policy},
+			RPSpec{Name: "unsynced-" + policy.String(), Policy: policy})
+	}
+	check("every-policy", cfg)
+
+	// Stand-alone: New generates its own world and still seeds through
+	// the template — there is no second path.
+	check("own-world", testConfig("hijack-window"))
+}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"strings"
+	"sync"
 
 	"ripki/internal/bgp"
 	"ripki/internal/dns"
@@ -30,7 +31,7 @@ func Generate(cfg Config) (*World, error) {
 		alloc:       newAllocator(),
 		prefixOrg:   make(map[netip.Prefix]*Org),
 		CDNSuffixes: make(map[string][]string),
-		valMemo:     &validationMemo{},
+		memo:        new(sync.Map),
 	}
 	var err error
 	if w.Repo, err = repo.New(repo.RIRNames, cfg.Clock, cfg.TTL); err != nil {

@@ -10,33 +10,54 @@ import (
 // world-generation tax (organisations, RPKI signing, BGP announcement,
 // a million DNS records, certificate-path validation) once per seed:
 // Generate the world, Snapshot it, and hand each grid cell its own
-// Clone. Everything in a World is immutable at simulation time except
-// the DNS registry (scenarios re-point delivery hosts), so a clone is a
-// shallow copy of the world plus a deep copy of the registry —
-// copy-on-write would save the registry copy too, but a deep copy is
-// already two orders of magnitude cheaper than regeneration and keeps
-// the mutation rules trivial.
+// Clone. A clone copies nothing but the World struct. Every layer is
+// immutable at simulation time and simply aliased, except the DNS
+// registry, the one layer scenarios mutate (they re-point delivery
+// hosts): each clone gets a dns.Registry.Clone, which aliases the
+// records too and deep-copies them only if that run ever writes — one
+// scenario in ten does. What a run *derives* from the immutable layers
+// (the validated VRP set, the routers the sim seeds from the routing
+// table) is a pure function of them, so it is computed once and kept on
+// the memo below, which every clone points at.
 
-// validationMemo caches the world's RPKI validation at MeasureTime. The
-// pointer is shared by every clone of a world, so a whole sweep pays
-// certificate-path validation once per generated world.
-type validationMemo struct {
-	once sync.Once
-	res  *repo.ValidationResult
+// memoEntry is one value derived from a generated world's immutable
+// layers. World.memo maps keys to entries; every clone of the world
+// points at the one map, which lives exactly as long as they do.
+type memoEntry struct {
+	once  sync.Once
+	value any
 }
 
-// Validation returns the repository validated at MeasureTime, computed
-// once per generated world and shared by every Clone. The result (and
-// its VRP set) must be treated as read-only. Worlds assembled by hand
-// without Generate fall back to validating on every call.
-func (w *World) Validation() *repo.ValidationResult {
-	if w.valMemo == nil {
-		return w.Repo.Validate(w.MeasureTime())
+// Derived returns build's result for key, computed once per generated
+// world — concurrent callers of one key wait for the one build — and
+// shared by every Clone, so it must depend only on the world's immutable
+// layers and must be treated as read-only (hand out copy-on-write forks
+// of anything a run will mutate). Keys follow the context.Value
+// convention: an unexported type of the calling package. Worlds
+// assembled by hand without Generate have no memo and build on every
+// call.
+func (w *World) Derived(key any, build func() any) any {
+	if w.memo == nil {
+		return build()
 	}
-	w.valMemo.once.Do(func() {
-		w.valMemo.res = w.Repo.Validate(w.MeasureTime())
-	})
-	return w.valMemo.res
+	v, ok := w.memo.Load(key)
+	if !ok {
+		v, _ = w.memo.LoadOrStore(key, new(memoEntry))
+	}
+	e := v.(*memoEntry)
+	e.once.Do(func() { e.value = build() })
+	return e.value
+}
+
+type validationKey struct{}
+
+// Validation returns the repository validated at MeasureTime, computed
+// once per generated world and shared by every Clone (see Derived). The
+// result (and its VRP set) must be treated as read-only.
+func (w *World) Validation() *repo.ValidationResult {
+	return w.Derived(validationKey{}, func() any {
+		return w.Repo.Validate(w.MeasureTime())
+	}).(*repo.ValidationResult)
 }
 
 // Snapshot is an immutable captured world: a template every simulation
@@ -53,10 +74,11 @@ func (w *World) Snapshot() *Snapshot {
 	return &Snapshot{base: w}
 }
 
-// Clone returns a world that is safe to hand to one simulation: it
-// shares every immutable layer (ranked list, RIB, RPKI repository,
-// organisations, memoized validation) with the snapshot and deep-copies
-// the DNS registry, the one layer scenarios mutate. The ranked list's
+// Clone returns a world that is safe to hand to one simulation, in
+// O(1): it shares every immutable layer (ranked list, RIB, RPKI
+// repository, organisations, the memo of derived values) with the
+// snapshot and takes a copy-on-first-write clone of the DNS registry,
+// the one layer scenarios mutate. The ranked list's
 // name strings are views into the per-shard generation slabs
 // (internal/strtab), shared by every clone — interning survives
 // cloning for free because strings are immutable. Clone is safe to

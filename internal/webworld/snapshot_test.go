@@ -1,6 +1,8 @@
 package webworld
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ripki/internal/dns"
@@ -53,5 +55,52 @@ func TestValidationMemoized(t *testing.T) {
 	direct := w.Repo.Validate(w.MeasureTime())
 	if direct.VRPs.Len() != first.VRPs.Len() {
 		t.Errorf("memoized VRPs %d != direct %d", first.VRPs.Len(), direct.VRPs.Len())
+	}
+}
+
+func TestDerivedBuildsOncePerWorld(t *testing.T) {
+	w, err := Generate(Config{Seed: 11, Domains: 1500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type key struct{ n int }
+	snap := w.Snapshot()
+	var builds atomic.Int32
+	var wg sync.WaitGroup
+	got := make([]any, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = snap.Clone().Derived(key{1}, func() any {
+				builds.Add(1)
+				return new(int)
+			})
+		}()
+	}
+	wg.Wait()
+	for _, v := range got {
+		if v != got[0] {
+			t.Fatal("clones of one world derived different values for one key")
+		}
+	}
+	if n := builds.Load(); n != 1 {
+		t.Errorf("built %d times for one key on one world, want 1", n)
+	}
+	if w.Derived(key{2}, func() any { return new(int) }) == got[0] {
+		t.Error("a second key returned the first key's value")
+	}
+
+	// Another world, and a world assembled by hand, share nothing.
+	other, err := Generate(Config{Seed: 12, Domains: 1500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Derived(key{1}, func() any { return new(int) }) == got[0] {
+		t.Error("two generated worlds share a memo")
+	}
+	bare := &World{}
+	if bare.Derived(key{1}, func() any { return new(int) }) == bare.Derived(key{1}, func() any { return new(int) }) {
+		t.Error("a world without a memo memoised")
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"sync"
 	"time"
 
 	"ripki/internal/alexa"
@@ -320,9 +321,10 @@ type World struct {
 	rnd   *rand.Rand
 	alloc *allocator
 	orgs  *worldOrgs
-	// valMemo caches RPKI validation at MeasureTime; shared by clones
-	// (see snapshot.go).
-	valMemo *validationMemo
+	// memo caches what runs derive from the immutable layers (RPKI
+	// validation at MeasureTime, seeded routers); shared by clones (see
+	// snapshot.go).
+	memo *sync.Map
 	// prefixOrg maps each allocated prefix to its owner, for tests and
 	// diagnostics.
 	prefixOrg map[netip.Prefix]*Org
