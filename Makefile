@@ -43,8 +43,11 @@ fmt-check:
 # The gated benchmark set: the sweep engine (all execution modes), the
 # sim engine's hot tick loop (single and composed scenarios), its
 # incremental steady-state paths (dirty-subtree probe refresh and the
-# cache's single-VRP delta apply), the
-# serving layer's lock-free lookup path at 1/4/8 goroutines, the radix
+# cache's single-VRP delta apply), the RTR churn round trip (full-set
+# diff, delta, two routers polling), the
+# serving layer's lock-free lookup path at 1/4/8 goroutines and its
+# publish path (a 16-VRP delta on a 300k-VRP live set: allocs/op says
+# whether a publish costs the delta or the set), the radix
 # covering walk it rests on, the distributed coordinator's
 # decode-and-assemble merge path, and the web-scale path — sharded
 # world generation throughput, the packed domain table's build cost and
@@ -57,7 +60,9 @@ bench:
 	@$(GO) test -run '^$$' -bench 'BenchmarkComposedSimTick$$' -benchtime 200x -benchmem -count $(BENCH_COUNT) .
 	@$(GO) test -run '^$$' -bench 'BenchmarkProbeIncremental$$' -benchtime 100x -benchmem -count $(BENCH_COUNT) .
 	@$(GO) test -run '^$$' -bench 'BenchmarkTruthSetDelta$$' -benchtime 10000x -benchmem -count $(BENCH_COUNT) .
+	@$(GO) test -run '^$$' -bench 'BenchmarkRTRChurn$$' -benchtime 200x -benchmem -count $(BENCH_COUNT) .
 	@$(GO) test -run '^$$' -bench 'BenchmarkServeValidate$$' -benchtime 50000x -benchmem -count $(BENCH_COUNT) ./internal/serve
+	@$(GO) test -run '^$$' -bench 'BenchmarkPublishSet$$' -benchtime 2000x -benchmem -count $(BENCH_COUNT) ./internal/serve
 	@$(GO) test -run '^$$' -bench 'BenchmarkCovering$$' -benchtime 200000x -benchmem -count $(BENCH_COUNT) ./internal/radix
 	@$(GO) test -run '^$$' -bench 'BenchmarkDistMerge$$' -benchtime 20x -benchmem -count $(BENCH_COUNT) ./internal/distsweep
 	@$(GO) test -run '^$$' -bench 'BenchmarkWorldgen$$' -benchtime 1x -benchmem -count $(BENCH_COUNT) ./internal/webworld

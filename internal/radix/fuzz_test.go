@@ -10,13 +10,14 @@ import (
 )
 
 // The tree is the validation service's hot read path, and Delete (used
-// by live VRP withdrawals) leaves structural nodes behind by design —
-// so Covering/Delete interleavings deserve model-based testing: every
-// operation is mirrored into a plain map and the tree must agree with
-// the brute-force answer afterwards. Clone is in the op stream too:
-// every tree carries its own model, so a write on a clone or on its
-// parent that leaked through a shared node shows up as a disagreement
-// on the other side.
+// by live VRP withdrawals) unlinks and splices nodes that readers of a
+// clone may be standing on — so Covering/Delete interleavings deserve
+// model-based testing: every operation is mirrored into a plain map and
+// the tree must agree with the brute-force answer afterwards. Clone is
+// in the op stream too: every tree carries its own model, so a write on
+// a clone or on its parent that leaked through a shared node shows up as
+// a disagreement on the other side. Delete prunes, so each tree must
+// also hold exactly the nodes a fresh build of its model would.
 
 // model is the naive reference: a map of valued canonical prefixes.
 type model map[netip.Prefix]int
@@ -84,6 +85,44 @@ func checkAgainstModel(t *testing.T, tr *Tree[int], m model, probes []netip.Addr
 	}
 }
 
+// nodes counts every node reachable from the tree's roots, valued or not.
+func nodes[V any](tr *Tree[V]) int {
+	var count func(n *node[V]) int
+	count = func(n *node[V]) int {
+		if n == nil {
+			return 0
+		}
+		return 1 + count(n.child[0]) + count(n.child[1])
+	}
+	return count(tr.root4) + count(tr.root6)
+}
+
+// checkPruned asserts the tree has the shape of one freshly built from
+// its contents: the same number of nodes, which with path compression
+// is at most 2·Len−1 per address family.
+func checkPruned(t *testing.T, tr *Tree[int], m model) {
+	t.Helper()
+	fresh := new(Tree[int])
+	for p, v := range m {
+		if err := fresh.Insert(p, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	families := 0
+	for _, root := range []*node[int]{fresh.root4, fresh.root6} {
+		if root != nil {
+			families++
+		}
+	}
+	got, want := nodes(tr), nodes(fresh)
+	if got != want {
+		t.Fatalf("tree holds %d nodes for %d entries, a fresh build holds %d", got, len(m), want)
+	}
+	if limit := 2*len(m) - families; got > limit {
+		t.Fatalf("tree holds %d nodes for %d entries in %d families, limit %d", got, len(m), families, limit)
+	}
+}
+
 // smallPrefix4 draws a canonical IPv4 prefix from a deliberately small
 // universe so inserts, deletes and probes collide often.
 func smallPrefix4(rnd *rand.Rand) netip.Prefix {
@@ -130,10 +169,10 @@ const maxTrees = 6
 
 // TestCoveringDeleteInterleavingsProperty runs randomized
 // insert/delete/re-insert/clone interleavings over a family of trees
-// against their models. Deletes leave structural nodes in place, so
-// re-inserting under a deleted glue node is exactly the shape that
-// needs coverage; clones share those nodes, so every write must copy
-// its path before it lands.
+// against their models. Deletes unlink leaves and splice out nodes left
+// with one child, on paths clones still share, so every write must copy
+// its path before it lands and every tree must stay as small as a fresh
+// build of its model.
 func TestCoveringDeleteInterleavingsProperty(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
@@ -145,6 +184,7 @@ func TestCoveringDeleteInterleavingsProperty(t *testing.T) {
 		checkAll := func() {
 			for _, x := range trees {
 				checkAgainstModel(t, x.tr, x.m, probes)
+				checkPruned(t, x.tr, x.m)
 			}
 		}
 		for op := 0; op < 400; op++ {
@@ -213,11 +253,18 @@ func FuzzCoveringDelete(f *testing.F) {
 		// another tree still shares shows here.
 		for _, x := range trees {
 			checkAgainstModel(t, x.tr, x.m, nil)
+			checkPruned(t, x.tr, x.m)
 			n := 0
+			var prev netip.Prefix
 			x.tr.Walk(func(p netip.Prefix, v int) bool {
 				if x.m[p] != v {
 					t.Fatalf("Walk yields %v=%d, model has %d", p, v, x.m[p])
 				}
+				// vrp's All relies on this order to skip a sort.
+				if n > 0 && netutil.ComparePrefixes(prev, p) >= 0 {
+					t.Fatalf("Walk yields %v after %v", p, prev)
+				}
+				prev = p
 				n++
 				return true
 			})

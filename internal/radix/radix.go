@@ -26,8 +26,10 @@ import (
 )
 
 // node is a trie node. Internal nodes may carry no value (hasValue
-// reports false); path compression is achieved by storing full prefixes at nodes
-// and branching on the first bit after the node's prefix length.
+// reports false), and such a node always has both children: Insert only
+// makes one to branch, Delete splices out one that stops branching. Path
+// compression is achieved by storing full prefixes at nodes and
+// branching on the first bit after the node's prefix length.
 type node[V any] struct {
 	prefix netip.Prefix
 	value  V
@@ -241,9 +243,13 @@ func (t *Tree[V]) Lookup(p netip.Prefix) (V, bool) {
 }
 
 // Delete removes the value at exactly prefix p. It reports whether a
-// value was removed. Structural nodes are left in place (the tree only
-// grows structurally; this is fine for our workloads, which build once
-// and query many times).
+// value was removed. The tree is pruned back to the shape a fresh build
+// of what remains would have: a node left with neither value nor
+// children is unlinked, and one left with no value and a single child is
+// spliced out, so every valueless node branches and a tree of n entries
+// never holds more than 2n-1 nodes per family. A tree that follows a
+// churning source, and every clone frozen from it, therefore stays as
+// shallow as its contents.
 func (t *Tree[V]) Delete(p netip.Prefix) bool {
 	cp, err := netutil.Canonical(p)
 	if err != nil {
@@ -253,17 +259,38 @@ func (t *Tree[V]) Delete(p netip.Prefix) bool {
 	if _, ok := t.Lookup(cp); !ok {
 		return false
 	}
+	t.count--
 	np := t.rootFor(cp)
-	for {
+	var parent **node[V] // the slot of the node that np is a child slot of
+	for (*np).prefix.Bits() != cp.Bits() {
 		n := t.own(np)
-		if n.prefix.Bits() == cp.Bits() {
-			var zero V
-			n.set(zero, false)
-			t.count--
-			return true
-		}
-		np = &n.child[bitAfter(cp.Addr(), n.prefix.Bits())]
+		parent, np = np, &n.child[bitAfter(cp.Addr(), n.prefix.Bits())]
 	}
+	// Slots on the way down are this tree's now; nodes linked into them
+	// below stay whoever's they were, as in insert.
+	switch n := *np; {
+	case n.child[0] != nil && n.child[1] != nil:
+		var zero V
+		t.own(np).set(zero, false)
+	case n.child[0] != nil:
+		*np = n.child[0]
+	case n.child[1] != nil:
+		*np = n.child[1]
+	default:
+		*np = nil
+		if parent == nil {
+			break
+		}
+		// The parent lost a child; a valueless one had exactly two.
+		if pn := *parent; !pn.hasValue() {
+			if pn.child[0] != nil {
+				*parent = pn.child[0]
+			} else {
+				*parent = pn.child[1]
+			}
+		}
+	}
+	return true
 }
 
 // Covering appends to dst every (prefix, value) pair whose prefix

@@ -326,6 +326,52 @@ func TestDeleteAgainstModel(t *testing.T) {
 	}
 }
 
+// TestDeletePrunes runs insert/delete rounds over both families on a
+// tree and on clones taken mid-way, and after every round holds each
+// tree to the node count of a fresh build of its contents; draining a
+// tree leaves no node behind, and its clones keep theirs.
+func TestDeletePrunes(t *testing.T) {
+	rnd := rand.New(rand.NewSource(11))
+	trees := []modelled{{tr: new(Tree[int]), m: model{}}}
+	randPrefix := func() netip.Prefix {
+		if rnd.Intn(2) == 0 {
+			return randPrefix4(rnd)
+		}
+		return randPrefix6(rnd)
+	}
+	for round := 0; round < 12; round++ {
+		for _, x := range trees {
+			for i := 0; i < 300; i++ {
+				x.insert(t, randPrefix(), i)
+			}
+			// Delete about two thirds of what the tree now holds.
+			for p := range x.m {
+				if rnd.Intn(3) != 0 {
+					x.delete(t, p)
+				}
+			}
+		}
+		if round%4 == 1 {
+			trees = append(trees, trees[rnd.Intn(len(trees))].clone())
+		}
+		for _, x := range trees {
+			checkAgainstModel(t, x.tr, x.m, nil)
+			checkPruned(t, x.tr, x.m)
+		}
+	}
+	first := trees[0]
+	for p := range first.m {
+		first.delete(t, p)
+	}
+	if n := nodes(first.tr); n != 0 || first.tr.Len() != 0 {
+		t.Fatalf("drained tree holds %d nodes, Len %d", n, first.tr.Len())
+	}
+	for _, x := range trees[1:] {
+		checkAgainstModel(t, x.tr, x.m, nil)
+		checkPruned(t, x.tr, x.m)
+	}
+}
+
 func BenchmarkCovering(b *testing.B) {
 	rnd := rand.New(rand.NewSource(1))
 	var tr Tree[int]

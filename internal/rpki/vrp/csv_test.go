@@ -54,3 +54,21 @@ func TestReadCSVRejectsBadInput(t *testing.T) {
 		}
 	}
 }
+
+// TestReadCSVOrderFree: rows out of order make ReadCSV rebuild the set
+// in order, which must change nothing a caller can see.
+func TestReadCSVOrderFree(t *testing.T) {
+	sorted := "10.0.0.0/8,16,AS64500\n10.0.0.0/8,24,AS64500\n193.0.6.0/24,24,AS3333\n2001:db8::/32,48,AS64501\n"
+	scrambled := "2001:db8::/32,48,AS64501\n193.0.6.0/24,24,AS3333\n10.0.0.0/8,24,AS64500\n10.0.0.0/8,16,AS64500\n"
+	a, err := ReadCSV(strings.NewReader(sorted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReadCSV(strings.NewReader(scrambled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ann, wd := a.Diff(b); len(ann) != 0 || len(wd) != 0 || a.Len() != 4 || b.Len() != 4 {
+		t.Fatalf("row order changed the set: +%v -%v, Len %d and %d", ann, wd, a.Len(), b.Len())
+	}
+}

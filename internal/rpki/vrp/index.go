@@ -10,36 +10,106 @@ import (
 	"ripki/internal/radix"
 )
 
-// Index is an immutable, lock-free counterpart of Set: the same
-// radix-backed RFC 6811 queries, but frozen at construction. Because
-// nothing can mutate it, every method is safe for any number of
-// concurrent readers without taking a lock — the validation service
-// publishes one Index per snapshot behind an atomic pointer and lets
-// the read path scale linearly with cores.
-type Index struct {
+// table is the one VRP structure behind both access disciplines: a
+// radix tree of per-prefix VRP slices and the triple count. Set wraps it
+// in a lock and mutates it; Index is a frozen copy nothing writes. Its
+// methods do no locking of their own.
+type table struct {
 	tree  radix.Tree[[]VRP]
 	count int
 }
 
+// freeze returns an O(1) copy that shares every node with t
+// (radix.Tree.Clone): from here on a write to either copies the path it
+// descends before it lands, so neither sees the other's. Clone stamps a
+// new owner id on the receiver too, which makes freeze a write to t —
+// callers exclude readers and writers of t alike.
+func (t *table) freeze() table {
+	return table{tree: *t.tree.Clone(), count: t.count}
+}
+
+// insert validates, canonicalises and stores one VRP, reporting whether
+// it was new. The per-prefix slice is replaced by a fresh one, never
+// appended to: a frozen copy may hold the old slice, and an append into
+// its spare capacity would put this table's element where another
+// table's append at the same prefix also writes. The new element goes
+// in at its Compare position, so what a query lists for a prefix
+// depends on what the table holds and not on the order it arrived in.
+func (t *table) insert(v VRP) (bool, error) {
+	cp, err := netutil.Canonical(v.Prefix)
+	if err != nil {
+		return false, fmt.Errorf("vrp: %w", err)
+	}
+	if v.MaxLength < cp.Bits() || v.MaxLength > netutil.FamilyBits(cp.Addr()) {
+		return false, fmt.Errorf("vrp: maxLength %d out of range for %v", v.MaxLength, cp)
+	}
+	v.Prefix = cp
+	existing, _ := t.tree.Lookup(cp)
+	i, found := slices.BinarySearchFunc(existing, v, Compare)
+	if found {
+		return false, nil
+	}
+	next := make([]VRP, len(existing)+1)
+	copy(next, existing[:i])
+	next[i] = v
+	copy(next[i+1:], existing[i:])
+	if err := t.tree.Insert(cp, next); err != nil {
+		return false, err
+	}
+	t.count++
+	return true, nil
+}
+
+func (t *table) validateExplain(prefix netip.Prefix, originAS uint32) (State, []VRP) {
+	cp, err := netutil.Canonical(prefix)
+	if err != nil {
+		return NotFound, nil
+	}
+	return classify(t.tree.CoveringPrefix(cp, nil), cp, originAS)
+}
+
+// all lists every VRP in Compare order, with no sort: Walk visits
+// prefixes in netutil.ComparePrefixes order (IPv4 first, a prefix before
+// what it covers, the 0 branch before the 1 branch) and insert keeps
+// each prefix's slice in order.
+func (t *table) all() []VRP {
+	out := make([]VRP, 0, t.count)
+	t.tree.Walk(func(_ netip.Prefix, vs []VRP) bool {
+		out = append(out, vs...)
+		return true
+	})
+	return out
+}
+
+// Index is the immutable, lock-free counterpart of Set: the same table,
+// frozen. Because nothing can mutate it, every method is safe for any
+// number of concurrent readers without taking a lock — the validation
+// service publishes one Index per snapshot behind an atomic pointer and
+// lets the read path scale linearly with cores.
+type Index struct {
+	table
+}
+
 // NewIndex builds an index from a slice of VRPs. Prefixes are
-// canonicalised and duplicate triples collapse, exactly as in Set.Add
-// (both run the same insertVRP).
+// canonicalised and duplicate triples collapse, exactly as in Set.Add.
 func NewIndex(vs []VRP) (*Index, error) {
 	ix := &Index{}
 	for _, v := range vs {
-		inserted, err := insertVRP(&ix.tree, v)
-		if err != nil {
+		if _, err := ix.insert(v); err != nil {
 			return nil, err
-		}
-		if inserted {
-			ix.count++
 		}
 	}
 	return ix, nil
 }
 
-// IndexOf freezes a Set into an Index.
-func IndexOf(s *Set) (*Index, error) { return NewIndex(s.All()) }
+// IndexOf freezes a Set into an Index in O(1), whatever the set's size:
+// the index shares the set's nodes and the set copies what it next
+// writes. It takes the set's write lock (see freeze).
+func IndexOf(s *Set) *Index {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return &Index{table: s.freeze()}
+}
 
 // Len returns the number of distinct VRPs.
 func (ix *Index) Len() int { return ix.count }
@@ -53,47 +123,11 @@ func (ix *Index) Validate(prefix netip.Prefix, originAS uint32) State {
 // ValidateExplain is Validate plus the list of covering VRPs
 // considered. It takes no lock and allocates only the covering slice.
 func (ix *Index) ValidateExplain(prefix netip.Prefix, originAS uint32) (State, []VRP) {
-	cp, err := netutil.Canonical(prefix)
-	if err != nil {
-		return NotFound, nil
-	}
-	return classify(ix.tree.CoveringPrefix(cp, nil), cp, originAS)
+	return ix.validateExplain(prefix, originAS)
 }
 
 // All returns every VRP, sorted by prefix then maxLength then ASN.
-func (ix *Index) All() []VRP {
-	out := make([]VRP, 0, ix.count)
-	ix.tree.Walk(func(_ netip.Prefix, vs []VRP) bool {
-		out = append(out, vs...)
-		return true
-	})
-	sortAll(out)
-	return out
-}
-
-// insertVRP validates, canonicalises and stores one VRP into a tree,
-// reporting whether it was new — the single implementation Set.Add and
-// NewIndex share (the Set additionally wraps it in its mutex).
-func insertVRP(tree *radix.Tree[[]VRP], v VRP) (bool, error) {
-	cp, err := netutil.Canonical(v.Prefix)
-	if err != nil {
-		return false, fmt.Errorf("vrp: %w", err)
-	}
-	if v.MaxLength < cp.Bits() || v.MaxLength > netutil.FamilyBits(cp.Addr()) {
-		return false, fmt.Errorf("vrp: maxLength %d out of range for %v", v.MaxLength, cp)
-	}
-	v.Prefix = cp
-	existing, _ := tree.Lookup(cp)
-	for _, e := range existing {
-		if e == v {
-			return false, nil
-		}
-	}
-	if err := tree.Insert(cp, append(existing, v)); err != nil {
-		return false, err
-	}
-	return true, nil
-}
+func (ix *Index) All() []VRP { return ix.all() }
 
 // classify applies the RFC 6811 decision to the covering entries of a
 // canonical route prefix — the single implementation Set and Index
@@ -128,10 +162,4 @@ func Compare(a, b VRP) int {
 		return c
 	}
 	return cmp.Compare(a.ASN, b.ASN)
-}
-
-// sortAll orders VRPs by Compare. The comparator is a strict total
-// order over the full triple, so the unstable sort is deterministic.
-func sortAll(out []VRP) {
-	slices.SortFunc(out, Compare)
 }

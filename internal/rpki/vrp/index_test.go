@@ -3,6 +3,7 @@ package vrp
 import (
 	"math/rand"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 
@@ -48,6 +49,10 @@ func TestIndexMatchesSet(t *testing.T) {
 		if ia[i] != sa[i] {
 			t.Fatalf("All[%d]: index %v, set %v", i, ia[i], sa[i])
 		}
+	}
+	// All does not sort: the order is the tree walk's.
+	if !slices.IsSortedFunc(sa, Compare) {
+		t.Fatal("All is not in Compare order")
 	}
 	for trial := 0; trial < 2000; trial++ {
 		var p netip.Prefix

@@ -11,6 +11,25 @@
 //   - Invalid: at least one VRP covers the prefix but none matches.
 //
 // These are exactly the three states the paper reports in Figure 2.
+//
+// # One table, two access disciplines
+//
+// Set and Index are the same structure — a radix tree of per-prefix VRP
+// slices (the unexported table, with one insert and one classify) — held
+// two ways: a Set is mutable behind a read-write lock, an Index is
+// frozen and read without any lock. Set.Clone and IndexOf do not copy
+// the tree: they are radix.Tree.Clone, O(1) whatever the size, after
+// which both sides share every node and a writer copies only the path a
+// write descends (about 25 nodes in a 300 000-VRP set). Because Clone
+// also re-tags the tree it is called on, both take the set's write
+// lock, not the read lock.
+//
+// Sharing is sound on one condition, the one radix.Tree.Clone states:
+// a value reached through a cloned tree is immutable. Here the values
+// are the per-prefix []VRP slices, so Add and Remove always store a
+// freshly built slice and never append to, or edit, the one they found
+// — an append would write into spare capacity that an index frozen
+// earlier, or a sibling clone appending at the same prefix, also sees.
 package vrp
 
 import (
@@ -19,7 +38,6 @@ import (
 	"sync"
 
 	"ripki/internal/netutil"
-	"ripki/internal/radix"
 )
 
 // State is an RFC 6811 origin-validation outcome.
@@ -60,12 +78,11 @@ func (v VRP) String() string {
 	return fmt.Sprintf("%v-%d => AS%d", v.Prefix, v.MaxLength, v.ASN)
 }
 
-// Set is a queryable collection of VRPs. It is safe for concurrent
-// readers once built; Add must not race with queries.
+// Set is a queryable, mutable collection of VRPs: a table behind a
+// read-write lock. Any number of goroutines may query and mutate it.
 type Set struct {
-	mu    sync.RWMutex
-	tree  radix.Tree[[]VRP]
-	count int
+	mu sync.RWMutex
+	table
 }
 
 // NewSet returns an empty VRP set.
@@ -88,14 +105,8 @@ func FromVRPs(vs []VRP) (*Set, error) {
 func (s *Set) Add(v VRP) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	inserted, err := insertVRP(&s.tree, v)
-	if err != nil {
-		return err
-	}
-	if inserted {
-		s.count++
-	}
-	return nil
+	_, err := s.insert(v)
+	return err
 }
 
 // Remove deletes a VRP, reporting whether it was present. The radix
@@ -120,6 +131,8 @@ func (s *Set) Remove(v VRP) bool {
 		if len(existing) == 1 {
 			s.tree.Delete(cp)
 		} else {
+			// A fresh slice, never an edit of existing: clones and frozen
+			// indexes may still be reading it (see the package comment).
 			rest := make([]VRP, 0, len(existing)-1)
 			rest = append(rest, existing[:i]...)
 			rest = append(rest, existing[i+1:]...)
@@ -152,24 +165,16 @@ func (s *Set) Contains(v VRP) bool {
 	return false
 }
 
-// Clone returns an independent copy: the original and the clone can be
-// mutated without affecting each other. Delta-maintained truth state
-// (the sim engine, the RTR cache's in-place update path) clones the
-// shared snapshot once and then edits its private copy.
+// Clone returns an independent set holding the same VRPs, in O(1): the
+// original and the clone can then be mutated without affecting each
+// other, each copying the few nodes a write descends through. It takes
+// the write lock (see freeze). Delta-maintained truth state (the sim
+// engine, the RTR cache's in-place update path, an RTR client handing
+// out its state) clones and keeps editing.
 func (s *Set) Clone() *Set {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c := NewSet()
-	s.tree.Walk(func(p netip.Prefix, vs []VRP) bool {
-		cp := make([]VRP, len(vs))
-		copy(cp, vs)
-		// Walk yields prefixes that already passed canonicalisation on
-		// the way in, so Insert cannot fail.
-		_ = c.tree.Insert(p, cp)
-		return true
-	})
-	c.count = s.count
-	return c
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return &Set{table: s.freeze()}
 }
 
 // Len returns the number of distinct VRPs.
@@ -188,13 +193,9 @@ func (s *Set) Validate(prefix netip.Prefix, originAS uint32) State {
 // ValidateExplain is Validate plus the list of covering VRPs considered,
 // for diagnostics and the looking-glass tools.
 func (s *Set) ValidateExplain(prefix netip.Prefix, originAS uint32) (State, []VRP) {
-	cp, err := netutil.Canonical(prefix)
-	if err != nil {
-		return NotFound, nil
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return classify(s.tree.CoveringPrefix(cp, nil), cp, originAS)
+	return s.validateExplain(prefix, originAS)
 }
 
 // All returns every VRP, sorted by prefix then maxLength then ASN.
@@ -202,13 +203,7 @@ func (s *Set) ValidateExplain(prefix netip.Prefix, originAS uint32) (State, []VR
 func (s *Set) All() []VRP {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]VRP, 0, s.count)
-	s.tree.Walk(func(_ netip.Prefix, vs []VRP) bool {
-		out = append(out, vs...)
-		return true
-	})
-	sortAll(out)
-	return out
+	return s.all()
 }
 
 // HasASN reports whether any VRP in the set names asn as its origin —
@@ -231,27 +226,24 @@ func (s *Set) HasASN(asn uint32) bool {
 }
 
 // Diff computes the VRPs to announce and withdraw to transform old into
-// s. It is used by the RTR cache to build incremental updates.
+// s, each in Compare order. It is used by the RTR cache to build
+// incremental updates. Both All slices arrive sorted, so one merge walk
+// separates them.
 func (s *Set) Diff(old *Set) (announce, withdraw []VRP) {
-	cur := s.All()
-	prev := old.All()
-	curSet := make(map[VRP]bool, len(cur))
-	for _, v := range cur {
-		curSet[v] = true
-	}
-	prevSet := make(map[VRP]bool, len(prev))
-	for _, v := range prev {
-		prevSet[v] = true
-	}
-	for _, v := range cur {
-		if !prevSet[v] {
-			announce = append(announce, v)
+	cur, prev := s.All(), old.All()
+	i, j := 0, 0
+	for i < len(cur) && j < len(prev) {
+		switch c := Compare(cur[i], prev[j]); {
+		case c < 0:
+			announce = append(announce, cur[i])
+			i++
+		case c > 0:
+			withdraw = append(withdraw, prev[j])
+			j++
+		default:
+			i++
+			j++
 		}
 	}
-	for _, v := range prev {
-		if !curSet[v] {
-			withdraw = append(withdraw, v)
-		}
-	}
-	return announce, withdraw
+	return append(announce, cur[i:]...), append(withdraw, prev[j:]...)
 }

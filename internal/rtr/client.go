@@ -1,6 +1,7 @@
 package rtr
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"net/netip"
@@ -15,15 +16,24 @@ import (
 // cache's VRP set and exposes it as a *vrp.Set for origin validation.
 type Client struct {
 	conn net.Conn
+	// r buffers conn for every PDU read (a PDU is a header read and a
+	// body read; unbuffered, a full sync is two system calls a record).
+	// Only the goroutine driving the session reads, as with conn itself.
+	r *bufio.Reader
 
 	mu        sync.Mutex
 	sessionID uint16
 	serial    uint32
 	haveState bool
-	records   map[vrp.VRP]bool
-	// live mirrors records as a query-ready vrp.Set, maintained
-	// record-by-record so View never pays a full rebuild.
+	// live is the session state, the one copy of it: a query-ready
+	// vrp.Set maintained record by record. Set hands out O(1) freezes of
+	// it, View the set itself.
 	live *vrp.Set
+	// overtaken is a Serial Notify that arrived between a query and its
+	// response and names a state no sync has ended at yet: the response
+	// was computed before the change it announces, and the cache will
+	// not announce it again, so WaitNotify hands it over.
+	overtaken *SerialNotify
 	// changed accumulates the prefixes whose VRP membership moved since
 	// the last TakeDelta — the input for delta-scoped revalidation.
 	changed map[netip.Prefix]struct{}
@@ -33,7 +43,7 @@ type Client struct {
 func NewClient(conn net.Conn) *Client {
 	return &Client{
 		conn:    conn,
-		records: make(map[vrp.VRP]bool),
+		r:       bufio.NewReader(conn),
 		live:    vrp.NewSet(),
 		changed: make(map[netip.Prefix]struct{}),
 	}
@@ -62,7 +72,7 @@ func (c *Client) Serial() uint32 {
 func (c *Client) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.records)
+	return c.live.Len()
 }
 
 // Reset performs a full synchronisation (Reset Query) and replaces the
@@ -94,7 +104,7 @@ func (c *Client) Poll() error {
 // state is cleared when the Cache Response arrives.
 func (c *Client) readResponse(full bool) error {
 	for {
-		pdu, err := ReadPDU(c.conn)
+		pdu, err := ReadPDU(c.r)
 		if err != nil {
 			return fmt.Errorf("rtr: reading response: %w", err)
 		}
@@ -108,10 +118,9 @@ func (c *Client) readResponse(full bool) error {
 				// follow mark the new membership. The union is a superset
 				// of the true difference — delta consumers revalidate a
 				// little too much rather than too little.
-				for v := range c.records {
+				for _, v := range c.live.All() {
 					c.markLocked(v.Prefix)
 				}
-				c.records = make(map[vrp.VRP]bool)
 				c.live = vrp.NewSet()
 			}
 			c.mu.Unlock()
@@ -125,7 +134,10 @@ func (c *Client) readResponse(full bool) error {
 			}
 			return c.Reset()
 		case *SerialNotify:
-			// Permitted between request and response; ignore, data comes.
+			// Permitted between request and response; data comes.
+			c.mu.Lock()
+			c.overtaken = p
+			c.mu.Unlock()
 			continue
 		case *ErrorReport:
 			return p
@@ -138,24 +150,22 @@ func (c *Client) readResponse(full bool) error {
 // readRecords consumes prefix PDUs until End of Data.
 func (c *Client) readRecords() error {
 	for {
-		pdu, err := ReadPDU(c.conn)
+		pdu, err := ReadPDU(c.r)
 		if err != nil {
 			return fmt.Errorf("rtr: reading records: %w", err)
 		}
 		switch p := pdu.(type) {
 		case *Prefix:
 			c.mu.Lock()
+			// A duplicate announcement and a withdrawal of something not
+			// held change nothing and mark nothing. Decode only yields
+			// VRPs that passed the checks Add makes, so Add cannot fail.
 			if p.Announce {
-				if !c.records[p.VRP] {
-					c.records[p.VRP] = true
-					// records only ever holds VRPs decoded from valid
-					// PDUs, so Add cannot fail.
+				if !c.live.Contains(p.VRP) {
 					_ = c.live.Add(p.VRP)
 					c.markLocked(p.VRP.Prefix)
 				}
-			} else if c.records[p.VRP] {
-				delete(c.records, p.VRP)
-				c.live.Remove(p.VRP)
+			} else if c.live.Remove(p.VRP) {
 				c.markLocked(p.VRP.Prefix)
 			}
 			c.mu.Unlock()
@@ -163,6 +173,9 @@ func (c *Client) readRecords() error {
 			c.mu.Lock()
 			c.serial = p.Serial
 			c.haveState = true
+			if n := c.overtaken; n != nil && n.Serial == c.serial && n.SessionID == c.sessionID {
+				c.overtaken = nil
+			}
 			c.mu.Unlock()
 			return nil
 		case *ErrorReport:
@@ -175,10 +188,18 @@ func (c *Client) readRecords() error {
 
 // WaitNotify blocks until the cache sends a Serial Notify (or the
 // connection fails) and returns the advertised serial. Callers typically
-// follow with Poll.
+// follow with Poll. A notify that overtook a response which did not
+// reach the state it names is returned first.
 func (c *Client) WaitNotify() (uint32, error) {
+	c.mu.Lock()
+	n := c.overtaken
+	c.overtaken = nil
+	c.mu.Unlock()
+	if n != nil {
+		return n.Serial, nil
+	}
 	for {
-		pdu, err := ReadPDU(c.conn)
+		pdu, err := ReadPDU(c.r)
 		if err != nil {
 			return 0, err
 		}
@@ -193,8 +214,9 @@ func (c *Client) WaitNotify() (uint32, error) {
 	}
 }
 
-// Set snapshots the current records into a vrp.Set for origin
-// validation. The returned set is an independent copy.
+// Set freezes the session state into a vrp.Set for origin validation,
+// in O(1) (vrp.Set.Clone). The returned set is independent: no later
+// Poll or Reset changes it, and it is the caller's to mutate.
 func (c *Client) Set() *vrp.Set {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"ripki/internal/rpki/vrp"
 	"ripki/internal/webworld"
 )
 
@@ -65,6 +66,57 @@ func BenchmarkServeValidate(b *testing.B) {
 			}
 			wg.Wait()
 		})
+	}
+}
+
+// BenchmarkPublishSet gates the publish path's cost model: a live set of
+// 300 000 VRPs takes a 16-VRP delta and is published. The snapshot's
+// index is a freeze of the set, so an op allocates the tree paths those
+// 16 writes copy plus the snapshot and its feed event — a few hundred
+// allocations. A publish that walks, sorts or rebuilds the set again
+// allocates by the hundred thousand, which the allocs/op gate in
+// BENCH_baseline.json catches on any machine.
+func BenchmarkPublishSet(b *testing.B) {
+	const vrps, deltaSize = 300_000, 16
+	at := func(i int) vrp.VRP {
+		addr := netip.AddrFrom4([4]byte{byte(1 + i>>16), byte(i >> 8), byte(i), 0})
+		return vrp.VRP{Prefix: netip.PrefixFrom(addr, 24), MaxLength: 24, ASN: uint32(64500 + i%64)}
+	}
+	set := vrp.NewSet()
+	// The set takes the even /24s; the delta's VRPs are odd ones spread
+	// across the same range, so each write descends a full-depth path.
+	for i := 0; i < vrps; i++ {
+		if err := set.Add(at(2 * i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	delta := make([]vrp.VRP, deltaSize)
+	for k := range delta {
+		delta[k] = at(2*k*(vrps/deltaSize) + 1)
+	}
+	s := New(nil)
+	if _, err := s.PublishSet(set, "rtr", 0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, v := range delta {
+			if i%2 == 0 {
+				if err := set.Add(v); err != nil {
+					b.Fatal(err)
+				}
+			} else {
+				set.Remove(v)
+			}
+		}
+		if _, err := s.PublishSet(set, "rtr", uint32(i+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got, want := s.Current().Index.Len(), vrps+deltaSize*(b.N%2); got != want {
+		b.Fatalf("published index holds %d VRPs, want %d", got, want)
 	}
 }
 

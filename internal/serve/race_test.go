@@ -3,9 +3,12 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -34,6 +37,15 @@ import (
 // marker or serial from another) fails the parity check. Run under
 // -race this also proves the handlers synchronise with writers through
 // the atomic pointer alone.
+//
+// A snapshot's index is a freeze of the RTR session's live set, sharing
+// its radix nodes and per-prefix slices, and the session goes on
+// applying deltas to that set. So holders also keep every snapshot they
+// see and keep re-reading all of them: generation g's snapshot must list
+// exactly generation g's VRPs, and give g's verdict, for as long as
+// anyone holds it. Every generation carries a fixed ballast of nested
+// prefixes (so writes descend through shared nodes) and a rolling group
+// of VRPs at one prefix (so the slice there is rebuilt every time).
 func TestLockFreeReadsDuringRTRSwaps(t *testing.T) {
 	// On a single-core box the sleeping writer shares the CPU with the
 	// looping readers, so each generation costs a scheduler quantum;
@@ -41,24 +53,45 @@ func TestLockFreeReadsDuringRTRSwaps(t *testing.T) {
 	const (
 		generations = 60
 		readers     = 4
+		holders     = 2
 		markerBase  = 50000
 	)
 	subjectPrefix := netutil.MustPrefix("10.0.0.0/24")
 	markerPrefix := netutil.MustPrefix("198.51.100.0/24")
+	rollingPrefix := netutil.MustPrefix("10.0.0.0/16")
 
 	genSet := func(g int) *vrp.Set {
 		origin := uint32(65001) // valid for the probed route
 		if g%2 == 1 {
 			origin = 65002 // invalid: covered, origin mismatch
 		}
-		set, err := vrp.FromVRPs([]vrp.VRP{
+		vs := []vrp.VRP{
 			{Prefix: subjectPrefix, MaxLength: 24, ASN: origin},
 			{Prefix: markerPrefix, MaxLength: 24, ASN: uint32(markerBase + g)},
-		})
+		}
+		for i := 0; i < 48; i++ {
+			bits := 12 + i%3*4 // /12, /16, /20: nested under one another
+			p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i * 5), byte(i * 16), 0}), bits).Masked()
+			vs = append(vs, vrp.VRP{Prefix: p, MaxLength: bits + i%4, ASN: 64000})
+		}
+		for k := 0; k < 3; k++ {
+			vs = append(vs, vrp.VRP{Prefix: rollingPrefix, MaxLength: 16 + (g+k)%8, ASN: 64001})
+		}
+		set, err := vrp.FromVRPs(vs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return set
+	}
+	// What generation g's snapshot must hold, by source serial, and how
+	// many of those cover the subject route.
+	wantAll := make([][]vrp.VRP, generations+1)
+	wantCovering := make([]int, generations+1)
+	for g := range wantAll {
+		set := genSet(g)
+		wantAll[g] = set.All()
+		_, covering := set.ValidateExplain(subjectPrefix, 65001)
+		wantCovering[g] = len(covering)
 	}
 
 	// RTR cache over loopback TCP, seeded at generation 0. Each
@@ -95,7 +128,7 @@ func TestLockFreeReadsDuringRTRSwaps(t *testing.T) {
 
 	var wg sync.WaitGroup
 	writerDone := make(chan struct{})
-	errs := make(chan string, readers)
+	errs := make(chan string, readers+holders)
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func() {
@@ -150,6 +183,49 @@ func TestLockFreeReadsDuringRTRSwaps(t *testing.T) {
 		}()
 	}
 
+	// Holders keep every snapshot they have seen and re-read all of them
+	// while the session writes on.
+	checkHeld := func(sn *Snapshot) string {
+		g := int(sn.SourceSerial)
+		if g >= len(wantAll) {
+			return fmt.Sprintf("snapshot %d names generation %d, which was never served", sn.Serial, g)
+		}
+		if got := sn.Index.All(); !slices.Equal(got, wantAll[g]) {
+			return fmt.Sprintf("held snapshot %d (generation %d) lists %v, generation %d is %v", sn.Serial, g, got, g, wantAll[g])
+		}
+		wantState := "valid"
+		if g%2 == 1 {
+			wantState = "invalid"
+		}
+		if rr := sn.ValidateRoute(subjectPrefix, 65001); rr.State != wantState || len(rr.Covering) != wantCovering[g] {
+			return fmt.Sprintf("held snapshot %d (generation %d) answers %+v", sn.Serial, g, rr)
+		}
+		return ""
+	}
+	held := make([][]*Snapshot, holders)
+	for r := 0; r < holders; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-writerDone:
+					return
+				default:
+				}
+				if sn := s.Current(); len(held[r]) == 0 || held[r][len(held[r])-1] != sn {
+					held[r] = append(held[r], sn)
+				}
+				for _, sn := range held[r] {
+					if msg := checkHeld(sn); msg != "" {
+						errs <- msg
+						return
+					}
+				}
+			}
+		}(r)
+	}
+
 	// The writer churns the cache through every generation while the
 	// readers run.
 	for g := 1; g <= generations; g++ {
@@ -169,6 +245,19 @@ func TestLockFreeReadsDuringRTRSwaps(t *testing.T) {
 	cancel()
 	if err := <-rtrDone; err != nil {
 		t.Fatalf("RTR source: %v", err)
+	}
+
+	// With the session over, everything held still reads as it did, and
+	// the holders really did keep superseded snapshots.
+	for r := range held {
+		if len(held[r]) < 2 {
+			t.Errorf("holder %d kept %d snapshots; expected to outlive some", r, len(held[r]))
+		}
+		for _, sn := range held[r] {
+			if msg := checkHeld(sn); msg != "" {
+				t.Fatal(msg)
+			}
+		}
 	}
 
 	// The session really did drive snapshot swaps.

@@ -12,8 +12,12 @@
 //     the webworld via the measurement pipeline's resolution rules, and
 //     a monotonically increasing serial;
 //   - writers (an RTR client session against a cache, an in-process
-//     sim scenario, or a direct Publish call) build a fresh Snapshot
-//     and swap the pointer — they never mutate a published one;
+//     sim scenario, or a direct Publish call) wrap a frozen index in a
+//     fresh Snapshot and swap the pointer — they never mutate a
+//     published one. A source that keeps a live vrp.Set publishes an
+//     O(1) freeze of it (vrp.IndexOf): the snapshot shares the set's
+//     radix nodes, and the set copies the path of whatever it writes
+//     next, so a publish costs what changed, not what is held;
 //   - the read path loads the pointer once per request and answers
 //     entirely from that snapshot, so it takes no mutex, can never
 //     observe a half-applied update, and scales linearly with cores.
@@ -32,6 +36,7 @@ package serve
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -282,6 +287,22 @@ func (s *Service) Publish(vs []vrp.VRP, source string, sourceSerial uint32) (*Sn
 	if err != nil {
 		return nil, fmt.Errorf("serve: building index: %w", err)
 	}
+	return s.publishIndex(ix, source, sourceSerial, nil), nil
+}
+
+// PublishSet publishes the set as it stands now. The snapshot's index is
+// an O(1) freeze of the set (vrp.IndexOf), not a rebuild: it shares the
+// set's nodes, the caller goes on mutating the set, and each write
+// copies the path it descends, so the snapshot never sees it.
+func (s *Service) PublishSet(set *vrp.Set, source string, sourceSerial uint32) (*Snapshot, error) {
+	return s.publishIndex(vrp.IndexOf(set), source, sourceSerial, nil), nil
+}
+
+// publishIndex is where every publish ends: it wraps a finished index
+// in the next snapshot, swaps it in and reports it on the feed. attrs,
+// if any, join the feed event's attributes (what the source knows about
+// the update it just delivered).
+func (s *Service) publishIndex(ix *vrp.Index, source string, sourceSerial uint32, attrs map[string]string) *Snapshot {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
 	s.serial++
@@ -295,7 +316,7 @@ func (s *Service) Publish(vs []vrp.VRP, source string, sourceSerial uint32) (*Sn
 	}
 	s.snap.Store(sn)
 	s.recordPublish(source, sourceSerial)
-	s.appendEvent(FeedEvent{
+	event := FeedEvent{
 		EventType: "serve.snapshot_publish",
 		Feed:      "serve",
 		Observer:  source,
@@ -304,11 +325,8 @@ func (s *Service) Publish(vs []vrp.VRP, source string, sourceSerial uint32) (*Sn
 			"source_serial": fmt.Sprintf("%d", sourceSerial),
 			"vrps":          fmt.Sprintf("%d", ix.Len()),
 		},
-	})
-	return sn, nil
-}
-
-// PublishSet is Publish from a vrp.Set.
-func (s *Service) PublishSet(set *vrp.Set, source string, sourceSerial uint32) (*Snapshot, error) {
-	return s.Publish(set.All(), source, sourceSerial)
+	}
+	maps.Copy(event.Attributes, attrs)
+	s.appendEvent(event)
+	return sn
 }

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -510,5 +512,78 @@ func TestETagConditionalRequests(t *testing.T) {
 	rec = rawGet(t, h, "/v1/domain/not-a-domain.example", "")
 	if rec.Code != http.StatusNotFound || rec.Header().Get("ETag") != "" {
 		t.Fatalf("missing domain: code %d etag %q", rec.Code, rec.Header().Get("ETag"))
+	}
+}
+
+// TestPublishSetMatchesRebuild pins the two publish entries to one
+// result: PublishSet freezes the live set, Publish rebuilds an index
+// from a slice — the rebuild is the oracle. The set has a history (the
+// world's VRPs, then withdrawals and re-announcements in scrambled
+// order, several to a prefix), which a frozen tree carries and a rebuilt
+// one does not; none of it may show in what the snapshot answers.
+func TestPublishSetMatchesRebuild(t *testing.T) {
+	w, dt := testSetup(t)
+	set := w.Validation().VRPs.Clone()
+	rnd := rand.New(rand.NewSource(8))
+	all := set.All()
+	rnd.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	for i, v := range all {
+		switch i % 4 {
+		case 0:
+			set.Remove(v)
+		case 1:
+			// A second and third VRP at the prefix, added high to low.
+			for _, asn := range []uint32{v.ASN + 7, v.ASN + 3} {
+				if err := set.Add(vrp.VRP{Prefix: v.Prefix, MaxLength: v.MaxLength, ASN: asn}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case 2:
+			set.Remove(v)
+			if err := set.Add(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	frozen, err := New(dt).PublishSet(set, "rtr", 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := New(dt).Publish(set.All(), "rtr", 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := frozen.Index.All(), rebuilt.Index.All(); !slices.Equal(got, want) {
+		t.Fatalf("frozen index lists %d VRPs, rebuilt %d, or in another order", len(got), len(want))
+	}
+	if frozen.Index.Len() != rebuilt.Index.Len() {
+		t.Fatalf("Len: frozen %d, rebuilt %d", frozen.Index.Len(), rebuilt.Index.Len())
+	}
+	if frozen.Exposure != rebuilt.Exposure {
+		t.Fatalf("exposure: frozen %+v, rebuilt %+v", frozen.Exposure, rebuilt.Exposure)
+	}
+	if frozen.Serial != rebuilt.Serial || frozen.Source != rebuilt.Source || frozen.SourceSerial != rebuilt.SourceSerial {
+		t.Fatalf("snapshot identity: frozen %d/%s/%d, rebuilt %d/%s/%d", frozen.Serial, frozen.Source, frozen.SourceSerial,
+			rebuilt.Serial, rebuilt.Source, rebuilt.SourceSerial)
+	}
+	// Every route the table serves, at its own origin and at a wrong one:
+	// state and covering list, element for element.
+	for _, po := range dt.routes {
+		for _, asn := range []uint32{po.Origin, 64999} {
+			got, want := frozen.ValidateRoute(po.Prefix, asn), rebuilt.ValidateRoute(po.Prefix, asn)
+			if got.State != want.State || !slices.Equal(got.Covering, want.Covering) {
+				t.Fatalf("route %v AS%d: frozen %+v, rebuilt %+v", po.Prefix, asn, got, want)
+			}
+		}
+	}
+	// The freeze did not end the set's life as a writer, and the writer
+	// does not reach the snapshot.
+	before := frozen.Index.All()
+	for _, v := range all[:len(all)/2] {
+		set.Remove(v)
+	}
+	if !slices.Equal(frozen.Index.All(), before) {
+		t.Fatal("writes to the set after PublishSet changed the published index")
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"ripki/internal/rpki/vrp"
@@ -31,12 +32,19 @@ func (s *Service) RunRTR(ctx context.Context, addr string) error {
 	defer stop()
 	defer client.Close()
 
+	// publish freezes the session's live set as it stands after a sync.
+	// Draining the client's changed-prefix record keeps it from growing
+	// for the life of the session, and its size is how big the update
+	// just published was.
+	publish := func() {
+		changed := len(client.TakeDelta())
+		s.publishIndex(vrp.IndexOf(client.View()), "rtr", client.Serial(),
+			map[string]string{"changed_prefixes": strconv.Itoa(changed)})
+	}
 	if err := client.Reset(); err != nil {
 		return s.sourceErr(ctx, fmt.Errorf("serve: initial RTR sync: %w", err))
 	}
-	if _, err := s.PublishSet(client.Set(), "rtr", client.Serial()); err != nil {
-		return err
-	}
+	publish()
 	for {
 		if _, err := client.WaitNotify(); err != nil {
 			return s.sourceErr(ctx, fmt.Errorf("serve: RTR notify: %w", err))
@@ -44,9 +52,7 @@ func (s *Service) RunRTR(ctx context.Context, addr string) error {
 		if err := client.Poll(); err != nil {
 			return s.sourceErr(ctx, fmt.Errorf("serve: RTR poll: %w", err))
 		}
-		if _, err := s.PublishSet(client.Set(), "rtr", client.Serial()); err != nil {
-			return err
-		}
+		publish()
 	}
 }
 

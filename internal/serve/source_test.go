@@ -2,11 +2,80 @@ package serve
 
 import (
 	"context"
+	"net"
 	"testing"
 	"time"
 
+	"ripki/internal/netutil"
+	"ripki/internal/rpki/vrp"
+	"ripki/internal/rtr"
 	"ripki/internal/sim"
 )
+
+// TestRunRTRReportsChangedPrefixes: each publish from the RTR source
+// says on the feed how many prefixes the sync behind it touched — the
+// whole table for the initial reset, the delta's prefixes afterwards —
+// which also shows the source drains the client's changed-prefix record
+// instead of letting it grow with the session.
+func TestRunRTRReportsChangedPrefixes(t *testing.T) {
+	at := func(prefix string, maxLen int, asn uint32) vrp.VRP {
+		return vrp.VRP{Prefix: netutil.MustPrefix(prefix), MaxLength: maxLen, ASN: asn}
+	}
+	set, err := vrp.FromVRPs([]vrp.VRP{
+		at("10.0.0.0/8", 8, 1), at("10.0.0.0/8", 9, 1), // one prefix, twice
+		at("10.1.0.0/16", 16, 2), at("192.0.2.0/24", 24, 3), at("2001:db8::/32", 32, 4),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := rtr.NewServer(set, 7)
+	srv.Logf = func(string, ...any) {}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	s := New(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- s.RunRTR(ctx, ln.Addr().String()) }()
+	waitSerial := func(serial uint64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for sn := s.Current(); sn == nil || sn.Serial < serial; sn = s.Current() {
+			if time.Now().After(deadline) {
+				t.Fatalf("snapshot %d not published after 5s", serial)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitSerial(1)
+	// Two announcements at one new prefix and one withdrawal: two
+	// prefixes. The duplicate announcement changes nothing anywhere.
+	srv.UpdateDelta(
+		[]vrp.VRP{at("10.2.0.0/16", 16, 5), at("10.2.0.0/16", 17, 5), at("10.1.0.0/16", 16, 2)},
+		[]vrp.VRP{at("192.0.2.0/24", 24, 3)},
+	)
+	waitSerial(2)
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	events, _, _ := s.events.since(0, 10)
+	if len(events) != 2 {
+		t.Fatalf("feed holds %d events, want the two publishes", len(events))
+	}
+	for i, want := range []struct{ changed, vrps string }{{"4", "5"}, {"2", "6"}} {
+		a := events[i].Attributes
+		if events[i].EventType != "serve.snapshot_publish" || a["changed_prefixes"] != want.changed || a["vrps"] != want.vrps {
+			t.Errorf("publish %d: %s %v, want changed_prefixes=%s vrps=%s", i+1, events[i].EventType, a, want.changed, want.vrps)
+		}
+	}
+}
 
 // TestRunSimPublishesScenarioChurn drives the service from an
 // in-process roa-churn scenario: the ground-truth VRP set changes over
