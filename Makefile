@@ -51,7 +51,8 @@ fmt-check:
 # covering walk it rests on, the distributed coordinator's
 # decode-and-assemble merge path, and the web-scale path — sharded
 # world generation throughput, the packed domain table's build cost and
-# bytes/domain, and the lookup path against a million-domain table.
+# bytes/domain, the lookup path against a million-domain table, and a
+# daemon's -vrps start-up read of 300 000 CSV rows, shuffled and in order.
 # Fixed -benchtime keeps run time bounded; -count $(BENCH_COUNT) gives
 # benchgate best-of folding.
 bench:
@@ -68,6 +69,7 @@ bench:
 	@$(GO) test -run '^$$' -bench 'BenchmarkWorldgen$$' -benchtime 1x -benchmem -count $(BENCH_COUNT) ./internal/webworld
 	@$(GO) test -run '^$$' -bench 'BenchmarkBuildDomainTable$$' -benchtime 1x -benchmem -count $(BENCH_COUNT) ./internal/serve
 	@$(GO) test -run '^$$' -bench 'BenchmarkServeValidate1M$$' -benchtime 20000x -benchmem -count $(BENCH_COUNT) ./internal/serve
+	@$(GO) test -run '^$$' -bench 'BenchmarkReadCSV$$' -benchtime 3x -benchmem -count $(BENCH_COUNT) ./internal/rpki/vrp
 
 bench-baseline:
 	@$(MAKE) --no-print-directory bench | $(GO) run ./tools/benchgate -write $(BENCH_FILE)

@@ -70,6 +70,18 @@ type daemon struct {
 // build the domain exposure table, publish the initial snapshot, and
 // wire the requested update sources.
 func configure(args []string, stderr io.Writer) (*daemon, error) {
+	// Time to ready is what an operator waits for after a restart; the
+	// daemon reports it, and what it went to, in its banner and on
+	// /metrics. lap returns the time since the previous lap, so the
+	// phases add up to the whole.
+	began := time.Now()
+	mark := began
+	lap := func() time.Duration {
+		prev := mark
+		mark = time.Now()
+		return mark.Sub(prev)
+	}
+	var startup serve.Startup
 	params := simParams{}
 	fs := flag.NewFlagSet("ripki-served", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -113,10 +125,12 @@ func configure(args []string, stderr io.Writer) (*daemon, error) {
 	if err != nil {
 		return nil, err
 	}
+	startup.Generate = lap()
 	table, err := serve.BuildDomainTable(world)
 	if err != nil {
 		return nil, err
 	}
+	startup.DomainTable = lap()
 	svc := serve.New(table)
 	svc.SetHealthMaxStaleness(*maxStale)
 
@@ -140,9 +154,13 @@ func configure(args []string, stderr io.Writer) (*daemon, error) {
 	} else {
 		initial = world.Validation().VRPs
 	}
+	startup.VRPs = lap()
 	if _, err := svc.PublishSet(initial, source, 0); err != nil {
 		return nil, err
 	}
+	startup.Publish = lap()
+	startup.Ready = mark.Sub(began)
+	svc.SetStartup(startup)
 
 	handler := svc.Handler()
 	if *pprofFlag {
@@ -157,8 +175,8 @@ func configure(args []string, stderr io.Writer) (*daemon, error) {
 		svc:     svc,
 		handler: handler,
 		listen:  *listen,
-		banner: fmt.Sprintf("serving %d domains (%.1f MB table), %d VRPs (source=%s)",
-			table.Len(), float64(table.MemoryFootprint())/1e6, initial.Len(), source),
+		banner: fmt.Sprintf("serving %d domains (%.1f MB table), %d VRPs (source=%s), %v",
+			table.Len(), float64(table.MemoryFootprint())/1e6, initial.Len(), source, startup),
 	}
 	if *pprofFlag {
 		d.banner += ", pprof on /debug/pprof/"
@@ -187,6 +205,23 @@ func configure(args []string, stderr io.Writer) (*daemon, error) {
 		})
 	}
 	return d, nil
+}
+
+// Listener bounds. A client has readHeaderTimeout to deliver a complete
+// request header, and a kept-alive connection with no request in flight
+// is closed after idleTimeout, so neither a slow-loris peer nor an
+// abandoned connection holds a descriptor and a goroutine for good.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer wraps the handler in an http.Server with the listener
+// bounds set. Deliberately no WriteTimeout: GET /v1/events?wait= holds
+// its response open for as long as the client asked to long-poll, and a
+// write deadline would cut those answers off.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // run is the whole command, testable.
@@ -218,7 +253,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 
-	srv := &http.Server{Handler: d.handler}
+	srv := newServer(d.handler)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	select {

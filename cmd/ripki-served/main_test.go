@@ -4,10 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestConfigureWiresTheService builds a small daemon and drives its
@@ -145,5 +151,95 @@ func TestConfigureComposedScenario(t *testing.T) {
 		"-param", "rp-lag.slow_ticks=5",
 	}, &stderr); err == nil {
 		t.Fatal("param addressing a non-member component accepted")
+	}
+}
+
+// TestStartupIsReported: time to ready is something the daemon says
+// about itself — in the banner, ahead of the listen address that ends
+// it, and as gauges on /metrics — with -vrps taking the CSV path.
+func TestStartupIsReported(t *testing.T) {
+	csv := filepath.Join(t.TempDir(), "vrps.csv")
+	if err := os.WriteFile(csv, []byte("prefix,maxLength,ASN\n193.0.6.0/24,24,AS3333\n10.0.0.0/8,16,AS64500\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	d, err := configure([]string{"-domains", "1500", "-vrps", csv}, &stderr)
+	if err != nil {
+		t.Fatalf("configure: %v (stderr: %s)", err, stderr.String())
+	}
+	banner := regexp.MustCompile(`2 VRPs \(source=csv\), ready in \d+\.\d\ds \(generate \d+\.\d\ds, domain_table \d+\.\d\ds, vrps \d+\.\d\ds, publish \d+\.\d\ds\)$`)
+	if !banner.MatchString(d.banner) {
+		t.Errorf("banner %q does not end in the start-up figures", d.banner)
+	}
+	rec := httptest.NewRecorder()
+	d.handler.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{
+		`ripki_serve_startup_seconds{phase="generate"} `,
+		`ripki_serve_startup_seconds{phase="domain_table"} `,
+		`ripki_serve_startup_seconds{phase="vrps"} `,
+		`ripki_serve_startup_seconds{phase="publish"} `,
+		"\nripki_serve_ready_seconds ",
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
+// TestSlowLorisIsCutOff: a peer that opens a connection and trickles
+// half a request line is dropped once the header deadline passes, and
+// meanwhile costs a well-behaved client nothing. The deadline is
+// shortened on the server newServer returns so the test does not wait
+// out the production constant.
+func TestSlowLorisIsCutOff(t *testing.T) {
+	srv := newServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "ok") }))
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout || readHeaderTimeout <= 0 || idleTimeout <= 0 {
+		t.Fatalf("listener bounds not set: header %v, idle %v", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Fatalf("WriteTimeout %v would cut /v1/events long-polls off", srv.WriteTimeout)
+	}
+	const bound = 300 * time.Millisecond
+	srv.ReadHeaderTimeout = bound
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		if err := <-done; !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+
+	loris, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loris.Close()
+	began := time.Now()
+	if _, err := io.WriteString(loris, "GET /heal"); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatalf("well-formed request beside the stalled one: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("well-formed request beside the stalled one: %d", resp.StatusCode)
+	}
+
+	// The server hangs up (perhaps after a 408): the read ends, and not
+	// because the test's own deadline ran out.
+	loris.SetReadDeadline(began.Add(20 * bound))
+	if _, err := io.Copy(io.Discard, loris); err != nil {
+		t.Fatalf("stalled connection still open %v after a %v header deadline: %v", time.Since(began), bound, err)
+	}
+	if waited := time.Since(began); waited < bound {
+		t.Fatalf("stalled connection closed after %v, before the %v deadline", waited, bound)
 	}
 }

@@ -174,12 +174,24 @@ func (rr RegistryResolver) HasDNSKEY(name string) (bool, error) {
 
 // LookupWeb resolves name directly against the registry.
 func (rr RegistryResolver) LookupWeb(name string) (Result, error) {
-	return lookupWeb(name, func(q Question) ([]RR, uint8, error) {
-		ans, rcode := rr.Registry.Query(q)
-		return ans, rcode, nil
-	})
+	var res Result
+	rr.LookupWebInto(&res, name)
+	res.Name = CanonicalName(name)
+	return res, nil
 }
 
+// LookupWebInto is LookupWeb into a Result the caller keeps across
+// calls: Addrs and Chain are truncated and refilled, so a worker
+// resolving many names allocates only until the two have grown to the
+// longest answer it meets. Name is left empty: the caller has it, and
+// not retaining it is what lets the caller build names in a buffer it
+// reuses. The registry cannot fail, so there is no error.
+func (rr RegistryResolver) LookupWebInto(res *Result, name string) {
+	rr.Registry.resolveWeb(res, name)
+}
+
+// lookupWeb merges an A and an AAAA query made through query. It is the
+// wire client's path, and the oracle RegistryResolver is tested against.
 func lookupWeb(name string, query func(Question) ([]RR, uint8, error)) (Result, error) {
 	res := Result{Name: CanonicalName(name)}
 	nx := 0

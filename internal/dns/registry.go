@@ -250,6 +250,65 @@ func (r *Registry) Resolve(name string, typ uint16) (answers []RR, rcode uint8) 
 	return answers, RCodeSuccess
 }
 
+// resolveWeb is the combined A + AAAA lookup of name — exactly what
+// lookupWeb makes of Resolve(name, TypeA) then Resolve(name, TypeAAAA) —
+// as one walk under one read lock. res is reset first, keeping the
+// arrays behind Addrs and Chain to append into. Both queries follow the
+// same CNAMEs from name and each stops at the first owner holding its
+// type, so the walk goes on until both have, and the CNAMEs it crossed
+// are the longer of the two chains. Chain strings are the registry's
+// own; name is not retained.
+func (r *Registry) resolveWeb(res *Result, name string) {
+	*res = Result{Addrs: res.Addrs[:0], Chain: res.Chain[:0]}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	// The A answers come first whichever query ended first, so where the
+	// AAAA query ended is only noted until the walk is over.
+	var aaaaAt []RR
+	needA, needAAAA := true, true
+	cur := CanonicalName(name)
+	for i := 0; i < maxChase; i++ {
+		rrs := r.records[cur]
+		if len(rrs) == 0 {
+			// The queried name itself is missing (NXDOMAIN), or a CNAME
+			// dangles: the chain exists but its target does not.
+			res.NXDomain = i == 0
+			break
+		}
+		cname := -1
+		hasA, hasAAAA := false, false
+		for j := range rrs {
+			switch rrs[j].Type {
+			case TypeA:
+				hasA = true
+				if needA {
+					res.Addrs = append(res.Addrs, rrs[j].Addr)
+				}
+			case TypeAAAA:
+				hasAAAA = true
+			case TypeCNAME:
+				if cname < 0 {
+					cname = j
+				}
+			}
+		}
+		needA = needA && !hasA
+		if needAAAA && hasAAAA {
+			needAAAA, aaaaAt = false, rrs
+		}
+		if cname < 0 || !(needA || needAAAA) {
+			break // NODATA for whatever is still wanted, or nothing is
+		}
+		res.Chain = append(res.Chain, rrs[cname].Target)
+		cur = rrs[cname].Target
+	}
+	for j := range aaaaAt {
+		if aaaaAt[j].Type == TypeAAAA {
+			res.Addrs = append(res.Addrs, aaaaAt[j].Addr)
+		}
+	}
+}
+
 // Handler answers DNS queries; both the in-process path and the UDP
 // server use it.
 type Handler interface {

@@ -257,27 +257,37 @@ func (t *Table) Reachable(addr netip.Addr) bool {
 // prefix (netutil.ComparePrefixes) and then origin. This is the paper's
 // unit of measurement.
 func (t *Table) OriginPairs(addr netip.Addr) []PrefixOrigin {
+	return t.AppendOriginPairs(nil, addr)
+}
+
+// AppendOriginPairs appends OriginPairs(addr) to dst and returns the
+// extended slice; what dst already holds is left as it is. A caller
+// that looks up many addresses reuses one buffer and allocates nothing
+// once it has grown.
+func (t *Table) AppendOriginPairs(dst []PrefixOrigin, addr netip.Addr) []PrefixOrigin {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var out []PrefixOrigin
+	// An address rarely sits under more than a handful of routed
+	// prefixes, so the covering entries fit a buffer on the stack.
+	var covering [8]radix.Entry[[]Route]
 	// Covering yields the prefixes shortest first, which for prefixes
 	// containing one address is ComparePrefixes order already; within a
 	// prefix the handful of origins are kept sorted as they arrive.
-	for _, e := range t.tree.Covering(addr, nil) {
-		first := len(out)
+	for _, e := range t.tree.Covering(addr, covering[:0]) {
+		first := len(dst)
 		for _, r := range e.Value {
 			origin, ok := bgp.OriginAS(r.Path)
 			if !ok {
 				continue // AS_SET or empty path: excluded
 			}
-			at, dup := slices.BinarySearchFunc(out[first:], origin,
+			at, dup := slices.BinarySearchFunc(dst[first:], origin,
 				func(po PrefixOrigin, o uint32) int { return cmp.Compare(po.Origin, o) })
 			if !dup {
-				out = slices.Insert(out, first+at, PrefixOrigin{Prefix: e.Prefix, Origin: origin})
+				dst = slices.Insert(dst, first+at, PrefixOrigin{Prefix: e.Prefix, Origin: origin})
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // Snapshot returns a copy of every route, grouped by prefix in lexical

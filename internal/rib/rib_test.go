@@ -298,9 +298,19 @@ func TestOriginPairsMatchesOracle(t *testing.T) {
 			if step%10 != 9 {
 				continue
 			}
+			// One buffer takes every probe's pairs in turn: what it held
+			// before a call must come through it untouched, with exactly
+			// that address's pairs after it.
+			buf := []PrefixOrigin{{Origin: 0xdead}}
 			for _, addr := range probes {
-				if got, want := tb.OriginPairs(addr), originPairsOracle(tb, addr); !slices.Equal(got, want) {
+				want := originPairsOracle(tb, addr)
+				if got := tb.OriginPairs(addr); !slices.Equal(got, want) {
 					t.Fatalf("seed %d step %d: OriginPairs(%v) = %v, oracle says %v", seed, step, addr, got, want)
+				}
+				held := slices.Clone(buf)
+				buf = tb.AppendOriginPairs(buf, addr)
+				if !slices.Equal(buf[:len(held)], held) || !slices.Equal(buf[len(held):], want) {
+					t.Fatalf("seed %d step %d: AppendOriginPairs(%v, %v) = %v, oracle says %v after it", seed, step, held, addr, buf, want)
 				}
 			}
 		}

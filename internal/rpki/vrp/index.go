@@ -28,6 +28,21 @@ func (t *table) freeze() table {
 	return table{tree: *t.tree.Clone(), count: t.count}
 }
 
+// checked returns v with its prefix canonicalised, or why no table
+// takes it: an invalid prefix, or a maxLength outside [prefix length,
+// address width].
+func checked(v VRP) (VRP, error) {
+	cp, err := netutil.Canonical(v.Prefix)
+	if err != nil {
+		return v, fmt.Errorf("vrp: %w", err)
+	}
+	if v.MaxLength < cp.Bits() || v.MaxLength > netutil.FamilyBits(cp.Addr()) {
+		return v, fmt.Errorf("vrp: maxLength %d out of range for %v", v.MaxLength, cp)
+	}
+	v.Prefix = cp
+	return v, nil
+}
+
 // insert validates, canonicalises and stores one VRP, reporting whether
 // it was new. The per-prefix slice is replaced by a fresh one, never
 // appended to: a frozen copy may hold the old slice, and an append into
@@ -36,15 +51,11 @@ func (t *table) freeze() table {
 // in at its Compare position, so what a query lists for a prefix
 // depends on what the table holds and not on the order it arrived in.
 func (t *table) insert(v VRP) (bool, error) {
-	cp, err := netutil.Canonical(v.Prefix)
+	v, err := checked(v)
 	if err != nil {
-		return false, fmt.Errorf("vrp: %w", err)
+		return false, err
 	}
-	if v.MaxLength < cp.Bits() || v.MaxLength > netutil.FamilyBits(cp.Addr()) {
-		return false, fmt.Errorf("vrp: maxLength %d out of range for %v", v.MaxLength, cp)
-	}
-	v.Prefix = cp
-	existing, _ := t.tree.Lookup(cp)
+	existing, _ := t.tree.Lookup(v.Prefix)
 	i, found := slices.BinarySearchFunc(existing, v, Compare)
 	if found {
 		return false, nil
@@ -53,11 +64,32 @@ func (t *table) insert(v VRP) (bool, error) {
 	copy(next, existing[:i])
 	next[i] = v
 	copy(next[i+1:], existing[i:])
-	if err := t.tree.Insert(cp, next); err != nil {
+	if err := t.tree.Insert(v.Prefix, next); err != nil {
 		return false, err
 	}
 	t.count++
 	return true, nil
+}
+
+// fill loads an empty table from checked VRPs in Compare order without
+// repeats — what all returns — with one exactly-sized slice and one
+// tree insertion per distinct prefix, where insert would look each VRP's
+// prefix up and copy its slice once more per VRP. Nodes and slices are
+// allocated in the order a walk visits them (see ReadCSV for why that
+// matters).
+func (t *table) fill(vs []VRP) {
+	t.count = len(vs)
+	for len(vs) > 0 {
+		n := 1
+		for n < len(vs) && vs[n].Prefix == vs[0].Prefix {
+			n++
+		}
+		own := make([]VRP, n)
+		copy(own, vs)
+		// The prefix is canonical: Insert cannot fail.
+		_ = t.tree.Insert(own[0].Prefix, own)
+		vs = vs[n:]
+	}
 }
 
 func (t *table) validateExplain(prefix netip.Prefix, originAS uint32) (State, []VRP) {

@@ -103,10 +103,16 @@ func FromVRPs(vs []VRP) (*Set, error) {
 
 // Add inserts a VRP. Duplicate triples are ignored.
 func (s *Set) Add(v VRP) error {
+	_, err := s.Insert(v)
+	return err
+}
+
+// Insert is Add for callers that act on the difference: it also reports
+// whether v was new to the set, from the one descent that stores it.
+func (s *Set) Insert(v VRP) (added bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, err := s.insert(v)
-	return err
+	return s.insert(v)
 }
 
 // Remove deletes a VRP, reporting whether it was present. The radix

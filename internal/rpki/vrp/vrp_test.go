@@ -97,6 +97,18 @@ func TestDuplicatesIgnored(t *testing.T) {
 	if s.Len() != 3 {
 		t.Errorf("Len = %d, want 3", s.Len())
 	}
+	// Insert says which of the two happened, whatever the spelling.
+	again := VRP{Prefix: netip.MustParsePrefix("10.0.255.1/16"), MaxLength: 24, ASN: 64501}
+	if added, err := s.Insert(again); added || err != nil {
+		t.Errorf("Insert of a held VRP = %v, %v", added, err)
+	}
+	again.ASN++
+	if added, err := s.Insert(again); !added || err != nil || s.Len() != 4 {
+		t.Errorf("Insert of a new VRP = %v, %v (Len %d)", added, err, s.Len())
+	}
+	if added, err := s.Insert(VRP{Prefix: again.Prefix, MaxLength: 8}); added || err == nil {
+		t.Errorf("Insert of a bad VRP = %v, %v", added, err)
+	}
 }
 
 func TestAllSorted(t *testing.T) {

@@ -159,13 +159,14 @@ func (c *Client) readRecords() error {
 			c.mu.Lock()
 			// A duplicate announcement and a withdrawal of something not
 			// held change nothing and mark nothing. Decode only yields
-			// VRPs that passed the checks Add makes, so Add cannot fail.
+			// VRPs that pass the checks Insert makes, so it cannot fail.
+			var changed bool
 			if p.Announce {
-				if !c.live.Contains(p.VRP) {
-					_ = c.live.Add(p.VRP)
-					c.markLocked(p.VRP.Prefix)
-				}
-			} else if c.live.Remove(p.VRP) {
+				changed, _ = c.live.Insert(p.VRP)
+			} else {
+				changed = c.live.Remove(p.VRP)
+			}
+			if changed {
 				c.markLocked(p.VRP.Prefix)
 			}
 			c.mu.Unlock()

@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"unsafe"
@@ -78,7 +79,8 @@ func (t *DomainTable) apexIDs(i int32) []uint32 {
 // (prefix, origin) pairs from the world's RIB. Resolution fans out
 // across GOMAXPROCS chunks into private arenas; the pack into the
 // interned table is a sequential second phase (route deduplication
-// wants one id space).
+// wants one id space). The error is always nil: the in-process resolver
+// cannot fail.
 func BuildDomainTable(w *webworld.World) (*DomainTable, error) {
 	resolver := dns.RegistryResolver{Registry: w.Registry}
 	entries := w.List.Entries()
@@ -99,28 +101,25 @@ func BuildDomainTable(w *webworld.World) (*DomainTable, error) {
 	}
 	arenas := make([]*arena, workers)
 	var wg sync.WaitGroup
-	var firstErr error
-	var errOnce sync.Once
 	for c := 0; c < workers; c++ {
 		a := &arena{lo: n * c / workers, hi: n * (c + 1) / workers}
+		a.pairs = make([]rib.PrefixOrigin, 0, pairsPerDomain*(a.hi-a.lo))
 		a.counts = make([]uint32, 0, 2*(a.hi-a.lo))
 		a.flags = make([]uint8, 0, a.hi-a.lo)
 		arenas[c] = a
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// One answer buffer serves all of the worker's lookups, and the
+			// pairs go straight into the arena.
+			var res dns.Result
 			for i := a.lo; i < a.hi; i++ {
 				name := entries[i].Domain
-				www, wwwResolved, chain, err := resolveVariant(resolver, w.RIB, "www."+name)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-				apex, apexResolved, _, err := resolveVariant(resolver, w.RIB, name)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
+				// LookupWebInto does not retain the name, so the www name
+				// is built on the stack (up to 32 bytes), not the heap.
+				pairs, wwwResolved, chain := resolveVariant(resolver, w.RIB, "www."+name, &res, a.pairs)
+				mid := len(pairs)
+				pairs, apexResolved, _ := resolveVariant(resolver, w.RIB, name, &res, pairs)
 				var fl uint8
 				// The paper's conservative CDN heuristic: the www name
 				// is reached through two or more CNAMEs.
@@ -133,17 +132,13 @@ func BuildDomainTable(w *webworld.World) (*DomainTable, error) {
 				if apexResolved {
 					fl |= flagApexResolved
 				}
-				a.pairs = append(a.pairs, www...)
-				a.pairs = append(a.pairs, apex...)
-				a.counts = append(a.counts, uint32(len(www)), uint32(len(apex)))
+				a.counts = append(a.counts, uint32(mid-len(a.pairs)), uint32(len(pairs)-mid))
 				a.flags = append(a.flags, fl)
+				a.pairs = pairs
 			}
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
 
 	totalPairs := 0
 	for _, a := range arenas {
@@ -196,38 +191,42 @@ func BuildDomainTable(w *webworld.World) (*DomainTable, error) {
 	return t, nil
 }
 
-// resolveVariant maps one name to its distinct (prefix, origin) pairs:
-// resolve, drop IANA special-purpose answers, look every remaining
-// address up in the RIB. Pair order is deterministic (prefix, origin).
-func resolveVariant(resolver dns.Lookuper, table *rib.Table, name string) (pairs []rib.PrefixOrigin, resolved bool, chain int, err error) {
-	res, err := resolver.LookupWeb(name)
-	if err != nil {
-		return nil, false, 0, err
-	}
+// pairsPerDomain sizes a resolution arena: a domain's two variants
+// together map to about this many (prefix, origin) pairs in generated
+// worlds. An arena that needs more grows.
+const pairsPerDomain = 3
+
+// resolveVariant appends to dst the distinct (prefix, origin) pairs
+// serving one name, in (prefix, origin) order: resolve into res, drop
+// IANA special-purpose answers, look every remaining address up in the
+// RIB. What dst held before is left alone.
+func resolveVariant(resolver dns.RegistryResolver, table *rib.Table, name string, res *dns.Result, dst []rib.PrefixOrigin) (out []rib.PrefixOrigin, resolved bool, chain int) {
+	resolver.LookupWebInto(res, name)
 	chain = res.CNAMECount()
 	if res.NXDomain {
-		return nil, false, chain, nil
+		return dst, false, chain
 	}
-	seen := make(map[rib.PrefixOrigin]bool, 4)
+	start, addrs := len(dst), 0
 	for _, a := range res.Addrs {
 		if netutil.IsSpecialPurpose(a) {
 			continue
 		}
-		resolved = true
-		for _, po := range table.OriginPairs(a) {
-			if !seen[po] {
-				seen[po] = true
-				pairs = append(pairs, po)
-			}
-		}
+		addrs++
+		dst = table.AppendOriginPairs(dst, a)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if c := netutil.ComparePrefixes(pairs[i].Prefix, pairs[j].Prefix); c != 0 {
-			return c < 0
-		}
-		return pairs[i].Origin < pairs[j].Origin
-	})
-	return pairs, resolved, chain, nil
+	// One address's pairs arrive distinct and in order; those of several
+	// addresses repeat and interleave.
+	if addrs > 1 {
+		pairs := dst[start:]
+		slices.SortFunc(pairs, func(a, b rib.PrefixOrigin) int {
+			if c := netutil.ComparePrefixes(a.Prefix, b.Prefix); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Origin, b.Origin)
+		})
+		dst = dst[:start+len(slices.Compact(pairs))]
+	}
+	return dst, addrs > 0, chain
 }
 
 // Len returns the number of domains in the table.

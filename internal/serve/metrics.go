@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -157,9 +159,66 @@ func (s *Service) buildRegistry() *obs.Registry {
 	r.GaugeFunc("ripki_serve_domain_table_bytes", "Approximate heap footprint of the packed domain exposure table.",
 		func() float64 { return float64(s.domains.MemoryFootprint()) })
 	r.Collect(collectMem)
+	r.Collect(s.collectStartup)
 	r.Collect(s.collectSnapshot)
 	r.Collect(s.metrics.collect)
 	return r
+}
+
+// Startup is how long a daemon took to become ready — the time an
+// operator waits after a restart — and what the time went to. It is
+// wall clock, measured once by whoever built the service.
+type Startup struct {
+	// Generate is world generation, DomainTable is BuildDomainTable,
+	// VRPs is obtaining the initial VRP set (reading a CSV export, or
+	// validating the world's own repository), Publish the first publish.
+	Generate, DomainTable, VRPs, Publish time.Duration
+	// Ready is the whole of it, flag parsing to a published snapshot.
+	Ready time.Duration
+}
+
+// startupPhase is one phase under its metric label value.
+type startupPhase struct {
+	name string
+	d    time.Duration
+}
+
+func (st Startup) phases() [4]startupPhase {
+	return [4]startupPhase{{"generate", st.Generate}, {"domain_table", st.DomainTable}, {"vrps", st.VRPs}, {"publish", st.Publish}}
+}
+
+// String renders the figures for a start-up banner.
+func (st Startup) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "ready in %.2fs (", st.Ready.Seconds())
+	for i, p := range st.phases() {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s %.2fs", p.name, p.d.Seconds())
+	}
+	b.WriteByte(')')
+	return b.String()
+}
+
+// SetStartup records the start-up timings behind the
+// ripki_serve_startup_seconds and ripki_serve_ready_seconds gauges;
+// a service that was never told them exports neither. Set before
+// serving traffic.
+func (s *Service) SetStartup(st Startup) { s.startup = &st }
+
+// collectStartup renders the start-up gauges. They are set once and
+// never change: time-to-ready as the daemon itself measured it.
+func (s *Service) collectStartup(e *obs.Encoder) {
+	if s.startup == nil {
+		return
+	}
+	e.Family("ripki_serve_startup_seconds", "Wall-clock seconds each start-up phase took.", obs.TypeGauge)
+	for _, p := range s.startup.phases() {
+		e.Sample("", []obs.Label{{Name: "phase", Value: p.name}}, p.d.Seconds())
+	}
+	e.Family("ripki_serve_ready_seconds", "Wall-clock seconds from process start to the first published snapshot (time to ready).", obs.TypeGauge)
+	e.Sample("", nil, s.startup.Ready.Seconds())
 }
 
 // collectMem renders process memory gauges from runtime.MemStats. The

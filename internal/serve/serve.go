@@ -205,6 +205,7 @@ type Service struct {
 	metrics *metrics
 	reg     *obs.Registry
 	start   time.Time
+	startup *Startup // nil unless SetStartup was called
 
 	// events is the incident feed behind GET /v1/events; eventsTotal
 	// counts appends by event_type for /metrics.

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ripki/internal/rpki/vrp"
 	"ripki/internal/webworld"
@@ -393,6 +394,37 @@ func TestMetricsEndpoint(t *testing.T) {
 	body = scrape(t, h)
 	if !strings.Contains(body, `ripki_serve_requests_total{endpoint="metrics"} 2`) {
 		t.Error("metrics endpoint not self-instrumented")
+	}
+}
+
+// TestStartupGauges: a service told how its start-up went exports each
+// phase and the total, in seconds; one that was not exports neither.
+func TestStartupGauges(t *testing.T) {
+	s := testService(t)
+	if body := scrape(t, s.Handler()); strings.Contains(body, "ripki_serve_startup_seconds") || strings.Contains(body, "ripki_serve_ready_seconds") {
+		t.Fatal("start-up gauges exported without SetStartup")
+	}
+	st := Startup{
+		Generate: 250 * time.Millisecond, DomainTable: 340 * time.Millisecond,
+		VRPs: 210 * time.Millisecond, Publish: 3 * time.Millisecond, Ready: 803 * time.Millisecond,
+	}
+	s.SetStartup(st)
+	body := scrape(t, s.Handler())
+	for _, want := range []string{
+		"# TYPE ripki_serve_startup_seconds gauge",
+		`ripki_serve_startup_seconds{phase="generate"} 0.25`,
+		`ripki_serve_startup_seconds{phase="domain_table"} 0.34`,
+		`ripki_serve_startup_seconds{phase="vrps"} 0.21`,
+		`ripki_serve_startup_seconds{phase="publish"} 0.003`,
+		"# TYPE ripki_serve_ready_seconds gauge",
+		"ripki_serve_ready_seconds 0.803",
+	} {
+		if !strings.Contains(body, want+"\n") {
+			t.Errorf("scrape missing %q", want)
+		}
+	}
+	if got, want := st.String(), "ready in 0.80s (generate 0.25s, domain_table 0.34s, vrps 0.21s, publish 0.00s)"; got != want {
+		t.Errorf("banner text %q, want %q", got, want)
 	}
 }
 
