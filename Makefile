@@ -19,7 +19,7 @@ BENCH_ALLOCS_THRESHOLD ?= 0.30
 # machine-readable report (CI archives it as an artifact).
 BENCH_JSON ?=
 
-.PHONY: build test race vet fmt-check bench bench-baseline bench-check ci
+.PHONY: build test race vet fmt-check loc bench bench-baseline bench-check ci
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,10 @@ fmt-check:
 		echo "gofmt -l found unformatted files:"; echo "$$files"; exit 1; \
 	fi
 
+# Non-test Go outside bench/: the line count ROADMAP's design aim tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | tail -1
+
 # The gated benchmark set: the sweep engine (all execution modes), the
 # sim engine's hot tick loop (single and composed scenarios), its
 # incremental steady-state paths (dirty-subtree probe refresh and the
@@ -52,7 +56,9 @@ fmt-check:
 # decode-and-assemble merge path, and the web-scale path — sharded
 # world generation throughput, the packed domain table's build cost and
 # bytes/domain, the lookup path against a million-domain table, and a
-# daemon's -vrps start-up read of 300 000 CSV rows, shuffled and in order.
+# daemon's -vrps start-up read of 300 000 CSV rows, shuffled and in order
+# — and the paper's own pipeline, measure.Run over the 100 000-domain
+# study world (allocs/op and B/op are what the gate holds it to).
 # Fixed -benchtime keeps run time bounded; -count $(BENCH_COUNT) gives
 # benchgate best-of folding.
 bench:
@@ -70,6 +76,7 @@ bench:
 	@$(GO) test -run '^$$' -bench 'BenchmarkBuildDomainTable$$' -benchtime 1x -benchmem -count $(BENCH_COUNT) ./internal/serve
 	@$(GO) test -run '^$$' -bench 'BenchmarkServeValidate1M$$' -benchtime 20000x -benchmem -count $(BENCH_COUNT) ./internal/serve
 	@$(GO) test -run '^$$' -bench 'BenchmarkReadCSV$$' -benchtime 3x -benchmem -count $(BENCH_COUNT) ./internal/rpki/vrp
+	@$(GO) test -run '^$$' -bench 'BenchmarkPipeline$$' -benchtime 3x -benchmem -count $(BENCH_COUNT) .
 
 bench-baseline:
 	@$(MAKE) --no-print-directory bench | $(GO) run ./tools/benchgate -write $(BENCH_FILE)

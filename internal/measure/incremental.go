@@ -4,36 +4,35 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"sync"
 
 	"ripki/internal/alexa"
 	"ripki/internal/dns"
-	"ripki/internal/netutil"
 	"ripki/internal/radix"
+	"ripki/internal/rib"
 	"ripki/internal/rpki/vrp"
 )
 
 // Incremental is a Dataset that stays current under world mutation at a
 // cost proportional to what changed, not to world size. The initial
 // build runs the full pipeline once (exactly Run) and additionally
-// records, per domain, every input the measurement consulted: the DNS
-// owner names resolved, the public addresses matched against the RIB,
-// and the covering prefixes validated against the VRP set. Those keys
-// are inverted into reverse indexes — hostname → domains and two radix
-// trees prefix → domains — so a mutation marks exactly the impacted
-// domains dirty:
+// records, per domain, the inputs a mutation can reach: the DNS owner
+// names resolved and the covering prefixes validated against the VRP
+// set. Those keys are inverted into reverse indexes — hostname →
+// domains and a radix tree prefix → domains — so a mutation marks
+// exactly the impacted domains dirty:
 //
 //   - DirtyVRP(q): a VRP issued or revoked at q flips the RFC 6811
 //     outcome only for (prefix, origin) pairs at q or below (validation
 //     consults covering VRPs), so the pair-prefix subtree of q is
 //     marked;
-//   - DirtyRoute(p): a route inserted or withdrawn at p changes the
-//     covering-prefix set only for addresses inside p, so the address
-//     subtree of p is marked;
 //   - DirtyHost(name): a DNS record mutation affects the domains whose
 //     resolution touched that owner name (queried names are recorded
 //     even when they did not exist, so records appearing later still
 //     invalidate).
+//
+// There is no index for RIB mutations, because nothing mutates a
+// world's RIB after generation: a scenario that starts to must either
+// DirtyAll or bring an address → domains index with it.
 //
 // Refresh then re-measures only the dirty domains — through the same
 // measureDomain code path Run uses, writing into the same
@@ -54,7 +53,6 @@ type Incremental struct {
 
 	hostIdx map[string]map[int]struct{}
 	pairIdx radix.Tree[map[int]struct{}]
-	addrIdx radix.Tree[map[int]struct{}]
 
 	dirty map[int]struct{}
 }
@@ -100,13 +98,11 @@ func (inc *Incremental) SetVRPs(set *vrp.Set) { inc.cfg.VRPs = set }
 // DirtyVRP marks the domains whose measurement validated a pair prefix
 // at q or below — the set a VRP issue/revoke at q can affect.
 func (inc *Incremental) DirtyVRP(q netip.Prefix) {
-	inc.markSubtree(&inc.pairIdx, q)
-}
-
-// DirtyRoute marks the domains with a resolved public address inside p
-// — the set a RIB insert/withdraw at p can affect.
-func (inc *Incremental) DirtyRoute(p netip.Prefix) {
-	inc.markSubtree(&inc.addrIdx, p)
+	for _, e := range inc.pairIdx.Subtree(q, nil) {
+		for i := range e.Value {
+			inc.dirty[i] = struct{}{}
+		}
+	}
 }
 
 // DirtyHost marks the domains whose resolution consulted the given
@@ -123,14 +119,6 @@ func (inc *Incremental) DirtyHost(name string) {
 func (inc *Incremental) DirtyAll() {
 	for i := range inc.entries {
 		inc.dirty[i] = struct{}{}
-	}
-}
-
-func (inc *Incremental) markSubtree(t *radix.Tree[map[int]struct{}], p netip.Prefix) {
-	for _, e := range t.Subtree(p, nil) {
-		for i := range e.Value {
-			inc.dirty[i] = struct{}{}
-		}
 	}
 }
 
@@ -154,39 +142,23 @@ func (inc *Incremental) Refresh() error {
 
 // recompute re-measures the given domains (sorted indices) in parallel,
 // swaps their dependency keys in the reverse indexes, and recomputes
-// the totals. The parallel phase only writes slot-addressed results, so
-// scheduling cannot reorder anything observable.
+// the totals.
 func (inc *Incremental) recompute(idxs []int) error {
-	workers := inc.cfg.workers()
 	fresh := make([]domainKeys, len(idxs))
-	var wg sync.WaitGroup
-	var firstErr error
-	var errOnce sync.Once
-	chunk := (len(idxs) + workers - 1) / workers
-	if chunk == 0 {
-		chunk = 1
-	}
-	for start := 0; start < len(idxs); start += chunk {
-		end := min(start+chunk, len(idxs))
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for j := lo; j < hi; j++ {
-				i := idxs[j]
-				var k domainKeys
-				r, err := measureDomain(inc.entries[i], inc.cfg, &k)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-				inc.ds.Results[i] = r
-				fresh[j] = k
+	err := fanOut(len(idxs), func(lo, hi int) error {
+		var scratch []rib.PrefixOrigin
+		for j := lo; j < hi; j++ {
+			i := idxs[j]
+			r, err := measureDomain(inc.entries[i], inc.cfg, &fresh[j], &scratch)
+			if err != nil {
+				return err
 			}
-		}(start, end)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+			inc.ds.Results[i] = r
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	for j, i := range idxs {
 		inc.unindex(i, inc.keys[i])
@@ -206,9 +178,6 @@ func (inc *Incremental) index(i int, k domainKeys) {
 		}
 		m[i] = struct{}{}
 	}
-	for _, a := range k.addrs {
-		treeAdd(&inc.addrIdx, addrPrefix(a), i)
-	}
 	for _, p := range k.prefixes {
 		treeAdd(&inc.pairIdx, p, i)
 	}
@@ -222,9 +191,6 @@ func (inc *Incremental) unindex(i int, k domainKeys) {
 				delete(inc.hostIdx, h)
 			}
 		}
-	}
-	for _, a := range k.addrs {
-		treeRemove(&inc.addrIdx, addrPrefix(a), i)
 	}
 	for _, p := range k.prefixes {
 		treeRemove(&inc.pairIdx, p, i)
@@ -248,14 +214,4 @@ func treeRemove(t *radix.Tree[map[int]struct{}], p netip.Prefix, i int) {
 			t.Delete(p)
 		}
 	}
-}
-
-// addrPrefix lifts an address to the full-length canonical prefix the
-// address index is keyed by.
-func addrPrefix(a netip.Addr) netip.Prefix {
-	p := netip.PrefixFrom(a, a.BitLen())
-	if cp, err := netutil.Canonical(p); err == nil {
-		return cp
-	}
-	return p
 }

@@ -60,9 +60,7 @@ func TestIncrementalTinyUniverse(t *testing.T) {
 	check("nxdomain resurrect")
 
 	// dark.example gets routed: an address recorded as unreachable gains
-	// a covering route.
-	f.cfg.RIB.SetMutationHook(inc.DirtyRoute)
-	defer f.cfg.RIB.SetMutationHook(nil)
+	// a covering route. RIB mutations have no index: DirtyAll.
 	pk := f.cfg.RIB.AddPeer(mrt.Peer{BGPID: netutil.MustAddr("10.0.0.2"), Addr: netutil.MustAddr("10.0.0.2"), ASN: 200})
 	if err := f.cfg.RIB.Insert(rib.Route{
 		Prefix: netutil.MustPrefix("203.0.112.0/24"), PeerIndex: pk,
@@ -70,10 +68,12 @@ func TestIncrementalTinyUniverse(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	inc.DirtyAll()
 	check("route appears")
 
 	// ...and unrouted again.
 	f.cfg.RIB.Withdraw(pk, netutil.MustPrefix("203.0.112.0/24"))
+	inc.DirtyAll()
 	check("route withdrawn")
 
 	// CNAME repoint: cdnstyle's www chain now terminates on secure's
@@ -93,10 +93,11 @@ func TestIncrementalTinyUniverse(t *testing.T) {
 
 // TestIncrementalRandomInterleavings is the property test behind the
 // incremental contract: against a generated world, any seeded random
-// interleaving of ROA issues/revokes, route inserts/withdraws, and DNS
-// record mutations — with refreshes at arbitrary points — leaves the
-// incremental Dataset deeply equal to a full Run over the same mutated
-// world. Divergence here means a reverse index under-marked.
+// interleaving of ROA issues/revokes, route inserts/withdraws (which no
+// index covers, so they DirtyAll), and DNS record mutations — with
+// refreshes at arbitrary points — leaves the incremental Dataset deeply
+// equal to a full Run over the same mutated world. Divergence here means
+// a reverse index under-marked.
 func TestIncrementalRandomInterleavings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("world generation in -short mode")
@@ -120,14 +121,11 @@ func runInterleaving(t *testing.T, w *webworld.World, seed int64) {
 		VRPs:        set,
 		HTTPArchive: httparchive.New(w.CDNSuffixes),
 		BinWidth:    50,
-		Workers:     4,
 	}
 	inc, err := NewIncremental(w.List, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.RIB.SetMutationHook(inc.DirtyRoute)
-	defer w.RIB.SetMutationHook(nil)
 	w.Registry.SetMutationHook(inc.DirtyHost)
 	defer w.Registry.SetMutationHook(nil)
 
@@ -163,16 +161,19 @@ func runInterleaving(t *testing.T, w *webworld.World, seed int64) {
 			more := netip.PrefixFrom(base.Addr(), base.Bits()+1).Masked()
 			if leaked[more] {
 				w.RIB.Withdraw(pk, more)
-				leaked[more] = false
-				return
-			}
-			if err := w.RIB.Insert(rib.Route{
+			} else if err := w.RIB.Insert(rib.Route{
 				Prefix: more, PeerIndex: pk,
 				Path: []ribSegment{{Type: 2, ASNs: []uint32{65000, 64666}}}, NextHop: netutil.MustAddr("10.9.9.9"),
 			}); err != nil {
 				t.Fatal(err)
 			}
-			leaked[more] = true
+			leaked[more] = !leaked[more]
+			// No index covers the RIB. Refreshing at once keeps the other
+			// ops' marks in this window what the next check tests.
+			inc.DirtyAll()
+			if err := inc.Refresh(); err != nil {
+				t.Fatal(err)
+			}
 		},
 		func() { // A record flip on an apex or www name
 			name := entries[rnd.Intn(len(entries))].Domain

@@ -11,13 +11,35 @@
 // validation-state mix ("we assign corresponding probabilities to
 // domain names"), the CNAME indirection count for CDN classification
 // (§4.3), and the prefix sets for the www/apex comparison (Figure 1).
+//
+// This package is the only place steps 2–4 and the exposure aggregate
+// are written down; everything else that answers "how protected is this
+// name" calls in here:
+//
+//   - AppendPairs is the kernel of steps 2–3. It starts at a DNS answer
+//     (how the lookup is made — over the wire, in process, into a reused
+//     buffer — is the caller's business), drops special-purpose
+//     addresses, and appends the distinct covering (prefix, origin)
+//     pairs in order to a buffer the caller owns. Run and Incremental
+//     reach it through measureVariant, which validates the sorted run in
+//     one pass (step 4); serve.BuildDomainTable calls it with a
+//     per-worker arena and validates later, per snapshot.
+//   - StateMix turns a name's valid/invalid/total pair counts into the
+//     paper's per-domain probabilities. It is behind
+//     VariantData.StateProb and CoverageProb, the accumulator below, and
+//     serve's per-domain verdicts.
+//   - ExposureAccumulator is the head-vs-tail aggregate: Snapshot feeds
+//     it a Dataset (the study and the sim probe), serve feeds it the
+//     domain table against a snapshot's VRP index.
+//   - DefaultCDNThreshold is the "two or more CNAMEs" rule.
 package measure
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"ripki/internal/alexa"
@@ -49,9 +71,11 @@ type Config struct {
 	// is DNSSEC signed (the paper's stated future-work comparison).
 	// The Resolver must implement dns.DNSSECChecker.
 	DNSSEC bool
-	// Workers bounds parallelism (default: GOMAXPROCS).
-	Workers int
 }
+
+// DefaultCDNThreshold is the paper's conservative CDN heuristic: a www
+// name reached through this many CNAMEs or more is CDN-hosted.
+const DefaultCDNThreshold = 2
 
 func (c Config) binWidth() int {
 	if c.BinWidth <= 0 {
@@ -62,16 +86,9 @@ func (c Config) binWidth() int {
 
 func (c Config) cdnThreshold() int {
 	if c.CDNThreshold <= 0 {
-		return 2
+		return DefaultCDNThreshold
 	}
 	return c.CDNThreshold
-}
-
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // VariantData is the measurement of one name variant (www or w/o www).
@@ -119,26 +136,34 @@ func (v VariantData) NotFoundPairs() int { return v.Pairs - v.ValidPairs - v.Inv
 // StateProb returns the per-domain probability of an RFC 6811 state —
 // the paper's fractional representation of heterogeneous deployment.
 func (v VariantData) StateProb(s vrp.State) float64 {
-	if v.Pairs == 0 {
-		return 0
-	}
+	valid, invalid, notFound, _ := StateMix(v.ValidPairs, v.InvalidPairs, v.Pairs)
 	switch s {
 	case vrp.Valid:
-		return float64(v.ValidPairs) / float64(v.Pairs)
+		return valid
 	case vrp.Invalid:
-		return float64(v.InvalidPairs) / float64(v.Pairs)
+		return invalid
 	default:
-		return float64(v.NotFoundPairs()) / float64(v.Pairs)
+		return notFound
 	}
 }
 
 // CoverageProb is the probability a pair is covered by the RPKI at all
 // (valid or invalid) — "RPKI-enabled" in Figure 4.
 func (v VariantData) CoverageProb() float64 {
-	if v.Pairs == 0 {
-		return 0
+	_, _, _, coverage := StateMix(v.ValidPairs, v.InvalidPairs, v.Pairs)
+	return coverage
+}
+
+// StateMix turns one name's pair counts into the paper's fractional
+// representation: the probability of each RFC 6811 state over its pairs
+// and of being RPKI-covered at all. All four are zero without pairs.
+func StateMix(validPairs, invalidPairs, pairs int) (valid, invalid, notFound, coverage float64) {
+	if pairs == 0 {
+		return 0, 0, 0, 0
 	}
-	return float64(v.ValidPairs+v.InvalidPairs) / float64(v.Pairs)
+	n := float64(pairs)
+	return float64(validPairs) / n, float64(invalidPairs) / n,
+		float64(pairs-validPairs-invalidPairs) / n, float64(validPairs+invalidPairs) / n
 }
 
 // Usable reports whether the variant contributes measurements.
@@ -195,59 +220,66 @@ func Run(list *alexa.List, cfg Config) (*Dataset, error) {
 		Results:  make([]DomainResult, len(entries)),
 		BinWidth: cfg.binWidth(),
 	}
-	workers := cfg.workers()
-	var wg sync.WaitGroup
-	var firstErr error
-	var errOnce sync.Once
-	chunk := (len(entries) + workers - 1) / workers
-	if chunk == 0 {
-		chunk = 1
-	}
-	for start := 0; start < len(entries); start += chunk {
-		end := start + chunk
-		if end > len(entries) {
-			end = len(entries)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				r, err := measureDomain(entries[i], cfg, nil)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-				ds.Results[i] = r
+	err := fanOut(len(entries), func(lo, hi int) error {
+		var scratch []rib.PrefixOrigin
+		for i := lo; i < hi; i++ {
+			r, err := measureDomain(entries[i], cfg, nil, &scratch)
+			if err != nil {
+				return err
 			}
-		}(start, end)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+			ds.Results[i] = r
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	ds.computeTotals()
 	return ds, nil
 }
 
-// domainKeys records everything one domain's measurement depended on:
-// the owner names whose DNS records were consulted (the queried names
-// plus every CNAME target traversed), the public addresses matched
-// against the RIB, and the covering (prefix, origin) prefixes validated
+// fanOut splits [0, n) into one contiguous chunk per GOMAXPROCS worker,
+// runs fn on every chunk concurrently and returns the first error. The
+// chunks only write slot-addressed results, so scheduling cannot reorder
+// anything observable.
+func fanOut(n int, fn func(lo, hi int) error) error {
+	workers := runtime.GOMAXPROCS(0)
+	chunk := max((n+workers-1)/workers, 1)
+	var wg sync.WaitGroup
+	var firstErr error
+	var errOnce sync.Once
+	for lo := 0; lo < n; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			if err := fn(lo, hi); err != nil {
+				errOnce.Do(func() { firstErr = err })
+			}
+		}(lo, min(lo+chunk, n))
+	}
+	wg.Wait()
+	return firstErr
+}
+
+// domainKeys records what one domain's measurement depended on: the
+// owner names whose DNS records were consulted (the queried names plus
+// every CNAME target traversed) and the covering prefixes validated
 // against the VRP set. The incremental dataset inverts these into its
-// dirty-set indexes; a nil collector keeps the hot path allocation-free.
+// dirty-set indexes; Run passes a nil collector.
 type domainKeys struct {
 	hosts    []string
-	addrs    []netip.Addr
 	prefixes []netip.Prefix
 }
 
-func measureDomain(e alexa.Entry, cfg Config, keys *domainKeys) (DomainResult, error) {
+// measureDomain measures both variants of one list entry. scratch is
+// the calling worker's pair buffer, reused from domain to domain.
+func measureDomain(e alexa.Entry, cfg Config, keys *domainKeys, scratch *[]rib.PrefixOrigin) (DomainResult, error) {
 	r := DomainResult{Rank: e.Rank, Name: e.Domain, EqualPrefixShare: -1}
 	var err error
-	if r.WWW, err = measureVariant("www."+e.Domain, cfg, keys); err != nil {
+	if r.WWW, err = measureVariant("www."+e.Domain, cfg, keys, scratch); err != nil {
 		return r, err
 	}
-	if r.Apex, err = measureVariant(e.Domain, cfg, keys); err != nil {
+	if r.Apex, err = measureVariant(e.Domain, cfg, keys, scratch); err != nil {
 		return r, err
 	}
 	r.CDNByChain = r.WWW.Usable() && r.WWW.CNAMEs >= cfg.cdnThreshold()
@@ -275,7 +307,7 @@ func measureDomain(e alexa.Entry, cfg Config, keys *domainKeys) (DomainResult, e
 	return r, nil
 }
 
-func measureVariant(name string, cfg Config, keys *domainKeys) (VariantData, error) {
+func measureVariant(name string, cfg Config, keys *domainKeys, scratch *[]rib.PrefixOrigin) (VariantData, error) {
 	var v VariantData
 	res, err := cfg.Resolver.LookupWeb(name)
 	if err != nil {
@@ -297,66 +329,89 @@ func measureVariant(name string, cfg Config, keys *domainKeys) (VariantData, err
 		return v, nil // no data
 	}
 	v.Resolved = true
-	seenPair := make(map[rib.PrefixOrigin]vrp.State, 4)
-	seenPrefix := make(map[netip.Prefix]bool, 4)
-	for _, a := range res.Addrs {
-		if netutil.IsSpecialPurpose(a) {
-			v.SpecialAddrs++
-			continue
-		}
-		v.Addrs++
-		if keys != nil {
-			keys.addrs = append(keys.addrs, a)
-		}
-		pairs := cfg.RIB.OriginPairs(a)
-		if len(pairs) == 0 {
-			if !cfg.RIB.Reachable(a) {
-				v.UnreachableAddrs++
-			}
-			continue
-		}
-		v.PairMappings += len(pairs)
-		for _, po := range pairs {
-			if _, ok := seenPair[po]; !ok {
-				seenPair[po] = cfg.VRPs.Validate(po.Prefix, po.Origin)
-			}
-			seenPrefix[po.Prefix] = true
-		}
-	}
+	pairs, n := AppendPairs((*scratch)[:0], cfg.RIB, res.Addrs)
+	*scratch = pairs
+	v.Addrs, v.SpecialAddrs, v.UnreachableAddrs, v.PairMappings = n.Addrs, n.SpecialAddrs, n.UnreachableAddrs, n.PairMappings
 	if v.Addrs == 0 && v.SpecialAddrs > 0 {
 		v.Excluded = true
 		return v, nil
 	}
-	v.Pairs = len(seenPair)
-	for _, st := range seenPair {
-		switch st {
-		case vrp.Valid:
-			v.ValidPairs++
-		case vrp.Invalid:
-			v.InvalidPairs++
-		}
-	}
-	v.TotalPrefixes = len(seenPrefix)
-	for p := range seenPrefix {
-		covered := false
-		for po, st := range seenPair {
-			if po.Prefix == p && st != vrp.NotFound {
+	// Step 4, one pass: the pairs arrive sorted, so each prefix's origins
+	// are one run.
+	v.Pairs = len(pairs)
+	for i := 0; i < len(pairs); {
+		p, covered := pairs[i].Prefix, false
+		for ; i < len(pairs) && pairs[i].Prefix == p; i++ {
+			switch cfg.VRPs.Validate(p, pairs[i].Origin) {
+			case vrp.Valid:
+				v.ValidPairs++
 				covered = true
-				break
+			case vrp.Invalid:
+				v.InvalidPairs++
+				covered = true
 			}
 		}
+		v.TotalPrefixes++
 		if covered {
 			v.CoveredPrefixes++
 		}
 		v.prefixes = append(v.prefixes, p)
 	}
-	sort.Slice(v.prefixes, func(i, j int) bool {
-		return netutil.ComparePrefixes(v.prefixes[i], v.prefixes[j]) < 0
-	})
 	if keys != nil {
 		keys.prefixes = append(keys.prefixes, v.prefixes...)
 	}
 	return v, nil
+}
+
+// PairCounts is what AppendPairs counted on the way through one DNS
+// answer.
+type PairCounts struct {
+	// Addrs counts usable (public) addresses, SpecialAddrs the discarded
+	// special-purpose ones.
+	Addrs, SpecialAddrs int
+	// UnreachableAddrs counts public addresses under no routed prefix.
+	UnreachableAddrs int
+	// PairMappings counts (prefix, origin) pairs with per-address
+	// multiplicity, i.e. before deduplication across addresses.
+	PairMappings int
+}
+
+// AppendPairs is methodology steps 2–3 from the DNS answer on: it drops
+// IANA special-purpose addresses, looks every remaining one up in the
+// RIB, and appends the distinct (prefix, origin) pairs serving the name
+// to dst in (prefix, origin) order. What dst held before is left alone;
+// a caller that keeps the buffer allocates nothing once it has grown.
+func AppendPairs(dst []rib.PrefixOrigin, table *rib.Table, addrs []netip.Addr) ([]rib.PrefixOrigin, PairCounts) {
+	var n PairCounts
+	start := len(dst)
+	for _, a := range addrs {
+		if netutil.IsSpecialPurpose(a) {
+			n.SpecialAddrs++
+			continue
+		}
+		n.Addrs++
+		before := len(dst)
+		dst = table.AppendOriginPairs(dst, a)
+		n.PairMappings += len(dst) - before
+		// No pair is not yet unreachable: a prefix announced only with
+		// AS_SET paths covers the address and yields none.
+		if len(dst) == before && !table.Reachable(a) {
+			n.UnreachableAddrs++
+		}
+	}
+	// One address's pairs arrive distinct and in order; those of several
+	// addresses repeat and interleave.
+	if n.Addrs > 1 {
+		pairs := dst[start:]
+		slices.SortFunc(pairs, func(a, b rib.PrefixOrigin) int {
+			if c := netutil.ComparePrefixes(a.Prefix, b.Prefix); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Origin, b.Origin)
+		})
+		dst = dst[:start+len(slices.Compact(pairs))]
+	}
+	return dst, n
 }
 
 // jaccard computes |a ∩ b| / |a ∪ b| over sorted prefix slices.

@@ -91,7 +91,6 @@ func newTinyFixture(t *testing.T) *tinyFixture {
 			VRPs:        vrps,
 			HTTPArchive: ha,
 			BinWidth:    10,
-			Workers:     2,
 		},
 	}
 }

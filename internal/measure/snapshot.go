@@ -19,48 +19,47 @@ type ExposureSnapshot struct {
 	HeadValid, TailValid float64
 }
 
-// Snapshot computes the exposure summary of a dataset. headCut is the
-// rank (inclusive) separating the popular head from the tail; zero
-// defaults to a tenth of the measured population's highest rank.
-func Snapshot(ds *Dataset, headCut int) ExposureSnapshot {
-	var snap ExposureSnapshot
-	if len(ds.Results) == 0 {
-		return snap
+// HeadCut is the default head/tail split for a population whose
+// highest rank is maxRank: the top tenth is the head, never empty.
+func HeadCut(maxRank int) int { return max(maxRank/10, 1) }
+
+// ExposureAccumulator folds per-domain pair counts into an
+// ExposureSnapshot. Set HeadCut (the last head rank, inclusive), Add
+// every domain's www variant in a fixed order, then read Snapshot: the
+// floating-point sums are order-dependent, and every caller walking the
+// population in rank order is what makes their answers bit-identical.
+type ExposureAccumulator struct {
+	HeadCut int
+
+	sum          ExposureSnapshot
+	headN, tailN int
+}
+
+// Add folds in one domain's www variant: its rank and how many of its
+// distinct (prefix, origin) pairs validate valid and invalid. A domain
+// without pairs (unresolved, excluded, unreachable) does not contribute.
+func (a *ExposureAccumulator) Add(rank, validPairs, invalidPairs, pairs int) {
+	if pairs == 0 {
+		return
 	}
-	if headCut <= 0 {
-		maxRank := 0
-		for i := range ds.Results {
-			if ds.Results[i].Rank > maxRank {
-				maxRank = ds.Results[i].Rank
-			}
-		}
-		headCut = maxRank / 10
-		if headCut == 0 {
-			headCut = 1
-		}
+	valid, invalid, notFound, coverage := StateMix(validPairs, invalidPairs, pairs)
+	a.sum.Domains++
+	a.sum.Valid += valid
+	a.sum.Invalid += invalid
+	a.sum.NotFound += notFound
+	a.sum.Coverage += coverage
+	if rank <= a.HeadCut {
+		a.sum.HeadValid += valid
+		a.headN++
+	} else {
+		a.sum.TailValid += valid
+		a.tailN++
 	}
-	var headN, tailN float64
-	for i := range ds.Results {
-		r := &ds.Results[i]
-		if !r.WWW.Usable() || r.WWW.Pairs == 0 {
-			continue
-		}
-		snap.Domains++
-		v := r.WWW
-		validP := float64(v.ValidPairs) / float64(v.Pairs)
-		invalidP := float64(v.InvalidPairs) / float64(v.Pairs)
-		snap.Valid += validP
-		snap.Invalid += invalidP
-		snap.NotFound += float64(v.NotFoundPairs()) / float64(v.Pairs)
-		snap.Coverage += v.CoverageProb()
-		if r.Rank <= headCut {
-			snap.HeadValid += validP
-			headN++
-		} else {
-			snap.TailValid += validP
-			tailN++
-		}
-	}
+}
+
+// Snapshot returns the means over everything added so far.
+func (a *ExposureAccumulator) Snapshot() ExposureSnapshot {
+	snap := a.sum
 	if snap.Domains > 0 {
 		n := float64(snap.Domains)
 		snap.Valid /= n
@@ -68,11 +67,30 @@ func Snapshot(ds *Dataset, headCut int) ExposureSnapshot {
 		snap.NotFound /= n
 		snap.Coverage /= n
 	}
-	if headN > 0 {
-		snap.HeadValid /= headN
+	if a.headN > 0 {
+		snap.HeadValid /= float64(a.headN)
 	}
-	if tailN > 0 {
-		snap.TailValid /= tailN
+	if a.tailN > 0 {
+		snap.TailValid /= float64(a.tailN)
 	}
 	return snap
+}
+
+// Snapshot computes the exposure summary of a dataset. headCut is the
+// rank (inclusive) separating the popular head from the tail; zero
+// defaults to HeadCut of the measured population's highest rank.
+func Snapshot(ds *Dataset, headCut int) ExposureSnapshot {
+	if headCut <= 0 {
+		maxRank := 0
+		for i := range ds.Results {
+			maxRank = max(maxRank, ds.Results[i].Rank)
+		}
+		headCut = HeadCut(maxRank)
+	}
+	acc := ExposureAccumulator{HeadCut: headCut}
+	for i := range ds.Results {
+		r := &ds.Results[i]
+		acc.Add(r.Rank, r.WWW.ValidPairs, r.WWW.InvalidPairs, r.WWW.Pairs)
+	}
+	return acc.Snapshot()
 }

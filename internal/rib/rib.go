@@ -51,7 +51,6 @@ type Table struct {
 	// reach the same slice through the nodes they share.
 	tree   radix.Tree[[]Route]
 	routes int
-	hook   func(netip.Prefix)
 }
 
 type peerKey struct {
@@ -67,8 +66,7 @@ func New() *Table {
 // Clone returns an independent table with the same peers and routes in
 // O(peers): the prefix tree is forked copy-on-write (radix.Tree.Clone),
 // so the two tables share every route until one of them writes under a
-// prefix, and a write on either is never visible in the other. The
-// mutation hook is not inherited.
+// prefix, and a write on either is never visible in the other.
 func (t *Table) Clone() *Table {
 	// The write lock: forking the tree retags the receiver's side too.
 	t.mu.Lock()
@@ -127,17 +125,6 @@ func (t *Table) Routes() int {
 	return t.routes
 }
 
-// SetMutationHook registers fn to be called with the canonical prefix
-// of every route inserted or withdrawn (nil disables it). The hook runs
-// with the table lock held, so it must not call back into the table;
-// incremental measurement uses it to mark the domains whose addresses
-// fall under a changed prefix as dirty.
-func (t *Table) SetMutationHook(fn func(netip.Prefix)) {
-	t.mu.Lock()
-	t.hook = fn
-	t.mu.Unlock()
-}
-
 // byPeer orders a prefix's routes for binary search.
 func byPeer(r Route, peer uint16) int { return cmp.Compare(r.PeerIndex, peer) }
 
@@ -167,13 +154,7 @@ func (t *Table) insertLocked(r Route) error {
 	}
 	next := make([]Route, 0, i+1+len(rest))
 	next = append(append(append(next, old[:i]...), r), rest...)
-	if err := t.tree.Insert(cp, next); err != nil {
-		return err
-	}
-	if t.hook != nil {
-		t.hook(cp)
-	}
-	return nil
+	return t.tree.Insert(cp, next)
 }
 
 // Withdraw removes the route for prefix from the given peer. It reports
@@ -201,9 +182,6 @@ func (t *Table) withdrawLocked(peer uint16, prefix netip.Prefix) bool {
 		_ = t.tree.Insert(cp, slices.Delete(slices.Clone(old), i, i+1))
 	}
 	t.routes--
-	if t.hook != nil {
-		t.hook(cp)
-	}
 	return true
 }
 

@@ -1,16 +1,13 @@
 package serve
 
 import (
-	"cmp"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"unsafe"
 
 	"ripki/internal/dns"
 	"ripki/internal/measure"
-	"ripki/internal/netutil"
 	"ripki/internal/rib"
 	"ripki/internal/rpki/vrp"
 	"ripki/internal/strtab"
@@ -32,11 +29,11 @@ type DomainListing struct {
 
 // DomainTable maps domain names to their serving routes: each domain's
 // VRP-independent measurement state — the distinct (prefix, origin AS)
-// pairs serving each name variant, per the paper's methodology steps
-// 2–3 (DNS resolution, special-purpose filtering, RIB covering-prefix
-// extraction). Validation (step 4) is deliberately NOT baked in — it is
-// re-run against each snapshot's VRP index, which is what lets the
-// service answer under live VRP churn without re-measuring.
+// pairs serving each name variant, as measure.AppendPairs (the paper's
+// methodology steps 2–3) extracts them. Validation (step 4) is
+// deliberately NOT baked in — it is re-run against each snapshot's VRP
+// index, which is what lets the service answer under live VRP churn
+// without re-measuring.
 //
 // The layout is struct-of-arrays with interned names and deduplicated
 // routes, sized for the paper's million-domain population: a domain is
@@ -117,19 +114,21 @@ func BuildDomainTable(w *webworld.World) (*DomainTable, error) {
 				name := entries[i].Domain
 				// LookupWebInto does not retain the name, so the www name
 				// is built on the stack (up to 32 bytes), not the heap.
-				pairs, wwwResolved, chain := resolveVariant(resolver, w.RIB, "www."+name, &res, a.pairs)
+				resolver.LookupWebInto(&res, "www."+name)
+				pairs, www := measure.AppendPairs(a.pairs, w.RIB, res.Addrs)
+				chain := res.CNAMECount()
 				mid := len(pairs)
-				pairs, apexResolved, _ := resolveVariant(resolver, w.RIB, name, &res, pairs)
+				resolver.LookupWebInto(&res, name)
+				pairs, apex := measure.AppendPairs(pairs, w.RIB, res.Addrs)
+				// A variant is resolved when it has a public address.
 				var fl uint8
-				// The paper's conservative CDN heuristic: the www name
-				// is reached through two or more CNAMEs.
-				if wwwResolved && chain >= 2 {
-					fl |= flagCDN
-				}
-				if wwwResolved {
+				if www.Addrs > 0 {
 					fl |= flagWWWResolved
+					if chain >= measure.DefaultCDNThreshold {
+						fl |= flagCDN
+					}
 				}
-				if apexResolved {
+				if apex.Addrs > 0 {
 					fl |= flagApexResolved
 				}
 				a.counts = append(a.counts, uint32(mid-len(a.pairs)), uint32(len(pairs)-mid))
@@ -184,10 +183,7 @@ func BuildDomainTable(w *webworld.World) (*DomainTable, error) {
 			i++
 		}
 	}
-	t.headCut = maxRank / 10
-	if t.headCut == 0 {
-		t.headCut = 1
-	}
+	t.headCut = measure.HeadCut(maxRank)
 	return t, nil
 }
 
@@ -195,39 +191,6 @@ func BuildDomainTable(w *webworld.World) (*DomainTable, error) {
 // together map to about this many (prefix, origin) pairs in generated
 // worlds. An arena that needs more grows.
 const pairsPerDomain = 3
-
-// resolveVariant appends to dst the distinct (prefix, origin) pairs
-// serving one name, in (prefix, origin) order: resolve into res, drop
-// IANA special-purpose answers, look every remaining address up in the
-// RIB. What dst held before is left alone.
-func resolveVariant(resolver dns.RegistryResolver, table *rib.Table, name string, res *dns.Result, dst []rib.PrefixOrigin) (out []rib.PrefixOrigin, resolved bool, chain int) {
-	resolver.LookupWebInto(res, name)
-	chain = res.CNAMECount()
-	if res.NXDomain {
-		return dst, false, chain
-	}
-	start, addrs := len(dst), 0
-	for _, a := range res.Addrs {
-		if netutil.IsSpecialPurpose(a) {
-			continue
-		}
-		addrs++
-		dst = table.AppendOriginPairs(dst, a)
-	}
-	// One address's pairs arrive distinct and in order; those of several
-	// addresses repeat and interleave.
-	if addrs > 1 {
-		pairs := dst[start:]
-		slices.SortFunc(pairs, func(a, b rib.PrefixOrigin) int {
-			if c := netutil.ComparePrefixes(a.Prefix, b.Prefix); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.Origin, b.Origin)
-		})
-		dst = dst[:start+len(slices.Compact(pairs))]
-	}
-	return dst, addrs > 0, chain
-}
 
 // Len returns the number of domains in the table.
 func (t *DomainTable) Len() int { return len(t.ranks) }
@@ -286,26 +249,20 @@ func (t *DomainTable) lookup(name string) (int32, bool) {
 }
 
 // exposure aggregates the table's per-domain www state probabilities
-// against a VRP index, in measure.Snapshot's terms: mean valid /
-// invalid / notfound / coverage plus the head-vs-tail protection split
-// the paper's figures revolve around. Each unique route is validated
-// once up front; the per-domain pass is then pure array arithmetic —
-// O(routes + domains) instead of O(domains × pairs) trie walks.
-// Writers call it once per publish; snapshots serve the precomputed
-// value.
+// against a VRP index through measure.ExposureAccumulator, domains in
+// rank order as measure.Snapshot adds them. Each unique route is
+// validated once up front; the per-domain pass is then pure array
+// arithmetic — O(routes + domains) instead of O(domains × pairs) trie
+// walks. Writers call it once per publish; snapshots serve the
+// precomputed value.
 func (t *DomainTable) exposure(ix *vrp.Index) measure.ExposureSnapshot {
-	var snap measure.ExposureSnapshot
 	states := make([]vrp.State, len(t.routes))
 	for id, po := range t.routes {
 		states[id] = ix.Validate(po.Prefix, po.Origin)
 	}
-	var headN, tailN float64
+	acc := measure.ExposureAccumulator{HeadCut: t.headCut}
 	for i := 0; i < t.Len(); i++ {
 		ids := t.wwwIDs(int32(i))
-		if t.flags[i]&flagWWWResolved == 0 || len(ids) == 0 {
-			continue
-		}
-		snap.Domains++
 		valid, invalid := 0, 0
 		for _, id := range ids {
 			switch states[id] {
@@ -315,32 +272,7 @@ func (t *DomainTable) exposure(ix *vrp.Index) measure.ExposureSnapshot {
 				invalid++
 			}
 		}
-		n := float64(len(ids))
-		validP := float64(valid) / n
-		snap.Valid += validP
-		snap.Invalid += float64(invalid) / n
-		snap.NotFound += float64(len(ids)-valid-invalid) / n
-		snap.Coverage += float64(valid+invalid) / n
-		if int(t.ranks[i]) <= t.headCut {
-			snap.HeadValid += validP
-			headN++
-		} else {
-			snap.TailValid += validP
-			tailN++
-		}
+		acc.Add(int(t.ranks[i]), valid, invalid, len(ids))
 	}
-	if snap.Domains > 0 {
-		n := float64(snap.Domains)
-		snap.Valid /= n
-		snap.Invalid /= n
-		snap.NotFound /= n
-		snap.Coverage /= n
-	}
-	if headN > 0 {
-		snap.HeadValid /= headN
-	}
-	if tailN > 0 {
-		snap.TailValid /= tailN
-	}
-	return snap
+	return acc.Snapshot()
 }

@@ -4,51 +4,28 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"testing"
 
 	"ripki/internal/dns"
-	"ripki/internal/netutil"
+	"ripki/internal/measure"
 	"ripki/internal/rib"
 	"ripki/internal/webworld"
 )
 
-// resolveVariantOracle is resolveVariant as it was before it resolved
-// into a worker's buffers: a fresh answer per lookup, a fresh pair slice
-// per address, first-seen deduplication through a map, then a sort.
-func resolveVariantOracle(resolver dns.Lookuper, table *rib.Table, name string) (pairs []rib.PrefixOrigin, resolved bool, chain int, err error) {
+// pairsOf is one name's answer from a fresh lookup through the
+// measurement kernel into a fresh slice; the kernel has its own oracle
+// in internal/measure (TestMeasureVariantMatchesOracle).
+func pairsOf(resolver dns.Lookuper, table *rib.Table, name string) (pairs []rib.PrefixOrigin, resolved bool, chain int, err error) {
 	res, err := resolver.LookupWeb(name)
 	if err != nil {
 		return nil, false, 0, err
 	}
-	chain = res.CNAMECount()
-	if res.NXDomain {
-		return nil, false, chain, nil
-	}
-	seen := make(map[rib.PrefixOrigin]bool, 4)
-	for _, a := range res.Addrs {
-		if netutil.IsSpecialPurpose(a) {
-			continue
-		}
-		resolved = true
-		for _, po := range table.OriginPairs(a) {
-			if !seen[po] {
-				seen[po] = true
-				pairs = append(pairs, po)
-			}
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if c := netutil.ComparePrefixes(pairs[i].Prefix, pairs[j].Prefix); c != 0 {
-			return c < 0
-		}
-		return pairs[i].Origin < pairs[j].Origin
-	})
-	return pairs, resolved, chain, nil
+	pairs, n := measure.AppendPairs(nil, table, res.Addrs)
+	return pairs, n.Addrs > 0, res.CNAMECount(), nil
 }
 
 // TestBuildDomainTableMatchesOracle packs the world one domain at a time
-// from resolveVariantOracle's answers and requires BuildDomainTable to
+// from pairsOf's answers and requires BuildDomainTable to
 // produce the same arrays, element for element, however many arenas the
 // resolution was spread over.
 func TestBuildDomainTableMatchesOracle(t *testing.T) {
@@ -70,11 +47,11 @@ func TestBuildDomainTableMatchesOracle(t *testing.T) {
 			merged   int // names with several addresses, whose pairs need merging
 		)
 		for _, e := range w.List.Entries() {
-			www, wwwResolved, chain, err := resolveVariantOracle(resolver, w.RIB, "www."+e.Domain)
+			www, wwwResolved, chain, err := pairsOf(resolver, w.RIB, "www."+e.Domain)
 			if err != nil {
 				t.Fatal(err)
 			}
-			apex, apexResolved, _, err := resolveVariantOracle(resolver, w.RIB, e.Domain)
+			apex, apexResolved, _, err := pairsOf(resolver, w.RIB, e.Domain)
 			if err != nil {
 				t.Fatal(err)
 			}

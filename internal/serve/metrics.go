@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"runtime"
 	"sort"
@@ -40,15 +39,7 @@ type endpointMetrics struct {
 	count   atomic.Uint64
 	errors  atomic.Uint64 // responses with status >= 400
 	sumNS   atomic.Uint64
-	minNS   atomic.Uint64 // math.MaxUint64 until the first observation
-	maxNS   atomic.Uint64
 	buckets [latBuckets]atomic.Uint64
-}
-
-func newEndpointMetrics() *endpointMetrics {
-	m := &endpointMetrics{}
-	m.minNS.Store(math.MaxUint64)
-	return m
 }
 
 // observe records one request.
@@ -62,18 +53,6 @@ func (m *endpointMetrics) observe(d time.Duration, status int) {
 		m.errors.Add(1)
 	}
 	m.sumNS.Add(ns)
-	for {
-		cur := m.minNS.Load()
-		if ns >= cur || m.minNS.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
-	for {
-		cur := m.maxNS.Load()
-		if ns <= cur || m.maxNS.CompareAndSwap(cur, ns) {
-			break
-		}
-	}
 	idx := bits.Len64(ns) // bucket b covers [2^(b-1), 2^b)
 	if idx >= latBuckets {
 		idx = latBuckets - 1
@@ -108,7 +87,7 @@ var endpointNames = []string{"validate", "domain", "domains", "snapshot", "event
 func newMetrics() *metrics {
 	m := &metrics{endpoints: make(map[string]*endpointMetrics, len(endpointNames))}
 	for _, name := range endpointNames {
-		m.endpoints[name] = newEndpointMetrics()
+		m.endpoints[name] = &endpointMetrics{}
 	}
 	return m
 }

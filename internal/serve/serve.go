@@ -103,6 +103,13 @@ type Snapshot struct {
 
 // ValidateRoute classifies one route against this snapshot.
 func (sn *Snapshot) ValidateRoute(prefix netip.Prefix, asn uint32) RouteResult {
+	res, _ := sn.validateRoute(prefix, asn)
+	return res
+}
+
+// validateRoute is ValidateRoute with the state kept beside its token,
+// for callers that go on to count.
+func (sn *Snapshot) validateRoute(prefix netip.Prefix, asn uint32) (RouteResult, vrp.State) {
 	st, covering := sn.Index.ValidateExplain(prefix, asn)
 	res := RouteResult{Prefix: prefix.String(), ASN: asn, State: StateToken(st)}
 	if len(covering) > 0 {
@@ -111,7 +118,7 @@ func (sn *Snapshot) ValidateRoute(prefix netip.Prefix, asn uint32) RouteResult {
 			res.Covering[i] = CoveringVRP{Prefix: v.Prefix.String(), MaxLength: v.MaxLength, ASN: v.ASN}
 		}
 	}
-	return res
+	return res, st
 }
 
 // VariantVerdict is one name variant's exposure under a snapshot.
@@ -177,20 +184,16 @@ func (sn *Snapshot) variantVerdict(name string, ids []uint32, resolved bool) Var
 	valid, invalid := 0, 0
 	for _, id := range ids {
 		p := routes[id]
-		rr := sn.ValidateRoute(p.Prefix, p.Origin)
+		rr, st := sn.validateRoute(p.Prefix, p.Origin)
 		v.Routes = append(v.Routes, rr)
-		switch rr.State {
-		case "valid":
+		switch st {
+		case vrp.Valid:
 			valid++
-		case "invalid":
+		case vrp.Invalid:
 			invalid++
 		}
 	}
-	n := float64(len(ids))
-	v.Valid = float64(valid) / n
-	v.Invalid = float64(invalid) / n
-	v.NotFound = float64(len(ids)-valid-invalid) / n
-	v.Coverage = float64(valid+invalid) / n
+	v.Valid, v.Invalid, v.NotFound, v.Coverage = measure.StateMix(valid, invalid, len(ids))
 	v.Protected = valid == len(ids)
 	v.StrictReachable = invalid < len(ids)
 	return v

@@ -122,6 +122,14 @@ type Simulation struct {
 // are per world (memoised on it and shared by its clones); the cache,
 // the sessions, the forks and everything after are per run.
 func New(cfg Config) (*Simulation, error) {
+	if cfg.World != nil {
+		// An adopted world is the size it is.
+		if n := cfg.World.Cfg.Domains; cfg.Domains == 0 {
+			cfg.Domains = n
+		} else if cfg.Domains != n {
+			return nil, fmt.Errorf("sim: Config.Domains is %d, the adopted world has %d", cfg.Domains, n)
+		}
+	}
 	cfg = cfg.WithDefaults()
 	if cfg.Scenario == "" {
 		cfg.Scenario = "baseline"
@@ -153,10 +161,7 @@ func New(cfg Config) (*Simulation, error) {
 		pending:  make(map[vrp.VRP]bool),
 		start:    world.MeasureTime(),
 		session:  uint16(cfg.Seed),
-		headCut:  cfg.Domains / 10,
-	}
-	if s.headCut == 0 {
-		s.headCut = 1
+		headCut:  measure.HeadCut(cfg.Domains),
 	}
 	s.now = s.start
 	s.end = s.start.Add(cfg.Duration)

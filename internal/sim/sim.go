@@ -142,7 +142,8 @@ type Config struct {
 	Params Params
 	// Seed drives world generation and all scenario randomness.
 	Seed int64
-	// Domains sizes the generated world (default 20,000).
+	// Domains sizes the generated world (default 20,000). With an
+	// adopted World it is the world's size: leave it zero or match.
 	Domains int
 	// Tick is the virtual clock granularity (default 30s).
 	Tick time.Duration
@@ -157,8 +158,8 @@ type Config struct {
 	// (refresh every tick, drop-invalid), rp-slow (every 10 ticks,
 	// drop-invalid), legacy (no RTR session, accept-all).
 	RPs []RPSpec
-	// World reuses a prebuilt ecosystem; Seed/Domains still drive the
-	// scenario randomness.
+	// World reuses a prebuilt ecosystem; Seed still drives the scenario
+	// randomness.
 	World *webworld.World
 }
 

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
+
+	"ripki/internal/webworld"
 )
 
 // testConfig is a small, fast world: 48 ticks of 10s over 4k domains.
@@ -383,5 +386,29 @@ func TestParamsBool(t *testing.T) {
 	}
 	if !p.Bool("absent", true) {
 		t.Error("absent key should fall back to the default")
+	}
+}
+
+// TestAdoptedWorldSetsDomains: a simulation handed a world is the size
+// of that world, not of the Domains default — the head/tail split and
+// the series header both follow it — and a Domains that contradicts the
+// world is refused.
+func TestAdoptedWorldSetsDomains(t *testing.T) {
+	w, err := webworld.Generate(webworld.Config{Seed: 3, Domains: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := RunScenario(Config{Scenario: "baseline", Seed: 3, World: w, Tick: 10 * time.Second, Duration: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(ts.Meta, "domains=500 ") {
+		t.Errorf("series header %q, want domains=500", ts.Meta)
+	}
+	if tail := ts.Column("tail_valid")[0]; tail <= 0 {
+		t.Errorf("tail_valid = %v: every sampled rank fell in the head", tail)
+	}
+	if _, err := New(Config{Scenario: "baseline", World: w, Domains: 20000}); err == nil {
+		t.Error("Domains 20000 over a 500-domain world was accepted")
 	}
 }
