@@ -48,7 +48,9 @@ loc:
 # sim engine's hot tick loop (single and composed scenarios), its
 # incremental steady-state paths (dirty-subtree probe refresh and the
 # cache's single-VRP delta apply), the RTR churn round trip (full-set
-# diff, delta, two routers polling), the
+# diff, delta, two routers polling), one delta-scoped revalidation pass
+# on a forked router (what a decision that moves allocates; the pass that
+# moves none is held at 0 allocs by the router package's own test), the
 # serving layer's lock-free lookup path at 1/4/8 goroutines and its
 # publish path (a 16-VRP delta on a 300k-VRP live set: allocs/op says
 # whether a publish costs the delta or the set), the radix
@@ -68,6 +70,7 @@ bench:
 	@$(GO) test -run '^$$' -bench 'BenchmarkProbeIncremental$$' -benchtime 100x -benchmem -count $(BENCH_COUNT) .
 	@$(GO) test -run '^$$' -bench 'BenchmarkTruthSetDelta$$' -benchtime 10000x -benchmem -count $(BENCH_COUNT) .
 	@$(GO) test -run '^$$' -bench 'BenchmarkRTRChurn$$' -benchtime 200x -benchmem -count $(BENCH_COUNT) .
+	@$(GO) test -run '^$$' -bench 'BenchmarkRevalidateAffected$$' -benchtime 2000x -benchmem -count $(BENCH_COUNT) ./internal/router
 	@$(GO) test -run '^$$' -bench 'BenchmarkServeValidate$$' -benchtime 50000x -benchmem -count $(BENCH_COUNT) ./internal/serve
 	@$(GO) test -run '^$$' -bench 'BenchmarkPublishSet$$' -benchtime 2000x -benchmem -count $(BENCH_COUNT) ./internal/serve
 	@$(GO) test -run '^$$' -bench 'BenchmarkCovering$$' -benchtime 200000x -benchmem -count $(BENCH_COUNT) ./internal/radix

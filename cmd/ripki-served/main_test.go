@@ -214,12 +214,15 @@ func TestSlowLorisIsCutOff(t *testing.T) {
 		}
 	}()
 
+	// Taken before the dial: the server arms its header deadline when it
+	// starts reading the accepted connection, which can be before Dial
+	// returns here, and the lower bound below must hold regardless.
+	began := time.Now()
 	loris, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer loris.Close()
-	began := time.Now()
 	if _, err := io.WriteString(loris, "GET /heal"); err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -501,5 +504,43 @@ func TestWorkerCancelsOnDroppedCoordinator(t *testing.T) {
 	// returns in a small fraction of that.
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("worker took %v to notice the dropped coordinator", elapsed)
+	}
+}
+
+// TestReadFrameAllocatesWhatArrives: a frame's length is the peer's
+// claim, so four header bytes must not cost the gigabyte they announce —
+// memory follows the payload bytes received — while a well-formed frame
+// larger than the first chunk still round-trips.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], maxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bufio.NewReader(bytes.NewReader(hdr[:])))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Errorf("header claiming %d bytes, then EOF: err = %v, want io.ErrUnexpectedEOF", maxFrame, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Errorf("header claiming %d bytes, then EOF: allocated %d bytes, want < 2 MiB", maxFrame, got)
+	}
+
+	// A payload that stops half way is still a short frame.
+	binary.BigEndian.PutUint32(hdr[:], 8)
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader(append(hdr[:], "{\"ty"...)))); err != io.ErrUnexpectedEOF {
+		t.Errorf("half a payload: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+
+	grid := []byte(`"` + strings.Repeat("g", 3*frameChunk) + `"`)
+	var wire bytes.Buffer
+	if err := writeFrame(&wire, &frame{Type: frameHello, Version: protocolVersion, Grid: grid, PlanHash: "h"}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readFrame(bufio.NewReader(&wire))
+	if err != nil {
+		t.Fatalf("a %d-byte frame: %v", len(grid), err)
+	}
+	if got.Type != frameHello || got.PlanHash != "h" || !bytes.Equal(got.Grid, grid) {
+		t.Errorf("a %d-byte frame did not round-trip: type %q, hash %q, %d grid bytes", len(grid), got.Type, got.PlanHash, len(got.Grid))
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"ripki/internal/sweep"
 )
@@ -36,6 +37,10 @@ const protocolVersion = 1
 // cell carry per-(tick, metric) accumulator states, so the cap is
 // generous; anything beyond it is a framing error, not a real partial.
 const maxFrame = 1 << 30
+
+// frameChunk is the most readFrame allocates on the strength of a
+// frame's header alone, and the step it reads a longer frame in.
+const frameChunk = 1 << 20
 
 // Frame types. The conversation is strictly worker-driven
 // request/response: hello → hello, lease → lease|done, partial → ack.
@@ -97,9 +102,19 @@ func readFrame(r *bufio.Reader) (*frame, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("distsweep: frame of %d bytes exceeds the %d-byte cap", n, maxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+	// The length is the peer's claim, so memory follows the bytes that
+	// arrive: the buffer starts at no more than one chunk and grows only
+	// as chunks fill.
+	payload := make([]byte, 0, min(n, frameChunk))
+	for uint32(len(payload)) < n {
+		next := int(min(n-uint32(len(payload)), frameChunk))
+		payload = slices.Grow(payload, next)[:len(payload)+next]
+		if _, err := io.ReadFull(r, payload[len(payload)-next:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised these bytes
+			}
+			return nil, err
+		}
 	}
 	var f frame
 	if err := json.Unmarshal(payload, &f); err != nil {

@@ -393,28 +393,35 @@ func walk[V any](n *node[V], fn func(netip.Prefix, V) bool) bool {
 // Subtree appends every valued entry covered by p (including p itself),
 // in lexical order.
 func (t *Tree[V]) Subtree(p netip.Prefix, dst []Entry[V]) []Entry[V] {
+	t.WalkSubtree(p, func(q netip.Prefix, v V) bool {
+		dst = append(dst, Entry[V]{Prefix: q, Value: v})
+		return true
+	})
+	return dst
+}
+
+// WalkSubtree visits every valued entry covered by p (including p
+// itself) in lexical order, in place: nothing is copied or allocated.
+// If fn returns false the walk stops early.
+func (t *Tree[V]) WalkSubtree(p netip.Prefix, fn func(netip.Prefix, V) bool) {
 	cp, err := netutil.Canonical(p)
 	if err != nil {
-		return dst
+		return
 	}
 	n := *t.rootFor(cp)
 	for n != nil {
 		cb := commonBits(n.prefix.Addr(), cp.Addr(), minInt(n.prefix.Bits(), cp.Bits()))
 		if n.prefix.Bits() >= cp.Bits() {
 			if cb == cp.Bits() {
-				walk(n, func(q netip.Prefix, v V) bool {
-					dst = append(dst, Entry[V]{Prefix: q, Value: v})
-					return true
-				})
+				walk(n, fn)
 			}
-			return dst
+			return
 		}
 		if cb < n.prefix.Bits() {
-			return dst
+			return
 		}
 		n = n.child[bitAfter(cp.Addr(), n.prefix.Bits())]
 	}
-	return dst
 }
 
 // String summarises the tree for debugging.

@@ -48,7 +48,9 @@ type Table struct {
 	// tree maps each routed prefix to its routes, sorted by peer index.
 	// A stored slice is never written again — Insert and Withdraw build
 	// the next one and replace it — because after Clone other tables
-	// reach the same slice through the nodes they share.
+	// reach the same slice through the nodes they share. Storing a route
+	// the table already holds, field for field, builds nothing: the tree
+	// is not written, so nothing shared with a clone is copied.
 	tree   radix.Tree[[]Route]
 	routes int
 }
@@ -66,7 +68,8 @@ func New() *Table {
 // Clone returns an independent table with the same peers and routes in
 // O(peers): the prefix tree is forked copy-on-write (radix.Tree.Clone),
 // so the two tables share every route until one of them writes under a
-// prefix, and a write on either is never visible in the other.
+// prefix — storing a route already held is not a write (see Insert) —
+// and a write on either is never visible in the other.
 func (t *Table) Clone() *Table {
 	// The write lock: forking the tree retags the receiver's side too.
 	t.mu.Lock()
@@ -128,24 +131,42 @@ func (t *Table) Routes() int {
 // byPeer orders a prefix's routes for binary search.
 func byPeer(r Route, peer uint16) int { return cmp.Compare(r.PeerIndex, peer) }
 
-// Insert stores or replaces the route from the given peer.
+// sameRoute reports whether two routes are equal field for field, the
+// path by its contents.
+func sameRoute(a, b Route) bool {
+	return a.Prefix == b.Prefix && a.PeerIndex == b.PeerIndex && a.NextHop == b.NextHop &&
+		a.Originated == b.Originated &&
+		slices.EqualFunc(a.Path, b.Path, func(x, y bgp.Segment) bool {
+			return x.Type == y.Type && slices.Equal(x.ASNs, y.ASNs)
+		})
+}
+
+// Insert stores or replaces the route from the given peer. Inserting a
+// route equal, field for field, to the one the peer already has there
+// is a no-op: nothing is allocated and the tree is not written.
 func (t *Table) Insert(r Route) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if int(r.PeerIndex) >= len(t.peers) {
 		return fmt.Errorf("rib: unknown peer index %d", r.PeerIndex)
 	}
-	return t.insertLocked(r)
+	_, err := t.insertLocked(r)
+	return err
 }
 
-func (t *Table) insertLocked(r Route) error {
+// insertLocked reports whether the route is new to the table — the peer
+// had none for the prefix — as opposed to replacing or matching one.
+func (t *Table) insertLocked(r Route) (added bool, err error) {
 	cp, err := netutil.Canonical(r.Prefix)
 	if err != nil {
-		return fmt.Errorf("rib: %w", err)
+		return false, fmt.Errorf("rib: %w", err)
 	}
 	r.Prefix = cp
 	old, _ := t.tree.Lookup(cp)
 	i, replace := slices.BinarySearchFunc(old, r.PeerIndex, byPeer)
+	if replace && sameRoute(old[i], r) {
+		return false, nil
+	}
 	rest := old[i:]
 	if replace {
 		rest = rest[1:]
@@ -154,7 +175,7 @@ func (t *Table) insertLocked(r Route) error {
 	}
 	next := make([]Route, 0, i+1+len(rest))
 	next = append(append(append(next, old[:i]...), r), rest...)
-	return t.tree.Insert(cp, next)
+	return !replace, t.tree.Insert(cp, next)
 }
 
 // Withdraw removes the route for prefix from the given peer. It reports
@@ -186,12 +207,22 @@ func (t *Table) withdrawLocked(peer uint16, prefix netip.Prefix) bool {
 }
 
 // Apply ingests one collector route event (registering the peer as
-// needed).
+// needed). An announcement of a route the table already holds is the
+// no-op Insert makes of it.
 func (t *Table) Apply(ev bgp.RouteEvent) error {
 	if ev.Withdraw {
 		t.WithdrawEvent(ev)
 		return nil
 	}
+	_, err := t.AnnounceEvent(ev)
+	return err
+}
+
+// AnnounceEvent stores the route a collector announcement carries
+// (registering the peer as needed) and reports whether the peer had no
+// route for the prefix before — Apply's announce path, with the outcome
+// exposed for callers that count installs.
+func (t *Table) AnnounceEvent(ev bgp.RouteEvent) (added bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.insertLocked(Route{

@@ -366,3 +366,75 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Error("a write on the base reached a clone")
 	}
 }
+
+// TestEqualInsertIsNoop: storing the route a peer already has for a
+// prefix, field for field, writes nothing — no allocation, so no node of
+// a tree shared with a clone is copied — through Insert and through
+// Apply alike, while a route that differs in any one field replaces.
+func TestEqualInsertIsNoop(t *testing.T) {
+	tb, p0, _ := newTable(t)
+	p := netutil.MustPrefix("203.0.113.0/24")
+	hop := netutil.MustAddr("10.0.0.1")
+	route := Route{Prefix: p, PeerIndex: p0, Path: seq(3333, 64500), NextHop: hop, Originated: stamp}
+	ev := bgp.RouteEvent{PeerAS: 3333, PeerID: hop, Prefix: netutil.MustPrefix("198.51.100.0/24"), Path: seq(3333, 64501), NextHop: hop}
+	if err := tb.Insert(route); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Apply(ev); err != nil {
+		t.Fatal(err)
+	}
+	clone := tb.Clone()
+	held := func(tb *Table, p netip.Prefix) Route {
+		t.Helper()
+		for _, r := range tb.Snapshot() {
+			if r.Prefix == p {
+				return r
+			}
+		}
+		t.Fatalf("no route for %v", p)
+		return Route{}
+	}
+
+	// Equal by content: a path in another backing array is the same path.
+	again := route
+	again.Path = seq(3333, 64500)
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := tb.Insert(again); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.Apply(ev); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || tb.Routes() != 2 {
+		t.Errorf("re-storing equal routes: %v allocations, %d routes; want 0 and 2", allocs, tb.Routes())
+	}
+	if added, err := tb.AnnounceEvent(ev); added || err != nil {
+		t.Errorf("AnnounceEvent of a held route = %v, %v; want false, nil", added, err)
+	}
+
+	for name, differ := range map[string]func(*Route){
+		"Path":       func(r *Route) { r.Path = seq(3333, 64999) },
+		"NextHop":    func(r *Route) { r.NextHop = netutil.MustAddr("10.0.0.9") },
+		"Originated": func(r *Route) { r.Originated = stamp.Add(time.Second) },
+	} {
+		next := route
+		differ(&next)
+		if err := tb.Insert(next); err != nil {
+			t.Fatal(err)
+		}
+		got := held(tb, p)
+		if sameRoute(got, route) || !sameRoute(got, next) || tb.Routes() != 2 {
+			t.Errorf("a route differing only in %s did not replace: holds %+v (%d routes)", name, got, tb.Routes())
+		}
+		if err := tb.Insert(route); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := held(clone, p); !sameRoute(got, route) || clone.Routes() != 2 {
+		t.Errorf("writes after Clone reached the clone: %+v (%d routes)", got, clone.Routes())
+	}
+	if added, err := tb.AnnounceEvent(bgp.RouteEvent{PeerAS: 3333, PeerID: hop, Prefix: netutil.MustPrefix("192.0.2.0/24"), Path: seq(3333, 64502), NextHop: hop}); !added || err != nil || tb.Routes() != 3 {
+		t.Errorf("AnnounceEvent of a new route = %v, %v (%d routes); want true, nil, 3", added, err, tb.Routes())
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"ripki/internal/bgp"
+	"ripki/internal/netutil"
 	"ripki/internal/radix"
 	"ripki/internal/rib"
 	"ripki/internal/rpki/vrp"
@@ -194,10 +195,11 @@ func (r *Router) Process(ev bgp.RouteEvent) (Decision, error) {
 		}
 		return Decision{State: vrp.NotFound, Accepted: true}, nil
 	}
-	d, _, err := r.apply(r.source.Set(), ev)
+	set := r.source.Set()
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	d, _, _, err := r.applyLocked(set, ev)
 	r.decided[d.State]++
-	r.mu.Unlock()
 	return d, err
 }
 
@@ -234,39 +236,52 @@ func (r *Router) replaceLocked(ev bgp.RouteEvent) {
 		return
 	}
 	origin, ok := bgp.OriginAS(old[i].Path)
-	if !ok {
+	if !ok || announces(old, origin, i) {
 		return
-	}
-	for j, other := range old {
-		if o, ok := bgp.OriginAS(other.Path); j != i && ok && o == origin {
-			return
-		}
 	}
 	r.ownMarksLocked()
 	delete(r.deprefered, rib.PrefixOrigin{Prefix: prefix, Origin: origin})
 }
 
-// apply runs one announcement through origin validation against set and
-// then policy: under PolicyDropInvalid an Invalid route leaves the local
-// RIB (dropped reports whether it was installed), anything else is
-// (re)installed, and under PolicyPreferValid the pair's depreference
-// mark becomes state == Invalid. Process and both revalidation passes
-// decide every route here, so they cannot drift apart.
-func (r *Router) apply(set *vrp.Set, ev bgp.RouteEvent) (d Decision, dropped bool, err error) {
+// announces reports whether any of a prefix's announcements, other than
+// the one at index skip, has the given origin.
+func announces(evs []bgp.RouteEvent, origin uint32, skip int) bool {
+	for i, ev := range evs {
+		if o, ok := bgp.OriginAS(ev.Path); i != skip && ok && o == origin {
+			return true
+		}
+	}
+	return false
+}
+
+// applyLocked runs one announcement through origin validation against
+// set and then policy: under PolicyDropInvalid an Invalid route leaves
+// the local RIB (dropped reports whether it was installed), anything
+// else is installed, and under PolicyPreferValid the pair's depreference
+// mark becomes state == Invalid. flipped reports whether any of that
+// moved: a route dropped, a route installed that was not, a mark set or
+// cleared. When nothing moved nothing was written — installing a route
+// the local RIB already holds is rib.Table's no-op — so re-applying an
+// unchanged decision allocates nothing and leaves a forked router
+// sharing its seed. Process and both revalidation passes decide every
+// route here, so they cannot drift apart. Called with r.mu held.
+func (r *Router) applyLocked(set *vrp.Set, ev bgp.RouteEvent) (d Decision, dropped, flipped bool, err error) {
 	state, origin, ok := validateRoute(set, ev.Prefix, ev.Path, r.Policy)
 	d.State = state
 	if r.Policy == PolicyDropInvalid && state == vrp.Invalid {
-		return d, r.table.WithdrawEvent(ev), nil
+		dropped = r.table.WithdrawEvent(ev)
+		return d, dropped, dropped, nil
 	}
-	if err := r.table.Apply(ev); err != nil {
-		return d, false, err
+	flipped, err = r.table.AnnounceEvent(ev)
+	if err != nil {
+		return d, false, false, err
 	}
 	d.Accepted = true
 	if r.Policy == PolicyPreferValid && ok {
 		d.Deprefered = state == vrp.Invalid
 		pair := rib.PrefixOrigin{Prefix: ev.Prefix.Masked(), Origin: origin}
-		r.mu.Lock()
 		if d.Deprefered != r.deprefered[pair] {
+			flipped = true
 			r.ownMarksLocked()
 			if d.Deprefered {
 				r.deprefered[pair] = true
@@ -274,9 +289,8 @@ func (r *Router) apply(set *vrp.Set, ev bgp.RouteEvent) (d Decision, dropped boo
 				delete(r.deprefered, pair)
 			}
 		}
-		r.mu.Unlock()
 	}
-	return d, false, nil
+	return d, false, flipped, nil
 }
 
 // RevalidationResult tallies one Revalidate pass.
@@ -288,6 +302,12 @@ type RevalidationResult struct {
 	// Dropped is how many now-invalid routes PolicyDropInvalid removed
 	// from the local RIB.
 	Dropped int
+	// Flipped is how many of the routes examined the pass changed
+	// anything for: dropped from the local RIB, installed back into it,
+	// or — once per (prefix, origin) pair — depreferenced or restored.
+	// Routes - Flipped re-applications found their decision standing
+	// and wrote nothing.
+	Flipped int
 	// Deprefered is how many (prefix, origin) pairs PolicyPreferValid
 	// now marks less attractive.
 	Deprefered int
@@ -300,21 +320,31 @@ type RevalidationResult struct {
 // issued — the hijack-window case), and a route dropped as Invalid
 // comes back once the offending ROA is revoked. Under PolicyDropInvalid
 // now-invalid routes are withdrawn from the local RIB and everything
-// else is (re)installed; under PolicyPreferValid the depreference marks
-// are rebuilt from scratch. Routes are reconsidered in prefix order
+// else is installed; under PolicyPreferValid every announced pair's
+// depreference mark is set afresh and a mark no announcement backs is
+// dropped (and counted in Flipped), so the marks end up what a rebuild
+// from scratch would make them. Routes are reconsidered in prefix order
 // (IPv4 before IPv6, peers ascending within a prefix) — the order the
 // Adj-RIB-In tree walks in — so a pass is reproducible run to run.
 func (r *Router) Revalidate() RevalidationResult {
+	set := r.source.Set()
 	r.mu.Lock()
-	var events []bgp.RouteEvent
+	defer r.mu.Unlock()
+	var res RevalidationResult
 	r.adjIn.Walk(func(_ netip.Prefix, evs []bgp.RouteEvent) bool {
-		events = append(events, evs...)
+		r.revalidateLocked(set, evs, &res)
 		return true
 	})
-	r.deprefered = make(map[rib.PrefixOrigin]bool)
-	r.marksShared = false
-	r.mu.Unlock()
-	return r.revalidate(events)
+	r.ownMarksLocked()
+	for pair := range r.deprefered {
+		evs, _ := r.adjIn.Lookup(pair.Prefix)
+		if r.Policy != PolicyPreferValid || !announces(evs, pair.Origin, -1) {
+			delete(r.deprefered, pair)
+			res.Flipped++
+		}
+	}
+	res.Deprefered = len(r.deprefered)
+	return res
 }
 
 // RevalidateAffected is Revalidate scoped to the Adj-RIB-In routes
@@ -324,38 +354,64 @@ func (r *Router) Revalidate() RevalidationResult {
 // routes at Q or more-specific). Unaffected routes cannot change state
 // and are left untouched, so the router ends up exactly where a full
 // Revalidate would put it; the per-state tallies cover only the routes
-// examined.
+// examined, each once however the changed prefixes nest or repeat.
+//
+// The affected subtrees are walked in place and a route whose decision
+// stands is not written (see applyLocked), so a pass that flips nothing
+// costs a tree walk and a validation per route and allocates nothing.
+// That holds when changed is canonical and in netutil.ComparePrefixes
+// order — what rtr.Client.TakeDelta returns — where a prefix nested
+// under an earlier one directly follows that one's subtree and is
+// skipped by looking back one step. Any other input is masked and
+// sorted into a copy first.
 func (r *Router) RevalidateAffected(changed []netip.Prefix) RevalidationResult {
-	r.mu.Lock()
-	var events []bgp.RouteEvent
-	// Changed prefixes may nest, so one announced prefix can sit under
-	// several of them; it is revalidated once.
-	seen := make(map[netip.Prefix]struct{})
-	var entries []radix.Entry[[]bgp.RouteEvent]
-	for _, p := range changed {
-		entries = r.adjIn.Subtree(p, entries[:0])
-		for _, e := range entries {
-			if _, dup := seen[e.Prefix]; dup {
-				continue
-			}
-			seen[e.Prefix] = struct{}{}
-			events = append(events, e.Value...)
+	if !inWalkOrder(changed) {
+		changed = slices.Clone(changed)
+		for i, p := range changed {
+			changed[i] = p.Masked()
 		}
+		slices.SortFunc(changed, netutil.ComparePrefixes)
 	}
-	r.mu.Unlock()
-	return r.revalidate(events)
+	set := r.source.Set()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var res RevalidationResult
+	visit := func(_ netip.Prefix, evs []bgp.RouteEvent) bool {
+		r.revalidateLocked(set, evs, &res)
+		return true
+	}
+	var walked netip.Prefix // the last prefix whose subtree was walked
+	for _, p := range changed {
+		if netutil.Covers(walked, p) {
+			continue
+		}
+		walked = p
+		r.adjIn.WalkSubtree(p, visit)
+	}
+	res.Deprefered = len(r.deprefered)
+	return res
 }
 
-// revalidate applies the source's current VRP set to the given
-// Adj-RIB-In entries and tallies the outcome.
-func (r *Router) revalidate(events []bgp.RouteEvent) RevalidationResult {
-	set := r.source.Set()
-	res := RevalidationResult{Routes: len(events)}
-	for _, ev := range events {
+// inWalkOrder reports whether every prefix is canonical and the slice
+// ascends in netutil.ComparePrefixes order.
+func inWalkOrder(ps []netip.Prefix) bool {
+	for i, p := range ps {
+		if p != p.Masked() || i > 0 && netutil.ComparePrefixes(ps[i-1], p) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// revalidateLocked applies set to one prefix's Adj-RIB-In entries and
+// adds the outcome to res. Called with r.mu held.
+func (r *Router) revalidateLocked(set *vrp.Set, evs []bgp.RouteEvent, res *RevalidationResult) {
+	for _, ev := range evs {
 		// An entry is in the Adj-RIB-In because Process already applied
-		// it, so the only error apply can return — a malformed prefix —
-		// was reported then.
-		d, dropped, _ := r.apply(set, ev)
+		// it, so the only error applyLocked can return — a malformed
+		// prefix — was reported then.
+		d, dropped, flipped, _ := r.applyLocked(set, ev)
+		res.Routes++
 		switch d.State {
 		case vrp.Valid:
 			res.Valid++
@@ -367,11 +423,10 @@ func (r *Router) revalidate(events []bgp.RouteEvent) RevalidationResult {
 		if dropped {
 			res.Dropped++
 		}
+		if flipped {
+			res.Flipped++
+		}
 	}
-	r.mu.Lock()
-	res.Deprefered = len(r.deprefered)
-	r.mu.Unlock()
-	return res
 }
 
 // Forward resolves where traffic to addr goes under the router's

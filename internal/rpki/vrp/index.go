@@ -92,12 +92,27 @@ func (t *table) fill(vs []VRP) {
 	}
 }
 
+// validate classifies a route without listing what covered it: the
+// covering entries rarely number more than a handful, so they fit a
+// buffer on the stack and the call allocates nothing.
+func (t *table) validate(prefix netip.Prefix, originAS uint32) State {
+	cp, err := netutil.Canonical(prefix)
+	if err != nil {
+		return NotFound
+	}
+	var buf [8]radix.Entry[[]VRP]
+	return classify(t.tree.CoveringPrefix(cp, buf[:0]), cp, originAS)
+}
+
+// validateExplain is validate plus the covering VRPs it decided over.
 func (t *table) validateExplain(prefix netip.Prefix, originAS uint32) (State, []VRP) {
 	cp, err := netutil.Canonical(prefix)
 	if err != nil {
 		return NotFound, nil
 	}
-	return classify(t.tree.CoveringPrefix(cp, nil), cp, originAS)
+	var buf [8]radix.Entry[[]VRP]
+	entries := t.tree.CoveringPrefix(cp, buf[:0])
+	return classify(entries, cp, originAS), listed(entries)
 }
 
 // all lists every VRP in Compare order, with no sort: Walk visits
@@ -146,10 +161,10 @@ func IndexOf(s *Set) *Index {
 // Len returns the number of distinct VRPs.
 func (ix *Index) Len() int { return ix.count }
 
-// Validate classifies the route (prefix, originAS) per RFC 6811.
+// Validate classifies the route (prefix, originAS) per RFC 6811. It
+// takes no lock and allocates nothing.
 func (ix *Index) Validate(prefix netip.Prefix, originAS uint32) State {
-	st, _ := ix.ValidateExplain(prefix, originAS)
-	return st
+	return ix.validate(prefix, originAS)
 }
 
 // ValidateExplain is Validate plus the list of covering VRPs
@@ -162,23 +177,30 @@ func (ix *Index) ValidateExplain(prefix netip.Prefix, originAS uint32) (State, [
 func (ix *Index) All() []VRP { return ix.all() }
 
 // classify applies the RFC 6811 decision to the covering entries of a
-// canonical route prefix — the single implementation Set and Index
-// share.
-func classify(entries []radix.Entry[[]VRP], cp netip.Prefix, originAS uint32) (State, []VRP) {
+// canonical route prefix — the single implementation Set and Index,
+// Validate and ValidateExplain share.
+func classify(entries []radix.Entry[[]VRP], cp netip.Prefix, originAS uint32) State {
 	if len(entries) == 0 {
-		return NotFound, nil
+		return NotFound
 	}
-	var covering []VRP
-	state := Invalid
 	for _, e := range entries {
 		for _, v := range e.Value {
-			covering = append(covering, v)
 			if v.ASN == originAS && originAS != 0 && cp.Bits() <= v.MaxLength {
-				state = Valid
+				return Valid
 			}
 		}
 	}
-	return state, covering
+	return Invalid
+}
+
+// listed flattens covering entries into the VRPs ValidateExplain
+// reports, shortest prefix first; nil when nothing covers.
+func listed(entries []radix.Entry[[]VRP]) []VRP {
+	var covering []VRP
+	for _, e := range entries {
+		covering = append(covering, e.Value...)
+	}
+	return covering
 }
 
 // Compare orders two VRPs by (prefix, maxLength, ASN) — the canonical

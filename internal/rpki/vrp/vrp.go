@@ -190,10 +190,12 @@ func (s *Set) Len() int {
 	return s.count
 }
 
-// Validate classifies the route (prefix, originAS) per RFC 6811.
+// Validate classifies the route (prefix, originAS) per RFC 6811. It
+// allocates nothing.
 func (s *Set) Validate(prefix netip.Prefix, originAS uint32) State {
-	st, _ := s.ValidateExplain(prefix, originAS)
-	return st
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.validate(prefix, originAS)
 }
 
 // ValidateExplain is Validate plus the list of covering VRPs considered,

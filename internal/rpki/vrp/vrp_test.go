@@ -238,3 +238,61 @@ func BenchmarkValidate(b *testing.B) {
 		s.Validate(queries[i%len(queries)], 64500)
 	}
 }
+
+// TestValidateIsExplainWithoutTheList: Validate and ValidateExplain
+// make the one RFC 6811 decision — over seeded random sets and routes,
+// IPv6, AS 0 and lengths past every maxLength included, on Set and on
+// Index — and Validate reaches it without building the covering list,
+// or anything else.
+func TestValidateIsExplainWithoutTheList(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		// VRPs sit on a ladder of lengths, so a route has at most five
+		// covering prefixes (Validate's stack buffer holds eight; a deeper
+		// chain is correct but spills); routes take any length.
+		randomPrefix := func(ladder bool) netip.Prefix {
+			bits, nets := 8+rnd.Intn(25), 3 // 12.0.0.0/8 holds no VRP
+			if ladder {
+				bits, nets = 8+4*rnd.Intn(5), 2
+			}
+			if rnd.Intn(4) == 0 {
+				a := [16]byte{0x20, 0x01, 0x0d, 0xb8, byte(rnd.Intn(4)), byte(rnd.Intn(4))}
+				return netip.PrefixFrom(netip.AddrFrom16(a), 24+bits).Masked()
+			}
+			a := [4]byte{byte(10 + rnd.Intn(nets)), byte(rnd.Intn(4)), byte(rnd.Intn(256)), byte(rnd.Intn(256))}
+			return netip.PrefixFrom(netip.AddrFrom4(a), bits).Masked()
+		}
+		s := NewSet()
+		for i := 0; i < 300; i++ {
+			p := randomPrefix(true)
+			if err := s.Add(VRP{Prefix: p, MaxLength: p.Bits() + rnd.Intn(7), ASN: uint32(rnd.Intn(6))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ix := IndexOf(s)
+		seen := make(map[State]int)
+		for i := 0; i < 3000; i++ {
+			p, asn := randomPrefix(false), uint32(rnd.Intn(7))
+			want, covering := s.ValidateExplain(p, asn)
+			if asn == 0 && want == Valid {
+				t.Fatalf("seed %d: route %v from AS0 is valid under %v", seed, p, covering)
+			}
+			if (want == NotFound) != (covering == nil) {
+				t.Fatalf("seed %d: ValidateExplain(%v, AS%d) = %v with %d covering VRPs", seed, p, asn, want, len(covering))
+			}
+			seen[want]++
+			var got, gotIx State
+			allocs := testing.AllocsPerRun(1, func() { got, gotIx = s.Validate(p, asn), ix.Validate(p, asn) })
+			if ixWant, _ := ix.ValidateExplain(p, asn); got != want || gotIx != want || ixWant != want {
+				t.Fatalf("seed %d: route %v AS%d: Set.Validate %v, Index.Validate %v, Index.ValidateExplain %v; Set.ValidateExplain says %v over %v",
+					seed, p, asn, got, gotIx, ixWant, want, covering)
+			}
+			if allocs != 0 {
+				t.Fatalf("seed %d: Validate(%v, AS%d) under %d covering VRPs made %v allocations, want 0", seed, p, asn, len(covering), allocs)
+			}
+		}
+		if seen[Valid] == 0 || seen[Invalid] == 0 || seen[NotFound] == 0 {
+			t.Errorf("seed %d: probes did not reach every state: %v", seed, seen)
+		}
+	}
+}

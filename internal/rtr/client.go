@@ -18,8 +18,10 @@ type Client struct {
 	conn net.Conn
 	// r buffers conn for every PDU read (a PDU is a header read and a
 	// body read; unbuffered, a full sync is two system calls a record).
-	// Only the goroutine driving the session reads, as with conn itself.
-	r *bufio.Reader
+	// Only the goroutine driving the session reads, as with conn itself;
+	// buf is that goroutine's PDU buffer, one for the session (readPDU).
+	r   *bufio.Reader
+	buf []byte
 
 	mu        sync.Mutex
 	sessionID uint16
@@ -104,7 +106,7 @@ func (c *Client) Poll() error {
 // state is cleared when the Cache Response arrives.
 func (c *Client) readResponse(full bool) error {
 	for {
-		pdu, err := ReadPDU(c.r)
+		pdu, err := readPDU(c.r, &c.buf)
 		if err != nil {
 			return fmt.Errorf("rtr: reading response: %w", err)
 		}
@@ -150,7 +152,7 @@ func (c *Client) readResponse(full bool) error {
 // readRecords consumes prefix PDUs until End of Data.
 func (c *Client) readRecords() error {
 	for {
-		pdu, err := ReadPDU(c.r)
+		pdu, err := readPDU(c.r, &c.buf)
 		if err != nil {
 			return fmt.Errorf("rtr: reading records: %w", err)
 		}
@@ -200,7 +202,7 @@ func (c *Client) WaitNotify() (uint32, error) {
 		return n.Serial, nil
 	}
 	for {
-		pdu, err := ReadPDU(c.r)
+		pdu, err := readPDU(c.r, &c.buf)
 		if err != nil {
 			return 0, err
 		}

@@ -64,6 +64,10 @@ const headerLen = 8
 // everything else is tiny.
 const maxPDULen = 4096
 
+// maxFixedPDULen is the longest PDU that is not an Error Report, an
+// IPv6 Prefix: a read buffer this size serves a whole healthy session.
+const maxFixedPDULen = 32
+
 // PDU is implemented by every protocol data unit.
 type PDU interface {
 	// Type returns the RFC 6810 type code.
@@ -320,21 +324,36 @@ func decodePrefix(body []byte, v6 bool, n int) (PDU, int, error) {
 // ReadPDU reads exactly one PDU from r. It is the blocking, stream-based
 // counterpart to Decode.
 func ReadPDU(r io.Reader) (PDU, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var buf []byte
+	return readPDU(r, &buf)
+}
+
+// readPDU is ReadPDU through a buffer the caller keeps between calls:
+// *buf grows to the longest PDU read so far and a session's records stop
+// costing a buffer each. Reuse is sound because a decoded PDU holds no
+// reference into the bytes it came from — Decode copies an Error
+// Report's encapsulated PDU and text, everything else is scalars.
+func readPDU(r io.Reader, buf *[]byte) (PDU, error) {
+	if cap(*buf) < headerLen {
+		*buf = make([]byte, headerLen, maxFixedPDULen)
+	}
+	hdr := (*buf)[:headerLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
 	length := binary.BigEndian.Uint32(hdr[4:8])
 	if length < headerLen || length > maxPDULen {
 		return nil, fmt.Errorf("rtr: implausible PDU length %d", length)
 	}
-	buf := make([]byte, length)
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(r, buf[headerLen:]); err != nil {
+	if uint32(cap(*buf)) < length {
+		*buf = append(make([]byte, 0, length), hdr...)
+	}
+	pdu := (*buf)[:length]
+	if _, err := io.ReadFull(r, pdu[headerLen:]); err != nil {
 		return nil, fmt.Errorf("rtr: reading PDU body: %w", err)
 	}
-	pdu, _, err := Decode(buf)
-	return pdu, err
+	p, _, err := Decode(pdu)
+	return p, err
 }
 
 // WritePDU serializes p and writes it to w.

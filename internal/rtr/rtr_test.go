@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -116,6 +117,58 @@ func TestReadPDUStream(t *testing.T) {
 		if !bytes.Equal(got.SerializeTo(nil), w.SerializeTo(nil)) {
 			t.Errorf("ReadPDU[%d] = %T, want %T", i, got, w)
 		}
+	}
+}
+
+// TestSessionBufferIsReusedNotAliased: reading a stream through one
+// kept buffer yields the PDUs ReadPDU yields, a PDU read earlier is not
+// rewritten by the reads after it (an Error Report's encapsulated PDU
+// and text are the only variable-length fields), the buffer grows for
+// the long PDU and serves the short ones after it, and a record then
+// costs its PDU value alone.
+func TestSessionBufferIsReusedNotAliased(t *testing.T) {
+	report := &ErrorReport{Code: ErrCorruptData, Encapsulated: (&ResetQuery{}).SerializeTo(nil), Text: strings.Repeat("long ", 40)}
+	want := []PDU{
+		&CacheResponse{SessionID: 1},
+		report,
+		&Prefix{Announce: true, VRP: v("2001:db8::/32", 48, 64500)},
+		&Prefix{Announce: false, VRP: v("10.0.0.0/8", 8, 64501)},
+		&EndOfData{SessionID: 1, Serial: 7},
+	}
+	var stream bytes.Buffer
+	for _, p := range want {
+		if err := WritePDU(&stream, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf []byte
+	var got []PDU
+	for range want {
+		p, err := readPDU(&stream, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, p)
+	}
+	for i, w := range want {
+		if !bytes.Equal(got[i].SerializeTo(nil), w.SerializeTo(nil)) {
+			t.Errorf("PDU %d read through the session buffer = %+v, want %+v", i, got[i], w)
+		}
+	}
+	if cap(buf) < len(report.SerializeTo(nil)) {
+		t.Errorf("buffer holds %d bytes after a %d-byte PDU", cap(buf), len(report.SerializeTo(nil)))
+	}
+
+	record := (&Prefix{Announce: true, VRP: v("10.0.0.0/8", 8, 64500)}).SerializeTo(nil)
+	r := bytes.NewReader(nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(record)
+		if _, err := readPDU(r, &buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("a record through the session buffer made %v allocations, want the PDU value alone", allocs)
 	}
 }
 

@@ -33,6 +33,16 @@ type RP struct {
 	Router *router.Router
 
 	source *swapSource
+	// synced is the cache state the client's last successful sync ended
+	// at; refreshDue polls when the cache has moved on from it.
+	synced cacheState
+}
+
+// cacheState names what an RTR cache serves. Serials only order states
+// within a session, so it takes both.
+type cacheState struct {
+	session uint16
+	serial  uint32
 }
 
 // swapSource is the router's VRP view: a snapshot swapped atomically at
@@ -112,6 +122,19 @@ type Simulation struct {
 
 	trace       *obs.Trace
 	hijackStart map[string]time.Duration
+
+	work workCounts
+}
+
+// workCounts tallies what the refresh path did over the run, in units
+// that are functions of seed and config alone (no clocks): the pair
+// "re-applied N, flipped 0" is how wasted revalidation shows, "polls
+// skipped" how often an RP was already at the cache's state.
+type workCounts struct {
+	polls        int // refreshes that went to the wire
+	pollsSkipped int // refreshes that found the RP at the cache's state
+	reapplied    int // Adj-RIB-In routes revalidation examined
+	flipped      int // of those, routes whose decision changed
 }
 
 // New builds a simulation: generates (or adopts) the world, validates
@@ -214,6 +237,7 @@ func New(cfg Config) (*Simulation, error) {
 				return nil, fmt.Errorf("sim: initial sync for %s: %d VRPs, cache serves %d", spec.Name, got, want)
 			}
 			rp.source.set = client.View()
+			rp.synced = cacheState{s.session, client.Serial()}
 			// The initial Reset marked every synced prefix as changed;
 			// the router is seeded against this state, so the first
 			// delta-scoped revalidation must not replay it.
@@ -736,6 +760,14 @@ type RefreshData struct {
 // revalidates only the routes under the prefixes its poll actually
 // changed; a full-resync fallback (session reset, delta history gone)
 // marks everything and degrades gracefully to the complete Adj-RIB-In.
+//
+// An RP whose last sync ended at the (session, serial) the cache is
+// serving now is not polled: the engine owns both ends of the session,
+// and for that query the cache's answer is an empty Cache Response /
+// End of Data confirming the serial — no record, nothing to revalidate,
+// the same refresh event. Whatever moves the cache (a flush, a restart)
+// moves its state off the RP's, and the next refresh goes to the wire,
+// which stays the only way payloads reach a relying party.
 func (s *Simulation) refreshDue() {
 	var due []*RP
 	for _, rp := range s.RPs {
@@ -747,31 +779,45 @@ func (s *Simulation) refreshDue() {
 		return
 	}
 	type outcome struct {
-		serial  uint32
-		vrps    int
-		dropped int
-		err     error
+		serial uint32
+		vrps   int
+		polled bool
+		res    router.RevalidationResult
+		err    error
 	}
 	outs := make([]outcome, len(due))
+	serving := cacheState{s.session, s.Server.Serial()}
 	parallelFor(len(due), runtime.GOMAXPROCS(0), func(i int) {
-		rp := due[i]
-		if err := rp.Client.Poll(); err != nil {
-			outs[i].err = fmt.Errorf("sim: %s poll: %w", rp.Spec.Name, err)
-			return
+		rp, out := due[i], &outs[i]
+		if rp.synced != serving {
+			out.polled = true
+			if err := rp.Client.Poll(); err != nil {
+				out.err = fmt.Errorf("sim: %s poll: %w", rp.Spec.Name, err)
+				return
+			}
+			rp.synced = cacheState{serving.session, rp.Client.Serial()}
+			changed := rp.Client.TakeDelta()
+			rp.source.set = rp.Client.View()
+			out.res = rp.Router.RevalidateAffected(changed)
 		}
-		changed := rp.Client.TakeDelta()
-		rp.source.set = rp.Client.View()
-		res := rp.Router.RevalidateAffected(changed)
-		outs[i] = outcome{serial: rp.Client.Serial(), vrps: rp.Client.Len(), dropped: res.Dropped}
+		out.serial, out.vrps = rp.Client.Serial(), rp.Client.Len()
 	})
 	for i, rp := range due {
-		if outs[i].err != nil {
-			s.fail(outs[i].err)
+		out := &outs[i]
+		if out.polled {
+			s.work.polls++
+		} else {
+			s.work.pollsSkipped++
+		}
+		if out.err != nil {
+			s.fail(out.err)
 			continue
 		}
+		s.work.reapplied += out.res.Routes
+		s.work.flipped += out.res.Flipped
 		s.Publish(TopicRP, fmt.Sprintf("%s refresh serial=%d vrps=%d dropped=%d",
-			rp.Spec.Name, outs[i].serial, outs[i].vrps, outs[i].dropped),
-			RefreshData{RP: rp.Spec.Name, Serial: outs[i].serial, VRPs: outs[i].vrps, Dropped: outs[i].dropped})
+			rp.Spec.Name, out.serial, out.vrps, out.res.Dropped),
+			RefreshData{RP: rp.Spec.Name, Serial: out.serial, VRPs: out.vrps, Dropped: out.res.Dropped})
 	}
 }
 

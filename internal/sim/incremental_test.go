@@ -27,6 +27,27 @@ func runJSON(t *testing.T, cfg Config) []byte {
 	return buf.Bytes()
 }
 
+// runHooked runs s to its horizon stepping the queue itself, exactly as
+// Step does, with before and after called around every event: how the
+// oracles in this package reach between the events of a tick to defeat
+// one of the engine's shortcuts through the engine's own fallback.
+func runHooked(t *testing.T, s *Simulation, before, after func(class int)) {
+	t.Helper()
+	for s.err == nil && !s.now.After(s.end) {
+		for len(s.Queue.h) > 0 && !s.Queue.h[0].at.After(s.now) {
+			e := heap.Pop(&s.Queue.h).(*event)
+			before(e.class)
+			e.fn()
+			after(e.class)
+		}
+		s.now = s.now.Add(s.Cfg.Tick)
+		s.tick++
+	}
+	if s.err != nil {
+		t.Fatalf("%s: %v", s.Cfg.Scenario, s.err)
+	}
+}
+
 // runEverythingDirty runs cfg on the same engine with every O(changes)
 // shortcut defeated through the engine's own fallbacks, so each tick
 // recomputes the world: needFull before every flush (the cold-restart
@@ -34,8 +55,7 @@ func runJSON(t *testing.T, cfg Config) []byte {
 // measure.Incremental.DirtyAll before every probe (every sampled domain
 // re-measured), and a full Router.Revalidate after every refresh — which
 // must find nothing left to do, or delta-scoped revalidation missed a
-// route. It steps the queue itself, exactly as Step does, to reach
-// between the events.
+// route.
 func runEverythingDirty(t *testing.T, cfg Config) []byte {
 	t.Helper()
 	s, err := New(cfg)
@@ -43,28 +63,20 @@ func runEverythingDirty(t *testing.T, cfg Config) []byte {
 		t.Fatalf("%s: %v", cfg.Scenario, err)
 	}
 	defer s.Close()
-	for s.err == nil && !s.now.After(s.end) {
-		for len(s.Queue.h) > 0 && !s.Queue.h[0].at.After(s.now) {
-			e := heap.Pop(&s.Queue.h).(*event)
-			switch e.class {
-			case classFlush:
-				s.needFull = true
-			case classProbe:
-				if s.inc != nil {
-					s.inc.DirtyAll()
-				}
-			}
-			e.fn()
-			if e.class == classRefresh {
-				assertRevalidateIsNoop(t, s)
+	runHooked(t, s, func(class int) {
+		switch class {
+		case classFlush:
+			s.needFull = true
+		case classProbe:
+			if s.inc != nil {
+				s.inc.DirtyAll()
 			}
 		}
-		s.now = s.now.Add(s.Cfg.Tick)
-		s.tick++
-	}
-	if s.err != nil {
-		t.Fatalf("%s: %v", cfg.Scenario, s.err)
-	}
+	}, func(class int) {
+		if class == classRefresh {
+			assertRevalidateIsNoop(t, s)
+		}
+	})
 	var buf bytes.Buffer
 	if err := s.Series.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -76,9 +88,10 @@ func runEverythingDirty(t *testing.T, cfg Config) []byte {
 // relying party that just refreshed and fails if it moved anything: a route in or out of
 // the local RIB, or where traffic to a hijack victim is forwarded.
 // Revalidation re-applies the very events the table was built from, so
-// it can only withdraw an installed route (counted in Dropped) or
-// install a missing one (the route count grows); neither happening
-// means the table is unchanged.
+// it can only withdraw an installed route (counted in Dropped), install
+// a missing one (the route count grows) or move a depreference mark —
+// each of which it counts in Flipped; none happening means the router
+// is unchanged.
 func assertRevalidateIsNoop(t *testing.T, s *Simulation) {
 	t.Helper()
 	forwards := func(rp *RP) []rib.PrefixOrigin {
@@ -94,7 +107,7 @@ func assertRevalidateIsNoop(t *testing.T, s *Simulation) {
 		}
 		routes, fwd := rp.Router.Table().Routes(), forwards(rp)
 		res := rp.Router.Revalidate()
-		if now := rp.Router.Table().Routes(); res.Dropped != 0 || now != routes {
+		if now := rp.Router.Table().Routes(); res.Flipped != 0 || res.Dropped != 0 || now != routes {
 			t.Fatalf("tick %d: full revalidation changed %s's table after a delta-scoped refresh: %d -> %d routes, %+v",
 				s.tick, rp.Spec.Name, routes, now, res)
 		}
