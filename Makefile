@@ -45,8 +45,10 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | tail -1
 
 # The gated benchmark set: the sweep engine (all execution modes), the
-# sim engine's hot tick loop (single and composed scenarios), its
-# incremental steady-state paths (dirty-subtree probe refresh and the
+# sim engine's hot tick loop (single and composed scenarios), a whole
+# short run on a warm world (what a run adds to a world other runs have
+# used: forks and its own changes — allocs/op and B/op must not scale
+# with the world), its incremental steady-state paths (dirty-subtree probe refresh and the
 # cache's single-VRP delta apply), the RTR churn round trip (full-set
 # diff, delta, two routers polling), one delta-scoped revalidation pass
 # on a forked router (what a decision that moves allocates; the pass that
@@ -67,6 +69,7 @@ bench:
 	@$(GO) test -run '^$$' -bench 'BenchmarkSweep$$' -benchtime 2x -benchmem -count $(BENCH_COUNT) ./internal/sweep
 	@$(GO) test -run '^$$' -bench 'BenchmarkSimTick$$' -benchtime 200x -benchmem -count $(BENCH_COUNT) .
 	@$(GO) test -run '^$$' -bench 'BenchmarkComposedSimTick$$' -benchtime 200x -benchmem -count $(BENCH_COUNT) .
+	@$(GO) test -run '^$$' -bench 'BenchmarkSimSetup$$' -benchtime 20x -benchmem -count $(BENCH_COUNT) .
 	@$(GO) test -run '^$$' -bench 'BenchmarkProbeIncremental$$' -benchtime 100x -benchmem -count $(BENCH_COUNT) .
 	@$(GO) test -run '^$$' -bench 'BenchmarkTruthSetDelta$$' -benchtime 10000x -benchmem -count $(BENCH_COUNT) .
 	@$(GO) test -run '^$$' -bench 'BenchmarkRTRChurn$$' -benchtime 200x -benchmem -count $(BENCH_COUNT) .

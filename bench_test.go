@@ -349,6 +349,50 @@ func BenchmarkSimTick(b *testing.B) {
 	}
 }
 
+// BenchmarkSimSetup times a whole short run on a world other runs have
+// already used — what a sweep cell costs apart from its ticks, and what
+// `sweep-setup` measures end to end. One op clones the 20 000-domain
+// snapshot, builds the simulation (cache, RTR sessions, router and probe
+// forks, the scenario's Setup), steps twice — the t=0 probe, then the
+// first tick's events, flush and refresh, which is where cdn-migration
+// first writes DNS — and closes. The world's validation, seeded routers
+// and pristine measurement are built once by a warm-up run outside the
+// timer, so allocs/op and B/op here are what a run adds to a warm world:
+// forks and the run's own changes, nothing that scales with the world.
+// baseline changes nothing; cdn-migration lists a CDN's hosts in Setup
+// and re-points DNS; trust-anchor-outage reads per-anchor validation.
+func BenchmarkSimSetup(b *testing.B) {
+	w, err := webworld.Generate(webworld.Config{Seed: 3, Domains: 20000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := w.Snapshot()
+	run := func(b *testing.B, scenario string) {
+		s, err := NewSimulation(SimConfig{
+			Scenario: scenario, Seed: 3, World: snap.Clone(),
+			Tick: 30 * time.Second, Duration: 2 * time.Minute, SampleEvery: 2,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.Step()
+		s.Step()
+		if err := s.Err(); err != nil {
+			b.Fatal(err)
+		}
+		s.Close()
+	}
+	for _, scenario := range []string{"baseline", "cdn-migration", "trust-anchor-outage"} {
+		run(b, scenario)
+		b.Run(scenario, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run(b, scenario)
+			}
+		})
+	}
+}
+
 // BenchmarkComposedSimTick times the same hot loop under a composed
 // scenario: roa-churn's event stream plus rp-lag's validator staircase
 // (three RTR clients at 1/5/20-tick lag) in one world — the compound

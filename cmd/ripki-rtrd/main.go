@@ -87,21 +87,21 @@ func main() {
 		vrps := set.Len()
 		reg.GaugeFunc("ripki_rtrd_vrps", "VRPs in the served payload set.",
 			func() float64 { return float64(vrps) })
-		mln, err := net.Listen("tcp", *metricsAt)
+		mln, err := obs.StartHTTP(*metricsAt, metricsHandler(reg))
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer mln.Close()
-		mux := http.NewServeMux()
-		mux.Handle("GET /metrics", reg.Handler())
-		go func() {
-			if err := http.Serve(mln, mux); err != nil {
-				log.Printf("metrics listener: %v", err)
-			}
-		}()
 		fmt.Printf("metrics on http://%s/metrics\n", mln.Addr())
 	}
 	if err := srv.Serve(ln); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// metricsHandler is the -metrics listener's surface: reg at GET /metrics.
+func metricsHandler(reg *obs.Registry) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("GET /metrics", reg.Handler())
+	return mux
 }

@@ -207,23 +207,6 @@ func configure(args []string, stderr io.Writer) (*daemon, error) {
 	return d, nil
 }
 
-// Listener bounds. A client has readHeaderTimeout to deliver a complete
-// request header, and a kept-alive connection with no request in flight
-// is closed after idleTimeout, so neither a slow-loris peer nor an
-// abandoned connection holds a descriptor and a goroutine for good.
-const (
-	readHeaderTimeout = 10 * time.Second
-	idleTimeout       = 2 * time.Minute
-)
-
-// newServer wraps the handler in an http.Server with the listener
-// bounds set. Deliberately no WriteTimeout: GET /v1/events?wait= holds
-// its response open for as long as the client asked to long-poll, and a
-// write deadline would cut those answers off.
-func newServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
-}
-
 // run is the whole command, testable.
 func run(args []string, stdout, stderr io.Writer) error {
 	d, err := configure(args, stderr)
@@ -253,7 +236,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}()
 	}
 
-	srv := newServer(d.handler)
+	srv := obs.NewServer(d.handler)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	select {

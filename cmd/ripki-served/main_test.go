@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,7 +12,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
+
+	"ripki/internal/obs"
+	"ripki/internal/obs/obstest"
 )
 
 // TestConfigureWiresTheService builds a small daemon and drives its
@@ -186,63 +187,13 @@ func TestStartupIsReported(t *testing.T) {
 	}
 }
 
-// TestSlowLorisIsCutOff: a peer that opens a connection and trickles
-// half a request line is dropped once the header deadline passes, and
-// meanwhile costs a well-behaved client nothing. The deadline is
-// shortened on the server newServer returns so the test does not wait
-// out the production constant.
+// TestSlowLorisIsCutOff: the listener run serves on is bounded — a peer
+// trickling half a request line is dropped at the header deadline and
+// costs a well-behaved client nothing (obstest has the details).
 func TestSlowLorisIsCutOff(t *testing.T) {
-	srv := newServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "ok") }))
-	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout || readHeaderTimeout <= 0 || idleTimeout <= 0 {
-		t.Fatalf("listener bounds not set: header %v, idle %v", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	srv := obs.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "ok") }))
+	if srv.ReadHeaderTimeout != obs.ReadHeaderTimeout || srv.IdleTimeout != obs.IdleTimeout {
+		t.Fatalf("listener bounds are not the shared ones: header %v, idle %v", srv.ReadHeaderTimeout, srv.IdleTimeout)
 	}
-	if srv.WriteTimeout != 0 {
-		t.Fatalf("WriteTimeout %v would cut /v1/events long-polls off", srv.WriteTimeout)
-	}
-	const bound = 300 * time.Millisecond
-	srv.ReadHeaderTimeout = bound
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	defer func() {
-		srv.Close()
-		if err := <-done; !errors.Is(err, http.ErrServerClosed) {
-			t.Errorf("Serve: %v", err)
-		}
-	}()
-
-	// Taken before the dial: the server arms its header deadline when it
-	// starts reading the accepted connection, which can be before Dial
-	// returns here, and the lower bound below must hold regardless.
-	began := time.Now()
-	loris, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer loris.Close()
-	if _, err := io.WriteString(loris, "GET /heal"); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
-	if err != nil {
-		t.Fatalf("well-formed request beside the stalled one: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("well-formed request beside the stalled one: %d", resp.StatusCode)
-	}
-
-	// The server hangs up (perhaps after a 408): the read ends, and not
-	// because the test's own deadline ran out.
-	loris.SetReadDeadline(began.Add(20 * bound))
-	if _, err := io.Copy(io.Discard, loris); err != nil {
-		t.Fatalf("stalled connection still open %v after a %v header deadline: %v", time.Since(began), bound, err)
-	}
-	if waited := time.Since(began); waited < bound {
-		t.Fatalf("stalled connection closed after %v, before the %v deadline", waited, bound)
-	}
+	obstest.SlowLorisIsCutOff(t, srv, "/healthz")
 }

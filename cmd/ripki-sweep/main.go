@@ -62,6 +62,7 @@ import (
 	"time"
 
 	"ripki"
+	"ripki/internal/obs"
 )
 
 // errFlagParse marks a flag-parsing failure the FlagSet has already
@@ -276,7 +277,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			srv := &http.Server{Handler: coord.Handler(*pprofFlag)}
+			srv := obs.NewServer(coord.Handler(*pprofFlag))
 			go srv.Serve(ln)
 			defer srv.Close()
 			if !*quiet {

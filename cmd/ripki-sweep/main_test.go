@@ -13,6 +13,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ripki"
+	"ripki/internal/obs"
+	"ripki/internal/obs/obstest"
 )
 
 var fastArgs = []string{
@@ -351,6 +355,28 @@ func TestCoordinatorHTTPAndStatus(t *testing.T) {
 	if coordOut.Len() == 0 {
 		t.Error("coordinator produced no output")
 	}
+}
+
+// TestProgressListenerCutsSlowLoris: the coordinator's -http listener,
+// built the way run builds it, drops a peer that never finishes its
+// request header while /progress keeps answering.
+func TestProgressListenerCutsSlowLoris(t *testing.T) {
+	grid, err := ripki.ParseSweepGrid([]byte(`{"scenarios": ["baseline"], "replicates": 1, "domains": [800]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := ripki.NewDistCoordinator("127.0.0.1:0", ripki.DistCoordinatorConfig{Grid: grid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		// Run is what closes the lease listener; a cancelled one does
+		// nothing else.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		coord.Run(ctx)
+	}()
+	obstest.SlowLorisIsCutOff(t, obs.NewServer(coord.Handler(true)), "/progress")
 }
 
 // TestStatusBadAddress: -status against nothing is a plain error, not a

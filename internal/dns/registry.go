@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -18,9 +19,15 @@ const maxChase = 16
 type Registry struct {
 	mu      sync.RWMutex
 	records map[string][]RR // canonical name → records
-	// shared is set while another registry may alias records (see
-	// Clone): nobody writes an aliased map, the first writer copies it.
+	// shared is set once another registry may alias records (see Clone),
+	// and stays set: nobody writes an aliased map or a slice in it ever
+	// again. A shared registry writes into over instead — its own version
+	// of every owner name it has written, an empty slice where it removed
+	// the last record — and reads over before records. added is how many
+	// owner names over adds to records, less how many it empties.
 	shared bool
+	over   map[string][]RR
+	added  int
 	hook   func(name string)
 }
 
@@ -58,8 +65,7 @@ func (r *Registry) Add(rr RR) {
 		rr.Class = ClassINET
 	}
 	r.mu.Lock()
-	r.ownLocked()
-	r.records[rr.Name] = append(r.records[rr.Name], rr)
+	r.put(rr.Name, append(r.own(rr.Name), rr))
 	hook := r.hook
 	r.mu.Unlock()
 	if hook != nil {
@@ -72,7 +78,6 @@ func (r *Registry) Add(rr RR) {
 // each shard accumulates its records and replays them in rank order.
 func (r *Registry) AddBatch(rrs []RR) {
 	r.mu.Lock()
-	r.ownLocked()
 	names := make([]string, 0, len(rrs))
 	for _, rr := range rrs {
 		rr.Name = CanonicalName(rr.Name)
@@ -82,7 +87,7 @@ func (r *Registry) AddBatch(rrs []RR) {
 		if rr.Class == 0 {
 			rr.Class = ClassINET
 		}
-		r.records[rr.Name] = append(r.records[rr.Name], rr)
+		r.put(rr.Name, append(r.own(rr.Name), rr))
 		names = append(names, rr.Name)
 	}
 	hook := r.hook
@@ -95,34 +100,89 @@ func (r *Registry) AddBatch(rrs []RR) {
 }
 
 // Clone returns a registry that resolves identically to its source and
-// can be mutated independently of it, in O(1): the two share the record
-// map until either side's first Add, AddBatch or Remove, which deep-
-// copies it (owner names and per-name record order preserved) before
-// writing. Shared-world simulations clone the registry per run — it is
-// the only part of a generated world that scenarios mutate, and most
-// scenarios never do, so most clones never pay for a copy. The hook is
-// not inherited. Clone is safe to call concurrently with anything.
+// can be mutated independently of it, in time proportional to what the
+// source has written since it was itself cloned — O(1) for a source that
+// has not. From then on both sides alias the record map for ever and
+// neither writes it: a write on either side copies the records of the
+// one owner name it touches into that side's overlay and lands there, so
+// a run that re-points a few hundred hosts of a 60 000-name world pays
+// for a few hundred names. Reads consult the overlay first and cost one
+// map lookup while it is empty; Len, Names and the zone dump merge the
+// two. Shared-world simulations clone the registry per run — it is the
+// only part of a generated world that scenarios mutate. The hook is not
+// inherited. Clone is safe to call concurrently with anything.
 func (r *Registry) Clone() *Registry {
 	// The write lock, because the source is marked too: its next write
 	// must leave the map its clones still read alone.
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.shared = true
-	return &Registry{records: r.records, shared: true}
+	c := &Registry{records: r.records, shared: true, added: r.added}
+	if len(r.over) > 0 {
+		// Add appends to and Remove filters an overlay slice in place.
+		c.over = make(map[string][]RR, len(r.over))
+		for name, rrs := range r.over {
+			c.over[name] = slices.Clone(rrs)
+		}
+	}
+	return c
 }
 
-// ownLocked gives the registry a record map of its own before a write.
-// Every per-name slice is copied too: Remove filters them in place.
-// Called with r.mu held for writing.
-func (r *Registry) ownLocked() {
+// Written reports whether the registry has diverged from the record map
+// it shares with its clone family: false for a clone until its first
+// write, and for a registry nothing was ever cloned from (it shares
+// nothing and writes in place). What was derived from one unwritten
+// member of a family holds for every other.
+func (r *Registry) Written() bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.over) > 0
+}
+
+// at returns name's records: this registry's own version if it wrote the
+// name, the shared map's otherwise. Called with r.mu held.
+func (r *Registry) at(name string) []RR {
+	if len(r.over) > 0 {
+		if rrs, ok := r.over[name]; ok {
+			return rrs
+		}
+	}
+	return r.records[name]
+}
+
+// own returns name's records as a slice the caller may append to or
+// filter in place and must hand back to put. Called with r.mu held for
+// writing.
+func (r *Registry) own(name string) []RR {
 	if !r.shared {
+		return r.records[name]
+	}
+	if rrs, ok := r.over[name]; ok {
+		return rrs
+	}
+	return slices.Clone(r.records[name])
+}
+
+// put stores rrs, possibly empty, as name's records. Called with r.mu
+// held for writing.
+func (r *Registry) put(name string, rrs []RR) {
+	if !r.shared {
+		if len(rrs) == 0 {
+			delete(r.records, name)
+		} else {
+			r.records[name] = rrs
+		}
 		return
 	}
-	own := make(map[string][]RR, len(r.records))
-	for name, rrs := range r.records {
-		own[name] = slices.Clone(rrs)
+	if had := len(r.at(name)) > 0; had && len(rrs) == 0 {
+		r.added--
+	} else if !had && len(rrs) > 0 {
+		r.added++
 	}
-	r.records, r.shared = own, false
+	if r.over == nil {
+		r.over = make(map[string][]RR)
+	}
+	r.over[name] = rrs
 }
 
 // AddCNAME is shorthand for a CNAME record.
@@ -137,25 +197,27 @@ func (r *Registry) AddCNAME(name, target string, ttl uint32) {
 func (r *Registry) Remove(name string, typ uint16) int {
 	name = CanonicalName(name)
 	r.mu.Lock()
-	r.ownLocked()
-	rrs := r.records[name]
-	kept := rrs[:0]
 	removed := 0
-	for _, rr := range rrs {
+	for _, rr := range r.at(name) {
 		if rr.Type == typ {
 			removed++
-			continue
 		}
-		kept = append(kept, rr)
 	}
-	if len(kept) == 0 {
-		delete(r.records, name)
-	} else {
-		r.records[name] = kept
+	if removed == 0 {
+		r.mu.Unlock()
+		return 0 // not a write: nothing to copy, nobody to tell
 	}
+	rrs := r.own(name)
+	kept := rrs[:0]
+	for _, rr := range rrs {
+		if rr.Type != typ {
+			kept = append(kept, rr)
+		}
+	}
+	r.put(name, kept)
 	hook := r.hook
 	r.mu.Unlock()
-	if removed > 0 && hook != nil {
+	if hook != nil {
 		hook(name)
 	}
 	return removed
@@ -168,7 +230,7 @@ func (r *Registry) Lookup(name string, typ uint16) []RR {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var out []RR
-	for _, rr := range r.records[name] {
+	for _, rr := range r.at(name) {
 		if rr.Type == typ {
 			out = append(out, rr)
 		}
@@ -180,23 +242,51 @@ func (r *Registry) Lookup(name string, typ uint16) []RR {
 func (r *Registry) Exists(name string) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.records[CanonicalName(name)]) > 0
+	return len(r.at(CanonicalName(name))) > 0
 }
 
 // Len returns the number of owner names with records.
 func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.records)
+	return len(r.records) + r.added
 }
 
 // Names returns all owner names in sorted order (for dumps).
-func (r *Registry) Names() []string {
+func (r *Registry) Names() []string { return r.NamesUnder() }
+
+// NamesUnder returns, sorted, the owner names that lie under one of the
+// given domain suffixes ("edgekey.wld" matches "e7.edgekey.wld", not
+// "edgekey.wld" itself); with no suffix, every owner name. Only the
+// names kept are sorted.
+func (r *Registry) NamesUnder(suffixes ...string) []string {
+	dotted := make([]string, len(suffixes))
+	for i, suf := range suffixes {
+		dotted[i] = "." + CanonicalName(suf)
+	}
+	keep := func(name string) bool {
+		for _, suf := range dotted {
+			if strings.HasSuffix(name, suf) {
+				return true
+			}
+		}
+		return len(dotted) == 0
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.records))
-	for n := range r.records {
-		out = append(out, n)
+	var out []string
+	if len(dotted) == 0 {
+		out = make([]string, 0, len(r.records)+r.added)
+	}
+	for name := range r.records {
+		if _, written := r.over[name]; !written && keep(name) {
+			out = append(out, name)
+		}
+	}
+	for name, rrs := range r.over {
+		if len(rrs) > 0 && keep(name) {
+			out = append(out, name)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -213,7 +303,7 @@ func (r *Registry) Resolve(name string, typ uint16) (answers []RR, rcode uint8) 
 	defer r.mu.RUnlock()
 	cur := name
 	for i := 0; i < maxChase; i++ {
-		rrs := r.records[cur]
+		rrs := r.at(cur)
 		if len(rrs) == 0 {
 			if cur == name && len(answers) == 0 {
 				return nil, RCodeNameError
@@ -268,7 +358,7 @@ func (r *Registry) resolveWeb(res *Result, name string) {
 	needA, needAAAA := true, true
 	cur := CanonicalName(name)
 	for i := 0; i < maxChase; i++ {
-		rrs := r.records[cur]
+		rrs := r.at(cur)
 		if len(rrs) == 0 {
 			// The queried name itself is missing (NXDOMAIN), or a CNAME
 			// dangles: the chain exists but its target does not.

@@ -2,8 +2,10 @@ package measure
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
 	"slices"
+	"sync"
 
 	"ripki/internal/alexa"
 	"ripki/internal/dns"
@@ -43,18 +45,43 @@ import (
 // The sim engine's lock-step test (TestIncrementalMatchesFull) enforces
 // exactly that contract end to end.
 //
-// Incremental is not safe for concurrent use; Refresh parallelises
-// internally just as Run does.
+// A dataset measured once can stand for many: Fork hands out a copy that
+// shares whatever neither side has changed. What is shared is never
+// written — a re-measured row replaces its slot in the fork's own
+// Results, a re-indexed domain gets new index lists in the fork's own
+// map and tree — so the dataset forked from, and every sibling, stay
+// exactly what they were.
+//
+// Incremental is not safe for concurrent use, with one exception: any
+// number of goroutines may Fork one dataset at once, as long as nothing
+// else is using it. Refresh parallelises internally just as Run does.
 type Incremental struct {
 	cfg     Config
 	entries []alexa.Entry
 	ds      *Dataset
 	keys    []domainKeys
 
-	hostIdx map[string]map[int]struct{}
-	pairIdx radix.Tree[map[int]struct{}]
+	// The reverse indexes. A value is the sorted list of domains under a
+	// key and is never written once stored — forks alias it — so a change
+	// stores a new list.
+	hostIdx map[string][]int32
+	pairIdx radix.Tree[[]int32]
+
+	// What a Fork leaves aliased on both sides until one of them writes:
+	// ds.Results while rowsShared (copied before the first re-measured
+	// row lands), keys and the host map while idxShared (copied before
+	// the first re-index); the pair tree is forked copy-on-write by
+	// radix.Tree.Clone. mu only orders concurrent Forks, which mark the
+	// receiver.
+	mu         sync.Mutex
+	rowsShared bool
+	idxShared  bool
 
 	dirty map[int]struct{}
+	// marked counts the domain marks the Dirty methods made, repeats
+	// included; measured counts the domain measurements made. Both are
+	// functions of the inputs alone.
+	marked, measured int
 }
 
 // NewIncremental measures the full list once and builds the reverse
@@ -72,7 +99,7 @@ func NewIncremental(list *alexa.List, cfg Config) (*Incremental, error) {
 			BinWidth: cfg.binWidth(),
 		},
 		keys:    make([]domainKeys, len(entries)),
-		hostIdx: make(map[string]map[int]struct{}),
+		hostIdx: make(map[string][]int32),
 		dirty:   make(map[int]struct{}),
 	}
 	all := make([]int, len(entries))
@@ -85,9 +112,50 @@ func NewIncremental(list *alexa.List, cfg Config) (*Incremental, error) {
 	return inc, nil
 }
 
+// Fork returns an independent dataset in the receiver's exact state —
+// results, dependency keys, pending dirty marks — that resolves through
+// resolver and validates against vrps from now on, in time independent
+// of the list: rows, keys and reverse indexes stay shared, the rows until
+// one side re-measures a domain (an O(domains) slice copy then), keys
+// and indexes until one side has to re-index one. Nothing either dataset
+// does afterwards is visible in the other, and the receiver stays as
+// usable as before. The fork is only as good as the claim that resolver
+// and vrps currently answer as the receiver's own sources did when it
+// was last refreshed; Fork does not re-measure. Measured and Marked
+// start at zero on the fork.
+func (inc *Incremental) Fork(resolver dns.Lookuper, vrps *vrp.Set) *Incremental {
+	f := &Incremental{
+		cfg:        inc.cfg,
+		entries:    inc.entries,
+		ds:         &Dataset{Results: inc.ds.Results, BinWidth: inc.ds.BinWidth, Totals: inc.ds.Totals},
+		keys:       inc.keys,
+		hostIdx:    inc.hostIdx,
+		rowsShared: true,
+		idxShared:  true,
+		dirty:      maps.Clone(inc.dirty),
+	}
+	f.cfg.Resolver, f.cfg.VRPs = resolver, vrps
+	inc.mu.Lock()
+	inc.rowsShared, inc.idxShared = true, true
+	f.pairIdx = *inc.pairIdx.Clone()
+	inc.mu.Unlock()
+	return f
+}
+
 // Dataset returns the current dataset. It is valid until the next
 // Refresh and must be treated as read-only.
 func (inc *Incremental) Dataset() *Dataset { return inc.ds }
+
+// Measured returns how many domain measurements the dataset has made
+// since it was built or forked: the whole list for NewIncremental, none
+// for Fork, plus every dirty domain a Refresh found.
+func (inc *Incremental) Measured() int { return inc.measured }
+
+// Marked returns how many domain marks DirtyVRP, DirtyHost and DirtyAll
+// have made since the dataset was built or forked, a domain marked twice
+// before a Refresh counting twice — an upper bound on what the refreshes
+// since had to measure.
+func (inc *Incremental) Marked() int { return inc.marked }
 
 // SetVRPs swaps the validation source consulted by subsequent
 // refreshes. It does not mark anything dirty by itself: the caller is
@@ -98,19 +166,23 @@ func (inc *Incremental) SetVRPs(set *vrp.Set) { inc.cfg.VRPs = set }
 // DirtyVRP marks the domains whose measurement validated a pair prefix
 // at q or below — the set a VRP issue/revoke at q can affect.
 func (inc *Incremental) DirtyVRP(q netip.Prefix) {
-	for _, e := range inc.pairIdx.Subtree(q, nil) {
-		for i := range e.Value {
-			inc.dirty[i] = struct{}{}
-		}
-	}
+	inc.pairIdx.WalkSubtree(q, func(_ netip.Prefix, domains []int32) bool {
+		inc.mark(domains)
+		return true
+	})
 }
 
 // DirtyHost marks the domains whose resolution consulted the given
 // owner name.
 func (inc *Incremental) DirtyHost(name string) {
-	for i := range inc.hostIdx[dns.CanonicalName(name)] {
-		inc.dirty[i] = struct{}{}
+	inc.mark(inc.hostIdx[dns.CanonicalName(name)])
+}
+
+func (inc *Incremental) mark(domains []int32) {
+	for _, i := range domains {
+		inc.dirty[int(i)] = struct{}{}
 	}
+	inc.marked += len(domains)
 }
 
 // DirtyAll marks every domain, degrading the next Refresh to a full
@@ -120,6 +192,7 @@ func (inc *Incremental) DirtyAll() {
 	for i := range inc.entries {
 		inc.dirty[i] = struct{}{}
 	}
+	inc.marked += len(inc.entries)
 }
 
 // Refresh re-measures the dirty domains and recomputes the totals. With
@@ -141,9 +214,14 @@ func (inc *Incremental) Refresh() error {
 }
 
 // recompute re-measures the given domains (sorted indices) in parallel,
-// swaps their dependency keys in the reverse indexes, and recomputes
-// the totals.
+// moves those whose dependency keys changed in the reverse indexes, and
+// recomputes the totals. A VRP change never moves a domain's hosts or
+// covering prefixes, so the common refresh touches no index at all.
 func (inc *Incremental) recompute(idxs []int) error {
+	if inc.rowsShared {
+		inc.ds.Results = slices.Clone(inc.ds.Results)
+		inc.rowsShared = false
+	}
 	fresh := make([]domainKeys, len(idxs))
 	err := fanOut(len(idxs), func(lo, hi int) error {
 		var scratch []rib.PrefixOrigin
@@ -160,58 +238,72 @@ func (inc *Incremental) recompute(idxs []int) error {
 	if err != nil {
 		return err
 	}
+	inc.measured += len(idxs)
 	for j, i := range idxs {
-		inc.unindex(i, inc.keys[i])
-		inc.keys[i] = fresh[j]
-		inc.index(i, fresh[j])
+		old := inc.keys[i]
+		if slices.Equal(old.hosts, fresh[j].hosts) && slices.Equal(old.prefixes, fresh[j].prefixes) {
+			continue
+		}
+		inc.reindex(int32(i), old, fresh[j])
 	}
 	inc.ds.computeTotals()
 	return nil
 }
 
-func (inc *Incremental) index(i int, k domainKeys) {
-	for _, h := range k.hosts {
-		m := inc.hostIdx[h]
-		if m == nil {
-			m = make(map[int]struct{}, 1)
-			inc.hostIdx[h] = m
-		}
-		m[i] = struct{}{}
+// reindex moves domain i from the lists under its old keys to those
+// under its new ones and records the new keys, on a key slice and host
+// map of the dataset's own.
+func (inc *Incremental) reindex(i int32, old, fresh domainKeys) {
+	if inc.idxShared {
+		inc.keys = slices.Clone(inc.keys)
+		inc.hostIdx = maps.Clone(inc.hostIdx)
+		inc.idxShared = false
 	}
-	for _, p := range k.prefixes {
-		treeAdd(&inc.pairIdx, p, i)
+	inc.keys[i] = fresh
+	for _, h := range old.hosts {
+		if l := without(inc.hostIdx[h], i); len(l) == 0 {
+			delete(inc.hostIdx, h)
+		} else {
+			inc.hostIdx[h] = l
+		}
+	}
+	for _, p := range old.prefixes {
+		l, _ := inc.pairIdx.Lookup(p)
+		if l = without(l, i); len(l) == 0 {
+			inc.pairIdx.Delete(p)
+		} else {
+			// Keys come from netip values the pipeline already accepted,
+			// so Insert cannot fail.
+			_ = inc.pairIdx.Insert(p, l)
+		}
+	}
+	for _, h := range fresh.hosts {
+		inc.hostIdx[h] = with(inc.hostIdx[h], i)
+	}
+	for _, p := range fresh.prefixes {
+		l, _ := inc.pairIdx.Lookup(p)
+		_ = inc.pairIdx.Insert(p, with(l, i))
 	}
 }
 
-func (inc *Incremental) unindex(i int, k domainKeys) {
-	for _, h := range k.hosts {
-		if m := inc.hostIdx[h]; m != nil {
-			delete(m, i)
-			if len(m) == 0 {
-				delete(inc.hostIdx, h)
-			}
-		}
+// with returns the sorted list l with i in it: l itself when it already
+// is (a domain's keys repeat across its two name variants), a new list
+// otherwise.
+func with(l []int32, i int32) []int32 {
+	at, found := slices.BinarySearch(l, i)
+	if found {
+		return l
 	}
-	for _, p := range k.prefixes {
-		treeRemove(&inc.pairIdx, p, i)
-	}
+	out := make([]int32, 0, len(l)+1)
+	return append(append(append(out, l[:at]...), i), l[at:]...)
 }
 
-func treeAdd(t *radix.Tree[map[int]struct{}], p netip.Prefix, i int) {
-	if m, ok := t.Lookup(p); ok {
-		m[i] = struct{}{}
-		return
+// without is the inverse of with.
+func without(l []int32, i int32) []int32 {
+	at, found := slices.BinarySearch(l, i)
+	if !found {
+		return l
 	}
-	// Keys come from netip values the pipeline already accepted, so
-	// Insert cannot fail.
-	_ = t.Insert(p, map[int]struct{}{i: {}})
-}
-
-func treeRemove(t *radix.Tree[map[int]struct{}], p netip.Prefix, i int) {
-	if m, ok := t.Lookup(p); ok {
-		delete(m, i)
-		if len(m) == 0 {
-			t.Delete(p)
-		}
-	}
+	out := make([]int32, 0, len(l)-1)
+	return append(append(out, l[:at]...), l[at+1:]...)
 }

@@ -23,12 +23,7 @@ func RegisterPprof(mux *http.ServeMux) {
 // background goroutine — the shape non-HTTP daemons (ripki-rtrd) use
 // for an opt-in debug listener. Close the returned listener to stop.
 func ServePprof(addr string) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
 	mux := http.NewServeMux()
 	RegisterPprof(mux)
-	go http.Serve(ln, mux)
-	return ln, nil
+	return StartHTTP(addr, mux)
 }

@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"ripki/internal/rpki/cert"
@@ -301,20 +302,37 @@ type ValidationResult struct {
 	// ROAsSeen and ROAsValid count processed vs accepted ROAs.
 	ROAsSeen  int
 	ROAsValid int
+
+	// anchors is what Validate found under each trust anchor, by RIR
+	// name (see AnchorVRPs).
+	anchors map[string][]vrp.VRP
 }
+
+// AnchorVRPs returns the payloads validated beneath the named trust
+// anchor, in VRP order — ValidateAnchor(at, name).VRPs.All(), from the
+// walk Validate made anyway. The slice is shared and read-only; it is
+// nil for an unknown anchor and on a result Validate did not produce.
+func (res *ValidationResult) AnchorVRPs(name string) []vrp.VRP { return res.anchors[name] }
 
 // Validate walks the repository from its trust anchors and returns the
 // validated ROA payloads. Invalid objects are recorded and skipped, not
-// fatal — mirroring deployed relying-party behaviour.
+// fatal — mirroring deployed relying-party behaviour. The walk is one
+// anchor after another, each exactly ValidateAnchor's, and the result
+// their union, so every signature is verified once and what each anchor
+// contributed is kept beside the whole.
 func (r *Repository) Validate(at time.Time) *ValidationResult {
-	res := &ValidationResult{VRPs: vrp.NewSet()}
-	opts := cert.VerifyOptions{Now: at}
+	res := &ValidationResult{VRPs: vrp.NewSet(), anchors: make(map[string][]vrp.VRP, len(r.Anchors))}
 	for _, ta := range r.Anchors {
-		if err := ta.Cert.Verify(ta.Cert, opts); err != nil {
-			res.Problems = append(res.Problems, ValidationProblem{CA: ta.Cert.Subject, Object: "ta.cer", Err: err})
-			continue
+		sub := r.validateAnchor(ta, at)
+		payloads := sub.VRPs.All()
+		for _, v := range payloads {
+			// The anchor's own set accepted v, so this one does.
+			_ = res.VRPs.Add(v)
 		}
-		r.validateCA(ta, opts, res)
+		res.anchors[strings.TrimPrefix(ta.Cert.Subject, "ta-")] = payloads
+		res.Problems = append(res.Problems, sub.Problems...)
+		res.ROAsSeen += sub.ROAsSeen
+		res.ROAsValid += sub.ROAsValid
 	}
 	return res
 }
@@ -323,11 +341,15 @@ func (r *Repository) Validate(at time.Time) *ValidationResult {
 // returns its validated payloads — what the RPKI loses when one RIR's
 // publication point goes dark. An unknown name yields an empty result.
 func (r *Repository) ValidateAnchor(at time.Time, name string) *ValidationResult {
-	res := &ValidationResult{VRPs: vrp.NewSet()}
 	ta := r.Anchor(name)
 	if ta == nil {
-		return res
+		return &ValidationResult{VRPs: vrp.NewSet()}
 	}
+	return r.validateAnchor(ta, at)
+}
+
+func (r *Repository) validateAnchor(ta *CA, at time.Time) *ValidationResult {
+	res := &ValidationResult{VRPs: vrp.NewSet()}
 	opts := cert.VerifyOptions{Now: at}
 	if err := ta.Cert.Verify(ta.Cert, opts); err != nil {
 		res.Problems = append(res.Problems, ValidationProblem{CA: ta.Cert.Subject, Object: "ta.cer", Err: err})

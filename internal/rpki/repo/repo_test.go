@@ -1,7 +1,9 @@
 package repo
 
 import (
+	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -330,5 +332,99 @@ func TestValidateAnchorIsolatesSubtree(t *testing.T) {
 	}
 	if r.ValidateAnchor(at, "nosuch").VRPs.Len() != 0 {
 		t.Error("unknown anchor should validate to an empty set")
+	}
+}
+
+// TestValidateRecordsEachAnchor: Validate is the union of ValidateAnchor
+// over the anchors, and keeps the parts. For every RIR the payloads it
+// recorded are that anchor's own validation, in the same order — on a
+// repository where one anchor's publication point is voided by a missing
+// manifest, one holds a tampered ROA, two sign the very same payload and
+// two hold nothing — and the audit trail and counters are the per-anchor
+// ones, concatenated and summed in anchor order.
+func TestValidateRecordsEachAnchor(t *testing.T) {
+	r, err := New(RIRNames, clock, ttl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := []roa.Prefix{{Prefix: netutil.MustPrefix("203.0.113.0/24"), MaxLength: 24}}
+	for i, rir := range []string{"ripe", "arin", "apnic"} {
+		ca, err := r.NewCA(r.Anchor(rir), "isp-"+rir, cert.Resources{
+			Prefixes: []pfx{netutil.MustPrefix(fmt.Sprintf("%d.0.0.0/8", 60+i)), netutil.MustPrefix("203.0.113.0/24")},
+			ASNs:     []cert.ASRange{{Min: 64500, Max: 64600}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 3; j++ {
+			p := netutil.MustPrefix(fmt.Sprintf("%d.%d.0.0/16", 60+i, 9-j))
+			if _, err := r.AddROA(ca, uint32(64500+j), []roa.Prefix{{Prefix: p, MaxLength: 16 + j}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		switch rir {
+		case "ripe", "arin": // the same payload under two anchors
+			if _, err := r.AddROA(ca, 64555, shared); err != nil {
+				t.Fatal(err)
+			}
+		case "apnic": // voided: nothing beneath it counts
+			ca.Manifest = nil
+		}
+		if rir == "arin" {
+			// Tampered after publication, then listed again: the manifest
+			// passes and the signature does not.
+			ca.ROAs[1].Signature[0] ^= 0xff
+			if err := ca.refreshManifest(r.Clock, r.TTL); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	full := r.Validate(at)
+	union := vrp.NewSet()
+	var problems []string
+	seen, valid := 0, 0
+	for _, rir := range RIRNames {
+		part := r.ValidateAnchor(at, rir)
+		if got, want := full.AnchorVRPs(rir), part.VRPs.All(); !slices.Equal(got, want) {
+			t.Errorf("%s: Validate recorded %v, ValidateAnchor finds %v", rir, got, want)
+		}
+		for _, v := range part.VRPs.All() {
+			union.Add(v)
+		}
+		for _, p := range part.Problems {
+			problems = append(problems, p.String())
+		}
+		seen, valid = seen+part.ROAsSeen, valid+part.ROAsValid
+	}
+	if got, want := full.VRPs.All(), union.All(); !slices.Equal(got, want) {
+		t.Errorf("Validate found %v, the anchors' union is %v", got, want)
+	}
+	var got []string
+	for _, p := range full.Problems {
+		got = append(got, p.String())
+	}
+	if !slices.Equal(got, problems) {
+		t.Errorf("Validate's problems %q, the anchors' in order %q", got, problems)
+	}
+	if full.ROAsSeen != seen || full.ROAsValid != valid {
+		t.Errorf("Validate saw %d ROAs, %d valid; the anchors sum to %d, %d", full.ROAsSeen, full.ROAsValid, seen, valid)
+	}
+
+	// The fixture is what the comment says it is.
+	if n := len(full.AnchorVRPs("ripe")); n != 4 {
+		t.Errorf("ripe: %d payloads, want 4", n)
+	}
+	if n := len(full.AnchorVRPs("arin")); n != 3 {
+		t.Errorf("arin: %d payloads, want 3 (one ROA tampered)", n)
+	}
+	if n := len(full.AnchorVRPs("apnic")); n != 0 {
+		t.Errorf("apnic: %d payloads under a voided publication point", n)
+	}
+	if full.VRPs.Len() != 6 || len(problems) < 2 {
+		t.Errorf("%d VRPs and %d problems, want 6 (one shared) and at least 2", full.VRPs.Len(), len(problems))
+	}
+	if full.AnchorVRPs("nosuch") != nil || r.ValidateAnchor(at, "ripe").AnchorVRPs("ripe") != nil {
+		t.Error("AnchorVRPs answers for an unknown anchor, or on a single-anchor result")
 	}
 }

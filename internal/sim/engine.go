@@ -103,22 +103,21 @@ type Simulation struct {
 	// pending accumulates the VRPs touched since the last flush so the
 	// cache can be updated by delta, needFull forces the next flush onto
 	// the full-set path after a cold restart emptied the cache, and inc
-	// is the probe's incremental dataset (built lazily at the first
-	// probe).
-	needFull  bool
-	pending   map[vrp.VRP]bool // desired membership of touched VRPs
-	inc       *measure.Incremental
-	start     time.Time
-	now       time.Time
-	end       time.Time
-	tick      int
-	session   uint16
-	err       error
-	ln        net.Listener
-	probeList *alexa.List
-	headCut   int
-	hijacks   []*Hijack
-	closed    bool
+	// is the probe's incremental dataset: a fork of the world's pristine
+	// measurement, taken before Setup (see probeDataset).
+	needFull bool
+	pending  map[vrp.VRP]bool // desired membership of touched VRPs
+	inc      *measure.Incremental
+	start    time.Time
+	now      time.Time
+	end      time.Time
+	tick     int
+	session  uint16
+	err      error
+	ln       net.Listener
+	headCut  int
+	hijacks  []*Hijack
+	closed   bool
 
 	trace       *obs.Trace
 	hijackStart map[string]time.Duration
@@ -135,15 +134,18 @@ type workCounts struct {
 	pollsSkipped int // refreshes that found the RP at the cache's state
 	reapplied    int // Adj-RIB-In routes revalidation examined
 	flipped      int // of those, routes whose decision changed
+	marked       int // domain marks mutations left on the probe's dataset
+	measured     int // domains the probe's dataset measured for this run
 }
 
 // New builds a simulation: generates (or adopts) the world, validates
 // its RPKI into the ground-truth VRP state, starts an RTR cache over
 // loopback TCP, connects the relying parties and forks each one's
-// router from the world's seeded template, and runs the scenario's
-// Setup. Call Run (or Step) next, then Close. Validation and seeding
-// are per world (memoised on it and shared by its clones); the cache,
-// the sessions, the forks and everything after are per run.
+// router and the probe's dataset from the world's templates, and runs
+// the scenario's Setup. Call Run (or Step) next, then Close.
+// Validation, seeding and the first measurement are per world (memoised
+// on it and shared by its clones); the cache, the sessions, the forks
+// and everything after are per run.
 func New(cfg Config) (*Simulation, error) {
 	if cfg.World != nil {
 		// An adopted world is the size it is.
@@ -265,7 +267,6 @@ func New(cfg Config) (*Simulation, error) {
 		Columns: s.columns(),
 	}
 	s.Bus.SubscribeAll(func(e Event) { s.Series.Events = append(s.Series.Events, e) })
-	s.probeList = s.sampleList()
 
 	// Recurring engine events: flush each tick, one refresh dispatcher
 	// each tick (polling every RP whose cadence lands on that tick),
@@ -279,16 +280,19 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	s.recur(s.start, time.Duration(cfg.SampleEvery)*cfg.Tick, classProbe, s.probe)
 
-	// DNS mutations (scenarios re-point CDN chains and cache hosts)
-	// flow into the probe's dirty set through the registry hook. The
-	// registry is this run's own (sweep shared-world mode hands each
-	// cell a clone, and clones do not inherit hooks), so the hook does
-	// not leak across simulations; Close detaches it.
-	s.World.Registry.SetMutationHook(func(name string) {
-		if s.inc != nil {
-			s.inc.DirtyHost(name)
-		}
-	})
+	// The probe's dataset exists before Setup runs, so that whatever
+	// Setup issues, revokes or re-points marks it like any later event
+	// and the t=0 probe is a Refresh like every other. DNS mutations
+	// (scenarios re-point CDN chains and cache hosts) reach its dirty set
+	// through the registry hook. The registry is this run's own (sweep
+	// shared-world mode hands each cell a clone, and clones do not
+	// inherit hooks), so the hook does not leak across simulations;
+	// Close detaches it.
+	if s.inc, err = s.probeDataset(); err != nil {
+		s.Close()
+		return nil, fmt.Errorf("sim: probe: %w", err)
+	}
+	s.World.Registry.SetMutationHook(s.inc.DirtyHost)
 
 	// Setup is always Composite.Setup, which repoints Rand at each
 	// component's derived stream in turn — single scenarios included, so
@@ -364,14 +368,57 @@ func (s *Simulation) columns() []string {
 	return cols
 }
 
-// sampleList builds the probe's rank-stratified domain sample: the top
-// ranks fully, then an even stride through the tail — every domain keeps
-// its original rank so head/tail bucketing stays meaningful.
-func (s *Simulation) sampleList() *alexa.List {
-	entries := s.World.List.Entries()
-	n := s.Cfg.SampleDomains
+// probeKey names the pristine probe dataset on the world's memo: the
+// measurement of the generated world is a function of the sample drawn
+// and the head/tail cut the figures bin by.
+type probeKey struct{ sampleDomains, headCut int }
+
+type probeResult struct {
+	inc *measure.Incremental
+	err error
+}
+
+// probeDataset returns this run's probe dataset, measured against the
+// world as it stands: a fork of the world's pristine measurement, which
+// is built on first use, kept on the world's memo and never refreshed —
+// every run on the world forks it in O(1) and copies rows or indexes
+// only once it re-measures or re-indexes a domain. That measurement is of
+// the generated DNS, so it stands in only while this run's registry is
+// still unwritten; on an adopted world an earlier run has edited, the
+// same constructor measures the registry as it is now, for this run
+// alone.
+func (s *Simulation) probeDataset() (*measure.Incremental, error) {
+	world, n, cut := s.World, s.Cfg.SampleDomains, s.headCut
+	build := func(registry *dns.Registry, vrps *vrp.Set) (*measure.Incremental, error) {
+		return measure.NewIncremental(sampleList(world.List, n), measure.Config{
+			Resolver: dns.RegistryResolver{Registry: registry},
+			RIB:      world.RIB,
+			VRPs:     vrps,
+			BinWidth: cut,
+		})
+	}
+	if world.Registry.Written() {
+		return build(world.Registry, s.truth)
+	}
+	base := world.Derived(probeKey{n, cut}, func() any {
+		// A clone of its own: the run that happens to build the base may
+		// write its registry later.
+		inc, err := build(world.Registry.Clone(), world.Validation().VRPs)
+		return probeResult{inc, err}
+	}).(probeResult)
+	if base.err != nil {
+		return nil, base.err
+	}
+	return base.inc.Fork(dns.RegistryResolver{Registry: world.Registry}, s.truth), nil
+}
+
+// sampleList builds the probe's rank-stratified sample of n domains: the
+// top ranks fully, then an even stride through the tail — every domain
+// keeps its original rank so head/tail bucketing stays meaningful.
+func sampleList(list *alexa.List, n int) *alexa.List {
+	entries := list.Entries()
 	if n >= len(entries) {
-		return s.World.List
+		return list
 	}
 	topK := n / 3
 	sample := make([]alexa.Entry, 0, n)
@@ -546,9 +593,7 @@ func (s *Simulation) IssueVRP(v vrp.VRP, detail string) {
 	s.dirty = true
 	s.truthGen++
 	s.pending[v] = true
-	if s.inc != nil {
-		s.inc.DirtyVRP(v.Prefix)
-	}
+	s.inc.DirtyVRP(v.Prefix)
 	s.Publish(TopicROA, fmt.Sprintf("issue %v (%s)", v, detail), ROAData{VRP: v, Reason: detail})
 }
 
@@ -562,9 +607,7 @@ func (s *Simulation) RevokeVRP(v vrp.VRP, detail string) {
 	s.dirty = true
 	s.truthGen++
 	s.pending[v] = false
-	if s.inc != nil {
-		s.inc.DirtyVRP(v.Prefix)
-	}
+	s.inc.DirtyVRP(v.Prefix)
 	s.Publish(TopicROA, fmt.Sprintf("revoke %v (%s)", v, detail), ROAData{VRP: v, Revoke: true, Reason: detail})
 }
 
@@ -859,25 +902,12 @@ func parallelFor(n, workers int, fn func(int)) {
 // shows up in the vrps_* columns and its routing consequences in the
 // hijacked_* columns.
 func (s *Simulation) probe() {
-	if s.inc == nil {
-		inc, err := measure.NewIncremental(s.probeList, measure.Config{
-			Resolver: dns.RegistryResolver{Registry: s.World.Registry},
-			RIB:      s.World.RIB,
-			VRPs:     s.truth,
-			BinWidth: s.headCut,
-		})
-		if err != nil {
-			s.fail(fmt.Errorf("sim: probe: %w", err))
-			return
-		}
-		s.inc = inc
-	} else {
-		s.inc.SetVRPs(s.truth)
-		if err := s.inc.Refresh(); err != nil {
-			s.fail(fmt.Errorf("sim: probe: %w", err))
-			return
-		}
+	s.inc.SetVRPs(s.truth)
+	if err := s.inc.Refresh(); err != nil {
+		s.fail(fmt.Errorf("sim: probe: %w", err))
+		return
 	}
+	s.work.marked, s.work.measured = s.inc.Marked(), s.inc.Measured()
 	snap := measure.Snapshot(s.inc.Dataset(), s.headCut)
 
 	row := []float64{

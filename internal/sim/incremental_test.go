@@ -68,9 +68,7 @@ func runEverythingDirty(t *testing.T, cfg Config) []byte {
 		case classFlush:
 			s.needFull = true
 		case classProbe:
-			if s.inc != nil {
-				s.inc.DirtyAll()
-			}
+			s.inc.DirtyAll()
 		}
 	}, func(class int) {
 		if class == classRefresh {

@@ -3,6 +3,9 @@ package sim
 import (
 	"bytes"
 	"testing"
+
+	"ripki/internal/dns"
+	"ripki/internal/webworld"
 )
 
 // runRefreshes runs cfg with the incident recorder attached and returns
@@ -74,31 +77,86 @@ func TestPollSkipMatchesForcedPolls(t *testing.T) {
 	}
 }
 
-// TestWorkCounts pins the refresh path's work, in counts that are
-// functions of seed and config and so hold on any machine: with no VRP
-// churn no refresh after set-up goes to the wire and nothing is
+// TestWorkCounts pins the run's work, in counts that are functions of
+// seed and config and so hold on any machine. The refresh path: with no
+// VRP churn no refresh after set-up goes to the wire and nothing is
 // revalidated, let alone flipped; under churn and a hijack the wire is
 // used, routes are re-applied, and those that flip are a part of those
-// examined.
+// examined. The probe: on a world another run has measured, a run
+// measures what its own events reach — nothing for baseline over its
+// whole life, no more than was marked under ROA churn, and under a CDN
+// migration exactly the sampled domains whose delivery hosts moved.
 func TestWorkCounts(t *testing.T) {
+	w, err := webworld.Generate(webworld.Config{Seed: 1, Domains: 4000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := w.Snapshot()
 	run := func(spec string) workCounts {
-		s, err := New(testConfig(spec))
+		cfg := testConfig(spec)
+		cfg.World = snap.Clone()
+		s, err := New(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
 		defer s.Close()
 		if s.work != (workCounts{}) {
-			t.Errorf("%s: set-up counted as refresh work: %+v", spec, s.work)
+			t.Errorf("%s: set-up counted as work: %+v", spec, s.work)
 		}
 		if _, err := s.Run(); err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
 		return s.work
 	}
+	// The first run on the world pays for the shared measurement, on the
+	// shared dataset's own counter: a run's counts start at its fork.
 	if w := run("cdn-migration+route-leak"); w.polls != 0 || w.pollsSkipped == 0 || w.reapplied != 0 || w.flipped != 0 {
 		t.Errorf("cdn-migration+route-leak (no VRP churn): %+v, want every refresh skipped and nothing revalidated", w)
 	}
 	if w := run("hijack-window+roa-churn"); w.polls == 0 || w.flipped == 0 || w.flipped > w.reapplied {
 		t.Errorf("hijack-window+roa-churn: %+v, want polls, and 0 < flipped <= reapplied", w)
+	}
+
+	if w := run("baseline"); w.marked != 0 || w.measured != 0 {
+		t.Errorf("baseline on a measured world: %+v, want no domain marked or measured, the t=0 probe included", w)
+	}
+	if w := run("roa-churn"); w.measured == 0 || w.measured > w.marked {
+		t.Errorf("roa-churn: %+v, want 0 < measured <= marked", w)
+	}
+
+	// cdn-migration re-homes every akamai host once. A sampled domain is
+	// measured again when a host its resolution consulted moved since the
+	// last probe: at least once if it consulted any, at most once per
+	// host it consulted.
+	moved := make(map[string]bool)
+	for _, h := range w.CacheHosts("akamai") {
+		moved[h] = true
+	}
+	resolver := dns.RegistryResolver{Registry: w.Registry}
+	domains, touches := 0, 0
+	for _, e := range sampleList(w.List, testConfig("").SampleDomains).Entries() {
+		consulted := make(map[string]bool)
+		for _, name := range []string{"www." + e.Domain, e.Domain} {
+			res, err := resolver.LookupWeb(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, h := range append(res.Chain, res.Name) {
+				if moved[h] {
+					consulted[h] = true
+				}
+			}
+		}
+		if len(consulted) > 0 {
+			domains++
+			touches += len(consulted)
+		}
+	}
+	if domains == 0 {
+		t.Fatal("no sampled domain is served from an akamai host")
+	}
+	if w := run("cdn-migration"); w.measured < domains || w.measured > touches || w.measured > w.marked {
+		t.Errorf("cdn-migration: %+v, want %d <= measured <= %d (sampled domains on a moved host; hosts they consulted) and measured <= marked",
+			w, domains, touches)
 	}
 }

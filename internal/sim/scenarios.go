@@ -491,14 +491,17 @@ func (o *taOutage) Description() string {
 
 func (o *taOutage) Setup(s *Simulation) error {
 	name := o.p.String("ta", "")
+	// What the world's one memoised validation found under each anchor:
+	// no signature is verified again here.
+	validation := s.World.Validation()
 	var lost []vrp.VRP
 	if name != "" {
-		lost = o.anchorTruth(s, name)
+		lost = o.anchorTruth(s, validation.AnchorVRPs(name))
 	} else {
 		// Default to the anchor whose subtree holds the most ground-truth
 		// VRPs, ties broken by RIR roster order.
 		for _, cand := range repo.RIRNames {
-			vs := o.anchorTruth(s, cand)
+			vs := o.anchorTruth(s, validation.AnchorVRPs(cand))
 			if len(vs) > len(lost) {
 				name, lost = cand, vs
 			}
@@ -547,12 +550,11 @@ type AnchorData struct {
 	Restored bool
 }
 
-// anchorTruth returns the ground-truth VRPs living under the named
-// trust anchor, in VRP sort order.
-func (o *taOutage) anchorTruth(s *Simulation, name string) []vrp.VRP {
-	res := s.World.Repo.ValidateAnchor(s.Start(), name)
+// anchorTruth returns those of a trust anchor's validated payloads that
+// are ground truth now, in VRP sort order.
+func (o *taOutage) anchorTruth(s *Simulation, validated []vrp.VRP) []vrp.VRP {
 	var out []vrp.VRP
-	for _, v := range res.VRPs.All() {
+	for _, v := range validated {
 		if s.HasVRP(v) {
 			out = append(out, v)
 		}

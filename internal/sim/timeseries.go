@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
 
 	"ripki/internal/stats"
 )
@@ -53,18 +54,24 @@ func (ts *TimeSeries) Column(name string) []float64 {
 	return out
 }
 
-// FormatValue renders a cell: integers without a fraction, NaN as
-// "NaN", everything else in shortest round-trip form. strconv is
-// deterministic, so the byte-identical-output guarantee holds; the
-// sweep aggregator uses the same rendering for its tables.
-func FormatValue(v float64) string {
+// AppendValue appends a cell's rendering to dst: integers without a
+// fraction, NaN as "NaN", everything else in shortest round-trip form.
+// strconv is deterministic, so the byte-identical-output guarantee
+// holds; the sweep aggregator renders its tables with the same function.
+func AppendValue(dst []byte, v float64) []byte {
 	if math.IsNaN(v) {
-		return "NaN"
+		return append(dst, "NaN"...)
 	}
 	if v == float64(int64(v)) {
-		return strconv.FormatInt(int64(v), 10)
+		return strconv.AppendInt(dst, int64(v), 10)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
+}
+
+// FormatValue is AppendValue as a string.
+func FormatValue(v float64) string {
+	var buf [32]byte
+	return string(AppendValue(buf[:0], v))
 }
 
 // WriteTSV emits a comment header identifying the run, a column header,
@@ -74,31 +81,20 @@ func (ts *TimeSeries) WriteTSV(w io.Writer) error {
 	if _, err := fmt.Fprintf(bw, "# ripki-sim scenario=%s seed=%d %s\n", ts.Scenario, ts.Seed, ts.Meta); err != nil {
 		return err
 	}
-	for i, c := range ts.Columns {
-		if i > 0 {
-			if err := bw.WriteByte('\t'); err != nil {
-				return err
-			}
-		}
-		if _, err := bw.WriteString(c); err != nil {
-			return err
-		}
-	}
-	if err := bw.WriteByte('\n'); err != nil {
+	if _, err := bw.WriteString(strings.Join(ts.Columns, "\t") + "\n"); err != nil {
 		return err
 	}
+	var line []byte // one row, rendered in place and reused
 	for _, row := range ts.Rows {
+		line = line[:0]
 		for i, v := range row {
 			if i > 0 {
-				if err := bw.WriteByte('\t'); err != nil {
-					return err
-				}
+				line = append(line, '\t')
 			}
-			if _, err := bw.WriteString(FormatValue(v)); err != nil {
-				return err
-			}
+			line = AppendValue(line, v)
 		}
-		if err := bw.WriteByte('\n'); err != nil {
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -89,6 +93,80 @@ func TestFormatValue(t *testing.T) {
 	for _, c := range cases {
 		if got := FormatValue(c.v); got != c.want {
 			t.Errorf("FormatValue(%v) = %q, want %q", c.v, got, c.want)
+		}
+	}
+}
+
+// formatValueByString is FormatValue as it was before AppendValue: a
+// string per cell.
+func formatValueByString(v float64) string {
+	if math.IsNaN(v) {
+		return "NaN"
+	}
+	if v == float64(int64(v)) {
+		return strconv.FormatInt(int64(v), 10)
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// writeTSVByCell is TimeSeries.WriteTSV as it was: a write per cell and
+// separator. Kept as the oracle for the row-buffer writer.
+func writeTSVByCell(ts *TimeSeries, w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "# ripki-sim scenario=%s seed=%d %s\n", ts.Scenario, ts.Seed, ts.Meta)
+	for i, c := range ts.Columns {
+		if i > 0 {
+			bw.WriteByte('\t')
+		}
+		bw.WriteString(c)
+	}
+	bw.WriteByte('\n')
+	for _, row := range ts.Rows {
+		for i, v := range row {
+			if i > 0 {
+				bw.WriteByte('\t')
+			}
+			bw.WriteString(formatValueByString(v))
+		}
+		bw.WriteByte('\n')
+	}
+	return bw.Flush()
+}
+
+// TestAppendValueAndWriteTSVMatchOracles: rendering into a reused buffer
+// writes the bytes the per-cell strings did — NaN, integer-valued,
+// negative, shortest-round-trip and exponent-form floats, infinities and
+// negative zero, an empty series, a row with no cells — and FormatValue
+// is still that rendering as a string.
+func TestAppendValueAndWriteTSVMatchOracles(t *testing.T) {
+	values := []float64{
+		0, 1, -1, 42, -3, 1e6, 1 << 53, 0.5, -0.25, 1.0 / 3, -2.0 / 3, 0.1 + 0.2, 2.5e-7, 1e21, -1e-300,
+		123456789.125, math.MaxFloat64, math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+	}
+	buf := []byte("kept:")
+	for _, v := range values {
+		want := formatValueByString(v)
+		if got := FormatValue(v); got != want {
+			t.Errorf("FormatValue(%v) = %q, want %q", v, got, want)
+		}
+		if got := string(AppendValue(buf, v)); got != "kept:"+want {
+			t.Errorf("AppendValue(%q, %v) = %q, want %q", buf, v, got, "kept:"+want)
+		}
+	}
+	for _, ts := range []*TimeSeries{
+		nanSeries(),
+		{Scenario: "empty", Seed: -9, Meta: "domains=0"},
+		{Scenario: "wide", Seed: 1, Meta: "m", Columns: []string{"a"}, Rows: [][]float64{values, {}, values[:1]}},
+	} {
+		var got, want bytes.Buffer
+		if err := ts.WriteTSV(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeTSVByCell(ts, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: WriteTSV wrote\n%q\nthe per-cell oracle\n%q", ts.Scenario, got.Bytes(), want.Bytes())
 		}
 	}
 }

@@ -87,11 +87,9 @@ func aggregateCell(info CellInfo, runs []*RunResult) Cell {
 // shortest run as a guard.
 func aggregateTicks(cell *Cell, ok []*RunResult) {
 	first := ok[0].Series
-	keyIdx := map[int]bool{}
 	var metricIdx []int
 	for i, c := range first.Columns {
 		if c == "t" || c == "tick" {
-			keyIdx[i] = true
 			continue
 		}
 		metricIdx = append(metricIdx, i)

@@ -39,6 +39,7 @@ func (r *Result) WriteTSV(w io.Writer) error {
 
 	fmt.Fprintln(bw, "# runs")
 	fmt.Fprintln(bw, "run\tcell\trep\tscenario\tseed\tdomains\ttick\tduration\tparams\trows\tmean_valid\tmin_valid\tfinal_coverage\tmax_hijacks\thijacked_rps\thijacked_ticks\terror")
+	var row tsvRow
 	for i := range r.Runs {
 		rr := &r.Runs[i]
 		cfg := rr.Spec.Config
@@ -53,12 +54,10 @@ func (r *Result) WriteTSV(w io.Writer) error {
 		if rr.Err != "" {
 			errCell = strings.ReplaceAll(strings.ReplaceAll(rr.Err, "\t", " "), "\n", " ")
 		}
-		fmt.Fprintf(bw, "%d\t%d\t%d\t%s\t%d\t%d\t%s\t%s\t%s\t%d\t%s\t%s\t%s\t%s\t%d\t%d\t%s\n",
-			rr.Spec.Index, rr.Spec.Cell, rr.Spec.Rep, cfg.Scenario, cfg.Seed, cfg.Domains,
-			cfg.Tick, cfg.Duration, FormatParams(cfg.Params), rr.Rows,
-			sim.FormatValue(rr.MeanValid), sim.FormatValue(rr.MinValid),
-			sim.FormatValue(rr.FinalCoverage), sim.FormatValue(rr.MaxHijacks),
-			hijackedRPs, hijackedTicks, errCell)
+		row.int(rr.Spec.Index).int(rr.Spec.Cell).int(rr.Spec.Rep).str(cfg.Scenario).int64(cfg.Seed).int(cfg.Domains).
+			str(cfg.Tick.String()).str(cfg.Duration.String()).str(FormatParams(cfg.Params)).int(rr.Rows).
+			val(rr.MeanValid).val(rr.MinValid).val(rr.FinalCoverage).val(rr.MaxHijacks).
+			int(hijackedRPs).int(hijackedTicks).str(errCell).end(bw)
 	}
 
 	fmt.Fprintln(bw, "# cell ticks")
@@ -68,11 +67,8 @@ func (r *Result) WriteTSV(w io.Writer) error {
 		for _, ta := range cell.Ticks {
 			for mi, name := range cell.Columns {
 				s := ta.Metrics[mi]
-				fmt.Fprintf(bw, "%d\t%s\t%s\t%s\t%s\t%d\t%s\t%s\t%s\t%s\t%s\t%s\n",
-					cell.Index, cell.Scenario, sim.FormatValue(ta.Tick), sim.FormatValue(ta.T), name,
-					s.Count, sim.FormatValue(s.Min), sim.FormatValue(s.Mean),
-					sim.FormatValue(s.Max), sim.FormatValue(s.P50), sim.FormatValue(s.P95),
-					sim.FormatValue(s.P99))
+				row.int(cell.Index).str(cell.Scenario).val(ta.Tick).val(ta.T).str(name).int(s.Count).
+					val(s.Min).val(s.Mean).val(s.Max).val(s.P50).val(s.P95).val(s.P99).end(bw)
 			}
 		}
 	}
@@ -82,12 +78,43 @@ func (r *Result) WriteTSV(w io.Writer) error {
 	for ci := range r.Cells {
 		cell := &r.Cells[ci]
 		for _, h := range cell.Hijacks {
-			fmt.Fprintf(bw, "%d\t%s\t%s\t%s\t%d\t%s\t%s\n",
-				cell.Index, cell.Scenario, cell.Label, h.RP, h.Runs,
-				sim.FormatValue(h.SuccessRate), sim.FormatValue(h.MeanHijackedTicks))
+			row.int(cell.Index).str(cell.Scenario).str(cell.Label).str(h.RP).int(h.Runs).
+				val(h.SuccessRate).val(h.MeanHijackedTicks).end(bw)
 		}
 	}
 	return bw.Flush()
+}
+
+// tsvRow renders one tab-separated line at a time into a buffer it keeps:
+// the cell-ticks section is tens of thousands of rows of a dozen numbers,
+// written after the worker pool has drained, and formatting each through
+// fmt was a measurable serial tail of a sweep.
+type tsvRow struct{ buf []byte }
+
+func (r *tsvRow) str(s string) *tsvRow {
+	r.buf = append(append(r.buf, s...), '\t')
+	return r
+}
+
+func (r *tsvRow) int(n int) *tsvRow { return r.int64(int64(n)) }
+
+func (r *tsvRow) int64(n int64) *tsvRow {
+	r.buf = append(strconv.AppendInt(r.buf, n, 10), '\t')
+	return r
+}
+
+func (r *tsvRow) val(v float64) *tsvRow {
+	r.buf = append(sim.AppendValue(r.buf, v), '\t')
+	return r
+}
+
+// end turns the last field's tab into the line's end, hands the line to
+// w and starts the next. A write error stays with w until Flush reports
+// it.
+func (r *tsvRow) end(w *bufio.Writer) {
+	r.buf[len(r.buf)-1] = '\n'
+	w.Write(r.buf)
+	r.buf = r.buf[:0]
 }
 
 // runJSON is the serialised view of one run: spec identity plus scalar

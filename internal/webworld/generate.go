@@ -47,6 +47,12 @@ func Generate(cfg Config) (*World, error) {
 	if err := w.buildDomains(); err != nil {
 		return nil, err
 	}
+	// Seal the generated records: the world's registry is from here on a
+	// clone of them, so nothing ever writes the generated map again (a
+	// write lands in the writer's overlay) and Registry.Written says, for
+	// this world and every clone of it, whether its DNS is still as
+	// generated — which is what lets values derived from it be shared.
+	w.Registry = w.Registry.Clone()
 	return w, nil
 }
 

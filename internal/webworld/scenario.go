@@ -2,7 +2,6 @@ package webworld
 
 import (
 	"net/netip"
-	"strings"
 
 	"ripki/internal/dns"
 )
@@ -65,21 +64,18 @@ func (w *World) RoutedV4Prefixes() []netip.Prefix {
 // CacheHosts returns the delivery hostnames of the named CDN, sorted:
 // every registry owner name under one of the CDN's service suffixes that
 // carries an address record. CDN-migration scenarios walk this list and
-// re-home each host into another provider's address space.
+// re-home each host into another provider's address space. The registry
+// is ranged once and only the names under a suffix are sorted and looked
+// up, so the cost follows the CDN's few hundred hosts, not the world.
 func (w *World) CacheHosts(cdnName string) []string {
 	suffixes := w.CDNSuffixes[cdnName]
 	if len(suffixes) == 0 {
 		return nil
 	}
 	var out []string
-	for _, name := range w.Registry.Names() {
-		for _, suf := range suffixes {
-			if strings.HasSuffix(name, "."+dns.CanonicalName(suf)) {
-				if len(w.Registry.Lookup(name, dns.TypeA)) > 0 {
-					out = append(out, name)
-				}
-				break
-			}
+	for _, name := range w.Registry.NamesUnder(suffixes...) {
+		if len(w.Registry.Lookup(name, dns.TypeA)) > 0 {
+			out = append(out, name)
 		}
 	}
 	return out

@@ -14,11 +14,12 @@ import (
 // immutable at simulation time and simply aliased, except the DNS
 // registry, the one layer scenarios mutate (they re-point delivery
 // hosts): each clone gets a dns.Registry.Clone, which aliases the
-// records too and deep-copies them only if that run ever writes — one
-// scenario in ten does. What a run *derives* from the immutable layers
-// (the validated VRP set, the routers the sim seeds from the routing
-// table) is a pure function of them, so it is computed once and kept on
-// the memo below, which every clone points at.
+// records for good and keeps what that run writes — one scenario in ten
+// writes, a few hundred names — in an overlay of its own. What a run
+// *derives* from the world as generated (the validated VRP set, the
+// routers the sim seeds from the routing table, the probe's first
+// measurement) is a pure function of it, so it is computed once and
+// kept on the memo below, which every clone points at.
 
 // memoEntry is one value derived from a generated world's immutable
 // layers. World.memo maps keys to entries; every clone of the world
@@ -30,12 +31,15 @@ type memoEntry struct {
 
 // Derived returns build's result for key, computed once per generated
 // world — concurrent callers of one key wait for the one build — and
-// shared by every Clone, so it must depend only on the world's immutable
-// layers and must be treated as read-only (hand out copy-on-write forks
-// of anything a run will mutate). Keys follow the context.Value
-// convention: an unexported type of the calling package. Worlds
-// assembled by hand without Generate have no memo and build on every
-// call.
+// shared by every Clone, so it must be treated as read-only (hand out
+// copy-on-write forks of anything a run will mutate) and must depend
+// only on the world as generated: on the immutable layers, or on the DNS
+// registry too — but a run may have written that, so a caller whose
+// value reads the registry consults the memo only while
+// w.Registry.Written() is false, and builds for itself otherwise. Keys
+// follow the context.Value convention: an unexported type of the calling
+// package. Worlds assembled by hand without Generate have no memo and
+// build on every call.
 func (w *World) Derived(key any, build func() any) any {
 	if w.memo == nil {
 		return build()
@@ -77,12 +81,12 @@ func (w *World) Snapshot() *Snapshot {
 // Clone returns a world that is safe to hand to one simulation, in
 // O(1): it shares every immutable layer (ranked list, RIB, RPKI
 // repository, organisations, the memo of derived values) with the
-// snapshot and takes a copy-on-first-write clone of the DNS registry,
-// the one layer scenarios mutate. The ranked list's
-// name strings are views into the per-shard generation slabs
-// (internal/strtab), shared by every clone — interning survives
-// cloning for free because strings are immutable. Clone is safe to
-// call concurrently.
+// snapshot and takes a clone of the DNS registry, the one layer
+// scenarios mutate, whose writes land in an overlay of its own. The
+// ranked list's name strings are views into the per-shard generation
+// slabs (internal/strtab), shared by every clone — interning survives
+// cloning for free because strings are immutable. Clone is safe to call
+// concurrently.
 func (s *Snapshot) Clone() *World {
 	w := *s.base
 	w.Registry = s.base.Registry.Clone()
