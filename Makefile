@@ -56,7 +56,10 @@ loc:
 # serving layer's lock-free lookup path at 1/4/8 goroutines and its
 # publish path (a 16-VRP delta on a 300k-VRP live set: allocs/op says
 # whether a publish costs the delta or the set), the radix
-# covering walk it rests on, the distributed coordinator's
+# covering walk it rests on (by address on a small tree, by route prefix
+# on a 300 000-prefix one), a router's start against a 300 000-VRP RTR
+# cache (dial, full sync, changed-prefix list: allocs/op says whether a
+# sync costs its result or its records), the distributed coordinator's
 # decode-and-assemble merge path, and the web-scale path — sharded
 # world generation throughput, the packed domain table's build cost and
 # bytes/domain, the lookup path against a million-domain table, and a
@@ -77,6 +80,8 @@ bench:
 	@$(GO) test -run '^$$' -bench 'BenchmarkServeValidate$$' -benchtime 50000x -benchmem -count $(BENCH_COUNT) ./internal/serve
 	@$(GO) test -run '^$$' -bench 'BenchmarkPublishSet$$' -benchtime 2000x -benchmem -count $(BENCH_COUNT) ./internal/serve
 	@$(GO) test -run '^$$' -bench 'BenchmarkCovering$$' -benchtime 200000x -benchmem -count $(BENCH_COUNT) ./internal/radix
+	@$(GO) test -run '^$$' -bench 'BenchmarkCoveringPrefix$$' -benchtime 200000x -benchmem -count $(BENCH_COUNT) ./internal/radix
+	@$(GO) test -run '^$$' -bench 'BenchmarkClientReset$$' -benchtime 3x -benchmem -count $(BENCH_COUNT) ./internal/rtr
 	@$(GO) test -run '^$$' -bench 'BenchmarkDistMerge$$' -benchtime 20x -benchmem -count $(BENCH_COUNT) ./internal/distsweep
 	@$(GO) test -run '^$$' -bench 'BenchmarkWorldgen$$' -benchtime 1x -benchmem -count $(BENCH_COUNT) ./internal/webworld
 	@$(GO) test -run '^$$' -bench 'BenchmarkBuildDomainTable$$' -benchtime 1x -benchmem -count $(BENCH_COUNT) ./internal/serve

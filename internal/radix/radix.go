@@ -15,14 +15,94 @@
 // Clone is O(1): the two trees then share every node, and each copies a
 // node the first time it writes through it (see Clone). Queries never
 // look at ownership, so sharing costs readers nothing.
+//
+// # Keys are machine words
+//
+// Every method takes and returns net/netip values, and none is kept: a
+// node holds its prefix as the address bits left-aligned in two uint64
+// (key) and the length, family, value flag and owner packed in one more
+// (tag). A descent is then word arithmetic — the common length of two
+// keys is an XOR and a leading-zero count, the branch bit a shift —
+// where comparing netip.Addr values byte by byte was a fifth of a long
+// sweep's CPU. The boundary converts once per call: a query splits its
+// argument into (key, length, family) on the way in, and a walk or a
+// covering query rebuilds the exact netip.Prefix that was inserted
+// (IPv4 stays IPv4) for each entry it hands out. A node with a slice
+// value is 64 bytes, one cache line and one size class below the 80 it
+// took with a netip.Prefix inside, and holds no pointer but its value
+// and children: netip.Addr carries a zone handle the collector had to
+// visit per node. Every path copy on every write is smaller by the same
+// fifth.
 package radix
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"sync/atomic"
+)
 
-	"ripki/internal/netutil"
+// key is an address as the tree compares it: its bits left-aligned in
+// two machine words, most significant first. An IPv4 address fills the
+// top half of hi, so bit i of either family is bit 63-i of hi (or 127-i
+// of lo) and a key of either family masked to its prefix length is zero
+// from there on.
+type key struct{ hi, lo uint64 }
+
+func keyOf(a netip.Addr) key {
+	if a.Is4() {
+		b := a.As4()
+		return key{hi: uint64(binary.BigEndian.Uint32(b[:])) << 32}
+	}
+	b := a.As16()
+	return key{hi: binary.BigEndian.Uint64(b[:8]), lo: binary.BigEndian.Uint64(b[8:])}
+}
+
+// masked returns k with every bit from position length on cleared.
+func (k key) masked(length int) key {
+	switch {
+	case length < 64:
+		return key{hi: k.hi &^ (^uint64(0) >> length)}
+	case length < 128:
+		return key{hi: k.hi, lo: k.lo &^ (^uint64(0) >> (length - 64))}
+	}
+	return k
+}
+
+// commonBits returns the length of the longest common prefix of a and b,
+// capped at max.
+func commonBits(a, b key, max int) int {
+	n := 128
+	if x := a.hi ^ b.hi; x != 0 {
+		n = bits.LeadingZeros64(x)
+	} else if y := a.lo ^ b.lo; y != 0 {
+		n = 64 + bits.LeadingZeros64(y)
+	}
+	return min(n, max)
+}
+
+// bitAfter returns the bit of k at position i (the first bit after a
+// prefix of length i), or 0 at and past the address width.
+func bitAfter(k key, i int) int {
+	if i < 64 {
+		return int(k.hi >> (63 - i) & 1)
+	}
+	if i < 128 {
+		return int(k.lo >> (127 - i) & 1)
+	}
+	return 0
+}
+
+// Tag layout, low bits first: whether the node carries a value, its
+// prefix length (0..128), its family, and from ownerShift up the id of
+// the tree that created it.
+const (
+	tagValue   = 1
+	tagLength  = 1 // shift of the 8-bit prefix length
+	tagV4      = 1 << 9
+	ownerShift = 16
+	ownerMask  = ^uint64(1<<ownerShift - 1)
 )
 
 // node is a trie node. Internal nodes may carry no value (hasValue
@@ -31,26 +111,41 @@ import (
 // compression is achieved by storing full prefixes at nodes and
 // branching on the first bit after the node's prefix length.
 type node[V any] struct {
-	prefix netip.Prefix
-	value  V
-	child  [2]*node[V]
+	key   key // the prefix's address, masked
+	value V
+	child [2]*node[V]
 	// tag is the id of the tree that created the node — which may
 	// therefore write it in place, where every other tree reaching it
-	// (after a Clone) copies it first — shifted left over one bit that
-	// says whether the node carries a value. One word for both keeps
-	// nodes the size they were before trees could be cloned.
+	// (after a Clone) copies it first — above the prefix length, the
+	// family and the bit that says whether the node carries a value. One
+	// word for all four keeps a node with a slice value at 64 bytes.
 	tag uint64
 }
 
-func (n *node[V]) hasValue() bool { return n.tag&1 != 0 }
-func (n *node[V]) owner() uint64  { return n.tag &^ 1 }
+func (n *node[V]) hasValue() bool { return n.tag&tagValue != 0 }
+func (n *node[V]) owner() uint64  { return n.tag & ownerMask }
+func (n *node[V]) bits() int      { return int(n.tag >> tagLength & 0xff) }
+
+// prefix rebuilds the netip form of the node's key: exactly the
+// canonical prefix Insert was given, in its own family.
+func (n *node[V]) prefix() netip.Prefix {
+	if n.tag&tagV4 != 0 {
+		var b [4]byte
+		binary.BigEndian.PutUint32(b[:], uint32(n.key.hi>>32))
+		return netip.PrefixFrom(netip.AddrFrom4(b), n.bits())
+	}
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[:8], n.key.hi)
+	binary.BigEndian.PutUint64(b[8:], n.key.lo)
+	return netip.PrefixFrom(netip.AddrFrom16(b), n.bits())
+}
 
 // set stores or clears the node's value.
 func (n *node[V]) set(value V, has bool) {
 	n.value = value
-	n.tag &^= 1
+	n.tag &^= tagValue
 	if has {
-		n.tag |= 1
+		n.tag |= tagValue
 	}
 }
 
@@ -59,7 +154,7 @@ type Tree[V any] struct {
 	root4 *node[V]
 	root6 *node[V]
 	count int
-	// owner is this tree's id, as node tags hold it (shifted, flag bit
+	// owner is this tree's id, as node tags hold it (shifted, low bits
 	// clear): a tree that was never cloned owns everything under 0. ids
 	// numbers a family — a tree and everything cloned from it or from
 	// its clones — which is as far as nodes are ever shared.
@@ -84,13 +179,41 @@ func (t *Tree[V]) Clone() *Tree[V] {
 		t.ids = new(atomic.Uint64)
 	}
 	c := &Tree[V]{root4: t.root4, root6: t.root6, count: t.count, ids: t.ids}
-	t.owner, c.owner = t.ids.Add(1)<<1, t.ids.Add(1)<<1
+	t.owner, c.owner = t.ids.Add(1)<<ownerShift, t.ids.Add(1)<<ownerShift
 	return c
 }
 
+// query is a prefix at the boundary: the words the tree compares, the
+// length, and the family's tag bit and root.
+type query struct {
+	key  key
+	bits int
+	fam  uint64 // tagV4 or 0
+}
+
+// split canonicalises p (masks it) into the tree's own terms, once per
+// call of a public method. It reports false for an invalid prefix.
+func split(p netip.Prefix) (query, bool) {
+	if !p.IsValid() {
+		return query{}, false
+	}
+	q := query{key: keyOf(p.Addr()).masked(p.Bits()), bits: p.Bits()}
+	if p.Addr().Is4() {
+		q.fam = tagV4
+	}
+	return q, true
+}
+
+func (t *Tree[V]) root(q query) **node[V] {
+	if q.fam != 0 {
+		return &t.root4
+	}
+	return &t.root6
+}
+
 // newNode returns a node of this tree's, valued or (glue) not.
-func (t *Tree[V]) newNode(p netip.Prefix, value V, has bool) *node[V] {
-	n := &node[V]{prefix: p, tag: t.owner}
+func (t *Tree[V]) newNode(q query, value V, has bool) *node[V] {
+	n := &node[V]{key: q.key, tag: t.owner | q.fam | uint64(q.bits)<<tagLength}
 	n.set(value, has)
 	return n
 }
@@ -102,7 +225,7 @@ func (t *Tree[V]) own(np **node[V]) *node[V] {
 	n := *np
 	if n.owner() != t.owner {
 		c := *n
-		c.tag = t.owner | n.tag&1
+		c.tag = t.owner | n.tag&^ownerMask
 		n = &c
 		*np = n
 	}
@@ -112,58 +235,15 @@ func (t *Tree[V]) own(np **node[V]) *node[V] {
 // Len returns the number of prefixes with values in the tree.
 func (t *Tree[V]) Len() int { return t.count }
 
-func (t *Tree[V]) rootFor(p netip.Prefix) **node[V] {
-	if p.Addr().Is4() {
-		return &t.root4
-	}
-	return &t.root6
-}
-
-// commonBits returns the length of the longest common prefix of a and b,
-// capped at max. Both addresses must be the same family.
-func commonBits(a, b netip.Addr, max int) int {
-	ab, bb := a.AsSlice(), b.AsSlice()
-	n := 0
-	for i := 0; i < len(ab) && n < max; i++ {
-		x := ab[i] ^ bb[i]
-		if x == 0 {
-			n += 8
-			continue
-		}
-		for bit := 7; bit >= 0; bit-- {
-			if x&(1<<uint(bit)) != 0 {
-				break
-			}
-			n++
-		}
-		break
-	}
-	if n > max {
-		n = max
-	}
-	return n
-}
-
-// bitAfter returns the bit of addr at position bits (the first bit after
-// a prefix of length bits), or 0 if bits is the full address width.
-func bitAfter(addr netip.Addr, bits int) int {
-	if bits >= netutil.FamilyBits(addr) {
-		return 0
-	}
-	return netutil.Bit(addr, bits)
-}
-
 // Insert stores value under prefix p, replacing any existing value.
 // The prefix is canonicalised (masked) first. It returns an error only
 // if p is invalid.
 func (t *Tree[V]) Insert(p netip.Prefix, value V) error {
-	cp, err := netutil.Canonical(p)
-	if err != nil {
-		return err
+	q, ok := split(p)
+	if !ok {
+		return fmt.Errorf("radix: invalid prefix %v", p)
 	}
-	rp := t.rootFor(cp)
-	inserted := t.insert(rp, cp, value)
-	if inserted {
+	if t.insert(t.root(q), q, value) {
 		t.count++
 	}
 	return nil
@@ -171,73 +251,62 @@ func (t *Tree[V]) Insert(p netip.Prefix, value V) error {
 
 // insert returns true if a new valued node was created (false if an
 // existing value was replaced).
-func (t *Tree[V]) insert(np **node[V], p netip.Prefix, value V) bool {
-	n := *np
-	if n == nil {
-		*np = t.newNode(p, value, true)
-		return true
+func (t *Tree[V]) insert(np **node[V], q query, value V) bool {
+	for {
+		n := *np
+		if n == nil {
+			*np = t.newNode(q, value, true)
+			return true
+		}
+		nb := n.bits()
+		cb := commonBits(n.key, q.key, min(nb, q.bits))
+		switch {
+		case cb == nb && cb == q.bits:
+			// Same prefix: replace or set value.
+			n = t.own(np)
+			created := !n.hasValue()
+			n.set(value, true)
+			return created
+		case cb == nb:
+			// q is longer and inside n: descend.
+			np = &t.own(np).child[bitAfter(q.key, nb)]
+		case cb == q.bits:
+			// q is shorter and covers n: q becomes the parent of n, which
+			// is linked, not written, and so stays whoever's it was.
+			nn := t.newNode(q, value, true)
+			nn.child[bitAfter(n.key, q.bits)] = n
+			*np = nn
+			return true
+		default:
+			// Diverge below cb: create a glue node.
+			var none V
+			glue := t.newNode(query{key: q.key.masked(cb), bits: cb, fam: q.fam}, none, false)
+			glue.child[bitAfter(n.key, cb)] = n
+			glue.child[bitAfter(q.key, cb)] = t.newNode(q, value, true)
+			*np = glue
+			return true
+		}
 	}
-	cb := commonBits(n.prefix.Addr(), p.Addr(), minInt(n.prefix.Bits(), p.Bits()))
-	switch {
-	case cb == n.prefix.Bits() && cb == p.Bits():
-		// Same prefix: replace or set value.
-		n = t.own(np)
-		created := !n.hasValue()
-		n.set(value, true)
-		return created
-	case cb == n.prefix.Bits():
-		// p is longer and inside n: descend.
-		n = t.own(np)
-		b := bitAfter(p.Addr(), n.prefix.Bits())
-		return t.insert(&n.child[b], p, value)
-	case cb == p.Bits():
-		// p is shorter and covers n: p becomes the parent of n, which
-		// is linked, not written, and so stays whoever's it was.
-		nn := t.newNode(p, value, true)
-		b := bitAfter(n.prefix.Addr(), p.Bits())
-		nn.child[b] = n
-		*np = nn
-		return true
-	default:
-		// Diverge below cb: create a glue node.
-		var none V
-		glue := t.newNode(netip.PrefixFrom(n.prefix.Addr(), cb).Masked(), none, false)
-		nb := bitAfter(n.prefix.Addr(), cb)
-		pb := bitAfter(p.Addr(), cb)
-		glue.child[nb] = n
-		glue.child[pb] = t.newNode(p, value, true)
-		*np = glue
-		return true
-	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Lookup returns the value stored at exactly prefix p.
 func (t *Tree[V]) Lookup(p netip.Prefix) (V, bool) {
 	var zero V
-	cp, err := netutil.Canonical(p)
-	if err != nil {
+	q, ok := split(p)
+	if !ok {
 		return zero, false
 	}
-	n := *t.rootFor(cp)
-	for n != nil {
-		cb := commonBits(n.prefix.Addr(), cp.Addr(), minInt(n.prefix.Bits(), cp.Bits()))
-		if cb < n.prefix.Bits() {
-			return zero, false
+	for n := *t.root(q); n != nil; n = n.child[bitAfter(q.key, n.bits())] {
+		nb := n.bits()
+		if nb > q.bits || commonBits(n.key, q.key, nb) < nb {
+			break
 		}
-		if n.prefix.Bits() == cp.Bits() {
+		if nb == q.bits {
 			if n.hasValue() {
 				return n.value, true
 			}
-			return zero, false
+			break
 		}
-		n = n.child[bitAfter(cp.Addr(), n.prefix.Bits())]
 	}
 	return zero, false
 }
@@ -251,20 +320,17 @@ func (t *Tree[V]) Lookup(p netip.Prefix) (V, bool) {
 // churning source, and every clone frozen from it, therefore stays as
 // shallow as its contents.
 func (t *Tree[V]) Delete(p netip.Prefix) bool {
-	cp, err := netutil.Canonical(p)
-	if err != nil {
-		return false
-	}
 	// A miss must not copy anything, so look before writing.
-	if _, ok := t.Lookup(cp); !ok {
+	if _, ok := t.Lookup(p); !ok {
 		return false
 	}
+	q, _ := split(p)
 	t.count--
-	np := t.rootFor(cp)
+	np := t.root(q)
 	var parent **node[V] // the slot of the node that np is a child slot of
-	for (*np).prefix.Bits() != cp.Bits() {
+	for (*np).bits() != q.bits {
 		n := t.own(np)
-		parent, np = np, &n.child[bitAfter(cp.Addr(), n.prefix.Bits())]
+		parent, np = np, &n.child[bitAfter(q.key, n.bits())]
 	}
 	// Slots on the way down are this tree's now; nodes linked into them
 	// below stay whoever's they were, as in insert.
@@ -298,56 +364,28 @@ func (t *Tree[V]) Delete(p netip.Prefix) bool {
 // slice. This is the "all covering prefixes" query from the paper's
 // methodology.
 func (t *Tree[V]) Covering(addr netip.Addr, dst []Entry[V]) []Entry[V] {
-	var n *node[V]
-	if addr.Is4() {
-		n = t.root4
-	} else if addr.Is6() {
-		n = t.root6
-	}
-	max := 0
-	if addr.IsValid() {
-		max = netutil.FamilyBits(addr)
-	}
-	for n != nil {
-		cb := commonBits(n.prefix.Addr(), addr, minInt(n.prefix.Bits(), max))
-		if cb < n.prefix.Bits() {
-			break
-		}
-		if n.hasValue() {
-			dst = append(dst, Entry[V]{Prefix: n.prefix, Value: n.value})
-		}
-		if n.prefix.Bits() >= max {
-			break
-		}
-		n = n.child[bitAfter(addr, n.prefix.Bits())]
-	}
-	return dst
+	return t.CoveringPrefix(netip.PrefixFrom(addr, addr.BitLen()), dst)
 }
 
 // CoveringPrefix appends every (prefix, value) pair whose prefix covers
 // the whole of p (i.e. prefix length <= p.Bits() and containing p), from
 // shortest to longest. RFC 6811 matching uses this form.
 func (t *Tree[V]) CoveringPrefix(p netip.Prefix, dst []Entry[V]) []Entry[V] {
-	cp, err := netutil.Canonical(p)
-	if err != nil {
+	q, ok := split(p)
+	if !ok {
 		return dst
 	}
-	n := *t.rootFor(cp)
-	for n != nil {
-		if n.prefix.Bits() > cp.Bits() {
-			break
-		}
-		cb := commonBits(n.prefix.Addr(), cp.Addr(), n.prefix.Bits())
-		if cb < n.prefix.Bits() {
+	for n := *t.root(q); n != nil; n = n.child[bitAfter(q.key, n.bits())] {
+		nb := n.bits()
+		if nb > q.bits || commonBits(n.key, q.key, nb) < nb {
 			break
 		}
 		if n.hasValue() {
-			dst = append(dst, Entry[V]{Prefix: n.prefix, Value: n.value})
+			dst = append(dst, Entry[V]{Prefix: n.prefix(), Value: n.value})
 		}
-		if n.prefix.Bits() == cp.Bits() {
+		if nb == q.bits {
 			break
 		}
-		n = n.child[bitAfter(cp.Addr(), n.prefix.Bits())]
 	}
 	return dst
 }
@@ -383,7 +421,7 @@ func walk[V any](n *node[V], fn func(netip.Prefix, V) bool) bool {
 		return true
 	}
 	if n.hasValue() {
-		if !fn(n.prefix, n.value) {
+		if !fn(n.prefix(), n.value) {
 			return false
 		}
 	}
@@ -404,23 +442,22 @@ func (t *Tree[V]) Subtree(p netip.Prefix, dst []Entry[V]) []Entry[V] {
 // itself) in lexical order, in place: nothing is copied or allocated.
 // If fn returns false the walk stops early.
 func (t *Tree[V]) WalkSubtree(p netip.Prefix, fn func(netip.Prefix, V) bool) {
-	cp, err := netutil.Canonical(p)
-	if err != nil {
+	q, ok := split(p)
+	if !ok {
 		return
 	}
-	n := *t.rootFor(cp)
-	for n != nil {
-		cb := commonBits(n.prefix.Addr(), cp.Addr(), minInt(n.prefix.Bits(), cp.Bits()))
-		if n.prefix.Bits() >= cp.Bits() {
-			if cb == cp.Bits() {
+	for n := *t.root(q); n != nil; n = n.child[bitAfter(q.key, n.bits())] {
+		nb := n.bits()
+		cb := commonBits(n.key, q.key, min(nb, q.bits))
+		if nb >= q.bits {
+			if cb == q.bits {
 				walk(n, fn)
 			}
 			return
 		}
-		if cb < n.prefix.Bits() {
+		if cb < nb {
 			return
 		}
-		n = n.child[bitAfter(cp.Addr(), n.prefix.Bits())]
 	}
 }
 

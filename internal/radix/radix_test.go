@@ -391,18 +391,61 @@ func BenchmarkCovering(b *testing.B) {
 	}
 }
 
-// TestNodeSizeUnchangedByOwnership pins the node at the allocator size
-// class it had before trees could be cloned: the validation service
-// keeps several 300k-VRP trees live, and one more word per node moves
-// it up a class (80 → 96 bytes for a slice value).
+// BenchmarkCoveringPrefix is the RFC 6811 query at a validator's size:
+// a tree of 300 000 prefixes shaped like a VRP export (six in seven
+// IPv4 at /12../24, the rest IPv6 at /32../48), asked for what covers a
+// route two bits more specific than an entry.
+func BenchmarkCoveringPrefix(b *testing.B) {
+	rnd := rand.New(rand.NewSource(1))
+	var tr Tree[[]int32]
+	var routes [2][]netip.Prefix
+	for tr.Len() < 300000 {
+		var p netip.Prefix
+		fam := 0
+		if rnd.Intn(7) == 0 {
+			fam = 1
+			a := [16]byte{0x20, byte(rnd.Intn(16)), byte(rnd.Intn(256)), byte(rnd.Intn(256)), byte(rnd.Intn(256)), byte(rnd.Intn(256))}
+			p = netip.PrefixFrom(netip.AddrFrom16(a), 32+4*rnd.Intn(5)).Masked()
+		} else {
+			a := [4]byte{byte(1 + rnd.Intn(222)), byte(rnd.Intn(256)), byte(rnd.Intn(256)), 0}
+			p = netip.PrefixFrom(netip.AddrFrom4(a), 12+rnd.Intn(13)).Masked()
+		}
+		if err := tr.Insert(p, []int32{int32(tr.Len())}); err != nil {
+			b.Fatal(err)
+		}
+		if len(routes[fam]) < 1024 {
+			routes[fam] = append(routes[fam], netip.PrefixFrom(p.Addr(), p.Bits()+2))
+		}
+	}
+	for fam, name := range []string{"v4", "v6"} {
+		b.Run(name, func(b *testing.B) {
+			var buf [8]Entry[[]int32]
+			found := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				found += len(tr.CoveringPrefix(routes[fam][i%1024], buf[:0]))
+			}
+			if found < b.N {
+				b.Fatalf("%d covering entries over %d routes each inside an entry", found, b.N)
+			}
+		})
+	}
+}
+
+// TestNodeSizeUnchangedByOwnership pins the node at its allocator size
+// class: a word-keyed node with a slice value is exactly 64 bytes (two
+// key words, the value, two children, the tag), where the netip.Prefix
+// it replaced made it 80. The validation service keeps several 300k-VRP
+// trees live and every path copy on a VRP or route write copies nodes,
+// so one more word per node is a size class on all of them.
 func TestNodeSizeUnchangedByOwnership(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(node[[]int]{}); got != 80 {
-		t.Errorf("node with a slice value is %d bytes, want 80", got)
+	if got := unsafe.Sizeof(node[[]int32]{}); got != 64 {
+		t.Errorf("node with a slice value is %d bytes, want 64", got)
 	}
-	if got := unsafe.Sizeof(node[map[int]struct{}]{}); got != 64 {
-		t.Errorf("node with a map value is %d bytes, want 64", got)
+	if got := unsafe.Sizeof(node[map[int]struct{}]{}); got != 48 {
+		t.Errorf("node with a map value is %d bytes, want 48", got)
 	}
 }

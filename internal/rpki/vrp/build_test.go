@@ -1,0 +1,247 @@
+package vrp
+
+import (
+	"bytes"
+	"math/rand"
+	"net/netip"
+	"slices"
+	"testing"
+
+	"ripki/internal/netutil"
+)
+
+// insertOneByOne is how every table was built before build: a lookup, a
+// slice copy and a tree insertion per VRP. It is the oracle for the
+// bulk constructor.
+func insertOneByOne(t testing.TB, vs []VRP) *Set {
+	t.Helper()
+	s := NewSet()
+	for _, v := range vs {
+		if _, err := s.Insert(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// mixedVRPs draws n VRPs of both families from a universe small enough
+// that prefixes repeat with different payloads.
+func mixedVRPs(rnd *rand.Rand, n int) []VRP {
+	vs := randomVRPs(rnd, n/2)
+	for len(vs) < n {
+		bits := 32 + rnd.Intn(17)
+		a := [16]byte{0x20, 0x01, 0x0d, 0xb8, byte(rnd.Intn(4)), byte(rnd.Intn(256))}
+		p := netip.PrefixFrom(netip.AddrFrom16(a), bits).Masked()
+		vs = append(vs, VRP{Prefix: p, MaxLength: bits + rnd.Intn(128-bits+1), ASN: uint32(64500 + rnd.Intn(16))})
+	}
+	return vs
+}
+
+// TestBulkBuildMatchesInsertOneByOne: every way of loading a table
+// whole — FromVRPs, NewIndex, a Builder, ReadCSV — gives the table that
+// inserting the same VRPs one at a time gives: the same All, Len and
+// tree shape, and the same answer with the same covering list for
+// random routes; for input in order, shuffled, with repeats, and of
+// both families.
+func TestBulkBuildMatchesInsertOneByOne(t *testing.T) {
+	rnd := rand.New(rand.NewSource(5))
+	base := mixedVRPs(rnd, 3*builderChunk+11)
+	sorted := slices.Clone(base)
+	slices.SortFunc(sorted, Compare)
+	repeated := append(slices.Clone(base), base[:len(base)/3]...)
+	rnd.Shuffle(len(repeated), func(i, j int) { repeated[i], repeated[j] = repeated[j], repeated[i] })
+	unmasked := slices.Clone(base[:64])
+	for i := range unmasked {
+		// Host bits set: every constructor canonicalises.
+		a := unmasked[i].Prefix.Addr().AsSlice()
+		a[len(a)-1] |= 1
+		addr, _ := netip.AddrFromSlice(a)
+		unmasked[i].Prefix = netip.PrefixFrom(addr, unmasked[i].Prefix.Bits())
+	}
+	for name, vs := range map[string][]VRP{
+		"shuffled": base, "sorted": sorted, "repeated": repeated, "unmasked": unmasked,
+		"ipv4 only": randomVRPs(rnd, 500), "empty": nil,
+	} {
+		input := slices.Clone(vs)
+		oracle := insertOneByOne(t, vs)
+		want := oracle.All()
+
+		set, err := FromVRPs(vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := NewIndex(vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b Builder
+		for _, v := range vs {
+			if err := b.Add(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		built := b.Set()
+		read, err := ReadCSV(bytes.NewReader(csvOf(vs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(vs, input) {
+			t.Fatalf("%s: a constructor wrote the caller's slice", name)
+		}
+		sameTable(t, name+": FromVRPs", set, want)
+		sameTable(t, name+": Builder", built, want)
+		sameTable(t, name+": ReadCSV", read, want)
+		if got := ix.All(); !slices.Equal(got, want) || ix.Len() != len(want) {
+			t.Fatalf("%s: NewIndex holds %d VRPs, one by one %d", name, ix.Len(), len(want))
+		}
+		if got, wantP := set.Prefixes(), prefixesIn(want); !slices.Equal(got, wantP) {
+			t.Fatalf("%s: Prefixes = %v, want %v", name, got, wantP)
+		}
+		for i := 0; i < 400 && len(want) > 0; i++ {
+			v := want[rnd.Intn(len(want))]
+			// The VRP's own prefix, something more specific, and a
+			// neighbour that may be covered by nothing.
+			bits := v.Prefix.Bits() + rnd.Intn(v.Prefix.Addr().BitLen()-v.Prefix.Bits()+1)
+			route := netip.PrefixFrom(v.Prefix.Addr(), bits)
+			if i%3 == 0 {
+				a := v.Prefix.Addr().AsSlice()
+				a[1] ^= byte(rnd.Intn(256))
+				addr, _ := netip.AddrFromSlice(a)
+				route = netip.PrefixFrom(addr, bits).Masked()
+			}
+			asn := v.ASN + uint32(rnd.Intn(2))
+			wantState, wantCov := oracle.ValidateExplain(route, asn)
+			for which, q := range map[string]queryable{"FromVRPs": set, "NewIndex": ix, "Builder": built, "ReadCSV": read} {
+				state, cov := q.ValidateExplain(route, asn)
+				if state != wantState || !slices.Equal(cov, wantCov) {
+					t.Fatalf("%s: %s.ValidateExplain(%v, AS%d) = %v %v, one by one %v %v",
+						name, which, route, asn, state, cov, wantState, wantCov)
+				}
+			}
+		}
+	}
+}
+
+func prefixesIn(vs []VRP) []netip.Prefix {
+	var out []netip.Prefix
+	for _, v := range vs {
+		if len(out) == 0 || out[len(out)-1] != v.Prefix {
+			out = append(out, v.Prefix)
+		}
+	}
+	return out
+}
+
+// TestBulkBuiltValuesAreClippedWindows: the per-prefix values of a
+// table built whole are windows of one array, so a prefix's neighbours
+// in Compare order sit right behind its last VRP. Nothing may reach
+// them: every window's capacity is its length (an append reallocates),
+// and Insert and Remove at a prefix replace its value, so an index
+// frozen before a run of writes lists afterwards what it listed then.
+func TestBulkBuiltValuesAreClippedWindows(t *testing.T) {
+	universe := sharedUniverse()
+	rnd := rand.New(rand.NewSource(9))
+	held := make([]VRP, 0, len(universe))
+	for _, v := range universe {
+		if rnd.Intn(3) > 0 {
+			held = append(held, v)
+		}
+	}
+	set, err := FromVRPs(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.tree.Walk(func(p netip.Prefix, vs []VRP) bool {
+		if cap(vs) != len(vs) {
+			t.Errorf("value at %v has capacity %d for %d VRPs: an append would write its neighbour", p, cap(vs), len(vs))
+		}
+		return true
+	})
+	want := set.All()
+	first, _ := set.tree.Lookup(want[0].Prefix)
+	_ = append(first, VRP{Prefix: want[0].Prefix, MaxLength: 32, ASN: 1})
+	if got := set.All(); !slices.Equal(got, want) {
+		t.Fatalf("appending to a prefix's value changed the table:\n got %v\nwant %v", got, want)
+	}
+
+	frozen := IndexOf(set)
+	model := make(vrpModel)
+	for _, v := range want {
+		model[v] = true
+	}
+	var probes []netip.Prefix
+	for _, s := range []string{"10.0.0.0/8", "10.1.2.0/24", "10.1.2.128/25", "10.2.3.0/24", "2001:db8:1::/48", "192.0.2.0/24"} {
+		probes = append(probes, netutil.MustPrefix(s))
+	}
+	live := model.clone()
+	for i := 0; i < 400; i++ {
+		v := universe[rnd.Intn(len(universe))]
+		if live[v] {
+			set.Remove(v)
+			delete(live, v)
+		} else {
+			if _, err := set.Insert(v); err != nil {
+				t.Fatal(err)
+			}
+			live[v] = true
+		}
+		if i%20 == 0 {
+			checkQueryable(t, "index frozen before the writes", frozen, model, probes)
+			checkQueryable(t, "set after the writes", set, live, probes)
+		}
+	}
+	checkQueryable(t, "index frozen before the writes", frozen, model, probes)
+	checkQueryable(t, "set after the writes", set, live, probes)
+}
+
+// TestBuilderLastRecordDecides: Remove cancels the Adds before it and
+// not the ones after, wherever the rows fall in the builder's chunks.
+func TestBuilderLastRecordDecides(t *testing.T) {
+	rnd := rand.New(rand.NewSource(13))
+	rows := randomVRPs(rnd, 2*builderChunk+50)
+	at := func(s string, asn uint32) VRP {
+		p := netutil.MustPrefix(s)
+		return VRP{Prefix: p, MaxLength: p.Bits(), ASN: asn}
+	}
+	back, gone, late, never := at("192.0.2.0/24", 1), at("198.51.100.0/24", 2), at("203.0.113.0/24", 3), at("100.64.0.0/10", 4)
+	var b Builder
+	model := make(vrpModel)
+	add := func(v VRP) {
+		t.Helper()
+		if err := b.Add(v); err != nil {
+			t.Fatal(err)
+		}
+		model[v] = true
+	}
+	remove := func(v VRP) {
+		b.Remove(v)
+		delete(model, v)
+	}
+	add(back)
+	add(gone)
+	remove(late) // before its only Add: cancels nothing
+	for i, v := range rows {
+		add(v)
+		switch i {
+		case 10:
+			remove(back)
+		case builderChunk + 5:
+			add(back)
+			add(late)
+			remove(rows[3])
+			remove(never)
+		case 2 * builderChunk:
+			// Unmasked: a removal means the canonical triple.
+			b.Remove(VRP{Prefix: netip.MustParsePrefix("198.51.100.7/24"), MaxLength: 24, ASN: 2})
+			delete(model, gone)
+			remove(rows[builderChunk+7])
+		}
+	}
+	if err := b.Add(VRP{Prefix: netutil.MustPrefix("10.0.0.0/8"), MaxLength: 7, ASN: 1}); err == nil {
+		t.Error("Add took a maxLength below the prefix length")
+	}
+	sameTable(t, "builder", b.Set(), model.all())
+	if got := b.Set(); got.Len() != 0 {
+		t.Errorf("a builder that has built holds %d VRPs, want none", got.Len())
+	}
+}

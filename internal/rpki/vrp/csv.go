@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -25,14 +24,6 @@ func (s *Set) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// csvChunk is how many parsed rows ReadCSV holds per allocation (4096
-// VRPs are 192 KiB). The row count is unknown until the file ends;
-// fixed-size chunks, copied once into a slice of exactly that size,
-// leave behind the final size in garbage where growing one slice by
-// doubling leaves up to twice it, which showed in a starting daemon's
-// peak resident size.
-const csvChunk = 4096
-
 // ReadCSV parses the WriteCSV format (header line optional, "AS" prefix
 // on the ASN optional, blank and #-comment lines skipped). Rows may
 // come in any order and may repeat: every row is parsed and checked as
@@ -45,12 +36,10 @@ const csvChunk = 4096
 // order a cycle takes three times as long, a fifth more CPU for a
 // serving daemon under load.
 func ReadCSV(r io.Reader) (*Set, error) {
-	var chunks [][]VRP
-	n := 0
+	var rows Builder
 	sc := bufio.NewScanner(r)
 	line := 0
-	inOrder, first := true, true
-	var last VRP
+	first := true
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
@@ -67,30 +56,14 @@ func ReadCSV(r io.Reader) (*Set, error) {
 		if err != nil {
 			return nil, fmt.Errorf("vrp: line %d: %w", line, err)
 		}
-		inOrder = inOrder && (n == 0 || Compare(last, v) <= 0)
-		last = v
-		if n%csvChunk == 0 {
-			chunks = append(chunks, make([]VRP, 0, csvChunk))
-		}
-		chunks[n/csvChunk] = append(chunks[n/csvChunk], v)
-		n++
+		rows.add(v)
 	}
 	if err := sc.Err(); err != nil {
 		// The scanner gives up inside the line after the last one it
 		// delivered (bufio.ErrTooLong past 64 KiB, or the reader failed).
 		return nil, fmt.Errorf("vrp: line %d: %w", line+1, err)
 	}
-	rows := make([]VRP, 0, n)
-	for i, c := range chunks {
-		rows = append(rows, c...)
-		chunks[i] = nil
-	}
-	if !inOrder {
-		slices.SortFunc(rows, Compare)
-	}
-	s := NewSet()
-	s.fill(slices.Compact(rows))
-	return s, nil
+	return rows.Set(), nil
 }
 
 // parseCSVRow parses one "prefix,maxLength,asn" row into a checked VRP.

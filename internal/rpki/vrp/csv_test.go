@@ -246,7 +246,7 @@ func FuzzReadCSV(f *testing.F) {
 // big enough to span several parse chunks, in order and shuffled.
 func TestReadCSVMatchesOracle(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
-	vs := randomVRPs(rnd, 3*csvChunk+17)
+	vs := randomVRPs(rnd, 3*builderChunk+17)
 	vs = append(vs, VRP{Prefix: netutil.MustPrefix("2001:db8::/32"), MaxLength: 48, ASN: 64501})
 	sorted, err := FromVRPs(vs)
 	if err != nil {

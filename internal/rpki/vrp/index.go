@@ -72,23 +72,24 @@ func (t *table) insert(v VRP) (bool, error) {
 }
 
 // fill loads an empty table from checked VRPs in Compare order without
-// repeats — what all returns — with one exactly-sized slice and one
-// tree insertion per distinct prefix, where insert would look each VRP's
-// prefix up and copy its slice once more per VRP. Nodes and slices are
-// allocated in the order a walk visits them (see ReadCSV for why that
-// matters).
+// repeats — what all returns — with one tree insertion per distinct
+// prefix and no allocation but the nodes: each prefix's value is a
+// window of vs, its capacity clipped to its length so that nothing can
+// append into the next prefix's rows. That is sound because a value is
+// only ever replaced (insert and Remove store a fresh slice), and it
+// puts the payloads in memory, like the nodes, in the order a walk
+// visits them (see ReadCSV for why that matters). vs stays reachable
+// while any of its prefixes keeps its original value.
 func (t *table) fill(vs []VRP) {
 	t.count = len(vs)
-	for len(vs) > 0 {
-		n := 1
-		for n < len(vs) && vs[n].Prefix == vs[0].Prefix {
-			n++
+	for i := 0; i < len(vs); {
+		j := i + 1
+		for j < len(vs) && vs[j].Prefix == vs[i].Prefix {
+			j++
 		}
-		own := make([]VRP, n)
-		copy(own, vs)
 		// The prefix is canonical: Insert cannot fail.
-		_ = t.tree.Insert(own[0].Prefix, own)
-		vs = vs[n:]
+		_ = t.tree.Insert(vs[i].Prefix, vs[i:j:j])
+		i = j
 	}
 }
 
@@ -137,16 +138,15 @@ type Index struct {
 	table
 }
 
-// NewIndex builds an index from a slice of VRPs. Prefixes are
-// canonicalised and duplicate triples collapse, exactly as in Set.Add.
+// NewIndex builds an index from a slice of VRPs, which stays the
+// caller's. Prefixes are canonicalised and duplicate triples collapse,
+// exactly as in FromVRPs: the same constructor builds both.
 func NewIndex(vs []VRP) (*Index, error) {
-	ix := &Index{}
-	for _, v := range vs {
-		if _, err := ix.insert(v); err != nil {
-			return nil, err
-		}
+	t, err := buildChecked(vs)
+	if err != nil {
+		return nil, err
 	}
-	return ix, nil
+	return &Index{table: t}, nil
 }
 
 // IndexOf freezes a Set into an Index in O(1), whatever the set's size:

@@ -30,6 +30,22 @@
 // freshly built slice and never append to, or edit, the one they found
 // — an append would write into spare capacity that an index frozen
 // earlier, or a sibling clone appending at the same prefix, also sees.
+//
+// # Loaded whole, or edited
+//
+// A table is either loaded whole — FromVRPs, NewIndex, ReadCSV and a
+// Builder (an RTR full sync) all end in the one constructor, build:
+// sort if needed, drop repeats, fill the tree in order — or edited one
+// VRP at a time by Insert and Remove. The values of a table built whole
+// are windows of the one sorted array it was built from, capacity
+// clipped to length, not a slice each: nothing is allocated per prefix
+// and the payloads lie in memory in the order a walk visits them. The
+// rule above is what makes that safe — a window is never written or
+// appended to, an edit at its prefix stores a fresh slice in its place
+// — and its cost is that the array stays reachable while any prefix
+// still holds its original value, even after most have been replaced.
+// For a set that churns for days that is memory a rebuild would return
+// (ROADMAP's compaction item owns that case).
 package vrp
 
 import (
@@ -88,17 +104,17 @@ type Set struct {
 // NewSet returns an empty VRP set.
 func NewSet() *Set { return &Set{} }
 
-// FromVRPs builds a set from a slice. Insertion order does not matter:
-// two sets holding the same triples are indistinguishable (All is
-// sorted, Diff is order-free), so callers may feed map-iteration order.
+// FromVRPs builds a set from a slice, which stays the caller's. Order
+// does not matter and repeats collapse: two sets holding the same
+// triples are indistinguishable (All is sorted, Diff is order-free), so
+// callers may feed map-iteration order. The set is built whole (see
+// build), not VRP by VRP.
 func FromVRPs(vs []VRP) (*Set, error) {
-	s := NewSet()
-	for _, v := range vs {
-		if err := s.Add(v); err != nil {
-			return nil, err
-		}
+	t, err := buildChecked(vs)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &Set{table: t}, nil
 }
 
 // Add inserts a VRP. Duplicate triples are ignored.
@@ -212,6 +228,22 @@ func (s *Set) All() []VRP {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.all()
+}
+
+// Prefixes returns every distinct prefix the set holds a VRP at, in
+// netutil.ComparePrefixes order; nil for an empty set.
+func (s *Set) Prefixes() []netip.Prefix {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.count == 0 {
+		return nil
+	}
+	out := make([]netip.Prefix, 0, s.tree.Len())
+	s.tree.Walk(func(p netip.Prefix, _ []VRP) bool {
+		out = append(out, p)
+		return true
+	})
+	return out
 }
 
 // HasASN reports whether any VRP in the set names asn as its origin —

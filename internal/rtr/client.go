@@ -14,12 +14,20 @@ import (
 
 // Client is a router-side RTR session. It maintains a local copy of the
 // cache's VRP set and exposes it as a *vrp.Set for origin validation.
+//
+// A full sync (Reset, or a Poll the cache answers with Cache Reset) is
+// invisible until it completes: the response is collected beside the
+// session state and the new table, session id and serial are installed
+// together at End of Data. A response that ends any other way — an
+// Error Report, a PDU that has no place in it, a dropped connection —
+// leaves the table, the serial and the changed-prefix record exactly as
+// they were, so the next Poll asks from a state the client still holds.
 type Client struct {
 	conn net.Conn
 	// r buffers conn for every PDU read (a PDU is a header read and a
 	// body read; unbuffered, a full sync is two system calls a record).
 	// Only the goroutine driving the session reads, as with conn itself;
-	// buf is that goroutine's PDU buffer, one for the session (readPDU).
+	// buf is that goroutine's PDU buffer, one for the session (readFrame).
 	r   *bufio.Reader
 	buf []byte
 
@@ -27,18 +35,24 @@ type Client struct {
 	sessionID uint16
 	serial    uint32
 	haveState bool
+	resets    int
 	// live is the session state, the one copy of it: a query-ready
-	// vrp.Set maintained record by record. Set hands out O(1) freezes of
-	// it, View the set itself.
+	// vrp.Set, built whole by a full sync and maintained record by record
+	// between them. Set hands out O(1) freezes of it, View the set itself.
 	live *vrp.Set
 	// overtaken is a Serial Notify that arrived between a query and its
 	// response and names a state no sync has ended at yet: the response
 	// was computed before the change it announces, and the cache will
 	// not announce it again, so WaitNotify hands it over.
 	overtaken *SerialNotify
-	// changed accumulates the prefixes whose VRP membership moved since
-	// the last TakeDelta — the input for delta-scoped revalidation.
-	changed map[netip.Prefix]struct{}
+	// changed accumulates the prefixes whose VRP membership an
+	// incremental sync moved since the last TakeDelta — the input for
+	// delta-scoped revalidation. A full sync marks nothing here: it sets
+	// replaced and keeps in before, sorted, the prefixes of the table it
+	// replaced, and TakeDelta lists the table then live itself.
+	changed  map[netip.Prefix]struct{}
+	replaced bool
+	before   []netip.Prefix
 }
 
 // NewClient wraps an established connection to an RTR cache.
@@ -77,8 +91,17 @@ func (c *Client) Len() int {
 	return c.live.Len()
 }
 
+// Resets returns how many full synchronisations the session has
+// completed: the first sync, every Reset since and every Poll the cache
+// answered with Cache Reset.
+func (c *Client) Resets() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.resets
+}
+
 // Reset performs a full synchronisation (Reset Query) and replaces the
-// local state.
+// local state, once the whole response has arrived.
 func (c *Client) Reset() error {
 	if err := WritePDU(c.conn, &ResetQuery{}); err != nil {
 		return fmt.Errorf("rtr: sending reset query: %w", err)
@@ -102,8 +125,8 @@ func (c *Client) Poll() error {
 	return c.readResponse(false)
 }
 
-// readResponse consumes one cache response. If full is true the local
-// state is cleared when the Cache Response arrives.
+// readResponse consumes one cache response; full says it answers a
+// Reset Query.
 func (c *Client) readResponse(full bool) error {
 	for {
 		pdu, err := readPDU(c.r, &c.buf)
@@ -112,24 +135,10 @@ func (c *Client) readResponse(full bool) error {
 		}
 		switch p := pdu.(type) {
 		case *CacheResponse:
-			c.mu.Lock()
-			c.sessionID = p.SessionID
 			if full {
-				// A full resync replaces everything, so mark every prefix
-				// held before the wipe as changed; the announcements that
-				// follow mark the new membership. The union is a superset
-				// of the true difference — delta consumers revalidate a
-				// little too much rather than too little.
-				for _, v := range c.live.All() {
-					c.markLocked(v.Prefix)
-				}
-				c.live = vrp.NewSet()
+				return c.readRecords(p.SessionID, new(vrp.Builder))
 			}
-			c.mu.Unlock()
-			if err := c.readRecords(); err != nil {
-				return err
-			}
-			return nil
+			return c.readRecords(p.SessionID, nil)
 		case *CacheReset:
 			if full {
 				return fmt.Errorf("rtr: cache reset in answer to reset query")
@@ -149,33 +158,55 @@ func (c *Client) readResponse(full bool) error {
 	}
 }
 
-// readRecords consumes prefix PDUs until End of Data.
-func (c *Client) readRecords() error {
+// readRecords consumes prefix PDUs until End of Data. An incremental
+// response (rows nil) is applied to the live set record by record. A
+// full one is collected into rows without touching the session — a
+// withdrawal or a repeat inside it keeps its lenient meaning, the last
+// record for a triple decides — and at End of Data the table built from
+// rows replaces the live one under the same lock acquisition that
+// installs the session id and the serial.
+func (c *Client) readRecords(session uint16, rows *vrp.Builder) error {
 	for {
-		pdu, err := readPDU(c.r, &c.buf)
+		raw, err := readFrame(c.r, &c.buf)
+		if err != nil {
+			return fmt.Errorf("rtr: reading records: %w", err)
+		}
+		if typ := raw[1]; typ == TypeIPv4Prefix || typ == TypeIPv6Prefix {
+			// decodePrefix only yields VRPs that pass the checks a set
+			// makes, so storing one cannot fail.
+			p, err := decodePrefix(raw)
+			switch {
+			case err != nil:
+				return fmt.Errorf("rtr: reading records: %w", err)
+			case rows == nil:
+				c.apply(p)
+			case p.Announce:
+				_ = rows.Add(p.VRP)
+			default:
+				rows.Remove(p.VRP)
+			}
+			continue
+		}
+		pdu, _, err := Decode(raw)
 		if err != nil {
 			return fmt.Errorf("rtr: reading records: %w", err)
 		}
 		switch p := pdu.(type) {
-		case *Prefix:
-			c.mu.Lock()
-			// A duplicate announcement and a withdrawal of something not
-			// held change nothing and mark nothing. Decode only yields
-			// VRPs that pass the checks Insert makes, so it cannot fail.
-			var changed bool
-			if p.Announce {
-				changed, _ = c.live.Insert(p.VRP)
-			} else {
-				changed = c.live.Remove(p.VRP)
-			}
-			if changed {
-				c.markLocked(p.VRP.Prefix)
-			}
-			c.mu.Unlock()
 		case *EndOfData:
+			var next *vrp.Set
+			if rows != nil {
+				next = rows.Set()
+			}
 			c.mu.Lock()
-			c.serial = p.Serial
-			c.haveState = true
+			if next != nil {
+				// Every prefix held until now may have changed; so may
+				// every prefix held from now on, which TakeDelta reads off
+				// the live table when it is asked.
+				c.before = mergePrefixes(c.before, c.live.Prefixes())
+				c.live, c.replaced = next, true
+				c.resets++
+			}
+			c.sessionID, c.serial, c.haveState = session, p.Serial, true
 			if n := c.overtaken; n != nil && n.Serial == c.serial && n.SessionID == c.sessionID {
 				c.overtaken = nil
 			}
@@ -186,6 +217,23 @@ func (c *Client) readRecords() error {
 		default:
 			return fmt.Errorf("rtr: unexpected %T inside response", pdu)
 		}
+	}
+}
+
+// apply folds one record of an incremental response into the live set.
+// A duplicate announcement and a withdrawal of something not held
+// change nothing and mark nothing.
+func (c *Client) apply(p Prefix) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var changed bool
+	if p.Announce {
+		changed, _ = c.live.Insert(p.VRP)
+	} else {
+		changed = c.live.Remove(p.VRP)
+	}
+	if changed {
+		c.changed[p.VRP.Prefix] = struct{}{}
 	}
 }
 
@@ -238,26 +286,52 @@ func (c *Client) View() *vrp.Set {
 }
 
 // TakeDelta drains and returns the prefixes whose VRP membership
-// changed since the previous call (or since the session began), sorted.
-// A full resynchronisation marks every prefix held before and after the
-// wipe — a superset of the true difference, so delta-scoped
-// revalidation can only over-check, never miss a change.
+// changed since the previous call (or since the session began), in
+// netutil.ComparePrefixes order. After a full resynchronisation that is
+// every prefix held before it and every prefix held now — a superset of
+// the true difference, so delta-scoped revalidation can only over-check,
+// never miss a change — which costs nothing until it is asked for: the
+// list is merged here from the prefixes kept at the swap, a walk of the
+// live table and the marks of the incremental syncs around it.
 func (c *Client) TakeDelta() []netip.Prefix {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.changed) == 0 {
-		return nil
+	var out []netip.Prefix
+	if len(c.changed) > 0 {
+		out = make([]netip.Prefix, 0, len(c.changed))
+		for p := range c.changed {
+			out = append(out, p)
+		}
+		clear(c.changed)
+		slices.SortFunc(out, netutil.ComparePrefixes)
 	}
-	out := make([]netip.Prefix, 0, len(c.changed))
-	for p := range c.changed {
-		out = append(out, p)
+	if c.replaced {
+		out = mergePrefixes(mergePrefixes(c.before, out), c.live.Prefixes())
+		c.before, c.replaced = nil, false
 	}
-	clear(c.changed)
-	slices.SortFunc(out, netutil.ComparePrefixes)
 	return out
 }
 
-// markLocked records a membership change at p. Called with c.mu held.
-func (c *Client) markLocked(p netip.Prefix) {
-	c.changed[p] = struct{}{}
+// mergePrefixes returns the union of two lists in ComparePrefixes order
+// without repeats, in that order. A side that is empty costs nothing:
+// the other is returned as it is.
+func mergePrefixes(a, b []netip.Prefix) []netip.Prefix {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]netip.Prefix, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch c := netutil.ComparePrefixes(a[0], b[0]); {
+		case c < 0:
+			out, a = append(out, a[0]), a[1:]
+		case c > 0:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }

@@ -106,15 +106,17 @@ func scriptedCache(t *testing.T) (addr string, script chan<- []PDU) {
 	return ln.Addr().String(), responses
 }
 
-// TestClientStateMatchesRecordsOracle drives a client through a full
-// sync, random incremental responses and a Cache Reset fallback, every
-// response salted with duplicate announcements and withdrawals of VRPs
-// not held, several VRPs to a prefix. After each sync Len, Set, View
-// and (at random intervals, so marks accumulate) TakeDelta must equal
-// what the records-map bookkeeping gives, and every Set handed out
-// earlier must still read as it did.
+// TestClientStateMatchesRecordsOracle drives clients through seeded
+// sequences of full syncs, random incremental responses and Cache Reset
+// fallbacks, the incremental responses salted with duplicate
+// announcements and withdrawals of VRPs not held, the full ones with
+// repeats, several VRPs to a prefix. After each sync Len, Set, View and
+// (at random intervals, so that marks accumulate across polls and across
+// one or several full syncs) TakeDelta must equal what the records-map
+// bookkeeping gives — its map-and-sort takeDelta is the body the
+// client's had — and every Set handed out earlier must still read as it
+// did.
 func TestClientStateMatchesRecordsOracle(t *testing.T) {
-	rnd := rand.New(rand.NewSource(23))
 	universe := make([]vrp.VRP, 0, 240)
 	for i := 0; i < 60; i++ {
 		bits := 12 + i%3*6
@@ -126,7 +128,12 @@ func TestClientStateMatchesRecordsOracle(t *testing.T) {
 			universe = append(universe, vrp.VRP{Prefix: p, MaxLength: p.Bits() + k%2, ASN: uint32(64500 + k/2)})
 		}
 	}
+	for seed := int64(23); seed < 29; seed++ {
+		clientAgainstOracle(t, rand.New(rand.NewSource(seed)), universe)
+	}
+}
 
+func clientAgainstOracle(t *testing.T, rnd *rand.Rand, universe []vrp.VRP) {
 	addr, script := scriptedCache(t)
 	c, err := Dial(addr)
 	if err != nil {
@@ -185,41 +192,42 @@ func TestClientStateMatchesRecordsOracle(t *testing.T) {
 		earlier = append(earlier, handedOut{set: set, want: want})
 	}
 
-	full := response(150, true)
-	script <- full
-	oracle.apply(true, full)
-	if err := c.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	check("reset")
-
-	poll := func(step string) {
-		t.Helper()
-		delta := response(1+rnd.Intn(30), false)
-		script <- delta
-		oracle.apply(false, delta)
-		if err := c.Poll(); err != nil {
-			t.Fatal(err)
+	resets := 0
+	for i := 0; i < 70; i++ {
+		switch pick := rnd.Intn(10); {
+		case i == 0 || pick == 0:
+			full := response(rnd.Intn(150), true)
+			script <- full
+			oracle.apply(true, full)
+			if err := c.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			resets++
+			check("reset")
+		case pick == 1:
+			// The cache lost its history: Cache Reset, then the client's
+			// own reset query gets a different full set.
+			full := response(rnd.Intn(150), true)
+			script <- []PDU{&CacheReset{}}
+			script <- full
+			oracle.apply(true, full)
+			if err := c.Poll(); err != nil {
+				t.Fatal(err)
+			}
+			resets++
+			check("cache reset fallback")
+		default:
+			delta := response(1+rnd.Intn(30), false)
+			script <- delta
+			oracle.apply(false, delta)
+			if err := c.Poll(); err != nil {
+				t.Fatal(err)
+			}
+			check("poll")
 		}
-		check(step)
 	}
-	for i := 0; i < 40; i++ {
-		poll("poll")
-	}
-
-	// The cache lost its history: Cache Reset, then the client's own
-	// reset query gets a different full set.
-	full = response(120, true)
-	script <- []PDU{&CacheReset{}}
-	script <- full
-	oracle.apply(true, full)
-	if err := c.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	check("cache reset fallback")
-
-	for i := 0; i < 20; i++ {
-		poll("poll after fallback")
+	if got := c.Resets(); got != resets {
+		t.Fatalf("Resets = %d after %d full syncs", got, resets)
 	}
 	if got, want := c.TakeDelta(), oracle.takeDelta(); !slices.Equal(got, want) {
 		t.Fatalf("final TakeDelta = %v, oracle %v", got, want)

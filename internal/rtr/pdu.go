@@ -57,7 +57,13 @@ const (
 	FlagAnnounce = 1
 )
 
-const headerLen = 8
+// Wire lengths of the fixed-size PDUs, header included.
+const (
+	headerLen     = 8
+	endOfDataLen  = 12
+	ipv4PrefixLen = 20
+	ipv6PrefixLen = 32
+)
 
 // maxPDULen bounds accepted PDUs to keep a malicious peer from forcing
 // huge allocations. Error reports carry an encapsulated PDU plus text;
@@ -66,7 +72,7 @@ const maxPDULen = 4096
 
 // maxFixedPDULen is the longest PDU that is not an Error Report, an
 // IPv6 Prefix: a read buffer this size serves a whole healthy session.
-const maxFixedPDULen = 32
+const maxFixedPDULen = ipv6PrefixLen
 
 // PDU is implemented by every protocol data unit.
 type PDU interface {
@@ -150,12 +156,12 @@ func (p *Prefix) SerializeTo(dst []byte) []byte {
 		flags = FlagAnnounce
 	}
 	if p.VRP.Prefix.Addr().Is4() {
-		dst = header(dst, TypeIPv4Prefix, 0, 20)
+		dst = header(dst, TypeIPv4Prefix, 0, ipv4PrefixLen)
 		dst = append(dst, flags, byte(p.VRP.Prefix.Bits()), byte(p.VRP.MaxLength), 0)
 		a4 := p.VRP.Prefix.Addr().As4()
 		dst = append(dst, a4[:]...)
 	} else {
-		dst = header(dst, TypeIPv6Prefix, 0, 32)
+		dst = header(dst, TypeIPv6Prefix, 0, ipv6PrefixLen)
 		dst = append(dst, flags, byte(p.VRP.Prefix.Bits()), byte(p.VRP.MaxLength), 0)
 		a16 := p.VRP.Prefix.Addr().As16()
 		dst = append(dst, a16[:]...)
@@ -172,7 +178,7 @@ type EndOfData struct {
 func (p *EndOfData) Type() uint8 { return TypeEndOfData }
 
 func (p *EndOfData) SerializeTo(dst []byte) []byte {
-	dst = header(dst, TypeEndOfData, p.SessionID, 12)
+	dst = header(dst, TypeEndOfData, p.SessionID, endOfDataLen)
 	return binary.BigEndian.AppendUint32(dst, p.Serial)
 }
 
@@ -209,26 +215,37 @@ func (p *ErrorReport) Error() string {
 	return fmt.Sprintf("rtr: peer reported error %d: %s", p.Code, p.Text)
 }
 
+// frame checks the header of the PDU at the start of buf — version,
+// a plausible length, all of it present — and returns the PDU's own
+// bytes.
+func frame(buf []byte) ([]byte, error) {
+	if len(buf) < headerLen {
+		return nil, fmt.Errorf("rtr: short header (%d bytes)", len(buf))
+	}
+	if buf[0] != Version {
+		return nil, fmt.Errorf("rtr: unsupported protocol version %d", buf[0])
+	}
+	length := binary.BigEndian.Uint32(buf[4:8])
+	if length < headerLen || length > maxPDULen {
+		return nil, fmt.Errorf("rtr: implausible PDU length %d", length)
+	}
+	if uint32(len(buf)) < length {
+		return nil, fmt.Errorf("rtr: truncated PDU (have %d, need %d)", len(buf), length)
+	}
+	return buf[:length], nil
+}
+
 // Decode parses one complete PDU from buf (header included). It returns
 // the PDU and the number of bytes consumed.
 func Decode(buf []byte) (PDU, int, error) {
-	if len(buf) < headerLen {
-		return nil, 0, fmt.Errorf("rtr: short header (%d bytes)", len(buf))
-	}
-	if buf[0] != Version {
-		return nil, 0, fmt.Errorf("rtr: unsupported protocol version %d", buf[0])
+	buf, err := frame(buf)
+	if err != nil {
+		return nil, 0, err
 	}
 	typ := buf[1]
 	session := binary.BigEndian.Uint16(buf[2:4])
-	length := binary.BigEndian.Uint32(buf[4:8])
-	if length < headerLen || length > maxPDULen {
-		return nil, 0, fmt.Errorf("rtr: implausible PDU length %d", length)
-	}
-	if uint32(len(buf)) < length {
-		return nil, 0, fmt.Errorf("rtr: truncated PDU (have %d, need %d)", len(buf), length)
-	}
-	body := buf[headerLen:length]
-	n := int(length)
+	body := buf[headerLen:]
+	n := len(buf)
 	switch typ {
 	case TypeSerialNotify, TypeSerialQuery, TypeEndOfData:
 		if len(body) != 4 {
@@ -258,28 +275,26 @@ func Decode(buf []byte) (PDU, int, error) {
 			return nil, 0, fmt.Errorf("rtr: cache reset with body")
 		}
 		return &CacheReset{}, n, nil
-	case TypeIPv4Prefix:
-		if len(body) != 12 {
-			return nil, 0, fmt.Errorf("rtr: IPv4 prefix body length %d, want 12", len(body))
+	case TypeIPv4Prefix, TypeIPv6Prefix:
+		p, err := decodePrefix(buf)
+		if err != nil {
+			return nil, 0, err
 		}
-		return decodePrefix(body, false, n)
-	case TypeIPv6Prefix:
-		if len(body) != 24 {
-			return nil, 0, fmt.Errorf("rtr: IPv6 prefix body length %d, want 24", len(body))
-		}
-		return decodePrefix(body, true, n)
+		return &p, n, nil
 	case TypeErrorReport:
 		if len(body) < 8 {
 			return nil, 0, fmt.Errorf("rtr: error report too short")
 		}
+		// The two inner lengths are the peer's: compared in 64 bits, so
+		// that one near 2^32 cannot wrap past the check.
 		encLen := binary.BigEndian.Uint32(body)
-		if uint32(len(body)) < 4+encLen+4 {
+		if uint64(len(body)) < 4+uint64(encLen)+4 {
 			return nil, 0, fmt.Errorf("rtr: error report encapsulation overruns PDU")
 		}
 		enc := append([]byte(nil), body[4:4+encLen]...)
 		rest := body[4+encLen:]
 		textLen := binary.BigEndian.Uint32(rest)
-		if uint32(len(rest)) < 4+textLen {
+		if uint64(len(rest)) < 4+uint64(textLen) {
 			return nil, 0, fmt.Errorf("rtr: error report text overruns PDU")
 		}
 		return &ErrorReport{Code: session, Encapsulated: enc, Text: string(rest[4 : 4+textLen])}, n, nil
@@ -288,37 +303,36 @@ func Decode(buf []byte) (PDU, int, error) {
 	}
 }
 
-func decodePrefix(body []byte, v6 bool, n int) (PDU, int, error) {
+// decodePrefix parses a framed IPv4 or IPv6 Prefix PDU into a value the
+// caller owns: a sync reads one per VRP, and through Decode each would
+// cost an allocation to box it. What it accepts always passes the
+// checks a vrp.Set makes.
+func decodePrefix(pdu []byte) (Prefix, error) {
+	body, v6, fam, asnOff := pdu[headerLen:], pdu[1] == TypeIPv6Prefix, 32, 8
+	if v6 {
+		fam, asnOff = 128, 20
+	}
+	if len(body) != asnOff+4 {
+		return Prefix{}, fmt.Errorf("rtr: type %d prefix body length %d, want %d", pdu[1], len(body), asnOff+4)
+	}
 	flags, bits, maxLen := body[0], int(body[1]), int(body[2])
 	var addr netip.Addr
-	var asnOff int
 	if v6 {
-		var a [16]byte
-		copy(a[:], body[4:20])
-		addr = netip.AddrFrom16(a)
-		asnOff = 20
+		addr = netip.AddrFrom16([16]byte(body[4:20]))
 	} else {
-		var a [4]byte
-		copy(a[:], body[4:8])
-		addr = netip.AddrFrom4(a)
-		asnOff = 8
-	}
-	fam := 32
-	if v6 {
-		fam = 128
+		addr = netip.AddrFrom4([4]byte(body[4:8]))
 	}
 	if bits > fam || maxLen > fam || maxLen < bits {
-		return nil, 0, fmt.Errorf("rtr: inconsistent prefix lengths bits=%d max=%d", bits, maxLen)
+		return Prefix{}, fmt.Errorf("rtr: inconsistent prefix lengths bits=%d max=%d", bits, maxLen)
 	}
-	asn := binary.BigEndian.Uint32(body[asnOff : asnOff+4])
 	p := netip.PrefixFrom(addr, bits)
 	if p.Masked() != p {
-		return nil, 0, fmt.Errorf("rtr: prefix %v has host bits set", p)
+		return Prefix{}, fmt.Errorf("rtr: prefix %v has host bits set", p)
 	}
-	return &Prefix{
+	return Prefix{
 		Announce: flags&FlagAnnounce != 0,
-		VRP:      vrp.VRP{Prefix: p, MaxLength: maxLen, ASN: asn},
-	}, n, nil
+		VRP:      vrp.VRP{Prefix: p, MaxLength: maxLen, ASN: binary.BigEndian.Uint32(body[asnOff:])},
+	}, nil
 }
 
 // ReadPDU reads exactly one PDU from r. It is the blocking, stream-based
@@ -328,18 +342,34 @@ func ReadPDU(r io.Reader) (PDU, error) {
 	return readPDU(r, &buf)
 }
 
-// readPDU is ReadPDU through a buffer the caller keeps between calls:
-// *buf grows to the longest PDU read so far and a session's records stop
-// costing a buffer each. Reuse is sound because a decoded PDU holds no
+// readPDU is ReadPDU through a buffer the caller keeps between calls
+// (see readFrame). Reuse is sound because a decoded PDU holds no
 // reference into the bytes it came from — Decode copies an Error
 // Report's encapsulated PDU and text, everything else is scalars.
 func readPDU(r io.Reader, buf *[]byte) (PDU, error) {
+	pdu, err := readFrame(r, buf)
+	if err != nil {
+		return nil, err
+	}
+	p, _, err := Decode(pdu)
+	return p, err
+}
+
+// readFrame reads the bytes of exactly one PDU from r into *buf, which
+// grows to the longest PDU read so far, so a session's records stop
+// costing a buffer each. It makes the checks frame makes, so what it
+// returns may go to decodePrefix directly. The bytes are valid until the
+// next read.
+func readFrame(r io.Reader, buf *[]byte) ([]byte, error) {
 	if cap(*buf) < headerLen {
 		*buf = make([]byte, headerLen, maxFixedPDULen)
 	}
 	hdr := (*buf)[:headerLen]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
+	}
+	if hdr[0] != Version {
+		return nil, fmt.Errorf("rtr: unsupported protocol version %d", hdr[0])
 	}
 	length := binary.BigEndian.Uint32(hdr[4:8])
 	if length < headerLen || length > maxPDULen {
@@ -352,8 +382,7 @@ func readPDU(r io.Reader, buf *[]byte) (PDU, error) {
 	if _, err := io.ReadFull(r, pdu[headerLen:]); err != nil {
 		return nil, fmt.Errorf("rtr: reading PDU body: %w", err)
 	}
-	p, _, err := Decode(pdu)
-	return p, err
+	return pdu, nil
 }
 
 // WritePDU serializes p and writes it to w.

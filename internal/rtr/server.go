@@ -281,7 +281,17 @@ func (s *Server) sendFull(conn net.Conn) {
 	all := s.current.All()
 	s.mu.Unlock()
 
-	buf := (&CacheResponse{SessionID: session}).SerializeTo(nil)
+	// One buffer of exactly the reply's size: grown by doubling, a
+	// 300 000-VRP reply leaves its own size again in garbage per router.
+	size := headerLen + endOfDataLen
+	for _, v := range all {
+		if v.Prefix.Addr().Is4() {
+			size += ipv4PrefixLen
+		} else {
+			size += ipv6PrefixLen
+		}
+	}
+	buf := (&CacheResponse{SessionID: session}).SerializeTo(make([]byte, 0, size))
 	for _, v := range all {
 		buf = (&Prefix{Announce: true, VRP: v}).SerializeTo(buf)
 	}

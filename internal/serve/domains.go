@@ -205,6 +205,9 @@ func (t *DomainTable) UniqueRoutes() int { return len(t.routes) }
 // metric.
 func (t *DomainTable) MemoryFootprint() int {
 	const mapEntry = 48 // string header + int32 + bucket overhead, amortised
+	if t.names == nil {
+		return 0 // the empty table of New(nil)
+	}
 	b := t.names.Bytes() + 4*(t.names.Len()+1)
 	b += 4*len(t.nameIDs) + 4*len(t.ranks) + len(t.flags)
 	b += 4*len(t.offs) + 4*len(t.routeIDs)

@@ -187,17 +187,30 @@ func (st Startup) String() string {
 func (s *Service) SetStartup(st Startup) { s.startup = &st }
 
 // collectStartup renders the start-up gauges. They are set once and
-// never change: time-to-ready as the daemon itself measured it.
+// never change: time-to-ready as the daemon itself measured it, and —
+// after the banner, since the daemon listens before its RTR source has
+// synced — phase rtr_sync, dial to the first RTR-sourced publish.
 func (s *Service) collectStartup(e *obs.Encoder) {
-	if s.startup == nil {
+	sync := time.Duration(s.rtrSync.Load())
+	if s.startup == nil && sync == 0 {
 		return
 	}
 	e.Family("ripki_serve_startup_seconds", "Wall-clock seconds each start-up phase took.", obs.TypeGauge)
-	for _, p := range s.startup.phases() {
-		e.Sample("", []obs.Label{{Name: "phase", Value: p.name}}, p.d.Seconds())
+	phase := func(name string, d time.Duration) {
+		e.Sample("", []obs.Label{{Name: "phase", Value: name}}, d.Seconds())
 	}
-	e.Family("ripki_serve_ready_seconds", "Wall-clock seconds from process start to the first published snapshot (time to ready).", obs.TypeGauge)
-	e.Sample("", nil, s.startup.Ready.Seconds())
+	if s.startup != nil {
+		for _, p := range s.startup.phases() {
+			phase(p.name, p.d)
+		}
+	}
+	if sync > 0 {
+		phase("rtr_sync", sync)
+	}
+	if s.startup != nil {
+		e.Family("ripki_serve_ready_seconds", "Wall-clock seconds from process start to the first published snapshot (time to ready).", obs.TypeGauge)
+		e.Sample("", nil, s.startup.Ready.Seconds())
+	}
 }
 
 // collectMem renders process memory gauges from runtime.MemStats. The

@@ -209,6 +209,9 @@ type Service struct {
 	reg     *obs.Registry
 	start   time.Time
 	startup *Startup // nil unless SetStartup was called
+	// rtrSync is how long the first RunRTR took from dialling the cache
+	// to its first publish, in nanoseconds; 0 until then.
+	rtrSync atomic.Int64
 
 	// events is the incident feed behind GET /v1/events; eventsTotal
 	// counts appends by event_type for /metrics.

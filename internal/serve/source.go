@@ -23,6 +23,7 @@ import (
 // the established session fails.
 func (s *Service) RunRTR(ctx context.Context, addr string) error {
 	s.markLive("rtr")
+	began := time.Now()
 	client, err := dialRetry(ctx, addr)
 	if err != nil {
 		return s.sourceErr(ctx, err)
@@ -35,16 +36,23 @@ func (s *Service) RunRTR(ctx context.Context, addr string) error {
 	// publish freezes the session's live set as it stands after a sync.
 	// Draining the client's changed-prefix record keeps it from growing
 	// for the life of the session, and its size is how big the update
-	// just published was.
+	// just published was; sync says which kind of sync delivered it, so
+	// a poll the cache answered with Cache Reset shows as a reset.
+	resets := 0
 	publish := func() {
+		sync := "serial"
+		if n := client.Resets(); n != resets {
+			resets, sync = n, "reset"
+		}
 		changed := len(client.TakeDelta())
 		s.publishIndex(vrp.IndexOf(client.View()), "rtr", client.Serial(),
-			map[string]string{"changed_prefixes": strconv.Itoa(changed)})
+			map[string]string{"changed_prefixes": strconv.Itoa(changed), "sync": sync})
 	}
 	if err := client.Reset(); err != nil {
 		return s.sourceErr(ctx, fmt.Errorf("serve: initial RTR sync: %w", err))
 	}
 	publish()
+	s.rtrSync.CompareAndSwap(0, int64(time.Since(began)))
 	for {
 		if _, err := client.WaitNotify(); err != nil {
 			return s.sourceErr(ctx, fmt.Errorf("serve: RTR notify: %w", err))

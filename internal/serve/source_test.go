@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,7 +17,9 @@ import (
 // says on the feed how many prefixes the sync behind it touched — the
 // whole table for the initial reset, the delta's prefixes afterwards —
 // which also shows the source drains the client's changed-prefix record
-// instead of letting it grow with the session.
+// instead of letting it grow with the session; and which kind of sync
+// it was, so a poll the cache answered with Cache Reset is visible. The
+// first sync's duration joins the start-up gauges as phase rtr_sync.
 func TestRunRTRReportsChangedPrefixes(t *testing.T) {
 	at := func(prefix string, maxLen int, asn uint32) vrp.VRP {
 		return vrp.VRP{Prefix: netutil.MustPrefix(prefix), MaxLength: maxLen, ASN: asn}
@@ -60,19 +63,30 @@ func TestRunRTRReportsChangedPrefixes(t *testing.T) {
 		[]vrp.VRP{at("192.0.2.0/24", 24, 3)},
 	)
 	waitSerial(2)
+	// The cache restarts: the next poll is answered with Cache Reset and
+	// falls back to a full sync of the same four-prefix table.
+	srv.ResetSession(8)
+	waitSerial(3)
+	var metrics strings.Builder
+	if _, err := s.reg.WriteTo(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(metrics.String(), `ripki_serve_startup_seconds{phase="rtr_sync"}`) {
+		t.Errorf("/metrics has no rtr_sync start-up phase after the first RTR publish:\n%s", metrics.String())
+	}
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 
 	events, _, _ := s.events.since(0, 10)
-	if len(events) != 2 {
-		t.Fatalf("feed holds %d events, want the two publishes", len(events))
+	if len(events) != 3 {
+		t.Fatalf("feed holds %d events, want the three publishes", len(events))
 	}
-	for i, want := range []struct{ changed, vrps string }{{"4", "5"}, {"2", "6"}} {
+	for i, want := range []struct{ changed, vrps, sync string }{{"4", "5", "reset"}, {"2", "6", "serial"}, {"4", "6", "reset"}} {
 		a := events[i].Attributes
-		if events[i].EventType != "serve.snapshot_publish" || a["changed_prefixes"] != want.changed || a["vrps"] != want.vrps {
-			t.Errorf("publish %d: %s %v, want changed_prefixes=%s vrps=%s", i+1, events[i].EventType, a, want.changed, want.vrps)
+		if events[i].EventType != "serve.snapshot_publish" || a["changed_prefixes"] != want.changed || a["vrps"] != want.vrps || a["sync"] != want.sync {
+			t.Errorf("publish %d: %s %v, want changed_prefixes=%s vrps=%s sync=%s", i+1, events[i].EventType, a, want.changed, want.vrps, want.sync)
 		}
 	}
 }

@@ -918,12 +918,20 @@ func (s *Simulation) probe() {
 	}
 	// The per-RP columns — synced payload counts, then hijack-forward
 	// outcomes — fan out across the worker pool into index-addressed
-	// slots. Each victim address is resolved through a router once per
-	// tick (campaigns can share a victim), not once per comparison.
+	// slots. Campaigns can share a victim, and which do is a property of
+	// the campaigns, not of the RP: the distinct victims are listed once,
+	// and each router resolves each once per tick.
 	type rpSample struct {
 		vrps      int
 		hasClient bool
 		hijacked  int
+	}
+	var victims []netip.Addr
+	victimOf := make([]int, len(s.hijacks))
+	for i, h := range s.hijacks {
+		if victimOf[i] = slices.Index(victims, h.Victim); victimOf[i] < 0 {
+			victimOf[i], victims = len(victims), append(victims, h.Victim)
+		}
 	}
 	samples := make([]rpSample, len(s.RPs))
 	parallelFor(len(s.RPs), runtime.GOMAXPROCS(0), func(i int) {
@@ -931,17 +939,16 @@ func (s *Simulation) probe() {
 		if rp.Client != nil {
 			samples[i] = rpSample{vrps: rp.Client.Len(), hasClient: true}
 		}
-		if len(s.hijacks) == 0 {
-			return
+		// Where each victim's traffic goes; the zero prefix, which no
+		// campaign announces, when nothing routes it.
+		var buf [8]netip.Prefix
+		fwd := buf[:0]
+		for _, victim := range victims {
+			po, _ := rp.Router.Forward(victim)
+			fwd = append(fwd, po.Prefix)
 		}
-		fwd := make(map[netip.Addr]rib.PrefixOrigin, len(s.hijacks))
-		routed := make(map[netip.Addr]bool, len(s.hijacks))
-		for _, h := range s.hijacks {
-			if _, seen := routed[h.Victim]; !seen {
-				po, ok := rp.Router.Forward(h.Victim)
-				fwd[h.Victim], routed[h.Victim] = po, ok
-			}
-			if routed[h.Victim] && fwd[h.Victim].Prefix == h.Prefix {
+		for j, h := range s.hijacks {
+			if fwd[victimOf[j]] == h.Prefix {
 				samples[i].hijacked++
 			}
 		}
