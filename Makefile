@@ -19,7 +19,7 @@ BENCH_ALLOCS_THRESHOLD ?= 0.30
 # machine-readable report (CI archives it as an artifact).
 BENCH_JSON ?=
 
-.PHONY: build test race vet fmt-check loc bench bench-baseline bench-check ci
+.PHONY: build test race vet fmt-check loc golden golden-update bench bench-baseline bench-check ci
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,16 @@ fmt-check:
 # Non-test Go outside bench/: the line count ROADMAP's design aim tracks.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | tail -1
+
+# Output bytes are a contract: GOLDEN.sha256 pins the sha256 of each
+# listed command's stdout. `make golden` re-runs them on this checkout
+# and fails on any that moved; `make golden-update` rewrites the hashes
+# (say which lines moved, and why, in CHANGES.md).
+golden:
+	@GO=$(GO) sh tools/golden.sh
+
+golden-update:
+	@GO=$(GO) sh tools/golden.sh update
 
 # The gated benchmark set: the sweep engine (all execution modes), the
 # sim engine's hot tick loop (single and composed scenarios), a whole

@@ -14,16 +14,18 @@
 //	ripki-sweep -scenarios rp-lag -param slow_ticks=10,20,40 -format json
 //	ripki-sweep -grid grid.json -workers 4
 //	ripki-sweep -scenarios trust-anchor-outage -seeds 1,2,3 -domains 4000,8000
-//	ripki-sweep -scenarios roa-churn -replicates 64 -streaming
+//	ripki-sweep -scenarios roa-churn -replicates 400 -streaming
 //	ripki-sweep -scenarios hijack-window+rp-lag -param rp-lag.issue=2,4
 //
 // -share-worlds (on by default) generates each distinct (seed, domains)
 // world once and clones it per run instead of regenerating; it never
-// changes the output. -streaming folds runs into online accumulators as
-// they complete, bounding memory by the grid instead of the run count;
-// its percentiles become estimates once a cell exceeds the exact
-// buffer (25 replicates for p50/p95, 100 for p99; see
-// docs/sweep.md) and its output is marked mode=streaming — still
+// changes the output. Both modes fold a cell's runs as they complete and
+// keep a finished cell's aggregate only; -streaming folds them into
+// online accumulators instead of keeping every replicate's value until
+// the cell is complete, which is smaller for many replicates per cell
+// (hundreds; docs/sweep.md has the measurement). Its percentiles become
+// estimates once a cell exceeds the exact buffer (25 replicates for
+// p50/p95, 100 for p99) and its output is marked mode=streaming — still
 // byte-identical at any worker count.
 //
 // Distributed mode shards one grid across processes or machines while
@@ -137,7 +139,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		sampleDomains = fs.String("sample-domains", "", "comma-separated probe-sample-size axis")
 		workers       = fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS); output is identical at any value")
 		shareWorlds   = fs.Bool("share-worlds", true, "generate each (seed, domains) world once and clone per run (never changes output)")
-		streaming     = fs.Bool("streaming", false, "fold runs into online accumulators (memory bounded by the grid; p50/p95 estimated past 25 replicates, p99 past 100)")
+		streaming     = fs.Bool("streaming", false, "fold runs into online accumulators (for many replicates per cell; p50/p95 estimated past 25 replicates, p99 past 100)")
 		format        = fs.String("format", "tsv", `output format: "tsv" or "json"`)
 		quiet         = fs.Bool("quiet", false, "suppress all progress output on stderr")
 		coordinate    = fs.String("coordinate", "", `run as distributed-sweep coordinator listening on this address (e.g. ":9200")`)

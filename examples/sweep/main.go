@@ -48,10 +48,12 @@ func main() {
 	}
 
 	// ShareWorlds generates each of the 4 seed worlds once and clones it
-	// across the 3 scenarios sharing it (never changes the output);
-	// Streaming folds each run into online accumulators as it finishes,
-	// so even a replicates=10000 version of this grid would hold only
-	// per-cell state, never 10000 series.
+	// across the 3 scenarios sharing it (never changes the output).
+	// Streaming keeps one online accumulator per (tick, metric) of a cell
+	// in flight where exact mode keeps every replicate's value: it is for
+	// many replicates per cell — a replicates=10000 version of this grid —
+	// and at 4 it only shows the option (neither mode keeps a run's series
+	// past its fold, and a finished cell holds its aggregate in both).
 	res, err := ripki.RunSweep(context.Background(), grid, ripki.SweepOptions{
 		ShareWorlds: true,
 		Streaming:   true,

@@ -10,11 +10,11 @@ import (
 )
 
 // BenchmarkDistMerge measures the coordinator's merge path: decoding a
-// full set of wire-form streaming partials and assembling the final
-// Result (accumulator restore + per-cell rendering included) — the
-// work the coordinator does per completed sweep beyond running sims.
-// 16 cells × 8 replicates × 48 ticks × 6 metrics, all synthetic: the
-// benchmark isolates assembly from simulation entirely.
+// full set of wire-form partials — what a worker ships: run summaries
+// and the cell's rendered aggregate — and assembling the final Result,
+// the work the coordinator does per completed sweep beyond running
+// sims. 16 cells × 8 replicates × 48 ticks × 6 metrics, all synthetic:
+// the benchmark isolates assembly from simulation entirely.
 func BenchmarkDistMerge(b *testing.B) {
 	grid := sweep.Grid{
 		Scenarios:  []string{"baseline"},
@@ -32,38 +32,30 @@ func BenchmarkDistMerge(b *testing.B) {
 		b.Fatal(err)
 	}
 	const rows, metrics = 48, 6
-	columns := []string{"valid", "invalid", "unknown", "coverage", "hijacks", "reachable"}
 	wire := make([][]byte, len(plan.Cells))
 	for ci := range plan.Cells {
-		st := sweep.CellStreamState{
+		agg := sweep.Cell{
 			Runs:    len(plan.Seeds),
-			Columns: columns,
-			Rows:    rows,
-			T:       make([]float64, rows),
-			Tick:    make([]float64, rows),
-			Accs:    make([][]*stats.StreamingSummary, rows),
-			Hijacks: []sweep.HijackTally{{RP: "drop-invalid", Runs: 8, Successes: 3, Ticks: 19}},
+			Columns: []string{"valid", "invalid", "unknown", "coverage", "hijacks", "reachable"},
+			Hijacks: []sweep.RPHijackRate{{RP: "drop-invalid", Runs: 8, SuccessRate: 3.0 / 8, MeanHijackedTicks: 19.0 / 8}},
 		}
 		for r := 0; r < rows; r++ {
-			st.T[r] = float64(r) * 10
-			st.Tick[r] = float64(r)
-			accs := make([]*stats.StreamingSummary, metrics)
-			for m := range accs {
+			ta := sweep.TickAggregate{T: float64(r) * 10, Tick: float64(r)}
+			for m := 0; m < metrics; m++ {
 				acc := stats.NewStreamingSummary()
 				for rep := 0; rep < len(plan.Seeds); rep++ {
-					// Deterministic synthetic observations spanning the accs'
-					// exact phase — the shape real small-replicate sweeps ship.
+					// Deterministic synthetic observations.
 					acc.Add(float64((ci*31+r*7+m*3+rep*13)%97) / 97)
 				}
-				accs[m] = acc
+				ta.Metrics = append(ta.Metrics, acc.Summary())
 			}
-			st.Accs[r] = accs
+			agg.Ticks = append(agg.Ticks, ta)
 		}
-		p := sweep.CellPartial{Cell: ci, Stream: &st}
+		p := sweep.CellPartial{Cell: ci, Streaming: true, Agg: &agg}
 		for rep := 0; rep < len(plan.Seeds); rep++ {
 			p.Runs = append(p.Runs, sweep.RunPartial{
-				Run:  ci*len(plan.Seeds) + rep,
-				Rows: rows,
+				Run:        ci*len(plan.Seeds) + rep,
+				RunSummary: sweep.RunSummary{Rows: rows},
 			})
 		}
 		data, err := json.Marshal(&p)

@@ -105,6 +105,9 @@ func (j *journal) load() (map[int]sweep.CellPartial, error) {
 		if rec.Streaming != j.streaming {
 			return nil, fmt.Errorf("distsweep: checkpoint %s was written in %s mode, this sweep is %s", name, mode(rec.Streaming), mode(j.streaming))
 		}
+		if rec.Partial.Agg == nil {
+			return nil, fmt.Errorf("distsweep: checkpoint %s holds cell %d as accumulator state, not an aggregate — a streaming journal written before protocol 2; delete the record to re-run the cell", name, rec.Partial.Cell)
+		}
 		out[rec.Partial.Cell] = rec.Partial
 	}
 	return out, nil

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -295,7 +296,7 @@ func TestLeaseTimeoutReclaims(t *testing.T) {
 // TestCheckpointResume: kill the coordinator after some cells are
 // journaled, then resume into a fresh coordinator — only unfinished
 // cells are leased again, and the final bytes match the single-process
-// run. Both modes, because the journal stores different partial shapes.
+// run. Both modes.
 func TestCheckpointResume(t *testing.T) {
 	for _, streaming := range []bool{false, true} {
 		g := distGrid()
@@ -365,6 +366,72 @@ func TestCheckpointResume(t *testing.T) {
 	}
 }
 
+// parentExactRecord and parentStreamingRecord are journal records in the
+// form the build before protocol 2 wrote them (%s is the plan hash), cut
+// down to two metrics and one tick: an exact cell carries its aggregate
+// and still resumes, a streaming cell carries accumulator state no
+// build can render any more.
+const (
+	parentExactRecord = `{"plan_hash":"%s","streaming":false,"partial":{"cell":0,"runs":[` +
+		`{"run":0,"rows":1,"mean_valid":0.125,"min_valid":0.125,"final_coverage":0.125,"max_hijacks":1,"hijacks":[{"rp":"legacy","hijacked_ticks":1,"success":true}]},` +
+		`{"run":1,"error":"boom","rows":0,"mean_valid":0,"min_valid":0,"final_coverage":0,"max_hijacks":0}],` +
+		`"agg":{"cell":0,"scenario":"hijack-window","label":"scenario=hijack-window","runs":1,"errors":1,"columns":["valid","head_valid"],` +
+		`"ticks":[{"t":0,"tick":0,"metrics":[{"count":1,"min":0.125,"max":0.125,"mean":0.125,"p50":0.125,"p95":0.125,"p99":0.125},` +
+		`{"count":0,"min":null,"max":null,"mean":null,"p50":null,"p95":null,"p99":null}]}],` +
+		`"hijacks":[{"rp":"legacy","runs":1,"success_rate":1,"mean_hijacked_ticks":1}]}}}`
+	parentStreamingRecord = `{"plan_hash":"%s","streaming":true,"partial":{"cell":0,"runs":[` +
+		`{"run":0,"rows":1,"mean_valid":0.125,"min_valid":0.125,"final_coverage":0.125,"max_hijacks":1},` +
+		`{"run":1,"rows":1,"mean_valid":0.15,"min_valid":0.15,"final_coverage":0.15,"max_hijacks":1}],` +
+		`"stream":{"runs":2,"errors":0,"columns":["valid"],"t":[0],"tick":[0],"rows":1,"accs":[[` +
+		`{"count":2,"min":0.125,"max":0.15,"mean":0.1375,"p50":{"p":0.5,"n":2,"buf":[0.125,0.15]},"p95":{"p":0.95,"n":2,"buf":[0.125,0.15]},"p99":{"p":0.99,"size":100,"n":2,"buf":[0.125,0.15]}}]],` +
+		`"hijacks":[{"rp":"legacy","runs":2,"successes":2,"ticks":2}]}}}`
+)
+
+// TestResumeFromParentFormatJournal: an exact-mode journal written
+// before protocol 2 resumes — the record is placed, not re-run, with the
+// coordinator's own cell identity — and a streaming one is refused when
+// the journal is opened, naming the cell, rather than assembled into a
+// cell without an aggregate.
+func TestResumeFromParentFormatJournal(t *testing.T) {
+	g := distGrid()
+	g.Scenarios = []string{"hijack-window"}
+	plan, err := g.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	journalOf := func(record string) string {
+		dir := t.TempDir()
+		data := fmt.Sprintf(record, plan.Hash())
+		if err := os.WriteFile(filepath.Join(dir, "cell-000000.json"), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+
+	c, err := NewCoordinator("127.0.0.1:0", CoordinatorConfig{Grid: g, CheckpointDir: journalOf(parentExactRecord)})
+	if err != nil {
+		t.Fatalf("exact journal in the parent's format refused: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := c.Run(ctx) // no workers: the one cell must come from the journal
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := res.Cells[0]
+	if res.Runs[0].MeanValid != 0.125 || res.Runs[1].Err != "boom" || res.Runs[1].Spec.Rep != 1 ||
+		cell.Runs != 1 || cell.Errors != 1 || cell.Config.Domains != 800 ||
+		cell.Ticks[0].Metrics[0].P99 != 0.125 || !math.IsNaN(cell.Ticks[0].Metrics[1].Mean) ||
+		len(cell.Hijacks) != 1 || cell.Hijacks[0].SuccessRate != 1 {
+		t.Errorf("resumed cell is not the journaled one: runs %+v, cell %+v", res.Runs, cell)
+	}
+
+	_, err = NewCoordinator("127.0.0.1:0", CoordinatorConfig{Grid: g, Streaming: true, CheckpointDir: journalOf(parentStreamingRecord)})
+	if err == nil || !strings.Contains(err.Error(), "cell 0") {
+		t.Fatalf("streaming journal in the parent's format: %v, want a refusal naming cell 0", err)
+	}
+}
+
 // TestResumeOnlyFromFullJournal: a journal holding every cell assembles
 // with no workers at all.
 func TestResumeOnlyFromFullJournal(t *testing.T) {
@@ -428,7 +495,7 @@ func TestJournalRefusesForeignPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j1.write(&sweep.CellPartial{Cell: 0}); err != nil {
+	if err := j1.write(&sweep.CellPartial{Cell: 0, Agg: &sweep.Cell{}}); err != nil {
 		t.Fatal(err)
 	}
 	j2, err := openJournal(dir, "hash-b", false)

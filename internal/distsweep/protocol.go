@@ -8,12 +8,12 @@
 // kill-and-resume (see docs/sweep.md, "Distributed sweeps").
 //
 // The determinism argument is structural, not numerical: leases are
-// whole cells, every replicate of a cell runs on one worker in
-// replicate order (exactly like a local sweep), and the partial
-// serialisations round-trip exactly (stats.Summary and
-// stats.StreamingSummary marshal every bit of state). The coordinator
-// never merges anything — it only places cells and runs at the indices
-// the plan assigns them.
+// whole cells, every replicate of a cell runs on one worker, which
+// folds them in replicate order and renders the cell's aggregate
+// exactly like a local sweep, and that aggregate round-trips the wire
+// exactly (stats.Summary marshals every bit). The coordinator never
+// merges anything — it only places cells and runs at the indices the
+// plan assigns them.
 package distsweep
 
 import (
@@ -30,12 +30,14 @@ import (
 // protocolVersion gates the wire format. A coordinator and worker with
 // different versions refuse to exchange leases: silently mismatched
 // framing would corrupt results, loudly mismatched versions just ask
-// the operator to rebuild one side.
-const protocolVersion = 1
+// the operator to rebuild one side. Version 2: a partial is a rendered
+// aggregate in both modes (version 1 shipped streaming cells as
+// accumulator state).
+const protocolVersion = 2
 
-// maxFrame bounds a frame's payload. Streaming partials for a large
-// cell carry per-(tick, metric) accumulator states, so the cap is
-// generous; anything beyond it is a framing error, not a real partial.
+// maxFrame bounds a frame's payload. A partial carries seven numbers
+// per (tick, metric) of its cell, so the cap is generous; anything
+// beyond it is a framing error, not a real partial.
 const maxFrame = 1 << 30
 
 // frameChunk is the most readFrame allocates on the strength of a

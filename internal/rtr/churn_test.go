@@ -2,6 +2,7 @@ package rtr
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"net/netip"
 	"sync"
@@ -202,5 +203,48 @@ func TestResetSessionForcesFullResync(t *testing.T) {
 	}
 	if c.Serial() != 0 || c.Len() != 9 {
 		t.Errorf("post-restart client: serial=%d len=%d, want 0/9", c.Serial(), c.Len())
+	}
+}
+
+// TestDeltaRetentionAcrossSerialWrap: a cache whose serial crosses 2³²
+// keeps evicting its oldest delta, not the smallest-keyed one (which
+// past the wrap is one of the newest) — a router one step behind is
+// answered incrementally on every poll, never with Cache Reset. The
+// cache starts far enough before the wrap for its retention window to
+// be full when serial 0 comes round: that is the delta a smallest-key
+// eviction drops the moment it is made.
+func TestDeltaRetentionAcrossSerialWrap(t *testing.T) {
+	srv := NewServer(churnSet(t, 0, 1), 3)
+	srv.Logf = func(string, ...any) {}
+	srv.serial = math.MaxUint32 - uint32(srv.maxDeltas) - 3
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3*srv.maxDeltas; i++ {
+		srv.UpdateDelta([]vrp.VRP{churnVRP(i)}, nil)
+		if err := c.Poll(); err != nil {
+			t.Fatalf("poll after delta %d: %v", i, err)
+		}
+		if c.Serial() != srv.Serial() || c.Len() != i+1 {
+			t.Fatalf("after delta %d: client at serial %d with %d VRPs, cache at %d with %d", i, c.Serial(), c.Len(), srv.Serial(), i+1)
+		}
+		if c.Resets() != 1 {
+			t.Fatalf("delta %d (cache serial %d) was answered with Cache Reset: the cache evicted a delta it had just made", i, srv.Serial())
+		}
+	}
+	if len(srv.deltas) != srv.maxDeltas {
+		t.Errorf("cache retains %d deltas, want %d", len(srv.deltas), srv.maxDeltas)
 	}
 }

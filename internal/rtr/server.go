@@ -138,20 +138,13 @@ func (s *Server) UpdateDelta(announce, withdraw []vrp.VRP) {
 
 // recordDeltaLocked retains a delta keyed by the serial it upgrades
 // from, evicts the oldest past the retention cap, and bumps the serial.
-// Called with s.mu held.
+// Retained keys are consecutive serials ending at the current one, so
+// the one to evict is maxDeltas behind it in uint32 arithmetic — which
+// stays the oldest across the 2³² wrap, where the smallest key is one of
+// the newest. Called with s.mu held.
 func (s *Server) recordDeltaLocked(d delta) {
 	s.deltas[s.serial] = d
-	if len(s.deltas) > s.maxDeltas {
-		// Drop the oldest retained delta (smallest key).
-		var oldest uint32
-		first := true
-		for k := range s.deltas {
-			if first || k < oldest {
-				oldest, first = k, false
-			}
-		}
-		delete(s.deltas, oldest)
-	}
+	delete(s.deltas, s.serial-uint32(s.maxDeltas))
 	s.serial++
 }
 

@@ -6,10 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ripki/internal/alexa"
@@ -795,11 +792,8 @@ type RefreshData struct {
 }
 
 // refreshDue runs the poll + revalidation cycle for every relying party
-// whose cadence lands on this tick. The per-RP work fans out across a
-// bounded worker pool — each RP owns its client connection, router, and
-// local RIB, so the units are independent — and results land in
-// index-addressed slots, published afterwards in roster order, so the
-// event stream is identical regardless of goroutine scheduling. Each RP
+// whose cadence lands on this tick, in roster order: every poll first,
+// results in index-addressed slots, then every refresh event. Each RP
 // revalidates only the routes under the prefixes its poll actually
 // changed; a full-resync fallback (session reset, delta history gone)
 // marks everything and degrades gracefully to the complete Adj-RIB-In.
@@ -830,13 +824,13 @@ func (s *Simulation) refreshDue() {
 	}
 	outs := make([]outcome, len(due))
 	serving := cacheState{s.session, s.Server.Serial()}
-	parallelFor(len(due), runtime.GOMAXPROCS(0), func(i int) {
-		rp, out := due[i], &outs[i]
+	for i, rp := range due {
+		out := &outs[i]
 		if rp.synced != serving {
 			out.polled = true
 			if err := rp.Client.Poll(); err != nil {
 				out.err = fmt.Errorf("sim: %s poll: %w", rp.Spec.Name, err)
-				return
+				continue
 			}
 			rp.synced = cacheState{serving.session, rp.Client.Serial()}
 			changed := rp.Client.TakeDelta()
@@ -844,7 +838,7 @@ func (s *Simulation) refreshDue() {
 			out.res = rp.Router.RevalidateAffected(changed)
 		}
 		out.serial, out.vrps = rp.Client.Serial(), rp.Client.Len()
-	})
+	}
 	for i, rp := range due {
 		out := &outs[i]
 		if out.polled {
@@ -862,37 +856,6 @@ func (s *Simulation) refreshDue() {
 			rp.Spec.Name, out.serial, out.vrps, out.res.Dropped),
 			RefreshData{RP: rp.Spec.Name, Serial: out.serial, VRPs: out.vrps, Dropped: out.res.Dropped})
 	}
-}
-
-// parallelFor runs fn(0..n-1) across at most workers goroutines.
-// Callers write results into index-addressed slots, so parallelism
-// never reorders anything observable.
-func parallelFor(n, workers int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // probe records one time-series row. The measured exposure columns
@@ -917,10 +880,10 @@ func (s *Simulation) probe() {
 		float64(s.truth.Len()),
 	}
 	// The per-RP columns — synced payload counts, then hijack-forward
-	// outcomes — fan out across the worker pool into index-addressed
-	// slots. Campaigns can share a victim, and which do is a property of
-	// the campaigns, not of the RP: the distinct victims are listed once,
-	// and each router resolves each once per tick.
+	// outcomes — are sampled in roster order. Campaigns can share a
+	// victim, and which do is a property of the campaigns, not of the RP:
+	// the distinct victims are listed once, and each router resolves each
+	// once per tick.
 	type rpSample struct {
 		vrps      int
 		hasClient bool
@@ -934,8 +897,7 @@ func (s *Simulation) probe() {
 		}
 	}
 	samples := make([]rpSample, len(s.RPs))
-	parallelFor(len(s.RPs), runtime.GOMAXPROCS(0), func(i int) {
-		rp := s.RPs[i]
+	for i, rp := range s.RPs {
 		if rp.Client != nil {
 			samples[i] = rpSample{vrps: rp.Client.Len(), hasClient: true}
 		}
@@ -952,7 +914,7 @@ func (s *Simulation) probe() {
 				samples[i].hijacked++
 			}
 		}
-	})
+	}
 	for _, sm := range samples {
 		if sm.hasClient {
 			row = append(row, float64(sm.vrps))

@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -10,9 +8,9 @@ import (
 // StreamingSummary is the online counterpart of Summarize: it folds an
 // unbounded stream of observations into the same count/min/max/mean/
 // p50/p95 shape in O(1) memory per metric. Sweeps in streaming mode
-// keep one StreamingSummary per (cell, tick, metric) instead of every
-// run's full series, making sweep memory O(cells × ticks) rather than
-// O(runs × ticks).
+// keep one StreamingSummary per (tick, metric) of each cell in flight
+// instead of every completed run's value — the smaller of the two once
+// a cell has more replicates than the exact-phase buffers below hold.
 //
 // Exactness contract (property-tested against Summarize):
 //
@@ -86,45 +84,6 @@ func (s *StreamingSummary) Add(v float64) {
 
 // Count returns the number of finite observations folded so far.
 func (s *StreamingSummary) Count() int { return s.count }
-
-// streamingSummaryJSON is the serialised accumulator state. Every field
-// a fold touches is carried verbatim — float64 values survive
-// encoding/json exactly (shortest round-tripping decimal) — so a
-// decoded accumulator continues folding and estimating byte-for-byte
-// like the original. That exactness is what lets a distributed-sweep
-// worker ship per-cell accumulators to the coordinator without
-// perturbing the byte-identical output contract.
-type streamingSummaryJSON struct {
-	Count int         `json:"count"`
-	Min   float64     `json:"min"`
-	Max   float64     `json:"max"`
-	Mean  float64     `json:"mean"`
-	P50   *p2Quantile `json:"p50"`
-	P95   *p2Quantile `json:"p95"`
-	P99   *p2Quantile `json:"p99"`
-}
-
-// MarshalJSON serialises the full accumulator state, exact-phase buffer
-// or P² markers included.
-func (s *StreamingSummary) MarshalJSON() ([]byte, error) {
-	return json.Marshal(streamingSummaryJSON{
-		Count: s.count, Min: s.min, Max: s.max, Mean: s.mean,
-		P50: &s.p50, P95: &s.p95, P99: &s.p99,
-	})
-}
-
-// UnmarshalJSON restores an accumulator serialised by MarshalJSON.
-// Subsequent Add calls continue exactly where the original left off.
-func (s *StreamingSummary) UnmarshalJSON(data []byte) error {
-	fresh := NewStreamingSummary()
-	sj := streamingSummaryJSON{P50: &fresh.p50, P95: &fresh.p95, P99: &fresh.p99}
-	if err := json.Unmarshal(data, &sj); err != nil {
-		return err
-	}
-	s.count, s.min, s.max, s.mean = sj.Count, sj.Min, sj.Max, sj.Mean
-	s.p50, s.p95, s.p99 = *sj.P50, *sj.P95, *sj.P99
-	return nil
-}
 
 // Summary renders the accumulator in Summarize's shape. With no finite
 // observations every statistic is NaN and Count is zero, exactly like
@@ -284,49 +243,6 @@ func (e *p2Quantile) parabolic(i int, d float64) float64 {
 func (e *p2Quantile) linear(i int, d float64) float64 {
 	j := i + int(d)
 	return e.q[i] + d*(e.q[j]-e.q[i])/(e.pos[j]-e.pos[i])
-}
-
-// p2QuantileJSON mirrors p2Quantile field-for-field; bufN disambiguates
-// "exact phase with an empty buffer" from "P² phase" (markers present).
-type p2QuantileJSON struct {
-	P    float64     `json:"p"`
-	Size int         `json:"size,omitempty"`
-	N    int         `json:"n"`
-	Buf  []float64   `json:"buf,omitempty"`
-	Q    *[5]float64 `json:"q,omitempty"`
-	Pos  *[5]float64 `json:"pos,omitempty"`
-	Want *[5]float64 `json:"want,omitempty"`
-}
-
-// MarshalJSON serialises the estimator state: the exact-phase buffer
-// while it is live, the five P² markers beyond.
-func (e *p2Quantile) MarshalJSON() ([]byte, error) {
-	ej := p2QuantileJSON{P: e.p, Size: e.size, N: e.n}
-	if e.buf != nil || e.n == 0 {
-		ej.Buf = e.buf
-	} else {
-		q, pos, want := e.q, e.pos, e.want
-		ej.Q, ej.Pos, ej.Want = &q, &pos, &want
-	}
-	return json.Marshal(ej)
-}
-
-// UnmarshalJSON restores an estimator serialised by MarshalJSON.
-func (e *p2Quantile) UnmarshalJSON(data []byte) error {
-	var ej p2QuantileJSON
-	if err := json.Unmarshal(data, &ej); err != nil {
-		return err
-	}
-	*e = p2Quantile{p: ej.P, size: ej.Size, n: ej.N, buf: ej.Buf}
-	if ej.Q != nil {
-		if ej.Pos == nil || ej.Want == nil {
-			return fmt.Errorf("stats: p2 quantile state has markers without positions")
-		}
-		e.q, e.pos, e.want = *ej.Q, *ej.Pos, *ej.Want
-	} else if e.n > e.cap() {
-		return fmt.Errorf("stats: p2 quantile state claims %d observations but carries no markers", e.n)
-	}
-	return nil
 }
 
 // estimate returns the current quantile estimate: the exact percentile

@@ -50,9 +50,9 @@ func runSweepBench(b *testing.B, opt Options) {
 // each of the 4 seed worlds once and clones it across the 8 cells that
 // share it — the per-run world tax (generation + certificate-path
 // validation) drops 8×, worth ≥1.5× runs/s at this grid shape. The
-// streaming variant additionally folds series into online accumulators
-// as runs complete; its runs/s matches shared (the fold is cheap) while
-// peak series memory drops from O(runs × ticks) to O(cells × ticks).
+// streaming variant folds into online accumulators instead of keeping
+// each replicate's value; its runs/s matches shared (the fold is cheap
+// in both modes).
 // All variants feed the committed BENCH_baseline.json regression gate
 // (make bench-check).
 func BenchmarkSweep(b *testing.B) {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"ripki/internal/sim"
-	"ripki/internal/stats"
 )
 
 // The sweep output contract mirrors PR 1's: the same grid + master seed
@@ -56,7 +55,7 @@ func (r *Result) WriteTSV(w io.Writer) error {
 		}
 		row.int(rr.Spec.Index).int(rr.Spec.Cell).int(rr.Spec.Rep).str(cfg.Scenario).int64(cfg.Seed).int(cfg.Domains).
 			str(cfg.Tick.String()).str(cfg.Duration.String()).str(FormatParams(cfg.Params)).int(rr.Rows).
-			val(rr.MeanValid).val(rr.MinValid).val(rr.FinalCoverage).val(rr.MaxHijacks).
+			val(float64(rr.MeanValid)).val(float64(rr.MinValid)).val(float64(rr.FinalCoverage)).val(float64(rr.MaxHijacks)).
 			int(hijackedRPs).int(hijackedTicks).str(errCell).end(bw)
 	}
 
@@ -117,25 +116,19 @@ func (r *tsvRow) end(w *bufio.Writer) {
 	r.buf = r.buf[:0]
 }
 
-// runJSON is the serialised view of one run: spec identity plus scalar
-// summaries, no full series (those fold into the cell aggregates).
+// runJSON is the serialised view of one run: spec identity plus its
+// summary, no full series (those fold into the cell aggregates).
 type runJSON struct {
-	Run           int               `json:"run"`
-	Cell          int               `json:"cell"`
-	Rep           int               `json:"rep"`
-	Scenario      string            `json:"scenario"`
-	Seed          int64             `json:"seed"`
-	Domains       int               `json:"domains"`
-	Tick          string            `json:"tick"`
-	Duration      string            `json:"duration"`
-	Params        map[string]string `json:"params,omitempty"`
-	Rows          int               `json:"rows"`
-	Error         string            `json:"error,omitempty"`
-	MeanValid     stats.JSONFloat   `json:"mean_valid"`
-	MinValid      stats.JSONFloat   `json:"min_valid"`
-	FinalCoverage stats.JSONFloat   `json:"final_coverage"`
-	MaxHijacks    stats.JSONFloat   `json:"max_hijacks"`
-	Hijacks       []RPHijack        `json:"hijacks,omitempty"`
+	Run      int               `json:"run"`
+	Cell     int               `json:"cell"`
+	Rep      int               `json:"rep"`
+	Scenario string            `json:"scenario"`
+	Seed     int64             `json:"seed"`
+	Domains  int               `json:"domains"`
+	Tick     string            `json:"tick"`
+	Duration string            `json:"duration"`
+	Params   map[string]string `json:"params,omitempty"`
+	RunSummary
 }
 
 // WriteJSON emits the sweep as one document: grid identity, per-cell
@@ -146,20 +139,16 @@ func (r *Result) WriteJSON(w io.Writer) error {
 		rr := &r.Runs[i]
 		cfg := rr.Spec.Config
 		runs[i] = runJSON{
-			Run:       rr.Spec.Index,
-			Cell:      rr.Spec.Cell,
-			Rep:       rr.Spec.Rep,
-			Scenario:  cfg.Scenario,
-			Seed:      cfg.Seed,
-			Domains:   cfg.Domains,
-			Tick:      cfg.Tick.String(),
-			Duration:  cfg.Duration.String(),
-			Params:    cfg.Params,
-			Rows:      rr.Rows,
-			Error:     rr.Err,
-			MeanValid: stats.JSONFloat(rr.MeanValid), MinValid: stats.JSONFloat(rr.MinValid),
-			FinalCoverage: stats.JSONFloat(rr.FinalCoverage), MaxHijacks: stats.JSONFloat(rr.MaxHijacks),
-			Hijacks: rr.Hijacks,
+			Run:        rr.Spec.Index,
+			Cell:       rr.Spec.Cell,
+			Rep:        rr.Spec.Rep,
+			Scenario:   cfg.Scenario,
+			Seed:       cfg.Seed,
+			Domains:    cfg.Domains,
+			Tick:       cfg.Tick.String(),
+			Duration:   cfg.Duration.String(),
+			Params:     cfg.Params,
+			RunSummary: rr.RunSummary,
 		}
 	}
 	mode := ""

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ripki/internal/sim"
+	"ripki/internal/stats"
 )
 
 // writeTSVByFprintf is Result.WriteTSV as it was: every row through
@@ -46,8 +47,8 @@ func writeTSVByFprintf(r *Result, w io.Writer) error {
 		fmt.Fprintf(bw, "%d\t%d\t%d\t%s\t%d\t%d\t%s\t%s\t%s\t%d\t%s\t%s\t%s\t%s\t%d\t%d\t%s\n",
 			rr.Spec.Index, rr.Spec.Cell, rr.Spec.Rep, cfg.Scenario, cfg.Seed, cfg.Domains,
 			cfg.Tick, cfg.Duration, FormatParams(cfg.Params), rr.Rows,
-			sim.FormatValue(rr.MeanValid), sim.FormatValue(rr.MinValid),
-			sim.FormatValue(rr.FinalCoverage), sim.FormatValue(rr.MaxHijacks),
+			sim.FormatValue(float64(rr.MeanValid)), sim.FormatValue(float64(rr.MinValid)),
+			sim.FormatValue(float64(rr.FinalCoverage)), sim.FormatValue(float64(rr.MaxHijacks)),
 			hijackedRPs, hijackedTicks, errCell)
 	}
 
@@ -101,7 +102,8 @@ func TestWriteTSVMatchesFprintf(t *testing.T) {
 		awkward := []float64{math.NaN(), -3, 0, 1e6, -0.1, 1.0 / 3, 2.5e-7, 1e21, 123456789.125, math.Inf(1), math.Copysign(0, -1)}
 		k := 0
 		next := func() float64 { k++; return awkward[k%len(awkward)] }
-		res.Runs[0].MeanValid, res.Runs[0].MinValid, res.Runs[0].FinalCoverage, res.Runs[0].MaxHijacks = next(), next(), next(), next()
+		r0 := &res.Runs[0]
+		r0.MeanValid, r0.MinValid, r0.FinalCoverage, r0.MaxHijacks = stats.JSONFloat(next()), stats.JSONFloat(next()), stats.JSONFloat(next()), stats.JSONFloat(next())
 		res.Runs[1].Err = "boom\tat tick 3\nsecond line"
 		res.Runs[1].Spec.Config.Seed = -42
 		for ti := range res.Cells[0].Ticks {

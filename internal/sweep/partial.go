@@ -1,188 +1,49 @@
 package sweep
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-
-	"ripki/internal/stats"
 )
 
-// This file is the distributed sweep's data plane: the serialisable
-// per-cell partials a worker ships to its coordinator, the worker-side
-// entry point that produces them (RunCells), and the coordinator-side
-// assembly that turns a complete set of partials back into a Result
-// whose WriteTSV/WriteJSON bytes are identical to a single-process run.
+// This file is the sweep's data plane: the per-cell partial RunCells
+// produces — for a local sweep, and as what a distributed worker ships
+// to its coordinator and a checkpoint journal records — and the assembly
+// that turns a complete set of partials into a Result.
 //
 // The byte-identity argument rests on leases being whole cells: every
-// replicate of a cell runs on ONE worker, which folds them in replicate
-// order exactly like a local sweep. Exact-mode partials therefore carry
-// finished per-cell aggregates (stats.Summary values, which round-trip
-// JSON exactly — see stats.Summary's marshalling); streaming-mode
-// partials carry the raw accumulator states (stats.StreamingSummary,
-// whose serialisation is proven to continue bit-identically). Nothing
-// is ever merged across workers — the coordinator only *places* cells
-// and runs at their grid positions.
+// replicate of a cell runs in ONE process, which folds them in replicate
+// order and renders the cell where they landed (cellFold). A partial
+// therefore carries a finished aggregate in both modes — stats.Summary
+// values, which round-trip JSON exactly (see stats.Summary's
+// marshalling) — and nothing is ever merged across workers: the
+// coordinator only *places* cells and runs at their grid positions.
 
-// RunPartial is one run's scalar summary keyed by its plan index. The
-// worker re-expands the plan from the grid, so the spec itself (config,
-// seed, cell, rep) never crosses the wire — only the index and what the
-// run measured.
+// RunPartial is one run's summary keyed by its plan index. The worker
+// re-expands the plan from the grid, so the spec itself (config, seed,
+// cell, rep) never crosses the wire — only the index and what the run
+// measured.
 type RunPartial struct {
-	Run           int             `json:"run"`
-	Err           string          `json:"error,omitempty"`
-	Rows          int             `json:"rows"`
-	MeanValid     stats.JSONFloat `json:"mean_valid"`
-	MinValid      stats.JSONFloat `json:"min_valid"`
-	FinalCoverage stats.JSONFloat `json:"final_coverage"`
-	MaxHijacks    stats.JSONFloat `json:"max_hijacks"`
-	Hijacks       []RPHijack      `json:"hijacks,omitempty"`
+	Run int `json:"run"`
+	RunSummary
 }
 
-// HijackTally is one relying party's raw outcome counts within a cell —
-// the integer form of RPHijackRate, divided only at render time so the
-// wire carries no derived floats.
-type HijackTally struct {
-	RP        string `json:"rp"`
-	Runs      int    `json:"runs"`
-	Successes int    `json:"successes"`
-	Ticks     int    `json:"ticks"`
-}
-
-// CellStreamState is one cell's streaming accumulator state: everything
-// cellStream holds after folding its runs in replicate order, in
-// serialisable form. A coordinator restores it and renders the Cell;
-// because stats.StreamingSummary round-trips exactly, the rendered
-// summaries are bit-identical to finalizing in-process.
-type CellStreamState struct {
-	Runs    int                         `json:"runs"`
-	Errors  int                         `json:"errors"`
-	Columns []string                    `json:"columns,omitempty"`
-	T       []float64                   `json:"t,omitempty"`
-	Tick    []float64                   `json:"tick,omitempty"`
-	Rows    int                         `json:"rows"`
-	Accs    [][]*stats.StreamingSummary `json:"accs,omitempty"`
-	Hijacks []HijackTally               `json:"hijacks,omitempty"`
-}
-
-// CellPartial is one completed cell crossing the worker→coordinator
-// wire: the cell's run summaries in replicate order plus exactly one of
-// the two aggregate forms — Agg (exact mode: the finished aggregate) or
-// Stream (streaming mode: the accumulator state).
+// CellPartial is one completed cell: its run summaries in replicate
+// order, its rendered aggregate, and the mode that aggregate was folded
+// in.
 type CellPartial struct {
-	Cell   int              `json:"cell"`
-	Runs   []RunPartial     `json:"runs"`
-	Agg    *Cell            `json:"agg,omitempty"`
-	Stream *CellStreamState `json:"stream,omitempty"`
+	Cell      int          `json:"cell"`
+	Streaming bool         `json:"streaming,omitempty"`
+	Runs      []RunPartial `json:"runs"`
+	Agg       *Cell        `json:"agg,omitempty"`
 }
 
-// state exports the accumulators for the wire.
-func (cs *cellStream) state() *CellStreamState {
-	st := &CellStreamState{
-		Runs:    cs.runs,
-		Errors:  cs.errors,
-		Columns: cs.columns,
-		T:       cs.t,
-		Tick:    cs.tick,
-		Rows:    cs.rows,
-		Accs:    cs.accs,
-	}
-	for _, rp := range cs.hijackOrder {
-		tl := cs.hijacks[rp]
-		st.Hijacks = append(st.Hijacks, HijackTally{
-			RP: rp, Runs: tl.runs, Successes: tl.successes, Ticks: tl.ticks,
-		})
-	}
-	return st
-}
-
-// restoreCellStream rebuilds a cellStream from its exported state; the
-// CellInfo comes from the coordinator's own plan expansion, never the
-// wire. Only cell() is meaningful on the result — a restored stream is
-// for rendering, not further folding (whole-cell leases mean no
-// coordinator ever folds).
-func restoreCellStream(info CellInfo, st *CellStreamState) *cellStream {
-	cs := newCellStream(info)
-	cs.runs, cs.errors = st.Runs, st.Errors
-	cs.columns, cs.t, cs.tick = st.Columns, st.T, st.Tick
-	cs.rows, cs.accs = st.Rows, st.Accs
-	for _, h := range st.Hijacks {
-		cs.hijackOrder = append(cs.hijackOrder, h.RP)
-		cs.hijacks[h.RP] = &hijackTally{runs: h.Runs, successes: h.Successes, ticks: h.Ticks}
-	}
-	return cs
-}
-
-// runPartial summarises one completed RunResult for the wire.
-func runPartial(rr *RunResult) RunPartial {
-	return RunPartial{
-		Run:           rr.Spec.Index,
-		Err:           rr.Err,
-		Rows:          rr.Rows,
-		MeanValid:     stats.JSONFloat(rr.MeanValid),
-		MinValid:      stats.JSONFloat(rr.MinValid),
-		FinalCoverage: stats.JSONFloat(rr.FinalCoverage),
-		MaxHijacks:    stats.JSONFloat(rr.MaxHijacks),
-		Hijacks:       rr.Hijacks,
-	}
-}
-
-// RunCells executes every run of the contiguous cell range
-// [first, first+count) — the distributed sweep's lease unit — with the
-// same pool, world-sharing and streaming machinery as a local sweep,
-// and returns one CellPartial per cell, in cell order. Cancelling ctx
-// abandons the lease and returns ctx's error.
-func RunCells(ctx context.Context, plan *Plan, opt Options, first, count int) ([]CellPartial, error) {
-	if first < 0 || count <= 0 || first+count > len(plan.Cells) {
-		return nil, fmt.Errorf("sweep: cell range [%d,%d) outside plan's %d cells", first, first+count, len(plan.Cells))
-	}
-	var specs []int
-	for i := range plan.Specs {
-		if c := plan.Specs[i].Cell; c >= first && c < first+count {
-			specs = append(specs, i)
-		}
-	}
-	// Exact-mode partials need each run's series until its cell is
-	// aggregated below, so runSpecs must not be streaming it away unless
-	// asked to.
-	results, stream, err := runSpecs(ctx, plan, opt, specs)
-	if err != nil {
-		return nil, err
-	}
-	partials := make([]CellPartial, count)
-	for ci := first; ci < first+count; ci++ {
-		p := CellPartial{Cell: ci}
-		var cellRuns []*RunResult
-		for _, idx := range specs {
-			if plan.Specs[idx].Cell != ci {
-				continue
-			}
-			rr := &results[idx]
-			p.Runs = append(p.Runs, runPartial(rr))
-			cellRuns = append(cellRuns, rr)
-		}
-		if stream != nil {
-			p.Stream = stream.cells[ci].state()
-		} else {
-			agg := aggregateCell(plan.Cells[ci], cellRuns)
-			p.Agg = &agg
-			for _, rr := range cellRuns {
-				rr.Series = nil
-			}
-		}
-		partials[ci-first] = p
-	}
-	return partials, nil
-}
-
-// AssembleResult places a complete set of cell partials into a Result.
-// Every plan cell must be covered exactly once and every run index must
-// belong to its partial's cell; gaps and overlaps are coordinator bugs
-// and error loudly rather than producing silently-wrong output. The
-// assembled Result's WriteTSV/WriteJSON bytes are identical to running
-// the plan in one process with the same Options mode.
+// AssembleResult places a complete set of cell partials into a Result;
+// it is the only constructor of one. Every plan cell must be covered
+// exactly once, in the mode asked for, and every run index must belong
+// to its partial's cell; gaps, overlaps and a mode chimera are caller
+// bugs and error loudly rather than producing silently-wrong output.
 func AssembleResult(plan *Plan, streaming bool, partials []CellPartial) (*Result, error) {
 	seen := make([]bool, len(plan.Cells))
 	res := &Result{
@@ -200,6 +61,12 @@ func AssembleResult(plan *Plan, streaming bool, partials []CellPartial) (*Result
 			return nil, fmt.Errorf("sweep: cell %d assembled twice", p.Cell)
 		}
 		seen[p.Cell] = true
+		if p.Streaming != streaming {
+			return nil, fmt.Errorf("sweep: cell %d was folded in %s mode, this sweep is %s", p.Cell, modeWord(p.Streaming), modeWord(streaming))
+		}
+		if p.Agg == nil {
+			return nil, fmt.Errorf("sweep: cell %d (%s) partial carries no aggregate", p.Cell, plan.Cells[p.Cell].Label)
+		}
 		for _, rp := range p.Runs {
 			if rp.Run < 0 || rp.Run >= len(plan.Specs) {
 				return nil, fmt.Errorf("sweep: cell %d partial names run %d outside plan's %d runs", p.Cell, rp.Run, len(plan.Specs))
@@ -208,30 +75,12 @@ func AssembleResult(plan *Plan, streaming bool, partials []CellPartial) (*Result
 			if spec.Cell != p.Cell {
 				return nil, fmt.Errorf("sweep: run %d belongs to cell %d, not cell %d", rp.Run, spec.Cell, p.Cell)
 			}
-			res.Runs[rp.Run] = RunResult{
-				Spec:          *spec,
-				Err:           rp.Err,
-				Rows:          rp.Rows,
-				MeanValid:     float64(rp.MeanValid),
-				MinValid:      float64(rp.MinValid),
-				FinalCoverage: float64(rp.FinalCoverage),
-				MaxHijacks:    float64(rp.MaxHijacks),
-				Hijacks:       rp.Hijacks,
-			}
+			res.Runs[rp.Run] = RunResult{Spec: *spec, RunSummary: rp.RunSummary}
 		}
-		info := plan.Cells[p.Cell]
-		switch {
-		case streaming && p.Stream != nil:
-			res.Cells[p.Cell] = restoreCellStream(info, p.Stream).cell()
-		case !streaming && p.Agg != nil:
-			cell := *p.Agg
-			// Config never crosses the wire (CellInfo marshals without it);
-			// the coordinator's own expansion supplies the identity.
-			cell.CellInfo = info
-			res.Cells[p.Cell] = cell
-		default:
-			return nil, fmt.Errorf("sweep: cell %d partial carries no %s aggregate", p.Cell, modeWord(streaming))
-		}
+		res.Cells[p.Cell] = *p.Agg
+		// Config never crosses the wire (CellInfo marshals without it);
+		// the caller's own expansion supplies the identity.
+		res.Cells[p.Cell].CellInfo = plan.Cells[p.Cell]
 	}
 	for ci, ok := range seen {
 		if !ok {

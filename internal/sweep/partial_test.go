@@ -50,7 +50,10 @@ func runSharded(t *testing.T, plan *Plan, opt Options, ranges [][2]int) *Result 
 // contract at the data-plane level, with no sockets in the way: a plan
 // split into per-cell and uneven multi-cell leases, run independently,
 // serialised, and assembled renders the same TSV and JSON bytes as one
-// in-process sweep — in exact mode and in streaming mode.
+// in-process sweep (itself one lease over every cell, never serialised)
+// — in exact mode and in streaming mode. The cell range may be
+// partitioned any way, and a partial may cross a wire, without moving a
+// byte.
 func TestShardedRunsAreByteIdentical(t *testing.T) {
 	g := testGrid()
 	g.Scenarios = []string{"baseline", "roa-churn", "hijack-window"}
@@ -131,6 +134,16 @@ func TestAssembleResultRejectsBadPartials(t *testing.T) {
 	}
 	if _, err := AssembleResult(plan, true, partials); err == nil {
 		t.Error("exact partials assembled as streaming")
+	}
+	chimera := append([]CellPartial{}, partials...)
+	chimera[1].Streaming = true
+	if _, err := AssembleResult(plan, false, chimera); err == nil || !strings.Contains(err.Error(), "cell 1") {
+		t.Errorf("one streaming-stamped cell among exact ones: %v, want a refusal naming cell 1", err)
+	}
+	hollow := append([]CellPartial{}, partials...)
+	hollow[1].Agg = nil
+	if _, err := AssembleResult(plan, false, hollow); err == nil || !strings.Contains(err.Error(), plan.Cells[1].Label) {
+		t.Errorf("a partial without an aggregate: %v, want a refusal naming %q", err, plan.Cells[1].Label)
 	}
 	mixed := append([]CellPartial{}, partials...)
 	mixed[0].Runs = append([]RunPartial{}, mixed[0].Runs...)

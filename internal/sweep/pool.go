@@ -13,10 +13,17 @@ import (
 
 // Options controls sweep execution. Workers and ShareWorlds are pure
 // scheduling: they can never influence the output bytes. Streaming
-// trades exact percentiles for O(cells × ticks) memory — its output is
+// replaces exact percentiles by online accumulators — its output is
 // still byte-identical at any worker count and world-sharing mode, but
 // p50/p95 become P² estimates once a cell folds more than 25 runs (see
 // stats.StreamingSummary for the exact-phase buffer and error bounds).
+//
+// Memory is bounded the same way in both modes: a finished cell holds
+// its aggregate and nothing else, a run's time series is dropped as it
+// is folded, and only the cells in flight hold more — every completed
+// run's values per (tick, metric) in exact mode, one accumulator per
+// (tick, metric) in streaming mode. Streaming is therefore for many
+// replicates per cell, where the accumulator is the smaller of the two.
 type Options struct {
 	// Workers is the number of concurrent simulations (default
 	// GOMAXPROCS). Output is byte-identical at any value.
@@ -26,14 +33,13 @@ type Options struct {
 	// regenerating the world per run. Output is byte-identical to the
 	// per-run-regeneration path.
 	ShareWorlds bool
-	// Streaming folds each run's series into per-cell online
-	// accumulators as runs complete and releases the series, bounding
-	// sweep memory by the grid (cells × ticks), not the run count.
+	// Streaming folds each cell's runs into per-(tick, metric) online
+	// accumulators instead of keeping their values until the cell is
+	// complete; the output marks the mode.
 	Streaming bool
 	// Progress, when set, is called after each completed run with the
 	// completion count. Runs finish in scheduling order, not grid order;
-	// progress is presentation only. In streaming mode the RunResult's
-	// Series has already been folded and released.
+	// progress is presentation only.
 	Progress func(done, total int, r *RunResult)
 }
 
@@ -48,24 +54,29 @@ type RPHijack struct {
 	Success bool `json:"success"`
 }
 
-// RunResult is one completed simulation plus its scalar summary.
-type RunResult struct {
-	Spec RunSpec
-	// Series is the run's full time series (nil when the run failed);
-	// the aggregator folds it, the JSON export carries only summaries.
-	Series *sim.TimeSeries `json:"-"`
-	// Err is the run's failure, empty on success.
-	Err string `json:"error,omitempty"`
+// RunSummary is what one run measured, in the one shape it has in
+// memory, on the distributed wire, in a checkpoint journal and in
+// WriteJSON's run list (whose field order this is).
+type RunSummary struct {
 	// Rows is the number of recorded samples.
 	Rows int `json:"rows"`
+	// Err is the run's failure, empty on success.
+	Err string `json:"error,omitempty"`
 	// MeanValid / MinValid / FinalCoverage / MaxHijacks summarise the
 	// run's exposure columns.
-	MeanValid     float64 `json:"mean_valid"`
-	MinValid      float64 `json:"min_valid"`
-	FinalCoverage float64 `json:"final_coverage"`
-	MaxHijacks    float64 `json:"max_hijacks"`
+	MeanValid     stats.JSONFloat `json:"mean_valid"`
+	MinValid      stats.JSONFloat `json:"min_valid"`
+	FinalCoverage stats.JSONFloat `json:"final_coverage"`
+	MaxHijacks    stats.JSONFloat `json:"max_hijacks"`
 	// Hijacks is the per-RP attack outcome.
-	Hijacks []RPHijack `json:"hijacks"`
+	Hijacks []RPHijack `json:"hijacks,omitempty"`
+}
+
+// RunResult is one completed simulation: its spec and its summary. The
+// run's time series is folded into its cell's aggregate and not kept.
+type RunResult struct {
+	Spec RunSpec
+	RunSummary
 }
 
 // Result is a completed sweep: the plan, every run in grid order, and
@@ -75,7 +86,7 @@ type Result struct {
 	Runs  []RunResult
 	Cells []Cell
 	// Streaming records that the cell aggregates came from the online
-	// accumulators (and run series were released); the output marks it.
+	// accumulators; the output marks it.
 	Streaming bool
 }
 
@@ -94,32 +105,37 @@ func Run(ctx context.Context, g Grid, opt Options) (*Result, error) {
 
 // RunPlan executes an already-expanded plan — callers that need the
 // plan up front (progress headers, sizing) expand once and hand it in
-// instead of paying the grid expansion twice.
+// instead of paying the grid expansion twice. A local sweep is the
+// distributed one with a single lease over every cell.
 func RunPlan(ctx context.Context, plan *Plan, opt Options) (*Result, error) {
-	specs := make([]int, len(plan.Specs))
-	for i := range specs {
-		specs[i] = i
-	}
-	results, stream, err := runSpecs(ctx, plan, opt, specs)
+	partials, err := RunCells(ctx, plan, opt, 0, len(plan.Cells))
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Plan: plan, Runs: results, Streaming: opt.Streaming}
-	if stream != nil {
-		res.Cells = stream.finalize()
-	} else {
-		res.Cells = aggregate(plan, results)
-	}
-	return res, nil
+	return AssembleResult(plan, opt.Streaming, partials)
 }
 
-// runSpecs shards the given spec indices (a subset of plan.Specs, in
-// grid order) across the pool. It returns a results slice indexed like
-// plan.Specs (entries outside the subset are zero) and, in streaming
-// mode, the aggregator holding every folded cell. Both Run/RunPlan and
-// the distributed-sweep worker (RunCells) funnel through here, so every
-// execution mode shares one scheduling and determinism story.
-func runSpecs(ctx context.Context, plan *Plan, opt Options, specs []int) ([]RunResult, *streamAggregator, error) {
+// RunCells executes every run of the contiguous cell range
+// [first, first+count) — the distributed sweep's lease unit, or the
+// whole plan — across the pool and returns one CellPartial per cell, in
+// cell order. Each finished run goes straight to its cell's fold, so
+// nothing downstream can observe completion order. Cancelling ctx
+// abandons the range and returns ctx's error.
+func RunCells(ctx context.Context, plan *Plan, opt Options, first, count int) ([]CellPartial, error) {
+	if first < 0 || count <= 0 || first+count > len(plan.Cells) {
+		return nil, fmt.Errorf("sweep: cell range [%d,%d) outside plan's %d cells", first, first+count, len(plan.Cells))
+	}
+	folds := make([]cellFold, count)
+	for i := range folds {
+		folds[i] = newCellFold(plan.Cells[first+i], opt.Streaming)
+	}
+	var specs []int
+	for i := range plan.Specs {
+		if c := plan.Specs[i].Cell; c >= first && c < first+count {
+			specs = append(specs, i)
+			folds[c-first].reps++
+		}
+	}
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -127,25 +143,15 @@ func runSpecs(ctx context.Context, plan *Plan, opt Options, specs []int) ([]RunR
 	if workers > len(specs) {
 		workers = len(specs)
 	}
-
 	var worlds *worldCache
 	if opt.ShareWorlds {
 		worlds = newWorldCache(plan, specs)
 	}
-	var stream *streamAggregator
-	if opt.Streaming {
-		stream = newStreamAggregator(plan)
-	}
 
-	// Results land at their grid index no matter which worker ran them
-	// or when; nothing downstream can observe completion order. In
-	// streaming mode each result's series is folded (in replicate order)
-	// and released before the result is stored.
-	results := make([]RunResult, len(plan.Specs))
 	jobs := make(chan int)
 	var (
 		wg   sync.WaitGroup
-		mu   sync.Mutex
+		mu   sync.Mutex // folds, done and the Progress callback
 		done int
 	)
 	for w := 0; w < workers; w++ {
@@ -153,21 +159,15 @@ func runSpecs(ctx context.Context, plan *Plan, opt Options, specs []int) ([]RunR
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				rr := runOne(ctx, &plan.Specs[idx], worlds)
-				if stream != nil {
-					// The aggregator takes over the series (folded in
-					// replicate order, then released); the stored result
-					// keeps only the scalar summaries.
-					stream.add(rr)
-					rr.Series = nil
-				}
-				results[idx] = rr
+				spec := &plan.Specs[idx]
+				sum, series := runOne(ctx, spec, worlds)
+				mu.Lock()
+				folds[spec.Cell-first].land(spec.Rep, landed{run: RunPartial{Run: idx, RunSummary: sum}, series: series})
+				done++
 				if opt.Progress != nil {
-					mu.Lock()
-					done++
-					opt.Progress(done, len(specs), &results[idx])
-					mu.Unlock()
+					opt.Progress(done, len(specs), &RunResult{Spec: *spec, RunSummary: sum})
 				}
+				mu.Unlock()
 			}
 		}()
 	}
@@ -182,42 +182,46 @@ dispatch:
 	close(jobs)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return results, stream, nil
+	partials := make([]CellPartial, count)
+	for i := range folds {
+		partials[i] = folds[i].out
+	}
+	return partials, nil
 }
 
-// runOne executes one spec and summarises its series. With a world
-// cache it claims a clone of the spec's shared world (releasing its
-// reference either way); without one, sim.New generates the world.
-func runOne(ctx context.Context, spec *RunSpec, worlds *worldCache) RunResult {
-	rr := RunResult{Spec: *spec}
+// runOne executes one spec and summarises its time series (nil when the
+// run failed). With a world cache it claims a clone of the spec's shared
+// world (releasing its reference either way); without one, sim.New
+// generates the world.
+func runOne(ctx context.Context, spec *RunSpec, worlds *worldCache) (RunSummary, *sim.TimeSeries) {
+	var sum RunSummary
 	cfg := spec.Config
 	if worlds != nil {
 		defer worlds.release(spec)
 		world, err := worlds.clone(spec)
 		if err != nil {
-			rr.Err = err.Error()
-			return rr
+			sum.Err = err.Error()
+			return sum, nil
 		}
 		cfg.World = world
 	}
 	series, err := sim.RunScenarioContext(ctx, cfg)
 	if err != nil {
-		rr.Err = err.Error()
-		return rr
+		sum.Err = err.Error()
+		return sum, nil
 	}
-	rr.Series = series
-	rr.Rows = len(series.Rows)
+	sum.Rows = len(series.Rows)
 	if valid := series.Column("valid"); valid != nil {
 		s := stats.Summarize(valid)
-		rr.MeanValid, rr.MinValid = s.Mean, s.Min
+		sum.MeanValid, sum.MinValid = stats.JSONFloat(s.Mean), stats.JSONFloat(s.Min)
 	}
 	if cov := series.Column("coverage"); len(cov) > 0 {
-		rr.FinalCoverage = cov[len(cov)-1]
+		sum.FinalCoverage = stats.JSONFloat(cov[len(cov)-1])
 	}
 	if hj := series.Column("hijacks"); hj != nil {
-		rr.MaxHijacks = stats.Summarize(hj).Max
+		sum.MaxHijacks = stats.JSONFloat(stats.Summarize(hj).Max)
 	}
 	for _, col := range series.Columns {
 		rp, ok := strings.CutPrefix(col, "hijacked_")
@@ -231,9 +235,9 @@ func runOne(ctx context.Context, spec *RunSpec, worlds *worldCache) RunResult {
 			}
 		}
 		h.Success = h.HijackedTicks > 0
-		rr.Hijacks = append(rr.Hijacks, h)
+		sum.Hijacks = append(sum.Hijacks, h)
 	}
-	return rr
+	return sum, series
 }
 
 // String renders a run for progress lines.

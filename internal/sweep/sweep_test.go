@@ -215,8 +215,9 @@ func TestRunErrorsRecorded(t *testing.T) {
 	}
 }
 
-// TestAggregateSkipsNaN feeds the folding layer a synthetic series with
-// NaN cells — one empty-bin column must not poison the summary.
+// TestAggregateSkipsNaN feeds the fold a synthetic series with NaN
+// cells, its second replicate landing first — one empty-bin column must
+// not poison the summary.
 func TestAggregateSkipsNaN(t *testing.T) {
 	plan, err := Grid{Replicates: 2}.Plan()
 	if err != nil {
@@ -229,19 +230,19 @@ func TestAggregateSkipsNaN(t *testing.T) {
 		}
 		return ts
 	}
-	runs := []RunResult{
-		{Spec: plan.Specs[0], Series: mk(math.NaN(), 3), Rows: 3},
-		{Spec: plan.Specs[1], Series: mk(0.5, 2), Rows: 2},
-	}
-	cells := aggregate(plan, runs)
-	if cells[0].Runs != 2 {
-		t.Fatalf("runs = %d", cells[0].Runs)
+	f := newCellFold(plan.Cells[0], false)
+	f.reps = 2
+	f.land(1, landed{run: RunPartial{Run: 1, RunSummary: RunSummary{Rows: 2}}, series: mk(0.5, 2)})
+	f.land(0, landed{run: RunPartial{Run: 0, RunSummary: RunSummary{Rows: 3}}, series: mk(math.NaN(), 3)})
+	cell := f.out.Agg
+	if cell.Runs != 2 {
+		t.Fatalf("runs = %d", cell.Runs)
 	}
 	// Row count clamps to the shortest run.
-	if len(cells[0].Ticks) != 2 {
-		t.Fatalf("ticks = %d, want 2 (clamped)", len(cells[0].Ticks))
+	if len(cell.Ticks) != 2 {
+		t.Fatalf("ticks = %d, want 2 (clamped)", len(cell.Ticks))
 	}
-	s := cells[0].Ticks[0].Metrics[0]
+	s := cell.Ticks[0].Metrics[0]
 	if s.Count != 1 || s.Mean != 0.5 {
 		t.Errorf("NaN not skipped: %+v", s)
 	}

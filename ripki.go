@@ -131,7 +131,7 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ripki: generating world: %w", err)
 	}
-	validation := world.Repo.Validate(world.MeasureTime())
+	validation := world.Validation()
 	ha := httparchive.New(world.CDNSuffixes)
 	if cfg.HTTPArchiveLimit > 0 {
 		ha.Limit = cfg.HTTPArchiveLimit
@@ -311,8 +311,10 @@ type (
 	SweepGrid = sweep.Grid
 	// SweepOptions controls execution. Workers and ShareWorlds are pure
 	// scheduling (they can never change the output bytes); Streaming
-	// bounds memory by the grid at the price of estimated percentiles
-	// past 25 replicates, still byte-identical at any worker count.
+	// folds a cell's runs into online accumulators — smaller than their
+	// values for many replicates per cell — at the price of estimated
+	// percentiles past 25 replicates, still byte-identical at any worker
+	// count.
 	SweepOptions = sweep.Options
 	// SweepPlan is an expanded grid: every cell and run in grid order.
 	SweepPlan = sweep.Plan

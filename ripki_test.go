@@ -102,6 +102,11 @@ func TestStudyServeService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The study's validation is the world's memo: the service, which
+	// asks the world, does not validate the repository a second time.
+	if s.Validation != s.World.Validation() {
+		t.Fatal("the study validated the repository beside the world's memo")
+	}
 	sn := svc.Current()
 	if sn == nil || sn.Index.Len() != s.VRPs.Len() {
 		t.Fatalf("service snapshot does not match the study's VRPs: %+v", sn)
