@@ -125,7 +125,7 @@ func configure(args []string, stderr io.Writer) (*daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	startup.Generate = lap()
+	startup.Generate, startup.GeneratePhases = lap(), world.Phases
 	table, err := serve.BuildDomainTable(world)
 	if err != nil {
 		return nil, err

@@ -179,6 +179,10 @@ func TestStartupIsReported(t *testing.T) {
 		`ripki_serve_startup_seconds{phase="domain_table"} `,
 		`ripki_serve_startup_seconds{phase="vrps"} `,
 		`ripki_serve_startup_seconds{phase="publish"} `,
+		`ripki_serve_generate_seconds{phase="orgs+roas"} `,
+		`ripki_serve_generate_seconds{phase="announce"} `,
+		`ripki_serve_generate_seconds{phase="domains"} `,
+		`ripki_serve_generate_seconds{phase="registry"} `,
 		"\nripki_serve_ready_seconds ",
 	} {
 		if !strings.Contains(rec.Body.String(), want) {

@@ -32,9 +32,7 @@ type Registry struct {
 }
 
 // NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{records: make(map[string][]RR)}
-}
+func NewRegistry() *Registry { return NewRegistrySized(0) }
 
 // NewRegistrySized creates an empty registry with space for about n
 // owner names, so web-scale worlds (a million domains, two-plus names
@@ -55,8 +53,8 @@ func (r *Registry) SetMutationHook(fn func(name string)) {
 	r.mu.Unlock()
 }
 
-// Add inserts a record. The owner name is canonicalised.
-func (r *Registry) Add(rr RR) {
+// canonicalise puts a record in the form the registry stores.
+func canonicalise(rr *RR) {
 	rr.Name = CanonicalName(rr.Name)
 	if rr.Type == TypeCNAME || rr.Type == TypeNS {
 		rr.Target = CanonicalName(rr.Target)
@@ -64,6 +62,11 @@ func (r *Registry) Add(rr RR) {
 	if rr.Class == 0 {
 		rr.Class = ClassINET
 	}
+}
+
+// Add inserts a record. The owner name is canonicalised.
+func (r *Registry) Add(rr RR) {
+	canonicalise(&rr)
 	r.mu.Lock()
 	r.put(rr.Name, append(r.own(rr.Name), rr))
 	hook := r.hook
@@ -74,28 +77,37 @@ func (r *Registry) Add(rr RR) {
 }
 
 // AddBatch inserts many records under one lock acquisition, preserving
-// slice order. It is the bulk path for sharded world generation, where
-// each shard accumulates its records and replays them in rank order.
+// slice order, and takes ownership of rrs: the records are canonicalised
+// in place and the caller must not touch the slice again. It is the bulk
+// path for sharded world generation, which emits each owner's records
+// side by side: a maximal run of one owner the registry does not hold is
+// adopted, not copied — its records become the window rrs[i:j:j] (an
+// append reallocates), and rrs lives while any window into it does. A
+// run whose owner holds records, or any run into a registry that shares
+// its map (see Clone), is appended as by Add.
 func (r *Registry) AddBatch(rrs []RR) {
 	r.mu.Lock()
-	names := make([]string, 0, len(rrs))
-	for _, rr := range rrs {
-		rr.Name = CanonicalName(rr.Name)
-		if rr.Type == TypeCNAME || rr.Type == TypeNS {
-			rr.Target = CanonicalName(rr.Target)
-		}
-		if rr.Class == 0 {
-			rr.Class = ClassINET
-		}
-		r.put(rr.Name, append(r.own(rr.Name), rr))
-		names = append(names, rr.Name)
-	}
 	hook := r.hook
-	r.mu.Unlock()
-	if hook != nil {
-		for _, n := range names {
-			hook(n)
+	var names []string // per record, for the hook
+	for i := range rrs {
+		canonicalise(&rrs[i])
+		if hook != nil {
+			names = append(names, rrs[i].Name)
 		}
+	}
+	for i, j := 0, 0; i < len(rrs); i = j {
+		name := rrs[i].Name
+		for j = i + 1; j < len(rrs) && rrs[j].Name == name; j++ {
+		}
+		if r.shared || len(r.records[name]) > 0 {
+			r.put(name, append(r.own(name), rrs[i:j]...))
+		} else {
+			r.records[name] = rrs[i:j:j]
+		}
+	}
+	r.mu.Unlock()
+	for _, n := range names {
+		hook(n)
 	}
 }
 

@@ -265,3 +265,137 @@ func TestRegistryWriteCostsTheNamesWritten(t *testing.T) {
 		t.Error("Names not sorted across base and overlay")
 	}
 }
+
+// TestAdoptedBatchesMatchModel drives AddBatch's adoption where a window
+// into the caller's slice could leak into a neighbour's records: runs of
+// several owners in one batch, an owner split across two runs, an
+// in-place Remove and an Add on an adopted window, a batch into a cloned
+// registry, and the adopted slice scribbled over after a clone wrote the
+// owner scribbled on. After every step every member answers as its model
+// does, so no neighbour's records moved.
+func TestAdoptedBatchesMatchModel(t *testing.T) {
+	names := []string{"a.example", "www.a.example", "b.example", "e1.cdn.wld", "e2.cdn.wld", "ghost.example"}
+	a := func(name string, last byte) RR {
+		return RR{Name: name, Type: TypeA, TTL: 60, Addr: netip.AddrFrom4([4]byte{192, 0, 2, last})}
+	}
+	root := &modelRegistry{reg: NewRegistry(), want: map[string][]RR{}}
+	root.attach()
+	members := []*modelRegistry{root}
+	batch := func(m *modelRegistry, rrs ...RR) []RR {
+		for _, rr := range rrs {
+			m.add(rr)
+		}
+		m.reg.AddBatch(rrs)
+		return rrs
+	}
+	checkAll := func(after string) {
+		t.Helper()
+		for i, m := range members {
+			m.check(t, fmt.Sprintf("member %d", i), after, names)
+		}
+	}
+
+	// Three owners in five runs: a.example (two spellings, one run), www
+	// (a CNAME and a TXT), b.example, then a.example again — held by now,
+	// so appended, not adopted — and e1.
+	first := batch(root,
+		a("a.example", 1), a("A.Example.", 2),
+		RR{Name: "www.a.example", Type: TypeCNAME, TTL: 60, Target: "A.example."}, RR{Name: "www.a.example", Type: TypeTXT, TTL: 60},
+		a("b.example", 3), a("b.example", 4),
+		a("a.example", 5), a("e1.cdn.wld", 6))
+	checkAll("a batch of five runs")
+	if first[1].Name != "a.example" || first[2].Target != "a.example" || first[0].Class != ClassINET {
+		t.Errorf("the batch was not canonicalised in place: %+v", first[:3])
+	}
+
+	// www's window is first[2:4]. Remove filters it in place and Add
+	// appends into the room that left — first[3] — and no further.
+	if got, want := root.reg.Remove("www.a.example", TypeTXT), root.remove("www.a.example", TypeTXT); got != want {
+		t.Fatalf("Remove removed %d, want %d", got, want)
+	}
+	checkAll("Remove on an adopted window")
+	root.reg.Add(a("www.a.example", 7))
+	root.add(a("www.a.example", 7))
+	root.reg.Add(a("www.a.example", 8)) // the window is full: this one moves www out of the batch
+	root.add(a("www.a.example", 8))
+	checkAll("Add on an adopted window")
+	if !reflect.DeepEqual(first[4], canon(a("b.example", 3))) {
+		t.Errorf("Add on www's window wrote its neighbour: %+v", first[4])
+	}
+
+	// A batch into a clone appends to private copies, whether the shared
+	// map holds the owner (b) or not (e2), and the source sees neither.
+	clone := &modelRegistry{reg: root.reg.Clone(), want: map[string][]RR{}}
+	for name, rrs := range root.want {
+		clone.want[name] = slices.Clone(rrs)
+	}
+	clone.attach()
+	members = append(members, clone)
+	second := batch(clone, a("b.example", 9), a("e2.cdn.wld", 10), a("e2.cdn.wld", 11))
+	checkAll("a batch into a clone")
+	batch(root, a("e2.cdn.wld", 12), a("ghost.example", 13)) // the source is shared now, too
+	checkAll("a batch into a cloned-from registry")
+
+	// The clone wrote b.example, so it reads its own copy: scribbling over
+	// b's window in the first batch, and over the whole second batch,
+	// moves nothing the clone answers. (The source still reads the
+	// window — AddBatch took the slice — so it is put back before the
+	// source is checked again.)
+	saved := slices.Clone(first[4:6])
+	first[4], first[5] = a("scribble.example", 99), a("scribble.example", 98)
+	for i := range second {
+		second[i] = a("scribble.example", 97)
+	}
+	clone.check(t, "the clone", "the adopted slices were scribbled over", names)
+	copy(first[4:6], saved)
+	checkAll("the scribble was undone")
+}
+
+// TestAddBatchAdoptsRuns: a batch of runs of new owners costs what the
+// map costs — nothing when the registry was sized for them — and no
+// allocation per owner or per record, because each owner's records are a
+// window into the batch; the same batch into a registry that shares its
+// map is copied owner by owner, as before.
+func TestAddBatchAdoptsRuns(t *testing.T) {
+	const owners = 4096
+	fresh := func() []RR {
+		batch := make([]RR, 0, 2*owners)
+		for i := 0; i < owners; i++ {
+			name := fmt.Sprintf("h%d.example", i)
+			batch = append(batch, RR{Name: name, Type: TypeA, TTL: 60, Addr: netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)})},
+				RR{Name: name, Type: TypeTXT, TTL: 60})
+		}
+		return batch
+	}
+	// AllocsPerRun calls its function once more than it is asked to.
+	const runs = 5
+	measure := func(newRegistry func() *Registry) float64 {
+		regs, batches := make([]*Registry, runs+1), make([][]RR, runs+1)
+		for i := range regs {
+			regs[i], batches[i] = newRegistry(), fresh()
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			regs[next].AddBatch(batches[next])
+			next++
+		})
+	}
+	if n := measure(func() *Registry { return NewRegistrySized(owners) }); n > 0 {
+		t.Errorf("AddBatch of %d new owners into a registry sized for them: %.0f allocations, want 0", owners, n)
+	}
+	if n := measure(NewRegistry); n > owners/8 {
+		t.Errorf("AddBatch of %d new owners into an empty registry: %.0f allocations, want map growth only", owners, n)
+	}
+	if n := measure(func() *Registry { return NewRegistrySized(owners).Clone() }); n < owners {
+		t.Errorf("AddBatch of %d owners into a shared registry: %.0f allocations; it must copy each owner's records", owners, n)
+	}
+	r := NewRegistrySized(owners)
+	batch := fresh()
+	r.AddBatch(batch)
+	if got := r.Lookup("h7.example", TypeTXT); len(got) != 1 || &r.records["h7.example"][0] != &batch[14] {
+		t.Errorf("h7.example's records are not the batch's own: %v", got)
+	}
+	if rrs := r.records["h7.example"]; len(rrs) != 2 || cap(rrs) != 2 {
+		t.Errorf("h7.example's window has len %d cap %d, want 2 and 2", len(rrs), cap(rrs))
+	}
+}

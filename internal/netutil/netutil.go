@@ -116,30 +116,32 @@ var specialPurpose = []netip.Prefix{
 	MustPrefix("ff00::/8"),      // multicast
 }
 
+// specialByOctet lists the blocks an address can fall in by family (0
+// IPv4, 1 IPv6) and first octet: four at most (00::/8), none for most.
+var specialByOctet = func() (t [2][256][]netip.Prefix) {
+	for _, p := range specialPurpose {
+		fam, first := p.Addr().BitLen()/128, int(p.Addr().AsSlice()[0])
+		for o := first; o < first+1<<max(8-p.Bits(), 0); o++ { // shorter than /8: several octets
+			t[fam][o] = append(t[fam][o], p)
+		}
+	}
+	return t
+}()
+
 // IsSpecialPurpose reports whether a falls inside any IANA
 // special-purpose block and is therefore an invalid answer for a public
 // web server. Invalid (zero) addresses are also reported as special.
 func IsSpecialPurpose(a netip.Addr) bool {
-	if !a.IsValid() {
+	if !a.IsValid() || a.Is4In6() {
 		return true
 	}
-	if a.Is4In6() {
-		return true
-	}
-	for _, p := range specialPurpose {
-		if p.Addr().Is4() == a.Is4() && p.Contains(a) {
+	raw, fam := a.As16(), a.BitLen()/128 // an IPv4 address is raw's last four bytes
+	for _, p := range specialByOctet[fam][raw[12-12*fam]] {
+		if p.Contains(a) {
 			return true
 		}
 	}
 	return false
-}
-
-// SpecialPurposePrefixes returns a copy of the registry, for callers that
-// want to display or re-serve it.
-func SpecialPurposePrefixes() []netip.Prefix {
-	out := make([]netip.Prefix, len(specialPurpose))
-	copy(out, specialPurpose)
-	return out
 }
 
 // ComparePrefixes orders prefixes first by family (IPv4 before IPv6),

@@ -109,12 +109,72 @@ func TestIsSpecialPurpose(t *testing.T) {
 	}
 }
 
-func TestSpecialPurposePrefixesIsCopy(t *testing.T) {
-	a := SpecialPurposePrefixes()
-	a[0] = MustPrefix("1.2.3.0/24")
-	b := SpecialPurposePrefixes()
-	if b[0] == a[0] {
-		t.Error("SpecialPurposePrefixes returned shared backing storage")
+// specialPurposeByScan is IsSpecialPurpose as it was before the dispatch
+// table: every block of the registry tried in turn. It is the oracle.
+func specialPurposeByScan(a netip.Addr) bool {
+	if !a.IsValid() {
+		return true
+	}
+	if a.Is4In6() {
+		return true
+	}
+	for _, p := range specialPurpose {
+		if p.Addr().Is4() == a.Is4() && p.Contains(a) {
+			return true
+		}
+	}
+	return false
+}
+
+// lastAddr is the highest address in p.
+func lastAddr(p netip.Prefix) netip.Addr {
+	raw := p.Addr().AsSlice()
+	for i := p.Bits(); i < len(raw)*8; i++ {
+		raw[i/8] |= 1 << (7 - uint(i%8))
+	}
+	a, _ := netip.AddrFromSlice(raw)
+	return a
+}
+
+// TestIsSpecialPurposeMatchesScan holds the dispatch to the scan where
+// they could part: every block's first and last address and the
+// neighbour on either side of it (across a first-octet boundary for the
+// blocks shorter than /8), a zoned address, 4-in-6 forms of all the IPv4
+// probes, the zero Addr, and a sweep of every first octet in both
+// families.
+func TestIsSpecialPurposeMatchesScan(t *testing.T) {
+	probes := []netip.Addr{{}, MustAddr("fe80::1%eth0"), MustAddr("::ffff:10.0.0.1"), MustAddr("::ffff:8.8.8.8")}
+	for _, p := range specialPurpose {
+		first, last := p.Addr(), lastAddr(p)
+		probes = append(probes, first, last, first.Prev(), last.Next()) // Prev of 0.0.0.0 and :: is the zero Addr
+		if first.Is4() {
+			probes = append(probes, netip.AddrFrom16(first.As16()), netip.AddrFrom16(last.As16()))
+		}
+	}
+	for o := 0; o < 256; o++ {
+		probes = append(probes,
+			netip.AddrFrom4([4]byte{byte(o), 0, 0, 1}), netip.AddrFrom4([4]byte{byte(o), 255, 255, 255}),
+			netip.AddrFrom16([16]byte{0: byte(o), 15: 1}), netip.AddrFrom16([16]byte{0: byte(o), 1: 0xff, 15: 1}))
+	}
+	special := 0
+	for _, a := range probes {
+		want := specialPurposeByScan(a)
+		if got := IsSpecialPurpose(a); got != want {
+			t.Errorf("IsSpecialPurpose(%v) = %v, the scan of every block says %v", a, got, want)
+		}
+		if want {
+			special++
+		}
+	}
+	if special < 2*len(specialPurpose) || special == len(probes) {
+		t.Errorf("%d of %d probes are special: the probes do not straddle the blocks", special, len(probes))
+	}
+	for fam := range specialByOctet {
+		for o, blocks := range specialByOctet[fam] {
+			if len(blocks) > 4 {
+				t.Errorf("family %d octet %#02x dispatches to %d blocks, want a few", fam, o, len(blocks))
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -31,6 +32,26 @@ func SlowLorisIsCutOff(t *testing.T, srv *http.Server, okPath string) {
 	}
 	const bound = 300 * time.Millisecond
 	srv.ReadHeaderTimeout = bound
+	stalledIsCutOff(t, srv, "GET /heal", okPath, bound)
+}
+
+// SlowBodyIsCutOff is the same check one step into a request: a peer
+// that sends a whole POST header for path and stalls in the body it
+// promised is answered 408 and dropped once bound — the handler's body
+// deadline, as the caller has shortened it — passes, and not before.
+func SlowBodyIsCutOff(t *testing.T, srv *http.Server, path, okPath string, bound time.Duration) {
+	t.Helper()
+	answer := stalledIsCutOff(t, srv, "POST "+path+" HTTP/1.1\r\nHost: x\r\nContent-Length: 64\r\n\r\n{\"routes\": [", okPath, bound)
+	if !strings.HasPrefix(answer, "HTTP/1.1 408 ") {
+		t.Fatalf("stalled body answered %q, want a 408", answer)
+	}
+}
+
+// stalledIsCutOff serves srv, opens a connection that writes stalled and
+// then nothing, and returns what the server answered before it hung up:
+// after bound, and with GET okPath answering 200 meanwhile.
+func stalledIsCutOff(t *testing.T, srv *http.Server, stalled, okPath string, bound time.Duration) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -44,16 +65,16 @@ func SlowLorisIsCutOff(t *testing.T, srv *http.Server, okPath string) {
 		}
 	}()
 
-	// Taken before the dial: the server arms its header deadline when it
-	// starts reading the accepted connection, which can be before Dial
-	// returns here, and the lower bound below must hold regardless.
+	// Taken before the dial: the server arms its deadline when it starts
+	// reading the accepted connection, which can be before Dial returns
+	// here, and the lower bound below must hold regardless.
 	began := time.Now()
 	loris, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer loris.Close()
-	if _, err := io.WriteString(loris, "GET /heal"); err != nil {
+	if _, err := io.WriteString(loris, stalled); err != nil {
 		t.Fatal(err)
 	}
 
@@ -69,10 +90,12 @@ func SlowLorisIsCutOff(t *testing.T, srv *http.Server, okPath string) {
 	// The server hangs up (perhaps after a 408): the read ends, and not
 	// because the test's own deadline ran out.
 	loris.SetReadDeadline(began.Add(20 * bound))
-	if _, err := io.Copy(io.Discard, loris); err != nil {
-		t.Fatalf("stalled connection still open %v after a %v header deadline: %v", time.Since(began), bound, err)
+	answer, err := io.ReadAll(loris)
+	if err != nil {
+		t.Fatalf("stalled connection still open %v after a %v deadline: %v", time.Since(began), bound, err)
 	}
 	if waited := time.Since(began); waited < bound {
 		t.Fatalf("stalled connection closed after %v, before the %v deadline", waited, bound)
 	}
+	return string(answer)
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -37,18 +38,17 @@ type DomainListing struct {
 //
 // The layout is struct-of-arrays with interned names and deduplicated
 // routes, sized for the paper's million-domain population: a domain is
-// a rank, a flag byte, a name id into the string table, and two spans
-// into a shared route-id array. The distinct (prefix, origin) pairs of
+// a rank, a flag byte, a name in the string table (its id the domain's
+// position, its map the only name index), and two spans into a shared
+// route-id array. The distinct (prefix, origin) pairs of
 // the whole world number in the low tens of thousands, so per-snapshot
 // exposure validates each unique route once instead of once per domain.
 // It is built once (DNS and RIB state is VRP-independent) and shared by
 // every snapshot; after construction it is immutable and lock-free.
 type DomainTable struct {
-	names   *strtab.Table
-	nameIDs []uint32
-	index   map[string]int32 // interned name → position in rank order
-	ranks   []int32
-	flags   []uint8
+	names *strtab.Table // id = position in rank order
+	ranks []int32
+	flags []uint8
 	// offs holds 2n+1 boundaries into routeIDs: domain i's www pairs
 	// are routeIDs[offs[2i]:offs[2i+1]], its apex pairs
 	// routeIDs[offs[2i+1]:offs[2i+2]].
@@ -59,7 +59,7 @@ type DomainTable struct {
 }
 
 // name returns domain i's interned name.
-func (t *DomainTable) name(i int32) string { return t.names.Get(t.nameIDs[i]) }
+func (t *DomainTable) name(i int32) string { return t.names.Get(uint32(i)) }
 
 // wwwIDs returns domain i's www-variant route ids.
 func (t *DomainTable) wwwIDs(i int32) []uint32 {
@@ -74,12 +74,12 @@ func (t *DomainTable) apexIDs(i int32) []uint32 {
 // BuildDomainTable resolves every domain of the world's ranked list —
 // both the www and the apex variant — and extracts the covering
 // (prefix, origin) pairs from the world's RIB. Resolution fans out
-// across GOMAXPROCS chunks into private arenas; the pack into the
-// interned table is a sequential second phase (route deduplication
-// wants one id space). The error is always nil: the in-process resolver
-// cannot fail.
+// across GOMAXPROCS chunks into private arenas, each worker reading
+// through its own O(1) fork of the registry and the RIB so that no two
+// cores write one lock word; the pack into the interned table is a
+// sequential second phase (route deduplication wants one id space). The
+// only error is a ranked list that names a domain twice.
 func BuildDomainTable(w *webworld.World) (*DomainTable, error) {
-	resolver := dns.RegistryResolver{Registry: w.Registry}
 	entries := w.List.Entries()
 	n := len(entries)
 
@@ -89,13 +89,7 @@ func BuildDomainTable(w *webworld.World) (*DomainTable, error) {
 		counts []uint32 // 2 per domain: len(www pairs), len(apex pairs)
 		flags  []uint8
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), n))
 	arenas := make([]*arena, workers)
 	var wg sync.WaitGroup
 	for c := 0; c < workers; c++ {
@@ -107,6 +101,7 @@ func BuildDomainTable(w *webworld.World) (*DomainTable, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			resolver, table := dns.RegistryResolver{Registry: w.Registry.Clone()}, w.RIB.Clone()
 			// One answer buffer serves all of the worker's lookups, and the
 			// pairs go straight into the arena.
 			var res dns.Result
@@ -115,11 +110,11 @@ func BuildDomainTable(w *webworld.World) (*DomainTable, error) {
 				// LookupWebInto does not retain the name, so the www name
 				// is built on the stack (up to 32 bytes), not the heap.
 				resolver.LookupWebInto(&res, "www."+name)
-				pairs, www := measure.AppendPairs(a.pairs, w.RIB, res.Addrs)
+				pairs, www := measure.AppendPairs(a.pairs, table, res.Addrs)
 				chain := res.CNAMECount()
 				mid := len(pairs)
 				resolver.LookupWebInto(&res, name)
-				pairs, apex := measure.AppendPairs(pairs, w.RIB, res.Addrs)
+				pairs, apex := measure.AppendPairs(pairs, table, res.Addrs)
 				// A variant is resolved when it has a public address.
 				var fl uint8
 				if www.Addrs > 0 {
@@ -145,8 +140,6 @@ func BuildDomainTable(w *webworld.World) (*DomainTable, error) {
 	}
 	t := &DomainTable{
 		names:    strtab.NewSized(n, 14*n),
-		nameIDs:  make([]uint32, n),
-		index:    make(map[string]int32, n),
 		ranks:    make([]int32, n),
 		flags:    make([]uint8, n),
 		offs:     make([]uint32, 1, 2*n+1),
@@ -158,8 +151,9 @@ func BuildDomainTable(w *webworld.World) (*DomainTable, error) {
 	for _, a := range arenas {
 		pi := 0
 		for k := a.lo; k < a.hi; k++ {
-			t.nameIDs[i] = t.names.Intern(entries[k].Domain)
-			t.index[t.name(i)] = i
+			if id := t.names.Intern(entries[k].Domain); id != uint32(i) {
+				return nil, fmt.Errorf("serve: ranked list names %q twice, at ranks %d and %d", entries[k].Domain, t.ranks[id], entries[k].Rank)
+			}
 			t.ranks[i] = int32(entries[k].Rank)
 			t.flags[i] = a.flags[k-a.lo]
 			for v := 0; v < 2; v++ {
@@ -200,19 +194,15 @@ func (t *DomainTable) Len() int { return len(t.ranks) }
 func (t *DomainTable) UniqueRoutes() int { return len(t.routes) }
 
 // MemoryFootprint estimates the table's heap bytes: the packed arrays
-// exactly, the name index map by its per-entry overhead. It backs the
-// ripki_serve_domain_table_bytes gauge and the bytes/domain bench
-// metric.
+// exactly, the string table's name map by its per-entry overhead. It
+// backs the ripki_serve_domain_table_bytes gauge and the bytes/domain
+// bench metric.
 func (t *DomainTable) MemoryFootprint() int {
-	const mapEntry = 48 // string header + int32 + bucket overhead, amortised
-	if t.names == nil {
-		return 0 // the empty table of New(nil)
-	}
+	const mapEntry = 48 // string header + uint32 + bucket overhead, amortised
 	b := t.names.Bytes() + 4*(t.names.Len()+1)
-	b += 4*len(t.nameIDs) + 4*len(t.ranks) + len(t.flags)
+	b += mapEntry*t.names.Len() + 4*len(t.ranks) + len(t.flags)
 	b += 4*len(t.offs) + 4*len(t.routeIDs)
 	b += int(unsafe.Sizeof(rib.PrefixOrigin{})) * len(t.routes)
-	b += mapEntry * len(t.index)
 	return b
 }
 
@@ -241,14 +231,11 @@ func (t *DomainTable) Listing(limit, offset int) []DomainListing {
 // lookup finds a domain by name, accepting an optional "www." label.
 func (t *DomainTable) lookup(name string) (int32, bool) {
 	name = strings.ToLower(strings.TrimSuffix(name, "."))
-	if i, ok := t.index[name]; ok {
-		return i, true
+	id, ok := t.names.Lookup(name)
+	if rest, www := strings.CutPrefix(name, "www."); !ok && www {
+		id, ok = t.names.Lookup(rest)
 	}
-	if rest, ok := strings.CutPrefix(name, "www."); ok {
-		i, ok := t.index[rest]
-		return i, ok
-	}
-	return 0, false
+	return int32(id), ok
 }
 
 // exposure aggregates the table's per-domain www state probabilities

@@ -2,10 +2,13 @@ package serve
 
 import (
 	"fmt"
+	"net/netip"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
+	"ripki/internal/alexa"
 	"ripki/internal/dns"
 	"ripki/internal/measure"
 	"ripki/internal/rib"
@@ -25,9 +28,11 @@ func pairsOf(resolver dns.Lookuper, table *rib.Table, name string) (pairs []rib.
 }
 
 // TestBuildDomainTableMatchesOracle packs the world one domain at a time
-// from pairsOf's answers and requires BuildDomainTable to
-// produce the same arrays, element for element, however many arenas the
-// resolution was spread over.
+// on one goroutine, from pairsOf's answers through the world's own
+// registry and RIB, and requires BuildDomainTable — whose workers each
+// read through a private fork of both — to produce the same arrays,
+// element for element, however many arenas the resolution was spread
+// over.
 func TestBuildDomainTableMatchesOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, domains := range []int{2000, 20000} {
@@ -97,12 +102,9 @@ func TestBuildDomainTableMatchesOracle(t *testing.T) {
 				t.Fatalf("%s: %d domains in the table, want %d", where, dt.Len(), len(names))
 			}
 			for i, name := range names {
-				if got := dt.name(int32(i)); got != name || dt.index[name] != int32(i) {
-					t.Fatalf("%s: domain %d is %q (index %d), want %q", where, i, got, dt.index[name], name)
+				if at, ok := dt.lookup(name); dt.name(int32(i)) != name || !ok || at != int32(i) {
+					t.Fatalf("%s: domain %d is %q, found at %d (%v), want %q", where, i, dt.name(int32(i)), at, ok, name)
 				}
-			}
-			if len(dt.index) != len(names) {
-				t.Errorf("%s: name index holds %d entries, want %d", where, len(dt.index), len(names))
 			}
 			if !slices.Equal(dt.ranks, ranks) {
 				t.Errorf("%s: ranks differ", where)
@@ -119,6 +121,72 @@ func TestBuildDomainTableMatchesOracle(t *testing.T) {
 			if !slices.Equal(dt.routes, routes) {
 				t.Errorf("%s: unique routes differ", where)
 			}
+		}
+	}
+}
+
+// handWorld is a world of the given ranked names with one address each,
+// enough for BuildDomainTable.
+func handWorld(names ...string) *webworld.World {
+	w := &webworld.World{List: alexa.FromDomains(names), Registry: dns.NewRegistry(), RIB: rib.New()}
+	for i, name := range names {
+		w.Registry.Add(dns.RR{Name: name, Type: dns.TypeA, TTL: 60, Addr: netip.AddrFrom4([4]byte{198, 18, 0, byte(i + 1)})})
+	}
+	return w
+}
+
+// TestLookupAsksTheOneNameMap: a domain is found by the string table's
+// own map — there is no second index — under the spellings the API
+// accepts: any case, one trailing dot, an optional "www." label tried
+// only after the name as given.
+func TestLookupAsksTheOneNameMap(t *testing.T) {
+	dt, err := BuildDomainTable(handWorld("a.example", "www.b.example", "b.example", "wwwx.example"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		want int32 // -1: a miss
+	}{
+		{"a.example", 0}, {"A.Example", 0}, {"a.example.", 0}, {"www.a.example", 0}, {"WWW.A.EXAMPLE.", 0},
+		{"www.b.example", 1}, {"b.example", 2}, {"www.www.b.example", 1},
+		{"wwwx.example", 3}, {"x.example", -1}, {"www.wwwx.example", 3},
+		{"a.example..", -1}, {"www.", -1}, {"www.c.example", -1}, {"", -1}, {".", -1},
+	} {
+		got, ok := dt.lookup(tc.name)
+		if !ok {
+			got = -1
+		}
+		if got != tc.want {
+			t.Errorf("lookup(%q) = %d, want %d", tc.name, got, tc.want)
+		}
+		// The single map is the oracle: what lookup finds is what it holds
+		// under the canonical spelling, with or without the www label.
+		canon := strings.ToLower(strings.TrimSuffix(tc.name, "."))
+		id, held := dt.names.Lookup(canon)
+		if !held {
+			id, held = dt.names.Lookup(strings.TrimPrefix(canon, "www."))
+		}
+		if held != ok || (held && int32(id) != got) {
+			t.Errorf("lookup(%q) = %d, %v; the name map holds %d, %v", tc.name, got, ok, id, held)
+		}
+	}
+	if _, ok := New(nil).domains.lookup("a.example"); ok {
+		t.Error("the empty table found a name")
+	}
+}
+
+// TestDuplicateDomainIsAnError: a domain's id is its position because a
+// ranked list names each domain once; a list that does not is refused,
+// naming the domain and both ranks, not packed with one row unreachable.
+func TestDuplicateDomainIsAnError(t *testing.T) {
+	dt, err := BuildDomainTable(handWorld("a.example", "b.example", "A.example"))
+	if dt != nil || err == nil {
+		t.Fatalf("BuildDomainTable of a list naming a.example twice: table %v, error %v", dt, err)
+	}
+	for _, want := range []string{`"a.example"`, "ranks 1 and 3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %s", err, want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/netip"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -21,6 +22,10 @@ const maxBatchRoutes = 4096
 // compact route object (a full-length IPv6 prefix, a ten-digit ASN) is
 // under 80.
 const maxValidateBody = maxBatchRoutes * 128
+
+// validateBodyTimeout is the time a client has to deliver a POST
+// /v1/validate body after its header. (A variable for its test's sake.)
+var validateBodyTimeout = 10 * time.Second
 
 // Handler returns the service's HTTP API. Every handler follows the
 // same discipline: load the snapshot pointer once, answer entirely from
@@ -45,6 +50,9 @@ type statusRecorder struct {
 	http.ResponseWriter
 	status int
 }
+
+// Unwrap lets http.ResponseController reach the connection.
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 func (r *statusRecorder) WriteHeader(code int) {
 	r.status = code
@@ -181,15 +189,23 @@ func (s *Service) handleValidatePost(w http.ResponseWriter, r *http.Request) {
 	var req validateRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxValidateBody))
 	dec.DisallowUnknownFields()
+	// Cleared once the body is in; a refused body keeps it, so the server's
+	// drain of what is unread fails at once and the connection closes.
+	rc := http.NewResponseController(w)
+	rc.SetReadDeadline(time.Now().Add(validateBodyTimeout))
 	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+		switch {
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			writeError(w, http.StatusRequestTimeout, "request body not received within %v", validateBodyTimeout)
+		case errors.As(err, &tooBig):
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxValidateBody)
-			return
+		default:
+			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
+	rc.SetReadDeadline(time.Time{})
 	specs := req.Routes
 	if specs == nil {
 		if req.Prefix == "" {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ripki/internal/obs"
+	"ripki/internal/webworld"
 )
 
 // The metrics layer must not reintroduce a lock on the read path, so it
@@ -154,16 +155,15 @@ type Startup struct {
 	Generate, DomainTable, VRPs, Publish time.Duration
 	// Ready is the whole of it, flag parsing to a published snapshot.
 	Ready time.Duration
+	// GeneratePhases breaks Generate down (webworld.World.Phases), beside
+	// the phases above, which still add up to Ready.
+	GeneratePhases []webworld.Phase
 }
 
-// startupPhase is one phase under its metric label value.
-type startupPhase struct {
-	name string
-	d    time.Duration
-}
-
-func (st Startup) phases() [4]startupPhase {
-	return [4]startupPhase{{"generate", st.Generate}, {"domain_table", st.DomainTable}, {"vrps", st.VRPs}, {"publish", st.Publish}}
+// phases are the four phases under their metric label values.
+func (st Startup) phases() [4]webworld.Phase {
+	return [4]webworld.Phase{{Name: "generate", D: st.Generate}, {Name: "domain_table", D: st.DomainTable},
+		{Name: "vrps", D: st.VRPs}, {Name: "publish", D: st.Publish}}
 }
 
 // String renders the figures for a start-up banner.
@@ -174,7 +174,7 @@ func (st Startup) String() string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s %.2fs", p.name, p.d.Seconds())
+		fmt.Fprintf(&b, "%s %.2fs", p.Name, p.D.Seconds())
 	}
 	b.WriteByte(')')
 	return b.String()
@@ -201,7 +201,7 @@ func (s *Service) collectStartup(e *obs.Encoder) {
 	}
 	if s.startup != nil {
 		for _, p := range s.startup.phases() {
-			phase(p.name, p.d)
+			phase(p.Name, p.D)
 		}
 	}
 	if sync > 0 {
@@ -210,6 +210,10 @@ func (s *Service) collectStartup(e *obs.Encoder) {
 	if s.startup != nil {
 		e.Family("ripki_serve_ready_seconds", "Wall-clock seconds from process start to the first published snapshot (time to ready).", obs.TypeGauge)
 		e.Sample("", nil, s.startup.Ready.Seconds())
+		e.Family("ripki_serve_generate_seconds", "Wall-clock seconds each phase of world generation took (a breakdown of start-up phase generate).", obs.TypeGauge)
+		for _, p := range s.startup.GeneratePhases {
+			phase(p.Name, p.D)
+		}
 	}
 }
 

@@ -45,6 +45,7 @@ import (
 	"ripki/internal/measure"
 	"ripki/internal/obs"
 	"ripki/internal/rpki/vrp"
+	"ripki/internal/strtab"
 	"ripki/internal/webworld"
 )
 
@@ -244,7 +245,7 @@ type Service struct {
 // queries answer 503 until the first Publish.
 func New(domains *DomainTable) *Service {
 	if domains == nil {
-		domains = &DomainTable{}
+		domains = &DomainTable{names: strtab.New()}
 	}
 	s := &Service{
 		domains: domains,

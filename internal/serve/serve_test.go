@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"ripki/internal/obs"
+	"ripki/internal/obs/obstest"
 	"ripki/internal/rpki/vrp"
 	"ripki/internal/webworld"
 )
@@ -397,6 +400,37 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestSlowValidateBodyIsCutOff: POST /v1/validate bounds its body in time
+// as well as size — a peer that promises a body and stalls is answered
+// 408 and dropped at validateBodyTimeout (obstest has the details) — and
+// the bound ends with the read: on a connection that has just posted a
+// body, a long-poll three times as long as the bound runs its course.
+func TestSlowValidateBodyIsCutOff(t *testing.T) {
+	const bound = 300 * time.Millisecond
+	defer func(d time.Duration) { validateBodyTimeout = d }(validateBodyTimeout)
+	validateBodyTimeout = bound
+	s := testService(t)
+	obstest.SlowBodyIsCutOff(t, obs.NewServer(s.Handler()), "/v1/validate", "/healthz", bound)
+
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	resp, err := srv.Client().Post(srv.URL+"/v1/validate", "application/json", strings.NewReader(`{"prefix": "193.0.6.0/24", "asn": 3333}`))
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/validate: %v, %v", resp, err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	began := time.Now()
+	resp, err = srv.Client().Get(srv.URL + "/v1/events?since=1000000&wait=" + (3 * bound).String())
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("long-poll after a validate on the same connection: %v, %v", resp, err)
+	}
+	resp.Body.Close()
+	if waited := time.Since(began); waited < 3*bound {
+		t.Errorf("long-poll answered after %v, want the %v it asked for", waited, 3*bound)
+	}
+}
+
 // TestStartupGauges: a service told how its start-up went exports each
 // phase and the total, in seconds; one that was not exports neither.
 func TestStartupGauges(t *testing.T) {
@@ -409,8 +443,21 @@ func TestStartupGauges(t *testing.T) {
 		VRPs: 210 * time.Millisecond, Publish: 3 * time.Millisecond, Ready: 803 * time.Millisecond,
 	}
 	s.SetStartup(st)
+	if body := scrape(t, s.Handler()); strings.Contains(body, "ripki_serve_generate_seconds{") {
+		t.Error("a generate phase exported though none was given")
+	}
+	// The breakdown of generate is a family of its own: the start-up
+	// phases still add up to ready.
+	st.GeneratePhases = []webworld.Phase{{Name: "orgs+roas", D: 120 * time.Millisecond}, {Name: "domains", D: 90 * time.Millisecond}}
+	s.SetStartup(st)
 	body := scrape(t, s.Handler())
+	if n := strings.Count(body, "ripki_serve_startup_seconds{"); n != 4 {
+		t.Errorf("%d start-up phases exported, want 4", n)
+	}
 	for _, want := range []string{
+		"# TYPE ripki_serve_generate_seconds gauge",
+		`ripki_serve_generate_seconds{phase="orgs+roas"} 0.12`,
+		`ripki_serve_generate_seconds{phase="domains"} 0.09`,
 		"# TYPE ripki_serve_startup_seconds gauge",
 		`ripki_serve_startup_seconds{phase="generate"} 0.25`,
 		`ripki_serve_startup_seconds{phase="domain_table"} 0.34`,

@@ -66,7 +66,7 @@ func (t *Table) Intern(s string) uint32 {
 		return id
 	}
 	if t.ids == nil {
-		t.ids = make(map[string]uint32)
+		t.ids = make(map[string]uint32, cap(t.offs)-1) // NewSized's n
 	}
 	id := t.add(unsafe.Slice(unsafe.StringData(s), len(s)))
 	// Key with the slab-backed copy, not the caller's string, so the

@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"strings"
 	"sync"
+	"time"
 
 	"ripki/internal/bgp"
 	"ripki/internal/dns"
@@ -33,6 +34,11 @@ func Generate(cfg Config) (*World, error) {
 		CDNSuffixes: make(map[string][]string),
 		memo:        new(sync.Map),
 	}
+	mark := time.Now()
+	lap := func(phase string) {
+		w.Phases = append(w.Phases, Phase{Name: phase, D: time.Since(mark)})
+		mark = time.Now()
+	}
 	var err error
 	if w.Repo, err = repo.New(repo.RIRNames, cfg.Clock, cfg.TTL); err != nil {
 		return nil, err
@@ -43,8 +49,10 @@ func Generate(cfg Config) (*World, error) {
 	if err := w.signROAs(); err != nil {
 		return nil, err
 	}
+	lap("orgs+roas")
 	w.announce()
-	if err := w.buildDomains(); err != nil {
+	lap("announce")
+	if err := w.buildDomains(lap); err != nil {
 		return nil, err
 	}
 	// Seal the generated records: the world's registry is from here on a
@@ -53,6 +61,7 @@ func Generate(cfg Config) (*World, error) {
 	// this world and every clone of it, whether its DNS is still as
 	// generated — which is what lets values derived from it be shared.
 	w.Registry = w.Registry.Clone()
+	lap("registry")
 	return w, nil
 }
 

@@ -118,22 +118,41 @@ func (s *Stats) merge(o Stats) {
 }
 
 // domainBuilder accumulates one shard's per-domain output: DNS records
-// and stat tallies go into private buffers, replayed into the shared
-// world in rank order after all shards finish. The rnd stream is
-// re-seeded per domain from (Seed, rank), which is the whole
-// determinism argument: no draw ever depends on which shard made it.
+// and stat tallies go into private buffers, handed to the shared world
+// in rank order after all shards finish. The rnd stream is re-seeded per
+// domain from (Seed, rank), which is the whole determinism argument: no
+// draw ever depends on which shard made it. The registry adopts the
+// record chunks (dns.Registry.AddBatch), so a domain emits each owner's
+// records side by side, and a chunk is sized for the records still
+// expected, never grown, and never shared by the two halves of a domain.
 type domainBuilder struct {
-	w     *World
-	rnd   *rand.Rand
-	names *strtab.Table
-	recs  []dns.RR
-	stats Stats
+	w      *World
+	rnd    *rand.Rand
+	names  *strtab.Table
+	chunks [][]dns.RR
+	stats  Stats
 }
 
-func (b *domainBuilder) add(rr dns.RR) { b.recs = append(b.recs, rr) }
+const (
+	recChunk      = 4096 // the most records in a chunk (416 KiB)
+	maxDomainRecs = 8    // DNSKEY, three A and an AAAA at the apex, three A at www
+)
+
+// startDomain makes room for one more domain in the current chunk; left
+// domains of the shard are still to come.
+func (b *domainBuilder) startDomain(left int) {
+	if c := b.chunks; len(c) == 0 || cap(c[len(c)-1])-len(c[len(c)-1]) < maxDomainRecs {
+		b.chunks = append(c, make([]dns.RR, 0, min(recChunk, left*5/2+maxDomainRecs)))
+	}
+}
+
+func (b *domainBuilder) add(rr dns.RR) {
+	c := &b.chunks[len(b.chunks)-1]
+	*c = append(*c, rr)
+}
 
 func (b *domainBuilder) addCNAME(name, target string, ttl uint32) {
-	b.recs = append(b.recs, dns.RR{Name: name, Type: dns.TypeCNAME, TTL: ttl, Target: target})
+	b.add(dns.RR{Name: name, Type: dns.TypeCNAME, TTL: ttl, Target: target})
 }
 
 // buildDomains creates the ranked population and all web DNS records.
@@ -141,7 +160,7 @@ func (b *domainBuilder) addCNAME(name, target string, ttl uint32) {
 // contiguous ranges, each built concurrently into a private buffer.
 // Fixtures are order-coupled (they share a rotating covered-prefix
 // counter), so they are rebuilt sequentially afterwards.
-func (w *World) buildDomains() error {
+func (w *World) buildDomains(lap func(phase string)) error {
 	pools := w.buildCachePools()
 
 	fixtures := make(map[int]topSite)
@@ -158,12 +177,7 @@ func (w *World) buildDomains() error {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	if shards > n {
-		shards = n
-	}
-	if shards < 1 {
-		shards = 1
-	}
+	shards = max(1, min(shards, n))
 
 	names := make([]string, n)
 	builders := make([]*domainBuilder, shards)
@@ -174,7 +188,6 @@ func (w *World) buildDomains() error {
 			w:     w,
 			rnd:   rand.New(new(sm64)),
 			names: strtab.NewSized(hi-lo, (hi-lo)*13),
-			recs:  make([]dns.RR, 0, (hi-lo)*7/2),
 		}
 		builders[s] = b
 		wg.Add(1)
@@ -187,6 +200,7 @@ func (w *World) buildDomains() error {
 					names[i] = ts.name
 					continue
 				}
+				b.startDomain(hi - i)
 				b.rnd.Seed(domainSeed(w.Cfg.Seed, rank))
 				scratch = appendDomain(scratch[:0], b.rnd, rank)
 				names[i] = b.names.Get(b.names.Append(scratch))
@@ -195,10 +209,13 @@ func (w *World) buildDomains() error {
 		}()
 	}
 	wg.Wait()
+	lap("domains")
 
 	w.List = alexa.FromDomains(names)
 	for _, b := range builders {
-		w.Registry.AddBatch(b.recs)
+		for _, c := range b.chunks {
+			w.Registry.AddBatch(c)
+		}
 		w.Stats.merge(b.stats)
 	}
 
@@ -360,7 +377,19 @@ func (b *domainBuilder) buildCDNDomain(domain string, pools map[string][]cachePo
 	pool := pools[spec.Name]
 	entry := pool[b.rnd.Intn(len(pool))]
 
+	// The apex first, beside its DNSKEY; the CNAMEs after it draw nothing.
 	single := b.rnd.Float64() < w.Cfg.SingleCNAMEShare
+	if single && b.rnd.Float64() < 0.6 {
+		// Anycast CDN fronts the apex too: same cache addresses.
+		for _, a := range entry.addrs {
+			b.add(dns.RR{Name: domain, Type: dns.TypeA, TTL: 300, Addr: a})
+		}
+	} else {
+		// Apex at the origin host.
+		org := w.orgs.hosters[b.rnd.Intn(len(w.orgs.hosters))]
+		a := b.maybeUnreachable(hostAddr(w.v4PrefixOf(b.rnd, org), 1+b.rnd.Intn(60000)))
+		b.add(dns.RR{Name: domain, Type: dns.TypeA, TTL: 300, Addr: a})
+	}
 	if single {
 		// www.domain → cache host (one CNAME; the indirection-counting
 		// heuristic misses it, pattern matching does not).
@@ -368,23 +397,10 @@ func (b *domainBuilder) buildCDNDomain(domain string, pools map[string][]cachePo
 	} else {
 		// www.domain → customer edge name → cache host (two CNAMEs,
 		// like www.huffingtonpost.com → ...edgesuite.net → a495.g...).
-		suffix := spec.ServiceSuffixes[0]
-		edge := www + "." + suffix
+		edge := www + "." + spec.ServiceSuffixes[0]
 		b.addCNAME(www, edge, 300)
 		b.addCNAME(edge, entry.host, 300)
 	}
-
-	if single && b.rnd.Float64() < 0.6 {
-		// Anycast CDN fronts the apex too: same cache addresses.
-		for _, a := range entry.addrs {
-			b.add(dns.RR{Name: domain, Type: dns.TypeA, TTL: 300, Addr: a})
-		}
-		return
-	}
-	// Apex at the origin host.
-	org := w.orgs.hosters[b.rnd.Intn(len(w.orgs.hosters))]
-	a := b.maybeUnreachable(hostAddr(w.v4PrefixOf(b.rnd, org), 1+b.rnd.Intn(60000)))
-	b.add(dns.RR{Name: domain, Type: dns.TypeA, TTL: 300, Addr: a})
 }
 
 // buildFixture realises one Table 1 row structurally, drawing from the

@@ -1,8 +1,12 @@
 package webworld
 
 import (
+	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
+	"unsafe"
 
 	"ripki/internal/dns"
 )
@@ -53,6 +57,82 @@ func TestShardCountInvariance(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// heapAlloc is the live heap after a forced collection.
+func heapAlloc() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestGeneratedRecordsStayWhereBuilt: what the registry of a generated
+// world keeps live is the records that were written — the shards'
+// chunks, adopted — and its map: no second copy, and no chunk much
+// larger than what went into it. Per record that is the record itself
+// and a quarter more for what records point at (a "www." name a domain,
+// a DNSKEY now and then) and for the tails of chunks; a builder buffer
+// sized for 3.5 records a domain when 2.3 are written costs half as much
+// again and fails this, at one shard and at eight.
+func TestGeneratedRecordsStayWhereBuilt(t *testing.T) {
+	const domains = 50000
+	before := heapAlloc()
+	sized := dns.NewRegistrySized(domains*9/4 + 4096) // as Generate sizes it
+	mapBytes := heapAlloc() - before
+	runtime.KeepAlive(sized)
+	for _, shards := range []int{1, 8} {
+		w, err := Generate(Config{Seed: 5, Domains: domains, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dump bytes.Buffer
+		if err := w.Registry.WriteZoneTSV(&dump); err != nil {
+			t.Fatal(err)
+		}
+		records := uint64(bytes.Count(dump.Bytes(), []byte{'\n'}))
+		dump = bytes.Buffer{}
+		with := heapAlloc()
+		w.Registry = nil
+		registry := with - heapAlloc()
+		runtime.KeepAlive(w)
+		bound := records*uint64(unsafe.Sizeof(dns.RR{}))*5/4 + mapBytes
+		t.Logf("shards %d: %d records, registry %d bytes live (%d a record beside a %d-byte map), bound %d",
+			shards, records, registry, (registry-mapBytes)/records, mapBytes, bound)
+		if records < 2*domains {
+			t.Fatalf("shards %d: %d records for %d domains", shards, records, domains)
+		}
+		if registry > bound {
+			t.Errorf("shards %d: the registry keeps %d bytes live for %d records, want at most %d", shards, registry, records, bound)
+		}
+	}
+}
+
+// TestGenerateNamesItsPhases: a generated world says where its
+// generation's wall clock went — four phases, in order, that add up to
+// no more than the call took — and a clone of it says the same.
+func TestGenerateNamesItsPhases(t *testing.T) {
+	began := time.Now()
+	w, err := Generate(Config{Seed: 1, Domains: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(began)
+	var names []string
+	var sum time.Duration
+	for _, p := range w.Snapshot().Clone().Phases {
+		names, sum = append(names, p.Name), sum+p.D
+		if p.D <= 0 {
+			t.Errorf("phase %s took %v", p.Name, p.D)
+		}
+	}
+	if want := []string{"orgs+roas", "announce", "domains", "registry"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("phases %v, want %v", names, want)
+	}
+	if sum > wall || sum < wall/2 {
+		t.Errorf("phases add up to %v of a %v Generate", sum, wall)
 	}
 }
 

@@ -343,6 +343,16 @@ type World struct {
 	PlantedBackups []PlantedBackup
 	// stats collected during generation.
 	Stats Stats
+	// Phases is where Generate's wall clock went: "orgs+roas", "announce",
+	// "domains" (cache pools and the sharded build), "registry" (adopting
+	// the shards' records; fixtures). Timings: never in diffed output.
+	Phases []Phase
+}
+
+// Phase is one named span of wall clock.
+type Phase struct {
+	Name string
+	D    time.Duration
 }
 
 // Stats records generation-time tallies used by tests and reports.

@@ -8,7 +8,7 @@ mode=${1:-check}
 bin=$(mktemp -d)
 out=$(mktemp)
 trap 'rm -rf "$bin" "$out"' EXIT
-${GO:-go} build -o "$bin/" ./cmd/ripki-sweep
+${GO:-go} build -o "$bin/" ./cmd/...
 PATH="$bin:$PATH"
 sum() { if command -v sha256sum >/dev/null; then sha256sum; else shasum -a 256; fi | cut -d' ' -f1; }
 
