@@ -1,20 +1,14 @@
 # Developer and CI entry points. The benchmark-regression gate keeps
-# BENCH_baseline.json honest: `make bench-check` fails when ns/op,
-# B/op or allocs/op of a gated benchmark worsens by >30% against the
-# committed baseline; `make bench-baseline` refreshes it (run on the
-# reference machine — ns/op baselines are machine-relative, B/op and
-# allocs/op are portable).
+# BENCH_baseline.json honest: `make bench-check` fails when B/op or
+# allocs/op of a gated benchmark worsens by >30% against the committed
+# baseline, on any machine; `make bench-baseline` refreshes it. Time is
+# not gated here (ns/op is only comparable on the machine that wrote it):
+# bench/run.sh compares parent and change in alternating pairs. `make
+# golden` is the byte contract, `make loc` the line count ROADMAP tracks.
 
 GO          ?= go
 BENCH_COUNT ?= 3
 BENCH_FILE  ?= BENCH_baseline.json
-# ns/op threshold for bench-check. 0.30 on the baseline machine; CI
-# passes a looser value (see .github/workflows/ci.yml) to absorb
-# runner-vs-baseline hardware skew — B/op always stays at 30%.
-BENCH_NS_THRESHOLD ?= 0.30
-# allocs/op threshold. Allocation counts are deterministic across
-# machines, so this stays tight everywhere, like B/op.
-BENCH_ALLOCS_THRESHOLD ?= 0.30
 # Set BENCH_JSON to a path to also write bench-check's comparison as a
 # machine-readable report (CI archives it as an artifact).
 BENCH_JSON ?=
@@ -75,7 +69,7 @@ golden-update:
 # bytes/domain, the lookup path against a million-domain table, and a
 # daemon's -vrps start-up read of 300 000 CSV rows, shuffled and in order
 # — and the paper's own pipeline, measure.Run over the 100 000-domain
-# study world (allocs/op and B/op are what the gate holds it to).
+# study world. allocs/op and B/op are what the gate holds them all to.
 # Fixed -benchtime keeps run time bounded; -count $(BENCH_COUNT) gives
 # benchgate best-of folding.
 bench:
@@ -103,6 +97,6 @@ bench-baseline:
 	@$(MAKE) --no-print-directory bench | $(GO) run ./tools/benchgate -write $(BENCH_FILE)
 
 bench-check:
-	@$(MAKE) --no-print-directory bench | $(GO) run ./tools/benchgate -check $(BENCH_FILE) -ns-threshold $(BENCH_NS_THRESHOLD) -allocs-threshold $(BENCH_ALLOCS_THRESHOLD) $(if $(BENCH_JSON),-json $(BENCH_JSON))
+	@$(MAKE) --no-print-directory bench | $(GO) run ./tools/benchgate -check $(BENCH_FILE) $(if $(BENCH_JSON),-json $(BENCH_JSON))
 
 ci: build vet fmt-check test

@@ -138,12 +138,13 @@ func driveFork(t *testing.T, w *webworld.World, f *Incremental, cfg *Config, reg
 			}
 			f.DirtyVRP(v.Prefix)
 		},
-		func() { // the same through a swapped set, as a cloned truth is
+		func() { // the same through a clone of the set, on a fork of the fork
 			p := routed[rnd.Intn(len(routed))]
 			v := vrp.VRP{Prefix: p, MaxLength: p.Bits(), ASN: 64999}
 			cfg.VRPs = cfg.VRPs.Clone()
 			cfg.VRPs.Add(v)
-			f.SetVRPs(cfg.VRPs)
+			f = f.Fork(cfg.Resolver, cfg.VRPs)
+			reg.SetMutationHook(f.DirtyHost)
 			f.DirtyVRP(v.Prefix)
 		},
 		func() { // A record flip on an apex or www name

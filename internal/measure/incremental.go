@@ -157,12 +157,6 @@ func (inc *Incremental) Measured() int { return inc.measured }
 // since had to measure.
 func (inc *Incremental) Marked() int { return inc.marked }
 
-// SetVRPs swaps the validation source consulted by subsequent
-// refreshes. It does not mark anything dirty by itself: the caller is
-// responsible for a DirtyVRP per changed prefix (or DirtyAll when the
-// new set's relation to the old one is unknown).
-func (inc *Incremental) SetVRPs(set *vrp.Set) { inc.cfg.VRPs = set }
-
 // DirtyVRP marks the domains whose measurement validated a pair prefix
 // at q or below — the set a VRP issue/revoke at q can affect.
 func (inc *Incremental) DirtyVRP(q netip.Prefix) {

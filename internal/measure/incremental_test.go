@@ -82,11 +82,13 @@ func TestIncrementalTinyUniverse(t *testing.T) {
 	reg.AddCNAME("cust.fastcdn.wld", "www.secure.example", 60)
 	check("cname repoint")
 
-	// Swap the whole validation source.
+	// Swap the whole validation source: a fork validates against the set
+	// it is given.
 	swapped := set.Clone()
 	swapped.Add(vrp.VRP{Prefix: netutil.MustPrefix("203.0.114.0/24"), MaxLength: 24, ASN: 64500})
 	f.cfg.VRPs = swapped
-	inc.SetVRPs(swapped)
+	inc = inc.Fork(f.cfg.Resolver, swapped)
+	reg.SetMutationHook(inc.DirtyHost)
 	inc.DirtyAll()
 	check("set swap")
 }

@@ -4,19 +4,23 @@ package measure
 // numbers a time series samples every tick: the mean per-domain RFC 6811
 // state probabilities, RPKI coverage, and the rank-bucketed protection
 // split the paper's figures revolve around (popular head vs long tail).
+// The JSON form is the "exposure" object of ripki-served's /v1/snapshot.
 type ExposureSnapshot struct {
 	// Domains is how many domains contributed (usable www variants).
-	Domains int
+	Domains int `json:"domains"`
 	// Valid, Invalid, NotFound are the mean per-domain state
 	// probabilities over the www variant (Figure 2's series).
-	Valid, Invalid, NotFound float64
+	Valid    float64 `json:"valid"`
+	Invalid  float64 `json:"invalid"`
+	NotFound float64 `json:"notfound"`
 	// Coverage is the mean probability of being RPKI-covered at all
 	// (valid or invalid — Figure 4's "RPKI-enabled").
-	Coverage float64
+	Coverage float64 `json:"coverage"`
 	// HeadValid and TailValid split Valid at the head cutoff rank,
 	// exposing the paper's tragedy: the head (popular, CDN-hosted) sits
 	// below the tail.
-	HeadValid, TailValid float64
+	HeadValid float64 `json:"head_valid"`
+	TailValid float64 `json:"tail_valid"`
 }
 
 // HeadCut is the default head/tail split for a population whose

@@ -13,7 +13,8 @@ var Version = "dev"
 // version and the Go runtime that built the binary. Dashboards join it
 // against any other series to annotate deploys.
 func RegisterBuildInfo(r *Registry) {
-	r.GaugeVec("ripki_build_info",
-		"Build identity: constant 1, labelled by stamped version and Go runtime.",
-		"version", "go_version").With(Version, runtime.Version()).Set(1)
+	r.Collect(func(e *Encoder) {
+		e.Family("ripki_build_info", "Build identity: constant 1, labelled by stamped version and Go runtime.", TypeGauge)
+		e.Sample("", []Label{{Name: "version", Value: Version}, {Name: "go_version", Value: runtime.Version()}}, 1)
+	})
 }

@@ -24,43 +24,16 @@ func (a *atomicFloat) Add(d float64) {
 	}
 }
 
-func (a *atomicFloat) Store(v float64) { a.bits.Store(math.Float64bits(v)) }
-func (a *atomicFloat) Load() float64   { return math.Float64frombits(a.bits.Load()) }
+func (a *atomicFloat) Load() float64 { return math.Float64frombits(a.bits.Load()) }
 
-// Counter is a monotonically increasing value.
-type Counter struct{ v atomicFloat }
+// Counter is a monotonically increasing count of events.
+type Counter struct{ n atomic.Uint64 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds d, which must be non-negative (counters only go up).
-func (c *Counter) Add(d float64) {
-	if d < 0 {
-		panic("obs: counter decremented")
-	}
-	c.v.Add(d)
-}
+func (c *Counter) Inc() { c.n.Add(1) }
 
 // Value returns the current count.
-func (c *Counter) Value() float64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ v atomicFloat }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.v.Store(v) }
-
-// Add adds d (negative to subtract).
-func (g *Gauge) Add(d float64) { g.v.Add(d) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v.Load() }
+func (c *Counter) Value() float64 { return float64(c.n.Load()) }
 
 // Histogram is a bounded-bucket distribution: observations land in the
 // first bucket whose upper bound is ≥ the value, or in the implicit
@@ -139,7 +112,6 @@ type family struct {
 type child struct {
 	labels    []Label
 	counter   *Counter
-	gauge     *Gauge
 	histogram *Histogram
 }
 
@@ -195,8 +167,6 @@ func (f *family) childFor(values []string) *child {
 		switch f.typ {
 		case TypeCounter:
 			c.counter = &Counter{}
-		case TypeGauge:
-			c.gauge = &Gauge{}
 		case TypeHistogram:
 			c.histogram = &Histogram{bounds: f.bounds, counts: make([]atomic.Uint64, len(f.bounds)+1)}
 		}
@@ -208,11 +178,6 @@ func (f *family) childFor(values []string) *child {
 // Counter registers a label-less counter.
 func (r *Registry) Counter(name, help string) *Counter {
 	return r.register(name, help, TypeCounter, nil, nil).childFor(nil).counter
-}
-
-// Gauge registers a label-less gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.register(name, help, TypeGauge, nil, nil).childFor(nil).gauge
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time.
@@ -240,17 +205,6 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 // With returns the counter for one label-value tuple, creating it on
 // first use.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.childFor(values).counter }
-
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers a labelled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, TypeGauge, labelNames, nil)}
-}
-
-// With returns the gauge for one label-value tuple.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.childFor(values).gauge }
 
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
@@ -326,8 +280,6 @@ func (f *family) write(e *Encoder) {
 		switch f.typ {
 		case TypeCounter:
 			e.Sample("", c.labels, c.counter.Value())
-		case TypeGauge:
-			e.Sample("", c.labels, c.gauge.Value())
 		case TypeHistogram:
 			cum, sum, count := c.histogram.snapshot()
 			e.HistogramSample(c.labels, f.bounds, cum, sum, count)

@@ -1,7 +1,10 @@
 package rtr
 
 import (
+	"fmt"
 	"net"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -183,5 +186,58 @@ func TestServerSerialAccessor(t *testing.T) {
 	srv.Update(s2)
 	if srv.Serial() != 1 {
 		t.Error("serial after update != 1")
+	}
+}
+
+// TestServerLogsEveryFailedReply: each of a Serial Query's three answers
+// (Cache Reset on a session mismatch, Cache Reset on lost history, the
+// empty End of Data that confirms a serial) reports a failed write, as
+// the full and delta replies do.
+func TestServerLogsEveryFailedReply(t *testing.T) {
+	srv := NewServer(nil, 7)
+	for i := 0; i < 20; i++ { // serial 20; deltas from serials below 4 are gone
+		srv.UpdateDelta([]vrp.VRP{churnVRP(i)}, nil)
+	}
+	var logged []string
+	srv.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	dead, peer := net.Pipe()
+	peer.Close()
+	for _, c := range []struct {
+		q    SerialQuery
+		want string
+	}{
+		{SerialQuery{SessionID: 8, Serial: 20}, "send cache reset"},
+		{SerialQuery{SessionID: 7, Serial: 1}, "send cache reset"},
+		{SerialQuery{SessionID: 7, Serial: 20}, "send incremental"},
+	} {
+		logged = nil
+		srv.sendIncremental(dead, &c.q)
+		if len(logged) != 1 || !strings.Contains(logged[0], c.want) {
+			t.Errorf("query %+v on a dead connection logged %q, want one line naming %q", c.q, logged, c.want)
+		}
+	}
+}
+
+// TestServerNeverWritesTheCallersSet: the sets handed to NewServer and
+// Update stay the caller's — deltas applied to the cache do not reach
+// them, and the caller's later edits do not reach the cache.
+func TestServerNeverWritesTheCallersSet(t *testing.T) {
+	first, second := churnSet(t, 0, 10), churnSet(t, 0, 12)
+	srv := NewServer(first, 1)
+	srv.UpdateDelta([]vrp.VRP{churnVRP(50)}, []vrp.VRP{churnVRP(3)})
+	if want := churnSet(t, 0, 10).All(); !slices.Equal(first.All(), want) {
+		t.Errorf("set handed to NewServer now holds %v", first.All())
+	}
+	srv.Update(second)
+	srv.UpdateDelta([]vrp.VRP{churnVRP(51)}, []vrp.VRP{churnVRP(4)})
+	if want := churnSet(t, 0, 12).All(); !slices.Equal(second.All(), want) {
+		t.Errorf("set handed to Update now holds %v", second.All())
+	}
+	second.Remove(churnVRP(5))
+	srv.mu.Lock()
+	held := srv.current.Contains(churnVRP(5)) && srv.current.Contains(churnVRP(51)) && !srv.current.Contains(churnVRP(4))
+	srv.mu.Unlock()
+	if !held {
+		t.Error("the cache's set followed the caller's edit, or lost its own")
 	}
 }

@@ -27,8 +27,7 @@ type Server struct {
 	mu        sync.Mutex
 	sessionID uint16
 	serial    uint32
-	current   *vrp.Set
-	owned     bool             // current is the server's private copy, safe to edit in place
+	current   *vrp.Set         // the server's own O(1) clone, edited in place by UpdateDelta
 	deltas    map[uint32]delta // keyed by the serial the delta upgrades FROM
 	maxDeltas int
 	conns     map[net.Conn]struct{}
@@ -36,16 +35,17 @@ type Server struct {
 	ln        net.Listener
 }
 
-// NewServer creates a cache serving the given VRP set. sessionID
-// identifies this cache incarnation; routers restart their session when
-// it changes.
+// NewServer creates a cache serving the given VRP set as it stands now:
+// the server keeps an O(1) clone, so the set stays the caller's to edit.
+// sessionID identifies this cache incarnation; routers restart their
+// session when it changes.
 func NewServer(set *vrp.Set, sessionID uint16) *Server {
 	if set == nil {
 		set = vrp.NewSet()
 	}
 	return &Server{
 		sessionID: sessionID,
-		current:   set,
+		current:   set.Clone(),
 		deltas:    make(map[uint32]delta),
 		maxDeltas: 16,
 		conns:     make(map[net.Conn]struct{}),
@@ -59,8 +59,9 @@ func (s *Server) Serial() uint32 {
 	return s.serial
 }
 
-// Update replaces the served VRP set, records a delta for incremental
-// sync, bumps the serial, and sends Serial Notify to connected routers.
+// Update replaces the served VRP set with set as it stands now (an
+// O(1) clone, as in NewServer), records a delta for incremental sync,
+// bumps the serial, and sends Serial Notify to connected routers.
 // An update that does not change the set is a no-op: the serial stays
 // put and no notification is sent, so steady-state refresh cycles do
 // not churn serials or wake connected routers.
@@ -72,8 +73,7 @@ func (s *Server) Update(set *vrp.Set) {
 		return
 	}
 	s.recordDeltaLocked(delta{announce: ann, withdraw: wd})
-	s.current = set
-	s.owned = false
+	s.current = set.Clone()
 	s.notifyLocked()
 }
 
@@ -84,18 +84,10 @@ func (s *Server) Update(set *vrp.Set) {
 // serial bump, no notification, no retained history. The effective
 // delta is recorded in the same canonical order Diff produces
 // (vrp.Compare over the sorted-All ordering), so routers cannot tell
-// the two update paths apart byte-for-byte. The first in-place edit
-// clones the served set — the set handed to NewServer or Update stays
-// the caller's — and subsequent deltas edit the private copy directly.
+// the two update paths apart byte-for-byte.
 func (s *Server) UpdateDelta(announce, withdraw []vrp.VRP) {
 	s.mu.Lock()
 	var ann, wd []vrp.VRP
-	ensureOwned := func() {
-		if !s.owned {
-			s.current = s.current.Clone()
-			s.owned = true
-		}
-	}
 	for _, v := range announce {
 		cp, err := netutil.Canonical(v.Prefix)
 		if err != nil {
@@ -105,7 +97,6 @@ func (s *Server) UpdateDelta(announce, withdraw []vrp.VRP) {
 		if s.current.Contains(v) {
 			continue
 		}
-		ensureOwned()
 		if s.current.Add(v) != nil {
 			continue
 		}
@@ -117,10 +108,6 @@ func (s *Server) UpdateDelta(announce, withdraw []vrp.VRP) {
 			continue
 		}
 		v.Prefix = cp
-		if !s.current.Contains(v) {
-			continue
-		}
-		ensureOwned()
 		if !s.current.Remove(v) {
 			continue
 		}
@@ -301,15 +288,7 @@ func (s *Server) sendIncremental(conn net.Conn, q *SerialQuery) {
 	session, serial := s.sessionID, s.serial
 	if q.SessionID != session {
 		s.mu.Unlock()
-		WritePDU(conn, &CacheReset{})
-		return
-	}
-	if q.Serial == serial {
-		// Nothing new: empty response confirming the serial.
-		s.mu.Unlock()
-		buf := (&CacheResponse{SessionID: session}).SerializeTo(nil)
-		buf = (&EndOfData{SessionID: session, Serial: serial}).SerializeTo(buf)
-		conn.Write(buf)
+		s.sendCacheReset(conn)
 		return
 	}
 	var steps []delta
@@ -324,7 +303,7 @@ func (s *Server) sendIncremental(conn net.Conn, q *SerialQuery) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		WritePDU(conn, &CacheReset{})
+		s.sendCacheReset(conn)
 		return
 	}
 	buf := (&CacheResponse{SessionID: session}).SerializeTo(nil)
@@ -339,5 +318,13 @@ func (s *Server) sendIncremental(conn net.Conn, q *SerialQuery) {
 	buf = (&EndOfData{SessionID: session, Serial: serial}).SerializeTo(buf)
 	if _, err := conn.Write(buf); err != nil {
 		s.logf("rtr: send incremental to %v: %v", conn.RemoteAddr(), err)
+	}
+}
+
+// sendCacheReset tells a router its (session, serial) cannot be served
+// incrementally; the router's next move is a Reset Query.
+func (s *Server) sendCacheReset(conn net.Conn) {
+	if err := WritePDU(conn, &CacheReset{}); err != nil {
+		s.logf("rtr: send cache reset to %v: %v", conn.RemoteAddr(), err)
 	}
 }

@@ -66,10 +66,17 @@ func (r *eventRing) append(ev FeedEvent) {
 
 // since copies out up to limit events with seq > since, in seq order.
 // dropped counts events past the cursor that have already aged out of
-// the ring; next is the cursor to pass on the following call.
+// the ring; next is the cursor to pass on the following call. A cursor
+// beyond the newest seq was handed out by another incarnation of the
+// feed (seqs restart at 1 with the daemon): it is answered from the
+// oldest retained event, as since=0 is, rather than starved until the
+// new feed climbs past it.
 func (r *eventRing) since(since uint64, limit int) (events []FeedEvent, dropped, next uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if since >= r.next {
+		since = 0
+	}
 	oldest := uint64(1)
 	if r.next > uint64(r.cap) {
 		oldest = r.next - uint64(r.cap)

@@ -50,6 +50,43 @@ func TestEventRingCursor(t *testing.T) {
 	}
 }
 
+// TestEventsCursorAheadOfFeed: a cursor beyond the newest seq outlived
+// the daemon that issued it (seqs restart at 1). It is answered like
+// since=0 — from the oldest retained event, with the same dropped count —
+// not starved until the new feed climbs past it.
+func TestEventsCursorAheadOfFeed(t *testing.T) {
+	r := newEventRing(4)
+	if evs, dropped, next := r.since(500, 10); len(evs) != 0 || dropped != 0 || next != 0 {
+		t.Fatalf("empty ring, cursor 500: %v %d %d", evs, dropped, next)
+	}
+	for i := 0; i < 6; i++ {
+		r.append(FeedEvent{EventType: "a"})
+	}
+	wantEvs, wantDropped, wantNext := r.since(0, 10)
+	for _, cursor := range []uint64{7, 500, 1 << 63} {
+		evs, dropped, next := r.since(cursor, 10)
+		if len(evs) != len(wantEvs) || evs[0].Seq != wantEvs[0].Seq || dropped != wantDropped || next != wantNext {
+			t.Errorf("cursor %d: %d events from seq %d, dropped %d, next %d; since=0 gives %d from %d, %d, %d",
+				cursor, len(evs), evs[0].Seq, dropped, next, len(wantEvs), wantEvs[0].Seq, wantDropped, wantNext)
+		}
+	}
+	// The newest seq itself is an up-to-date cursor, not a stale one.
+	if evs, _, next := r.since(6, 10); len(evs) != 0 || next != 6 {
+		t.Errorf("cursor at the newest seq: %d events, next %d", len(evs), next)
+	}
+
+	// Over HTTP, long-polling: answered at once with the feed so far.
+	s := testService(t)
+	began := time.Now()
+	rec, body := do(t, s.Handler(), "GET", "/v1/events?since=500&wait=5s", "")
+	if rec.Code != http.StatusOK || time.Since(began) > 4*time.Second {
+		t.Fatalf("stale cursor with wait: %d after %v", rec.Code, time.Since(began))
+	}
+	if events := body["events"].([]any); len(events) != 1 || events[0].(map[string]any)["seq"].(float64) != 1 || body["next"].(float64) != 1 {
+		t.Fatalf("stale cursor answer: %v", body)
+	}
+}
+
 func TestEventsEndpoint(t *testing.T) {
 	s := testService(t)
 	h := s.Handler()

@@ -4,12 +4,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/netip"
 	"os"
 	"strconv"
 	"strings"
 	"time"
+
+	"ripki/internal/measure"
 )
 
 // maxBatchRoutes bounds one POST /v1/validate body; larger batches
@@ -59,17 +62,20 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// instrument wraps a handler with the lock-free request metrics.
+// instrument wraps a handler with the lock-free request metrics. The
+// endpoint's series exist from here on, so they render at zero before
+// its first request.
 func (s *Service) instrument(name string, h http.HandlerFunc) http.Handler {
-	em, ok := s.metrics.endpoints[name]
-	if !ok {
-		panic("serve: unregistered endpoint " + name)
-	}
+	requests, errs, duration := s.requests.With(name), s.requestErrors.With(name), s.durations.With(name)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		h(rec, r)
-		em.observe(time.Since(start), rec.status)
+		duration.Observe(time.Since(start).Seconds())
+		requests.Inc()
+		if rec.status >= 400 {
+			errs.Inc()
+		}
 	})
 }
 
@@ -193,7 +199,17 @@ func (s *Service) handleValidatePost(w http.ResponseWriter, r *http.Request) {
 	// drain of what is unread fails at once and the connection closes.
 	rc := http.NewResponseController(w)
 	rc.SetReadDeadline(time.Now().Add(validateBodyTimeout))
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		// One JSON value is the whole body: whatever follows it is
+		// refused, not ignored, inside the same size bound and deadline.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		switch {
 		case errors.Is(err, os.ErrDeadlineExceeded):
@@ -308,23 +324,12 @@ func (s *Service) handleDomains(w http.ResponseWriter, r *http.Request) {
 
 // snapshotInfo is the GET /v1/snapshot body.
 type snapshotInfo struct {
-	Serial       uint64       `json:"serial"`
-	Source       string       `json:"source"`
-	SourceSerial uint32       `json:"source_serial"`
-	VRPs         int          `json:"vrps"`
-	Domains      int          `json:"domains"`
-	Exposure     exposureJSON `json:"exposure"`
-}
-
-// exposureJSON renders measure.ExposureSnapshot for the API.
-type exposureJSON struct {
-	Domains   int     `json:"domains"`
-	Valid     float64 `json:"valid"`
-	Invalid   float64 `json:"invalid"`
-	NotFound  float64 `json:"notfound"`
-	Coverage  float64 `json:"coverage"`
-	HeadValid float64 `json:"head_valid"`
-	TailValid float64 `json:"tail_valid"`
+	Serial       uint64                   `json:"serial"`
+	Source       string                   `json:"source"`
+	SourceSerial uint32                   `json:"source_serial"`
+	VRPs         int                      `json:"vrps"`
+	Domains      int                      `json:"domains"`
+	Exposure     measure.ExposureSnapshot `json:"exposure"`
 }
 
 func (s *Service) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -341,15 +346,7 @@ func (s *Service) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		SourceSerial: sn.SourceSerial,
 		VRPs:         sn.Index.Len(),
 		Domains:      sn.Domains.Len(),
-		Exposure: exposureJSON{
-			Domains:   sn.Exposure.Domains,
-			Valid:     sn.Exposure.Valid,
-			Invalid:   sn.Exposure.Invalid,
-			NotFound:  sn.Exposure.NotFound,
-			Coverage:  sn.Exposure.Coverage,
-			HeadValid: sn.Exposure.HeadValid,
-			TailValid: sn.Exposure.TailValid,
-		},
+		Exposure:     sn.Exposure,
 	})
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sort"
 	"strings"
@@ -13,104 +12,6 @@ import (
 	"ripki/internal/webworld"
 )
 
-// The metrics layer must not reintroduce a lock on the read path, so it
-// is built entirely from atomics: per-endpoint request/error counters
-// and a log₂-bucketed latency histogram. The accumulators render into
-// the Prometheus text exposition at scrape time through an obs.Collector
-// — a scrape reads the atomics, it never makes a request handler wait.
-
-// latBuckets spans 1ns .. ~9min in powers of two; observations beyond
-// the last bound clamp into the final bucket.
-const latBuckets = 40
-
-// latBounds are the exposition's histogram upper bounds: 2^i nanoseconds
-// rendered in seconds, one per raw bucket. Raw bucket i holds
-// observations in [2^(i-1), 2^i) ns, so the cumulative count for
-// le=2^i/1e9 is the sum of raw buckets 0..i.
-var latBounds = func() []float64 {
-	out := make([]float64, latBuckets)
-	for i := range out {
-		out[i] = float64(uint64(1)<<uint(i)) / 1e9
-	}
-	return out
-}()
-
-// endpointMetrics is one endpoint's lock-free accumulator.
-type endpointMetrics struct {
-	count   atomic.Uint64
-	errors  atomic.Uint64 // responses with status >= 400
-	sumNS   atomic.Uint64
-	buckets [latBuckets]atomic.Uint64
-}
-
-// observe records one request.
-func (m *endpointMetrics) observe(d time.Duration, status int) {
-	ns := uint64(d.Nanoseconds())
-	if d < 0 {
-		ns = 0
-	}
-	m.count.Add(1)
-	if status >= 400 {
-		m.errors.Add(1)
-	}
-	m.sumNS.Add(ns)
-	idx := bits.Len64(ns) // bucket b covers [2^(b-1), 2^b)
-	if idx >= latBuckets {
-		idx = latBuckets - 1
-	}
-	m.buckets[idx].Add(1)
-}
-
-// histogram renders the accumulator in exposition shape: cumulative
-// counts per latBounds entry, sum in seconds, and the total. Concurrent
-// observers may have bumped count but not yet their bucket (or vice
-// versa); Prometheus tolerates that skew by design.
-func (m *endpointMetrics) histogram() (cumulative []uint64, sum float64, count uint64) {
-	cumulative = make([]uint64, latBuckets)
-	var cum uint64
-	for i := range cumulative {
-		cum += m.buckets[i].Load()
-		cumulative[i] = cum
-	}
-	return cumulative, float64(m.sumNS.Load()) / 1e9, m.count.Load()
-}
-
-// metrics is the service-wide accumulator set. The endpoint map is fixed
-// at construction, so lookups never need a lock.
-type metrics struct {
-	endpoints map[string]*endpointMetrics
-}
-
-// endpointNames is the fixed instrumentation vocabulary; instrument
-// panics on anything else, catching typos at test time.
-var endpointNames = []string{"validate", "domain", "domains", "snapshot", "events", "healthz", "metrics"}
-
-func newMetrics() *metrics {
-	m := &metrics{endpoints: make(map[string]*endpointMetrics, len(endpointNames))}
-	for _, name := range endpointNames {
-		m.endpoints[name] = &endpointMetrics{}
-	}
-	return m
-}
-
-// collect renders the per-endpoint accumulators into a scrape, in the
-// vocabulary's declaration order (byte-stable output).
-func (m *metrics) collect(e *obs.Encoder) {
-	e.Family("ripki_serve_requests_total", "Requests served, by endpoint.", obs.TypeCounter)
-	for _, name := range endpointNames {
-		e.Sample("", []obs.Label{{Name: "endpoint", Value: name}}, float64(m.endpoints[name].count.Load()))
-	}
-	e.Family("ripki_serve_request_errors_total", "Responses with status >= 400, by endpoint.", obs.TypeCounter)
-	for _, name := range endpointNames {
-		e.Sample("", []obs.Label{{Name: "endpoint", Value: name}}, float64(m.endpoints[name].errors.Load()))
-	}
-	e.Family("ripki_serve_request_duration_seconds", "Request latency, by endpoint (power-of-two buckets).", obs.TypeHistogram)
-	for _, name := range endpointNames {
-		cum, sum, count := m.endpoints[name].histogram()
-		e.HistogramSample([]obs.Label{{Name: "endpoint", Value: name}}, latBounds, cum, sum, count)
-	}
-}
-
 // sourceStat tracks one update source's last publish, for the staleness
 // gauges. Fields are atomics: Publish writes under pubMu, scrapes read
 // from any goroutine.
@@ -119,13 +20,21 @@ type sourceStat struct {
 	serial atomic.Uint32
 }
 
-// buildRegistry assembles the service's scrape document: uptime, the
+// buildRegistry assembles the service's scrape document: the
+// per-endpoint request counters and latency histograms, uptime, the
 // snapshot identity and staleness gauges (computed from live state at
-// scrape time), the per-source staleness gauges, and the per-endpoint
-// request accumulators.
+// scrape time) and the per-source staleness gauges.
 func (s *Service) buildRegistry() *obs.Registry {
 	r := obs.NewRegistry()
 	obs.RegisterBuildInfo(r)
+	// The request metrics must not put a lock on the read path: they are
+	// atomics, and instrument resolves an endpoint's three children once,
+	// when the handler is built, so a request takes no map lookup either.
+	s.requests = r.CounterVec("ripki_serve_requests_total", "Requests served, by endpoint.", "endpoint")
+	s.requestErrors = r.CounterVec("ripki_serve_request_errors_total", "Responses with status >= 400, by endpoint.", "endpoint")
+	// Forty bounds, 2^i nanoseconds in seconds: 1 ns .. ~9 min.
+	s.durations = r.HistogramVec("ripki_serve_request_duration_seconds",
+		"Request latency, by endpoint (power-of-two buckets).", obs.ExpBuckets(1e-9, 2, 40), "endpoint")
 	s.eventsTotal = r.CounterVec("ripki_serve_events_total",
 		"Incident-feed events recorded, by event_type.", "event_type")
 	r.GaugeFunc("ripki_serve_events_last_seq", "Sequence number of the newest incident-feed event (0 when empty).",
@@ -141,7 +50,6 @@ func (s *Service) buildRegistry() *obs.Registry {
 	r.Collect(collectMem)
 	r.Collect(s.collectStartup)
 	r.Collect(s.collectSnapshot)
-	r.Collect(s.metrics.collect)
 	return r
 }
 

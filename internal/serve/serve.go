@@ -206,10 +206,12 @@ func (sn *Snapshot) variantVerdict(name string, ids []uint32, resolved bool) Var
 // atomic snapshot pointer.
 type Service struct {
 	domains *DomainTable
-	metrics *metrics
 	reg     *obs.Registry
 	start   time.Time
 	startup *Startup // nil unless SetStartup was called
+	// Per-endpoint request metrics; instrument holds their children.
+	requests, requestErrors *obs.CounterVec
+	durations               *obs.HistogramVec
 	// rtrSync is how long the first RunRTR took from dialling the cache
 	// to its first publish, in nanoseconds; 0 until then.
 	rtrSync atomic.Int64
@@ -249,7 +251,6 @@ func New(domains *DomainTable) *Service {
 	}
 	s := &Service{
 		domains: domains,
-		metrics: newMetrics(),
 		start:   time.Now(),
 		events:  newEventRing(eventRingCapacity),
 	}

@@ -152,6 +152,10 @@ func TestValidateEndpoint(t *testing.T) {
 		`{"routes": []}`,
 		`{}`,
 		`{"unknown_field": 1}`,
+		// One JSON value is the whole body: a second value, or anything
+		// else but space after the first, is not silently dropped.
+		`{"prefix":"10.0.0.0/8","asn":1}{"routes":[]}`,
+		`{"prefix":"10.0.0.0/8","asn":1} x`,
 	} {
 		if rec, _ := do(t, h, "POST", "/v1/validate", bad); rec.Code != http.StatusBadRequest {
 			t.Errorf("body %q: status %d, want 400", bad, rec.Code)
@@ -159,6 +163,9 @@ func TestValidateEndpoint(t *testing.T) {
 	}
 	if rec, _ := do(t, h, "GET", "/v1/validate?prefix=10.0.0.0/8", ""); rec.Code != http.StatusBadRequest {
 		t.Errorf("GET without asn: %d, want 400", rec.Code)
+	}
+	if rec, _ := do(t, h, "POST", "/v1/validate", `{"prefix":"10.0.0.0/8","asn":1}`+" \n"); rec.Code != http.StatusOK {
+		t.Errorf("trailing white space: %d, want 200", rec.Code)
 	}
 }
 
@@ -400,6 +407,97 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestRequestMetricsShape pins what a dashboard keys on: the three
+// per-endpoint families' HELP and TYPE lines, their one label, a series
+// at zero for every endpoint before its first request, and the forty
+// power-of-two bounds of the latency histogram.
+func TestRequestMetricsShape(t *testing.T) {
+	body := scrape(t, New(nil).Handler())
+	for _, want := range []string{
+		"# HELP ripki_serve_requests_total Requests served, by endpoint.\n# TYPE ripki_serve_requests_total counter\n",
+		"# HELP ripki_serve_request_errors_total Responses with status >= 400, by endpoint.\n# TYPE ripki_serve_request_errors_total counter\n",
+		"# HELP ripki_serve_request_duration_seconds Request latency, by endpoint (power-of-two buckets).\n# TYPE ripki_serve_request_duration_seconds histogram\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("scrape missing %q", want)
+		}
+	}
+	for _, ep := range []string{"validate", "domain", "domains", "snapshot", "events", "healthz", "metrics"} {
+		for _, series := range []string{"ripki_serve_requests_total", "ripki_serve_request_errors_total", "ripki_serve_request_duration_seconds_count"} {
+			if want := series + `{endpoint="` + ep + `"} 0` + "\n"; !strings.Contains(body, want) {
+				t.Errorf("scrape missing %q", want)
+			}
+		}
+	}
+	var les []string
+	for _, line := range strings.Split(body, "\n") {
+		if rest, ok := strings.CutPrefix(line, `ripki_serve_request_duration_seconds_bucket{endpoint="domain",le="`); ok {
+			le, _, _ := strings.Cut(rest, `"`)
+			les = append(les, le)
+		}
+	}
+	if len(les) != 41 || les[0] != "1e-09" || les[1] != "2e-09" || les[30] != "1.073741824" || les[39] != "549.755813888" || les[40] != "+Inf" {
+		t.Fatalf("le bounds of one endpoint: %d of them, %v", len(les), les)
+	}
+	for i := 1; i < 40; i++ {
+		a, _ := strconv.ParseFloat(les[i-1], 64)
+		if b, _ := strconv.ParseFloat(les[i], 64); b != 2*a {
+			t.Errorf("bound %d is %s after %s, want its double", i, les[i], les[i-1])
+		}
+	}
+}
+
+// TestInstrumentCostsOneAllocation: the request metrics add no
+// allocation to a request beyond the statusRecorder — the endpoint's
+// counters and histogram were resolved when the handler was built.
+func TestInstrumentCostsOneAllocation(t *testing.T) {
+	h := New(nil).instrument("healthz", func(http.ResponseWriter, *http.Request) {})
+	rec, req := httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz", nil)
+	if n := testing.AllocsPerRun(1000, func() { h.ServeHTTP(rec, req) }); n > 1 {
+		t.Fatalf("an instrumented no-op request allocates %v times, want at most 1", n)
+	}
+}
+
+// TestRequestMetricsUnderConcurrency: eight goroutines of a thousand
+// requests each, a tenth of them errors, leave counter and histogram in
+// agreement (under -race, this is also the proof that observing needs no
+// lock).
+func TestRequestMetricsUnderConcurrency(t *testing.T) {
+	s := New(nil)
+	h := s.instrument("validate", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/bad" {
+			w.WriteHeader(http.StatusBadRequest)
+		}
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ok, bad := httptest.NewRequest("GET", "/ok", nil), httptest.NewRequest("GET", "/bad", nil)
+			for i := 0; i < 1000; i++ {
+				req := ok
+				if i%10 == 0 {
+					req = bad
+				}
+				h.ServeHTTP(httptest.NewRecorder(), req)
+			}
+		}()
+	}
+	wg.Wait()
+	body := scrape(t, s.Handler())
+	for _, want := range []string{
+		`ripki_serve_requests_total{endpoint="validate"} 8000`,
+		`ripki_serve_request_errors_total{endpoint="validate"} 800`,
+		`ripki_serve_request_duration_seconds_bucket{endpoint="validate",le="+Inf"} 8000`,
+		`ripki_serve_request_duration_seconds_count{endpoint="validate"} 8000`,
+	} {
+		if !strings.Contains(body, want+"\n") {
+			t.Errorf("scrape missing %q", want)
+		}
+	}
+}
+
 // TestSlowValidateBodyIsCutOff: POST /v1/validate bounds its body in time
 // as well as size — a peer that promises a body and stalls is answered
 // 408 and dropped at validateBodyTimeout (obstest has the details) — and
@@ -421,7 +519,9 @@ func TestSlowValidateBodyIsCutOff(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	began := time.Now()
-	resp, err = srv.Client().Get(srv.URL + "/v1/events?since=1000000&wait=" + (3 * bound).String())
+	// Cursor 1 is the feed's newest seq (testService's one publish):
+	// nothing follows it, so the poll holds for all of wait.
+	resp, err = srv.Client().Get(srv.URL + "/v1/events?since=1&wait=" + (3 * bound).String())
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("long-poll after a validate on the same connection: %v, %v", resp, err)
 	}

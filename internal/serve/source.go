@@ -147,9 +147,3 @@ func (s *Service) RunSim(ctx context.Context, cfg sim.Config, interval time.Dura
 		}
 	}
 }
-
-// PublishVRPs is a convenience for static sources (a CSV export): it
-// publishes the given payloads under the named source.
-func (s *Service) PublishVRPs(vs []vrp.VRP, source string) (*Snapshot, error) {
-	return s.Publish(vs, source, 0)
-}

@@ -87,15 +87,13 @@ type Simulation struct {
 	scenario Scenario
 	// vantage is the collector peer injected routes are heard from.
 	vantage mrt.Peer
-	// truth is the ground-truth VRP set, maintained by delta-apply: it
-	// starts out aliasing the world's memoised validation (shared across
-	// sweep cells, and the set handed to the RTR server), is cloned on
-	// the first mutation (truthOwned) and edited in place from then on.
-	truth      *vrp.Set
-	truthOwned bool
-	truthGen   uint64 // bumped on every truth mutation; see TruthGen
-	dirty      bool
-	outage     bool // cold cache restart in progress: no flushes
+	// truth is the ground-truth VRP set, maintained by delta-apply: this
+	// run's own O(1) clone of the world's memoised validation (which is
+	// shared across sweep cells), edited in place.
+	truth    *vrp.Set
+	truthGen uint64 // bumped on every truth mutation; see TruthGen
+	dirty    bool
+	outage   bool // cold cache restart in progress: no flushes
 
 	// pending accumulates the VRPs touched since the last flush so the
 	// cache can be updated by delta, needFull forces the next flush onto
@@ -179,7 +177,7 @@ func New(cfg Config) (*Simulation, error) {
 		Queue:    NewQueue(),
 		Bus:      NewBus(),
 		scenario: scenario,
-		truth:    validation.VRPs,
+		truth:    validation.VRPs.Clone(),
 		pending:  make(map[vrp.VRP]bool),
 		start:    world.MeasureTime(),
 		session:  uint16(cfg.Seed),
@@ -582,7 +580,6 @@ func (s *Simulation) IssueVRP(v vrp.VRP, detail string) {
 	if s.truth.Contains(v) {
 		return
 	}
-	s.ensureTruthOwned()
 	if err := s.truth.Add(v); err != nil {
 		s.fail(fmt.Errorf("sim: issuing %v: %w", v, err))
 		return
@@ -599,22 +596,12 @@ func (s *Simulation) RevokeVRP(v vrp.VRP, detail string) {
 	if !s.truth.Contains(v) {
 		return
 	}
-	s.ensureTruthOwned()
 	s.truth.Remove(v)
 	s.dirty = true
 	s.truthGen++
 	s.pending[v] = false
 	s.inc.DirtyVRP(v.Prefix)
 	s.Publish(TopicROA, fmt.Sprintf("revoke %v (%s)", v, detail), ROAData{VRP: v, Revoke: true, Reason: detail})
-}
-
-// ensureTruthOwned makes truth this run's private copy before the first
-// in-place edit.
-func (s *Simulation) ensureTruthOwned() {
-	if !s.truthOwned {
-		s.truth = s.truth.Clone()
-		s.truthOwned = true
-	}
 }
 
 // routeEvent builds a collector route event from the first vantage peer.
@@ -750,9 +737,7 @@ func (s *Simulation) flush() {
 		return
 	}
 	if s.needFull {
-		// The server retains the set it is handed while the engine's
-		// copy keeps being edited in place, so hand over a snapshot.
-		s.Server.Update(s.truth.Clone())
+		s.Server.Update(s.truth)
 		s.needFull = false
 	} else {
 		var ann, wd []vrp.VRP
@@ -865,7 +850,6 @@ func (s *Simulation) refreshDue() {
 // shows up in the vrps_* columns and its routing consequences in the
 // hijacked_* columns.
 func (s *Simulation) probe() {
-	s.inc.SetVRPs(s.truth)
 	if err := s.inc.Refresh(); err != nil {
 		s.fail(fmt.Errorf("sim: probe: %w", err))
 		return

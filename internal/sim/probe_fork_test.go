@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,6 +92,10 @@ func TestSharedProbeMatchesPrivate(t *testing.T) {
 		cfg.World = snap.Clone()
 		return cfg
 	}
+	// Every clone's validation is this one memoised result; its VRP set is
+	// what each run's truth is cloned from and its RTR cache is handed.
+	validated := w.Validation().VRPs
+	before := validated.All()
 	runOutputs(t, on("cdn-migration+roa-churn"), false)
 
 	for _, name := range append(Names(), "cdn-migration+roa-churn") {
@@ -107,6 +112,9 @@ func TestSharedProbeMatchesPrivate(t *testing.T) {
 	}
 	if w.Registry.Written() {
 		t.Error("a run wrote the snapshot's own registry")
+	}
+	if !slices.Equal(validated.All(), before) {
+		t.Error("a run wrote the world's validated VRP set")
 	}
 }
 

@@ -13,24 +13,21 @@
 // — per-benchmark baseline/current/ratio plus the pass/fail verdict —
 // written on both pass and fail so CI can archive it as an artifact.
 //
-// The gate fails (exit 1) when any baselined benchmark's ns/op, B/op
-// or allocs/op worsens by more than -threshold (default 0.30 = +30%;
-// -ns-threshold and -allocs-threshold override per-axis), or when a
-// baselined benchmark is missing from the input (a silent rename or
-// deletion would otherwise retire its gate unnoticed). Benchmarks in
-// the input but not the baseline WARN, never fail: a new benchmark must
-// be able to land in the same change that introduces it, before the
-// baseline refresh (make bench-baseline) starts gating it.
+// The gate holds what no machine moves: it fails (exit 1) when any
+// baselined benchmark's B/op or allocs/op worsens by more than 30 %
+// (threshold), or when a baselined benchmark is missing from the input
+// (a silent rename or deletion would otherwise retire its gate
+// unnoticed). Benchmarks in the input but not the baseline WARN, never
+// fail: a new benchmark must be able to land in the same change that
+// introduces it, before the baseline refresh (make bench-baseline)
+// starts gating it.
 //
-// Best-of folding makes the ns/op comparison noise-tolerant: with
-// -count 3 a single slow run (GC pause, noisy neighbour) cannot fail
-// the gate; only a change that slows every run can. B/op is
-// deterministic for these benchmarks and is the sturdier signal across
-// machines — ns/op baselines are only meaningful against the machine
-// that wrote them (refresh on hardware changes). -ns-threshold exists
-// for exactly that gap: CI runs with a looser ns/op threshold that
-// absorbs runner-vs-baseline hardware differences while still failing
-// a 2× slowdown, and keeps B/op at the tight default.
+// Time is not gated here. ns/op means something only against the
+// machine that wrote the baseline, and no knob loose enough to absorb
+// the next machine is tight enough to catch a regression; the -json
+// report carries the run's ns/op as information, the baseline file does
+// not record it, and time is compared by bench/'s paired runs of parent
+// and change on one machine (bench/README.md).
 package main
 
 import (
@@ -46,13 +43,18 @@ import (
 	"strings"
 )
 
-// Entry is one benchmark's baselined observation. AllocsPerOp is -1
-// when the observation carried no allocs/op column (and 0 in baselines
-// written before the allocation gate existed — both disable gating, so
-// an old baseline keeps passing until `make bench-baseline` refreshes
-// it with real counts).
+// threshold is the allowed fractional regression of B/op and allocs/op.
+const threshold = 0.30
+
+// Entry is one benchmark's observation. AllocsPerOp is -1 when the
+// observation carried no allocs/op column (and 0 in baselines written
+// before the allocation gate existed — both disable gating, so an old
+// baseline keeps passing until `make bench-baseline` refreshes it with
+// real counts). NsPerOp is this run's time, for the report only: the
+// baseline file neither stores nor supplies it (one written when time
+// was gated still reads; its ns_per_op is ignored).
 type Entry struct {
-	NsPerOp     float64 `json:"ns_per_op"`
+	NsPerOp     float64 `json:"-"`
 	BPerOp      float64 `json:"b_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
@@ -133,11 +135,10 @@ func Parse(r io.Reader) (map[string]Entry, error) {
 
 // ReportBench is one baselined benchmark's comparison in the -json
 // artifact. Ratios are current/baseline (1.0 = unchanged); B/op fields
-// are -1 when the observation carried none.
+// are -1 when the observation carried none. CurrentNsPerOp is
+// information: it has no baseline and gates nothing.
 type ReportBench struct {
-	BaselineNsPerOp     float64 `json:"baseline_ns_per_op"`
 	CurrentNsPerOp      float64 `json:"current_ns_per_op"`
-	NsRatio             float64 `json:"ns_ratio"`
 	BaselineBPerOp      float64 `json:"baseline_b_per_op"`
 	CurrentBPerOp       float64 `json:"current_b_per_op"`
 	BRatio              float64 `json:"b_ratio"`
@@ -153,12 +154,10 @@ type ReportBench struct {
 // run — the same verdict the human-readable output renders, in a shape
 // CI can archive and diff across runs.
 type Report struct {
-	Baseline        string                 `json:"baseline"`
-	NsThreshold     float64                `json:"ns_threshold"`
-	BThreshold      float64                `json:"b_threshold"`
-	AllocsThreshold float64                `json:"allocs_threshold"`
-	Pass            bool                   `json:"pass"`
-	Benchmarks      map[string]ReportBench `json:"benchmarks"`
+	Baseline   string                 `json:"baseline"`
+	Threshold  float64                `json:"threshold"`
+	Pass       bool                   `json:"pass"`
+	Benchmarks map[string]ReportBench `json:"benchmarks"`
 	// Unbaselined lists input benchmarks the baseline doesn't gate yet
 	// (warnings, never failures).
 	Unbaselined []string `json:"unbaselined,omitempty"`
@@ -167,27 +166,22 @@ type Report struct {
 
 // BuildReport assembles the -json artifact from the same inputs Compare
 // judges, plus Compare's verdict.
-func BuildReport(baselinePath string, base *Baseline, cur map[string]Entry, nsThr, bThr, allocsThr float64, failures []string) Report {
+func BuildReport(baselinePath string, base *Baseline, cur map[string]Entry, failures []string) Report {
 	rep := Report{
-		Baseline:        baselinePath,
-		NsThreshold:     nsThr,
-		BThreshold:      bThr,
-		AllocsThreshold: allocsThr,
-		Pass:            len(failures) == 0,
-		Benchmarks:      make(map[string]ReportBench, len(base.Benchmarks)),
-		Failures:        failures,
+		Baseline:   baselinePath,
+		Threshold:  threshold,
+		Pass:       len(failures) == 0,
+		Benchmarks: make(map[string]ReportBench, len(base.Benchmarks)),
+		Failures:   failures,
 	}
 	for name, b := range base.Benchmarks {
 		rb := ReportBench{
-			BaselineNsPerOp: b.NsPerOp, CurrentNsPerOp: -1, NsRatio: -1,
+			CurrentNsPerOp: -1,
 			BaselineBPerOp: b.BPerOp, CurrentBPerOp: -1, BRatio: -1,
 			BaselineAllocsPerOp: b.AllocsPerOp, CurrentAllocsPerOp: -1, AllocsRatio: -1,
 		}
 		if c, ok := cur[name]; ok {
 			rb.CurrentNsPerOp = c.NsPerOp
-			if b.NsPerOp > 0 {
-				rb.NsRatio = c.NsPerOp / b.NsPerOp
-			}
 			rb.CurrentBPerOp = c.BPerOp
 			if b.BPerOp > 0 && c.BPerOp >= 0 {
 				rb.BRatio = c.BPerOp / b.BPerOp
@@ -214,14 +208,11 @@ func BuildReport(baselinePath string, base *Baseline, cur map[string]Entry, nsTh
 // the failures (empty = gate passes), the warnings (benchmarks in the
 // input but not yet baselined — surfaced loudly but never fatal, so a
 // new benchmark can land ahead of its baseline refresh), and an
-// informational report. nsThreshold and bThreshold are the allowed
-// fractional regressions for ns/op and B/op — separate because B/op is
-// deterministic across machines while ns/op tracks the hardware that
-// wrote the baseline. allocsThreshold gates allocs/op the same way as
-// B/op — only for baselines that recorded a positive count, so old
+// informational report. B/op and allocs/op are each held to threshold,
+// and only where the baseline recorded a positive figure, so old
 // baselines (and benchmarks without -benchmem) stay ungated until the
 // next refresh.
-func Compare(base *Baseline, cur map[string]Entry, nsThreshold, bThreshold, allocsThreshold float64) (failures, warnings, report []string) {
+func Compare(base *Baseline, cur map[string]Entry) (failures, warnings, report []string) {
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
 		names = append(names, name)
@@ -234,29 +225,20 @@ func Compare(base *Baseline, cur map[string]Entry, nsThreshold, bThreshold, allo
 			failures = append(failures, fmt.Sprintf("%s: baselined benchmark missing from input", name))
 			continue
 		}
-		nsRatio := c.NsPerOp / b.NsPerOp
-		report = append(report, fmt.Sprintf("%-55s ns/op %12.0f -> %12.0f (%+.1f%%)",
-			name, b.NsPerOp, c.NsPerOp, (nsRatio-1)*100))
-		if nsRatio > 1+nsThreshold {
-			failures = append(failures, fmt.Sprintf("%s: ns/op regressed %.1f%% (%.0f -> %.0f, threshold %.0f%%)",
-				name, (nsRatio-1)*100, b.NsPerOp, c.NsPerOp, nsThreshold*100))
-		}
-		if b.BPerOp > 0 && c.BPerOp >= 0 {
-			bRatio := c.BPerOp / b.BPerOp
-			report = append(report, fmt.Sprintf("%-55s B/op  %12.0f -> %12.0f (%+.1f%%)",
-				name, b.BPerOp, c.BPerOp, (bRatio-1)*100))
-			if bRatio > 1+bThreshold {
-				failures = append(failures, fmt.Sprintf("%s: B/op regressed %.1f%% (%.0f -> %.0f, threshold %.0f%%)",
-					name, (bRatio-1)*100, b.BPerOp, c.BPerOp, bThreshold*100))
+		// One rule for both columns: compared only where the baseline
+		// holds a positive figure and the run reported one.
+		for _, col := range []struct {
+			unit      string
+			base, cur float64
+		}{{"B/op", b.BPerOp, c.BPerOp}, {"allocs/op", b.AllocsPerOp, c.AllocsPerOp}} {
+			if col.base <= 0 || col.cur < 0 {
+				continue
 			}
-		}
-		if b.AllocsPerOp > 0 && c.AllocsPerOp >= 0 {
-			aRatio := c.AllocsPerOp / b.AllocsPerOp
-			report = append(report, fmt.Sprintf("%-55s allocs/op %8.0f -> %12.0f (%+.1f%%)",
-				name, b.AllocsPerOp, c.AllocsPerOp, (aRatio-1)*100))
-			if aRatio > 1+allocsThreshold {
-				failures = append(failures, fmt.Sprintf("%s: allocs/op regressed %.1f%% (%.0f -> %.0f, threshold %.0f%%)",
-					name, (aRatio-1)*100, b.AllocsPerOp, c.AllocsPerOp, allocsThreshold*100))
+			pct := (col.cur/col.base - 1) * 100
+			report = append(report, fmt.Sprintf("%-55s %-9s %12.0f -> %12.0f (%+.1f%%)", name, col.unit, col.base, col.cur, pct))
+			if col.cur/col.base > 1+threshold {
+				failures = append(failures, fmt.Sprintf("%s: %s regressed %.1f%% (%.0f -> %.0f, threshold %.0f%%)",
+					name, col.unit, pct, col.base, col.cur, threshold*100))
 			}
 		}
 	}
@@ -275,12 +257,9 @@ func Compare(base *Baseline, cur map[string]Entry, nsThreshold, bThreshold, allo
 
 func main() {
 	var (
-		check       = flag.String("check", "", "baseline JSON to compare stdin against")
-		write       = flag.String("write", "", "baseline JSON to (over)write from stdin")
-		threshold   = flag.Float64("threshold", 0.30, "allowed fractional regression for ns/op, B/op and allocs/op")
-		nsThreshold = flag.Float64("ns-threshold", -1, "override -threshold for ns/op only (CI uses a looser value to absorb hardware differences from the baseline machine)")
-		allocsThr   = flag.Float64("allocs-threshold", -1, "override -threshold for allocs/op only (allocation counts are deterministic, so this can be tighter than the time gate)")
-		jsonOut     = flag.String("json", "", "with -check: also write the comparison as a machine-readable JSON report to this file (written on pass and fail, for CI artifacts)")
+		check   = flag.String("check", "", "baseline JSON to compare stdin against")
+		write   = flag.String("write", "", "baseline JSON to (over)write from stdin")
+		jsonOut = flag.String("json", "", "with -check: also write the comparison as a machine-readable JSON report to this file (written on pass and fail, for CI artifacts)")
 	)
 	flag.Parse()
 	if (*check == "") == (*write == "") {
@@ -299,7 +278,7 @@ func main() {
 
 	if *write != "" {
 		base := Baseline{
-			Note:       "benchmark-regression baseline; refresh with `make bench-baseline` on the reference machine",
+			Note:       "benchmark-regression baseline (B/op and allocs/op; time is not gated here); refresh with `make bench-baseline`",
 			Benchmarks: cur,
 		}
 		data, err := json.MarshalIndent(base, "", "  ")
@@ -325,19 +304,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchgate: parsing %s: %v\n", *check, err)
 		os.Exit(2)
 	}
-	nsThr := *threshold
-	if *nsThreshold >= 0 {
-		nsThr = *nsThreshold
-	}
-	aThr := *threshold
-	if *allocsThr >= 0 {
-		aThr = *allocsThr
-	}
-	failures, warnings, report := Compare(&base, cur, nsThr, *threshold, aThr)
+	failures, warnings, report := Compare(&base, cur)
 	// The JSON artifact is written before the verdict exits, so CI can
 	// archive it for failing runs too — that's when it matters most.
 	if *jsonOut != "" {
-		rep := BuildReport(*check, &base, cur, nsThr, *threshold, aThr, failures)
+		rep := BuildReport(*check, &base, cur, failures)
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -363,6 +334,5 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: %d gated benchmarks within thresholds (ns/op %.0f%%, B/op %.0f%%, allocs/op %.0f%%)\n",
-		len(base.Benchmarks), nsThr*100, *threshold*100, aThr*100)
+	fmt.Printf("benchgate: %d gated benchmarks within %.0f%% on B/op and allocs/op\n", len(base.Benchmarks), threshold*100)
 }

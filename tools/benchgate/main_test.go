@@ -58,53 +58,44 @@ func TestParseRejectsEmpty(t *testing.T) {
 
 func TestCompareGate(t *testing.T) {
 	base := &Baseline{Benchmarks: map[string]Entry{
-		"BenchmarkSweep/workers=4": {NsPerOp: 1000, BPerOp: 500},
-		"BenchmarkSimTick":         {NsPerOp: 100, BPerOp: 50},
+		"BenchmarkSweep/workers=4": {BPerOp: 500},
+		"BenchmarkSimTick":         {BPerOp: 50},
 	}}
 	// Within threshold (+20%, improvement): passes.
 	ok := map[string]Entry{
-		"BenchmarkSweep/workers=4": {NsPerOp: 1200, BPerOp: 480},
-		"BenchmarkSimTick":         {NsPerOp: 90, BPerOp: 50},
+		"BenchmarkSweep/workers=4": {NsPerOp: 1200, BPerOp: 600},
+		"BenchmarkSimTick":         {NsPerOp: 90, BPerOp: 45},
 	}
-	if failures, _, _ := Compare(base, ok, 0.30, 0.30, 0.30); len(failures) != 0 {
+	if failures, _, _ := Compare(base, ok); len(failures) != 0 {
 		t.Errorf("in-threshold run failed the gate: %v", failures)
 	}
-	// A synthetic 2× slowdown on one benchmark: fails.
+	// Time is not gated: a 10× slowdown alone passes, whatever machine
+	// or neighbour caused it.
 	slow := map[string]Entry{
-		"BenchmarkSweep/workers=4": {NsPerOp: 2000, BPerOp: 500},
+		"BenchmarkSweep/workers=4": {NsPerOp: 12000, BPerOp: 500},
+		"BenchmarkSimTick":         {NsPerOp: 900, BPerOp: 50},
+	}
+	if failures, _, _ := Compare(base, slow); len(failures) != 0 {
+		t.Errorf("a slowdown alone failed the gate: %v", failures)
+	}
+	// +30% B/op is the edge and passes; +31% fails, alone.
+	edge := map[string]Entry{
+		"BenchmarkSweep/workers=4": {NsPerOp: 1000, BPerOp: 650},
 		"BenchmarkSimTick":         {NsPerOp: 100, BPerOp: 50},
 	}
-	failures, _, _ := Compare(base, slow, 0.30, 0.30, 0.30)
-	if len(failures) != 1 || !strings.Contains(failures[0], "ns/op regressed 100.0%") {
-		t.Errorf("2x slowdown not caught: %v", failures)
+	if failures, _, _ := Compare(base, edge); len(failures) != 0 {
+		t.Errorf("+30%% B/op failed the gate: %v", failures)
 	}
-	// A B/op regression alone: fails.
-	alloc := map[string]Entry{
-		"BenchmarkSweep/workers=4": {NsPerOp: 1000, BPerOp: 800},
-		"BenchmarkSimTick":         {NsPerOp: 100, BPerOp: 50},
-	}
-	if failures, _, _ := Compare(base, alloc, 0.30, 0.30, 0.30); len(failures) != 1 {
-		t.Errorf("B/op regression not caught: %v", failures)
-	}
-	// Split thresholds, the CI shape: a loose ns/op gate (absorbing
-	// hardware skew from the baseline machine) still fails a 2×
-	// slowdown and keeps B/op tight.
-	if failures, _, _ := Compare(base, slow, 0.75, 0.30, 0.30); len(failures) != 1 {
-		t.Errorf("2x slowdown passed the loose ns gate: %v", failures)
-	}
-	skewed := map[string]Entry{
-		"BenchmarkSweep/workers=4": {NsPerOp: 1500, BPerOp: 800}, // ns +50% (machine skew), B/op +60% (real)
-		"BenchmarkSimTick":         {NsPerOp: 150, BPerOp: 50},
-	}
-	failures, _, _ = Compare(base, skewed, 0.75, 0.30, 0.30)
-	if len(failures) != 1 || !strings.Contains(failures[0], "B/op regressed") {
-		t.Errorf("split thresholds: want the B/op failure alone, got %v", failures)
+	edge["BenchmarkSweep/workers=4"] = Entry{NsPerOp: 1000, BPerOp: 655}
+	failures, _, _ := Compare(base, edge)
+	if len(failures) != 1 || !strings.Contains(failures[0], "BenchmarkSweep/workers=4: B/op regressed 31.0%") {
+		t.Errorf("+31%% B/op: want that failure alone, got %v", failures)
 	}
 	// A baselined benchmark vanishing from the input: fails.
 	missing := map[string]Entry{
 		"BenchmarkSimTick": {NsPerOp: 100, BPerOp: 50},
 	}
-	if failures, _, _ := Compare(base, missing, 0.30, 0.30, 0.30); len(failures) != 1 {
+	if failures, _, _ := Compare(base, missing); len(failures) != 1 {
 		t.Errorf("missing benchmark not caught: %v", failures)
 	}
 	// New benchmarks not yet baselined warn, never fail — the landing
@@ -114,7 +105,7 @@ func TestCompareGate(t *testing.T) {
 		"BenchmarkSimTick":         {NsPerOp: 100, BPerOp: 50},
 		"BenchmarkNew":             {NsPerOp: 7, BPerOp: 7},
 	}
-	failures, warnings, _ := Compare(base, extra, 0.30, 0.30, 0.30)
+	failures, warnings, _ := Compare(base, extra)
 	if len(failures) != 0 {
 		t.Errorf("unbaselined benchmark failed the gate: %v", failures)
 	}
@@ -124,43 +115,39 @@ func TestCompareGate(t *testing.T) {
 		t.Errorf("unbaselined benchmark did not warn: %v", warnings)
 	}
 	// A fully-baselined run warns about nothing.
-	if _, warnings, _ := Compare(base, ok, 0.30, 0.30, 0.30); len(warnings) != 0 {
+	if _, warnings, _ := Compare(base, ok); len(warnings) != 0 {
 		t.Errorf("spurious warnings: %v", warnings)
 	}
 }
 
 // TestCompareAllocsGate: allocation counts gate independently of bytes
-// and time, with their own threshold — and only when the baseline
-// recorded a positive count, so baselines written before the allocation
-// gate existed (AllocsPerOp zero-valued on decode) stay ungated.
+// — and only when the baseline recorded a positive count, so baselines
+// written before the allocation gate existed (AllocsPerOp zero-valued on
+// decode) stay ungated.
 func TestCompareAllocsGate(t *testing.T) {
 	base := &Baseline{Benchmarks: map[string]Entry{
-		"BenchmarkGated":   {NsPerOp: 1000, BPerOp: 500, AllocsPerOp: 100},
-		"BenchmarkLegacy":  {NsPerOp: 1000, BPerOp: 500}, // pre-gate baseline: no allocs recorded
-		"BenchmarkNoMemOp": {NsPerOp: 1000, BPerOp: -1, AllocsPerOp: -1},
+		"BenchmarkGated":   {BPerOp: 500, AllocsPerOp: 100},
+		"BenchmarkLegacy":  {BPerOp: 500}, // pre-gate baseline: no allocs recorded
+		"BenchmarkNoMemOp": {BPerOp: -1, AllocsPerOp: -1},
 	}}
-	// allocs/op doubled while ns/op and B/op held: only the allocs gate
-	// trips, and only on the benchmark whose baseline carries a count.
+	// allocs/op +31% while B/op held: only the allocs gate trips, and
+	// only on the benchmark whose baseline carries a count.
 	cur := map[string]Entry{
-		"BenchmarkGated":   {NsPerOp: 1000, BPerOp: 500, AllocsPerOp: 200},
+		"BenchmarkGated":   {NsPerOp: 1000, BPerOp: 500, AllocsPerOp: 131},
 		"BenchmarkLegacy":  {NsPerOp: 1000, BPerOp: 500, AllocsPerOp: 999999},
 		"BenchmarkNoMemOp": {NsPerOp: 1000, BPerOp: -1, AllocsPerOp: -1},
 	}
-	failures, _, _ := Compare(base, cur, 0.30, 0.30, 0.30)
-	if len(failures) != 1 || !strings.Contains(failures[0], "BenchmarkGated: allocs/op regressed 100.0%") {
+	failures, _, _ := Compare(base, cur)
+	if len(failures) != 1 || !strings.Contains(failures[0], "BenchmarkGated: allocs/op regressed 31.0%") {
 		t.Errorf("allocs regression not isolated: %v", failures)
-	}
-	// A dedicated looser allocs threshold absorbs the same doubling.
-	if failures, _, _ := Compare(base, cur, 0.30, 0.30, 1.50); len(failures) != 0 {
-		t.Errorf("loose allocs threshold still failed: %v", failures)
 	}
 	// Within threshold: passes, and the report carries the allocs line.
 	ok := map[string]Entry{
-		"BenchmarkGated":   {NsPerOp: 1000, BPerOp: 500, AllocsPerOp: 110},
+		"BenchmarkGated":   {NsPerOp: 1000, BPerOp: 500, AllocsPerOp: 130},
 		"BenchmarkLegacy":  {NsPerOp: 1000, BPerOp: 500, AllocsPerOp: 7},
 		"BenchmarkNoMemOp": {NsPerOp: 1000, BPerOp: -1, AllocsPerOp: -1},
 	}
-	failures, _, report := Compare(base, ok, 0.30, 0.30, 0.30)
+	failures, _, report := Compare(base, ok)
 	if len(failures) != 0 {
 		t.Errorf("in-threshold allocs failed the gate: %v", failures)
 	}
@@ -169,6 +156,9 @@ func TestCompareAllocsGate(t *testing.T) {
 		if strings.Contains(line, "allocs/op") {
 			allocLines++
 		}
+		if strings.Contains(line, "ns/op") {
+			t.Errorf("the comparison reports a time: %q", line)
+		}
 	}
 	if allocLines != 1 {
 		t.Errorf("want exactly one allocs/op report line (the gated benchmark), got %d:\n%s",
@@ -176,29 +166,54 @@ func TestCompareAllocsGate(t *testing.T) {
 	}
 }
 
+// TestBaselineFileHasNoTime: the baseline file records B/op and
+// allocs/op only, and one written when time was gated still reads — its
+// ns_per_op is ignored, not an error and not a gate.
+func TestBaselineFileHasNoTime(t *testing.T) {
+	data, err := json.Marshal(Baseline{Benchmarks: map[string]Entry{"BenchmarkX": {NsPerOp: 123, BPerOp: 500, AllocsPerOp: 9}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "ns_per_op") || !strings.Contains(string(data), `"b_per_op":500,"allocs_per_op":9`) {
+		t.Errorf("baseline written as %s", data)
+	}
+	var old Baseline
+	if err := json.Unmarshal([]byte(`{"note": "old", "benchmarks": {"BenchmarkX": {"ns_per_op": 100, "b_per_op": 500, "allocs_per_op": 9}}}`), &old); err != nil {
+		t.Fatalf("a baseline with ns_per_op does not read: %v", err)
+	}
+	if got := old.Benchmarks["BenchmarkX"]; got != (Entry{BPerOp: 500, AllocsPerOp: 9}) {
+		t.Errorf("old baseline read as %+v", got)
+	}
+	cur := map[string]Entry{"BenchmarkX": {NsPerOp: 1000, BPerOp: 500, AllocsPerOp: 9}}
+	if failures, _, _ := Compare(&old, cur); len(failures) != 0 {
+		t.Errorf("ten times the old file's ns_per_op failed the gate: %v", failures)
+	}
+}
+
 // TestBuildReport: the -json artifact carries the same verdict as the
 // human-readable output — per-benchmark ratios, missing baselined
-// benchmarks, unbaselined extras — and survives a JSON round trip.
+// benchmarks, unbaselined extras — plus the run's ns/op as information,
+// and survives a JSON round trip.
 func TestBuildReport(t *testing.T) {
 	base := &Baseline{Benchmarks: map[string]Entry{
-		"BenchmarkSweep/workers=4": {NsPerOp: 1000, BPerOp: 500},
-		"BenchmarkSimTick":         {NsPerOp: 100, BPerOp: 50},
+		"BenchmarkSweep/workers=4": {BPerOp: 500, AllocsPerOp: 10},
+		"BenchmarkSimTick":         {BPerOp: 50},
 	}}
 	cur := map[string]Entry{
-		"BenchmarkSweep/workers=4": {NsPerOp: 2000, BPerOp: 400},
+		"BenchmarkSweep/workers=4": {NsPerOp: 2000, BPerOp: 400, AllocsPerOp: 20},
 		"BenchmarkNew":             {NsPerOp: 7, BPerOp: 7},
 	}
-	failures, _, _ := Compare(base, cur, 0.30, 0.30, 0.30)
-	rep := BuildReport("BENCH_baseline.json", base, cur, 0.30, 0.30, 0.30, failures)
+	failures, _, _ := Compare(base, cur)
+	rep := BuildReport("BENCH_baseline.json", base, cur, failures)
 
 	if rep.Pass {
 		t.Error("report passes despite failures")
 	}
-	if rep.Baseline != "BENCH_baseline.json" || rep.NsThreshold != 0.30 {
+	if rep.Baseline != "BENCH_baseline.json" || rep.Threshold != 0.30 {
 		t.Errorf("report header: %+v", rep)
 	}
 	sweep := rep.Benchmarks["BenchmarkSweep/workers=4"]
-	if sweep.NsRatio != 2.0 || sweep.BRatio != 0.8 || sweep.Missing {
+	if sweep.CurrentNsPerOp != 2000 || sweep.BRatio != 0.8 || sweep.AllocsRatio != 2.0 || sweep.Missing {
 		t.Errorf("sweep entry: %+v", sweep)
 	}
 	tick := rep.Benchmarks["BenchmarkSimTick"]
@@ -208,7 +223,7 @@ func TestBuildReport(t *testing.T) {
 	if len(rep.Unbaselined) != 1 || rep.Unbaselined[0] != "BenchmarkNew" {
 		t.Errorf("unbaselined: %v", rep.Unbaselined)
 	}
-	if len(rep.Failures) != len(failures) {
+	if len(rep.Failures) != 2 || len(rep.Failures) != len(failures) {
 		t.Errorf("failures not carried: %v", rep.Failures)
 	}
 
@@ -220,17 +235,17 @@ func TestBuildReport(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Benchmarks["BenchmarkSweep/workers=4"].NsRatio != 2.0 {
+	if back.Benchmarks["BenchmarkSweep/workers=4"].AllocsRatio != 2.0 || back.Benchmarks["BenchmarkSweep/workers=4"].CurrentNsPerOp != 2000 {
 		t.Errorf("round trip lost data: %+v", back)
 	}
 
 	// A clean run reports pass and no failure list.
 	clean := map[string]Entry{
-		"BenchmarkSweep/workers=4": {NsPerOp: 1000, BPerOp: 500},
+		"BenchmarkSweep/workers=4": {NsPerOp: 1000, BPerOp: 500, AllocsPerOp: 10},
 		"BenchmarkSimTick":         {NsPerOp: 100, BPerOp: 50},
 	}
-	cleanFailures, _, _ := Compare(base, clean, 0.30, 0.30, 0.30)
-	if rep := BuildReport("b.json", base, clean, 0.30, 0.30, 0.30, cleanFailures); !rep.Pass || len(rep.Failures) != 0 || len(rep.Unbaselined) != 0 {
+	cleanFailures, _, _ := Compare(base, clean)
+	if rep := BuildReport("b.json", base, clean, cleanFailures); !rep.Pass || len(rep.Failures) != 0 || len(rep.Unbaselined) != 0 {
 		t.Errorf("clean report: %+v", rep)
 	}
 }
