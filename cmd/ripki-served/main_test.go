@@ -12,9 +12,12 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"ripki/internal/obs"
 	"ripki/internal/obs/obstest"
+	"ripki/internal/sim"
+	"ripki/internal/sweep"
 )
 
 // TestConfigureWiresTheService builds a small daemon and drives its
@@ -95,12 +98,72 @@ func TestConfigurePprofGate(t *testing.T) {
 // TestConfigureScenarioSource wires the sim source without running it.
 func TestConfigureScenarioSource(t *testing.T) {
 	var stderr bytes.Buffer
-	d, err := configure([]string{"-domains", "1500", "-scenario", "roa-churn", "-param", "rate=2"}, &stderr)
+	d, err := configure([]string{"-domains", "1500", "-scenario", "roa-churn", "-param", "issue=2"}, &stderr)
 	if err != nil {
 		t.Fatalf("configure: %v (stderr: %s)", err, stderr.String())
 	}
 	if len(d.sources) != 1 || !strings.Contains(d.banner, "scenario roa-churn") {
 		t.Fatalf("scenario source not wired: %d sources, banner %q", len(d.sources), d.banner)
+	}
+}
+
+// TestScenarioParamsCheckedAtEveryEntryPoint: a single run, a sweep's
+// plan and the daemon's configure all hold a scenario's params to what
+// it declares before they build a world. A misspelt key, a key its
+// component does not declare and a value that does not parse as its
+// default's kind are refused, naming the key and the scenario; every
+// spelling a scenario does declare is accepted.
+func TestScenarioParamsCheckedAtEveryEntryPoint(t *testing.T) {
+	entries := map[string]func(scenario, key, value string) error{
+		"sim.New": func(scenario, key, value string) error {
+			s, err := sim.New(sim.Config{Scenario: scenario, Params: sim.Params{key: value},
+				Domains: 500, Tick: 30 * time.Second, Duration: time.Minute})
+			if err == nil {
+				s.Close()
+			}
+			return err
+		},
+		// A sweep axis lists its values comma-separated.
+		"sweep.Grid.Plan": func(scenario, key, value string) error {
+			_, err := sweep.Grid{Scenarios: []string{scenario}, Params: map[string][]string{key: strings.Split(value, ",")}}.Plan()
+			return err
+		},
+		"configure": func(scenario, key, value string) error {
+			_, err := configure([]string{"-domains", "500", "-scenario", scenario, "-param", key + "=" + value}, io.Discard)
+			return err
+		},
+	}
+	for _, tc := range []struct {
+		scenario, key, value string
+		refused              bool
+		named                string // the scenario a refusal names
+	}{
+		{"roa-churn", "issue", "abc", true, "roa-churn"},
+		{"roa-churn", "issue", "3,abc", true, "roa-churn"},
+		{"roa-churn", "isue", "9", true, "roa-churn"},
+		{"roa-churn", "revoke", "1.5", true, "roa-churn"},
+		{"roa-churn", "rate", "2", true, "roa-churn"},
+		{"roa-churn+hijack-window", "hijack-window.issue", "3", true, "hijack-window"},
+		{"roa-churn", "roa-churn.issue", "5", false, ""},
+		{"roa-churn+hijack-window", "every_ticks", "2", false, ""},
+		{"rtr-restart", "cold", "false", false, ""},
+		{"trust-anchor-outage", "attack", "0", false, ""},
+	} {
+		key := tc.key
+		if _, routed, ok := strings.Cut(tc.key, "."); ok {
+			key = routed
+		}
+		for name, entry := range entries {
+			err := entry(tc.scenario, tc.key, tc.value)
+			switch {
+			case !tc.refused && err != nil:
+				t.Errorf("%s: %s %s=%s refused: %v", name, tc.scenario, tc.key, tc.value, err)
+			case tc.refused && err == nil:
+				t.Errorf("%s: %s %s=%s accepted", name, tc.scenario, tc.key, tc.value)
+			case tc.refused && (!strings.Contains(err.Error(), key) || !strings.Contains(err.Error(), tc.named)):
+				t.Errorf("%s: %s %s=%s: refusal %q does not name the key and the scenario", name, tc.scenario, tc.key, tc.value, err)
+			}
+		}
 	}
 }
 

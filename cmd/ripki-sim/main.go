@@ -17,7 +17,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -48,7 +50,7 @@ func main() {
 		scenario = flag.String("scenario", "hijack-window",
 			`scenario to run, or a "+"-joined composition ("roa-churn+rp-lag") running every component's events in one world; registered: `+
 				strings.Join(ripki.Scenarios(), ", "))
-		list          = flag.Bool("list", false, "list registered scenarios and the composition syntax, then exit")
+		list          = flag.Bool("list", false, "list registered scenarios, their params with defaults, and the composition syntax, then exit")
 		seed          = flag.Int64("seed", 1, "world + scenario seed")
 		domains       = flag.Int("domains", 20000, "size of the generated world")
 		tick          = flag.Duration("tick", 30*time.Second, "virtual clock granularity")
@@ -66,7 +68,15 @@ func main() {
 
 	if *list {
 		for _, name := range ripki.Scenarios() {
-			fmt.Printf("%-20s %s\n", name, ripki.DescribeScenario(name))
+			sc, _ := ripki.LookupScenario(name)
+			fmt.Printf("%-24s %s\n", name, sc.Description)
+			if len(sc.Params) > 0 {
+				var defaults []string
+				for _, k := range slices.Sorted(maps.Keys(sc.Params)) {
+					defaults = append(defaults, fmt.Sprintf("%s=%v", k, sc.Params[k]))
+				}
+				fmt.Printf("%-24s params: %s\n", "", strings.Join(defaults, " "))
+			}
 		}
 		fmt.Println("\ncompose with \"+\": any a+b[+c...] runs every component's event stream in one world")
 		fmt.Println("(per-component params: -param component.key=value; see docs/sim.md)")

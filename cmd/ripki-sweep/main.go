@@ -34,7 +34,6 @@
 //
 //	ripki-sweep -coordinate :9200 -scenarios roa-churn -replicates 8 -checkpoint ckpt/
 //	ripki-sweep -worker host:9200 -workers 8          # on each machine
-//	ripki-sweep -coordinate :9200 -scenarios roa-churn -replicates 8 -resume ckpt/
 //	ripki-sweep -coordinate :9200 -http :9201 ...     # + GET /progress and /metrics
 //	ripki-sweep -status host:9201                     # render live progress and exit
 //
@@ -42,9 +41,9 @@
 // workers, journals each completed cell durably (-checkpoint), and
 // writes the assembled output exactly like a local run. Workers take
 // their grid and mode from the coordinator, so a worker accepts only
-// -workers, -share-worlds and -quiet. -resume re-leases only cells the
-// journal doesn't already hold. Ctrl-C cancels in-flight simulations
-// in every mode.
+// -workers, -share-worlds and -quiet. A coordinator restarted with the
+// same -checkpoint re-leases only cells the journal doesn't already
+// hold. Ctrl-C cancels in-flight simulations in every mode.
 package main
 
 import (
@@ -144,8 +143,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		quiet         = fs.Bool("quiet", false, "suppress all progress output on stderr")
 		coordinate    = fs.String("coordinate", "", `run as distributed-sweep coordinator listening on this address (e.g. ":9200")`)
 		workerAddr    = fs.String("worker", "", "run as distributed-sweep worker for the coordinator at this address")
-		checkpoint    = fs.String("checkpoint", "", "coordinator: journal each completed cell to this directory (one fsynced record per cell)")
-		resume        = fs.String("resume", "", "coordinator: resume from this checkpoint directory, re-leasing only unfinished cells (implies -checkpoint)")
+		checkpoint    = fs.String("checkpoint", "", "coordinator: journal each completed cell to this directory (one fsynced record per cell), resuming from the records already there")
 		leaseTimeout  = fs.Duration("lease-timeout", 0, "coordinator: re-lease a silent cell range after this long (default 2m)")
 		leaseCells    = fs.Int("lease-cells", 0, "coordinator: max cells per lease (default cells/16, min 1)")
 		httpAddr      = fs.String("http", "", `coordinator: serve GET /progress (live sweep standing as JSON) and GET /metrics (Prometheus text) on this address (e.g. ":9201")`)
@@ -192,10 +190,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return ripki.DistWork(ctx, *workerAddr, cfg)
 	}
 	if *coordinate == "" {
-		for name, val := range map[string]string{"-checkpoint": *checkpoint, "-resume": *resume} {
-			if val != "" {
-				return fmt.Errorf("%s requires -coordinate", name)
-			}
+		if *checkpoint != "" {
+			return errors.New("-checkpoint requires -coordinate")
 		}
 		if *leaseTimeout != 0 || *leaseCells != 0 {
 			return errors.New("-lease-timeout and -lease-cells require -coordinate")
@@ -253,19 +249,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	var res *ripki.SweepResult
 	if *coordinate != "" {
-		dir := *checkpoint
-		if *resume != "" {
-			if dir != "" && dir != *resume {
-				return errors.New("-checkpoint and -resume must name the same directory")
-			}
-			dir = *resume
-		}
 		cfg := ripki.DistCoordinatorConfig{
 			Grid:          grid,
 			Streaming:     *streaming,
 			LeaseTimeout:  *leaseTimeout,
 			LeaseCells:    *leaseCells,
-			CheckpointDir: dir,
+			CheckpointDir: *checkpoint,
 		}
 		if !*quiet {
 			cfg.Logf = func(f string, a ...any) { fmt.Fprintf(stderr, "ripki-sweep coordinator: "+f+"\n", a...) }

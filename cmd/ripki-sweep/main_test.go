@@ -156,12 +156,10 @@ func TestDistributedFlagValidation(t *testing.T) {
 		"worker-format-flag": {[]string{"-worker", "x:1", "-format", "json"}, "-format"},
 		"worker-streaming":   {[]string{"-worker", "x:1", "-streaming"}, "-streaming"},
 		"stray-checkpoint":   {[]string{"-checkpoint", "d"}, "requires -coordinate"},
-		"stray-resume":       {[]string{"-resume", "d"}, "requires -coordinate"},
 		"stray-lease-timeout": {
 			append(append([]string{}, fastArgs...), "-lease-timeout", "1m"), "require -coordinate"},
 		"stray-lease-cells": {
 			append(append([]string{}, fastArgs...), "-lease-cells", "2"), "require -coordinate"},
-		"split-journal": {[]string{"-coordinate", ":0", "-checkpoint", "a", "-resume", "b"}, "same directory"},
 		"stray-http": {
 			append(append([]string{}, fastArgs...), "-http", ":0"), "require -coordinate"},
 		"stray-pprof": {

@@ -393,16 +393,15 @@ func (s *Service) staleSource() (string, time.Duration, bool) {
 	}
 	var worstName string
 	var worstAge time.Duration
-	s.liveSources.Range(func(k, v any) bool {
-		name := k.(string)
-		last := v.(time.Time) // registration time
-		if st, ok := s.sources.Load(name); ok {
-			if ns := st.(*sourceStat).lastNS.Load(); ns > last.UnixNano() {
-				last = time.Unix(0, ns)
-			}
+	s.sources.Range(func(k, v any) bool {
+		st := v.(*sourceStat)
+		last := st.liveNS.Load()
+		if last == 0 {
+			return true // a one-shot publisher never goes stale
 		}
-		if age := time.Since(last); age > s.healthMaxStaleness && age > worstAge {
-			worstName, worstAge = name, age
+		last = max(last, st.lastNS.Load())
+		if age := time.Since(time.Unix(0, last)); age > s.healthMaxStaleness && age > worstAge {
+			worstName, worstAge = k.(string), age
 		}
 		return true
 	})

@@ -12,12 +12,24 @@ import (
 	"ripki/internal/webworld"
 )
 
-// sourceStat tracks one update source's last publish, for the staleness
-// gauges. Fields are atomics: Publish writes under pubMu, scrapes read
-// from any goroutine.
+// sourceStat is one update source's record, for the staleness gauges
+// and the health probe: when a live source was registered (0 for a
+// one-shot publisher), and when and at what source serial it last
+// published (0 before its first). Fields are atomics: writers hold
+// pubMu or register once, scrapes read from any goroutine.
 type sourceStat struct {
+	liveNS atomic.Int64
 	lastNS atomic.Int64
 	serial atomic.Uint32
+}
+
+// source returns the named source's record, creating it on first use.
+func (s *Service) source(name string) *sourceStat {
+	v, ok := s.sources.Load(name)
+	if !ok {
+		v, _ = s.sources.LoadOrStore(name, &sourceStat{})
+	}
+	return v.(*sourceStat)
 }
 
 // buildRegistry assembles the service's scrape document: the
@@ -158,9 +170,13 @@ func (s *Service) collectSnapshot(e *obs.Encoder) {
 		e.Sample("", nil, time.Since(time.Unix(0, at)).Seconds())
 	}
 
+	// Sources that have published; a live source registered but not yet
+	// synced has no age or serial to report.
 	names := make([]string, 0, 4)
-	s.sources.Range(func(k, _ any) bool {
-		names = append(names, k.(string))
+	s.sources.Range(func(k, v any) bool {
+		if v.(*sourceStat).lastNS.Load() != 0 {
+			names = append(names, k.(string))
+		}
 		return true
 	})
 	sort.Strings(names)
@@ -181,11 +197,7 @@ func (s *Service) collectSnapshot(e *obs.Encoder) {
 func (s *Service) recordPublish(source string, sourceSerial uint32) {
 	now := time.Now().UnixNano()
 	s.publishedAt.Store(now)
-	v, ok := s.sources.Load(source)
-	if !ok {
-		v, _ = s.sources.LoadOrStore(source, &sourceStat{})
-	}
-	st := v.(*sourceStat)
+	st := s.source(source)
 	st.lastNS.Store(now)
 	st.serial.Store(sourceSerial)
 }

@@ -201,7 +201,7 @@ func (sn *Snapshot) variantVerdict(name string, ids []uint32, resolved bool) Var
 }
 
 // Service publishes snapshots and serves queries over them. Writers
-// (Publish and the Run* sources) serialise on an internal mutex; the
+// (PublishSet and the Run* sources) serialise on an internal mutex; the
 // read path — Current and every HTTP handler — only ever loads the
 // atomic snapshot pointer.
 type Service struct {
@@ -223,16 +223,13 @@ type Service struct {
 
 	// healthMaxStaleness, when positive, turns /healthz into a
 	// staleness probe: 503 once any live source's last publish is older
-	// than this. liveSince stamps when each live source was registered,
-	// so a source that never publishes still trips the probe.
+	// than this.
 	healthMaxStaleness time.Duration
-	liveSources        sync.Map // source name → liveSince (time.Time)
 
 	snap atomic.Pointer[Snapshot]
 
-	// Staleness trackers behind GET /metrics: when the service last
-	// published at all, and when (and at what source serial) each source
-	// last did. Written under pubMu; read atomically at scrape time.
+	// Staleness trackers behind GET /metrics and /healthz: when the
+	// service last published at all, and one record per update source.
 	publishedAt atomic.Int64
 	sources     sync.Map // source name → *sourceStat
 
@@ -264,9 +261,12 @@ func New(domains *DomainTable) *Service {
 func (s *Service) SetHealthMaxStaleness(d time.Duration) { s.healthMaxStaleness = d }
 
 // markLive registers a continuously updating source (an RTR session, a
-// sim scenario) with the health probe; one-shot publishers ("world",
-// "csv") are not live and never trip it.
-func (s *Service) markLive(source string) { s.liveSources.LoadOrStore(source, time.Now()) }
+// sim scenario) with the health probe, stamping when it was first
+// registered; one-shot publishers ("world", "csv") are not live and
+// never trip it.
+func (s *Service) markLive(source string) {
+	s.source(source).liveNS.CompareAndSwap(0, time.Now().UnixNano())
+}
 
 // NewFromWorld builds the domain table from a generated world, then
 // publishes the world's own validated ROA payloads as the first
@@ -288,21 +288,11 @@ func NewFromWorld(w *webworld.World) (*Service, error) {
 // first publish. It is safe from any goroutine and takes no lock.
 func (s *Service) Current() *Snapshot { return s.snap.Load() }
 
-// Publish builds an immutable snapshot from the given VRPs and swaps
-// it in, bumping the serial. The VRP slice is copied into a fresh
-// index; the caller may reuse it afterwards.
-func (s *Service) Publish(vs []vrp.VRP, source string, sourceSerial uint32) (*Snapshot, error) {
-	ix, err := vrp.NewIndex(vs)
-	if err != nil {
-		return nil, fmt.Errorf("serve: building index: %w", err)
-	}
-	return s.publishIndex(ix, source, sourceSerial, nil), nil
-}
-
-// PublishSet publishes the set as it stands now. The snapshot's index is
-// an O(1) freeze of the set (vrp.IndexOf), not a rebuild: it shares the
-// set's nodes, the caller goes on mutating the set, and each write
-// copies the path it descends, so the snapshot never sees it.
+// PublishSet publishes the set as it stands now, bumping the serial.
+// The snapshot's index is an O(1) freeze of the set (vrp.IndexOf), not
+// a rebuild: it shares the set's nodes, the caller goes on mutating the
+// set, and each write copies the path it descends, so the snapshot
+// never sees it.
 func (s *Service) PublishSet(set *vrp.Set, source string, sourceSerial uint32) (*Snapshot, error) {
 	return s.publishIndex(vrp.IndexOf(set), source, sourceSerial, nil), nil
 }

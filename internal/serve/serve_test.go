@@ -321,7 +321,7 @@ func TestSnapshotEndpointAndExposure(t *testing.T) {
 
 	// Publishing an empty VRP set drives coverage to zero and bumps the
 	// serial — the exposure is truly per-snapshot.
-	if _, err := s.Publish(nil, "csv", 0); err != nil {
+	if _, err := s.PublishSet(vrp.NewSet(), "csv", 0); err != nil {
 		t.Fatal(err)
 	}
 	_, body = do(t, h, "GET", "/v1/snapshot", "")
@@ -385,7 +385,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// A second source appears with its own staleness gauge; the snapshot
 	// gauges follow the new publish.
-	if _, err := s.Publish(nil, "csv", 7); err != nil {
+	if _, err := s.PublishSet(vrp.NewSet(), "csv", 7); err != nil {
 		t.Fatal(err)
 	}
 	body = scrape(t, h)
@@ -677,7 +677,7 @@ func TestETagConditionalRequests(t *testing.T) {
 
 	// Publishing invalidates: the old tag no longer matches and the new
 	// response carries the bumped serial.
-	if _, err := s.Publish(nil, "csv", 0); err != nil {
+	if _, err := s.PublishSet(vrp.NewSet(), "csv", 0); err != nil {
 		t.Fatal(err)
 	}
 	rec := rawGet(t, h, "/v1/snapshot", `"1"`)
@@ -729,7 +729,11 @@ func TestPublishSetMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebuilt, err := New(dt).Publish(set.All(), "rtr", 9)
+	fresh, err := vrp.FromVRPs(set.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := New(dt).PublishSet(fresh, "rtr", 9)
 	if err != nil {
 		t.Fatal(err)
 	}

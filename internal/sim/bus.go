@@ -9,8 +9,7 @@ import (
 type Topic string
 
 // The engine's topics. Scenarios may publish additional ad-hoc topics;
-// subscribers only see what they subscribed to (or everything, via
-// SubscribeAll).
+// subscribers see every topic and filter on Event.Topic.
 const (
 	// TopicROA: ground-truth VRP state changed (issue/revoke).
 	TopicROA Topic = "roa"
@@ -46,30 +45,20 @@ func (e Event) String() string {
 // deterministic by construction. The engine owns it on the simulation
 // goroutine; subscribers must not block.
 type Bus struct {
-	subs map[Topic][]func(Event)
-	all  []func(Event)
+	subs []func(Event)
 }
 
 // NewBus creates an empty bus.
-func NewBus() *Bus { return &Bus{subs: make(map[Topic][]func(Event))} }
+func NewBus() *Bus { return &Bus{} }
 
-// Subscribe registers fn for one topic.
-func (b *Bus) Subscribe(t Topic, fn func(Event)) {
-	b.subs[t] = append(b.subs[t], fn)
-}
-
-// SubscribeAll registers fn for every topic (delivered after the
-// topic-specific subscribers).
+// SubscribeAll registers fn for every topic.
 func (b *Bus) SubscribeAll(fn func(Event)) {
-	b.all = append(b.all, fn)
+	b.subs = append(b.subs, fn)
 }
 
 // Publish delivers the event synchronously.
 func (b *Bus) Publish(e Event) {
-	for _, fn := range b.subs[e.Topic] {
-		fn(e)
-	}
-	for _, fn := range b.all {
+	for _, fn := range b.subs {
 		fn(e)
 	}
 }

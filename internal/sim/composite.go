@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -33,25 +35,30 @@ import (
 //
 //   - Per-component parameters. A Params key "name.key" is routed to
 //     the named component as "key" ("roa-churn.issue=5"); an undotted
-//     key is shared — every component sees it. A dotted key whose
-//     prefix names no component is an error, so typos fail loudly.
-//     The rule is uniform: NewScenario routes a single scenario's
-//     params as a one-component composition, so a routed key means the
-//     same thing whether its target runs alone or composed. Duplicate
-//     components share their routed parameters.
+//     key is shared — every component that declares it sees it. Each
+//     component starts from the defaults it declares, so what it reads
+//     is always present and parsed. Refused, so typos fail loudly: a
+//     dotted key whose prefix names no component or whose key that
+//     component does not declare, an undotted key no component
+//     declares, and a value that does not parse as the kind of its
+//     default. The rule is uniform: NewScenario routes a single
+//     scenario's params as a one-component composition, so a routed key
+//     means the same thing whether its target runs alone or composed.
+//     Duplicate components share their routed parameters.
 //
-//   - Relying-party roster merge. Components are asked for DefaultRPs
-//     in canonical order and the rosters are merged by RP name: the
-//     first component to name an RP fixes its spec (refresh cadence and
-//     policy), later components append only RPs with new names. An
+//   - Relying-party roster merge. Components with a Roster are asked
+//     for it in canonical order and the rosters are merged by RP name:
+//     the first component to name an RP fixes its spec (refresh cadence
+//     and policy), later components append only RPs with new names. An
 //     explicit Config.RPs still overrides everything.
 
 // specSeparator joins component names in a composition spec.
 const specSeparator = "+"
 
-// component is one member of a composition: a registered scenario plus
-// its identity within the composite (canonical position is the slice
-// index; occ tells duplicates of the same name apart).
+// component is one member of a composition: a registered scenario, its
+// identity within the composite (canonical position is the slice index;
+// occ tells duplicates of the same name apart) and the params routed to
+// it, every key it declares present.
 type component struct {
 	name   string
 	occ    int
@@ -60,16 +67,11 @@ type component struct {
 }
 
 // Composite runs several registered scenarios' event streams in one
-// world. Build one with NewScenario and a "+"-joined spec; it satisfies
-// Scenario and RPDefaulter like any single scenario.
+// world. Build one with NewScenario and a "+"-joined spec.
 type Composite struct {
 	spec  string // canonical: sorted component names, "+"-joined
 	comps []component
 }
-
-// IsComposition reports whether the spec names a composition rather
-// than a single registered scenario.
-func IsComposition(spec string) bool { return strings.Contains(spec, specSeparator) }
 
 // ParseSpec splits a scenario spec into its component names, in
 // canonical (sorted) order. Single names come back as a one-element
@@ -88,75 +90,86 @@ func ParseSpec(spec string) ([]string, error) {
 	return parts, nil
 }
 
-// newComposite builds the (possibly one-component) composition named by
-// spec, routing params to components and validating every component
-// against the registry.
-func newComposite(spec string, p Params) (*Composite, error) {
+// NewScenario instantiates the scenario named by a spec: a registered
+// name, or a "+"-joined composition like "roa-churn+rp-lag" running
+// every component's event stream in one world. Every spec — single or
+// composed — comes back as a *Composite, because a single scenario IS a
+// one-component composition: the same param routing and checks, the
+// same RNG stream derivation, the same roster handling.
+func NewScenario(spec string, p Params) (*Composite, error) {
 	names, err := ParseSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	routed, err := routeParams(names, p)
 	if err != nil {
 		return nil, err
 	}
 	c := &Composite{spec: strings.Join(names, specSeparator)}
 	occ := map[string]int{}
-	for i, name := range names {
-		f, ok := scenarios[name]
+	for _, name := range names {
+		sc, ok := scenarios[name]
 		if !ok {
 			if len(names) == 1 {
 				return nil, fmt.Errorf("sim: unknown scenario %q (have %v)", name, Names())
 			}
 			return nil, fmt.Errorf("sim: unknown scenario %q in composition %q (have %v)", name, spec, Names())
 		}
-		c.comps = append(c.comps, component{
-			name:   name,
-			occ:    occ[name],
-			params: routed[i],
-			scn:    f(routed[i]),
-		})
+		c.comps = append(c.comps, component{name: name, occ: occ[name], scn: sc})
 		occ[name]++
+	}
+	if err := c.routeParams(p); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
-// routeParams splits a composite's Params across its components:
-// "name.key" goes to every component called name (as "key"), undotted
-// keys go to all. A dotted key addressing no component is an error.
-// Undotted keys are applied first and dotted keys second, so when both
-// spellings set the same key ("issue=3 roa-churn.issue=5") the routed
-// one deterministically wins for its component — never map iteration
-// order.
-func routeParams(names []string, p Params) ([]Params, error) {
-	routed := make([]Params, len(names))
-	for i := range routed {
-		routed[i] = Params{}
+// routeParams hands each component its params: the defaults it
+// declares, then every undotted key it declares, then every "name.key"
+// addressed to it — so when both spellings set a key ("issue=3
+// roa-churn.issue=5") the routed one deterministically wins for its
+// component. Keys are visited in sorted order, so the error a run with
+// several bad keys reports is always the same one.
+func (c *Composite) routeParams(p Params) error {
+	for i := range c.comps {
+		comp := &c.comps[i]
+		comp.params = make(Params, len(comp.scn.Params))
+		for k, def := range comp.scn.Params {
+			comp.params[k] = fmt.Sprint(def)
+		}
 	}
-	for k, v := range p {
-		if !strings.Contains(k, ".") {
-			for i := range routed {
-				routed[i][k] = v
+	keys := slices.Sorted(maps.Keys(p))
+	for _, routed := range []bool{false, true} {
+		for _, k := range keys {
+			target, key, dotted := strings.Cut(k, ".")
+			if dotted != routed {
+				continue
+			}
+			if !dotted {
+				target, key = c.spec, k
+			}
+			addressed, declared := false, false
+			for i := range c.comps {
+				comp := &c.comps[i]
+				if dotted && comp.name != target {
+					continue
+				}
+				addressed = true
+				def, ok := comp.scn.Params[key]
+				if !ok {
+					continue
+				}
+				if _, err := parseAs(def, p[k]); err != nil {
+					return fmt.Errorf("sim: scenario %s: param %s=%q: want %T (default %v)", comp.name, k, p[k], def, def)
+				}
+				comp.params[key] = p[k]
+				declared = true
+			}
+			if !addressed {
+				return fmt.Errorf("sim: param %q addresses component %q, not among the run's scenarios %v", k, target, c.Components())
+			}
+			if !declared {
+				return fmt.Errorf("sim: scenario %s declares no param %q", target, key)
 			}
 		}
 	}
-	for k, v := range p {
-		head, rest, dotted := strings.Cut(k, ".")
-		if !dotted {
-			continue
-		}
-		matched := false
-		for i, name := range names {
-			if name == head {
-				routed[i][rest] = v
-				matched = true
-			}
-		}
-		if !matched {
-			return nil, fmt.Errorf("sim: param %q addresses component %q, not among the run's scenarios %v", k, head, names)
-		}
-	}
-	return routed, nil
+	return nil
 }
 
 // Name returns the canonical spec.
@@ -178,13 +191,16 @@ func (c *Composite) Description() string {
 
 // Setup runs every component's Setup in canonical order, repointing
 // s.Rand at the component's own derived stream first. Components that
-// draw randomness at event time capture s.Rand during Setup (see the
-// Scenario docs), so each component's events keep drawing from its own
+// draw randomness at event time capture s.Rand during Setup (see
+// Scenario.Setup), so each component's events keep drawing from its own
 // stream for the whole run.
 func (c *Composite) Setup(s *Simulation) error {
 	for _, comp := range c.comps {
 		s.Rand = rand.New(rand.NewSource(ComponentSeed(s.Cfg.Seed, comp.name, comp.occ)))
-		if err := comp.scn.Setup(s); err != nil {
+		if comp.scn.Setup == nil {
+			continue
+		}
+		if err := comp.scn.Setup(s, comp.params); err != nil {
 			return fmt.Errorf("component %s: %w", comp.name, err)
 		}
 	}
@@ -192,20 +208,18 @@ func (c *Composite) Setup(s *Simulation) error {
 }
 
 // DefaultRPs merges the component rosters: components are consulted in
-// canonical order, the first to name an RP fixes its spec, and later
-// components append only new names. Nil when no component has a roster
-// (the engine then falls back to the builtin DefaultRPs). Each
-// component sees the params routed at construction; the argument exists
-// for the RPDefaulter interface.
-func (c *Composite) DefaultRPs(Params) []RPSpec {
+// canonical order, each with the params routed to it, the first to name
+// an RP fixes its spec, and later components append only new names. Nil
+// when no component has a roster (the engine then falls back to the
+// builtin DefaultRPs).
+func (c *Composite) DefaultRPs() []RPSpec {
 	var merged []RPSpec
 	seen := map[string]bool{}
 	for _, comp := range c.comps {
-		d, ok := comp.scn.(RPDefaulter)
-		if !ok {
+		if comp.scn.Roster == nil {
 			continue
 		}
-		for _, spec := range d.DefaultRPs(comp.params) {
+		for _, spec := range comp.scn.Roster(comp.params) {
 			if seen[spec.Name] {
 				continue
 			}

@@ -36,13 +36,9 @@ func TestParseSpec(t *testing.T) {
 // TestCompositeConstruction checks registry validation, canonical
 // naming, and descriptions for composition specs.
 func TestCompositeConstruction(t *testing.T) {
-	sc, err := NewScenario("rp-lag+roa-churn", nil)
+	comp, err := NewScenario("rp-lag+roa-churn", nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	comp, ok := sc.(*Composite)
-	if !ok {
-		t.Fatalf("NewScenario returned %T, want *Composite", sc)
 	}
 	if comp.Name() != "roa-churn+rp-lag" {
 		t.Errorf("Name() = %q, want canonical roa-churn+rp-lag", comp.Name())
@@ -50,44 +46,56 @@ func TestCompositeConstruction(t *testing.T) {
 	if _, err := NewScenario("roa-churn+no-such-thing", nil); err == nil {
 		t.Error("unknown component accepted")
 	}
-	if d := Describe("roa-churn+rp-lag"); !strings.Contains(d, "roa-churn") || !strings.Contains(d, "rp-lag") {
-		t.Errorf("Describe = %q, want both component names", d)
+	if d := comp.Description(); !strings.Contains(d, "roa-churn") || !strings.Contains(d, "rp-lag") {
+		t.Errorf("Description = %q, want both component names", d)
 	}
-	if Describe("roa-churn+no-such-thing") != "" {
-		t.Error("Describe of a bad composition should be empty")
+}
+
+// params returns the params routed to each component of a spec, by name.
+func params(t *testing.T, spec string, p Params) map[string]Params {
+	t.Helper()
+	comp, err := NewScenario(spec, p)
+	if err != nil {
+		t.Fatal(err)
 	}
+	byName := map[string]Params{}
+	for _, c := range comp.comps {
+		byName[c.name] = c.params
+	}
+	return byName
 }
 
 // TestParamRouting checks the "name.key" prefix contract: routed keys
 // reach only their component, undotted keys reach every component, and
 // a prefix naming no component fails loudly.
 func TestParamRouting(t *testing.T) {
-	sc, err := NewScenario("roa-churn+hijack-window", Params{
+	byName := params(t, "roa-churn+hijack-window", Params{
 		"roa-churn.issue":   "5",
-		"hijack-window.cdn": "akamai",
+		"hijack-window.cdn": "cloudflare",
 		"every_ticks":       "2",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp := sc.(*Composite)
-	byName := map[string]Params{}
-	for _, c := range comp.comps {
-		byName[c.name] = c.params
-	}
-	if got := byName["roa-churn"].Int("issue", -1); got != 5 {
+	if got := byName["roa-churn"].Int("issue"); got != 5 {
 		t.Errorf("roa-churn issue = %d, want 5", got)
 	}
 	if _, leaked := byName["hijack-window"]["issue"]; leaked {
 		t.Error("routed key leaked into the other component")
 	}
-	if got := byName["hijack-window"].String("cdn", ""); got != "akamai" {
-		t.Errorf("hijack-window cdn = %q, want akamai", got)
+	if got := byName["hijack-window"].String("cdn"); got != "cloudflare" {
+		t.Errorf("hijack-window cdn = %q, want cloudflare", got)
 	}
-	for name, p := range byName {
-		if got := p.Int("every_ticks", -1); got != 2 {
-			t.Errorf("%s: shared key every_ticks = %d, want 2", name, got)
-		}
+	// A shared key reaches the components that declare it, and only them.
+	if got := byName["roa-churn"].Int("every_ticks"); got != 2 {
+		t.Errorf("roa-churn: shared key every_ticks = %d, want 2", got)
+	}
+	if _, leaked := byName["hijack-window"]["every_ticks"]; leaked {
+		t.Error("shared key reached a component that does not declare it")
+	}
+	// Every declared key is present, at its default unless given.
+	if got := byName["hijack-window"].Float("roa_frac"); got != 0.4 {
+		t.Errorf("hijack-window roa_frac = %v, want its default 0.4", got)
+	}
+	if got := byName["roa-churn"].Int("revoke"); got != 1 {
+		t.Errorf("roa-churn revoke = %d, want its default 1", got)
 	}
 	if _, err := NewScenario("roa-churn+rp-lag", Params{"hijack-window.cdn": "akamai"}); err == nil {
 		t.Error("param addressing a non-member component accepted")
@@ -215,34 +223,28 @@ func TestComponentSeedKeying(t *testing.T) {
 }
 
 // rosterScenario is a test scenario carrying a fixed RP roster.
-type rosterScenario struct {
-	name string
-	rps  []RPSpec
+func rosterScenario(name string, rps ...RPSpec) Scenario {
+	return Scenario{Name: name, Roster: func(Params) []RPSpec { return rps }}
 }
-
-func (r rosterScenario) Name() string               { return r.name }
-func (r rosterScenario) Description() string        { return "test roster" }
-func (r rosterScenario) Setup(*Simulation) error    { return nil }
-func (r rosterScenario) DefaultRPs(Params) []RPSpec { return r.rps }
 
 // TestRPRosterMerge checks the documented merge rule: canonical order,
 // first component to name an RP wins, later components append only new
 // names.
 func TestRPRosterMerge(t *testing.T) {
-	a := rosterScenario{name: "a", rps: []RPSpec{
+	aRPs := []RPSpec{
 		{Name: "shared", RefreshTicks: 1, Policy: router.PolicyDropInvalid},
 		{Name: "only-a", RefreshTicks: 2, Policy: router.PolicyDropInvalid},
-	}}
-	b := rosterScenario{name: "b", rps: []RPSpec{
+	}
+	bRPs := []RPSpec{
 		{Name: "shared", RefreshTicks: 9, Policy: router.PolicyAcceptAll}, // conflicts with a's
 		{Name: "only-b", RefreshTicks: 3, Policy: router.PolicyAcceptAll},
-	}}
+	}
 	c := &Composite{spec: "a+b", comps: []component{
-		{name: "a", scn: a},
-		{name: "b", scn: b},
+		{name: "a", scn: rosterScenario("a", aRPs...)},
+		{name: "b", scn: rosterScenario("b", bRPs...)},
 	}}
-	got := c.DefaultRPs(Params{})
-	want := []RPSpec{a.rps[0], a.rps[1], b.rps[1]}
+	got := c.DefaultRPs()
+	want := []RPSpec{aRPs[0], aRPs[1], bRPs[1]}
 	if len(got) != len(want) {
 		t.Fatalf("merged roster = %+v, want %+v", got, want)
 	}
@@ -254,10 +256,10 @@ func TestRPRosterMerge(t *testing.T) {
 	// No component with a roster ⇒ nil, so the engine's builtin default
 	// applies.
 	n := &Composite{spec: "x+y", comps: []component{
-		{name: "x", scn: baseline{}},
-		{name: "y", scn: baseline{}},
+		{name: "x", scn: baseline},
+		{name: "y", scn: baseline},
 	}}
-	if n.DefaultRPs(Params{}) != nil {
+	if n.DefaultRPs() != nil {
 		t.Error("rosterless composition should defer to the builtin default")
 	}
 }
@@ -279,13 +281,13 @@ func TestSingleScenarioParamRouting(t *testing.T) {
 	if _, err := NewScenario("roa-churn", Params{"rp-lag.slow_ticks": "5"}); err == nil {
 		t.Error("param addressing another scenario accepted on a single run")
 	}
-	// The roster defaulter sees routed params too: rp-lag's slow RP is
+	// The roster sees routed params too: rp-lag's slow RP is
 	// named after its slow_ticks value.
 	cfg = testConfig("rp-lag")
 	cfg.Params = Params{"rp-lag.slow_ticks": "30"}
 	ts, _ := runTSV(t, cfg)
 	if ts.Column("vrps_rp-30t") == nil {
-		t.Errorf("routed slow_ticks did not reach DefaultRPs: %v", ts.Columns)
+		t.Errorf("routed slow_ticks did not reach the roster: %v", ts.Columns)
 	}
 }
 
@@ -294,17 +296,14 @@ func TestSingleScenarioParamRouting(t *testing.T) {
 // component — never map iteration order.
 func TestRoutedKeyOverridesShared(t *testing.T) {
 	for i := 0; i < 100; i++ {
-		routed, err := routeParams([]string{"roa-churn", "rp-lag"}, Params{
+		byName := params(t, "roa-churn+rp-lag", Params{
 			"issue":           "3",
 			"roa-churn.issue": "5",
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := routed[0].Int("issue", -1); got != 5 {
+		if got := byName["roa-churn"].Int("issue"); got != 5 {
 			t.Fatalf("iteration %d: roa-churn issue = %d, want routed 5", i, got)
 		}
-		if got := routed[1].Int("issue", -1); got != 3 {
+		if got := byName["rp-lag"].Int("issue"); got != 3 {
 			t.Fatalf("iteration %d: rp-lag issue = %d, want shared 3", i, got)
 		}
 	}
@@ -314,13 +313,9 @@ func TestRoutedKeyOverridesShared(t *testing.T) {
 // param routing, RNG streams, and roster handling have exactly one code
 // path.
 func TestSingleSpecIsComposite(t *testing.T) {
-	sc, err := NewScenario("roa-churn", Params{"issue": "2"})
+	comp, err := NewScenario("roa-churn", Params{"issue": "2"})
 	if err != nil {
 		t.Fatal(err)
-	}
-	comp, ok := sc.(*Composite)
-	if !ok {
-		t.Fatalf("NewScenario returned %T, want *Composite", sc)
 	}
 	if comp.Name() != "roa-churn" || len(comp.Components()) != 1 {
 		t.Fatalf("single wrap: name %q components %v", comp.Name(), comp.Components())

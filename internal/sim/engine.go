@@ -84,7 +84,6 @@ type Simulation struct {
 	RPs    []*RP
 	Series *TimeSeries
 
-	scenario Scenario
 	// vantage is the collector peer injected routes are heard from.
 	vantage mrt.Peer
 	// truth is the ground-truth VRP set, maintained by delta-apply: this
@@ -171,17 +170,16 @@ func New(cfg Config) (*Simulation, error) {
 	validation := world.Validation()
 
 	s := &Simulation{
-		Cfg:      cfg,
-		World:    world,
-		Rand:     rand.New(rand.NewSource(cfg.Seed)),
-		Queue:    NewQueue(),
-		Bus:      NewBus(),
-		scenario: scenario,
-		truth:    validation.VRPs.Clone(),
-		pending:  make(map[vrp.VRP]bool),
-		start:    world.MeasureTime(),
-		session:  uint16(cfg.Seed),
-		headCut:  measure.HeadCut(cfg.Domains),
+		Cfg:     cfg,
+		World:   world,
+		Rand:    rand.New(rand.NewSource(cfg.Seed)),
+		Queue:   NewQueue(),
+		Bus:     NewBus(),
+		truth:   validation.VRPs.Clone(),
+		pending: make(map[vrp.VRP]bool),
+		start:   world.MeasureTime(),
+		session: uint16(cfg.Seed),
+		headCut: measure.HeadCut(cfg.Domains),
 	}
 	s.now = s.start
 	s.end = s.start.Add(cfg.Duration)
@@ -200,14 +198,11 @@ func New(cfg Config) (*Simulation, error) {
 	s.Server.Logf = func(string, ...any) {} // connection teardown noise
 	go s.Server.Serve(ln)
 
-	// Relying parties. NewScenario always builds a Composite, whose
-	// DefaultRPs hands each component the params routed at construction
-	// and merges the rosters by RP name.
+	// Relying parties: an explicit roster, else the components' rosters
+	// merged by RP name, else the builtin one.
 	specs := cfg.RPs
 	if specs == nil {
-		if d, ok := scenario.(RPDefaulter); ok {
-			specs = d.DefaultRPs(cfg.Params)
-		}
+		specs = scenario.DefaultRPs()
 	}
 	if specs == nil {
 		specs = DefaultRPs()
@@ -289,9 +284,9 @@ func New(cfg Config) (*Simulation, error) {
 	}
 	s.World.Registry.SetMutationHook(s.inc.DirtyHost)
 
-	// Setup is always Composite.Setup, which repoints Rand at each
-	// component's derived stream in turn — single scenarios included, so
-	// a component behaves identically alone or composed.
+	// Composite.Setup repoints Rand at each component's derived stream in
+	// turn — single scenarios included, so a component behaves
+	// identically alone or composed.
 	if err := scenario.Setup(s); err != nil {
 		s.Close()
 		return nil, fmt.Errorf("sim: scenario %s setup: %w", cfg.Scenario, err)
@@ -629,13 +624,9 @@ type RouteData struct {
 	Victim   netip.Addr
 }
 
-// AnnounceRoute injects a route announcement into every relying party's
+// announceRoute injects a route announcement into every relying party's
 // router (path is the AS path after the collector peer; the last element
 // is the origin).
-func (s *Simulation) AnnounceRoute(prefix netip.Prefix, path []uint32, detail string) {
-	s.announceRoute(prefix, path, detail, RouteData{Prefix: prefix, Path: path})
-}
-
 func (s *Simulation) announceRoute(prefix netip.Prefix, path []uint32, detail string, data RouteData) {
 	ev := s.routeEvent(prefix, path, false)
 	for _, rp := range s.RPs {
@@ -647,11 +638,7 @@ func (s *Simulation) announceRoute(prefix netip.Prefix, path []uint32, detail st
 	s.Publish(TopicBGP, fmt.Sprintf("announce %v path %v (%s)", prefix, path, detail), data)
 }
 
-// WithdrawRoute removes a previously announced route from every router.
-func (s *Simulation) WithdrawRoute(prefix netip.Prefix, detail string) {
-	s.withdrawRoute(prefix, detail, RouteData{Prefix: prefix, Withdraw: true})
-}
-
+// withdrawRoute removes a previously announced route from every router.
 func (s *Simulation) withdrawRoute(prefix netip.Prefix, detail string, data RouteData) {
 	ev := s.routeEvent(prefix, nil, true)
 	for _, rp := range s.RPs {

@@ -159,11 +159,7 @@ func TestAdoptedWorldEditedByEarlierRun(t *testing.T) {
 // setupWrites is a scenario that changes the world in Setup, before any
 // clock tick: it signs an unprotected CDN prefix, revokes a standing
 // payload and re-homes a delivery host.
-type setupWrites struct{}
-
-func (setupWrites) Name() string        { return "setup-writes" }
-func (setupWrites) Description() string { return "test: VRP and DNS writes made during Setup" }
-func (setupWrites) Setup(s *Simulation) error {
+func setupWrites(s *Simulation, _ Params) error {
 	prefix, origin, err := unsignedCDNPrefix(s, "akamai")
 	if err != nil {
 		return err
@@ -182,7 +178,7 @@ func (setupWrites) Setup(s *Simulation) error {
 // the same hooks as any later event, and the t=0 row already shows it —
 // the row a dataset built after Setup records.
 func TestSetupWritesMarkTheFork(t *testing.T) {
-	Register("setup-writes", func(Params) Scenario { return setupWrites{} })
+	Register(Scenario{Name: "setup-writes", Description: "test: VRP and DNS writes made during Setup", Setup: setupWrites})
 	defer delete(scenarios, "setup-writes")
 	w, err := webworld.Generate(webworld.Config{Seed: 1, Domains: 4000})
 	if err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"net/netip"
 
 	"ripki/internal/dns"
@@ -14,18 +15,13 @@ import (
 // The built-in scenario library. Each scenario is a story about RPKI
 // deployment evolving over time; all of them drive the same pipeline
 // (world → VRP deltas → RTR → routers → probe) and differ only in the
-// events they schedule.
+// events they schedule. `ripki-sim -list` prints each one's parameters
+// and their defaults.
 func init() {
-	Register("baseline", func(p Params) Scenario { return baseline{} })
-	Register("roa-churn", func(p Params) Scenario { return &roaChurn{p: p} })
-	Register("hijack-window", func(p Params) Scenario { return &hijackWindow{p: p} })
-	Register("maxlen-misissuance", func(p Params) Scenario { return &maxlenMisissuance{p: p} })
-	Register("cdn-migration", func(p Params) Scenario { return &cdnMigration{p: p} })
-	Register("rtr-restart", func(p Params) Scenario { return &rtrRestart{p: p} })
-	Register("rp-lag", func(p Params) Scenario { return &rpLag{p: p} })
-	Register("route-leak", func(p Params) Scenario { return &routeLeak{p: p} })
-	Register("trust-anchor-outage", func(p Params) Scenario { return &taOutage{p: p} })
-	Register("delegated-ca-compromise", func(p Params) Scenario { return &caCompromise{p: p} })
+	for _, sc := range []Scenario{baseline, roaChurn, hijackWindow, maxlenMisissuance, cdnMigration,
+		rtrRestart, rpLag, routeLeak, taOutage, caCompromise} {
+		Register(sc)
+	}
 }
 
 // unsignedCDNPrefix finds the named CDN's first announced IPv4 prefix
@@ -53,28 +49,28 @@ func unsignedCDNPrefix(s *Simulation, cdn string) (netip.Prefix, uint32, error) 
 // --- baseline ----------------------------------------------------------
 
 // baseline runs the static world with no events: the control series.
-type baseline struct{}
-
-func (baseline) Name() string        { return "baseline" }
-func (baseline) Description() string { return "static world, no events (control run)" }
-func (baseline) Setup(*Simulation) error {
-	return nil
-}
+var baseline = Scenario{Name: "baseline", Description: "static world, no events (control run)"}
 
 // --- roa-churn ---------------------------------------------------------
 
 // roaChurn models organic deployment motion: previously unsigned
 // organisations issue ROAs at a steady rate while a smaller rate of
 // revocations pulls coverage back — the background noise every relying
-// party lives with. Params: issue (VRPs/interval, default 3), revoke
-// (default 1), every_ticks (default 1).
-type roaChurn struct {
-	p Params
+// party lives with. issue VRPs are issued and revoke revoked every
+// every_ticks ticks.
+var roaChurn = Scenario{
+	Name:        "roa-churn",
+	Description: "steady ROA issuance and revocation ramping coverage over time",
+	Params:      withChurn(nil),
+	Setup:       churn,
 }
 
-func (c *roaChurn) Name() string { return "roa-churn" }
-func (c *roaChurn) Description() string {
-	return "steady ROA issuance and revocation ramping coverage over time"
+// withChurn declares roa-churn's parameters beside a scenario's own, for
+// the scenarios that run roa-churn's events underneath theirs.
+func withChurn(own map[string]any) map[string]any {
+	p := map[string]any{"issue": 3, "revoke": 1, "every_ticks": 1}
+	maps.Copy(p, own)
+	return p
 }
 
 type churnCandidate struct {
@@ -82,19 +78,19 @@ type churnCandidate struct {
 	origin uint32
 }
 
-func (c *roaChurn) Setup(s *Simulation) error {
-	issue := c.p.Int("issue", 3)
-	revoke := c.p.Int("revoke", 1)
-	every := c.p.Int("every_ticks", 1)
+func churn(s *Simulation, p Params) error {
+	issue := p.Int("issue")
+	revoke := p.Int("revoke")
+	every := p.Int("every_ticks")
 
 	var candidates []churnCandidate
-	for _, p := range s.World.RoutedV4Prefixes() {
-		origin, ok := s.World.PinnedOriginOf(p)
+	for _, pfx := range s.World.RoutedV4Prefixes() {
+		origin, ok := s.World.PinnedOriginOf(pfx)
 		if !ok {
 			continue
 		}
-		if s.TruthSet().Validate(p, origin) == vrp.NotFound {
-			candidates = append(candidates, churnCandidate{prefix: p, origin: origin})
+		if s.TruthSet().Validate(pfx, origin) == vrp.NotFound {
+			candidates = append(candidates, churnCandidate{prefix: pfx, origin: origin})
 		}
 	}
 	// Capture the component stream: the revoke draws happen at event
@@ -130,21 +126,19 @@ func (c *roaChurn) Setup(s *Simulation) error {
 // own cache refresh delivers the new payload and revalidation drops the
 // now-invalid route — and the accept-all legacy router stays hijacked
 // until the attacker gives up. The time series' hijacked_* columns are
-// the per-router attack windows. Params: cdn (default akamai), attacker
-// (ASN, default 65551), hijack_frac (default 0.1), roa_frac (default
-// 0.4), end_frac (default 0.85).
-type hijackWindow struct {
-	p Params
+// the per-router attack windows. The *_frac params place the events as
+// fractions of the run.
+var hijackWindow = Scenario{
+	Name:        "hijack-window",
+	Description: "sub-prefix hijack of an unprotected CDN prefix, closed by an emergency ROA propagating at RP refresh lag",
+	Params: map[string]any{"cdn": "akamai", "attacker": 65551,
+		"hijack_frac": 0.1, "roa_frac": 0.4, "end_frac": 0.85},
+	Setup: hijackWindowSetup,
 }
 
-func (h *hijackWindow) Name() string { return "hijack-window" }
-func (h *hijackWindow) Description() string {
-	return "sub-prefix hijack of an unprotected CDN prefix, closed by an emergency ROA propagating at RP refresh lag"
-}
-
-func (h *hijackWindow) Setup(s *Simulation) error {
-	cdn := h.p.String("cdn", "akamai")
-	attacker := uint32(h.p.Int("attacker", 65551))
+func hijackWindowSetup(s *Simulation, p Params) error {
+	cdn := p.String("cdn")
+	attacker := uint32(p.Int("attacker"))
 
 	prefix, origin, err := unsignedCDNPrefix(s, cdn)
 	if err != nil {
@@ -153,7 +147,7 @@ func (h *hijackWindow) Setup(s *Simulation) error {
 	sub := netip.PrefixFrom(prefix.Addr(), prefix.Bits()+2)
 	victim := webworld.HostAddr(sub, 7)
 
-	s.AtFrac(h.p.Float("hijack_frac", 0.1), func() {
+	s.AtFrac(p.Float("hijack_frac"), func() {
 		s.StartHijack(Hijack{
 			Name:   "cdn-subprefix",
 			Prefix: sub,
@@ -161,11 +155,11 @@ func (h *hijackWindow) Setup(s *Simulation) error {
 			Victim: victim,
 		})
 	})
-	s.AtFrac(h.p.Float("roa_frac", 0.4), func() {
+	s.AtFrac(p.Float("roa_frac"), func() {
 		s.IssueVRP(vrp.VRP{Prefix: prefix, MaxLength: prefix.Bits(), ASN: origin},
 			fmt.Sprintf("emergency ROA by %s", cdn))
 	})
-	s.AtFrac(h.p.Float("end_frac", 0.85), func() {
+	s.AtFrac(p.Float("end_frac"), func() {
 		s.EndHijack("cdn-subprefix")
 	})
 	return nil
@@ -177,21 +171,18 @@ func (h *hijackWindow) Setup(s *Simulation) error {
 // operator loosens a ROA's maxLength "for future deaggregation", an
 // attacker answers with a forged-origin sub-prefix hijack that validates
 // *Valid* — origin validation is satisfied, every policy accepts it —
-// and only narrowing the ROA back turns the attack Invalid. Params:
-// maxlen (default 24), attacker (default 65540), loosen_frac (0.2),
-// attack_frac (0.45), fix_frac (0.7), end_frac (0.9).
-type maxlenMisissuance struct {
-	p Params
+// and only narrowing the ROA back turns the attack Invalid.
+var maxlenMisissuance = Scenario{
+	Name:        "maxlen-misissuance",
+	Description: "loosened ROA maxLength lets a forged-origin sub-prefix hijack validate as Valid",
+	Params: map[string]any{"maxlen": 24, "attacker": 65540,
+		"loosen_frac": 0.2, "attack_frac": 0.45, "fix_frac": 0.7, "end_frac": 0.9},
+	Setup: maxlenMisissuanceSetup,
 }
 
-func (m *maxlenMisissuance) Name() string { return "maxlen-misissuance" }
-func (m *maxlenMisissuance) Description() string {
-	return "loosened ROA maxLength lets a forged-origin sub-prefix hijack validate as Valid"
-}
-
-func (m *maxlenMisissuance) Setup(s *Simulation) error {
-	maxlen := m.p.Int("maxlen", 24)
-	attacker := uint32(m.p.Int("attacker", 65540))
+func maxlenMisissuanceSetup(s *Simulation, p Params) error {
+	maxlen := p.Int("maxlen")
+	attacker := uint32(p.Int("attacker"))
 
 	// A cleanly signed aggregate whose ROA we can loosen: signed at its
 	// own length, announced by the authorised AS, and room to deaggregate.
@@ -214,11 +205,11 @@ func (m *maxlenMisissuance) Setup(s *Simulation) error {
 	sub := netip.PrefixFrom(tight.Prefix.Addr(), maxlen)
 	victim := webworld.HostAddr(sub, 9)
 
-	s.AtFrac(m.p.Float("loosen_frac", 0.2), func() {
+	s.AtFrac(p.Float("loosen_frac"), func() {
 		s.RevokeVRP(tight, "replaced by loose maxLength")
 		s.IssueVRP(loose, fmt.Sprintf("maxLength loosened to /%d", maxlen))
 	})
-	s.AtFrac(m.p.Float("attack_frac", 0.45), func() {
+	s.AtFrac(p.Float("attack_frac"), func() {
 		// Forged origin: the attacker prepends itself but keeps the
 		// authorised AS as the path's origin, so the announcement
 		// validates Valid under the loose ROA.
@@ -229,11 +220,11 @@ func (m *maxlenMisissuance) Setup(s *Simulation) error {
 			Victim: victim,
 		})
 	})
-	s.AtFrac(m.p.Float("fix_frac", 0.7), func() {
+	s.AtFrac(p.Float("fix_frac"), func() {
 		s.RevokeVRP(loose, "maxLength narrowed back")
 		s.IssueVRP(tight, "minimal ROA restored")
 	})
-	s.AtFrac(m.p.Float("end_frac", 0.9), func() {
+	s.AtFrac(p.Float("end_frac"), func() {
 		s.EndHijack("forged-origin")
 	})
 	return nil
@@ -245,23 +236,21 @@ func (m *maxlenMisissuance) Setup(s *Simulation) error {
 // address space, batch by batch — the kind of provider switch the web's
 // head ranks perform routinely. When the destination is the
 // Internap-like ROA-signing CDN, the head's protection visibly rises as
-// the migration proceeds; migrating away reverses it. Params: from
-// (default akamai), to (default internap), every_ticks (default 1),
-// batch (hosts per step; default sized to finish by done_frac, default
-// 0.8).
-type cdnMigration struct {
-	p Params
+// the migration proceeds; migrating away reverses it. batch hosts move
+// every every_ticks ticks; a negative batch is sized to finish by
+// done_frac of the run.
+var cdnMigration = Scenario{
+	Name:        "cdn-migration",
+	Description: "batched re-homing of a CDN's delivery hosts into another provider's (signed) address space",
+	Params: map[string]any{"from": "akamai", "to": "internap", "every_ticks": 1,
+		"batch": -1, "done_frac": 0.8},
+	Setup: cdnMigrationSetup,
 }
 
-func (c *cdnMigration) Name() string { return "cdn-migration" }
-func (c *cdnMigration) Description() string {
-	return "batched re-homing of a CDN's delivery hosts into another provider's (signed) address space"
-}
-
-func (c *cdnMigration) Setup(s *Simulation) error {
-	from := c.p.String("from", "akamai")
-	to := c.p.String("to", "internap")
-	every := c.p.Int("every_ticks", 1)
+func cdnMigrationSetup(s *Simulation, p Params) error {
+	from := p.String("from")
+	to := p.String("to")
+	every := p.Int("every_ticks")
 
 	hosts := s.World.CacheHosts(from)
 	if len(hosts) == 0 {
@@ -274,18 +263,18 @@ func (c *cdnMigration) Setup(s *Simulation) error {
 	// Prefer the destination's RPKI-covered prefixes (Internap's four);
 	// fall back to any announced IPv4 space.
 	var destPrefixes []netip.Prefix
-	for _, p := range dest.Prefixes {
-		if !p.Addr().Is4() {
+	for _, pfx := range dest.Prefixes {
+		if !pfx.Addr().Is4() {
 			continue
 		}
-		if origin, ok := s.World.PinnedOriginOf(p); ok && s.TruthSet().Validate(p, origin) == vrp.Valid {
-			destPrefixes = append(destPrefixes, p)
+		if origin, ok := s.World.PinnedOriginOf(pfx); ok && s.TruthSet().Validate(pfx, origin) == vrp.Valid {
+			destPrefixes = append(destPrefixes, pfx)
 		}
 	}
 	if len(destPrefixes) == 0 {
-		for _, p := range dest.Prefixes {
-			if p.Addr().Is4() {
-				destPrefixes = append(destPrefixes, p)
+		for _, pfx := range dest.Prefixes {
+			if pfx.Addr().Is4() {
+				destPrefixes = append(destPrefixes, pfx)
 			}
 		}
 	}
@@ -293,15 +282,13 @@ func (c *cdnMigration) Setup(s *Simulation) error {
 		return fmt.Errorf("sim: destination CDN %q has no IPv4 prefixes", to)
 	}
 
-	totalTicks := int(s.Cfg.Duration / s.Cfg.Tick)
-	steps := int(c.p.Float("done_frac", 0.8) * float64(totalTicks) / float64(every))
-	if steps < 1 {
-		steps = 1
+	batch := p.Int("batch")
+	if batch < 0 {
+		totalTicks := int(s.Cfg.Duration / s.Cfg.Tick)
+		steps := max(int(p.Float("done_frac")*float64(totalTicks)/float64(every)), 1)
+		batch = (len(hosts) + steps - 1) / steps
 	}
-	batch := c.p.Int("batch", (len(hosts)+steps-1)/steps)
-	if batch < 1 {
-		batch = 1
-	}
+	batch = max(batch, 1)
 
 	next := 0
 	moved := 0
@@ -311,12 +298,12 @@ func (c *cdnMigration) Setup(s *Simulation) error {
 		}
 		for i := 0; i < batch && next < len(hosts); i++ {
 			host := hosts[next]
-			p := destPrefixes[next%len(destPrefixes)]
+			pfx := destPrefixes[next%len(destPrefixes)]
 			s.World.Registry.Remove(host, dns.TypeA)
 			s.World.Registry.Remove(host, dns.TypeAAAA)
 			s.World.Registry.Add(dns.RR{
 				Name: host, Type: dns.TypeA, TTL: 20,
-				Addr: webworld.HostAddr(p, 100+next%3800),
+				Addr: webworld.HostAddr(pfx, 100+next%3800),
 			})
 			next++
 			moved++
@@ -333,27 +320,21 @@ func (c *cdnMigration) Setup(s *Simulation) error {
 // only force a full resync (serial history is gone); cold restarts
 // additionally serve an *empty* payload set until revalidation
 // completes, briefly tearing protection down for every fast-refreshing
-// client. Params: restart_frac (default 0.5), cold (default true), plus
-// roa-churn's issue/revoke/every_ticks.
-type rtrRestart struct {
-	p Params
-}
-
-func (r *rtrRestart) Name() string { return "rtr-restart" }
-func (r *rtrRestart) Description() string {
-	return "RTR cache session restart (warm or cold) under background ROA churn"
-}
-
-func (r *rtrRestart) Setup(s *Simulation) error {
-	churn := &roaChurn{p: r.p}
-	if err := churn.Setup(s); err != nil {
-		return err
-	}
-	cold := r.p.Bool("cold", true)
-	s.AtFrac(r.p.Float("restart_frac", 0.5), func() {
-		s.RestartCache(cold)
-	})
-	return nil
+// client. roa-churn's params drive the churn.
+var rtrRestart = Scenario{
+	Name:        "rtr-restart",
+	Description: "RTR cache session restart (warm or cold) under background ROA churn",
+	Params:      withChurn(map[string]any{"restart_frac": 0.5, "cold": true}),
+	Setup: func(s *Simulation, p Params) error {
+		if err := churn(s, p); err != nil {
+			return err
+		}
+		cold := p.Bool("cold")
+		s.AtFrac(p.Float("restart_frac"), func() {
+			s.RestartCache(cold)
+		})
+		return nil
+	},
 }
 
 // --- rp-lag ------------------------------------------------------------
@@ -361,29 +342,21 @@ func (r *rtrRestart) Setup(s *Simulation) error {
 // rpLag isolates relying-party refresh lag: identical drop-invalid
 // routers whose caches refresh at 1, 5, and slow_ticks-tick intervals
 // all chase the same ROA churn; the vrps_* columns fan out into a
-// staircase whose width IS the lag. Params: slow_ticks (default 20),
-// plus roa-churn's issue/revoke/every_ticks.
-type rpLag struct {
-	p Params
-}
-
-func (r *rpLag) Name() string { return "rp-lag" }
-func (r *rpLag) Description() string {
-	return "identical validators at increasing cache-refresh lag chasing the same ROA churn"
-}
-
-func (r *rpLag) DefaultRPs(p Params) []RPSpec {
-	return []RPSpec{
-		{Name: "rp-1t", RefreshTicks: 1, Policy: router.PolicyDropInvalid},
-		{Name: "rp-5t", RefreshTicks: 5, Policy: router.PolicyDropInvalid},
-		{Name: fmt.Sprintf("rp-%dt", p.Int("slow_ticks", 20)), RefreshTicks: p.Int("slow_ticks", 20), Policy: router.PolicyDropInvalid},
-		{Name: "legacy", RefreshTicks: 0, Policy: router.PolicyAcceptAll},
-	}
-}
-
-func (r *rpLag) Setup(s *Simulation) error {
-	churn := &roaChurn{p: r.p}
-	return churn.Setup(s)
+// staircase whose width IS the lag. roa-churn's params drive the churn.
+var rpLag = Scenario{
+	Name:        "rp-lag",
+	Description: "identical validators at increasing cache-refresh lag chasing the same ROA churn",
+	Params:      withChurn(map[string]any{"slow_ticks": 20}),
+	Roster: func(p Params) []RPSpec {
+		slow := p.Int("slow_ticks")
+		return []RPSpec{
+			{Name: "rp-1t", RefreshTicks: 1, Policy: router.PolicyDropInvalid},
+			{Name: "rp-5t", RefreshTicks: 5, Policy: router.PolicyDropInvalid},
+			{Name: fmt.Sprintf("rp-%dt", slow), RefreshTicks: slow, Policy: router.PolicyDropInvalid},
+			{Name: "legacy", RefreshTicks: 0, Policy: router.PolicyAcceptAll},
+		}
+	},
+	Setup: churn,
 }
 
 // --- route-leak --------------------------------------------------------
@@ -395,35 +368,32 @@ func (r *rpLag) Setup(s *Simulation) error {
 // maxLength violation) and drop-invalid routers discard them — but for
 // the unsigned majority the leak validates NotFound and every router
 // follows it. The gap between hijacked_legacy and hijacked_rp-* is
-// exactly the signed fraction of the leaked set. Params: leaker (ASN,
-// default 65530), count (prefixes leaked, default 12), leak_frac
-// (default 0.25), end_frac (default 0.8).
-type routeLeak struct {
-	p Params
+// exactly the signed fraction of the leaked set. The leaker AS leaks
+// count prefixes.
+var routeLeak = Scenario{
+	Name:        "route-leak",
+	Description: "leaked more-specifics with intact origins: OV drops only the signed fraction",
+	Params:      map[string]any{"leaker": 65530, "count": 12, "leak_frac": 0.25, "end_frac": 0.8},
+	Setup:       routeLeakSetup,
 }
 
-func (l *routeLeak) Name() string { return "route-leak" }
-func (l *routeLeak) Description() string {
-	return "leaked more-specifics with intact origins: OV drops only the signed fraction"
-}
-
-func (l *routeLeak) Setup(s *Simulation) error {
-	leaker := uint32(l.p.Int("leaker", 65530))
-	count := l.p.Int("count", 12)
+func routeLeakSetup(s *Simulation, p Params) error {
+	leaker := uint32(p.Int("leaker"))
+	count := p.Int("count")
 
 	// Split the candidate pool by what the leaked more-specific would
 	// validate to, then leak a mix: the signed half shows OV working,
 	// the unsigned half shows it having nothing to say.
 	var signed, unsigned []Hijack
-	for i, p := range s.World.RoutedV4Prefixes() {
-		if p.Bits() >= 31 {
+	for i, pfx := range s.World.RoutedV4Prefixes() {
+		if pfx.Bits() >= 31 {
 			continue
 		}
-		origin, ok := s.World.PinnedOriginOf(p)
+		origin, ok := s.World.PinnedOriginOf(pfx)
 		if !ok {
 			continue
 		}
-		sub := netip.PrefixFrom(p.Addr(), p.Bits()+1)
+		sub := netip.PrefixFrom(pfx.Addr(), pfx.Bits()+1)
 		h := Hijack{
 			Name:   fmt.Sprintf("leak-%d", i),
 			Prefix: sub,
@@ -452,14 +422,14 @@ func (l *routeLeak) Setup(s *Simulation) error {
 		return fmt.Errorf("sim: no leakable prefixes in this world")
 	}
 
-	s.AtFrac(l.p.Float("leak_frac", 0.25), func() {
+	s.AtFrac(p.Float("leak_frac"), func() {
 		for _, h := range leaks {
 			s.StartHijack(h)
 		}
 		s.Publish(TopicBGP, fmt.Sprintf("AS%d leaks %d more-specifics (%d signed, %d unsigned)",
 			leaker, len(leaks), nSigned, len(leaks)-nSigned), nil)
 	})
-	s.AtFrac(l.p.Float("end_frac", 0.8), func() {
+	s.AtFrac(p.Float("end_frac"), func() {
 		for _, h := range leaks {
 			s.EndHijack(h.Name)
 		}
@@ -476,32 +446,29 @@ func (l *routeLeak) Setup(s *Simulation) error {
 // that would have branded it Invalid is unreachable. Slow-refreshing RPs
 // keep validating on their stale (complete) snapshot, so for once lag
 // *protects*. Recovery restores the subtree and the hijack dies at each
-// RP's next refresh. Params: ta (RIR name; default: the anchor holding
-// the most VRPs), attacker (default 65533), attack (default true),
-// outage_frac (0.15), attack_frac (0.3), restore_frac (0.6), end_frac
-// (0.9).
-type taOutage struct {
-	p Params
+// RP's next refresh. ta names the RIR (empty: the anchor holding the
+// most VRPs); attack=false takes the outage without the hijack.
+var taOutage = Scenario{
+	Name:        "trust-anchor-outage",
+	Description: "one RIR trust anchor goes dark: its whole VRP subtree vanishes until recovery",
+	Params: map[string]any{"ta": "", "attacker": 65533, "attack": true,
+		"outage_frac": 0.15, "attack_frac": 0.3, "restore_frac": 0.6, "end_frac": 0.9},
+	Setup: taOutageSetup,
 }
 
-func (o *taOutage) Name() string { return "trust-anchor-outage" }
-func (o *taOutage) Description() string {
-	return "one RIR trust anchor goes dark: its whole VRP subtree vanishes until recovery"
-}
-
-func (o *taOutage) Setup(s *Simulation) error {
-	name := o.p.String("ta", "")
+func taOutageSetup(s *Simulation, p Params) error {
+	name := p.String("ta")
 	// What the world's one memoised validation found under each anchor:
 	// no signature is verified again here.
 	validation := s.World.Validation()
 	var lost []vrp.VRP
 	if name != "" {
-		lost = o.anchorTruth(s, validation.AnchorVRPs(name))
+		lost = anchorTruth(s, validation.AnchorVRPs(name))
 	} else {
 		// Default to the anchor whose subtree holds the most ground-truth
 		// VRPs, ties broken by RIR roster order.
 		for _, cand := range repo.RIRNames {
-			vs := o.anchorTruth(s, validation.AnchorVRPs(cand))
+			vs := anchorTruth(s, validation.AnchorVRPs(cand))
 			if len(vs) > len(lost) {
 				name, lost = cand, vs
 			}
@@ -511,14 +478,14 @@ func (o *taOutage) Setup(s *Simulation) error {
 		return fmt.Errorf("sim: trust anchor %q holds no validated VRPs in this world", name)
 	}
 
-	s.AtFrac(o.p.Float("outage_frac", 0.15), func() {
+	s.AtFrac(p.Float("outage_frac"), func() {
 		s.Publish(TopicRTR, fmt.Sprintf("trust anchor %s dark: %d VRPs lost", name, len(lost)),
 			AnchorData{Anchor: name, VRPs: len(lost)})
 		for _, v := range lost {
 			s.RevokeVRP(v, "TA "+name+" outage")
 		}
 	})
-	s.AtFrac(o.p.Float("restore_frac", 0.6), func() {
+	s.AtFrac(p.Float("restore_frac"), func() {
 		s.Publish(TopicRTR, fmt.Sprintf("trust anchor %s recovered: %d VRPs restored", name, len(lost)),
 			AnchorData{Anchor: name, VRPs: len(lost), Restored: true})
 		for _, v := range lost {
@@ -526,16 +493,16 @@ func (o *taOutage) Setup(s *Simulation) error {
 		}
 	})
 
-	if o.p.Bool("attack", true) {
-		sub, victim, err := o.outageTarget(s, lost)
+	if p.Bool("attack") {
+		sub, victim, err := outageTarget(s, lost)
 		if err != nil {
 			return err
 		}
-		attacker := uint32(o.p.Int("attacker", 65533))
-		s.AtFrac(o.p.Float("attack_frac", 0.3), func() {
+		attacker := uint32(p.Int("attacker"))
+		s.AtFrac(p.Float("attack_frac"), func() {
 			s.StartHijack(Hijack{Name: "outage-window", Prefix: sub, Path: []uint32{attacker}, Victim: victim})
 		})
-		s.AtFrac(o.p.Float("end_frac", 0.9), func() {
+		s.AtFrac(p.Float("end_frac"), func() {
 			s.EndHijack("outage-window")
 		})
 	}
@@ -552,7 +519,7 @@ type AnchorData struct {
 
 // anchorTruth returns those of a trust anchor's validated payloads that
 // are ground truth now, in VRP sort order.
-func (o *taOutage) anchorTruth(s *Simulation, validated []vrp.VRP) []vrp.VRP {
+func anchorTruth(s *Simulation, validated []vrp.VRP) []vrp.VRP {
 	var out []vrp.VRP
 	for _, v := range validated {
 		if s.HasVRP(v) {
@@ -565,7 +532,7 @@ func (o *taOutage) anchorTruth(s *Simulation, validated []vrp.VRP) []vrp.VRP {
 // outageTarget picks the attack: a sub-prefix that is Invalid while the
 // RPKI is whole but NotFound once the anchor's subtree is gone — i.e.
 // covered only by a tightly signed VRP the outage removes.
-func (o *taOutage) outageTarget(s *Simulation, lost []vrp.VRP) (netip.Prefix, netip.Addr, error) {
+func outageTarget(s *Simulation, lost []vrp.VRP) (netip.Prefix, netip.Addr, error) {
 	remaining := make([]vrp.VRP, 0, s.truth.Len())
 	gone := make(map[vrp.VRP]bool, len(lost))
 	for _, v := range lost {
@@ -605,20 +572,17 @@ func (o *taOutage) outageTarget(s *Simulation, lost []vrp.VRP) (netip.Prefix, ne
 // pre-compromise snapshot drop it (stale caches briefly protect, the
 // mirror image of the hijack-window story). Revoking the rogue ROA makes
 // the announcement Invalid under the victim's own tight ROA, and each RP
-// sheds it at its next refresh. Params: attacker (default 65532),
-// compromise_frac (0.2), attack_frac (0.35), revoke_frac (0.65),
-// end_frac (0.9).
-type caCompromise struct {
-	p Params
+// sheds it at its next refresh.
+var caCompromise = Scenario{
+	Name:        "delegated-ca-compromise",
+	Description: "a compromised CA's rogue ROA makes the attacker's hijack validate Valid until revoked",
+	Params: map[string]any{"attacker": 65532,
+		"compromise_frac": 0.2, "attack_frac": 0.35, "revoke_frac": 0.65, "end_frac": 0.9},
+	Setup: caCompromiseSetup,
 }
 
-func (c *caCompromise) Name() string { return "delegated-ca-compromise" }
-func (c *caCompromise) Description() string {
-	return "a compromised CA's rogue ROA makes the attacker's hijack validate Valid until revoked"
-}
-
-func (c *caCompromise) Setup(s *Simulation) error {
-	attacker := uint32(c.p.Int("attacker", 65532))
+func caCompromiseSetup(s *Simulation, p Params) error {
+	attacker := uint32(p.Int("attacker"))
 
 	// The victim: a tightly signed, announced aggregate, so that without
 	// the rogue ROA the attack is cleanly Invalid.
@@ -640,16 +604,16 @@ func (c *caCompromise) Setup(s *Simulation) error {
 	sub := netip.PrefixFrom(tight.Prefix.Addr(), tight.Prefix.Bits()+2)
 	rogue := vrp.VRP{Prefix: sub, MaxLength: sub.Bits(), ASN: attacker}
 
-	s.AtFrac(c.p.Float("compromise_frac", 0.2), func() {
+	s.AtFrac(p.Float("compromise_frac"), func() {
 		s.IssueVRP(rogue, "rogue ROA from compromised delegated CA")
 	})
-	s.AtFrac(c.p.Float("attack_frac", 0.35), func() {
+	s.AtFrac(p.Float("attack_frac"), func() {
 		s.StartHijack(Hijack{Name: "ca-compromise", Prefix: sub, Path: []uint32{attacker}, Victim: webworld.HostAddr(sub, 11)})
 	})
-	s.AtFrac(c.p.Float("revoke_frac", 0.65), func() {
+	s.AtFrac(p.Float("revoke_frac"), func() {
 		s.RevokeVRP(rogue, "rogue ROA revoked, CA re-keyed")
 	})
-	s.AtFrac(c.p.Float("end_frac", 0.9), func() {
+	s.AtFrac(p.Float("end_frac"), func() {
 		s.EndHijack("ca-compromise")
 	})
 	return nil

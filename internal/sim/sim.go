@@ -27,11 +27,12 @@
 // Simulation.Rand.
 //
 // Scenarios self-register in a registry (see scenarios.go for the
-// built-in library); adding one means implementing Scenario and calling
-// Register from an init function.
+// built-in library); adding one means declaring a Scenario value and
+// passing it to Register from an init function.
 package sim
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"time"
@@ -40,84 +41,82 @@ import (
 	"ripki/internal/webworld"
 )
 
-// Params carries free-form scenario parameters ("-param key=value" on
-// the CLI). Typed getters fall back to a default when the key is absent
-// or malformed, so scenarios stay total.
+// Params carries scenario parameters, as the "-param key=value"
+// strings the CLIs take. A Config's Params are what the caller gave;
+// NewScenario checks them against what each component declares and
+// hands each component its own copy with every declared key present, so
+// a Setup or Roster reads a key by name alone (p.Int("issue")) and each
+// default is written once, in its Scenario's Params.
 type Params map[string]string
 
-// Float returns the parameter as a float64.
-func (p Params) Float(key string, def float64) float64 {
+// Int returns a declared int parameter.
+func (p Params) Int(key string) int { return read[int](p, key) }
+
+// Float returns a declared float64 parameter.
+func (p Params) Float(key string) float64 { return read[float64](p, key) }
+
+// String returns a declared string parameter.
+func (p Params) String(key string) string { return read[string](p, key) }
+
+// Bool returns a declared bool parameter, given in any spelling
+// strconv.ParseBool accepts (1/t/true/True, 0/f/false/False).
+func (p Params) Bool(key string) bool { return read[bool](p, key) }
+
+// read parses a component's parameter as the kind its reader asks for.
+// NewScenario has parsed every value against its declared default, so
+// a failure here is a scenario reading a key it does not declare, or as
+// another kind: a mistake in the scenario, not in its input.
+func read[T int | float64 | bool | string](p Params, key string) T {
+	var zero T
 	if s, ok := p[key]; ok {
-		if v, err := strconv.ParseFloat(s, 64); err == nil {
-			return v
+		if v, err := parseAs(zero, s); err == nil {
+			return v.(T)
 		}
 	}
-	return def
+	panic(fmt.Sprintf("sim: scenario reads param %q as %T, which it does not declare", key, zero))
 }
 
-// Int returns the parameter as an int.
-func (p Params) Int(key string, def int) int {
-	if s, ok := p[key]; ok {
-		if v, err := strconv.Atoi(s); err == nil {
-			return v
-		}
+// parseAs parses s as the kind of def, one of the four a Scenario may
+// declare a parameter as.
+func parseAs(def any, s string) (any, error) {
+	switch def.(type) {
+	case int:
+		return strconv.Atoi(s)
+	case float64:
+		return strconv.ParseFloat(s, 64)
+	case bool:
+		return strconv.ParseBool(s)
+	case string:
+		return s, nil
 	}
-	return def
+	return nil, fmt.Errorf("a param default is an int, float64, bool or string, not %T", def)
 }
 
-// Duration returns the parameter as a time.Duration ("90s", "10m").
-func (p Params) Duration(key string, def time.Duration) time.Duration {
-	if s, ok := p[key]; ok {
-		if v, err := time.ParseDuration(s); err == nil {
-			return v
-		}
-	}
-	return def
-}
-
-// String returns the parameter as a string.
-func (p Params) String(key, def string) string {
-	if s, ok := p[key]; ok {
-		return s
-	}
-	return def
-}
-
-// Bool returns the parameter as a bool, accepting every spelling
-// strconv.ParseBool does (1/t/true/True, 0/f/false/False).
-func (p Params) Bool(key string, def bool) bool {
-	if s, ok := p[key]; ok {
-		if v, err := strconv.ParseBool(s); err == nil {
-			return v
-		}
-	}
-	return def
-}
-
-// Scenario seeds a simulation with events. Setup runs once after the
-// world, cache, and relying parties exist but before the clock starts;
-// it schedules the scenario's events (which may schedule further
-// events).
-//
-// During Setup, s.Rand is the scenario's own splitmix64-derived stream
-// (see ComponentSeed) — the same stream whether the scenario runs alone
-// or as a component of a Composite. A Setup whose scheduled events draw
-// randomness later must capture s.Rand in a local while it runs, since
-// a composite repoints s.Rand at each component's stream in turn.
-type Scenario interface {
-	// Name is the registry key.
-	Name() string
-	// Description is a one-line summary for listings.
-	Description() string
-	// Setup schedules the scenario's initial events.
-	Setup(s *Simulation) error
-}
-
-// RPDefaulter is an optional Scenario extension: scenarios that need a
-// particular relying-party roster (e.g. extreme refresh lag) provide it
-// here; an explicit Config.RPs still wins.
-type RPDefaulter interface {
-	DefaultRPs(p Params) []RPSpec
+// Scenario is one registered story: what it is called, the parameters
+// it reads with their defaults, and the events it schedules.
+type Scenario struct {
+	// Name is the registry key; Description a one-line summary for
+	// listings.
+	Name, Description string
+	// Params declares every parameter the scenario reads, with its
+	// default: an int, float64, bool or string. A value given for a key
+	// must parse as the kind of its default, and a key no component of a
+	// run declares is refused.
+	Params map[string]any
+	// Roster, if set, is the relying-party roster the scenario needs
+	// (e.g. extreme refresh lag); an explicit Config.RPs still wins.
+	Roster func(Params) []RPSpec
+	// Setup runs once after the world, cache, and relying parties exist
+	// but before the clock starts; it schedules the scenario's events
+	// (which may schedule further events). Nil schedules nothing.
+	//
+	// During Setup, s.Rand is the scenario's own splitmix64-derived
+	// stream (see ComponentSeed) — the same stream whether the scenario
+	// runs alone or as a component of a Composite. A Setup whose
+	// scheduled events draw randomness later must capture s.Rand in a
+	// local while it runs, since a composite repoints s.Rand at each
+	// component's stream in turn.
+	Setup func(*Simulation, Params) error
 }
 
 // RPSpec describes one relying party: a named RTR client + validating
@@ -138,7 +137,8 @@ type Config struct {
 	// of registered scenarios ("roa-churn+rp-lag") whose event streams
 	// all run in this one world (see Composite).
 	Scenario string
-	// Params are free-form scenario parameters.
+	// Params are the scenario parameters as given; NewScenario checks
+	// them against what the scenario declares.
 	Params Params
 	// Seed drives world generation and all scenario randomness.
 	Seed int64
@@ -201,13 +201,25 @@ func DefaultRPs() []RPSpec {
 
 // --- registry ----------------------------------------------------------
 
-var scenarios = map[string]func(Params) Scenario{}
+var scenarios = map[string]Scenario{}
 
-// Register adds a scenario constructor under its name. Later
-// registrations of the same name win, so applications can shadow the
-// builtins.
-func Register(name string, f func(Params) Scenario) {
-	scenarios[name] = f
+// Register adds a scenario under its name. Later registrations of the
+// same name win, so applications can shadow the builtins. A default of
+// any other kind than int, float64, bool or string panics: it is a
+// mistake in the scenario, found when its package initialises.
+func Register(sc Scenario) {
+	for k, def := range sc.Params {
+		if _, err := parseAs(def, fmt.Sprint(def)); err != nil {
+			panic(fmt.Sprintf("sim: scenario %s param %s: %v", sc.Name, k, err))
+		}
+	}
+	scenarios[sc.Name] = sc
+}
+
+// Lookup returns the registered scenario of that name.
+func Lookup(name string) (Scenario, bool) {
+	sc, ok := scenarios[name]
+	return sc, ok
 }
 
 // Names lists the registered scenarios, sorted.
@@ -218,36 +230,4 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// NewScenario instantiates the scenario named by a spec: a registered
-// name, or a "+"-joined composition like "roa-churn+rp-lag" running
-// every component's event stream in one world. Every spec — single or
-// composed — comes back as a *Composite, because a single scenario IS a
-// one-component composition: the same param routing ("roa-churn.issue=5"
-// reaches a bare roa-churn run; a dotted key addressing any other name
-// errors rather than being silently dropped), the same RNG stream
-// derivation, the same roster handling. See Composite for the contract.
-func NewScenario(name string, p Params) (Scenario, error) {
-	if p == nil {
-		p = Params{}
-	}
-	return newComposite(name, p)
-}
-
-// Describe returns the one-line description of a registered scenario or
-// of a composition spec, "" when unknown.
-func Describe(name string) string {
-	if IsComposition(name) {
-		sc, err := NewScenario(name, nil)
-		if err != nil {
-			return ""
-		}
-		return sc.Description()
-	}
-	f, ok := scenarios[name]
-	if !ok {
-		return ""
-	}
-	return f(Params{}).Description()
 }

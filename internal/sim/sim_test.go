@@ -373,19 +373,21 @@ func TestDelegatedCACompromise(t *testing.T) {
 	}
 }
 
+// TestParamsBool: a bool param takes every strconv.ParseBool spelling,
+// reads its declared default when absent, and a malformed value is
+// refused, not read as the default.
 func TestParamsBool(t *testing.T) {
-	p := Params{"a": "1", "b": "False", "c": "yes"}
-	if !p.Bool("a", false) {
-		t.Error(`Bool("1") = false`)
+	for spelling, want := range map[string]bool{"1": true, "t": true, "True": true, "0": false, "f": false, "False": false} {
+		if got := params(t, "rtr-restart", Params{"cold": spelling})["rtr-restart"].Bool("cold"); got != want {
+			t.Errorf("Bool(%q) = %v, want %v", spelling, got, want)
+		}
 	}
-	if p.Bool("b", true) {
-		t.Error(`Bool("False") = true`)
+	if !params(t, "rtr-restart", nil)["rtr-restart"].Bool("cold") {
+		t.Error("absent key should read the declared default, true")
 	}
-	if !p.Bool("c", true) || p.Bool("c", false) {
-		t.Error("malformed value should fall back to the default")
-	}
-	if !p.Bool("absent", true) {
-		t.Error("absent key should fall back to the default")
+	_, err := NewScenario("rtr-restart", Params{"cold": "yes"})
+	if err == nil || !strings.Contains(err.Error(), "cold") || !strings.Contains(err.Error(), "rtr-restart") {
+		t.Errorf("malformed value should be refused, naming the key and the scenario: %v", err)
 	}
 }
 

@@ -91,7 +91,10 @@ func TestSampleDataPayload(t *testing.T) {
 	}
 	defer s.Close()
 	var samples []SampleData
-	s.Bus.Subscribe(TopicSample, func(e Event) {
+	s.Bus.SubscribeAll(func(e Event) {
+		if e.Topic != TopicSample {
+			return
+		}
 		sd, ok := e.Data.(SampleData)
 		if !ok {
 			t.Errorf("sample event carries %T, want SampleData", e.Data)

@@ -89,8 +89,8 @@ func writeTSVByFprintf(r *Result, w io.Writer) error {
 // newlines — in exact and streaming mode.
 func TestWriteTSVMatchesFprintf(t *testing.T) {
 	g := testGrid()
-	g.Scenarios = []string{"route-leak", "roa-churn"}
-	g.Params = map[string][]string{"issue": {"2"}}
+	g.Scenarios = []string{"route-leak", "hijack-window"}
+	g.Params = map[string][]string{"end_frac": {"0.8"}}
 	for _, streaming := range []bool{false, true} {
 		res, err := Run(context.Background(), g, Options{Workers: 2, ShareWorlds: true, Streaming: streaming})
 		if err != nil {

@@ -173,6 +173,7 @@ func TestRunCellsCancellation(t *testing.T) {
 // hash matches — the exact check workers perform at hello time.
 func TestMarshalGridRoundTrip(t *testing.T) {
 	g := testGrid()
+	g.Scenarios = []string{"roa-churn", "rp-lag"} // both declare issue
 	g.Params = map[string][]string{"issue": {"2", "4"}}
 	g.Ticks = []time.Duration{10 * time.Second, 30 * time.Second}
 	data, err := MarshalGrid(g)
@@ -203,6 +204,7 @@ func TestMarshalGridRoundTrip(t *testing.T) {
 // changes the output moves — scenario set, seeds, params, axes.
 func TestPlanHashDiscriminates(t *testing.T) {
 	base := testGrid()
+	base.Scenarios = []string{"roa-churn", "rp-lag"} // both declare issue
 	hash := func(g Grid) string {
 		t.Helper()
 		p, err := g.Plan()
@@ -215,7 +217,7 @@ func TestPlanHashDiscriminates(t *testing.T) {
 	vary := map[string]func(*Grid){
 		"master seed": func(g *Grid) { g.MasterSeed = 2 },
 		"replicates":  func(g *Grid) { g.Replicates = 3 },
-		"scenarios":   func(g *Grid) { g.Scenarios = []string{"baseline"} },
+		"scenarios":   func(g *Grid) { g.Scenarios = []string{"roa-churn"} },
 		"domains":     func(g *Grid) { g.Domains = []int{1600} },
 		"duration":    func(g *Grid) { g.Durations = []time.Duration{5 * time.Minute} },
 		"params":      func(g *Grid) { g.Params = map[string][]string{"issue": {"3"}} },

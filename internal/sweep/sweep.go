@@ -63,7 +63,8 @@ type Grid struct {
 	// its values the points ("hijack_frac": ["0.1", "0.3"]). Keys are
 	// iterated in sorted order, so expansion is deterministic. A dotted
 	// key ("roa-churn.issue") targets one component of a composed
-	// scenario; composed cells reject keys addressing a non-member.
+	// scenario. Plan refuses a key a cell's scenario does not declare and
+	// a value that does not parse as its default's kind.
 	Params map[string][]string `json:"params,omitempty"`
 }
 
@@ -174,8 +175,9 @@ func (g Grid) Plan() (*Plan, error) {
 		}
 	}
 	// Validate every cell's (scenario, params) pair — unknown scenario
-	// names, malformed composition specs, and mis-routed dotted param
-	// axes all fail at plan time, not as per-run errors in the pool.
+	// names, malformed composition specs, undeclared or mis-routed param
+	// keys and values that do not parse all fail at plan time, not as
+	// per-run errors in the pool.
 	for i := range p.Cells {
 		if _, err := sim.NewScenario(p.Cells[i].Scenario, p.Cells[i].Config.Params); err != nil {
 			return nil, fmt.Errorf("sweep: cell %d (%s): %w", i, p.Cells[i].Label, err)

@@ -29,6 +29,7 @@ func testGrid() Grid {
 
 func TestPlanExpansion(t *testing.T) {
 	g := testGrid()
+	g.Scenarios = []string{"roa-churn", "rp-lag"} // both declare issue
 	g.Domains = []int{1500, 3000}
 	g.Params = map[string][]string{"issue": {"2", "4"}}
 	plan, err := g.Plan()
@@ -59,7 +60,7 @@ func TestPlanExpansion(t *testing.T) {
 	}
 	// Labels carry the varied axes.
 	label := plan.Cells[0].Label
-	if !strings.Contains(label, "scenario=baseline") || !strings.Contains(label, "domains=1500") || !strings.Contains(label, "issue=2") {
+	if !strings.Contains(label, "scenario=roa-churn") || !strings.Contains(label, "domains=1500") || !strings.Contains(label, "issue=2") {
 		t.Errorf("label missing varied axes: %q", label)
 	}
 	if strings.Contains(label, "tick=") {

@@ -252,13 +252,15 @@ type (
 	// SimConfig parameterises a simulation (scenario, seed, tick,
 	// duration, relying-party roster).
 	SimConfig = sim.Config
-	// SimParams carries free-form scenario parameters.
+	// SimParams carries scenario parameters ("-param key=value").
 	SimParams = sim.Params
 	// SimEvent is one bus message (ROA issued, hijack started, cache
 	// flushed, ...).
 	SimEvent = sim.Event
-	// Scenario seeds a simulation with events; implement and Register
-	// to add one.
+	// Scenario is one registered story: its name, the parameters it
+	// declares with their defaults, an optional relying-party roster
+	// and the Setup that schedules its events; declare one and
+	// RegisterScenario it to add one.
 	Scenario = sim.Scenario
 	// SimComposite runs several registered scenarios' event streams in
 	// one world — built from a "+"-joined spec like "roa-churn+rp-lag",
@@ -290,18 +292,18 @@ func RunSimScenario(cfg SimConfig) (*TimeSeries, error) { return sim.RunScenario
 // Scenarios lists the registered scenario names.
 func Scenarios() []string { return sim.Names() }
 
-// DescribeScenario returns a registered scenario's (or composition
-// spec's) one-line description.
-func DescribeScenario(name string) string { return sim.Describe(name) }
+// LookupScenario returns the registered scenario of that name.
+func LookupScenario(name string) (Scenario, bool) { return sim.Lookup(name) }
 
 // RegisterScenario adds a scenario to the registry under its name.
-func RegisterScenario(name string, f func(SimParams) Scenario) { sim.Register(name, f) }
+func RegisterScenario(sc Scenario) { sim.Register(sc) }
 
 // NewScenario instantiates the scenario named by a spec — a registered
-// name or a "+"-joined composition ("roa-churn+rp-lag"). Every spec
-// comes back as a SimComposite; a single scenario is a one-component
-// composition.
-func NewScenario(spec string, p SimParams) (Scenario, error) { return sim.NewScenario(spec, p) }
+// name or a "+"-joined composition ("roa-churn+rp-lag") — and checks its
+// params: a key no component declares, or a value that does not parse
+// as the kind of its default, is an error. A single scenario is a
+// one-component composition.
+func NewScenario(spec string, p SimParams) (*SimComposite, error) { return sim.NewScenario(spec, p) }
 
 // --- sweeps ------------------------------------------------------------
 

@@ -21,9 +21,13 @@ import (
 // and latencies measured from the scheduled start.
 func TestLoadgenAgainstInProcessService(t *testing.T) {
 	svc := serve.New(nil)
-	if _, err := svc.Publish([]vrp.VRP{
+	set, err := vrp.FromVRPs([]vrp.VRP{
 		{Prefix: netutil.MustPrefix("10.0.0.0/16"), MaxLength: 24, ASN: 64500},
-	}, "test", 0); err != nil {
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.PublishSet(set, "test", 0); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(svc.Handler())
@@ -31,7 +35,7 @@ func TestLoadgenAgainstInProcessService(t *testing.T) {
 
 	jsonPath := filepath.Join(t.TempDir(), "report.json")
 	var out, errBuf bytes.Buffer
-	err := run([]string{
+	err = run([]string{
 		"-addr", ts.URL, "-rate", "200", "-duration", "300ms", "-batch", "4",
 		"-json", jsonPath,
 	}, &out, &errBuf)
@@ -80,7 +84,7 @@ func TestLoadgenAgainstInProcessService(t *testing.T) {
 // (exit 1 path) while still recording the verdict in the JSON report.
 func TestLoadgenSLOGate(t *testing.T) {
 	svc := serve.New(nil)
-	if _, err := svc.Publish(nil, "test", 0); err != nil {
+	if _, err := svc.PublishSet(vrp.NewSet(), "test", 0); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(svc.Handler())
