@@ -145,7 +145,8 @@ func TestProgressETA(t *testing.T) {
 
 // TestDistributedFlagValidation: the mode flags police each other — a
 // worker's grid comes from the coordinator, so grid-shaping flags are
-// refused, and the coordinator-only flags demand -coordinate.
+// refused, and the coordinator-only flags demand -coordinate — and a grid
+// the plan refuses (a negative world size) fails before any run.
 func TestDistributedFlagValidation(t *testing.T) {
 	cases := map[string]struct {
 		args []string
@@ -166,6 +167,7 @@ func TestDistributedFlagValidation(t *testing.T) {
 			append(append([]string{}, fastArgs...), "-pprof"), "require -coordinate"},
 		"status-plus-coordinate": {[]string{"-status", "host:9201", "-coordinate", ":0"}, "its own mode"},
 		"status-plus-worker":     {[]string{"-status", "host:9201", "-worker", "x:1"}, "its own mode"},
+		"negative-domains":       {[]string{"-scenarios", "baseline", "-domains", "2000,-5"}, "domains must not be negative"},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -5,11 +5,12 @@
 //	rib.mrt         collector routing table (MRT TABLE_DUMP_V2)
 //	vrps.csv        validated ROA payloads ("prefix,maxLength,ASN")
 //	asregistry.tsv  AS assignment list for keyword spotting
-//	zones.tsv       every DNS record ("name type value")
+//	zones.tsv       every DNS record ("name type value"; with -zones)
 //
-// Other tools (ripki-measure, ripki-rtrd, ripki-validate, ripki-dnsd)
-// can either regenerate the same world from -seed/-domains or load
-// these files.
+// Two of them are read back: vrps.csv by ripki-rtrd -vrps, ripki-served
+// -vrps and ripki-validate -vrps, and zones.tsv by ripki-dnsd -zones.
+// The other three are written for inspection and pinned byte for byte;
+// a tool that takes -seed/-domains regenerates the same world instead.
 package main
 
 import (
@@ -32,7 +33,6 @@ func main() {
 		shards  = flag.Int("shards", 0, "generation parallelism (0 = GOMAXPROCS; output is identical at any value)")
 		out     = flag.String("out", "world", "output directory")
 		zones   = flag.Bool("zones", false, "also dump every DNS record (large)")
-		rpkiDir = flag.Bool("rpki", false, "also write the full RPKI repository tree (DER publication points)")
 	)
 	flag.Parse()
 
@@ -77,13 +77,6 @@ func main() {
 		}
 		return bw.Flush()
 	})
-	if *rpkiDir {
-		dir := filepath.Join(*out, "rpki")
-		if err := w.Repo.WriteTo(dir); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s (publication-point tree)\n", dir)
-	}
 	if *zones {
 		write("zones.tsv", func(f *os.File) error { return w.Registry.WriteZoneTSV(f) })
 	}

@@ -1,9 +1,11 @@
 package ripki
 
-// This file proves the pipeline is generator-agnostic: every input can
-// arrive from disk in the formats the real study consumed (ranked CSV,
-// MRT table dump, VRP CSV, zone dump), exactly as ripki-worldgen writes
-// them — so the same code would run against captured real-world data.
+// This file proves the pipeline runs the same on the two artefacts a
+// command reads back from disk — validated ROA payloads (vrps.csv:
+// ripki-rtrd, ripki-served, ripki-validate) and the zone dump (zones.tsv:
+// ripki-dnsd) — as on the live world they were written from. The ranked
+// list and the routing table come from the live world: ripki-worldgen
+// writes them too, but nothing reads them back.
 
 import (
 	"bytes"
@@ -12,10 +14,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"ripki/internal/alexa"
 	"ripki/internal/dns"
 	"ripki/internal/measure"
-	"ripki/internal/rib"
 	"ripki/internal/rpki/vrp"
 	"ripki/internal/webworld"
 )
@@ -30,7 +30,7 @@ func TestPipelineFromArtifacts(t *testing.T) {
 		t.Fatalf("validation: %v", validation.Problems[:1])
 	}
 
-	// Write all four artifacts the way ripki-worldgen does.
+	// Write the two read-back artefacts the way ripki-worldgen does.
 	dir := t.TempDir()
 	writeFile := func(name string, fn func(f *os.File) error) string {
 		t.Helper()
@@ -47,14 +47,10 @@ func TestPipelineFromArtifacts(t *testing.T) {
 		}
 		return path
 	}
-	alexaPath := writeFile("alexa.csv", func(f *os.File) error { return world.List.WriteCSV(f) })
-	mrtPath := writeFile("rib.mrt", func(f *os.File) error {
-		return world.RIB.DumpMRT(f, world.RIB.Peers()[0].BGPID, "rrc00", world.Cfg.Clock)
-	})
 	vrpPath := writeFile("vrps.csv", func(f *os.File) error { return validation.VRPs.WriteCSV(f) })
 	zonePath := writeFile("zones.tsv", func(f *os.File) error { return world.Registry.WriteZoneTSV(f) })
 
-	// Reload everything from bytes alone.
+	// Reload them from bytes alone.
 	readBack := func(path string) *os.File {
 		t.Helper()
 		f, err := os.Open(path)
@@ -63,14 +59,6 @@ func TestPipelineFromArtifacts(t *testing.T) {
 		}
 		t.Cleanup(func() { f.Close() })
 		return f
-	}
-	list, err := alexa.ReadCSV(readBack(alexaPath))
-	if err != nil {
-		t.Fatal(err)
-	}
-	table, err := rib.LoadMRT(readBack(mrtPath))
-	if err != nil {
-		t.Fatal(err)
 	}
 	vrps, err := vrp.ReadCSV(readBack(vrpPath))
 	if err != nil {
@@ -83,11 +71,11 @@ func TestPipelineFromArtifacts(t *testing.T) {
 
 	// Run the methodology over the reloaded inputs and over the live
 	// world; the headline outcomes must agree.
-	run := func(l *alexa.List, reg *dns.Registry, tb *rib.Table, vs *vrp.Set) *measure.Dataset {
+	run := func(reg *dns.Registry, vs *vrp.Set) *measure.Dataset {
 		t.Helper()
-		ds, err := measure.Run(l, measure.Config{
+		ds, err := measure.Run(world.List, measure.Config{
 			Resolver: dns.RegistryResolver{Registry: reg},
-			RIB:      tb,
+			RIB:      world.RIB,
 			VRPs:     vs,
 			BinWidth: 800,
 		})
@@ -96,8 +84,8 @@ func TestPipelineFromArtifacts(t *testing.T) {
 		}
 		return ds
 	}
-	fromFiles := run(list, registry, table, vrps)
-	inMemory := run(world.List, world.Registry, world.RIB, validation.VRPs)
+	fromFiles := run(registry, vrps)
+	inMemory := run(world.Registry, validation.VRPs)
 
 	if fromFiles.Totals != inMemory.Totals {
 		t.Errorf("headline totals diverge:\n files: %+v\n live:  %+v", fromFiles.Totals, inMemory.Totals)

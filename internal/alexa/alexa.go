@@ -1,14 +1,14 @@
 // Package alexa handles ranked website lists in the format of the Alexa
 // "Top 1M Sites" CSV: one "rank,domain" pair per line, rank starting at
 // one. The paper's methodology step (1) selects its sample set from this
-// list.
+// list; ripki-worldgen writes the synthetic one as alexa.csv, which no
+// command reads back.
 package alexa
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -69,42 +69,4 @@ func (l *List) WriteCSV(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadCSV parses a "rank,domain" list. Ranks must be positive and
-// strictly increasing; blank lines are skipped.
-func ReadCSV(r io.Reader) (*List, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	l := &List{}
-	line := 0
-	lastRank := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		rank, domain, ok := strings.Cut(text, ",")
-		if !ok {
-			return nil, fmt.Errorf("alexa: line %d: missing comma", line)
-		}
-		n, err := strconv.Atoi(strings.TrimSpace(rank))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("alexa: line %d: bad rank %q", line, rank)
-		}
-		if n <= lastRank {
-			return nil, fmt.Errorf("alexa: line %d: rank %d not increasing", line, n)
-		}
-		lastRank = n
-		domain = strings.ToLower(strings.TrimSpace(domain))
-		if domain == "" {
-			return nil, fmt.Errorf("alexa: line %d: empty domain", line)
-		}
-		l.entries = append(l.entries, Entry{Rank: n, Domain: domain})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("alexa: %w", err)
-	}
-	return l, nil
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/netip"
 	"strings"
+	"unicode"
 )
 
 // WriteZoneTSV dumps every A, AAAA, CNAME and DNSKEY record as
@@ -38,7 +39,7 @@ func (r *Registry) WriteZoneTSV(w io.Writer) error {
 
 // LoadZoneTSV reads the WriteZoneTSV format into a fresh registry.
 // Unknown record types and blank lines are skipped; malformed lines are
-// errors.
+// errors, a name or CNAME target that zoneName refuses among them.
 func LoadZoneTSV(r io.Reader) (*Registry, error) {
 	reg := NewRegistry()
 	sc := bufio.NewScanner(r)
@@ -55,6 +56,9 @@ func LoadZoneTSV(r io.Reader) (*Registry, error) {
 			return nil, fmt.Errorf("dns: zone line %d: want 3 fields, got %d", line, len(parts))
 		}
 		name, typ, val := parts[0], parts[1], parts[2]
+		if !zoneName(name) || (typ == "CNAME" && !zoneName(val)) {
+			return nil, fmt.Errorf("dns: zone line %d: bad name in %q", line, text)
+		}
 		switch typ {
 		case "A", "AAAA":
 			addr, err := netip.ParseAddr(val)
@@ -85,4 +89,15 @@ func LoadZoneTSV(r io.Reader) (*Registry, error) {
 		return nil, err
 	}
 	return reg, nil
+}
+
+// zoneName reports whether a dump may carry s as a name: labels that are
+// not empty and hold no white space, with at most one trailing dot. Any
+// other name would not read back as written once canonicalised — a
+// trailing space is trimmed from the line, and a second trailing dot
+// from the name.
+func zoneName(s string) bool {
+	s = strings.TrimSuffix(s, ".")
+	return !strings.HasPrefix(s, ".") && !strings.HasSuffix(s, ".") && !strings.Contains(s, "..") &&
+		!strings.ContainsFunc(s, unicode.IsSpace)
 }

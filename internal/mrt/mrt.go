@@ -1,11 +1,12 @@
-// Package mrt reads and writes MRT TABLE_DUMP_V2 files (RFC 6396).
+// Package mrt writes MRT TABLE_DUMP_V2 files (RFC 6396).
 //
 // The paper's methodology step (3) consumes "dumps of the active tables
 // of the RIPE RIS route servers", which are distributed in exactly this
-// format. The synthetic world writes its routing tables as MRT so the
-// measurement pipeline ingests the same bytes a real study would.
+// format; ripki-worldgen writes the synthetic world's routing table in
+// it. No command reads MRT, so there is no reader here; the last one is
+// in git history at commit a4c9e58, for whoever wires one in.
 //
-// Supported records: PEER_INDEX_TABLE (subtype 1), RIB_IPV4_UNICAST
+// Written records: PEER_INDEX_TABLE (subtype 1), RIB_IPV4_UNICAST
 // (subtype 2) and RIB_IPV6_UNICAST (subtype 4). Peer entries always use
 // 4-octet AS numbers.
 package mrt
@@ -164,167 +165,3 @@ func (w *Writer) WriteRIB(prefix netip.Prefix, entries []RIBEntry) error {
 
 // Flush writes buffered data to the underlying writer.
 func (w *Writer) Flush() error { return w.w.Flush() }
-
-// Record is one parsed MRT record: either *PeerIndexTable or *RIBRecord.
-type Record interface{}
-
-// PeerIndexTable is the parsed peer table.
-type PeerIndexTable struct {
-	CollectorID netip.Addr
-	ViewName    string
-	Peers       []Peer
-}
-
-// Reader parses a TABLE_DUMP_V2 stream.
-type Reader struct {
-	r     *bufio.Reader
-	peers *PeerIndexTable
-}
-
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
-}
-
-// maxRecordLen guards against absurd length fields.
-const maxRecordLen = 1 << 24
-
-// Next returns the next record, or io.EOF at end of stream.
-func (r *Reader) Next() (Record, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("mrt: truncated header: %w", err)
-		}
-		return nil, err
-	}
-	typ := binary.BigEndian.Uint16(hdr[4:6])
-	subtype := binary.BigEndian.Uint16(hdr[6:8])
-	length := binary.BigEndian.Uint32(hdr[8:12])
-	if length > maxRecordLen {
-		return nil, fmt.Errorf("mrt: implausible record length %d", length)
-	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(r.r, body); err != nil {
-		return nil, fmt.Errorf("mrt: truncated record body: %w", err)
-	}
-	if typ != TypeTableDumpV2 {
-		return nil, fmt.Errorf("mrt: unsupported MRT type %d", typ)
-	}
-	switch subtype {
-	case SubtypePeerIndexTable:
-		pit, err := parsePeerIndexTable(body)
-		if err != nil {
-			return nil, err
-		}
-		r.peers = pit
-		return pit, nil
-	case SubtypeRIBIPv4Unicast:
-		return parseRIB(body, false)
-	case SubtypeRIBIPv6Unicast:
-		return parseRIB(body, true)
-	default:
-		return nil, fmt.Errorf("mrt: unsupported TABLE_DUMP_V2 subtype %d", subtype)
-	}
-}
-
-// Peers returns the peer table seen so far (nil before it is read).
-func (r *Reader) Peers() *PeerIndexTable { return r.peers }
-
-func parsePeerIndexTable(body []byte) (*PeerIndexTable, error) {
-	if len(body) < 8 {
-		return nil, errors.New("mrt: peer index table too short")
-	}
-	var id [4]byte
-	copy(id[:], body[:4])
-	nameLen := int(binary.BigEndian.Uint16(body[4:6]))
-	if len(body) < 6+nameLen+2 {
-		return nil, errors.New("mrt: peer index table name overruns")
-	}
-	name := string(body[6 : 6+nameLen])
-	rest := body[6+nameLen:]
-	count := int(binary.BigEndian.Uint16(rest[:2]))
-	rest = rest[2:]
-	pit := &PeerIndexTable{CollectorID: netip.AddrFrom4(id), ViewName: name}
-	for i := 0; i < count; i++ {
-		if len(rest) < 1+4 {
-			return nil, errors.New("mrt: truncated peer entry")
-		}
-		ptype := rest[0]
-		if ptype&0x02 == 0 {
-			return nil, errors.New("mrt: 2-octet AS peer entries unsupported")
-		}
-		var bid [4]byte
-		copy(bid[:], rest[1:5])
-		rest = rest[5:]
-		alen := 4
-		if ptype&0x01 != 0 {
-			alen = 16
-		}
-		if len(rest) < alen+4 {
-			return nil, errors.New("mrt: truncated peer address")
-		}
-		addr, _ := netip.AddrFromSlice(rest[:alen])
-		asn := binary.BigEndian.Uint32(rest[alen : alen+4])
-		rest = rest[alen+4:]
-		pit.Peers = append(pit.Peers, Peer{BGPID: netip.AddrFrom4(bid), Addr: addr, ASN: asn})
-	}
-	if len(rest) != 0 {
-		return nil, errors.New("mrt: trailing bytes after peer entries")
-	}
-	return pit, nil
-}
-
-func parseRIB(body []byte, v6 bool) (*RIBRecord, error) {
-	if len(body) < 5 {
-		return nil, errors.New("mrt: RIB record too short")
-	}
-	rec := &RIBRecord{Sequence: binary.BigEndian.Uint32(body[:4])}
-	bits := int(body[4])
-	famBytes, famBits := 4, 32
-	if v6 {
-		famBytes, famBits = 16, 128
-	}
-	if bits > famBits {
-		return nil, fmt.Errorf("mrt: prefix length %d out of range", bits)
-	}
-	nbytes := (bits + 7) / 8
-	if len(body) < 5+nbytes+2 {
-		return nil, errors.New("mrt: RIB prefix overruns")
-	}
-	raw := make([]byte, famBytes)
-	copy(raw, body[5:5+nbytes])
-	addr, _ := netip.AddrFromSlice(raw)
-	rec.Prefix = netip.PrefixFrom(addr, bits)
-	if rec.Prefix.Masked() != rec.Prefix {
-		return nil, fmt.Errorf("mrt: prefix %v has host bits set", rec.Prefix)
-	}
-	rest := body[5+nbytes:]
-	count := int(binary.BigEndian.Uint16(rest[:2]))
-	rest = rest[2:]
-	for i := 0; i < count; i++ {
-		if len(rest) < 8 {
-			return nil, errors.New("mrt: truncated RIB entry")
-		}
-		e := RIBEntry{
-			PeerIndex:  binary.BigEndian.Uint16(rest[:2]),
-			Originated: time.Unix(int64(binary.BigEndian.Uint32(rest[2:6])), 0).UTC(),
-		}
-		alen := int(binary.BigEndian.Uint16(rest[6:8]))
-		rest = rest[8:]
-		if len(rest) < alen {
-			return nil, errors.New("mrt: RIB entry attributes overrun")
-		}
-		attrs, err := bgp.ParsePathAttrs(rest[:alen])
-		if err != nil {
-			return nil, fmt.Errorf("mrt: entry %d of %v: %w", i, rec.Prefix, err)
-		}
-		e.Attrs = attrs
-		rest = rest[alen:]
-		rec.Entries = append(rec.Entries, e)
-	}
-	if len(rest) != 0 {
-		return nil, errors.New("mrt: trailing bytes after RIB entries")
-	}
-	return rec, nil
-}

@@ -3,9 +3,6 @@ package mrt
 import (
 	"bytes"
 	"io"
-	"math/rand"
-	"net/netip"
-	"reflect"
 	"testing"
 	"time"
 
@@ -26,84 +23,82 @@ func seq(asns ...uint32) []bgp.Segment {
 	return []bgp.Segment{{Type: bgp.SegmentSequence, ASNs: asns}}
 }
 
-func TestRoundTrip(t *testing.T) {
+// TestWriterKnownAnswer holds the writer to a stream laid out by hand,
+// field by field, from RFC 6396 §4 (the common header) and §4.3
+// (TABLE_DUMP_V2): a PEER_INDEX_TABLE with an IPv4 and an IPv6 peer, then
+// one RIB_IPV4_UNICAST and one RIB_IPV6_UNICAST record.
+func TestWriterKnownAnswer(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, stamp)
 	if err := w.WritePeerIndexTable(netutil.MustAddr("193.0.4.28"), "rrc00", peers()); err != nil {
 		t.Fatal(err)
 	}
-	recs := []struct {
-		prefix  string
-		entries []RIBEntry
-	}{
-		{"193.0.6.0/24", []RIBEntry{
-			{PeerIndex: 0, Originated: stamp, Attrs: bgp.PathAttrs{Origin: bgp.OriginIGP, ASPath: seq(3333), NextHop: netutil.MustAddr("193.0.4.1")}},
-			{PeerIndex: 1, Originated: stamp.Add(-time.Hour), Attrs: bgp.PathAttrs{Origin: bgp.OriginIGP, ASPath: seq(196615, 3333), NextHop: netutil.MustAddr("193.0.4.9")}},
-		}},
-		{"2001:67c:2e8::/48", []RIBEntry{
-			{PeerIndex: 1, Originated: stamp, Attrs: bgp.PathAttrs{Origin: bgp.OriginIGP, ASPath: seq(196615, 680), NextHop: netutil.MustAddr("2001:db8::9")}},
-		}},
-		{"0.0.0.0/0", []RIBEntry{
-			{PeerIndex: 0, Originated: stamp, Attrs: bgp.PathAttrs{Origin: bgp.OriginIncomplete, ASPath: seq(3333, 1), NextHop: netutil.MustAddr("193.0.4.1")}},
-		}},
+	if err := w.WriteRIB(netutil.MustPrefix("193.0.6.0/24"), []RIBEntry{{
+		PeerIndex: 0, Originated: stamp,
+		Attrs: bgp.PathAttrs{Origin: bgp.OriginIGP, ASPath: seq(3333, 25152), NextHop: netutil.MustAddr("193.0.4.1")},
+	}}); err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if err := w.WriteRIB(netutil.MustPrefix(r.prefix), r.entries); err != nil {
-			t.Fatal(err)
-		}
+	if err := w.WriteRIB(netutil.MustPrefix("2001:67c:2e8::/48"), []RIBEntry{{
+		PeerIndex: 1, Originated: stamp.Add(-time.Hour),
+		Attrs: bgp.PathAttrs{Origin: bgp.OriginIGP, ASPath: seq(196615, 680), NextHop: netutil.MustAddr("2001:db8::9")},
+	}}); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	r := NewReader(&buf)
-	rec, err := r.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pit, ok := rec.(*PeerIndexTable)
-	if !ok {
-		t.Fatalf("first record is %T", rec)
-	}
-	if pit.ViewName != "rrc00" || pit.CollectorID != netutil.MustAddr("193.0.4.28") {
-		t.Errorf("peer table header: %+v", pit)
-	}
-	if !reflect.DeepEqual(pit.Peers, peers()) {
-		t.Errorf("peers: %+v vs %+v", pit.Peers, peers())
-	}
-	if r.Peers() != pit {
-		t.Error("Peers() does not return the parsed table")
-	}
-	for i, want := range recs {
-		rec, err := r.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		rr, ok := rec.(*RIBRecord)
-		if !ok {
-			t.Fatalf("record %d is %T", i, rec)
-		}
-		if rr.Sequence != uint32(i) {
-			t.Errorf("record %d sequence = %d", i, rr.Sequence)
-		}
-		if rr.Prefix != netutil.MustPrefix(want.prefix) {
-			t.Errorf("record %d prefix = %v, want %s", i, rr.Prefix, want.prefix)
-		}
-		if len(rr.Entries) != len(want.entries) {
-			t.Fatalf("record %d entries = %d, want %d", i, len(rr.Entries), len(want.entries))
-		}
-		for j, e := range rr.Entries {
-			we := want.entries[j]
-			if e.PeerIndex != we.PeerIndex || !e.Originated.Equal(we.Originated) {
-				t.Errorf("record %d entry %d header mismatch: %+v vs %+v", i, j, e, we)
-			}
-			if e.Attrs.Origin != we.Attrs.Origin || !reflect.DeepEqual(e.Attrs.ASPath, we.Attrs.ASPath) || e.Attrs.NextHop != we.Attrs.NextHop {
-				t.Errorf("record %d entry %d attrs mismatch: %+v vs %+v", i, j, e.Attrs, we.Attrs)
-			}
-		}
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("expected EOF, got %v", err)
+	var want []byte
+	add := func(b ...byte) { want = append(want, b...) }
+	// PEER_INDEX_TABLE.
+	add(0x55, 0x93, 0x9e, 0x00) // timestamp 2015-07-01T08:00:00Z
+	add(0x00, 0x0d)             // type 13, TABLE_DUMP_V2
+	add(0x00, 0x01)             // subtype 1, PEER_INDEX_TABLE
+	add(0x00, 0x00, 0x00, 51)   // length
+	add(193, 0, 4, 28)          // collector BGP ID
+	add(0x00, 5)                // view name length
+	add('r', 'r', 'c', '0', '0')
+	add(0x00, 2) // peer count
+	// Peer 0: type 0x02 (4-octet AS, IPv4 address), BGP ID, address, AS.
+	add(0x02, 193, 0, 4, 1, 193, 0, 4, 1, 0x00, 0x00, 0x0d, 0x05)
+	// Peer 1: type 0x03 (4-octet AS, IPv6 address).
+	add(0x03, 10, 0, 0, 2)
+	add(0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x02)
+	add(0x00, 0x03, 0x00, 0x07) // AS 196615
+
+	// RIB_IPV4_UNICAST for 193.0.6.0/24.
+	add(0x55, 0x93, 0x9e, 0x00)
+	add(0x00, 0x0d, 0x00, 0x02)                                            // TABLE_DUMP_V2, RIB_IPV4_UNICAST
+	add(0x00, 0x00, 0x00, 42)                                              // length
+	add(0x00, 0x00, 0x00, 0x00)                                            // sequence number 0
+	add(24, 193, 0, 6)                                                     // prefix length, then the prefix's 3 octets
+	add(0x00, 1)                                                           // entry count
+	add(0x00, 0x00)                                                        // peer index 0
+	add(0x55, 0x93, 0x9e, 0x00)                                            // originated time
+	add(0x00, 24)                                                          // attribute length
+	add(0x40, 1, 1, 0)                                                     // ORIGIN IGP
+	add(0x40, 2, 10, 2, 2, 0x00, 0x00, 0x0d, 0x05, 0x00, 0x00, 0x62, 0x40) // AS_PATH: AS_SEQUENCE 3333 25152
+	add(0x40, 3, 4, 193, 0, 4, 1)                                          // NEXT_HOP
+
+	// RIB_IPV6_UNICAST for 2001:67c:2e8::/48.
+	add(0x55, 0x93, 0x9e, 0x00)
+	add(0x00, 0x0d, 0x00, 0x04) // TABLE_DUMP_V2, RIB_IPV6_UNICAST
+	add(0x00, 0x00, 0x00, 62)   // length
+	add(0x00, 0x00, 0x00, 0x01) // sequence number 1
+	add(48, 0x20, 0x01, 0x06, 0x7c, 0x02, 0xe8)
+	add(0x00, 1)                // entry count
+	add(0x00, 0x01)             // peer index 1
+	add(0x55, 0x93, 0x8f, 0xf0) // originated an hour before the dump
+	add(0x00, 41)               // attribute length
+	add(0x40, 1, 1, 0)
+	add(0x40, 2, 10, 2, 2, 0x00, 0x03, 0x00, 0x07, 0x00, 0x00, 0x02, 0xa8) // AS_SEQUENCE 196615 680
+	add(0x80, 14, 21, 0x00, 0x02, 1, 16)                                   // MP_REACH_NLRI: AFI 2, SAFI 1, next-hop length
+	add(0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x09)
+	add(0) // reserved; the prefix rides in the record, not as NLRI
+
+	if got := buf.Bytes(); !bytes.Equal(got, want) {
+		t.Errorf("stream differs from RFC 6396 layout\n got  % x\n want % x", got, want)
 	}
 }
 
@@ -119,96 +114,6 @@ func TestWriterRequiresPeerTableFirst(t *testing.T) {
 	}
 	if err := w.WritePeerIndexTable(netutil.MustAddr("1.2.3.4"), "v", nil); err == nil {
 		t.Error("double peer table accepted")
-	}
-}
-
-func TestReaderRejectsCorruption(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, stamp)
-	w.WritePeerIndexTable(netutil.MustAddr("1.2.3.4"), "v", peers())
-	w.WriteRIB(netutil.MustPrefix("10.0.0.0/8"), []RIBEntry{
-		{PeerIndex: 0, Originated: stamp, Attrs: bgp.PathAttrs{ASPath: seq(1), NextHop: netutil.MustAddr("10.0.0.1")}},
-	})
-	w.Flush()
-	wire := buf.Bytes()
-
-	// Truncations must error, never panic.
-	for i := 0; i < len(wire); i += 5 {
-		r := NewReader(bytes.NewReader(wire[:i]))
-		for {
-			_, err := r.Next()
-			if err != nil {
-				break
-			}
-		}
-	}
-	// Random corruption must error or parse, never panic.
-	rnd := rand.New(rand.NewSource(6))
-	for i := 0; i < 2000; i++ {
-		mut := append([]byte(nil), wire...)
-		mut[rnd.Intn(len(mut))] ^= byte(1 << rnd.Intn(8))
-		r := NewReader(bytes.NewReader(mut))
-		for {
-			_, err := r.Next()
-			if err != nil {
-				break
-			}
-		}
-	}
-}
-
-func TestReaderRejectsWrongType(t *testing.T) {
-	raw := make([]byte, 12)
-	raw[5] = 12 // TABLE_DUMP (v1), unsupported
-	if _, err := NewReader(bytes.NewReader(raw)).Next(); err == nil {
-		t.Error("accepted unsupported MRT type")
-	}
-}
-
-func TestLargeTableRoundTrip(t *testing.T) {
-	rnd := rand.New(rand.NewSource(8))
-	var buf bytes.Buffer
-	w := NewWriter(&buf, stamp)
-	if err := w.WritePeerIndexTable(netutil.MustAddr("193.0.4.28"), "rrc00", peers()); err != nil {
-		t.Fatal(err)
-	}
-	n := 5000
-	want := make([]netip.Prefix, 0, n)
-	for i := 0; i < n; i++ {
-		var b [4]byte
-		rnd.Read(b[:])
-		bits := 8 + rnd.Intn(17)
-		p := netip.PrefixFrom(netip.AddrFrom4(b), bits).Masked()
-		want = append(want, p)
-		err := w.WriteRIB(p, []RIBEntry{{
-			PeerIndex:  uint16(i % 2),
-			Originated: stamp,
-			Attrs:      bgp.PathAttrs{ASPath: seq(uint32(i), uint32(i+1)), NextHop: netutil.MustAddr("10.0.0.1")},
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Flush()
-	r := NewReader(&buf)
-	if _, err := r.Next(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		rec, err := r.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		rr := rec.(*RIBRecord)
-		if rr.Prefix != want[i] {
-			t.Fatalf("record %d prefix = %v, want %v", i, rr.Prefix, want[i])
-		}
-		if origin, ok := bgp.OriginAS(rr.Entries[0].Attrs.ASPath); !ok || origin != uint32(i+1) {
-			t.Fatalf("record %d origin = %d, %v", i, origin, ok)
-		}
-	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
 	}
 }
 

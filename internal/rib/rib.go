@@ -362,36 +362,3 @@ func (t *Table) DumpMRT(w io.Writer, collectorID netip.Addr, view string, stamp 
 	}
 	return mw.Flush()
 }
-
-// LoadMRT builds a table from a TABLE_DUMP_V2 stream.
-func LoadMRT(r io.Reader) (*Table, error) {
-	t := New()
-	mr := mrt.NewReader(r)
-	for {
-		rec, err := mr.Next()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		switch rr := rec.(type) {
-		case *mrt.PeerIndexTable:
-			for _, p := range rr.Peers {
-				t.AddPeer(p)
-			}
-		case *mrt.RIBRecord:
-			for _, e := range rr.Entries {
-				if err := t.Insert(Route{
-					Prefix:     rr.Prefix,
-					PeerIndex:  e.PeerIndex,
-					Path:       e.Attrs.ASPath,
-					NextHop:    e.Attrs.NextHop,
-					Originated: e.Originated,
-				}); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-}

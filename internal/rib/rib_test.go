@@ -161,30 +161,44 @@ func TestApplyEvents(t *testing.T) {
 	}
 }
 
-func TestMRTRoundTrip(t *testing.T) {
+// TestDumpMRT: the dump is the table's peers, then one RIB record per
+// prefix in lexical order, each route an entry in peer order with its own
+// origination time and an IGP ORIGIN — the writer calls spelled out.
+func TestDumpMRT(t *testing.T) {
 	tb, p0, p1 := newTable(t)
-	tb.Insert(Route{Prefix: netutil.MustPrefix("193.0.0.0/16"), PeerIndex: p0, Path: seq(3333, 680), NextHop: netutil.MustAddr("10.0.0.1"), Originated: stamp})
-	tb.Insert(Route{Prefix: netutil.MustPrefix("193.0.6.0/24"), PeerIndex: p1, Path: seq(196615, 25152), NextHop: netutil.MustAddr("10.0.0.2"), Originated: stamp})
-	tb.Insert(Route{Prefix: netutil.MustPrefix("2001:67c:2e8::/48"), PeerIndex: p1, Path: seq(196615, 680), NextHop: netutil.MustAddr("2001:db8::2"), Originated: stamp})
+	v6 := Route{Prefix: netutil.MustPrefix("2001:67c:2e8::/48"), PeerIndex: p1, Path: seq(196615, 680), NextHop: netutil.MustAddr("2001:db8::2"), Originated: stamp.Add(-time.Hour)}
+	b := Route{Prefix: netutil.MustPrefix("193.0.6.0/24"), PeerIndex: p1, Path: seq(196615, 25152), NextHop: netutil.MustAddr("10.0.0.2"), Originated: stamp}
+	a := Route{Prefix: netutil.MustPrefix("193.0.6.0/24"), PeerIndex: p0, Path: seq(3333, 25152), NextHop: netutil.MustAddr("10.0.0.1"), Originated: stamp}
+	for _, r := range []Route{v6, b, a} {
+		if err := tb.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got bytes.Buffer
+	if err := tb.DumpMRT(&got, netutil.MustAddr("193.0.4.28"), "rrc00", stamp); err != nil {
+		t.Fatal(err)
+	}
 
-	var buf bytes.Buffer
-	if err := tb.DumpMRT(&buf, netutil.MustAddr("193.0.4.28"), "rrc00", stamp); err != nil {
+	var want bytes.Buffer
+	w := mrt.NewWriter(&want, stamp)
+	entry := func(r Route) mrt.RIBEntry {
+		return mrt.RIBEntry{PeerIndex: r.PeerIndex, Originated: r.Originated,
+			Attrs: bgp.PathAttrs{Origin: bgp.OriginIGP, ASPath: r.Path, NextHop: r.NextHop}}
+	}
+	if err := w.WritePeerIndexTable(netutil.MustAddr("193.0.4.28"), "rrc00", tb.Peers()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadMRT(&buf)
-	if err != nil {
+	if err := w.WriteRIB(a.Prefix, []mrt.RIBEntry{entry(a), entry(b)}); err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != tb.Len() || got.Routes() != tb.Routes() {
-		t.Fatalf("reloaded Len/Routes = %d/%d, want %d/%d", got.Len(), got.Routes(), tb.Len(), tb.Routes())
+	if err := w.WriteRIB(v6.Prefix, []mrt.RIBEntry{entry(v6)}); err != nil {
+		t.Fatal(err)
 	}
-	pairs := got.OriginPairs(netutil.MustAddr("193.0.6.99"))
-	if len(pairs) != 2 || pairs[0].Origin != 680 || pairs[1].Origin != 25152 {
-		t.Fatalf("reloaded OriginPairs = %v", pairs)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	pairs6 := got.OriginPairs(netutil.MustAddr("2001:67c:2e8::80"))
-	if len(pairs6) != 1 || pairs6[0].Origin != 680 {
-		t.Fatalf("reloaded v6 OriginPairs = %v", pairs6)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("DumpMRT wrote\n% x\nwant\n% x", got.Bytes(), want.Bytes())
 	}
 }
 

@@ -160,38 +160,12 @@ func prefixesToWire(ps []netip.Prefix) []asnPrefix {
 	return out
 }
 
-func prefixesFromWire(ws []asnPrefix) ([]netip.Prefix, error) {
-	out := make([]netip.Prefix, 0, len(ws))
-	for _, w := range ws {
-		a, ok := netip.AddrFromSlice(w.Addr)
-		if !ok {
-			return nil, fmt.Errorf("cert: bad address length %d", len(w.Addr))
-		}
-		if w.Bits < 0 || w.Bits > netutil.FamilyBits(a) {
-			return nil, fmt.Errorf("cert: bad prefix length %d", w.Bits)
-		}
-		out = append(out, netip.PrefixFrom(a, w.Bits).Masked())
-	}
-	return out, nil
-}
-
 func rangesToWire(rs []ASRange) []asnASRange {
 	out := make([]asnASRange, 0, len(rs))
 	for _, r := range rs {
 		out = append(out, asnASRange{Min: int64(r.Min), Max: int64(r.Max)})
 	}
 	return out
-}
-
-func rangesFromWire(ws []asnASRange) ([]ASRange, error) {
-	out := make([]ASRange, 0, len(ws))
-	for _, w := range ws {
-		if w.Min < 0 || w.Max > 4294967295 || w.Min > w.Max {
-			return nil, fmt.Errorf("cert: bad AS range [%d,%d]", w.Min, w.Max)
-		}
-		out = append(out, ASRange{Min: uint32(w.Min), Max: uint32(w.Max)})
-	}
-	return out, nil
 }
 
 // Template collects the fields of a certificate to be issued.
@@ -267,65 +241,16 @@ func Issue(tmpl Template, issuer string, issuerKey *ecdsa.PrivateKey) (*Certific
 	return c, nil
 }
 
-// Marshal encodes the certificate to DER.
+// Marshal encodes the certificate to DER: the bytes a CA's manifest
+// lists the hash of.
 func (c *Certificate) Marshal() ([]byte, error) {
 	if len(c.RawTBS) == 0 {
-		return nil, errors.New("cert: certificate has no raw TBS (not issued or parsed)")
+		return nil, errors.New("cert: certificate has no raw TBS (not issued)")
 	}
 	return asn1.Marshal(asnCert{
 		TBS:       asn1.RawValue{FullBytes: c.RawTBS},
 		Signature: c.Signature,
 	})
-}
-
-// Parse decodes a DER certificate produced by Marshal. The signature is
-// not verified; call Verify.
-func Parse(der []byte) (*Certificate, error) {
-	var w asnCert
-	rest, err := asn1.Unmarshal(der, &w)
-	if err != nil {
-		return nil, fmt.Errorf("cert: parsing: %w", err)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("cert: %d bytes of trailing garbage", len(rest))
-	}
-	var tbs asnTBS
-	if rest, err = asn1.Unmarshal(w.TBS.FullBytes, &tbs); err != nil {
-		return nil, fmt.Errorf("cert: parsing TBS: %w", err)
-	} else if len(rest) != 0 {
-		return nil, errors.New("cert: trailing garbage after TBS")
-	}
-	if tbs.Version != tbsVersion {
-		return nil, fmt.Errorf("cert: unsupported version %d", tbs.Version)
-	}
-	pubAny, err := x509.ParsePKIXPublicKey(tbs.PublicKey)
-	if err != nil {
-		return nil, fmt.Errorf("cert: parsing public key: %w", err)
-	}
-	pub, ok := pubAny.(*ecdsa.PublicKey)
-	if !ok {
-		return nil, fmt.Errorf("cert: unsupported public key type %T", pubAny)
-	}
-	prefixes, err := prefixesFromWire(tbs.Prefixes)
-	if err != nil {
-		return nil, err
-	}
-	ranges, err := rangesFromWire(tbs.ASRanges)
-	if err != nil {
-		return nil, err
-	}
-	return &Certificate{
-		SerialNumber: tbs.SerialNumber,
-		Subject:      tbs.Subject,
-		Issuer:       tbs.Issuer,
-		NotBefore:    tbs.NotBefore,
-		NotAfter:     tbs.NotAfter,
-		IsCA:         tbs.IsCA,
-		Resources:    Resources{Prefixes: prefixes, ASNs: ranges},
-		PublicKey:    pub,
-		Signature:    w.Signature,
-		RawTBS:       w.TBS.FullBytes,
-	}, nil
 }
 
 // CheckSignatureFrom verifies that issuer's key signed c.
@@ -430,35 +355,9 @@ func IssueCRL(issuer string, key *ecdsa.PrivateKey, thisUpdate, nextUpdate time.
 	}, nil
 }
 
-// Marshal encodes the CRL to DER.
+// Marshal encodes the CRL to DER, as a manifest hashes it.
 func (l *CRL) Marshal() ([]byte, error) {
 	return asn1.Marshal(asnCRL{TBS: asn1.RawValue{FullBytes: l.RawTBS}, Signature: l.Signature})
-}
-
-// ParseCRL decodes a DER CRL.
-func ParseCRL(der []byte) (*CRL, error) {
-	var w asnCRL
-	rest, err := asn1.Unmarshal(der, &w)
-	if err != nil {
-		return nil, fmt.Errorf("cert: parsing CRL: %w", err)
-	}
-	if len(rest) != 0 {
-		return nil, errors.New("cert: trailing garbage after CRL")
-	}
-	var tbs asnCRLTBS
-	if rest, err = asn1.Unmarshal(w.TBS.FullBytes, &tbs); err != nil {
-		return nil, fmt.Errorf("cert: parsing CRL TBS: %w", err)
-	} else if len(rest) != 0 {
-		return nil, errors.New("cert: trailing garbage after CRL TBS")
-	}
-	return &CRL{
-		Issuer:         tbs.Issuer,
-		ThisUpdate:     tbs.ThisUpdate,
-		NextUpdate:     tbs.NextUpdate,
-		RevokedSerials: tbs.RevokedSerials,
-		Signature:      w.Signature,
-		RawTBS:         w.TBS.FullBytes,
-	}, nil
 }
 
 // Verify checks the CRL signature and freshness against the issuing CA.

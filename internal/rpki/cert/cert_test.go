@@ -182,106 +182,23 @@ func TestVerifyRejectsNonCAIssuer(t *testing.T) {
 	}
 }
 
-func TestMarshalParseRoundTrip(t *testing.T) {
-	ta, taKey := selfSigned(t, "ta", AllResources())
-	childKey := newKeyPair(t)
-	child, err := Issue(Template{
-		SerialNumber: 77,
-		Subject:      "host-eu",
-		NotBefore:    t0,
-		NotAfter:     t1,
-		IsCA:         true,
-		Resources: Resources{
-			Prefixes: netip2("185.42.0.0/16", "2a00:1450::/29"),
-			ASNs:     []ASRange{{Min: 15169, Max: 15169}, {Min: 36040, Max: 36059}},
-		},
-		PublicKey: &childKey.key.PublicKey,
-	}, "ta", taKey.key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	der, err := child.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Parse(der)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Subject != child.Subject || got.Issuer != child.Issuer ||
-		got.SerialNumber != child.SerialNumber || got.IsCA != child.IsCA {
-		t.Errorf("round trip mismatch: %+v vs %+v", got, child)
-	}
-	if !got.NotBefore.Equal(child.NotBefore) || !got.NotAfter.Equal(child.NotAfter) {
-		t.Errorf("validity mismatch: %v..%v vs %v..%v", got.NotBefore, got.NotAfter, child.NotBefore, child.NotAfter)
-	}
-	if len(got.Resources.Prefixes) != 2 || got.Resources.Prefixes[0] != netutil.MustPrefix("185.42.0.0/16") {
-		t.Errorf("prefix resources mismatch: %v", got.Resources.Prefixes)
-	}
-	if len(got.Resources.ASNs) != 2 || got.Resources.ASNs[1] != (ASRange{36040, 36059}) {
-		t.Errorf("ASN resources mismatch: %v", got.Resources.ASNs)
-	}
-	// Parsed certificate must still verify.
-	if err := got.Verify(ta, VerifyOptions{Now: tv}); err != nil {
-		t.Errorf("parsed certificate fails verify: %v", err)
-	}
-}
-
-func TestParseRejectsGarbage(t *testing.T) {
-	if _, err := Parse([]byte{0x30, 0x03, 0x02, 0x01, 0x05}); err == nil {
-		t.Error("Parse accepted junk")
-	}
-	ta, _ := selfSigned(t, "ta", AllResources())
-	der, _ := ta.Marshal()
-	if _, err := Parse(der[:len(der)-3]); err == nil {
-		t.Error("Parse accepted truncated DER")
-	}
-	if _, err := Parse(append(der, 0x00)); err == nil {
-		t.Error("Parse accepted trailing garbage")
-	}
-	for i := 0; i < len(der); i += 11 {
-		mut := append([]byte(nil), der...)
-		mut[i] ^= 0x01
-		c, err := Parse(mut)
-		if err != nil {
-			continue // parse-level rejection is fine
-		}
-		if err := c.Verify(ta, VerifyOptions{Now: tv}); err == nil && c.Subject == ta.Subject {
-			// A bit flip that leaves subject intact must break the signature
-			// (unless it flipped within the signature encoding padding, which
-			// ecdsa rejects anyway).
-			if string(c.RawTBS) != string(ta.RawTBS) {
-				t.Errorf("bit flip at %d produced a different yet verifying certificate", i)
-			}
-		}
-	}
-}
-
-func TestCRLRoundTripAndVerify(t *testing.T) {
+func TestCRLVerify(t *testing.T) {
 	ta, taKey := selfSigned(t, "ta", AllResources())
 	crl, err := IssueCRL("ta", taKey.key, t0, t1, []int64{5, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	der, err := crl.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseCRL(der)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Verify(ta, VerifyOptions{Now: tv}); err != nil {
+	if err := crl.Verify(ta, VerifyOptions{Now: tv}); err != nil {
 		t.Fatalf("CRL verify: %v", err)
 	}
-	if !got.Revoked(5) || !got.Revoked(9) || got.Revoked(6) {
-		t.Errorf("Revoked() wrong: %v", got.RevokedSerials)
+	if !crl.Revoked(5) || !crl.Revoked(9) || crl.Revoked(6) {
+		t.Errorf("Revoked() wrong: %v", crl.RevokedSerials)
 	}
-	if err := got.Verify(ta, VerifyOptions{Now: t1.Add(time.Hour)}); err == nil {
+	if err := crl.Verify(ta, VerifyOptions{Now: t1.Add(time.Hour)}); err == nil {
 		t.Error("stale CRL verified")
 	}
-	got.Signature[0] ^= 0xff
-	if err := got.Verify(ta, VerifyOptions{Now: tv}); err == nil {
+	crl.Signature[0] ^= 0xff
+	if err := crl.Verify(ta, VerifyOptions{Now: tv}); err == nil {
 		t.Error("tampered CRL verified")
 	}
 }

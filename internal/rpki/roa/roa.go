@@ -112,7 +112,8 @@ func Sign(asID uint32, prefixes []Prefix, ee *cert.Certificate, eeKey *ecdsa.Pri
 	return out, nil
 }
 
-// Marshal encodes the ROA (content, EE certificate, signature) to DER.
+// Marshal encodes the ROA (content, EE certificate, signature) to DER,
+// as a manifest hashes it.
 func (r *ROA) Marshal() ([]byte, error) {
 	eeDER, err := r.EE.Marshal()
 	if err != nil {
@@ -123,60 +124,6 @@ func (r *ROA) Marshal() ([]byte, error) {
 		EECert:    eeDER,
 		Signature: r.Signature,
 	})
-}
-
-// Parse decodes a DER ROA. No validation is performed; call Validate.
-func Parse(der []byte) (*ROA, error) {
-	var w asnROA
-	rest, err := asn1.Unmarshal(der, &w)
-	if err != nil {
-		return nil, fmt.Errorf("roa: parsing: %w", err)
-	}
-	if len(rest) != 0 {
-		return nil, errors.New("roa: trailing garbage")
-	}
-	var content asnROAContent
-	if rest, err = asn1.Unmarshal(w.Content.FullBytes, &content); err != nil {
-		return nil, fmt.Errorf("roa: parsing content: %w", err)
-	} else if len(rest) != 0 {
-		return nil, errors.New("roa: trailing garbage after content")
-	}
-	if content.Version != contentVersion {
-		return nil, fmt.Errorf("roa: unsupported content version %d", content.Version)
-	}
-	if content.ASID < 0 || content.ASID > 4294967295 {
-		return nil, fmt.Errorf("roa: AS number %d out of range", content.ASID)
-	}
-	ee, err := cert.Parse(w.EECert)
-	if err != nil {
-		return nil, fmt.Errorf("roa: parsing EE certificate: %w", err)
-	}
-	out := &ROA{
-		ASID:       uint32(content.ASID),
-		EE:         ee,
-		Signature:  w.Signature,
-		RawContent: w.Content.FullBytes,
-	}
-	for _, p := range content.Prefixes {
-		a, ok := netip.AddrFromSlice(p.Addr)
-		if !ok {
-			return nil, fmt.Errorf("roa: bad address length %d", len(p.Addr))
-		}
-		if p.Bits < 0 || p.Bits > netutil.FamilyBits(a) {
-			return nil, fmt.Errorf("roa: bad prefix length %d", p.Bits)
-		}
-		if p.MaxLength < p.Bits || p.MaxLength > netutil.FamilyBits(a) {
-			return nil, fmt.Errorf("roa: bad maxLength %d for /%d", p.MaxLength, p.Bits)
-		}
-		out.Prefixes = append(out.Prefixes, Prefix{
-			Prefix:    netip.PrefixFrom(a, p.Bits).Masked(),
-			MaxLength: p.MaxLength,
-		})
-	}
-	if len(out.Prefixes) == 0 {
-		return nil, errors.New("roa: no prefixes")
-	}
-	return out, nil
 }
 
 // Validate checks the ROA end to end against the issuing CA certificate:

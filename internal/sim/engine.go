@@ -764,11 +764,13 @@ type RefreshData struct {
 }
 
 // refreshDue runs the poll + revalidation cycle for every relying party
-// whose cadence lands on this tick, in roster order: every poll first,
-// results in index-addressed slots, then every refresh event. Each RP
-// revalidates only the routes under the prefixes its poll actually
-// changed; a full-resync fallback (session reset, delta history gone)
-// marks everything and degrades gracefully to the complete Adj-RIB-In.
+// whose cadence lands on this tick, in roster order and in one pass: each
+// RP is polled, counted and its refresh event published before the next
+// is polled. A poll that fails is counted, fails the run and publishes
+// nothing for that RP; the others go on. Each RP revalidates only the
+// routes under the prefixes its poll actually changed; a full-resync
+// fallback (session reset, delta history gone) marks everything and
+// degrades gracefully to the complete Adj-RIB-In.
 //
 // An RP whose last sync ended at the (session, serial) the cache is
 // serving now is not polled: the engine owns both ends of the session,
@@ -778,55 +780,31 @@ type RefreshData struct {
 // moves its state off the RP's, and the next refresh goes to the wire,
 // which stays the only way payloads reach a relying party.
 func (s *Simulation) refreshDue() {
-	var due []*RP
-	for _, rp := range s.RPs {
-		if rp.Client != nil && s.tick%rp.Spec.RefreshTicks == 0 {
-			due = append(due, rp)
-		}
-	}
-	if len(due) == 0 {
-		return
-	}
-	type outcome struct {
-		serial uint32
-		vrps   int
-		polled bool
-		res    router.RevalidationResult
-		err    error
-	}
-	outs := make([]outcome, len(due))
 	serving := cacheState{s.session, s.Server.Serial()}
-	for i, rp := range due {
-		out := &outs[i]
-		if rp.synced != serving {
-			out.polled = true
+	for _, rp := range s.RPs {
+		if rp.Client == nil || s.tick%rp.Spec.RefreshTicks != 0 {
+			continue
+		}
+		var res router.RevalidationResult
+		if rp.synced == serving {
+			s.work.pollsSkipped++
+		} else {
+			s.work.polls++
 			if err := rp.Client.Poll(); err != nil {
-				out.err = fmt.Errorf("sim: %s poll: %w", rp.Spec.Name, err)
+				s.fail(fmt.Errorf("sim: %s poll: %w", rp.Spec.Name, err))
 				continue
 			}
 			rp.synced = cacheState{serving.session, rp.Client.Serial()}
 			changed := rp.Client.TakeDelta()
 			rp.source.set = rp.Client.View()
-			out.res = rp.Router.RevalidateAffected(changed)
+			res = rp.Router.RevalidateAffected(changed)
+			s.work.reapplied += res.Routes
+			s.work.flipped += res.Flipped
 		}
-		out.serial, out.vrps = rp.Client.Serial(), rp.Client.Len()
-	}
-	for i, rp := range due {
-		out := &outs[i]
-		if out.polled {
-			s.work.polls++
-		} else {
-			s.work.pollsSkipped++
-		}
-		if out.err != nil {
-			s.fail(out.err)
-			continue
-		}
-		s.work.reapplied += out.res.Routes
-		s.work.flipped += out.res.Flipped
+		serial, vrps := rp.Client.Serial(), rp.Client.Len()
 		s.Publish(TopicRP, fmt.Sprintf("%s refresh serial=%d vrps=%d dropped=%d",
-			rp.Spec.Name, out.serial, out.vrps, out.res.Dropped),
-			RefreshData{RP: rp.Spec.Name, Serial: out.serial, VRPs: out.vrps, Dropped: out.res.Dropped})
+			rp.Spec.Name, serial, vrps, res.Dropped),
+			RefreshData{RP: rp.Spec.Name, Serial: serial, VRPs: vrps, Dropped: res.Dropped})
 	}
 }
 

@@ -137,6 +137,11 @@ func (g Grid) Plan() (*Plan, error) {
 		}
 	}
 	domains := axis(g.Domains, 0)
+	for _, d := range domains {
+		if d < 0 {
+			return nil, fmt.Errorf("sweep: domains must not be negative, got %d", d)
+		}
+	}
 	ticks := axis(g.Ticks, 0)
 	durations := axis(g.Durations, 0)
 	sampleEvery := axis(g.SampleEvery, 0)

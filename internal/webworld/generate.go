@@ -18,8 +18,12 @@ import (
 	"ripki/internal/rpki/roa"
 )
 
-// Generate builds the whole world from the configuration.
+// Generate builds the whole world from the configuration. A negative
+// Domains is an error; zero means the default.
 func Generate(cfg Config) (*World, error) {
+	if cfg.Domains < 0 {
+		return nil, fmt.Errorf("webworld: domains must not be negative, got %d", cfg.Domains)
+	}
 	cfg = cfg.Defaults()
 	w := &World{
 		Cfg: cfg,

@@ -52,6 +52,28 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateDomains: a negative size is refused before anything is
+// built, naming the field; zero means the default size.
+func TestGenerateDomains(t *testing.T) {
+	for _, c := range []struct {
+		domains int
+		ok      bool
+	}{{-5, false}, {-1, false}, {1, true}, {300, true}} {
+		w, err := Generate(Config{Seed: 1, Domains: c.domains})
+		switch {
+		case !c.ok && (err == nil || !strings.Contains(err.Error(), "domains")):
+			t.Errorf("Domains %d: err = %v, want one naming domains", c.domains, err)
+		case c.ok && err != nil:
+			t.Errorf("Domains %d: %v", c.domains, err)
+		case c.ok && w.List.Len() != c.domains:
+			t.Errorf("Domains %d: list of %d", c.domains, w.List.Len())
+		}
+	}
+	if got := (Config{}).Defaults().Domains; got != 1000000 {
+		t.Errorf("Domains 0 defaults to %d, want 1000000", got)
+	}
+}
+
 func TestGenerateDifferentSeedsDiffer(t *testing.T) {
 	w1, _ := Generate(Config{Seed: 1, Domains: 1000})
 	w2, _ := Generate(Config{Seed: 2, Domains: 1000})

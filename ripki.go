@@ -5,11 +5,12 @@
 // protected by RPKI prefix origin validation, and finds that popular,
 // CDN-hosted websites are *less* protected than obscure ones. This
 // module rebuilds the full measurement stack — DNS, BGP as a collector's
-// table dump (MRT TABLE_DUMP_V2 and the path attributes inside it; the
-// live session layer and message framing are in history at PR 11 and
-// PR 23), RPKI (certificates, ROAs, relying-party validation), the
-// RPKI-to-Router protocol, and a synthetic web ecosystem standing in for
-// the live Internet — and re-runs the paper's methodology end to end.
+// routing table (written out as an MRT TABLE_DUMP_V2 dump that no
+// command reads back; internal/bgp says where in git history the session
+// layer, message framing and dump reader are), RPKI (certificates, ROAs,
+// relying-party validation), the RPKI-to-Router protocol, and a
+// synthetic web ecosystem standing in for the live Internet — and
+// re-runs the paper's methodology end to end.
 //
 // The simplest entry point is Study:
 //
