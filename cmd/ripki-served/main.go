@@ -26,6 +26,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -140,6 +141,17 @@ func configure(args []string, stderr io.Writer) (*daemon, error) {
 	// /healthz green from the first request.
 	source := "world"
 	var initial *vrp.Set
+	if *vrpFile == "" {
+		initial = world.Validation().VRPs
+	}
+	if *scenario == "" {
+		// Only a scenario reads the world again; the table holds what is
+		// served. Let go of it and collect: the world is most of the heap,
+		// and what the collector frees here the CSV and the index reuse,
+		// wherever the last cycle during Generate happened to set the goal.
+		world = nil
+		runtime.GC()
+	}
 	if *vrpFile != "" {
 		f, err := os.Open(*vrpFile)
 		if err != nil {
@@ -151,8 +163,6 @@ func configure(args []string, stderr io.Writer) (*daemon, error) {
 			return nil, err
 		}
 		source = "csv"
-	} else {
-		initial = world.Validation().VRPs
 	}
 	startup.VRPs = lap()
 	if _, err := svc.PublishSet(initial, source, 0); err != nil {

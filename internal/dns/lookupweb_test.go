@@ -50,7 +50,7 @@ func randomWebRegistry(rnd *rand.Rand) (*Registry, []string) {
 			rrs = append(rrs, RR{Name: name, Type: TypeCNAME, TTL: 60, Target: names[rnd.Intn(pool)]})
 		}
 		if len(rrs) == 0 {
-			rrs = append(rrs, RR{Name: name, Type: TypeTXT, TTL: 60, TXT: []string{"v=none"}})
+			rrs = append(rrs, RR{Name: name, Type: TypeTXT, TTL: 60, Data: &RData{TXT: []string{"v=none"}}})
 		}
 		rnd.Shuffle(len(rrs), func(a, b int) { rrs[a], rrs[b] = rrs[b], rrs[a] })
 		reg.AddBatch(rrs)

@@ -87,9 +87,11 @@ type SOAData struct {
 	Minimum uint32
 }
 
-// RR is one resource record. Exactly one payload field is meaningful,
-// chosen by Type: Addr for A/AAAA, Target for CNAME/NS, SOA for SOA,
-// TXT for TXT.
+// RR is one resource record. Exactly one payload is meaningful, chosen
+// by Type: Addr for A/AAAA, Target for CNAME/NS, Data.SOA, Data.TXT or
+// Data.DNSKEY for the rest. The payloads that are rare in a web world sit
+// behind Data, which is nil on A, AAAA, CNAME and NS records, so every
+// record of a registry pays one pointer for them rather than five words.
 type RR struct {
 	Name  string
 	Type  uint16
@@ -98,6 +100,11 @@ type RR struct {
 
 	Addr   netip.Addr
 	Target string
+	Data   *RData
+}
+
+// RData holds the payload of an SOA, TXT or DNSKEY record.
+type RData struct {
 	SOA    *SOAData
 	TXT    []string
 	DNSKEY *DNSKEYData
@@ -139,12 +146,12 @@ func packName(dst []byte, name string, table map[string]int) ([]byte, error) {
 		if table != nil && len(dst) < 0x4000 {
 			table[name] = len(dst)
 		}
-		label := name
-		if i := strings.IndexByte(name, '.'); i >= 0 {
-			label, name = name[:i], name[i+1:]
-		} else {
-			name = ""
+		label, rest, dotted := strings.Cut(name, ".")
+		if dotted && rest == "" {
+			// A second trailing dot is an empty last label, not the root.
+			return nil, fmt.Errorf("dns: bad label in %q", name)
 		}
+		name = rest
 		if len(label) == 0 || len(label) > 63 {
 			return nil, fmt.Errorf("dns: bad label %q", label)
 		}
@@ -158,7 +165,8 @@ func packName(dst []byte, name string, table map[string]int) ([]byte, error) {
 // It returns the name and the offset just past the name's storage in
 // the original location.
 func unpackName(msg []byte, off int) (string, int, error) {
-	var sb strings.Builder
+	var buf [253 + 1 + 63]byte // room for the longest name plus one label
+	name := buf[:0]
 	jumped := false
 	next := 0
 	steps := 0
@@ -175,11 +183,10 @@ func unpackName(msg []byte, off int) (string, int, error) {
 			if !jumped {
 				next = off + 1
 			}
-			name := sb.String()
-			if name == "" {
-				name = "."
+			if len(name) == 0 {
+				return ".", next, nil
 			}
-			return name, next, nil
+			return string(name), next, nil
 		case b&0xC0 == 0xC0:
 			if off+1 >= len(msg) {
 				return "", 0, errors.New("dns: truncated compression pointer")
@@ -200,12 +207,12 @@ func unpackName(msg []byte, off int) (string, int, error) {
 			if off+1+l > len(msg) {
 				return "", 0, errors.New("dns: label overruns message")
 			}
-			if sb.Len() > 0 {
-				sb.WriteByte('.')
+			if len(name) > 0 {
+				name = append(name, '.')
 			}
-			sb.Write(msg[off+1 : off+1+l])
+			name = append(name, msg[off+1:off+1+l]...)
 			off += 1 + l
-			if sb.Len() > 253 {
+			if len(name) > 253 {
 				return "", 0, errors.New("dns: name too long")
 			}
 		}
@@ -308,20 +315,25 @@ func packRR(dst []byte, rr RR, table map[string]int) ([]byte, error) {
 			return nil, err
 		}
 	case TypeSOA:
-		if rr.SOA == nil {
+		if rr.Data == nil || rr.Data.SOA == nil {
 			return nil, fmt.Errorf("dns: SOA record %q without data", rr.Name)
 		}
-		if dst, err = packName(dst, rr.SOA.MName, table); err != nil {
+		soa := rr.Data.SOA
+		if dst, err = packName(dst, soa.MName, table); err != nil {
 			return nil, err
 		}
-		if dst, err = packName(dst, rr.SOA.RName, table); err != nil {
+		if dst, err = packName(dst, soa.RName, table); err != nil {
 			return nil, err
 		}
-		for _, v := range []uint32{rr.SOA.Serial, rr.SOA.Refresh, rr.SOA.Retry, rr.SOA.Expire, rr.SOA.Minimum} {
+		for _, v := range []uint32{soa.Serial, soa.Refresh, soa.Retry, soa.Expire, soa.Minimum} {
 			dst = binary.BigEndian.AppendUint32(dst, v)
 		}
 	case TypeTXT:
-		for _, s := range rr.TXT {
+		var txt []string
+		if rr.Data != nil {
+			txt = rr.Data.TXT
+		}
+		for _, s := range txt {
 			if len(s) > 255 {
 				return nil, errors.New("dns: TXT string too long")
 			}
@@ -329,12 +341,13 @@ func packRR(dst []byte, rr RR, table map[string]int) ([]byte, error) {
 			dst = append(dst, s...)
 		}
 	case TypeDNSKEY:
-		if rr.DNSKEY == nil {
+		if rr.Data == nil || rr.Data.DNSKEY == nil {
 			return nil, fmt.Errorf("dns: DNSKEY record %q without data", rr.Name)
 		}
-		dst = binary.BigEndian.AppendUint16(dst, rr.DNSKEY.Flags)
-		dst = append(dst, rr.DNSKEY.Protocol, rr.DNSKEY.Algorithm)
-		dst = append(dst, rr.DNSKEY.PublicKey...)
+		key := rr.Data.DNSKEY
+		dst = binary.BigEndian.AppendUint16(dst, key.Flags)
+		dst = append(dst, key.Protocol, key.Algorithm)
+		dst = append(dst, key.PublicKey...)
 	default:
 		return nil, fmt.Errorf("dns: cannot pack record type %d", rr.Type)
 	}
@@ -360,6 +373,9 @@ func (m *Message) Unpack(msg []byte) error {
 	}
 	off := 12
 	m.Questions = nil
+	if counts[0] > 0 {
+		m.Questions = make([]Question, 0, min(counts[0], (len(msg)-off)/minQuestionLen))
+	}
 	for i := 0; i < counts[0]; i++ {
 		name, next, err := unpackName(msg, off)
 		if err != nil {
@@ -388,8 +404,20 @@ func (m *Message) Unpack(msg []byte) error {
 	return nil
 }
 
+// The shortest question and record on the wire: a root name (one byte)
+// and the fixed fields. A header's counts size the sections only as far
+// as the bytes left could hold, so a 12-byte message promising 65 535
+// records allocates nothing for them.
+const (
+	minQuestionLen = 1 + 4
+	minRRLen       = 1 + 10
+)
+
 func unpackSection(msg []byte, off, count int) ([]RR, int, error) {
 	var out []RR
+	if count > 0 {
+		out = make([]RR, 0, min(count, (len(msg)-off)/minRRLen))
+	}
 	for i := 0; i < count; i++ {
 		rr, next, err := unpackRR(msg, off)
 		if err != nil {
@@ -453,7 +481,7 @@ func unpackRR(msg []byte, off int) (RR, int, error) {
 		if o+20 > len(msg) || o+20 > rdStart+rdLen {
 			return rr, 0, errors.New("dns: SOA RDATA too short")
 		}
-		rr.SOA = &SOAData{
+		rr.Data = &RData{SOA: &SOAData{
 			MName:   m,
 			RName:   r,
 			Serial:  binary.BigEndian.Uint32(msg[o:]),
@@ -461,26 +489,27 @@ func unpackRR(msg []byte, off int) (RR, int, error) {
 			Retry:   binary.BigEndian.Uint32(msg[o+8:]),
 			Expire:  binary.BigEndian.Uint32(msg[o+12:]),
 			Minimum: binary.BigEndian.Uint32(msg[o+16:]),
-		}
+		}}
 	case TypeTXT:
+		rr.Data = &RData{}
 		for len(rd) > 0 {
 			l := int(rd[0])
 			if 1+l > len(rd) {
 				return rr, 0, errors.New("dns: TXT string overruns RDATA")
 			}
-			rr.TXT = append(rr.TXT, string(rd[1:1+l]))
+			rr.Data.TXT = append(rr.Data.TXT, string(rd[1:1+l]))
 			rd = rd[1+l:]
 		}
 	case TypeDNSKEY:
 		if rdLen < 4 {
 			return rr, 0, errors.New("dns: DNSKEY RDATA too short")
 		}
-		rr.DNSKEY = &DNSKEYData{
+		rr.Data = &RData{DNSKEY: &DNSKEYData{
 			Flags:     binary.BigEndian.Uint16(rd),
 			Protocol:  rd[2],
 			Algorithm: rd[3],
 			PublicKey: append([]byte(nil), rd[4:]...),
-		}
+		}}
 	default:
 		// Preserve nothing; unknown types are tolerated but empty.
 	}

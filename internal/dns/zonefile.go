@@ -26,7 +26,7 @@ func (r *Registry) WriteZoneTSV(w io.Writer) error {
 				case TypeAAAA:
 					_, err = fmt.Fprintf(bw, "%s\tAAAA\t%s\n", name, rr.Addr)
 				case TypeDNSKEY:
-					_, err = fmt.Fprintf(bw, "%s\tDNSKEY\t%x\n", name, rr.DNSKEY.PublicKey)
+					_, err = fmt.Fprintf(bw, "%s\tDNSKEY\t%x\n", name, rr.Data.DNSKEY.PublicKey)
 				}
 				if err != nil {
 					return err
@@ -80,7 +80,7 @@ func LoadZoneTSV(r io.Reader) (*Registry, error) {
 			if _, err := fmt.Sscanf(val, "%x", &key); err != nil {
 				return nil, fmt.Errorf("dns: zone line %d: bad DNSKEY hex: %w", line, err)
 			}
-			reg.Add(RR{Name: name, Type: TypeDNSKEY, TTL: 3600, DNSKEY: &DNSKEYData{Flags: 257, Protocol: 3, Algorithm: 8, PublicKey: key}})
+			reg.Add(RR{Name: name, Type: TypeDNSKEY, TTL: 3600, Data: &RData{DNSKEY: &DNSKEYData{Flags: 257, Protocol: 3, Algorithm: 8, PublicKey: key}}})
 		default:
 			// Tolerate future record types in dumps.
 		}

@@ -14,7 +14,7 @@ func TestZoneTSVRoundTrip(t *testing.T) {
 	reg.Add(RR{Name: "example.com", Type: TypeAAAA, TTL: 60, Addr: netutil.MustAddr("2001:db8::1")})
 	reg.AddCNAME("www.example.com", "edge.cdn.wld", 300)
 	reg.Add(RR{Name: "edge.cdn.wld", Type: TypeA, TTL: 30, Addr: netutil.MustAddr("203.0.113.5")})
-	reg.Add(RR{Name: "signed.example", Type: TypeDNSKEY, TTL: 3600, DNSKEY: &DNSKEYData{Flags: 257, Protocol: 3, Algorithm: 8, PublicKey: []byte{1, 2, 3, 4}}})
+	reg.Add(RR{Name: "signed.example", Type: TypeDNSKEY, TTL: 3600, Data: &RData{DNSKEY: &DNSKEYData{Flags: 257, Protocol: 3, Algorithm: 8, PublicKey: []byte{1, 2, 3, 4}}}})
 
 	var buf bytes.Buffer
 	if err := reg.WriteZoneTSV(&buf); err != nil {
@@ -38,7 +38,7 @@ func TestZoneTSVRoundTrip(t *testing.T) {
 	if err != nil || !signed {
 		t.Errorf("DNSKEY lost in round trip: %v %v", signed, err)
 	}
-	if keys := got.Lookup("signed.example", TypeDNSKEY); len(keys) != 1 || !bytes.Equal(keys[0].DNSKEY.PublicKey, []byte{1, 2, 3, 4}) {
+	if keys := got.Lookup("signed.example", TypeDNSKEY); len(keys) != 1 || !bytes.Equal(keys[0].Data.DNSKEY.PublicKey, []byte{1, 2, 3, 4}) {
 		t.Errorf("DNSKEY payload mismatch: %+v", keys)
 	}
 }

@@ -189,22 +189,56 @@ func (r *Repository) NewCA(parent *CA, subject string, res cert.Resources) (*CA,
 	return ca, nil
 }
 
-// AddROA signs a ROA under ca authorising asID to originate prefixes.
+// ROASpec is one ROA to issue: the AS it authorises and the prefixes
+// that AS may originate.
+type ROASpec struct {
+	ASID     uint32
+	Prefixes []roa.Prefix
+}
+
+// AddROA signs a ROA under ca authorising asID to originate prefixes,
+// and re-signs ca's manifest.
 func (r *Repository) AddROA(ca *CA, asID uint32, prefixes []roa.Prefix) (*roa.ROA, error) {
-	ca.nextSerial++
-	ee, eeKey, err := roa.NewEE(ca.nextSerial, fmt.Sprintf("%s-roa-%d", ca.Cert.Subject, ca.nextSerial), prefixes, r.Clock, r.Clock.Add(r.TTL), ca.Cert, ca.Key)
+	ros, err := r.AddROAs(ca, []ROASpec{{ASID: asID, Prefixes: prefixes}})
 	if err != nil {
 		return nil, err
 	}
-	ro, err := roa.Sign(asID, prefixes, ee, eeKey)
-	if err != nil {
-		return nil, err
+	return ros[0], nil
+}
+
+// AddROAs signs one ROA per spec under ca, in order, and then ca's
+// manifest once over all of them. It publishes what as many AddROA calls
+// would, for one manifest signature instead of one per ROA. On an error
+// no ROA of the batch is published. An empty batch signs nothing.
+func (r *Repository) AddROAs(ca *CA, specs []ROASpec) ([]*roa.ROA, error) {
+	if len(specs) == 0 {
+		return nil, nil
 	}
-	ca.ROAs = append(ca.ROAs, ro)
+	held := len(ca.ROAs)
+	for _, s := range specs {
+		ro, err := r.issueROA(ca, s)
+		if err != nil {
+			ca.ROAs = ca.ROAs[:held]
+			return nil, err
+		}
+		ca.ROAs = append(ca.ROAs, ro)
+	}
 	if err := ca.refreshManifest(r.Clock, r.TTL); err != nil {
+		ca.ROAs = ca.ROAs[:held]
 		return nil, err
 	}
-	return ro, nil
+	return ca.ROAs[held:len(ca.ROAs):len(ca.ROAs)], nil
+}
+
+// issueROA signs one ROA under ca with a fresh EE certificate; it does
+// not publish it.
+func (r *Repository) issueROA(ca *CA, s ROASpec) (*roa.ROA, error) {
+	ca.nextSerial++
+	ee, eeKey, err := roa.NewEE(ca.nextSerial, fmt.Sprintf("%s-roa-%d", ca.Cert.Subject, ca.nextSerial), s.Prefixes, r.Clock, r.Clock.Add(r.TTL), ca.Cert, ca.Key)
+	if err != nil {
+		return nil, err
+	}
+	return roa.Sign(s.ASID, s.Prefixes, ee, eeKey)
 }
 
 // Revoke adds serial to ca's CRL, removing the corresponding ROA's

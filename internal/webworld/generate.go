@@ -282,8 +282,17 @@ func (w *World) buildOrgs() error {
 
 // --- RPKI --------------------------------------------------------------
 
+// caROAs is one CA and the ROAs the world decides it signs. They are
+// issued in one batch once every decision is made, so each manifest is
+// signed once rather than once per ROA.
+type caROAs struct {
+	ca   *repo.CA
+	roas []repo.ROASpec
+}
+
 func (w *World) signROAs() error {
-	cas := make(map[*Org]*repo.CA)
+	var batches []*caROAs
+	byOrg := make(map[*Org]*caROAs)
 	for _, o := range w.Orgs {
 		if !o.SignsROAs || len(o.Prefixes) == 0 {
 			continue
@@ -297,6 +306,7 @@ func (w *World) signROAs() error {
 		if err != nil {
 			return err
 		}
+		b := &caROAs{ca: ca}
 		prefixes := o.Prefixes
 		signedASes := map[uint32]bool{}
 		if o.CDN != nil && o.CDN.SignsROAs {
@@ -330,9 +340,7 @@ func (w *World) signROAs() error {
 				roaOrigin = origin + 100000
 				w.Stats.ROAsMisconfigured++
 			}
-			if _, err := w.Repo.AddROA(ca, roaOrigin, []roa.Prefix{{Prefix: p, MaxLength: p.Bits()}}); err != nil {
-				return err
-			}
+			b.roas = append(b.roas, repo.ROASpec{ASID: roaOrigin, Prefixes: []roa.Prefix{{Prefix: p, MaxLength: p.Bits()}}})
 			w.Stats.ROAsIssued++
 			w.Stats.PrefixesSigned++
 			signedASes[roaOrigin] = true
@@ -343,20 +351,27 @@ func (w *World) signROAs() error {
 				w.cleanSigned[o] = append(w.cleanSigned[o], p)
 			}
 		}
-		cas[o] = ca
+		batches = append(batches, b)
+		byOrg[o] = b
 	}
-	return w.plantBackups(cas)
+	w.plantBackups(byOrg)
+	for _, b := range batches {
+		if _, err := w.Repo.AddROAs(b.ca, b.roas); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// plantBackups writes the §5.2 confidential standby setups into the
-// RPKI: a signing organisation additionally authorises a partner
+// plantBackups adds the §5.2 confidential standby setups to the ROAs the
+// owners' CAs sign: a signing organisation additionally authorises a partner
 // organisation's AS on one of its prefixes. The arrangement never
 // appears in BGP (the partner only announces during an incident), yet
 // the RPKI documents it in advance — exactly the disclosure the paper
 // argues deters deployment.
-func (w *World) plantBackups(cas map[*Org]*repo.CA) error {
+func (w *World) plantBackups(byOrg map[*Org]*caROAs) {
 	if w.Cfg.BackupArrangements <= 0 {
-		return nil
+		return
 	}
 	var signers []*Org
 	for _, o := range w.Orgs {
@@ -398,9 +413,8 @@ func (w *World) plantBackups(cas map[*Org]*repo.CA) error {
 		}
 		usedPrefix[prefix] = true
 		standbyASN := partner.ASNs[w.rnd.Intn(len(partner.ASNs))]
-		if _, err := w.Repo.AddROA(cas[owner], standbyASN, []roa.Prefix{{Prefix: prefix, MaxLength: prefix.Bits()}}); err != nil {
-			return err
-		}
+		b := byOrg[owner]
+		b.roas = append(b.roas, repo.ROASpec{ASID: standbyASN, Prefixes: []roa.Prefix{{Prefix: prefix, MaxLength: prefix.Bits()}}})
 		w.Stats.ROAsIssued++
 		w.PlantedBackups = append(w.PlantedBackups, PlantedBackup{
 			OwnerOrg:   owner.Name,
@@ -409,7 +423,6 @@ func (w *World) plantBackups(cas map[*Org]*repo.CA) error {
 			StandbyASN: standbyASN,
 		})
 	}
-	return nil
 }
 
 // certResources bounds a CA to its organisation's holdings.

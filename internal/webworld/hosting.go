@@ -134,7 +134,7 @@ type domainBuilder struct {
 }
 
 const (
-	recChunk      = 4096 // the most records in a chunk (416 KiB)
+	recChunk      = 4096 // the most records in a chunk (288 KiB)
 	maxDomainRecs = 8    // DNSKEY, three A and an AAAA at the apex, three A at www
 )
 
@@ -254,7 +254,7 @@ func (b *domainBuilder) maybeSignZone(domain string) {
 	b.rnd.Read(key)
 	b.add(dns.RR{
 		Name: domain, Type: dns.TypeDNSKEY, TTL: 3600,
-		DNSKEY: &dns.DNSKEYData{Flags: 257, Protocol: 3, Algorithm: 8, PublicKey: key},
+		Data: &dns.RData{DNSKEY: &dns.DNSKEYData{Flags: 257, Protocol: 3, Algorithm: 8, PublicKey: key}},
 	})
 }
 

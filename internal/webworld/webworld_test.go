@@ -3,11 +3,14 @@ package webworld
 import (
 	"math"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
 	"ripki/internal/dns"
 	"ripki/internal/netutil"
+	"ripki/internal/rpki/cert"
+	"ripki/internal/rpki/repo"
 	"ripki/internal/rpki/vrp"
 )
 
@@ -103,6 +106,57 @@ func TestRPKIRepositoryValidates(t *testing.T) {
 	}
 	if w.Stats.ROAsIssued != res.ROAsSeen {
 		t.Errorf("issued %d ROAs, validator saw %d", w.Stats.ROAsIssued, res.ROAsSeen)
+	}
+}
+
+// A world signs each CA's ROAs as one batch under one manifest. Replayed
+// into a fresh repository one AddROA at a time — a manifest per ROA — the
+// same tree validates to the same payloads, problems and counts, and
+// every manifest of the batched tree verifies.
+func TestBatchedROAsValidateAsOneAtATime(t *testing.T) {
+	w := smallWorld(t)
+	replay, err := repo.New(repo.RIRNames, w.Repo.Clock, w.Repo.TTL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := cert.VerifyOptions{Now: w.MeasureTime()}
+	var copyCA func(from, to *repo.CA)
+	copyCA = func(from, to *repo.CA) {
+		if err := from.Manifest.Verify(from.Cert, opts); err != nil {
+			t.Errorf("%s: manifest: %v", from.Cert.Subject, err)
+		}
+		for _, ro := range from.ROAs {
+			if _, err := replay.AddROA(to, ro.ASID, ro.Prefixes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, child := range from.Children {
+			c, err := replay.NewCA(to, child.Cert.Subject, child.Cert.Resources)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copyCA(child, c)
+		}
+	}
+	for i, ta := range w.Repo.Anchors {
+		copyCA(ta, replay.Anchors[i])
+	}
+
+	got, want := w.Validation(), replay.Validate(w.MeasureTime())
+	if got.ROAsSeen != want.ROAsSeen || got.ROAsValid != want.ROAsValid || got.ROAsSeen != w.Stats.ROAsIssued {
+		t.Errorf("ROAs seen/valid %d/%d, one at a time %d/%d, issued %d", got.ROAsSeen, got.ROAsValid, want.ROAsSeen, want.ROAsValid, w.Stats.ROAsIssued)
+	}
+	if !slices.Equal(got.VRPs.All(), want.VRPs.All()) {
+		t.Errorf("VRPs differ: %d batched, %d one at a time", got.VRPs.Len(), want.VRPs.Len())
+	}
+	problems := func(res *repo.ValidationResult) (out []string) {
+		for _, p := range res.Problems {
+			out = append(out, p.String())
+		}
+		return out
+	}
+	if !slices.Equal(problems(got), problems(want)) {
+		t.Errorf("problems differ:\n%v\n%v", problems(got), problems(want))
 	}
 }
 
