@@ -1,36 +1,25 @@
 package ripki
 
-// The benchmark harness regenerates every table and figure of the
-// paper's evaluation (see DESIGN.md's per-experiment index, E1..E8).
-// Each benchmark times the analysis and, on the first iteration,
-// reports the headline values of the reproduced result as custom
-// metrics, so `go test -bench . -benchmem` doubles as the reproduction
-// log (captured into bench_output.txt).
-//
-// The world size defaults to 100k domains (a tenth of the paper's 1M;
-// the shapes are scale-stable — see BenchmarkAblationScale). Set
-// RIPKI_BENCH_DOMAINS=1000000 to run at full paper scale.
+// The gated benchmarks `make bench` runs: the paper's pipeline over the
+// 100 000-domain study world, the scenario engine's tick and set-up, and
+// the RTR and probe paths a tick rides on. allocs/op and B/op are held
+// to BENCH_baseline.json; the paper's figures are asserted by
+// internal/measure's TestPaperFindingsEmerge, not reported here.
 
 import (
-	"fmt"
-	"math"
 	"net"
 	"net/netip"
-	"os"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
 
-	"ripki/internal/bgp"
 	"ripki/internal/dns"
 	"ripki/internal/httparchive"
 	"ripki/internal/measure"
 	"ripki/internal/netutil"
-	"ripki/internal/router"
 	"ripki/internal/rpki/vrp"
 	"ripki/internal/rtr"
-	"ripki/internal/stats"
+	"ripki/internal/sim"
 	"ripki/internal/webworld"
 )
 
@@ -40,139 +29,15 @@ var (
 	benchErr   error
 )
 
-func benchDomains() int {
-	if s := os.Getenv("RIPKI_BENCH_DOMAINS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 100000
-}
-
 func setupStudy(b *testing.B) *Study {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchStudy, benchErr = NewStudy(StudyConfig{Domains: benchDomains(), Seed: 2015})
+		benchStudy, benchErr = NewStudy(StudyConfig{Domains: 100000, Seed: 2015})
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
 	}
 	return benchStudy
-}
-
-func meanY(ps []stats.Point) float64 {
-	var sum, n float64
-	for _, p := range ps {
-		if !math.IsNaN(p.Y) {
-			sum += p.Y
-			n++
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / n
-}
-
-func headTail(ps []stats.Point) (head, tail float64) {
-	k := len(ps) / 10
-	if k == 0 {
-		k = 1
-	}
-	return meanY(ps[:k]), meanY(ps[len(ps)-k:])
-}
-
-// BenchmarkFigure1 regenerates Figure 1 (equal prefixes between www and
-// w/o-www names). Paper: >76% in the first 100k ranks, >94% beyond.
-func BenchmarkFigure1(b *testing.B) {
-	s := setupStudy(b)
-	var fig *Figure
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fig = s.Figure1()
-	}
-	head, tail := headTail(fig.Series[0].Points)
-	b.ReportMetric(head*100, "headEqual%")
-	b.ReportMetric(tail*100, "tailEqual%")
-}
-
-// BenchmarkFigure2 regenerates Figure 2 (validation outcome by rank).
-// Paper: valid ≈4.0% in the top 100k rising to ≈5.5%; invalid ≈0.09%
-// flat; not found ≈93–96%.
-func BenchmarkFigure2(b *testing.B) {
-	s := setupStudy(b)
-	var fig *Figure
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fig = s.Figure2(VariantWWW)
-	}
-	headValid, tailValid := headTail(fig.Series[0].Points)
-	b.ReportMetric(headValid*100, "headValid%")
-	b.ReportMetric(tailValid*100, "tailValid%")
-	b.ReportMetric(meanY(fig.Series[1].Points)*100, "invalid%")
-	b.ReportMetric(meanY(fig.Series[2].Points)*100, "notfound%")
-}
-
-// BenchmarkFigure3 regenerates Figure 3 (CDN popularity, two
-// heuristics). Paper: both decay with rank; HTTPArchive sits above the
-// conservative indirection heuristic.
-func BenchmarkFigure3(b *testing.B) {
-	s := setupStudy(b)
-	var fig *Figure
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fig = s.Figure3()
-	}
-	haHead, _ := headTail(fig.Series[0].Points)
-	chHead, chTail := headTail(fig.Series[1].Points)
-	b.ReportMetric(haHead*100, "httparchiveHead%")
-	b.ReportMetric(chHead*100, "chainHead%")
-	b.ReportMetric(chTail*100, "chainTail%")
-}
-
-// BenchmarkFigure4 regenerates Figure 4 (RPKI-enabled: overall vs
-// CDN-hosted). Paper: CDN-hosted fluctuates around 0.9%, an order of
-// magnitude below the overall deployment.
-func BenchmarkFigure4(b *testing.B) {
-	s := setupStudy(b)
-	var fig *Figure
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fig = s.Figure4(VariantWWW)
-	}
-	b.ReportMetric(meanY(fig.Series[0].Points)*100, "overall%")
-	b.ReportMetric(meanY(fig.Series[1].Points)*100, "cdnHosted%")
-}
-
-// BenchmarkTable1 regenerates Table 1 (top covered domains).
-func BenchmarkTable1(b *testing.B) {
-	s := setupStudy(b)
-	var tbl *Table
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl = s.Table1(10)
-	}
-	b.ReportMetric(float64(len(tbl.Rows)), "rows")
-}
-
-// BenchmarkCDNStudy regenerates the §4.2 analysis. Paper: 199 CDN ASes,
-// 4 RPKI prefixes tied to 3 origin ASes, all Internap's.
-func BenchmarkCDNStudy(b *testing.B) {
-	s := setupStudy(b)
-	var rows []CDNStudyRow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows = s.CDNStudy()
-	}
-	ases, prefixes, origins := 0, 0, 0
-	for _, r := range rows {
-		ases += r.ASes
-		prefixes += r.RPKIPrefix
-		origins += r.RPKIASes
-	}
-	b.ReportMetric(float64(ases), "cdnASes")
-	b.ReportMetric(float64(prefixes), "rpkiPrefixes")
-	b.ReportMetric(float64(origins), "rpkiOrigins")
 }
 
 // BenchmarkPipeline times the full §3 methodology (steps 2–4) over the
@@ -197,134 +62,13 @@ func BenchmarkPipeline(b *testing.B) {
 	b.ReportMetric(float64(s.World.Cfg.Domains)/1000, "kdomains")
 }
 
-// BenchmarkWorldGen times synthetic-world generation (the substitute
-// for the paper's data collection).
-func BenchmarkWorldGen(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := webworld.Generate(webworld.Config{Seed: int64(i), Domains: 20000}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRPKIValidation times relying-party validation of the world's
-// full repository (step 4's crypto).
-func BenchmarkRPKIValidation(b *testing.B) {
-	s := setupStudy(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := s.World.Repo.Validate(s.World.MeasureTime())
-		if res.VRPs.Len() == 0 {
-			b.Fatal("no VRPs")
-		}
-	}
-}
-
-// BenchmarkHijack exercises the §2.3 experiment: an origin-validating
-// router processing a stream with a 1% hijack mix.
-func BenchmarkHijack(b *testing.B) {
-	s := setupStudy(b)
-	all := s.VRPs.All()
-	if len(all) == 0 {
-		b.Fatal("no VRPs")
-	}
-	r := router.NewWithPolicy(router.StaticVRPs{VRPs: s.VRPs}, router.PolicyDropInvalid)
-	events := make([]bgp.RouteEvent, 0, 1000)
-	for i := 0; i < 1000; i++ {
-		v := all[i%len(all)]
-		origin := v.ASN
-		if i%100 == 0 {
-			origin = 65551 // the attacker
-		}
-		events = append(events, bgp.RouteEvent{
-			PeerAS: 3333, PeerID: netutil.MustAddr("10.0.0.1"),
-			Prefix:  v.Prefix,
-			Path:    []bgp.Segment{{Type: bgp.SegmentSequence, ASNs: []uint32{3333, origin}}},
-			NextHop: netutil.MustAddr("10.0.0.1"),
-		})
-	}
-	b.ResetTimer()
-	dropped := 0
-	for i := 0; i < b.N; i++ {
-		d, err := r.Process(events[i%len(events)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !d.Accepted {
-			dropped++
-		}
-	}
-	if b.N >= len(events) && dropped == 0 {
-		b.Fatal("no hijacks dropped")
-	}
-}
-
-// BenchmarkOriginValidation times raw RFC 6811 classification against
-// the study's VRP set.
-func BenchmarkOriginValidation(b *testing.B) {
-	s := setupStudy(b)
-	all := s.VRPs.All()
-	if len(all) == 0 {
-		b.Fatal("no VRPs")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := all[i%len(all)]
-		if st := s.VRPs.Validate(v.Prefix, v.ASN); st != vrp.Valid {
-			b.Fatalf("unexpected state %v", st)
-		}
-	}
-}
-
-// BenchmarkExposure runs the §5.2 business-relation analysis: the
-// planted standby arrangements must surface from the VRPs alone.
-func BenchmarkExposure(b *testing.B) {
-	s := setupStudy(b)
-	var rels []ExposedRelation
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rels = s.ExposedRelations()
-	}
-	b.ReportMetric(float64(len(rels)), "relations")
-	b.ReportMetric(float64(len(s.World.PlantedBackups)), "planted")
-}
-
-// BenchmarkDNSSECStudy runs the future-work extension: DNSSEC adoption
-// measured alongside RPKI coverage (independent by construction).
-func BenchmarkDNSSECStudy(b *testing.B) {
-	s := setupStudy(b)
-	cfg := measure.Config{
-		Resolver: dns.RegistryResolver{Registry: s.World.Registry},
-		RIB:      s.World.RIB,
-		VRPs:     s.VRPs,
-		BinWidth: s.Dataset.BinWidth,
-		DNSSEC:   true,
-	}
-	var ds *measure.Dataset
-	var err error
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ds, err = measure.Run(s.World.List, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	signed := 0
-	for i := range ds.Results {
-		if ds.Results[i].DNSSEC {
-			signed++
-		}
-	}
-	b.ReportMetric(float64(signed)/float64(len(ds.Results))*100, "dnssec%")
-}
-
 // BenchmarkSimTick times the scenario engine's hot loop: one virtual
 // tick of the roa-churn scenario — scenario events, VRP flush over the
 // RTR wire, relying-party refresh, and revalidation (the probe is
 // sampled out of the loop).
 func BenchmarkSimTick(b *testing.B) {
 	tick := 10 * time.Second
-	s, err := NewSimulation(SimConfig{
+	s, err := sim.New(sim.Config{
 		Scenario:      "roa-churn",
 		Seed:          3,
 		Domains:       5000,
@@ -368,7 +112,7 @@ func BenchmarkSimSetup(b *testing.B) {
 	}
 	snap := w.Snapshot()
 	run := func(b *testing.B, scenario string) {
-		s, err := NewSimulation(SimConfig{
+		s, err := sim.New(sim.Config{
 			Scenario: scenario, Seed: 3, World: snap.Clone(),
 			Tick: 30 * time.Second, Duration: 2 * time.Minute, SampleEvery: 2,
 		})
@@ -400,7 +144,7 @@ func BenchmarkSimSetup(b *testing.B) {
 // overhead in the tick path can never regress silently.
 func BenchmarkComposedSimTick(b *testing.B) {
 	tick := 10 * time.Second
-	s, err := NewSimulation(SimConfig{
+	s, err := sim.New(sim.Config{
 		Scenario:      "roa-churn+rp-lag",
 		Seed:          3,
 		Domains:       5000,
@@ -559,97 +303,5 @@ func BenchmarkTruthSetDelta(b *testing.B) {
 		} else {
 			srv.UpdateDelta(nil, withdraw)
 		}
-	}
-}
-
-// --- Ablations (design choices called out in DESIGN.md) ---------------
-
-// BenchmarkAblationBinWidth re-runs Figure 2 with the bin sizes the
-// paper says it experimented with before settling on 10k.
-func BenchmarkAblationBinWidth(b *testing.B) {
-	s := setupStudy(b)
-	for _, width := range []int{1000, 10000, 50000} {
-		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
-			ds := *s.Dataset
-			ds.BinWidth = width
-			var fig *Figure
-			for i := 0; i < b.N; i++ {
-				fig = ds.Figure2(VariantWWW)
-			}
-			head, tail := headTail(fig.Series[0].Points)
-			b.ReportMetric(head*100, "headValid%")
-			b.ReportMetric(tail*100, "tailValid%")
-		})
-	}
-}
-
-// BenchmarkAblationCDNThreshold varies the CNAME-indirection cutoff.
-// The paper argues ≥2 is a deliberate under-estimate that sharpens the
-// CDN picture; ≥1 sweeps in non-CDN aliases.
-func BenchmarkAblationCDNThreshold(b *testing.B) {
-	s := setupStudy(b)
-	ha := httparchive.New(s.World.CDNSuffixes)
-	ha.Limit = s.World.Cfg.Domains * 3 / 10
-	for _, threshold := range []int{1, 2, 3} {
-		b.Run(fmt.Sprintf("threshold=%d", threshold), func(b *testing.B) {
-			cfg := measure.Config{
-				Resolver:     dns.RegistryResolver{Registry: s.World.Registry},
-				RIB:          s.World.RIB,
-				VRPs:         s.VRPs,
-				HTTPArchive:  ha,
-				CDNThreshold: threshold,
-				BinWidth:     s.Dataset.BinWidth,
-			}
-			var ds *measure.Dataset
-			var err error
-			for i := 0; i < b.N; i++ {
-				ds, err = measure.Run(s.World.List, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			cdnShare := 0.0
-			for i := range ds.Results {
-				if ds.Results[i].CDNByChain {
-					cdnShare++
-				}
-			}
-			b.ReportMetric(cdnShare/float64(len(ds.Results))*100, "cdnDomains%")
-		})
-	}
-}
-
-// BenchmarkAblationVariant compares the www and w/o-www views (the
-// paper's Figure 1 motivates why both are measured).
-func BenchmarkAblationVariant(b *testing.B) {
-	s := setupStudy(b)
-	for _, v := range []Variant{VariantWWW, VariantApex} {
-		b.Run(v.String(), func(b *testing.B) {
-			var fig *Figure
-			for i := 0; i < b.N; i++ {
-				fig = s.Figure4(v)
-			}
-			b.ReportMetric(meanY(fig.Series[0].Points)*100, "overall%")
-		})
-	}
-}
-
-// BenchmarkAblationScale verifies trend stability across world sizes:
-// the head-vs-tail coverage gap must persist at every scale.
-func BenchmarkAblationScale(b *testing.B) {
-	for _, domains := range []int{20000, 50000} {
-		b.Run(fmt.Sprintf("domains=%d", domains), func(b *testing.B) {
-			var head, tail float64
-			for i := 0; i < b.N; i++ {
-				s, err := NewStudy(StudyConfig{Domains: domains, Seed: 7})
-				if err != nil {
-					b.Fatal(err)
-				}
-				fig := s.Figure4(VariantWWW)
-				head, tail = headTail(fig.Series[0].Points)
-			}
-			b.ReportMetric(head*100, "headCoverage%")
-			b.ReportMetric(tail*100, "tailCoverage%")
-		})
 	}
 }

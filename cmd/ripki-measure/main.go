@@ -15,6 +15,8 @@ import (
 	"os"
 
 	"ripki"
+	"ripki/internal/measure"
+	"ripki/internal/stats"
 )
 
 func main() {
@@ -23,7 +25,7 @@ func main() {
 	var (
 		domains  = flag.Int("domains", 100000, "size of the ranked domain list")
 		seed     = flag.Int64("seed", 1, "world generation seed")
-		bin      = flag.Int("bin", 0, "bin width (default: domains/100, the paper's 10k-of-1M ratio)")
+		bin      = flag.Int("bin", 0, "bin width (default: the world's size/100, the paper's 10k-of-1M ratio)")
 		variant  = flag.String("variant", "www", `name variant: "www" or "apex"`)
 		fig      = flag.Int("fig", 0, "print figure N (1-4)")
 		table1   = flag.Bool("table1", false, "print Table 1")
@@ -38,33 +40,30 @@ func main() {
 	)
 	flag.Parse()
 
-	v := ripki.VariantWWW
+	v := measure.VariantWWW
 	switch *variant {
 	case "www":
 	case "apex", "w/o www":
-		v = ripki.VariantApex
+		v = measure.VariantApex
 	default:
 		log.Fatalf("unknown variant %q", *variant)
 	}
-	binWidth := *bin
-	if binWidth == 0 {
-		binWidth = *domains / 100
-		if binWidth == 0 {
-			binWidth = 1
-		}
+	if *topN < 1 {
+		log.Fatalf("-top %d: Table 1 needs at least one row", *topN)
 	}
 
 	study, err := ripki.NewStudy(ripki.StudyConfig{
 		Domains:  *domains,
 		Seed:     *seed,
-		BinWidth: binWidth,
+		BinWidth: *bin,
 		DNSSEC:   *dnssec || *all,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	ds := study.Dataset
 
-	emitFig := func(f *ripki.Figure) {
+	emitFig := func(f *stats.Figure) {
 		if *plot {
 			fmt.Print(f.ASCIIPlot(72, 16))
 			return
@@ -74,7 +73,7 @@ func main() {
 		}
 		fmt.Println()
 	}
-	emitTable := func(t *ripki.Table) {
+	emitTable := func(t *stats.Table) {
 		if *plot {
 			if err := t.WriteAligned(os.Stdout); err != nil {
 				log.Fatal(err)
@@ -87,39 +86,39 @@ func main() {
 
 	printed := false
 	if *all || *summary {
-		emitTable(study.Summary())
+		emitTable(ds.Summary())
 		printed = true
 	}
 	if *all || *fig == 1 {
-		emitFig(study.Figure1())
+		emitFig(ds.Figure1())
 		printed = true
 	}
 	if *all || *fig == 2 {
-		emitFig(study.Figure2(v))
+		emitFig(ds.Figure2(v))
 		printed = true
 	}
 	if *all || *fig == 3 {
-		emitFig(study.Figure3())
+		emitFig(ds.Figure3())
 		printed = true
 	}
 	if *all || *fig == 4 {
-		emitFig(study.Figure4(v))
+		emitFig(ds.Figure4(v))
 		printed = true
 	}
 	if *all || *table1 {
-		emitTable(study.Table1(*topN))
+		emitTable(ds.Table1(*topN))
 		printed = true
 	}
 	if *all || *cdnstudy {
-		emitTable(ripki.CDNStudyTable(study.CDNStudy()))
+		emitTable(measure.CDNStudyTable(study.CDNStudy()))
 		printed = true
 	}
 	if *all || *exposure {
-		emitTable(ripki.ExposureTable(study.ExposedRelations()))
+		emitTable(measure.ExposureTable(study.ExposedRelations()))
 		printed = true
 	}
 	if *all || *dnssec {
-		emitFig(study.FigureDNSSEC(v))
+		emitFig(ds.FigureDNSSEC(v))
 		printed = true
 	}
 	if *dump != "" {
@@ -127,14 +126,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := study.Dataset.WriteTSV(f); err != nil {
+		if err := ds.WriteTSV(f); err != nil {
 			f.Close()
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d domains)\n", *dump, study.Dataset.Totals.Domains)
+		fmt.Fprintf(os.Stderr, "wrote %s (%d domains)\n", *dump, ds.Totals.Domains)
 		printed = true
 	}
 	if !printed {

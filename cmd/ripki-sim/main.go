@@ -23,7 +23,8 @@ import (
 	"strings"
 	"time"
 
-	"ripki"
+	"ripki/internal/obs"
+	"ripki/internal/sim"
 )
 
 // paramFlag collects repeatable -param key=value pairs.
@@ -49,7 +50,7 @@ func main() {
 		// drift from the actual scenario library (ripki-sweep shares it).
 		scenario = flag.String("scenario", "hijack-window",
 			`scenario to run, or a "+"-joined composition ("roa-churn+rp-lag") running every component's events in one world; registered: `+
-				strings.Join(ripki.Scenarios(), ", "))
+				strings.Join(sim.Names(), ", "))
 		list          = flag.Bool("list", false, "list registered scenarios, their params with defaults, and the composition syntax, then exit")
 		seed          = flag.Int64("seed", 1, "world + scenario seed")
 		domains       = flag.Int("domains", 20000, "size of the generated world")
@@ -67,8 +68,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, name := range ripki.Scenarios() {
-			sc, _ := ripki.LookupScenario(name)
+		for _, name := range sim.Names() {
+			sc, _ := sim.Lookup(name)
 			fmt.Printf("%-24s %s\n", name, sc.Description)
 			if len(sc.Params) > 0 {
 				var defaults []string
@@ -83,9 +84,9 @@ func main() {
 		return
 	}
 
-	sim, err := ripki.NewSimulation(ripki.SimConfig{
+	run, err := sim.New(sim.Config{
 		Scenario:      *scenario,
-		Params:        ripki.SimParams(params),
+		Params:        sim.Params(params),
 		Seed:          *seed,
 		Domains:       *domains,
 		Tick:          *tick,
@@ -96,21 +97,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sim.Close()
+	defer run.Close()
 	if *narrate {
-		sim.Bus.SubscribeAll(func(e ripki.SimEvent) { fmt.Fprintln(os.Stderr, e) })
+		run.Bus.SubscribeAll(func(e sim.Event) { fmt.Fprintln(os.Stderr, e) })
 	}
-	var incidents *ripki.IncidentLog
+	var incidents *sim.IncidentLog
 	if *eventsPath != "" {
-		incidents = &ripki.IncidentLog{}
-		sim.AttachIncidents(incidents.Add)
+		incidents = &sim.IncidentLog{}
+		run.AttachIncidents(incidents.Add)
 	}
-	var trace *ripki.Trace
+	var trace *obs.Trace
 	if *tracePath != "" {
-		trace = ripki.NewTrace()
-		sim.AttachTrace(trace)
+		trace = obs.NewTrace()
+		run.AttachTrace(trace)
 	}
-	series, err := sim.Run()
+	series, err := run.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func main() {
 	if trace != nil {
 		// Close first: it spans out any hijacks still active at the
 		// horizon, completing the trace.
-		sim.Close()
+		run.Close()
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			log.Fatal(err)

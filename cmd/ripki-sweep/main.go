@@ -62,8 +62,10 @@ import (
 	"syscall"
 	"time"
 
-	"ripki"
+	"ripki/internal/distsweep"
 	"ripki/internal/obs"
+	"ripki/internal/sim"
+	"ripki/internal/sweep"
 )
 
 // errFlagParse marks a flag-parsing failure the FlagSet has already
@@ -126,7 +128,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var (
 		scenarios = fs.String("scenarios", "baseline",
 			`comma-separated scenario axis; "+"-joined compositions allowed ("roa-churn+rp-lag"); registered: `+
-				strings.Join(ripki.Scenarios(), ", "))
+				strings.Join(sim.Names(), ", "))
 		gridPath      = fs.String("grid", "", "JSON grid file (overrides the axis flags)")
 		masterSeed    = fs.Int64("master-seed", 1, "master seed for per-replicate seed derivation")
 		replicates    = fs.Int("replicates", 3, "seeds derived per grid cell")
@@ -181,13 +183,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if len(bad) > 0 {
 			return fmt.Errorf("%s: worker mode takes its grid and mode from the coordinator; only -workers, -share-worlds and -quiet apply", strings.Join(bad, ", "))
 		}
-		cfg := ripki.DistWorkerConfig{
-			Options: ripki.SweepOptions{Workers: *workers, ShareWorlds: *shareWorlds},
+		cfg := distsweep.WorkerConfig{
+			Options: sweep.Options{Workers: *workers, ShareWorlds: *shareWorlds},
 		}
 		if !*quiet {
 			cfg.Logf = func(f string, a ...any) { fmt.Fprintf(stderr, "ripki-sweep worker: "+f+"\n", a...) }
 		}
-		return ripki.DistWork(ctx, *workerAddr, cfg)
+		return distsweep.Work(ctx, *workerAddr, cfg)
 	}
 	if *coordinate == "" {
 		if *checkpoint != "" {
@@ -201,13 +203,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	var grid ripki.SweepGrid
+	var grid sweep.Grid
 	if *gridPath != "" {
 		data, err := os.ReadFile(*gridPath)
 		if err != nil {
 			return err
 		}
-		grid, err = ripki.ParseSweepGrid(data)
+		grid, err = sweep.ParseGrid(data)
 		if err != nil {
 			return err
 		}
@@ -247,9 +249,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		mode = "streaming"
 	}
 
-	var res *ripki.SweepResult
+	var res *sweep.Result
 	if *coordinate != "" {
-		cfg := ripki.DistCoordinatorConfig{
+		cfg := distsweep.CoordinatorConfig{
 			Grid:          grid,
 			Streaming:     *streaming,
 			LeaseTimeout:  *leaseTimeout,
@@ -259,7 +261,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if !*quiet {
 			cfg.Logf = func(f string, a ...any) { fmt.Fprintf(stderr, "ripki-sweep coordinator: "+f+"\n", a...) }
 		}
-		coord, err := ripki.NewDistCoordinator(*coordinate, cfg)
+		coord, err := distsweep.NewCoordinator(*coordinate, cfg)
 		if err != nil {
 			return err
 		}
@@ -289,19 +291,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		opt := ripki.SweepOptions{Workers: *workers, ShareWorlds: *shareWorlds, Streaming: *streaming}
+		opt := sweep.Options{Workers: *workers, ShareWorlds: *shareWorlds, Streaming: *streaming}
 		if !*quiet {
 			// The header and per-run progress share the -quiet gate: -quiet
 			// means a successful sweep writes stderr nothing at all.
 			fmt.Fprintf(stderr, "ripki-sweep: %d cells × %d seeds = %d runs (workers=%d share-worlds=%v mode=%s)\n",
 				len(plan.Cells), len(plan.Seeds), len(plan.Specs), *workers, *shareWorlds, mode)
 			start := time.Now()
-			opt.Progress = func(done, total int, rr *ripki.SweepRunResult) {
+			opt.Progress = func(done, total int, rr *sweep.RunResult) {
 				fmt.Fprintf(stderr, "ripki-sweep: [%3d/%d] %s (%.1fs%s)\n",
 					done, total, rr, time.Since(start).Seconds(), etaSuffix(start, done, total))
 			}
 		}
-		if res, err = ripki.RunSweepPlan(ctx, plan, opt); err != nil {
+		if res, err = sweep.RunPlan(ctx, plan, opt); err != nil {
 			return err
 		}
 	}
@@ -346,7 +348,7 @@ func printStatus(addr string, stdout io.Writer) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
-	var p ripki.DistProgress
+	var p distsweep.Progress
 	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
 		return fmt.Errorf("decoding %s: %w", url, err)
 	}

@@ -14,9 +14,10 @@ import (
 	"testing"
 	"time"
 
-	"ripki"
+	"ripki/internal/distsweep"
 	"ripki/internal/obs"
 	"ripki/internal/obs/obstest"
+	"ripki/internal/sweep"
 )
 
 var fastArgs = []string{
@@ -361,11 +362,11 @@ func TestCoordinatorHTTPAndStatus(t *testing.T) {
 // built the way run builds it, drops a peer that never finishes its
 // request header while /progress keeps answering.
 func TestProgressListenerCutsSlowLoris(t *testing.T) {
-	grid, err := ripki.ParseSweepGrid([]byte(`{"scenarios": ["baseline"], "replicates": 1, "domains": [800]}`))
+	grid, err := sweep.ParseGrid([]byte(`{"scenarios": ["baseline"], "replicates": 1, "domains": [800]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := ripki.NewDistCoordinator("127.0.0.1:0", ripki.DistCoordinatorConfig{Grid: grid})
+	coord, err := distsweep.NewCoordinator("127.0.0.1:0", distsweep.CoordinatorConfig{Grid: grid})
 	if err != nil {
 		t.Fatal(err)
 	}

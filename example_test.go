@@ -33,17 +33,17 @@ func ExampleNewStudy() {
 	// RPKI prefixes: 4 (all internap)
 }
 
-// ExampleStudy_Validate shows RFC 6811 origin validation through the
-// public API.
-func ExampleStudy_Validate() {
+// ExampleStudy shows RFC 6811 origin validation against a study's
+// validated ROA payloads.
+func ExampleStudy() {
 	study, err := ripki.NewStudy(ripki.StudyConfig{Domains: 5000, Seed: 1})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 	v := study.VRPs.All()[0]
-	fmt.Println("authorised origin:", study.Validate(v.Prefix, v.ASN))
-	fmt.Println("wrong origin:     ", study.Validate(v.Prefix, v.ASN+1))
+	fmt.Println("authorised origin:", study.VRPs.Validate(v.Prefix, v.ASN))
+	fmt.Println("wrong origin:     ", study.VRPs.Validate(v.Prefix, v.ASN+1))
 	// Output:
 	// authorised origin: valid
 	// wrong origin:      invalid

@@ -1,8 +1,9 @@
 // CDN audit reproduces the paper's §4.2 analysis as a standalone tool
 // flow: keyword-spot CDN operators in an AS assignment registry, then
 // check which of their ASes appear in the validated RPKI data — and
-// cross-check that CDN-delivered content is protected only where caches
-// sit inside third-party ISP networks.
+// split the CDN-delivered content that is protected by where the
+// covering prefix sits: a third-party ISP hosting a cache, or the CDN's
+// own network.
 //
 //	go run ./examples/cdnaudit
 package main
@@ -14,6 +15,8 @@ import (
 
 	"ripki"
 	"ripki/internal/dns"
+	"ripki/internal/measure"
+	"ripki/internal/rpki/vrp"
 	"ripki/internal/webworld"
 )
 
@@ -26,13 +29,13 @@ func main() {
 	}
 
 	rows := study.CDNStudy()
-	if err := ripki.CDNStudyTable(rows).WriteAligned(os.Stdout); err != nil {
+	if err := measure.CDNStudyTable(rows).WriteAligned(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 
 	// The paper's reading of this table, recomputed live.
 	totalASes, signers := 0, 0
-	var signerRow ripki.CDNStudyRow
+	var signerRow measure.CDNStudyRow
 	for _, r := range rows {
 		totalASes += r.ASes
 		if r.RPKIPrefix > 0 {
@@ -48,9 +51,10 @@ func main() {
 
 	// "Every RPKI-enabled CDN-content is served by a third party
 	// network": for each CDN-hosted domain with coverage, check who owns
-	// the covered prefix.
+	// the covered prefixes.
 	resolver := dns.RegistryResolver{Registry: study.World.Registry}
 	covered, viaThirdParty := 0, 0
+	var inside []string // domains covered inside their CDN's own network
 	for i := range study.Dataset.Results {
 		r := &study.Dataset.Results[i]
 		if !r.CDNByChain || r.WWW.CoveredPrefixes == 0 {
@@ -61,23 +65,33 @@ func main() {
 		if err != nil {
 			continue
 		}
-		thirdParty := false
+		thirdParty, own := false, ""
 		for _, a := range res.Addrs {
 			for _, po := range study.World.RIB.OriginPairs(a) {
-				if study.Validate(po.Prefix, po.Origin) == ripki.StateNotFound {
+				if study.VRPs.Validate(po.Prefix, po.Origin) == vrp.NotFound {
 					continue
 				}
-				if org := study.World.OrgOfPrefix(po.Prefix); org != nil && org.Kind == webworld.KindISP {
+				org := study.World.OrgOfPrefix(po.Prefix)
+				switch {
+				case org == nil:
+				case org.Kind == webworld.KindISP:
 					thirdParty = true
+				case org.CDN != nil:
+					own = fmt.Sprintf("%s: %s's %v, AS%d", r.Name, org.CDN.Name, po.Prefix, po.Origin)
 				}
 			}
 		}
 		if thirdParty {
 			viaThirdParty++
+		} else if own != "" {
+			inside = append(inside, own)
 		}
 	}
 	fmt.Println()
-	fmt.Printf("CDN-hosted domains with some RPKI coverage: %d, of which %d owe\n", covered, viaThirdParty)
-	fmt.Println("their protection to a third-party ISP hosting the CDN's cache —")
-	fmt.Println("the CDNs' own networks contribute nothing.")
+	fmt.Printf("CDN-hosted domains with some RPKI coverage: %d. %d owe their\n", covered, viaThirdParty)
+	fmt.Printf("protection to a third-party ISP hosting the CDN's cache, %d to\n", len(inside))
+	fmt.Println("the CDN's own network:")
+	for _, line := range inside {
+		fmt.Println("  " + line)
+	}
 }

@@ -31,13 +31,13 @@ import (
 	"log"
 	"time"
 
-	"ripki"
+	"ripki/internal/sim"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	cfg := ripki.SimConfig{
+	cfg := sim.Config{
 		// rp-lag brings the 1/5/20-tick validator staircase plus
 		// background churn; hijack-window brings the attack. The spec
 		// order is free — the engine canonicalises it.
@@ -46,7 +46,7 @@ func main() {
 		Domains:  20000,
 		Tick:     30 * time.Second,
 		Duration: 30 * time.Minute,
-		Params: ripki.SimParams{
+		Params: sim.Params{
 			// Routed: only the churn driven by rp-lag's component sees
 			// these (hijack-window has no "issue" knob to collide with,
 			// but routing documents intent and scales to overlaps).
@@ -60,28 +60,28 @@ func main() {
 		},
 	}
 
-	sc, err := ripki.NewScenario(cfg.Scenario, cfg.Params)
+	sc, err := sim.NewScenario(cfg.Scenario, cfg.Params)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("== composition ==\n%s\n%s\n\n", sc.Name(), sc.Description())
 
-	sim, err := ripki.NewSimulation(cfg)
+	run, err := sim.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sim.Close()
+	defer run.Close()
 
 	// Narrate the merged event stream: churn (roa events tagged
 	// "churn") and the hijack lifecycle interleave on one clock.
 	fmt.Println("== event log (bgp + rtr events) ==")
-	sim.Bus.SubscribeAll(func(e ripki.SimEvent) {
+	run.Bus.SubscribeAll(func(e sim.Event) {
 		if e.Topic == "bgp" || e.Topic == "rtr" {
 			fmt.Println(e)
 		}
 	})
 
-	series, err := sim.Run()
+	series, err := run.Run()
 	if err != nil {
 		log.Fatal(err)
 	}

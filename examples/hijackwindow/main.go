@@ -25,13 +25,13 @@ import (
 	"os"
 	"time"
 
-	"ripki"
+	"ripki/internal/sim"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	cfg := ripki.SimConfig{
+	cfg := sim.Config{
 		Scenario: "hijack-window",
 		Seed:     1,
 		Domains:  20000,
@@ -39,7 +39,7 @@ func main() {
 		Duration: 30 * time.Minute,
 		// The attack lands at 10% of the run, the emergency ROA is
 		// issued at 40%, the attacker gives up at 85%.
-		Params: ripki.SimParams{
+		Params: sim.Params{
 			"cdn":         "akamai",
 			"hijack_frac": "0.10",
 			"roa_frac":    "0.40",
@@ -47,22 +47,22 @@ func main() {
 		},
 	}
 
-	sim, err := ripki.NewSimulation(cfg)
+	run, err := sim.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sim.Close()
+	defer run.Close()
 
 	// Narrate the event bus: every ROA, BGP, RTR, and relying-party
 	// event as it happens on the virtual clock.
 	fmt.Println("== event log ==")
-	sim.Bus.SubscribeAll(func(e ripki.SimEvent) {
+	run.Bus.SubscribeAll(func(e sim.Event) {
 		if e.Topic != "sample" {
 			fmt.Println(e)
 		}
 	})
 
-	series, err := sim.Run()
+	series, err := run.Run()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"os"
 
 	"ripki"
+	"ripki/internal/measure"
 )
 
 func main() {
@@ -21,23 +22,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ds := study.Dataset
 
 	fmt.Println("== Dataset ==")
-	if err := study.Summary().WriteAligned(os.Stdout); err != nil {
+	if err := ds.Summary().WriteAligned(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println()
 	fmt.Println("== Figure 2: RPKI validation outcome by popularity ==")
-	fig2 := study.Figure2(ripki.VariantWWW)
-	fmt.Print(fig2.ASCIIPlot(72, 12))
+	fmt.Print(ds.Figure2(measure.VariantWWW).ASCIIPlot(72, 12))
 
 	fmt.Println()
 	fmt.Println("== Figure 4: overall vs CDN-hosted RPKI deployment ==")
-	fmt.Print(study.Figure4(ripki.VariantWWW).ASCIIPlot(72, 12))
+	fmt.Print(ds.Figure4(measure.VariantWWW).ASCIIPlot(72, 12))
 
 	fmt.Println()
-	if err := study.Table1(10).WriteAligned(os.Stdout); err != nil {
+	if err := ds.Table1(10).WriteAligned(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 

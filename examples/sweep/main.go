@@ -28,13 +28,14 @@ import (
 	"os"
 	"time"
 
-	"ripki"
+	"ripki/internal/stats"
+	"ripki/internal/sweep"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	grid := ripki.SweepGrid{
+	grid := sweep.Grid{
 		Scenarios:  []string{"route-leak", "trust-anchor-outage", "delegated-ca-compromise"},
 		MasterSeed: 1,
 		Replicates: 4,
@@ -54,10 +55,10 @@ func main() {
 	// many replicates per cell — a replicates=10000 version of this grid —
 	// and at 4 it only shows the option (neither mode keeps a run's series
 	// past its fold, and a finished cell holds its aggregate in both).
-	res, err := ripki.RunSweep(context.Background(), grid, ripki.SweepOptions{
+	res, err := sweep.Run(context.Background(), grid, sweep.Options{
 		ShareWorlds: true,
 		Streaming:   true,
-		Progress: func(done, total int, rr *ripki.SweepRunResult) {
+		Progress: func(done, total int, rr *sweep.RunResult) {
 			fmt.Fprintf(os.Stderr, "[%2d/%d] %s\n", done, total, rr)
 		},
 	})
@@ -65,7 +66,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	table := &ripki.Table{
+	table := &stats.Table{
 		Title:   "Hijack success across worlds (4 seeds per scenario)",
 		Columns: []string{"scenario", "rp", "success rate", "mean hijacked ticks"},
 	}

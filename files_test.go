@@ -107,10 +107,10 @@ func TestPipelineFromArtifacts(t *testing.T) {
 
 	// Figure output must be byte-identical.
 	var f1, f2 bytes.Buffer
-	if err := fromFiles.Figure2(VariantWWW).WriteTSV(&f1); err != nil {
+	if err := fromFiles.Figure2(measure.VariantWWW).WriteTSV(&f1); err != nil {
 		t.Fatal(err)
 	}
-	if err := inMemory.Figure2(VariantWWW).WriteTSV(&f2); err != nil {
+	if err := inMemory.Figure2(measure.VariantWWW).WriteTSV(&f2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(f1.Bytes(), f2.Bytes()) {

@@ -1,32 +1,35 @@
 package ripki
 
 import (
-	"net"
 	"strings"
 	"testing"
 
-	"ripki/internal/netutil"
-	"ripki/internal/rtr"
+	"ripki/internal/measure"
+	"ripki/internal/serve"
+	"ripki/internal/stats"
 )
 
-func newStudy(t *testing.T) *Study {
-	t.Helper()
+func TestStudyEndToEnd(t *testing.T) {
 	s, err := NewStudy(StudyConfig{Domains: 12000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
-}
-
-func TestStudyEndToEnd(t *testing.T) {
-	s := newStudy(t)
-	if s.Dataset.Totals.Domains != 12000 {
-		t.Fatalf("domains = %d", s.Dataset.Totals.Domains)
+	ds := s.Dataset
+	if ds.Totals.Domains != 12000 {
+		t.Fatalf("domains = %d", ds.Totals.Domains)
+	}
+	if ds.BinWidth != 120 {
+		t.Errorf("bin width = %d, want the world's size / 100", ds.BinWidth)
 	}
 	if len(s.Validation.Problems) != 0 {
 		t.Fatalf("validation problems: %v", s.Validation.Problems[:1])
 	}
-	for _, fig := range []*Figure{s.Figure1(), s.Figure2(VariantWWW), s.Figure3(), s.Figure4(VariantApex)} {
+	// The study's validation is the world's memo: whatever asks the world
+	// later (sim, serve) does not validate the repository a second time.
+	if s.Validation != s.World.Validation() {
+		t.Fatal("the study validated the repository beside the world's memo")
+	}
+	for _, fig := range []*stats.Figure{ds.Figure1(), ds.Figure2(measure.VariantWWW), ds.Figure3(), ds.Figure4(measure.VariantApex)} {
 		if len(fig.Series) == 0 || len(fig.Series[0].Points) == 0 {
 			t.Errorf("figure %q empty", fig.Title)
 		}
@@ -35,61 +38,15 @@ func TestStudyEndToEnd(t *testing.T) {
 			t.Errorf("figure %q TSV: %v", fig.Title, err)
 		}
 	}
-	tbl := s.Table1(10)
-	if len(tbl.Rows) == 0 {
-		t.Error("Table1 empty")
-	}
-	if got := s.Summary(); len(got.Rows) == 0 {
-		t.Error("Summary empty")
-	}
 	rows := s.CDNStudy()
 	if len(rows) != 16 {
 		t.Errorf("CDN study rows = %d", len(rows))
 	}
-	if tbl := CDNStudyTable(rows); len(tbl.Rows) != 17 {
+	if tbl := measure.CDNStudyTable(rows); len(tbl.Rows) != 17 {
 		t.Errorf("CDN study table rows = %d", len(tbl.Rows))
 	}
-}
-
-func TestStudyValidateAndRTR(t *testing.T) {
-	s := newStudy(t)
-	// Find one VRP and validate through the public API.
-	all := s.VRPs.All()
-	if len(all) == 0 {
-		t.Fatal("no VRPs")
-	}
-	v := all[0]
-	if got := s.Validate(v.Prefix, v.ASN); got != StateValid {
-		t.Errorf("Validate(%v, %d) = %v", v.Prefix, v.ASN, got)
-	}
-	if got := s.Validate(v.Prefix, v.ASN+1); got != StateInvalid {
-		t.Errorf("wrong-origin Validate = %v", got)
-	}
-	if got := s.Validate(netutil.MustPrefix("192.0.2.0/24"), 1); got != StateNotFound {
-		t.Errorf("uncovered Validate = %v", got)
-	}
-
-	// Serve the VRPs over RTR and sync a client.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := s.ServeRTR(ln)
-	defer srv.Close()
-	c, err := rtr.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != s.VRPs.Len() {
-		t.Errorf("RTR client has %d VRPs, study has %d", c.Len(), s.VRPs.Len())
-	}
-	got := c.Set()
-	if st := got.Validate(v.Prefix, v.ASN); st != StateValid {
-		t.Errorf("via RTR: Validate = %v", st)
+	if rels := s.ExposedRelations(); len(rels) != len(s.World.PlantedBackups) || len(rels) == 0 {
+		t.Errorf("exposed %d relations for %d planted", len(rels), len(s.World.PlantedBackups))
 	}
 }
 
@@ -98,14 +55,9 @@ func TestStudyServeService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := s.ServeStudy()
+	svc, err := serve.NewFromWorld(s.World)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// The study's validation is the world's memo: the service, which
-	// asks the world, does not validate the repository a second time.
-	if s.Validation != s.World.Validation() {
-		t.Fatal("the study validated the repository beside the world's memo")
 	}
 	sn := svc.Current()
 	if sn == nil || sn.Index.Len() != s.VRPs.Len() {
