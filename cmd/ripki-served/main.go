@@ -90,7 +90,6 @@ func configure(args []string, stderr io.Writer) (*daemon, error) {
 		listen      = fs.String("listen", "127.0.0.1:8480", "HTTP listen address")
 		domains     = fs.Int("domains", 20000, "world size (domain exposure table)")
 		seed        = fs.Int64("seed", 1, "world generation seed")
-		shards      = fs.Int("shards", 0, "world generation parallelism (0 = GOMAXPROCS; output is identical at any value)")
 		vrpFile     = fs.String("vrps", "", "serve VRPs from a CSV export instead of the world's own RPKI state")
 		rtrAddr     = fs.String("rtr", "", "follow a live RTR cache at host:port (replaces the snapshot on every notify)")
 		scenario    = fs.String("scenario", "", `drive updates from a sim scenario or a "+"-joined composition ("hijack-window+rp-lag"); registered: `+strings.Join(sim.Names(), ", "))
@@ -116,13 +115,17 @@ func configure(args []string, stderr io.Writer) (*daemon, error) {
 		return nil, errFlagParse
 	}
 	if *scenario != "" {
-		// Fail on an unknown scenario now, not when the source starts.
+		// Fail on an unknown scenario or a negative -sim-tick now, not when
+		// the source starts.
+		if err := (sim.Config{Tick: *simTick, Duration: *simDuration}).Validate(); err != nil {
+			return nil, err
+		}
 		if _, err := sim.NewScenario(*scenario, sim.Params(params)); err != nil {
 			return nil, err
 		}
 	}
 
-	world, err := webworld.Generate(webworld.Config{Seed: *seed, Domains: *domains, Shards: *shards})
+	world, err := webworld.Generate(webworld.Config{Seed: *seed, Domains: *domains})
 	if err != nil {
 		return nil, err
 	}

@@ -195,6 +195,16 @@ func TestExitCodeConventions(t *testing.T) {
 	}
 }
 
+// TestNegativeSimTickRefused: configure refuses a negative -sim-tick
+// before it builds the world, instead of starting a source that never
+// returns from its first tick.
+func TestNegativeSimTickRefused(t *testing.T) {
+	_, err := configure([]string{"-domains", "1500", "-scenario", "baseline", "-sim-tick", "-1s"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "Tick") {
+		t.Fatalf("-sim-tick -1s: %v, want a refusal naming Tick", err)
+	}
+}
+
 // TestConfigureComposedScenario: the -scenario flag accepts "+"-joined
 // compositions with routed per-component params, and rejects params
 // addressing a non-member component at configure time.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -119,6 +120,23 @@ func TestHelpAndBadFlags(t *testing.T) {
 	}
 	if !errors.Is(err, errFlagParse) {
 		t.Errorf("parse failure not marked pre-reported: %v", err)
+	}
+}
+
+// TestNegativeTickExitsFast: a negative tick is refused by the plan, so
+// the command fails in well under a second instead of running a
+// simulation that never ends.
+func TestNegativeTickExitsFast(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	began := time.Now()
+	err := run(ctx, []string{"-quiet", "-scenarios", "baseline", "-replicates", "1", "-domains", "2000",
+		"-tick", "-10s", "-duration", "1m"}, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "Tick") {
+		t.Fatalf("-tick -10s: %v, want a refusal naming Tick", err)
+	}
+	if took := time.Since(began); took > 5*time.Second {
+		t.Errorf("refused after %v", took)
 	}
 }
 

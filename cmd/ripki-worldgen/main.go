@@ -30,13 +30,12 @@ func main() {
 	var (
 		domains = flag.Int("domains", 100000, "size of the ranked domain list")
 		seed    = flag.Int64("seed", 1, "world generation seed")
-		shards  = flag.Int("shards", 0, "generation parallelism (0 = GOMAXPROCS; output is identical at any value)")
 		out     = flag.String("out", "world", "output directory")
 		zones   = flag.Bool("zones", false, "also dump every DNS record (large)")
 	)
 	flag.Parse()
 
-	w, err := webworld.Generate(webworld.Config{Seed: *seed, Domains: *domains, Shards: *shards})
+	w, err := webworld.Generate(webworld.Config{Seed: *seed, Domains: *domains})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +61,8 @@ func main() {
 
 	write("alexa.csv", func(f *os.File) error { return w.List.WriteCSV(f) })
 	write("rib.mrt", func(f *os.File) error {
-		return w.RIB.DumpMRT(f, w.RIB.Peers()[0].BGPID, "rrc-ripki", w.Cfg.Clock)
+		// Stamped when the world's objects were issued.
+		return w.RIB.DumpMRT(f, w.RIB.Peers()[0].BGPID, "rrc-ripki", w.Repo.Clock)
 	})
 	res := w.Repo.Validate(w.MeasureTime())
 	if len(res.Problems) != 0 {

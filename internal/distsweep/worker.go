@@ -11,15 +11,16 @@ import (
 	"ripki/internal/sweep"
 )
 
+// dialTimeout bounds how long a worker retries connecting: a worker may
+// legitimately start before its coordinator.
+const dialTimeout = 30 * time.Second
+
 // WorkerConfig configures a distributed sweep's worker side.
 type WorkerConfig struct {
 	// Options is the worker's local execution tuning (Workers,
 	// ShareWorlds). Streaming is overwritten by the coordinator's mode;
 	// Progress, if set, still fires per completed run.
 	Options sweep.Options
-	// DialTimeout bounds how long the worker retries connecting — a
-	// worker may legitimately start before its coordinator (default 30s).
-	DialTimeout time.Duration
 	// Logf receives progress lines (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -29,10 +30,7 @@ type WorkerConfig struct {
 // the transport error; in-flight simulations are cancelled within a
 // tick), or ctx is cancelled.
 func Work(ctx context.Context, addr string, cfg WorkerConfig) error {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 30 * time.Second
-	}
-	conn, err := dialRetry(ctx, addr, cfg.DialTimeout)
+	conn, err := dialRetry(ctx, addr, dialTimeout)
 	if err != nil {
 		return err
 	}

@@ -338,8 +338,8 @@ func TestServerIgnoresGarbageAndResponses(t *testing.T) {
 
 func TestRegistryAccessors(t *testing.T) {
 	reg := newWorld()
-	if !reg.Exists("example.com") || reg.Exists("zzz") {
-		t.Error("Exists wrong")
+	if len(reg.Lookup("example.com", TypeA)) == 0 || len(reg.Lookup("zzz", TypeA)) != 0 {
+		t.Error("Lookup wrong")
 	}
 	if reg.Len() == 0 {
 		t.Error("Len = 0")
@@ -450,8 +450,8 @@ func TestRegistryRemove(t *testing.T) {
 	if got := r.Remove("cache.cdn.wld", TypeAAAA); got != 1 {
 		t.Errorf("Remove AAAA = %d, want 1", got)
 	}
-	if r.Exists("cache.cdn.wld") {
-		t.Error("owner name survived removing its last record")
+	if names := r.Names(); len(names) != 0 {
+		t.Errorf("owner name survived removing its last record: %v", names)
 	}
 	if got := r.Remove("never.was.here", TypeA); got != 0 {
 		t.Errorf("Remove on missing name = %d, want 0", got)

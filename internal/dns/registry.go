@@ -250,13 +250,6 @@ func (r *Registry) Lookup(name string, typ uint16) []RR {
 	return out
 }
 
-// Exists reports whether any record exists at name.
-func (r *Registry) Exists(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.at(CanonicalName(name))) > 0
-}
-
 // Len returns the number of owner names with records.
 func (r *Registry) Len() int {
 	r.mu.RLock()
@@ -430,12 +423,6 @@ func (r *Registry) Query(q Question) ([]RR, uint8) {
 		return nil, RCodeNotImplemented
 	}
 }
-
-// HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(q Question) ([]RR, uint8)
-
-// Query calls f.
-func (f HandlerFunc) Query(q Question) ([]RR, uint8) { return f(q) }
 
 // String summarises the registry.
 func (r *Registry) String() string {

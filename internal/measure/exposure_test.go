@@ -74,7 +74,7 @@ func TestExposedRelationsRegistryFallback(t *testing.T) {
 // TestExposedRelationsFindPlantedBackups generates a world with planted
 // standby arrangements and checks the analysis recovers every one.
 func TestExposedRelationsFindPlantedBackups(t *testing.T) {
-	w, err := webworld.Generate(webworld.Config{Seed: 17, Domains: 5000, BackupArrangements: 4})
+	w, err := webworld.Generate(webworld.Config{Seed: 17, Domains: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}

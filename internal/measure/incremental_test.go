@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ripki/internal/bgp"
 	"ripki/internal/dns"
 	"ripki/internal/httparchive"
 	"ripki/internal/mrt"
@@ -72,7 +73,7 @@ func TestIncrementalTinyUniverse(t *testing.T) {
 	check("route appears")
 
 	// ...and unrouted again.
-	f.cfg.RIB.Withdraw(pk, netutil.MustPrefix("203.0.112.0/24"))
+	f.cfg.RIB.WithdrawEvent(bgp.RouteEvent{PeerAS: 200, PeerID: netutil.MustAddr("10.0.0.2"), Prefix: netutil.MustPrefix("203.0.112.0/24"), Withdraw: true})
 	inc.DirtyAll()
 	check("route withdrawn")
 
@@ -162,7 +163,7 @@ func runInterleaving(t *testing.T, w *webworld.World, seed int64) {
 			}
 			more := netip.PrefixFrom(base.Addr(), base.Bits()+1).Masked()
 			if leaked[more] {
-				w.RIB.Withdraw(pk, more)
+				w.RIB.WithdrawEvent(bgp.RouteEvent{PeerAS: 65000, PeerID: netutil.MustAddr("10.9.9.9"), Prefix: more, Withdraw: true})
 			} else if err := w.RIB.Insert(rib.Route{
 				Prefix: more, PeerIndex: pk,
 				Path: []ribSegment{{Type: 2, ASNs: []uint32{65000, 64666}}}, NextHop: netutil.MustAddr("10.9.9.9"),

@@ -31,7 +31,7 @@
 //   - ExposureAccumulator is the head-vs-tail aggregate: Snapshot feeds
 //     it a Dataset (the study and the sim probe), serve feeds it the
 //     domain table against a snapshot's VRP index.
-//   - DefaultCDNThreshold is the "two or more CNAMEs" rule.
+//   - CDNThreshold is the "two or more CNAMEs" rule.
 package measure
 
 import (
@@ -64,31 +64,21 @@ type Config struct {
 	HTTPArchive *httparchive.Classifier
 	// BinWidth groups domains for the figures (default 10,000).
 	BinWidth int
-	// CDNThreshold is the minimum CNAME count for the indirection
-	// heuristic (default 2 — "two or more CNAMEs").
-	CDNThreshold int
 	// DNSSEC, if true, additionally records whether each domain's zone
 	// is DNSSEC signed (the paper's stated future-work comparison).
 	// The Resolver must implement dns.DNSSECChecker.
 	DNSSEC bool
 }
 
-// DefaultCDNThreshold is the paper's conservative CDN heuristic: a www
-// name reached through this many CNAMEs or more is CDN-hosted.
-const DefaultCDNThreshold = 2
+// CDNThreshold is the paper's conservative CDN heuristic: a www name
+// reached through this many CNAMEs or more is CDN-hosted.
+const CDNThreshold = 2
 
 func (c Config) binWidth() int {
 	if c.BinWidth <= 0 {
 		return 10000
 	}
 	return c.BinWidth
-}
-
-func (c Config) cdnThreshold() int {
-	if c.CDNThreshold <= 0 {
-		return DefaultCDNThreshold
-	}
-	return c.CDNThreshold
 }
 
 // VariantData is the measurement of one name variant (www or w/o www).
@@ -129,9 +119,6 @@ type VariantData struct {
 	// the two variants' sets).
 	prefixes []netip.Prefix
 }
-
-// NotFoundPairs returns the pairs not covered by any VRP.
-func (v VariantData) NotFoundPairs() int { return v.Pairs - v.ValidPairs - v.InvalidPairs }
 
 // StateProb returns the per-domain probability of an RFC 6811 state —
 // the paper's fractional representation of heterogeneous deployment.
@@ -282,7 +269,7 @@ func measureDomain(e alexa.Entry, cfg Config, keys *domainKeys, scratch *[]rib.P
 	if r.Apex, err = measureVariant(e.Domain, cfg, keys, scratch); err != nil {
 		return r, err
 	}
-	r.CDNByChain = r.WWW.Usable() && r.WWW.CNAMEs >= cfg.cdnThreshold()
+	r.CDNByChain = r.WWW.Usable() && r.WWW.CNAMEs >= CDNThreshold
 	if cfg.HTTPArchive != nil {
 		chain := r.WWW.Chain
 		if len(r.Apex.Chain) > len(chain) {

@@ -135,7 +135,7 @@ func TestRunTinyUniverse(t *testing.T) {
 	}
 
 	plain := byName["plain.example"]
-	if plain.WWW.NotFoundPairs() != 1 || plain.WWW.CoverageProb() != 0 {
+	if plain.WWW.Pairs-plain.WWW.ValidPairs-plain.WWW.InvalidPairs != 1 || plain.WWW.CoverageProb() != 0 {
 		t.Errorf("plain www: %+v", plain.WWW)
 	}
 
@@ -371,7 +371,7 @@ func TestPaperFindingsEmerge(t *testing.T) {
 
 	// §4.2 CDN study: 199 ASes, all RPKI prefixes belong to one CDN.
 	var names []string
-	for _, spec := range w.Cfg.CDNs {
+	for _, spec := range webworld.CDNs() {
 		names = append(names, spec.Name)
 	}
 	reg := make([]ASRegistryEntry, 0, len(w.ASRegistry))

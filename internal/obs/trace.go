@@ -66,10 +66,6 @@ func (t *Trace) Counter(at time.Duration, name string, values map[string]float64
 // Len is the number of recorded events.
 func (t *Trace) Len() int { return len(t.events) }
 
-// Events returns the recorded events in append order. The slice is the
-// trace's own; callers must not mutate it.
-func (t *Trace) Events() []TraceEvent { return t.events }
-
 // traceJSON is the serialised shape of one event: a fixed field order
 // and microsecond integer timestamps, so exports are byte-stable.
 type traceJSON struct {

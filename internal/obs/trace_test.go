@@ -114,8 +114,8 @@ func TestTraceWriteFormat(t *testing.T) {
 	if err := tr.WriteFormat(&sb, "svg"); err == nil {
 		t.Fatal("unknown format accepted")
 	}
-	if tr.Len() != 4 || len(tr.Events()) != 4 {
-		t.Fatalf("Len/Events disagree: %d/%d", tr.Len(), len(tr.Events()))
+	if tr.Len() != 4 || len(tr.events) != 4 {
+		t.Fatalf("Len/events disagree: %d/%d", tr.Len(), len(tr.events))
 	}
 }
 

@@ -150,7 +150,7 @@ func TestQueriesReturnTheInsertedPrefix(t *testing.T) {
 				t.Errorf("CoveringPrefix(%v) lists %v, never inserted", p, e.Prefix)
 			}
 		}
-		sub := tr.Subtree(p, nil)
+		sub := subtree(&tr, p)
 		if len(sub) == 0 || sub[0] != (Entry[int]{Prefix: p, Value: w}) {
 			t.Errorf("Subtree(%v) starts at %v, want %v=%d", p, sub, p, w)
 		}

@@ -390,17 +390,6 @@ func (t *Tree[V]) CoveringPrefix(p netip.Prefix, dst []Entry[V]) []Entry[V] {
 	return dst
 }
 
-// LongestMatch returns the longest prefix in the tree containing addr.
-func (t *Tree[V]) LongestMatch(addr netip.Addr) (netip.Prefix, V, bool) {
-	var zero V
-	es := t.Covering(addr, nil)
-	if len(es) == 0 {
-		return netip.Prefix{}, zero, false
-	}
-	e := es[len(es)-1]
-	return e.Prefix, e.Value, true
-}
-
 // Entry is a (prefix, value) pair returned by queries.
 type Entry[V any] struct {
 	Prefix netip.Prefix
@@ -426,16 +415,6 @@ func walk[V any](n *node[V], fn func(netip.Prefix, V) bool) bool {
 		}
 	}
 	return walk(n.child[0], fn) && walk(n.child[1], fn)
-}
-
-// Subtree appends every valued entry covered by p (including p itself),
-// in lexical order.
-func (t *Tree[V]) Subtree(p netip.Prefix, dst []Entry[V]) []Entry[V] {
-	t.WalkSubtree(p, func(q netip.Prefix, v V) bool {
-		dst = append(dst, Entry[V]{Prefix: q, Value: v})
-		return true
-	})
-	return dst
 }
 
 // WalkSubtree visits every valued entry covered by p (including p

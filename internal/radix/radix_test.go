@@ -144,19 +144,30 @@ func TestCoveringPrefix(t *testing.T) {
 	}
 }
 
+// TestLongestMatch: the longest match is the last entry Covering
+// yields, since it lists the covering prefixes shortest first.
 func TestLongestMatch(t *testing.T) {
 	var tr Tree[string]
 	for _, p := range []string{"10.0.0.0/8", "10.1.0.0/16"} {
 		tr.Insert(netutil.MustPrefix(p), p)
 	}
-	p, v, ok := tr.LongestMatch(netutil.MustAddr("10.1.200.3"))
-	if !ok || p.String() != "10.1.0.0/16" || v != "10.1.0.0/16" {
-		t.Errorf("LongestMatch = %v %q %v", p, v, ok)
+	es := tr.Covering(netutil.MustAddr("10.1.200.3"), nil)
+	if len(es) == 0 || es[len(es)-1].Prefix.String() != "10.1.0.0/16" || es[len(es)-1].Value != "10.1.0.0/16" {
+		t.Errorf("Covering = %v, want it to end at 10.1.0.0/16", es)
 	}
-	_, _, ok = tr.LongestMatch(netutil.MustAddr("11.0.0.1"))
-	if ok {
-		t.Error("LongestMatch matched an uncovered address")
+	if es := tr.Covering(netutil.MustAddr("11.0.0.1"), nil); len(es) != 0 {
+		t.Errorf("Covering matched an uncovered address: %v", es)
 	}
+}
+
+// subtree collects what WalkSubtree visits under p.
+func subtree[V any](tr *Tree[V], p netip.Prefix) []Entry[V] {
+	var out []Entry[V]
+	tr.WalkSubtree(p, func(q netip.Prefix, v V) bool {
+		out = append(out, Entry[V]{Prefix: q, Value: v})
+		return true
+	})
+	return out
 }
 
 func TestWalkOrderAndSubtree(t *testing.T) {
@@ -179,11 +190,11 @@ func TestWalkOrderAndSubtree(t *testing.T) {
 		t.Errorf("Walk order not sorted: %v", seen)
 	}
 
-	sub := tr.Subtree(netutil.MustPrefix("10.0.0.0/8"), nil)
+	sub := subtree(&tr, netutil.MustPrefix("10.0.0.0/8"))
 	if len(sub) != 3 {
 		t.Fatalf("Subtree(10/8) = %v, want 3 entries", sub)
 	}
-	sub = tr.Subtree(netutil.MustPrefix("11.0.0.0/8"), nil)
+	sub = subtree(&tr, netutil.MustPrefix("11.0.0.0/8"))
 	if len(sub) != 0 {
 		t.Fatalf("Subtree(11/8) = %v, want empty", sub)
 	}

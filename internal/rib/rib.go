@@ -46,13 +46,12 @@ type Table struct {
 	peers   []mrt.Peer
 	peerIdx map[peerKey]uint16
 	// tree maps each routed prefix to its routes, sorted by peer index.
-	// A stored slice is never written again — Insert and Withdraw build
+	// A stored slice is never written again — Insert and WithdrawEvent build
 	// the next one and replace it — because after Clone other tables
 	// reach the same slice through the nodes they share. Storing a route
 	// the table already holds, field for field, builds nothing: the tree
 	// is not written, so nothing shared with a clone is copied.
-	tree   radix.Tree[[]Route]
-	routes int
+	tree radix.Tree[[]Route]
 }
 
 type peerKey struct {
@@ -78,7 +77,6 @@ func (t *Table) Clone() *Table {
 		peers:   slices.Clip(t.peers),
 		peerIdx: maps.Clone(t.peerIdx),
 		tree:    *t.tree.Clone(),
-		routes:  t.routes,
 	}
 }
 
@@ -119,13 +117,6 @@ func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.tree.Len()
-}
-
-// Routes returns the total number of (prefix, peer) paths.
-func (t *Table) Routes() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.routes
 }
 
 // byPeer orders a prefix's routes for binary search.
@@ -170,20 +161,10 @@ func (t *Table) insertLocked(r Route) (added bool, err error) {
 	rest := old[i:]
 	if replace {
 		rest = rest[1:]
-	} else {
-		t.routes++
 	}
 	next := make([]Route, 0, i+1+len(rest))
 	next = append(append(append(next, old[:i]...), r), rest...)
 	return !replace, t.tree.Insert(cp, next)
-}
-
-// Withdraw removes the route for prefix from the given peer. It reports
-// whether a route was removed.
-func (t *Table) Withdraw(peer uint16, prefix netip.Prefix) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.withdrawLocked(peer, prefix)
 }
 
 func (t *Table) withdrawLocked(peer uint16, prefix netip.Prefix) bool {
@@ -202,7 +183,6 @@ func (t *Table) withdrawLocked(peer uint16, prefix netip.Prefix) bool {
 		// cp is canonical and already in the tree: Insert cannot fail.
 		_ = t.tree.Insert(cp, slices.Delete(slices.Clone(old), i, i+1))
 	}
-	t.routes--
 	return true
 }
 
@@ -297,21 +277,6 @@ func (t *Table) AppendOriginPairs(dst []PrefixOrigin, addr netip.Addr) []PrefixO
 		}
 	}
 	return dst
-}
-
-// Snapshot returns a copy of every route, grouped by prefix in lexical
-// order (peers ascending within a prefix). Unlike WalkRoutes it holds no
-// lock when it returns, so callers may mutate the table while iterating
-// the result.
-func (t *Table) Snapshot() []Route {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]Route, 0, t.routes)
-	t.tree.Walk(func(_ netip.Prefix, rs []Route) bool {
-		out = append(out, rs...)
-		return true
-	})
-	return out
 }
 
 // WalkRoutes visits every route, grouped by prefix in lexical order

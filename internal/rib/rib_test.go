@@ -20,6 +20,24 @@ func seq(asns ...uint32) []bgp.Segment {
 	return []bgp.Segment{{Type: bgp.SegmentSequence, ASNs: asns}}
 }
 
+// snapshot collects every route WalkRoutes visits, in its order.
+func snapshot(tb *Table) []Route {
+	var out []Route
+	tb.WalkRoutes(func(r Route) bool {
+		out = append(out, r)
+		return true
+	})
+	return out
+}
+
+// withdraw removes peer's route for prefix: WithdrawEvent's path, by
+// peer index.
+func withdraw(tb *Table, peer uint16, prefix netip.Prefix) bool {
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	return tb.withdrawLocked(peer, prefix)
+}
+
 func newTable(t *testing.T) (*Table, uint16, uint16) {
 	t.Helper()
 	tb := New()
@@ -40,8 +58,8 @@ func TestInsertAndQueries(t *testing.T) {
 	must(tb.Insert(Route{Prefix: netutil.MustPrefix("193.0.6.0/24"), PeerIndex: p0, Path: seq(3333, 680, 25152), NextHop: netutil.MustAddr("10.0.0.1"), Originated: stamp}))
 	must(tb.Insert(Route{Prefix: netutil.MustPrefix("193.0.6.0/24"), PeerIndex: p1, Path: seq(196615, 25152), NextHop: netutil.MustAddr("10.0.0.2"), Originated: stamp}))
 
-	if tb.Len() != 2 || tb.Routes() != 3 {
-		t.Fatalf("Len/Routes = %d/%d, want 2/3", tb.Len(), tb.Routes())
+	if tb.Len() != 2 || len(snapshot(tb)) != 3 {
+		t.Fatalf("Len/Routes = %d/%d, want 2/3", tb.Len(), len(snapshot(tb)))
 	}
 	addr := netutil.MustAddr("193.0.6.139")
 	cov := tb.Covering(addr)
@@ -112,16 +130,16 @@ func TestWithdraw(t *testing.T) {
 	pfx := netutil.MustPrefix("10.0.0.0/8")
 	tb.Insert(Route{Prefix: pfx, PeerIndex: p0, Path: seq(7), NextHop: netutil.MustAddr("10.0.0.1")})
 	tb.Insert(Route{Prefix: pfx, PeerIndex: p1, Path: seq(8), NextHop: netutil.MustAddr("10.0.0.2")})
-	if !tb.Withdraw(p0, pfx) {
+	if !withdraw(tb, p0, pfx) {
 		t.Fatal("Withdraw returned false")
 	}
-	if tb.Withdraw(p0, pfx) {
+	if withdraw(tb, p0, pfx) {
 		t.Fatal("double Withdraw returned true")
 	}
-	if tb.Len() != 1 || tb.Routes() != 1 {
-		t.Fatalf("Len/Routes = %d/%d", tb.Len(), tb.Routes())
+	if tb.Len() != 1 || len(snapshot(tb)) != 1 {
+		t.Fatalf("Len/Routes = %d/%d", tb.Len(), len(snapshot(tb)))
 	}
-	if !tb.Withdraw(p1, pfx) {
+	if !withdraw(tb, p1, pfx) {
 		t.Fatal("second Withdraw failed")
 	}
 	if tb.Len() != 0 || tb.Reachable(netutil.MustAddr("10.0.0.1")) {
@@ -230,21 +248,21 @@ func TestSnapshotMutationSafe(t *testing.T) {
 	p0 := tb.AddPeer(mrt.Peer{BGPID: netutil.MustAddr("10.0.0.1"), ASN: 1})
 	tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: p0, Path: seq(1), NextHop: netutil.MustAddr("10.0.0.1")})
 	tb.Insert(Route{Prefix: netutil.MustPrefix("11.0.0.0/8"), PeerIndex: p0, Path: seq(2), NextHop: netutil.MustAddr("10.0.0.1")})
-	snap := tb.Snapshot()
+	snap := snapshot(tb)
 	if len(snap) != 2 {
 		t.Fatalf("snapshot has %d routes, want 2", len(snap))
 	}
-	// Mutating the table while iterating the snapshot must be safe —
-	// this is exactly what Router.Revalidate does.
+	// Mutating the table while iterating a copy of its routes must be
+	// safe.
 	for _, r := range snap {
-		if !tb.Withdraw(r.PeerIndex, r.Prefix) {
+		if !withdraw(tb, r.PeerIndex, r.Prefix) {
 			t.Errorf("withdraw %v failed", r.Prefix)
 		}
 	}
 	if tb.Len() != 0 {
 		t.Errorf("table not empty after withdrawing the snapshot: %d", tb.Len())
 	}
-	if len(tb.Snapshot()) != 0 {
+	if len(snapshot(tb)) != 0 {
 		t.Error("snapshot of empty table not empty")
 	}
 }
@@ -305,7 +323,7 @@ func TestOriginPairsMatchesOracle(t *testing.T) {
 		for step := 0; step < 300; step++ {
 			r := randomRoute(rnd, peers)
 			if rnd.Intn(4) == 0 {
-				tb.Withdraw(r.PeerIndex, r.Prefix)
+				withdraw(tb, r.PeerIndex, r.Prefix)
 			} else if err := tb.Insert(r); err != nil {
 				t.Fatal(err)
 			}
@@ -339,7 +357,7 @@ func TestCloneIsIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := base.Snapshot()
+	want := snapshot(base)
 
 	a, b := base.Clone(), base.Clone()
 	// Each side goes its own way: a new peer and routes on a, withdrawals
@@ -353,7 +371,7 @@ func TestCloneIsIndependent(t *testing.T) {
 		}
 	}
 	for _, r := range want[:len(want)/2] {
-		if !b.Withdraw(r.PeerIndex, r.Prefix) {
+		if !withdraw(b, r.PeerIndex, r.Prefix) {
 			t.Fatalf("withdraw %v from clone failed", r.Prefix)
 		}
 	}
@@ -363,20 +381,20 @@ func TestCloneIsIndependent(t *testing.T) {
 				func(s, u bgp.Segment) bool { return s.Type == u.Type && slices.Equal(s.ASNs, u.ASNs) })
 		})
 	}
-	if got := base.Snapshot(); !same(got, want) || base.Routes() != len(want) || len(base.Peers()) != 2 {
+	if got := snapshot(base); !same(got, want) || len(base.Peers()) != 2 {
 		t.Errorf("writes on clones reached the base: %d routes, %d peers", len(got), len(base.Peers()))
 	}
-	if a.Routes() <= len(want) || a.Routes() != len(a.Snapshot()) || len(a.Peers()) != 3 {
-		t.Errorf("clone a: Routes %d, snapshot %d, peers %d", a.Routes(), len(a.Snapshot()), len(a.Peers()))
+	if len(snapshot(a)) <= len(want) || len(a.Peers()) != 3 {
+		t.Errorf("clone a: %d routes, %d peers", len(snapshot(a)), len(a.Peers()))
 	}
-	if got := b.Snapshot(); !same(got, want[len(want)/2:]) || b.Routes() != len(got) {
-		t.Errorf("clone b holds %d routes (Routes %d), want the %d not withdrawn", len(got), b.Routes(), len(want)-len(want)/2)
+	if got := snapshot(b); !same(got, want[len(want)/2:]) {
+		t.Errorf("clone b holds %d routes, want the %d not withdrawn", len(got), len(want)-len(want)/2)
 	}
 	// And the other direction: a write on the base after cloning.
-	if !base.Withdraw(want[len(want)-1].PeerIndex, want[len(want)-1].Prefix) {
+	if !withdraw(base, want[len(want)-1].PeerIndex, want[len(want)-1].Prefix) {
 		t.Fatal("withdraw from base failed")
 	}
-	if got := b.Snapshot(); !same(got, want[len(want)/2:]) {
+	if got := snapshot(b); !same(got, want[len(want)/2:]) {
 		t.Error("a write on the base reached a clone")
 	}
 }
@@ -400,7 +418,7 @@ func TestEqualInsertIsNoop(t *testing.T) {
 	clone := tb.Clone()
 	held := func(tb *Table, p netip.Prefix) Route {
 		t.Helper()
-		for _, r := range tb.Snapshot() {
+		for _, r := range snapshot(tb) {
 			if r.Prefix == p {
 				return r
 			}
@@ -420,8 +438,8 @@ func TestEqualInsertIsNoop(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 || tb.Routes() != 2 {
-		t.Errorf("re-storing equal routes: %v allocations, %d routes; want 0 and 2", allocs, tb.Routes())
+	if allocs != 0 || len(snapshot(tb)) != 2 {
+		t.Errorf("re-storing equal routes: %v allocations, %d routes; want 0 and 2", allocs, len(snapshot(tb)))
 	}
 	if added, err := tb.AnnounceEvent(ev); added || err != nil {
 		t.Errorf("AnnounceEvent of a held route = %v, %v; want false, nil", added, err)
@@ -438,17 +456,17 @@ func TestEqualInsertIsNoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := held(tb, p)
-		if sameRoute(got, route) || !sameRoute(got, next) || tb.Routes() != 2 {
-			t.Errorf("a route differing only in %s did not replace: holds %+v (%d routes)", name, got, tb.Routes())
+		if sameRoute(got, route) || !sameRoute(got, next) || len(snapshot(tb)) != 2 {
+			t.Errorf("a route differing only in %s did not replace: holds %+v (%d routes)", name, got, len(snapshot(tb)))
 		}
 		if err := tb.Insert(route); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := held(clone, p); !sameRoute(got, route) || clone.Routes() != 2 {
-		t.Errorf("writes after Clone reached the clone: %+v (%d routes)", got, clone.Routes())
+	if got := held(clone, p); !sameRoute(got, route) || len(snapshot(clone)) != 2 {
+		t.Errorf("writes after Clone reached the clone: %+v (%d routes)", got, len(snapshot(clone)))
 	}
-	if added, err := tb.AnnounceEvent(bgp.RouteEvent{PeerAS: 3333, PeerID: hop, Prefix: netutil.MustPrefix("192.0.2.0/24"), Path: seq(3333, 64502), NextHop: hop}); !added || err != nil || tb.Routes() != 3 {
-		t.Errorf("AnnounceEvent of a new route = %v, %v (%d routes); want true, nil, 3", added, err, tb.Routes())
+	if added, err := tb.AnnounceEvent(bgp.RouteEvent{PeerAS: 3333, PeerID: hop, Prefix: netutil.MustPrefix("192.0.2.0/24"), Path: seq(3333, 64502), NextHop: hop}); !added || err != nil || len(snapshot(tb)) != 3 {
+		t.Errorf("AnnounceEvent of a new route = %v, %v (%d routes); want true, nil, 3", added, err, len(snapshot(tb)))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ripki/internal/bgp"
+	"ripki/internal/rib"
 	"ripki/internal/rpki/vrp"
 )
 
@@ -17,10 +18,11 @@ import (
 func ribContents(r *Router) map[string]string {
 	peers := r.Table().Peers()
 	out := make(map[string]string)
-	for _, rt := range r.Table().Snapshot() {
+	r.Table().WalkRoutes(func(rt rib.Route) bool {
 		p := peers[rt.PeerIndex]
 		out[fmt.Sprintf("%v via AS%d/%v", rt.Prefix, p.ASN, p.BGPID)] = fmt.Sprint(rt.Path)
-	}
+		return true
+	})
 	return out
 }
 
@@ -236,9 +238,6 @@ func TestForksReplayIndependently(t *testing.T) {
 			if err := sameRouting(x.r, want.r); err != nil {
 				t.Errorf("%v fork %d vs replay: %v", policy, i, err)
 			}
-			if g, w := x.r.Counts(), want.r.Counts(); !reflect.DeepEqual(g, w) {
-				t.Errorf("%v fork %d vs replay: Counts %v, want %v", policy, i, g, w)
-			}
 			if g, w := adjRoutes(x.r), adjRoutes(want.r); !reflect.DeepEqual(g, w) {
 				t.Errorf("%v fork %d vs replay: Adj-RIB-In holds %d routes, want %d", policy, i, len(g), len(w))
 			}
@@ -246,9 +245,6 @@ func TestForksReplayIndependently(t *testing.T) {
 		fresh := seeded(seedSet)
 		if err := sameRouting(template, fresh); err != nil {
 			t.Errorf("%v: template changed under its forks: %v", policy, err)
-		}
-		if g, w := template.Counts(), fresh.Counts(); !reflect.DeepEqual(g, w) {
-			t.Errorf("%v: template Counts %v, want %v", policy, g, w)
 		}
 		if g, w := adjRoutes(template), adjRoutes(fresh); !reflect.DeepEqual(g, w) {
 			t.Errorf("%v: template Adj-RIB-In changed under its forks", policy)

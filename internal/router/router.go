@@ -87,8 +87,7 @@ type Router struct {
 	source VRPSource
 	table  *rib.Table
 
-	mu      sync.Mutex
-	decided [3]int // processed announcements per vrp.State
+	mu sync.Mutex
 	// deprefered marks the (prefix, origin) pairs PolicyPreferValid
 	// currently routes around: exactly the pairs some Adj-RIB-In entry
 	// announces and the last validation found Invalid. After a Fork the
@@ -138,7 +137,6 @@ func (r *Router) Fork(source VRPSource) *Router {
 		Policy:      r.Policy,
 		source:      source,
 		table:       r.table.Clone(),
-		decided:     r.decided,
 		deprefered:  r.deprefered,
 		marksShared: true,
 		adjIn:       *r.adjIn.Clone(),
@@ -199,7 +197,6 @@ func (r *Router) Process(ev bgp.RouteEvent) (Decision, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	d, _, _, err := r.applyLocked(set, ev)
-	r.decided[d.State]++
 	return d, err
 }
 
@@ -447,19 +444,6 @@ func (r *Router) Forward(addr netip.Addr) (rib.PrefixOrigin, bool) {
 		}
 	}
 	return pairs[len(pairs)-1], true
-}
-
-// Counts returns how many processed routes fell into each state.
-func (r *Router) Counts() map[vrp.State]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[vrp.State]int, len(r.decided))
-	for state, n := range r.decided {
-		if n > 0 {
-			out[vrp.State(state)] = n
-		}
-	}
-	return out
 }
 
 // String summarises the router.

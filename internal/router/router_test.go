@@ -138,12 +138,22 @@ func TestWithdrawAlwaysProcessed(t *testing.T) {
 	}
 }
 
+// TestCounts: each processed announcement's decision carries its RFC
+// 6811 state.
 func TestCounts(t *testing.T) {
 	r := NewWithPolicy(StaticVRPs{VRPs: newVRPs(t)}, PolicyDropInvalid)
-	r.Process(announce("193.0.6.0/24", 3333)) // valid
-	r.Process(announce("193.0.7.0/24", 666))  // invalid
-	r.Process(announce("8.8.8.0/24", 15169))  // not found
-	c := r.Counts()
+	c := make(map[vrp.State]int)
+	for _, ev := range []bgp.RouteEvent{
+		announce("193.0.6.0/24", 3333), // valid
+		announce("193.0.7.0/24", 666),  // invalid
+		announce("8.8.8.0/24", 15169),  // not found
+	} {
+		d, err := r.Process(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c[d.State]++
+	}
 	if c[vrp.Valid] != 1 || c[vrp.Invalid] != 1 || c[vrp.NotFound] != 1 {
 		t.Errorf("counts = %v", c)
 	}

@@ -6,7 +6,7 @@
 // resource-certificate format with the same semantics: a certificate
 // binds a public key to a set of resources, is signed by its issuer, and
 // is valid only if its resources are a subset of the issuer's and it has
-// not expired or been revoked.
+// not expired.
 //
 // Cryptography is real: ECDSA over P-256 with SHA-256, via the standard
 // library. Objects whose signatures do not verify are discarded by the
@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 	"net/netip"
 	"time"
 
@@ -35,9 +34,6 @@ import (
 type ASRange struct {
 	Min, Max uint32
 }
-
-// Contains reports whether asn falls inside the range.
-func (r ASRange) Contains(asn uint32) bool { return asn >= r.Min && asn <= r.Max }
 
 // Resources is the set of Internet number resources delegated by a
 // certificate: IP prefixes (both families) and AS number ranges.
@@ -51,16 +47,6 @@ type Resources struct {
 func (r Resources) ContainsPrefix(p netip.Prefix) bool {
 	for _, q := range r.Prefixes {
 		if netutil.Covers(q, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// ContainsASN reports whether asn is covered by the resource set.
-func (r Resources) ContainsASN(asn uint32) bool {
-	for _, rg := range r.ASNs {
-		if rg.Contains(asn) {
 			return true
 		}
 	}
@@ -302,104 +288,4 @@ func (c *Certificate) Verify(issuer *Certificate, opts VerifyOptions) error {
 		}
 	}
 	return c.CheckSignatureFrom(issuer)
-}
-
-// CRL -------------------------------------------------------------------
-
-// CRL is a signed certificate revocation list.
-type CRL struct {
-	Issuer         string
-	ThisUpdate     time.Time
-	NextUpdate     time.Time
-	RevokedSerials []int64
-	Signature      []byte
-	RawTBS         []byte
-}
-
-type asnCRLTBS struct {
-	Issuer         string
-	ThisUpdate     time.Time `asn1:"utc"`
-	NextUpdate     time.Time `asn1:"utc"`
-	RevokedSerials []int64
-}
-
-type asnCRL struct {
-	TBS       asn1.RawValue
-	Signature []byte
-}
-
-// IssueCRL builds and signs a revocation list.
-func IssueCRL(issuer string, key *ecdsa.PrivateKey, thisUpdate, nextUpdate time.Time, revoked []int64) (*CRL, error) {
-	tbs := asnCRLTBS{
-		Issuer:         issuer,
-		ThisUpdate:     thisUpdate.UTC().Truncate(time.Second),
-		NextUpdate:     nextUpdate.UTC().Truncate(time.Second),
-		RevokedSerials: append([]int64(nil), revoked...),
-	}
-	raw, err := asn1.Marshal(tbs)
-	if err != nil {
-		return nil, fmt.Errorf("cert: encoding CRL: %w", err)
-	}
-	digest := sha256.Sum256(raw)
-	sig, err := ecdsa.SignASN1(rand.Reader, key, digest[:])
-	if err != nil {
-		return nil, fmt.Errorf("cert: signing CRL: %w", err)
-	}
-	return &CRL{
-		Issuer:         issuer,
-		ThisUpdate:     tbs.ThisUpdate,
-		NextUpdate:     tbs.NextUpdate,
-		RevokedSerials: tbs.RevokedSerials,
-		Signature:      sig,
-		RawTBS:         raw,
-	}, nil
-}
-
-// Marshal encodes the CRL to DER, as a manifest hashes it.
-func (l *CRL) Marshal() ([]byte, error) {
-	return asn1.Marshal(asnCRL{TBS: asn1.RawValue{FullBytes: l.RawTBS}, Signature: l.Signature})
-}
-
-// Verify checks the CRL signature and freshness against the issuing CA.
-func (l *CRL) Verify(issuer *Certificate, opts VerifyOptions) error {
-	if l.Issuer != issuer.Subject {
-		return fmt.Errorf("cert: CRL issuer %q does not match %q", l.Issuer, issuer.Subject)
-	}
-	now := opts.now()
-	if now.After(l.NextUpdate) {
-		return fmt.Errorf("cert: CRL from %q is stale (nextUpdate %v)", l.Issuer, l.NextUpdate)
-	}
-	digest := sha256.Sum256(l.RawTBS)
-	if !ecdsa.VerifyASN1(issuer.PublicKey, digest[:], l.Signature) {
-		return fmt.Errorf("cert: CRL signature from %q does not verify", l.Issuer)
-	}
-	return nil
-}
-
-// Revoked reports whether serial appears in the list.
-func (l *CRL) Revoked(serial int64) bool {
-	for _, s := range l.RevokedSerials {
-		if s == serial {
-			return true
-		}
-	}
-	return false
-}
-
-// KeyID returns a short identifier for a public key, usable as a map key
-// and in log messages.
-func KeyID(pub *ecdsa.PublicKey) string {
-	if pub == nil {
-		return "<nil>"
-	}
-	h := sha256.Sum256(append(pub.X.Bytes(), pub.Y.Bytes()...))
-	return fmt.Sprintf("%x", h[:8])
-}
-
-// cloneBigInt avoids aliasing issues when copying keys in tests.
-func cloneBigInt(x *big.Int) *big.Int { return new(big.Int).Set(x) }
-
-// ClonePublicKey deep-copies an ECDSA public key.
-func ClonePublicKey(pub *ecdsa.PublicKey) *ecdsa.PublicKey {
-	return &ecdsa.PublicKey{Curve: pub.Curve, X: cloneBigInt(pub.X), Y: cloneBigInt(pub.Y)}
 }

@@ -182,27 +182,6 @@ func TestVerifyRejectsNonCAIssuer(t *testing.T) {
 	}
 }
 
-func TestCRLVerify(t *testing.T) {
-	ta, taKey := selfSigned(t, "ta", AllResources())
-	crl, err := IssueCRL("ta", taKey.key, t0, t1, []int64{5, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := crl.Verify(ta, VerifyOptions{Now: tv}); err != nil {
-		t.Fatalf("CRL verify: %v", err)
-	}
-	if !crl.Revoked(5) || !crl.Revoked(9) || crl.Revoked(6) {
-		t.Errorf("Revoked() wrong: %v", crl.RevokedSerials)
-	}
-	if err := crl.Verify(ta, VerifyOptions{Now: t1.Add(time.Hour)}); err == nil {
-		t.Error("stale CRL verified")
-	}
-	crl.Signature[0] ^= 0xff
-	if err := crl.Verify(ta, VerifyOptions{Now: tv}); err == nil {
-		t.Error("tampered CRL verified")
-	}
-}
-
 func TestResourcesSubsetOf(t *testing.T) {
 	parent := Resources{
 		Prefixes: netip2("10.0.0.0/8", "2001:db8::/32"),
@@ -225,21 +204,6 @@ func TestResourcesSubsetOf(t *testing.T) {
 		if got := c.child.SubsetOf(parent); got != c.want {
 			t.Errorf("case %d: SubsetOf = %v, want %v", i, got, c.want)
 		}
-	}
-}
-
-func TestKeyID(t *testing.T) {
-	k1 := newKeyPair(t)
-	k2 := newKeyPair(t)
-	if KeyID(&k1.key.PublicKey) == KeyID(&k2.key.PublicKey) {
-		t.Error("distinct keys share a KeyID")
-	}
-	if KeyID(nil) != "<nil>" {
-		t.Error("KeyID(nil) wrong")
-	}
-	clone := ClonePublicKey(&k1.key.PublicKey)
-	if KeyID(clone) != KeyID(&k1.key.PublicKey) {
-		t.Error("cloned key has different KeyID")
 	}
 }
 

@@ -3,11 +3,12 @@
 // The global RPKI is rooted at five trust anchors, one per RIR (APNIC,
 // AfriNIC, ARIN, LACNIC, RIPE — §3 step 4 of the paper). Each
 // certification authority publishes, at its publication point, a
-// manifest, a CRL, its child CA certificates, and its ROAs. A relying
-// party walks the tree from the trust anchors, discards anything that is
-// cryptographically incorrect (bad signature, expired, revoked, missing
-// from or mismatching the manifest, over-claiming resources), and emits
-// the surviving ROAs' payloads as VRPs.
+// manifest, its child CA certificates, and its ROAs. A relying party
+// walks the tree from the trust anchors, discards anything that is
+// cryptographically incorrect (bad signature, expired, missing from or
+// mismatching the manifest, over-claiming resources), and emits the
+// surviving ROAs' payloads as VRPs. Nothing here is ever revoked, so
+// there are no CRLs: a ROA leaves the RPKI by not being issued.
 package repo
 
 import (
@@ -98,7 +99,6 @@ type CA struct {
 
 	Children []*CA
 	ROAs     []*roa.ROA
-	CRL      *cert.CRL
 	Manifest *Manifest
 
 	nextSerial int64
@@ -241,28 +241,8 @@ func (r *Repository) issueROA(ca *CA, s ROASpec) (*roa.ROA, error) {
 	return roa.Sign(s.ASID, s.Prefixes, ee, eeKey)
 }
 
-// Revoke adds serial to ca's CRL, removing the corresponding ROA's
-// authority without unpublishing it.
-func (r *Repository) Revoke(ca *CA, serial int64) error {
-	var serials []int64
-	if ca.CRL != nil {
-		serials = append(serials, ca.CRL.RevokedSerials...)
-	}
-	serials = append(serials, serial)
-	return ca.rebuildCRLAndManifest(r.Clock, r.TTL, serials)
-}
-
-func (ca *CA) rebuildCRLAndManifest(clock time.Time, ttl time.Duration, revoked []int64) error {
-	crl, err := cert.IssueCRL(ca.Cert.Subject, ca.Key, clock, clock.Add(ttl), revoked)
-	if err != nil {
-		return err
-	}
-	ca.CRL = crl
-	return ca.refreshManifest(clock, ttl)
-}
-
-// objects returns the CA's current publication-point content (children,
-// ROAs, CRL), excluding the manifest itself.
+// objects returns the CA's current publication-point content (children
+// and ROAs), excluding the manifest itself.
 func (ca *CA) objects() ([]Object, error) {
 	var objs []Object
 	for i, child := range ca.Children {
@@ -279,17 +259,12 @@ func (ca *CA) objects() ([]Object, error) {
 		}
 		objs = append(objs, Object{Name: fmt.Sprintf("roa-%d.roa", i), DER: der})
 	}
-	if ca.CRL != nil {
-		der, err := ca.CRL.Marshal()
-		if err != nil {
-			return nil, err
-		}
-		objs = append(objs, Object{Name: "ca.crl", DER: der})
-	}
 	return objs, nil
 }
 
-// refreshManifest re-signs the manifest over the current objects.
+// refreshManifest re-signs the manifest over the current objects. Its
+// number is one past the CA's previous manifest's, so equal issuance
+// gives equal numbers.
 func (ca *CA) refreshManifest(clock time.Time, ttl time.Duration) error {
 	objs, err := ca.objects()
 	if err != nil {
@@ -299,9 +274,13 @@ func (ca *CA) refreshManifest(clock time.Time, ttl time.Duration) error {
 	for _, o := range objs {
 		entries[o.Name] = o.hash()
 	}
+	number := int64(1)
+	if ca.Manifest != nil {
+		number = ca.Manifest.Number + 1
+	}
 	m := &Manifest{
 		Issuer:     ca.Cert.Subject,
-		Number:     time.Now().UnixNano(), // monotonic enough for tests
+		Number:     number,
 		ThisUpdate: clock,
 		NextUpdate: clock.Add(ttl),
 		Entries:    entries,
@@ -343,7 +322,8 @@ type ValidationResult struct {
 }
 
 // AnchorVRPs returns the payloads validated beneath the named trust
-// anchor, in VRP order — ValidateAnchor(at, name).VRPs.All(), from the
+// anchor, in VRP order — what validating that anchor's subtree alone
+// finds, from the
 // walk Validate made anyway. The slice is shared and read-only; it is
 // nil for an unknown anchor and on a result Validate did not produce.
 func (res *ValidationResult) AnchorVRPs(name string) []vrp.VRP { return res.anchors[name] }
@@ -351,7 +331,7 @@ func (res *ValidationResult) AnchorVRPs(name string) []vrp.VRP { return res.anch
 // Validate walks the repository from its trust anchors and returns the
 // validated ROA payloads. Invalid objects are recorded and skipped, not
 // fatal — mirroring deployed relying-party behaviour. The walk is one
-// anchor after another, each exactly ValidateAnchor's, and the result
+// anchor after another, each validated alone, and the result
 // their union, so every signature is verified once and what each anchor
 // contributed is kept beside the whole.
 func (r *Repository) Validate(at time.Time) *ValidationResult {
@@ -371,17 +351,9 @@ func (r *Repository) Validate(at time.Time) *ValidationResult {
 	return res
 }
 
-// ValidateAnchor walks only the named trust anchor's subtree and
-// returns its validated payloads — what the RPKI loses when one RIR's
-// publication point goes dark. An unknown name yields an empty result.
-func (r *Repository) ValidateAnchor(at time.Time, name string) *ValidationResult {
-	ta := r.Anchor(name)
-	if ta == nil {
-		return &ValidationResult{VRPs: vrp.NewSet()}
-	}
-	return r.validateAnchor(ta, at)
-}
-
+// validateAnchor walks only one trust anchor's subtree and returns its
+// validated payloads — what the RPKI loses when one RIR's publication
+// point goes dark.
 func (r *Repository) validateAnchor(ta *CA, at time.Time) *ValidationResult {
 	res := &ValidationResult{VRPs: vrp.NewSet()}
 	opts := cert.VerifyOptions{Now: at}
@@ -432,24 +404,13 @@ func (r *Repository) validateCA(ca *CA, opts cert.VerifyOptions, res *Validation
 		res.Problems = append(res.Problems, ValidationProblem{CA: ca.Cert.Subject, Object: name, Err: fmt.Errorf("repo: manifest lists missing object")})
 	}
 
-	// CRL, if present, must verify; a broken CRL voids revocation data
-	// but we continue treating all serials as unrevoked? No: safer to
-	// void the publication point, as rpki-client does.
-	crl := ca.CRL
-	if crl != nil {
-		if err := crl.Verify(ca.Cert, opts); err != nil {
-			res.Problems = append(res.Problems, ValidationProblem{CA: ca.Cert.Subject, Object: "ca.crl", Err: err})
-			return
-		}
-	}
-
 	for i, ro := range ca.ROAs {
 		res.ROAsSeen++
 		name := fmt.Sprintf("roa-%d.roa", i)
 		if bad[name] {
 			continue // already reported above
 		}
-		if err := ro.Validate(ca.Cert, crl, opts); err != nil {
+		if err := ro.Validate(ca.Cert, opts); err != nil {
 			res.Problems = append(res.Problems, ValidationProblem{CA: ca.Cert.Subject, Object: name, Err: err})
 			continue
 		}
@@ -468,10 +429,6 @@ func (r *Repository) validateCA(ca *CA, opts cert.VerifyOptions, res *Validation
 		}
 		if err := child.Cert.Verify(ca.Cert, opts); err != nil {
 			res.Problems = append(res.Problems, ValidationProblem{CA: ca.Cert.Subject, Object: name, Err: err})
-			continue
-		}
-		if crl != nil && crl.Revoked(child.Cert.SerialNumber) {
-			res.Problems = append(res.Problems, ValidationProblem{CA: ca.Cert.Subject, Object: name, Err: fmt.Errorf("repo: child CA revoked")})
 			continue
 		}
 		r.validateCA(child, opts, res)

@@ -232,48 +232,6 @@ func TestValidateStaleManifestVoidsPP(t *testing.T) {
 	}
 }
 
-func TestRevokeROA(t *testing.T) {
-	r := newRepo(t)
-	ripe := r.Anchor("ripe")
-	isp, _ := r.NewCA(ripe, "isp", cert.Resources{
-		Prefixes: []pfx{netutil.MustPrefix("193.0.0.0/16")},
-		ASNs:     []cert.ASRange{{Min: 3333, Max: 3333}},
-	})
-	ro, err := r.AddROA(isp, 3333, []roa.Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Validate(at).VRPs.Len(); got != 1 {
-		t.Fatalf("pre-revocation VRPs = %d", got)
-	}
-	if err := r.Revoke(isp, ro.EE.SerialNumber); err != nil {
-		t.Fatal(err)
-	}
-	res := r.Validate(at)
-	if res.VRPs.Len() != 0 {
-		t.Fatalf("revoked ROA still yields VRPs: %v", res.VRPs.All())
-	}
-}
-
-func TestValidateRevokedChildCA(t *testing.T) {
-	r := newRepo(t)
-	ripe := r.Anchor("ripe")
-	isp, _ := r.NewCA(ripe, "isp", cert.Resources{
-		Prefixes: []pfx{netutil.MustPrefix("193.0.0.0/16")},
-		ASNs:     []cert.ASRange{{Min: 3333, Max: 3333}},
-	})
-	if _, err := r.AddROA(isp, 3333, []roa.Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Revoke(ripe, isp.Cert.SerialNumber); err != nil {
-		t.Fatal(err)
-	}
-	res := r.Validate(at)
-	if res.VRPs.Len() != 0 {
-		t.Fatal("ROAs under revoked CA still accepted")
-	}
-}
-
 func TestMissingManifestVoidsPP(t *testing.T) {
 	r := newRepo(t)
 	ripe := r.Anchor("ripe")
@@ -320,7 +278,7 @@ func TestValidateAnchorIsolatesSubtree(t *testing.T) {
 	if full.VRPs.Len() != 2 {
 		t.Fatalf("full validation: %d VRPs, want 2", full.VRPs.Len())
 	}
-	ripeOnly := r.ValidateAnchor(at, "ripe")
+	ripeOnly := r.validateAnchor(r.Anchor("ripe"), at)
 	if ripeOnly.VRPs.Len() != 1 {
 		t.Fatalf("ripe subtree: %d VRPs, want 1", ripeOnly.VRPs.Len())
 	}
@@ -330,12 +288,9 @@ func TestValidateAnchorIsolatesSubtree(t *testing.T) {
 	if got := ripeOnly.VRPs.Validate(netutil.MustPrefix("8.8.8.0/24"), 15169); got != vrp.NotFound {
 		t.Errorf("arin VRP leaked into ripe subtree: %v", got)
 	}
-	if r.ValidateAnchor(at, "nosuch").VRPs.Len() != 0 {
-		t.Error("unknown anchor should validate to an empty set")
-	}
 }
 
-// TestValidateRecordsEachAnchor: Validate is the union of ValidateAnchor
+// TestValidateRecordsEachAnchor: Validate is the union of validateAnchor
 // over the anchors, and keeps the parts. For every RIR the payloads it
 // recorded are that anchor's own validation, in the same order — on a
 // repository where one anchor's publication point is voided by a missing
@@ -385,9 +340,9 @@ func TestValidateRecordsEachAnchor(t *testing.T) {
 	var problems []string
 	seen, valid := 0, 0
 	for _, rir := range RIRNames {
-		part := r.ValidateAnchor(at, rir)
+		part := r.validateAnchor(r.Anchor(rir), at)
 		if got, want := full.AnchorVRPs(rir), part.VRPs.All(); !slices.Equal(got, want) {
-			t.Errorf("%s: Validate recorded %v, ValidateAnchor finds %v", rir, got, want)
+			t.Errorf("%s: Validate recorded %v, validateAnchor finds %v", rir, got, want)
 		}
 		for _, v := range part.VRPs.All() {
 			union.Add(v)
@@ -424,7 +379,7 @@ func TestValidateRecordsEachAnchor(t *testing.T) {
 	if full.VRPs.Len() != 6 || len(problems) < 2 {
 		t.Errorf("%d VRPs and %d problems, want 6 (one shared) and at least 2", full.VRPs.Len(), len(problems))
 	}
-	if full.AnchorVRPs("nosuch") != nil || r.ValidateAnchor(at, "ripe").AnchorVRPs("ripe") != nil {
+	if full.AnchorVRPs("nosuch") != nil || r.validateAnchor(r.Anchor("ripe"), at).AnchorVRPs("ripe") != nil {
 		t.Error("AnchorVRPs answers for an unknown anchor, or on a single-anchor result")
 	}
 }

@@ -129,14 +129,13 @@ func (r *ROA) Marshal() ([]byte, error) {
 // Validate checks the ROA end to end against the issuing CA certificate:
 //
 //  1. the EE certificate chains to ca (signature, validity, resources),
-//  2. the EE certificate is not revoked according to crl (if non-nil),
-//  3. the payload signature verifies under the EE key,
-//  4. every authorised prefix is contained in the EE certificate's
+//  2. the payload signature verifies under the EE key,
+//  3. every authorised prefix is contained in the EE certificate's
 //     resources.
 //
 // This mirrors the steps an RPKI relying party performs before emitting
 // VRPs ("Only cryptographically correct ROAs are further used").
-func (r *ROA) Validate(ca *cert.Certificate, crl *cert.CRL, opts cert.VerifyOptions) error {
+func (r *ROA) Validate(ca *cert.Certificate, opts cert.VerifyOptions) error {
 	if r.EE == nil {
 		return errors.New("roa: missing EE certificate")
 	}
@@ -145,14 +144,6 @@ func (r *ROA) Validate(ca *cert.Certificate, crl *cert.CRL, opts cert.VerifyOpti
 	}
 	if err := r.EE.Verify(ca, opts); err != nil {
 		return fmt.Errorf("roa: EE certificate invalid: %w", err)
-	}
-	if crl != nil {
-		if err := crl.Verify(ca, opts); err != nil {
-			return fmt.Errorf("roa: CRL invalid: %w", err)
-		}
-		if crl.Revoked(r.EE.SerialNumber) {
-			return fmt.Errorf("roa: EE certificate serial %d revoked", r.EE.SerialNumber)
-		}
 	}
 	digest := sha256.Sum256(r.RawContent)
 	if !ecdsa.VerifyASN1(r.EE.PublicKey, digest[:], r.Signature) {

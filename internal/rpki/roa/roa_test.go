@@ -75,7 +75,7 @@ func TestSignAndValidate(t *testing.T) {
 		{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24},
 		{Prefix: netutil.MustPrefix("2001:db8:1::/48"), MaxLength: 56},
 	})
-	if err := r.Validate(f.caCert, nil, cert.VerifyOptions{Now: tv}); err != nil {
+	if err := r.Validate(f.caCert, cert.VerifyOptions{Now: tv}); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 }
@@ -118,13 +118,13 @@ func TestValidateRejectsTamperedContent(t *testing.T) {
 		for i := range orig {
 			*field = append([]byte(nil), orig...)
 			(*field)[i] ^= 0x01
-			if err := r.Validate(f.caCert, nil, cert.VerifyOptions{Now: tv}); err == nil {
+			if err := r.Validate(f.caCert, cert.VerifyOptions{Now: tv}); err == nil {
 				t.Fatalf("bit flip at byte %d of %d validated", i, len(orig))
 			}
 		}
 		*field = orig
 	}
-	if err := r.Validate(f.caCert, nil, cert.VerifyOptions{Now: tv}); err != nil {
+	if err := r.Validate(f.caCert, cert.VerifyOptions{Now: tv}); err != nil {
 		t.Fatalf("restored ROA fails validation: %v", err)
 	}
 }
@@ -143,35 +143,15 @@ func TestValidateRejectsResourceMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Validate(f.caCert, nil, cert.VerifyOptions{Now: tv}); err == nil {
+	if err := r.Validate(f.caCert, cert.VerifyOptions{Now: tv}); err == nil {
 		t.Error("ROA with prefix outside EE resources validated")
-	}
-}
-
-func TestValidateRejectsRevokedEE(t *testing.T) {
-	f := newFixture(t)
-	r := f.sign(t, 3333, []Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24}})
-	crl, err := cert.IssueCRL("isp", f.caKey, t0, t1, []int64{100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Validate(f.caCert, crl, cert.VerifyOptions{Now: tv}); err == nil {
-		t.Error("ROA with revoked EE validated")
-	}
-	// A CRL that does not list the EE must pass.
-	crlOK, err := cert.IssueCRL("isp", f.caKey, t0, t1, []int64{999})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Validate(f.caCert, crlOK, cert.VerifyOptions{Now: tv}); err != nil {
-		t.Errorf("ROA with clean CRL rejected: %v", err)
 	}
 }
 
 func TestValidateRejectsExpiredEE(t *testing.T) {
 	f := newFixture(t)
 	r := f.sign(t, 3333, []Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24}})
-	if err := r.Validate(f.caCert, nil, cert.VerifyOptions{Now: t1.Add(time.Hour)}); err == nil {
+	if err := r.Validate(f.caCert, cert.VerifyOptions{Now: t1.Add(time.Hour)}); err == nil {
 		t.Error("ROA with expired EE validated")
 	}
 }
@@ -184,7 +164,7 @@ func TestValidateRejectsCAAsEE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Validate(f.ta, nil, cert.VerifyOptions{Now: tv}); err == nil {
+	if err := r.Validate(f.ta, cert.VerifyOptions{Now: tv}); err == nil {
 		t.Error("ROA signed by CA certificate accepted as EE")
 	}
 }

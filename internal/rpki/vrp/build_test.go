@@ -91,7 +91,7 @@ func TestBulkBuildMatchesInsertOneByOne(t *testing.T) {
 		sameTable(t, name+": FromVRPs", set, want)
 		sameTable(t, name+": Builder", built, want)
 		sameTable(t, name+": ReadCSV", read, want)
-		if got := ix.All(); !slices.Equal(got, want) || ix.Len() != len(want) {
+		if got := ix.all(); !slices.Equal(got, want) || ix.Len() != len(want) {
 			t.Fatalf("%s: NewIndex holds %d VRPs, one by one %d", name, ix.Len(), len(want))
 		}
 		if got, wantP := set.Prefixes(), prefixesIn(want); !slices.Equal(got, wantP) {

@@ -173,9 +173,6 @@ func (ix *Index) ValidateExplain(prefix netip.Prefix, originAS uint32) (State, [
 	return ix.validateExplain(prefix, originAS)
 }
 
-// All returns every VRP, sorted by prefix then maxLength then ASN.
-func (ix *Index) All() []VRP { return ix.all() }
-
 // classify applies the RFC 6811 decision to the covering entries of a
 // canonical route prefix — the single implementation Set and Index,
 // Validate and ValidateExplain share.

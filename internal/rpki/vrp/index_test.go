@@ -41,7 +41,7 @@ func TestIndexMatchesSet(t *testing.T) {
 	if ix.Len() != set.Len() {
 		t.Fatalf("Len: index %d, set %d", ix.Len(), set.Len())
 	}
-	ia, sa := ix.All(), set.All()
+	ia, sa := ix.all(), set.All()
 	if len(ia) != len(sa) {
 		t.Fatalf("All: index %d entries, set %d", len(ia), len(sa))
 	}

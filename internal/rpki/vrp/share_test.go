@@ -61,7 +61,7 @@ func (m vrpModel) validateExplain(p netip.Prefix, asn uint32) (State, []VRP) {
 // queryable is what Set and Index have in common.
 type queryable interface {
 	Len() int
-	All() []VRP
+	all() []VRP
 	ValidateExplain(netip.Prefix, uint32) (State, []VRP)
 }
 
@@ -87,8 +87,8 @@ func checkQueryable(t *testing.T, what string, q queryable, m vrpModel, probes [
 	if q.Len() != len(m) {
 		t.Fatalf("%s: Len = %d, model has %d", what, q.Len(), len(m))
 	}
-	if got, want := q.All(), m.all(); !slices.Equal(got, want) {
-		t.Fatalf("%s: All = %v, model has %v", what, got, want)
+	if got, want := q.all(), m.all(); !slices.Equal(got, want) {
+		t.Fatalf("%s: all = %v, model has %v", what, got, want)
 	}
 	for _, p := range probes {
 		for asn := uint32(64499); asn < 64503; asn++ {
@@ -196,7 +196,7 @@ func TestFrozenIndexesReadWhileSetWrites(t *testing.T) {
 			for f := range held {
 				mine = append(mine, f)
 				for _, h := range mine {
-					if got := h.ix.All(); !slices.Equal(got, h.want) {
+					if got := h.ix.all(); !slices.Equal(got, h.want) {
 						t.Errorf("held index changed: %v, frozen at %v", got, h.want)
 						return
 					}

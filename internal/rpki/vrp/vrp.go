@@ -246,25 +246,6 @@ func (s *Set) Prefixes() []netip.Prefix {
 	return out
 }
 
-// HasASN reports whether any VRP in the set names asn as its origin —
-// used by the CDN study to ask "does this AS appear in the RPKI at
-// all?".
-func (s *Set) HasASN(asn uint32) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	found := false
-	s.tree.Walk(func(_ netip.Prefix, vs []VRP) bool {
-		for _, v := range vs {
-			if v.ASN == asn {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
 // Diff computes the VRPs to announce and withdraw to transform old into
 // s, each in Compare order. It is used by the RTR cache to build
 // incremental updates. Both All slices arrive sorted, so one merge walk

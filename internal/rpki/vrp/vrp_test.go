@@ -134,17 +134,6 @@ func TestAllSorted(t *testing.T) {
 	}
 }
 
-func TestHasASN(t *testing.T) {
-	s := NewSet()
-	mustAdd(t, s, "10.0.0.0/8", 8, 100)
-	if !s.HasASN(100) {
-		t.Error("HasASN(100) = false")
-	}
-	if s.HasASN(101) {
-		t.Error("HasASN(101) = true")
-	}
-}
-
 func TestDiff(t *testing.T) {
 	old := NewSet()
 	mustAdd(t, old, "10.0.0.0/8", 8, 1)

@@ -24,8 +24,12 @@ func TestThreeAnswersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewFromWorld(w)
+	dt, err := BuildDomainTable(w)
 	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(dt)
+	if _, err := svc.PublishSet(w.Validation().VRPs, "world", 0); err != nil {
 		t.Fatal(err)
 	}
 	sm, err := sim.New(sim.Config{

@@ -30,7 +30,7 @@ func BenchmarkServeValidate(b *testing.B) {
 		asn    uint32
 	}
 	var routes []route
-	for i, v := range s.Current().Index.All() {
+	for i, v := range w.Validation().VRPs.All() {
 		routes = append(routes, route{v.Prefix, v.ASN})
 		routes = append(routes, route{v.Prefix, 64999})
 		uncovered := netip.PrefixFrom(netip.AddrFrom4([4]byte{203, 0, byte(113 + i%16), 0}), 24)
@@ -152,6 +152,7 @@ func BenchmarkBuildDomainTable(b *testing.B) {
 var (
 	megaOnce sync.Once
 	megaSvc  *Service
+	megaVRPs []vrp.VRP // what megaSvc publishes
 	megaErr  error
 )
 
@@ -172,7 +173,7 @@ func megaService(b *testing.B) *Service {
 			megaErr = err
 			return
 		}
-		megaSvc = s
+		megaSvc, megaVRPs = s, w.Validation().VRPs.All()
 	})
 	if megaErr != nil {
 		b.Fatal(megaErr)
@@ -191,7 +192,7 @@ func BenchmarkServeValidate1M(b *testing.B) {
 		asn    uint32
 	}
 	var routes []route
-	for i, v := range s.Current().Index.All() {
+	for i, v := range megaVRPs {
 		routes = append(routes, route{v.Prefix, v.ASN})
 		routes = append(routes, route{v.Prefix, 64999})
 		uncovered := netip.PrefixFrom(netip.AddrFrom4([4]byte{203, 0, byte(113 + i%16), 0}), 24)

@@ -119,7 +119,7 @@ func BuildDomainTable(w *webworld.World) (*DomainTable, error) {
 				var fl uint8
 				if www.Addrs > 0 {
 					fl |= flagWWWResolved
-					if chain >= measure.DefaultCDNThreshold {
+					if chain >= measure.CDNThreshold {
 						fl |= flagCDN
 					}
 				}
@@ -188,10 +188,6 @@ const pairsPerDomain = 3
 
 // Len returns the number of domains in the table.
 func (t *DomainTable) Len() int { return len(t.ranks) }
-
-// UniqueRoutes returns the number of distinct (prefix, origin) pairs
-// across all domains.
-func (t *DomainTable) UniqueRoutes() int { return len(t.routes) }
 
 // MemoryFootprint estimates the table's heap bytes: the packed arrays
 // exactly, the string table's name map by its per-entry overhead. It

@@ -46,7 +46,6 @@ import (
 	"ripki/internal/obs"
 	"ripki/internal/rpki/vrp"
 	"ripki/internal/strtab"
-	"ripki/internal/webworld"
 )
 
 // CoveringVRP is the JSON rendering of one VRP considered for a route.
@@ -266,22 +265,6 @@ func (s *Service) SetHealthMaxStaleness(d time.Duration) { s.healthMaxStaleness 
 // never trip it.
 func (s *Service) markLive(source string) {
 	s.source(source).liveNS.CompareAndSwap(0, time.Now().UnixNano())
-}
-
-// NewFromWorld builds the domain table from a generated world, then
-// publishes the world's own validated ROA payloads as the first
-// snapshot (source "world") — the state a fully synchronised relying
-// party would serve at measurement time.
-func NewFromWorld(w *webworld.World) (*Service, error) {
-	dt, err := BuildDomainTable(w)
-	if err != nil {
-		return nil, err
-	}
-	s := New(dt)
-	if _, err := s.PublishSet(w.Validation().VRPs, "world", 0); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // Current returns the latest published snapshot, or nil before the

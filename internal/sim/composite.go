@@ -49,8 +49,7 @@ import (
 //   - Relying-party roster merge. Components with a Roster are asked
 //     for it in canonical order and the rosters are merged by RP name:
 //     the first component to name an RP fixes its spec (refresh cadence
-//     and policy), later components append only RPs with new names. An
-//     explicit Config.RPs still overrides everything.
+//     and policy), later components append only RPs with new names.
 
 // specSeparator joins component names in a composition spec.
 const specSeparator = "+"

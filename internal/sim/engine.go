@@ -141,6 +141,9 @@ type workCounts struct {
 // on it and shared by its clones); the cache, the sessions, the forks
 // and everything after are per run.
 func New(cfg Config) (*Simulation, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.World != nil {
 		// An adopted world is the size it is.
 		if n := cfg.World.Cfg.Domains; cfg.Domains == 0 {
@@ -198,12 +201,9 @@ func New(cfg Config) (*Simulation, error) {
 	s.Server.Logf = func(string, ...any) {} // connection teardown noise
 	go s.Server.Serve(ln)
 
-	// Relying parties: an explicit roster, else the components' rosters
-	// merged by RP name, else the builtin one.
-	specs := cfg.RPs
-	if specs == nil {
-		specs = scenario.DefaultRPs()
-	}
+	// Relying parties: the components' rosters merged by RP name, else the
+	// builtin one.
+	specs := scenario.DefaultRPs()
 	if specs == nil {
 		specs = DefaultRPs()
 	}
@@ -452,17 +452,8 @@ func (s *Simulation) fail(err error) {
 // Err returns the first error encountered while running.
 func (s *Simulation) Err() error { return s.err }
 
-// Now returns the current virtual time.
-func (s *Simulation) Now() time.Time { return s.now }
-
 // T returns the virtual offset since the start of the run.
 func (s *Simulation) T() time.Duration { return s.now.Sub(s.start) }
-
-// Start returns the virtual start time (the world's measurement time).
-func (s *Simulation) Start() time.Time { return s.start }
-
-// End returns the virtual horizon.
-func (s *Simulation) End() time.Time { return s.end }
 
 // Tick returns the current tick number.
 func (s *Simulation) Tick() int { return s.tick }
@@ -512,11 +503,6 @@ func (s *Simulation) Close() error {
 // flush/refresh/probe).
 func (s *Simulation) At(at time.Time, fn func()) {
 	s.Queue.At(at, classScenario, fn)
-}
-
-// After schedules a scenario event at the given offset from the start.
-func (s *Simulation) After(d time.Duration, fn func()) {
-	s.At(s.start.Add(d), fn)
 }
 
 // AtFrac schedules a scenario event at a fraction of the run's duration
@@ -888,14 +874,8 @@ func (s *Simulation) probe() {
 		})
 }
 
-// RunScenario is the one-call entry point: build, run, close, return the
-// series.
-func RunScenario(cfg Config) (*TimeSeries, error) {
-	return RunScenarioContext(context.Background(), cfg)
-}
-
-// RunScenarioContext is RunScenario under a context: cancellation is
-// checked between ticks, so an in-flight simulation stops within one
+// RunScenarioContext is the one-call entry point: build, run, close,
+// return the series. Cancellation is checked between ticks, so an in-flight simulation stops within one
 // tick of ctx ending (Ctrl-C in a sweep, a dropped distributed-sweep
 // coordinator) instead of running to its horizon. A cancelled run
 // returns ctx's error and no series.

@@ -16,7 +16,7 @@ import (
 // refresh bookkeeping, and flush behaviour, not just the sampled rows.
 func runJSON(t *testing.T, cfg Config) []byte {
 	t.Helper()
-	ts, err := RunScenario(cfg)
+	ts, err := runScenario(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", cfg.Scenario, err)
 	}
@@ -103,9 +103,9 @@ func assertRevalidateIsNoop(t *testing.T, s *Simulation) {
 		if rp.Client == nil || s.tick%rp.Spec.RefreshTicks != 0 {
 			continue // did not refresh this tick
 		}
-		routes, fwd := rp.Router.Table().Routes(), forwards(rp)
+		routes, fwd := len(localRoutes(rp.Router)), forwards(rp)
 		res := rp.Router.Revalidate()
-		if now := rp.Router.Table().Routes(); res.Flipped != 0 || res.Dropped != 0 || now != routes {
+		if now := len(localRoutes(rp.Router)); res.Flipped != 0 || res.Dropped != 0 || now != routes {
 			t.Fatalf("tick %d: full revalidation changed %s's table after a delta-scoped refresh: %d -> %d routes, %+v",
 				s.tick, rp.Spec.Name, routes, now, res)
 		}
@@ -141,9 +141,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 // `go test -race`; without the race detector it still asserts the run
 // completes and samples every RP column.
 func TestParallelRefreshRace(t *testing.T) {
-	cfg := testConfig("roa-churn+route-leak")
-	cfg.Duration = 5 * time.Minute
-	cfg.RPs = []RPSpec{
+	roster := []RPSpec{
 		{Name: "rp-a", RefreshTicks: 1, Policy: router.PolicyDropInvalid},
 		{Name: "rp-b", RefreshTicks: 1, Policy: router.PolicyDropInvalid},
 		{Name: "rp-c", RefreshTicks: 2, Policy: router.PolicyDropInvalid},
@@ -153,14 +151,16 @@ func TestParallelRefreshRace(t *testing.T) {
 		{Name: "legacy", RefreshTicks: 0, Policy: router.PolicyAcceptAll},
 		{Name: "rp-g", RefreshTicks: 1, Policy: router.PolicyPreferValid},
 	}
-	ts, err := RunScenario(cfg)
+	cfg := testConfig("roa-churn+route-leak+" + registerRoster(t, roster))
+	cfg.Duration = 5 * time.Minute
+	ts, err := runScenario(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ts.Rows) == 0 {
 		t.Fatal("no samples recorded")
 	}
-	for _, rp := range cfg.RPs {
+	for _, rp := range roster {
 		if ts.Column("hijacked_"+rp.Name) == nil {
 			t.Errorf("missing hijacked_%s column", rp.Name)
 		}

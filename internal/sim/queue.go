@@ -81,11 +81,3 @@ func (q *Queue) RunDue(now time.Time) int {
 	}
 	return ran
 }
-
-// NextAt returns the instant of the earliest pending event.
-func (q *Queue) NextAt() (time.Time, bool) {
-	if len(q.h) == 0 {
-		return time.Time{}, false
-	}
-	return q.h[0].at, true
-}

@@ -35,8 +35,8 @@ func TestQueueOrdersByTimeClassSeq(t *testing.T) {
 	if q.Len() != 1 {
 		t.Errorf("pending = %d, want 1", q.Len())
 	}
-	if at, ok := q.NextAt(); !ok || !at.Equal(base.Add(time.Hour)) {
-		t.Errorf("NextAt = %v, %v", at, ok)
+	if at := q.h[0].at; !at.Equal(base.Add(time.Hour)) {
+		t.Errorf("next event at %v, want %v", at, base.Add(time.Hour))
 	}
 }
 

@@ -104,7 +104,7 @@ type Scenario struct {
 	// run declares is refused.
 	Params map[string]any
 	// Roster, if set, is the relying-party roster the scenario needs
-	// (e.g. extreme refresh lag); an explicit Config.RPs still wins.
+	// (e.g. extreme refresh lag).
 	Roster func(Params) []RPSpec
 	// Setup runs once after the world, cache, and relying parties exist
 	// but before the clock starts; it schedules the scenario's events
@@ -154,10 +154,6 @@ type Config struct {
 	// SampleDomains bounds the probe's stratified domain sample
 	// (default 1,500).
 	SampleDomains int
-	// RPs overrides the relying-party roster. Default: rp-fast
-	// (refresh every tick, drop-invalid), rp-slow (every 10 ticks,
-	// drop-invalid), legacy (no RTR session, accept-all).
-	RPs []RPSpec
 	// World reuses a prebuilt ecosystem; Seed still drives the scenario
 	// randomness.
 	World *webworld.World
@@ -188,9 +184,25 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// DefaultRPs is the builtin relying-party roster: a fast and a slow
-// drop-invalid RP bracketing realistic refresh lag, plus an accept-all
-// legacy router as the unprotected 2015 baseline.
+// Validate refuses what New would refuse before building anything: a
+// negative Tick, whose recurring events reschedule into the past inside
+// one tick so the run never returns, or a negative Duration, which
+// records nothing.
+func (c Config) Validate() error {
+	if c.Tick < 0 {
+		return fmt.Errorf("sim: Tick must not be negative, got %v", c.Tick)
+	}
+	if c.Duration < 0 {
+		return fmt.Errorf("sim: Duration must not be negative, got %v", c.Duration)
+	}
+	return nil
+}
+
+// DefaultRPs is the builtin relying-party roster, for a run whose
+// scenario brings none: a fast (refresh every tick) and a slow (every 10
+// ticks) drop-invalid RP bracketing realistic refresh lag, plus an
+// accept-all legacy router with no RTR session as the unprotected 2015
+// baseline.
 func DefaultRPs() []RPSpec {
 	return []RPSpec{
 		{Name: "rp-fast", RefreshTicks: 1, Policy: router.PolicyDropInvalid},

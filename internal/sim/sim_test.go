@@ -2,12 +2,29 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"ripki/internal/webworld"
 )
+
+// runScenario runs cfg to its horizon.
+func runScenario(cfg Config) (*TimeSeries, error) {
+	return RunScenarioContext(context.Background(), cfg)
+}
+
+// registerRoster registers, for the test's duration, a scenario that
+// schedules nothing and brings the given relying-party roster, and
+// returns its name to compose into a spec.
+func registerRoster(t *testing.T, specs []RPSpec) string {
+	t.Helper()
+	const name = "test-roster"
+	Register(Scenario{Name: name, Roster: func(Params) []RPSpec { return specs }})
+	t.Cleanup(func() { delete(scenarios, name) })
+	return name
+}
 
 // testConfig is a small, fast world: 48 ticks of 10s over 4k domains.
 func testConfig(scenario string) Config {
@@ -24,7 +41,7 @@ func testConfig(scenario string) Config {
 
 func runTSV(t *testing.T, cfg Config) (*TimeSeries, []byte) {
 	t.Helper()
-	ts, err := RunScenario(cfg)
+	ts, err := runScenario(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", cfg.Scenario, err)
 	}
@@ -237,6 +254,24 @@ func TestWriteJSONDeterministic(t *testing.T) {
 	}
 }
 
+// TestNegativeTimingRefused: a negative tick would reschedule recurring
+// events into the past for ever, and a negative horizon records nothing;
+// New refuses both, naming the field, before it builds a world.
+func TestNegativeTimingRefused(t *testing.T) {
+	for field, cfg := range map[string]Config{
+		"Tick":     {Tick: -time.Second, Duration: 2 * time.Minute},
+		"Duration": {Duration: -2 * time.Minute},
+	} {
+		s, err := New(cfg)
+		if err == nil {
+			s.Close()
+			t.Errorf("negative %s accepted", field)
+		} else if !strings.Contains(err.Error(), field) {
+			t.Errorf("negative %s refused without naming it: %v", field, err)
+		}
+	}
+}
+
 func TestUnknownScenario(t *testing.T) {
 	if _, err := New(Config{Scenario: "no-such-thing"}); err == nil {
 		t.Error("expected error for unknown scenario")
@@ -400,7 +435,7 @@ func TestAdoptedWorldSetsDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := RunScenario(Config{Scenario: "baseline", Seed: 3, World: w, Tick: 10 * time.Second, Duration: time.Minute})
+	ts, err := runScenario(Config{Scenario: "baseline", Seed: 3, World: w, Tick: 10 * time.Second, Duration: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,12 +68,6 @@ func AppendValue(dst []byte, v float64) []byte {
 	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }
 
-// FormatValue is AppendValue as a string.
-func FormatValue(v float64) string {
-	var buf [32]byte
-	return string(AppendValue(buf[:0], v))
-}
-
 // WriteTSV emits a comment header identifying the run, a column header,
 // and one tab-separated row per sample.
 func (ts *TimeSeries) WriteTSV(w io.Writer) error {

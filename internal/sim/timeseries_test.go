@@ -91,13 +91,13 @@ func TestFormatValue(t *testing.T) {
 		{0, "0"}, {42, "42"}, {-3, "-3"}, {0.25, "0.25"}, {math.NaN(), "NaN"},
 	}
 	for _, c := range cases {
-		if got := FormatValue(c.v); got != c.want {
-			t.Errorf("FormatValue(%v) = %q, want %q", c.v, got, c.want)
+		if got := string(AppendValue(nil, c.v)); got != c.want {
+			t.Errorf("AppendValue(%v) = %q, want %q", c.v, got, c.want)
 		}
 	}
 }
 
-// formatValueByString is FormatValue as it was before AppendValue: a
+// formatValueByString is how a value was formatted before AppendValue: a
 // string per cell.
 func formatValueByString(v float64) string {
 	if math.IsNaN(v) {
@@ -136,8 +136,8 @@ func writeTSVByCell(ts *TimeSeries, w io.Writer) error {
 // TestAppendValueAndWriteTSVMatchOracles: rendering into a reused buffer
 // writes the bytes the per-cell strings did — NaN, integer-valued,
 // negative, shortest-round-trip and exponent-form floats, infinities and
-// negative zero, an empty series, a row with no cells — and FormatValue
-// is still that rendering as a string.
+// negative zero, an empty series, a row with no cells — into an empty
+// buffer as into one that holds bytes already.
 func TestAppendValueAndWriteTSVMatchOracles(t *testing.T) {
 	values := []float64{
 		0, 1, -1, 42, -3, 1e6, 1 << 53, 0.5, -0.25, 1.0 / 3, -2.0 / 3, 0.1 + 0.2, 2.5e-7, 1e21, -1e-300,
@@ -146,8 +146,8 @@ func TestAppendValueAndWriteTSVMatchOracles(t *testing.T) {
 	buf := []byte("kept:")
 	for _, v := range values {
 		want := formatValueByString(v)
-		if got := FormatValue(v); got != want {
-			t.Errorf("FormatValue(%v) = %q, want %q", v, got, want)
+		if got := string(AppendValue(nil, v)); got != want {
+			t.Errorf("AppendValue(nil, %v) = %q, want %q", v, got, want)
 		}
 		if got := string(AppendValue(buf, v)); got != "kept:"+want {
 			t.Errorf("AppendValue(%q, %v) = %q, want %q", buf, v, got, "kept:"+want)

@@ -163,9 +163,6 @@ func NewBinner(width int) *Binner {
 	return &Binner{width: width}
 }
 
-// Width returns the configured bin width.
-func (b *Binner) Width() int { return b.width }
-
 // Add records an observation for the 1-based rank.
 func (b *Binner) Add(rank int, value float64) {
 	if rank < 1 {
@@ -180,23 +177,12 @@ func (b *Binner) Add(rank int, value float64) {
 	b.counts[idx]++
 }
 
-// Bins returns the number of bins with at least one observation slot.
-func (b *Binner) Bins() int { return len(b.sums) }
-
 // Mean returns the mean observation in bin i (NaN for empty bins).
 func (b *Binner) Mean(i int) float64 {
 	if i < 0 || i >= len(b.sums) || b.counts[i] == 0 {
 		return math.NaN()
 	}
 	return b.sums[i] / float64(b.counts[i])
-}
-
-// Count returns the number of observations in bin i.
-func (b *Binner) Count(i int) int {
-	if i < 0 || i >= len(b.counts) {
-		return 0
-	}
-	return b.counts[i]
 }
 
 // Series converts the binner to a named series. X values are the bin
@@ -207,20 +193,6 @@ func (b *Binner) Series(name string) Series {
 		s.Points = append(s.Points, Point{X: float64(i*b.width + 1), Y: b.Mean(i)})
 	}
 	return s
-}
-
-// Overall returns the mean across all observations.
-func (b *Binner) Overall() float64 {
-	var sum float64
-	var n int
-	for i := range b.sums {
-		sum += b.sums[i]
-		n += b.counts[i]
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
 }
 
 // Point is one (x, y) sample.

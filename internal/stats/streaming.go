@@ -82,9 +82,6 @@ func (s *StreamingSummary) Add(v float64) {
 	s.p99.add(v)
 }
 
-// Count returns the number of finite observations folded so far.
-func (s *StreamingSummary) Count() int { return s.count }
-
 // Summary renders the accumulator in Summarize's shape. With no finite
 // observations every statistic is NaN and Count is zero, exactly like
 // Summarize of an all-NaN sample.

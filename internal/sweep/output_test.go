@@ -14,8 +14,11 @@ import (
 	"ripki/internal/stats"
 )
 
+// formatValue is sim.AppendValue as a string.
+func formatValue(v float64) string { return string(sim.AppendValue(nil, v)) }
+
 // writeTSVByFprintf is Result.WriteTSV as it was: every row through
-// fmt.Fprintf, every number through a FormatValue string. Kept as the
+// fmt.Fprintf, every number through a formatValue string. Kept as the
 // oracle for the append-based writer.
 func writeTSVByFprintf(r *Result, w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -47,8 +50,8 @@ func writeTSVByFprintf(r *Result, w io.Writer) error {
 		fmt.Fprintf(bw, "%d\t%d\t%d\t%s\t%d\t%d\t%s\t%s\t%s\t%d\t%s\t%s\t%s\t%s\t%d\t%d\t%s\n",
 			rr.Spec.Index, rr.Spec.Cell, rr.Spec.Rep, cfg.Scenario, cfg.Seed, cfg.Domains,
 			cfg.Tick, cfg.Duration, FormatParams(cfg.Params), rr.Rows,
-			sim.FormatValue(float64(rr.MeanValid)), sim.FormatValue(float64(rr.MinValid)),
-			sim.FormatValue(float64(rr.FinalCoverage)), sim.FormatValue(float64(rr.MaxHijacks)),
+			formatValue(float64(rr.MeanValid)), formatValue(float64(rr.MinValid)),
+			formatValue(float64(rr.FinalCoverage)), formatValue(float64(rr.MaxHijacks)),
 			hijackedRPs, hijackedTicks, errCell)
 	}
 
@@ -60,10 +63,10 @@ func writeTSVByFprintf(r *Result, w io.Writer) error {
 			for mi, name := range cell.Columns {
 				s := ta.Metrics[mi]
 				fmt.Fprintf(bw, "%d\t%s\t%s\t%s\t%s\t%d\t%s\t%s\t%s\t%s\t%s\t%s\n",
-					cell.Index, cell.Scenario, sim.FormatValue(ta.Tick), sim.FormatValue(ta.T), name,
-					s.Count, sim.FormatValue(s.Min), sim.FormatValue(s.Mean),
-					sim.FormatValue(s.Max), sim.FormatValue(s.P50), sim.FormatValue(s.P95),
-					sim.FormatValue(s.P99))
+					cell.Index, cell.Scenario, formatValue(ta.Tick), formatValue(ta.T), name,
+					s.Count, formatValue(s.Min), formatValue(s.Mean),
+					formatValue(s.Max), formatValue(s.P50), formatValue(s.P95),
+					formatValue(s.P99))
 			}
 		}
 	}
@@ -75,7 +78,7 @@ func writeTSVByFprintf(r *Result, w io.Writer) error {
 		for _, h := range cell.Hijacks {
 			fmt.Fprintf(bw, "%d\t%s\t%s\t%s\t%d\t%s\t%s\n",
 				cell.Index, cell.Scenario, cell.Label, h.RP, h.Runs,
-				sim.FormatValue(h.SuccessRate), sim.FormatValue(h.MeanHijackedTicks))
+				formatValue(h.SuccessRate), formatValue(h.MeanHijackedTicks))
 		}
 	}
 	return bw.Flush()

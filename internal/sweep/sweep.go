@@ -179,12 +179,17 @@ func (g Grid) Plan() (*Plan, error) {
 			}
 		}
 	}
-	// Validate every cell's (scenario, params) pair — unknown scenario
-	// names, malformed composition specs, undeclared or mis-routed param
-	// keys and values that do not parse all fail at plan time, not as
-	// per-run errors in the pool.
+	// Validate every cell's configuration and (scenario, params) pair —
+	// a negative tick or duration, unknown scenario names, malformed
+	// composition specs, undeclared or mis-routed param keys and values
+	// that do not parse all fail at plan time, not as per-run errors in
+	// the pool.
 	for i := range p.Cells {
-		if _, err := sim.NewScenario(p.Cells[i].Scenario, p.Cells[i].Config.Params); err != nil {
+		err := p.Cells[i].Config.Validate()
+		if err == nil {
+			_, err = sim.NewScenario(p.Cells[i].Scenario, p.Cells[i].Config.Params)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("sweep: cell %d (%s): %w", i, p.Cells[i].Label, err)
 		}
 	}

@@ -95,6 +95,12 @@ func TestPlanRejectsBadGrids(t *testing.T) {
 	if _, err := (Grid{Params: map[string][]string{"x": {}}}).Plan(); err == nil {
 		t.Error("empty param axis accepted")
 	}
+	if _, err := (Grid{Ticks: []time.Duration{10 * time.Second, -10 * time.Second}}).Plan(); err == nil || !strings.Contains(err.Error(), "Tick") {
+		t.Errorf("negative tick: %v, want a refusal naming Tick", err)
+	}
+	if _, err := (Grid{Durations: []time.Duration{-time.Minute}}).Plan(); err == nil || !strings.Contains(err.Error(), "Duration") {
+		t.Errorf("negative duration: %v, want a refusal naming Duration", err)
+	}
 }
 
 func TestDeriveSeedStable(t *testing.T) {

@@ -7,11 +7,10 @@ import (
 	"ripki/internal/webworld"
 )
 
-// A generated world depends only on (seed, domains) — generation
-// parallelism (webworld.Config.Shards, GOMAXPROCS by default) is
-// excluded from the key on purpose, because sharded generation is
-// byte-identical at any shard count — and paired replication reuses
-// the same seed in every cell, so a grid of C cells
+// A generated world is its webworld.Config, (seed, domains): generation
+// is byte-identical at any GOMAXPROCS, and nothing else about a world
+// can be set. Paired replication reuses the same seed in every cell,
+// so a grid of C cells
 // × R replicates needs only R × |domains axis| distinct worlds, not
 // C × R. The cache below generates each distinct world exactly once
 // (organisations, RPKI signing, BGP announcement, DNS zones,

@@ -19,12 +19,14 @@ import (
 )
 
 // Generate builds the whole world from the configuration. A negative
-// Domains is an error; zero means the default.
+// Domains is an error; zero means the paper's 1,000,000.
 func Generate(cfg Config) (*World, error) {
 	if cfg.Domains < 0 {
 		return nil, fmt.Errorf("webworld: domains must not be negative, got %d", cfg.Domains)
 	}
-	cfg = cfg.Defaults()
+	if cfg.Domains == 0 {
+		cfg.Domains = defaultDomains
+	}
 	w := &World{
 		Cfg: cfg,
 		// Roughly a name for the apex, one for www (when not a CNAME of
@@ -44,7 +46,7 @@ func Generate(cfg Config) (*World, error) {
 		mark = time.Now()
 	}
 	var err error
-	if w.Repo, err = repo.New(repo.RIRNames, cfg.Clock, cfg.TTL); err != nil {
+	if w.Repo, err = repo.New(repo.RIRNames, epoch, rpkiTTL); err != nil {
 		return nil, err
 	}
 	if err := w.buildOrgs(); err != nil {
@@ -157,7 +159,7 @@ func (w *World) buildOrgs() error {
 	}
 
 	// Eyeball/regional ISPs: may sign ROAs, may host CDN caches.
-	for i := 0; i < w.Cfg.ISPs; i++ {
+	for i := 0; i < isps(w.Cfg.Domains); i++ {
 		name := fmt.Sprintf("isp-%s%s", nameSyllables[w.rnd.Intn(len(nameSyllables))], nameSyllables[w.rnd.Intn(len(nameSyllables))])
 		o := newOrg(fmt.Sprintf("%s-%03d", name, i), KindISP, rirFor(w.rnd.Intn(len(rirs))), 1+w.rnd.Intn(2))
 		n := 2 + w.rnd.Intn(4)
@@ -177,7 +179,7 @@ func (w *World) buildOrgs() error {
 	}
 
 	// Webhosters: where most origin servers live.
-	for i := 0; i < w.Cfg.Hosters; i++ {
+	for i := 0; i < hosters(w.Cfg.Domains); i++ {
 		name := fmt.Sprintf("host-%s%s", nameSyllables[w.rnd.Intn(len(nameSyllables))], nameSyllables[w.rnd.Intn(len(nameSyllables))])
 		o := newOrg(fmt.Sprintf("%s-%03d", name, i), KindHoster, rirFor(w.rnd.Intn(len(rirs))), 1)
 		n := 2 + w.rnd.Intn(5)
@@ -202,7 +204,7 @@ func (w *World) buildOrgs() error {
 	// small worlds keep the calibrated deployment level; which
 	// organisations sign is random.
 	signShare := func(list []*Org) {
-		n := int(math.Round(w.Cfg.HosterROAProb * float64(len(list))))
+		n := int(math.Round(hosterROAProb * float64(len(list))))
 		if n == 0 && len(list) > 0 {
 			n = 1
 		}
@@ -214,8 +216,9 @@ func (w *World) buildOrgs() error {
 	signShare(w.orgs.hosters)
 
 	// CDNs, per spec.
-	for i := range w.Cfg.CDNs {
-		spec := &w.Cfg.CDNs[i]
+	cdns := CDNs()
+	for i := range cdns {
+		spec := &cdns[i]
 		o := newOrg(spec.Name, KindCDN, rirFor(i), spec.ASCount)
 		o.CDN = spec
 		o.SignsROAs = spec.SignsROAs
@@ -332,7 +335,7 @@ func (w *World) signROAs() error {
 				w.Stats.ROAsMisconfigured++
 				continue
 			}
-			misconfigured := o.CDN == nil && !o.fixture && w.rnd.Float64() < w.Cfg.MisconfigProb
+			misconfigured := o.CDN == nil && !o.fixture && w.rnd.Float64() < misconfigProb
 			roaOrigin := origin
 			if misconfigured {
 				// Wrong origin in the ROA: the announcement turns
@@ -370,9 +373,6 @@ func (w *World) signROAs() error {
 // the RPKI documents it in advance — exactly the disclosure the paper
 // argues deters deployment.
 func (w *World) plantBackups(byOrg map[*Org]*caROAs) {
-	if w.Cfg.BackupArrangements <= 0 {
-		return
-	}
 	var signers []*Org
 	for _, o := range w.Orgs {
 		if o.SignsROAs && !o.fixture && o.CDN == nil && len(o.Prefixes) > 0 {
@@ -390,7 +390,7 @@ func (w *World) plantBackups(byOrg map[*Org]*caROAs) {
 		}
 	}
 	usedPrefix := make(map[netip.Prefix]bool)
-	for i := 0; i < w.Cfg.BackupArrangements && len(signers) > 0; i++ {
+	for i := 0; i < backupArrangements && len(signers) > 0; i++ {
 		owner := signers[i%len(signers)]
 		partner := partners[w.rnd.Intn(len(partners))]
 		if partner == owner {
@@ -476,7 +476,7 @@ func (w *World) announce() {
 					PeerIndex:  peerIdx,
 					Path:       path,
 					NextHop:    netip.AddrFrom4([4]byte{10, 0, byte(pi), 1}),
-					Originated: w.Cfg.Clock,
+					Originated: epoch,
 				})
 			}
 		}

@@ -37,7 +37,7 @@ func (w *World) buildCachePools() map[string][]cachePoolEntry {
 			nAddr := 1 + w.rnd.Intn(2)
 			for j := 0; j < nAddr; j++ {
 				var p netip.Prefix
-				if w.rnd.Float64() < w.Cfg.ThirdPartyCacheShare {
+				if w.rnd.Float64() < thirdPartyCacheShare {
 					isp := w.orgs.isps[w.rnd.Intn(len(w.orgs.isps))]
 					p = w.v4PrefixOf(w.rnd, isp)
 					w.Stats.CacheInThirdParty++
@@ -95,11 +95,11 @@ func (w *World) v6PrefixOf(o *Org) netip.Prefix {
 func (w *World) cdnShare(rank int) float64 {
 	n := float64(w.Cfg.Domains)
 	if n <= 1 {
-		return w.Cfg.CDNShareTop
+		return cdnShareTop
 	}
 	t := math.Log10(float64(rank)) / math.Log10(n)
 	t = math.Pow(t, 2.5)
-	return w.Cfg.CDNShareTop + (w.Cfg.CDNShareTail-w.Cfg.CDNShareTop)*t
+	return cdnShareTop + (cdnShareTail-cdnShareTop)*t
 }
 
 // merge folds another shard's tallies in; addition commutes, so the
@@ -156,8 +156,9 @@ func (b *domainBuilder) addCNAME(name, target string, ttl uint32) {
 }
 
 // buildDomains creates the ranked population and all web DNS records.
-// The per-domain phase is sharded: the ranked list is split into
-// contiguous ranges, each built concurrently into a private buffer.
+// The per-domain phase is sharded: the ranked list is split into one
+// contiguous range per GOMAXPROCS, each built concurrently into a private
+// buffer; the output is the same at every count.
 // Fixtures are order-coupled (they share a rotating covered-prefix
 // counter), so they are rebuilt sequentially afterwards.
 func (w *World) buildDomains(lap func(phase string)) error {
@@ -173,11 +174,7 @@ func (w *World) buildDomains(lap func(phase string)) error {
 	}
 
 	n := w.Cfg.Domains
-	shards := w.Cfg.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	shards = max(1, min(shards, n))
+	shards := max(1, min(runtime.GOMAXPROCS(0), n))
 
 	names := make([]string, n)
 	builders := make([]*domainBuilder, shards)
@@ -232,15 +229,14 @@ func (w *World) buildDomains(lap func(phase string)) error {
 	return nil
 }
 
-// maybeSignZone adds a DNSKEY at the zone apex with the configured
+// maybeSignZone adds a DNSKEY at the zone apex with the calibrated
 // TLD-dependent probability — the DNSSEC-adoption signal the paper's
 // future work compares against RPKI. Zone signing is operationally
 // independent of routing security, so the two deployments are
 // uncorrelated here by construction.
 func (b *domainBuilder) maybeSignZone(domain string) {
-	cfg := &b.w.Cfg
-	p := cfg.DNSSECBaseProb
-	for tld, boost := range cfg.DNSSECTLDBoost {
+	p := dnssecBaseProb
+	for tld, boost := range dnssecTLDBoost {
 		if strings.HasSuffix(domain, tld) {
 			p = boost
 			break
@@ -276,11 +272,11 @@ func (b *domainBuilder) pickCDN() *Org {
 }
 
 // maybeUnreachable swaps an address for one in allocated-but-unannounced
-// space with the configured probability (paper: 0.01% of addresses are
+// space with the calibrated probability (paper: 0.01% of addresses are
 // not visible from the BGP vantage points).
 func (b *domainBuilder) maybeUnreachable(a netip.Addr) netip.Addr {
 	w := b.w
-	if b.rnd.Float64() >= w.Cfg.UnreachableProb || len(w.orgs.unrouted) == 0 {
+	if b.rnd.Float64() >= unreachableProb || len(w.orgs.unrouted) == 0 {
 		return a
 	}
 	b.stats.AddrsUnreachable++
@@ -298,7 +294,7 @@ func (b *domainBuilder) buildRegularDomain(rank int, domain string, pools map[st
 
 	// A small fraction of domains answer only with special-purpose
 	// addresses; the pipeline must exclude them (paper: 0.07%).
-	if b.rnd.Float64() < w.Cfg.BogusDNSProb {
+	if b.rnd.Float64() < bogusDNSProb {
 		b.stats.DomainsBogusDNS++
 		bogus := netip.AddrFrom4([4]byte{127, 0, 0, byte(1 + b.rnd.Intn(200))})
 		if b.rnd.Intn(2) == 0 {
@@ -322,7 +318,7 @@ func (b *domainBuilder) buildRegularDomain(rank int, domain string, pools map[st
 		org = w.orgs.isps[b.rnd.Intn(len(w.orgs.isps))]
 	}
 	prefixes := []netip.Prefix{w.v4PrefixOf(b.rnd, org)}
-	if rank <= 10000 && b.rnd.Float64() < w.Cfg.MultiPrefixTopShare {
+	if rank <= 10000 && b.rnd.Float64() < multiPrefixTopShare {
 		// Prominent sites spread across prefixes — sometimes across a
 		// second organisation, which mixes RPKI postures (Table 1's
 		// partial coverage).
@@ -378,7 +374,7 @@ func (b *domainBuilder) buildCDNDomain(domain string, pools map[string][]cachePo
 	entry := pool[b.rnd.Intn(len(pool))]
 
 	// The apex first, beside its DNSKEY; the CNAMEs after it draw nothing.
-	single := b.rnd.Float64() < w.Cfg.SingleCNAMEShare
+	single := b.rnd.Float64() < singleCNAMEShare
 	if single && b.rnd.Float64() < 0.6 {
 		// Anycast CDN fronts the apex too: same cache addresses.
 		for _, a := range entry.addrs {

@@ -18,17 +18,6 @@ import (
 // announced space.
 func HostAddr(p netip.Prefix, i int) netip.Addr { return hostAddr(p, i) }
 
-// CDNOrgs returns the CDN organisations in roster order.
-func (w *World) CDNOrgs() []*Org {
-	var out []*Org
-	for _, o := range w.Orgs {
-		if o.Kind == KindCDN {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
 // CDNOrg returns the CDN organisation with the given spec name, or nil.
 func (w *World) CDNOrg(name string) *Org {
 	for _, o := range w.Orgs {

@@ -16,9 +16,10 @@ func TestScenarioAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cdns := w.CDNOrgs()
-	if len(cdns) != len(DefaultCDNs()) {
-		t.Fatalf("CDNOrgs = %d, want %d", len(cdns), len(DefaultCDNs()))
+	for _, spec := range CDNs() {
+		if org := w.CDNOrg(spec.Name); org == nil || org.Kind != KindCDN || org.CDN.Name != spec.Name {
+			t.Fatalf("CDNOrg(%s) = %v", spec.Name, org)
+		}
 	}
 	if org := w.CDNOrg("akamai"); org == nil || org.CDN.Name != "akamai" {
 		t.Fatalf("CDNOrg(akamai) = %v", org)

@@ -11,26 +11,32 @@ import (
 	"ripki/internal/dns"
 )
 
+// generateAt generates cfg with GOMAXPROCS, and so the shard count, set
+// to shards.
+func generateAt(t *testing.T, shards int, cfg Config) *World {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(shards))
+	w, err := Generate(cfg)
+	if err != nil {
+		t.Fatalf("Generate at GOMAXPROCS %d: %v", shards, err)
+	}
+	return w
+}
+
 // TestShardCountInvariance is the determinism contract of sharded
-// generation: the world is byte-identical at every shard count, because
+// generation: the world is byte-identical at every GOMAXPROCS, because
 // per-domain draws come from (Seed, rank)-derived streams. It compares
 // the full name list, every DNS record of every owner name, the RIB,
 // and the generation stats across shard counts straddling the range a
-// CI runner would pick for GOMAXPROCS.
+// CI runner would have.
 func TestShardCountInvariance(t *testing.T) {
-	gen := func(shards int) *World {
-		w, err := Generate(Config{Seed: 11, Domains: 3000, Shards: shards})
-		if err != nil {
-			t.Fatalf("Generate(shards=%d): %v", shards, err)
-		}
-		return w
-	}
-	base := gen(1)
+	cfg := Config{Seed: 11, Domains: 3000}
+	base := generateAt(t, 1, cfg)
 	baseNames := base.Registry.Names()
 	types := []uint16{dns.TypeA, dns.TypeAAAA, dns.TypeCNAME, dns.TypeNS, dns.TypeDNSKEY, dns.TypeTXT}
 
-	for _, shards := range []int{2, 3, 8} {
-		w := gen(shards)
+	for _, shards := range []int{3, 7} {
+		w := generateAt(t, shards, cfg)
 		if got, want := w.List.Len(), base.List.Len(); got != want {
 			t.Fatalf("shards=%d: %d domains, want %d", shards, got, want)
 		}
@@ -76,18 +82,15 @@ func heapAlloc() uint64 {
 // and a quarter more for what records point at (a "www." name a domain,
 // a DNSKEY now and then) and for the tails of chunks; a builder buffer
 // sized for 3.5 records a domain when 2.3 are written costs half as much
-// again and fails this, at one shard and at eight.
+// again and fails this, at one shard and at seven.
 func TestGeneratedRecordsStayWhereBuilt(t *testing.T) {
 	const domains = 50000
 	before := heapAlloc()
 	sized := dns.NewRegistrySized(domains*9/4 + 4096) // as Generate sizes it
 	mapBytes := heapAlloc() - before
 	runtime.KeepAlive(sized)
-	for _, shards := range []int{1, 8} {
-		w, err := Generate(Config{Seed: 5, Domains: domains, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, shards := range []int{1, 7} {
+		w := generateAt(t, shards, Config{Seed: 5, Domains: domains})
 		var dump bytes.Buffer
 		if err := w.Registry.WriteZoneTSV(&dump); err != nil {
 			t.Fatal(err)
@@ -136,18 +139,23 @@ func TestGenerateNamesItsPhases(t *testing.T) {
 	}
 }
 
-// TestShardsIsNotPartOfIdentity pins the cache-key contract: Defaults
-// must leave Shards untouched, so configs differing only in parallelism
-// stay equal and shared-world caches keep hitting.
+// TestShardsIsNotPartOfIdentity: a world is its Config, and Config is
+// exactly {Seed, Domains} — the key sweep's shared-world cache uses. The
+// shard count is GOMAXPROCS, read at generation time, so a field added
+// here (a parallelism knob, a calibration override) would split worlds
+// the cache treats as one.
 func TestShardsIsNotPartOfIdentity(t *testing.T) {
-	a := Config{Seed: 1, Domains: 100}.Defaults()
-	b := Config{Seed: 1, Domains: 100, Shards: 7}.Defaults()
-	if a.Shards != 0 {
-		t.Fatalf("Defaults set Shards = %d, want 0 (resolved at generation time)", a.Shards)
+	typ := reflect.TypeOf(Config{})
+	var fields []string
+	for i := 0; i < typ.NumField(); i++ {
+		fields = append(fields, typ.Field(i).Name)
 	}
-	b.Shards = 0
-	if !reflect.DeepEqual(a.DNSSECTLDBoost, b.DNSSECTLDBoost) {
-		t.Fatal("unrelated defaults differ")
+	if want := []string{"Seed", "Domains"}; !reflect.DeepEqual(fields, want) {
+		t.Fatalf("Config has fields %v, want %v", fields, want)
+	}
+	cfg := Config{Seed: 1, Domains: 100}
+	if a, b := generateAt(t, 1, cfg), generateAt(t, 3, cfg); a.Cfg != b.Cfg || a.Cfg != cfg {
+		t.Fatalf("Cfg at 1 and 3 shards: %+v, %+v; want %+v", a.Cfg, b.Cfg, cfg)
 	}
 }
 

@@ -55,8 +55,48 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestManifestNumbersRepeat: world generation reads no wall clock, so
+// two worlds of one seed give every CA the same manifest number (the
+// signatures still differ: they draw from crypto/rand).
+func TestManifestNumbersRepeat(t *testing.T) {
+	numbers := func() map[string]int64 {
+		w, err := Generate(Config{Seed: 7, Domains: 2000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]int64)
+		var walk func(*repo.CA)
+		walk = func(ca *repo.CA) {
+			out[ca.Cert.Subject] = ca.Manifest.Number
+			for _, c := range ca.Children {
+				walk(c)
+			}
+		}
+		for _, ta := range w.Repo.Anchors {
+			walk(ta)
+		}
+		return out
+	}
+	a, b := numbers(), numbers()
+	if len(a) != len(b) || len(a) < 6 {
+		t.Fatalf("%d CAs, then %d", len(a), len(b))
+	}
+	moved := 0
+	for ca, n := range a {
+		if b[ca] != n {
+			t.Errorf("CA %s: manifest %d, then %d", ca, n, b[ca])
+		}
+		if n > 1 {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Error("no manifest was re-signed: every number is 1")
+	}
+}
+
 // TestGenerateDomains: a negative size is refused before anything is
-// built, naming the field; zero means the default size.
+// built, naming the field.
 func TestGenerateDomains(t *testing.T) {
 	for _, c := range []struct {
 		domains int
@@ -71,9 +111,6 @@ func TestGenerateDomains(t *testing.T) {
 		case c.ok && w.List.Len() != c.domains:
 			t.Errorf("Domains %d: list of %d", c.domains, w.List.Len())
 		}
-	}
-	if got := (Config{}).Defaults().Domains; got != 1000000 {
-		t.Errorf("Domains 0 defaults to %d, want 1000000", got)
 	}
 }
 
@@ -167,7 +204,7 @@ func TestCDNASRegistryShape(t *testing.T) {
 	cdnASes := 0
 	internapASes := 0
 	for _, info := range w.ASRegistry {
-		for _, spec := range w.Cfg.CDNs {
+		for _, spec := range CDNs() {
 			if strings.Contains(info.Name, strings.ToUpper(spec.Name)) {
 				cdnASes++
 				if spec.Name == "internap" {
@@ -216,12 +253,16 @@ func TestInternapExceptionInVRPs(t *testing.T) {
 		t.Errorf("internap origin ASes = %d, want 3", len(origins))
 	}
 	// No other CDN appears in the RPKI.
+	inRPKI := make(map[uint32]bool)
+	for _, v := range res.VRPs.All() {
+		inRPKI[v.ASN] = true
+	}
 	for _, o := range w.Orgs {
 		if o.Kind != KindCDN || o == internap {
 			continue
 		}
 		for _, asn := range o.ASNs {
-			if res.VRPs.HasASN(asn) {
+			if inRPKI[asn] {
 				t.Errorf("CDN %s AS%d appears in the RPKI", o.Name, asn)
 			}
 		}
@@ -315,10 +356,10 @@ func TestCDNShareDecreasesWithRank(t *testing.T) {
 	if w.cdnShare(1) < w.cdnShare(w.Cfg.Domains) {
 		t.Error("CDN share not decreasing")
 	}
-	if math.Abs(w.cdnShare(1)-w.Cfg.CDNShareTop) > 0.01 {
+	if math.Abs(w.cdnShare(1)-cdnShareTop) > 0.01 {
 		t.Errorf("top share = %v", w.cdnShare(1))
 	}
-	if math.Abs(w.cdnShare(w.Cfg.Domains)-w.Cfg.CDNShareTail) > 0.01 {
+	if math.Abs(w.cdnShare(w.Cfg.Domains)-cdnShareTail) > 0.01 {
 		t.Errorf("tail share = %v", w.cdnShare(w.Cfg.Domains))
 	}
 }
@@ -368,7 +409,7 @@ func TestSignedPrefixShareNearPolicy(t *testing.T) {
 	}
 	frac := float64(signed) / float64(total)
 	if frac < 0.01 || frac > 0.15 {
-		t.Errorf("signing org share = %v (want around %v)", frac, w.Cfg.HosterROAProb)
+		t.Errorf("signing org share = %v (want around %v)", frac, hosterROAProb)
 	}
 }
 
@@ -380,13 +421,13 @@ func TestStatsPlausible(t *testing.T) {
 	}
 	// CDN adoption overall should sit between the tail and top anchors.
 	frac := float64(s.DomainsCDN) / float64(w.Cfg.Domains)
-	if frac < w.Cfg.CDNShareTail || frac > w.Cfg.CDNShareTop {
+	if frac < cdnShareTail || frac > cdnShareTop {
 		t.Errorf("CDN domain share = %v", frac)
 	}
 	// Third-party cache placement near the configured share.
 	tp := float64(s.CacheInThirdParty) / float64(s.CacheInThirdParty+s.CacheInCDNNetwork)
-	if math.Abs(tp-w.Cfg.ThirdPartyCacheShare) > 0.05 {
-		t.Errorf("third-party cache share = %v, want ≈ %v", tp, w.Cfg.ThirdPartyCacheShare)
+	if math.Abs(tp-thirdPartyCacheShare) > 0.05 {
+		t.Errorf("third-party cache share = %v, want ≈ %v", tp, thirdPartyCacheShare)
 	}
 }
 

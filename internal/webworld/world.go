@@ -17,7 +17,7 @@
 //     ISPs sometimes adopt and CDNs (except an Internap-like one) do
 //     not (Figures 2 and 4 and §4.2's cause).
 //
-// Everything is deterministic given Config.Seed.
+// Everything is deterministic given Config.Seed and Config.Domains.
 package webworld
 
 import (
@@ -53,12 +53,13 @@ type CDNSpec struct {
 	SignedPrefixes, SignedASes int
 }
 
-// DefaultCDNs is the paper's §4.2 list: "Akamai, Amazon, Cdnetworks,
+// CDNs is the paper's §4.2 list: "Akamai, Amazon, Cdnetworks,
 // Chinacache, Chinanet, Cloudflare, Cotendo, Edgecast, Highwinds,
 // Instart, Internap, Limelight, Mirrorimage, Netdna, Simplecdn, and
 // Yottaa", with AS counts summing to the 199 ASes the paper discovered
-// and Internap's 41 ASes called out explicitly.
-func DefaultCDNs() []CDNSpec {
+// and Internap's 41 ASes called out explicitly. Every world has this
+// roster; each call returns a fresh copy.
+func CDNs() []CDNSpec {
 	return []CDNSpec{
 		{Name: "akamai", ASCount: 36, Weight: 0.28, ServiceSuffixes: []string{"edgesuite.wld", "edgekey.wld", "akamaized.wld"}},
 		{Name: "amazon", ASCount: 18, Weight: 0.20, ServiceSuffixes: []string{"cloudfront.wld", "awsdns.wld"}},
@@ -79,147 +80,80 @@ func DefaultCDNs() []CDNSpec {
 	}
 }
 
-// Config parameterises world generation. The zero value is completed by
-// Defaults; every probability has the calibration that reproduces the
-// paper's observed magnitudes.
+// Config names a world. Nothing else about a world can be set: the rest
+// is the calibration that makes the paper's observed magnitudes emerge.
 type Config struct {
 	// Seed drives all randomness; equal seeds give equal worlds.
 	Seed int64
-	// Domains is the size of the ranked list (paper: 1,000,000).
+	// Domains is the size of the ranked list; zero means the paper's
+	// 1,000,000.
 	Domains int
-	// Shards bounds the parallelism of the per-domain generation phase.
-	// The output is byte-identical at EVERY value — per-domain draws
-	// come from (Seed, rank)-derived streams, never from shard state —
-	// so this is purely a resource knob. Zero means GOMAXPROCS,
-	// resolved at generation time (deliberately not in Defaults, so
-	// config equality and cache keys ignore it).
-	Shards int
-	// Clock is the world's creation time; Epoch+30d is the usual
-	// measurement time.
-	Clock time.Time
-	// TTL is the validity window of RPKI objects.
-	TTL time.Duration
+}
 
-	// Hosters and ISPs scale the infrastructure population.
-	Hosters int
-	ISPs    int
+// The calibration. Each value reproduces a magnitude the paper reports.
+const (
+	// defaultDomains is the paper's ranked-list size.
+	defaultDomains = 1000000
+	// rpkiTTL is the validity window of RPKI objects.
+	rpkiTTL = 365 * 24 * time.Hour
 
-	// CDNs is the CDN roster (DefaultCDNs if nil).
-	CDNs []CDNSpec
-
-	// HosterROAProb is the probability a webhoster or ISP organisation
-	// creates ROAs for all its prefixes. The paper reports >5%
-	// penetration for these stakeholders and ~6% of web prefixes
-	// covered overall.
-	HosterROAProb float64
-	// MisconfigProb is the probability a ROA-signing organisation
-	// botches one of its ROAs (wrong origin AS), producing the ~0.09%
-	// invalid announcements the paper observes, evenly across ranks.
-	MisconfigProb float64
-	// CDNShareTop and CDNShareTail anchor the convex-in-log-rank CDN
+	// hosterROAProb is the share of webhoster and ISP organisations that
+	// create ROAs for all their prefixes. The paper reports >5%
+	// penetration for these stakeholders and ~6% of web prefixes covered
+	// overall.
+	hosterROAProb = 0.062
+	// misconfigProb is the probability a ROA-signing organisation botches
+	// one of its ROAs (wrong origin AS), producing the ~0.09% invalid
+	// announcements the paper observes, evenly across ranks.
+	misconfigProb = 0.015
+	// cdnShareTop and cdnShareTail anchor the convex-in-log-rank CDN
 	// adoption curve (Figure 3: ~30% at the top ranks, a few percent in
 	// the tail).
-	CDNShareTop, CDNShareTail float64
-	// ThirdPartyCacheShare is the fraction of CDN cache deployments
-	// placed in third-party eyeball ISP networks ("CDN servers that are
-	// placed in third party networks benefit from RPKI deployment that
-	// these networks perform").
-	ThirdPartyCacheShare float64
-	// SingleCNAMEShare is the fraction of CDN customers whose delivery
+	cdnShareTop, cdnShareTail = 0.30, 0.02
+	// thirdPartyCacheShare is the fraction of CDN cache deployments placed
+	// in third-party eyeball ISP networks ("CDN servers that are placed in
+	// third party networks benefit from RPKI deployment that these
+	// networks perform").
+	thirdPartyCacheShare = 0.15
+	// singleCNAMEShare is the fraction of CDN customers whose delivery
 	// uses a single CNAME rather than a 2+ chain; the paper's
 	// indirection-counting heuristic misses these while the
 	// HTTPArchive-style pattern matcher catches them (Figure 3's gap).
-	SingleCNAMEShare float64
-	// BogusDNSProb is the probability a domain resolves only to IANA
+	singleCNAMEShare = 0.35
+	// bogusDNSProb is the probability a domain resolves only to IANA
 	// special-purpose addresses (paper: 0.07% of answers excluded).
-	BogusDNSProb float64
-	// UnreachableProb is the probability a server address comes from an
+	bogusDNSProb = 0.0007
+	// unreachableProb is the probability a server address comes from an
 	// allocated but unannounced prefix (paper: 0.01% of addresses).
-	UnreachableProb float64
-	// MultiPrefixTopShare is the probability a top-10k non-CDN domain
-	// is served from several prefixes (availability engineering at
-	// prominent sites).
-	MultiPrefixTopShare float64
-	// BackupArrangements is the number of confidential standby setups
-	// (one organisation authorising another's AS on one of its
-	// prefixes) planted in the RPKI — the business relations §5.2
-	// warns the RPKI exposes "in advance". Negative disables; zero
-	// means the default of 3.
-	BackupArrangements int
-	// DNSSECBaseProb is the probability a domain's zone is DNSSEC
-	// signed (a DNSKEY at the apex). The paper's future work compares
-	// RPKI with DNSSEC adoption; roughly 2-3% of zones were signed in
-	// 2015, with strong ccTLD effects modelled via DNSSECTLDBoost.
-	DNSSECBaseProb float64
-	// DNSSECTLDBoost maps TLD suffixes to elevated signing
-	// probabilities (nil gets the 2015-flavoured default: .nl/.se/.cz
-	// signed far above the base rate).
-	DNSSECTLDBoost map[string]float64
+	unreachableProb = 0.0001
+	// multiPrefixTopShare is the probability a top-10k non-CDN domain is
+	// served from several prefixes (availability engineering at prominent
+	// sites).
+	multiPrefixTopShare = 0.35
+	// backupArrangements is the number of confidential standby setups
+	// (one organisation authorising another's AS on one of its prefixes)
+	// planted in the RPKI — the business relations §5.2 warns the RPKI
+	// exposes "in advance".
+	backupArrangements = 3
+	// dnssecBaseProb is the probability a domain's zone is DNSSEC signed
+	// (a DNSKEY at the apex). The paper's future work compares RPKI with
+	// DNSSEC adoption; roughly 2-3% of zones were signed in 2015, with
+	// strong ccTLD effects modelled by dnssecTLDBoost.
+	dnssecBaseProb = 0.022
+)
+
+// epoch is every world's creation time; MeasureTime is 30 days later.
+var epoch = time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
+
+// dnssecTLDBoost is the 2015-flavoured signing probability of the TLDs
+// signed far above dnssecBaseProb.
+var dnssecTLDBoost = map[string]float64{
+	".nl": 0.30, ".se": 0.40, ".cz": 0.35, ".fr": 0.08,
 }
 
-// Defaults fills unset fields with the calibrated defaults.
-func (c Config) Defaults() Config {
-	if c.Domains == 0 {
-		c.Domains = 1000000
-	}
-	if c.Clock.IsZero() {
-		c.Clock = time.Date(2015, 6, 1, 0, 0, 0, 0, time.UTC)
-	}
-	if c.TTL == 0 {
-		c.TTL = 365 * 24 * time.Hour
-	}
-	if c.Hosters == 0 {
-		c.Hosters = clamp(c.Domains/2500, 80, 400)
-	}
-	if c.ISPs == 0 {
-		c.ISPs = clamp(c.Domains/2000, 120, 500)
-	}
-	if c.CDNs == nil {
-		c.CDNs = DefaultCDNs()
-	}
-	if c.HosterROAProb == 0 {
-		c.HosterROAProb = 0.062
-	}
-	if c.MisconfigProb == 0 {
-		c.MisconfigProb = 0.015
-	}
-	if c.CDNShareTop == 0 {
-		c.CDNShareTop = 0.30
-	}
-	if c.CDNShareTail == 0 {
-		c.CDNShareTail = 0.02
-	}
-	if c.ThirdPartyCacheShare == 0 {
-		c.ThirdPartyCacheShare = 0.15
-	}
-	if c.SingleCNAMEShare == 0 {
-		c.SingleCNAMEShare = 0.35
-	}
-	if c.BogusDNSProb == 0 {
-		c.BogusDNSProb = 0.0007
-	}
-	if c.UnreachableProb == 0 {
-		c.UnreachableProb = 0.0001
-	}
-	if c.MultiPrefixTopShare == 0 {
-		c.MultiPrefixTopShare = 0.35
-	}
-	if c.BackupArrangements == 0 {
-		c.BackupArrangements = 3
-	}
-	if c.BackupArrangements < 0 {
-		c.BackupArrangements = 0
-	}
-	if c.DNSSECBaseProb == 0 {
-		c.DNSSECBaseProb = 0.022
-	}
-	if c.DNSSECTLDBoost == nil {
-		c.DNSSECTLDBoost = map[string]float64{
-			".nl": 0.30, ".se": 0.40, ".cz": 0.35, ".fr": 0.08,
-		}
-	}
-	return c
-}
+// hosters and isps scale the infrastructure population with the world.
+func hosters(domains int) int { return clamp(domains/2500, 80, 400) }
+func isps(domains int) int    { return clamp(domains/2000, 120, 500) }
 
 func clamp(v, lo, hi int) int {
 	if v < lo {
@@ -372,7 +306,7 @@ type Stats struct {
 // MeasureTime returns the canonical measurement instant for this world
 // (30 days after creation, well inside every validity window).
 func (w *World) MeasureTime() time.Time {
-	return w.Cfg.Clock.Add(30 * 24 * time.Hour)
+	return epoch.Add(30 * 24 * time.Hour)
 }
 
 // OrgOfPrefix returns the owner of a generated prefix, if any.

@@ -22,7 +22,7 @@
 //	study.Dataset.Figure2(measure.VariantWWW).WriteTSV(os.Stdout)
 //
 // The time-evolving scenario engine is internal/sim (sim.New,
-// sim.RunScenario), parameter sweeps over it internal/sweep and
+// sim.RunScenarioContext), parameter sweeps over it internal/sweep and
 // internal/distsweep, and the query service internal/serve.
 package ripki
 
@@ -47,17 +47,9 @@ type StudyConfig struct {
 	// BinWidth groups ranks in figures (default: the world's size / 100,
 	// the paper's 10,000 of 1M).
 	BinWidth int
-	// CDNThreshold is the CNAME-indirection cutoff (default 2).
-	CDNThreshold int
-	// HTTPArchiveLimit bounds the pattern classifier's corpus; the
-	// default scales the paper's 300k/1M proportionally to Domains.
-	HTTPArchiveLimit int
 	// DNSSEC additionally measures DNSSEC zone signing per domain (the
 	// paper's stated future-work comparison).
 	DNSSEC bool
-	// World overrides the full world configuration; Domains/Seed above
-	// are ignored when set.
-	World *webworld.Config
 }
 
 // Study is a completed end-to-end run: the generated world, the
@@ -73,35 +65,26 @@ type Study struct {
 // NewStudy generates a world, validates its RPKI repository, and runs
 // the paper's four-step methodology over the ranked domain list.
 func NewStudy(cfg StudyConfig) (*Study, error) {
-	wcfg := webworld.Config{Seed: cfg.Seed, Domains: cfg.Domains}
-	if cfg.World != nil {
-		wcfg = *cfg.World
-	}
-	world, err := webworld.Generate(wcfg)
+	world, err := webworld.Generate(webworld.Config{Seed: cfg.Seed, Domains: cfg.Domains})
 	if err != nil {
 		return nil, fmt.Errorf("ripki: generating world: %w", err)
 	}
 	validation := world.Validation()
 	ha := httparchive.New(world.CDNSuffixes)
-	if cfg.HTTPArchiveLimit > 0 {
-		ha.Limit = cfg.HTTPArchiveLimit
-	} else {
-		// Scale the paper's 300k-of-1M corpus to this world.
-		ha.Limit = world.Cfg.Domains * 3 / 10
-	}
+	// Scale the paper's 300k-of-1M corpus to this world.
+	ha.Limit = world.Cfg.Domains * 3 / 10
 	binWidth := cfg.BinWidth
 	if binWidth == 0 {
 		// Scale the paper's 10k-of-1M binning to this world.
 		binWidth = max(world.Cfg.Domains/100, 1)
 	}
 	ds, err := measure.Run(world.List, measure.Config{
-		Resolver:     dns.RegistryResolver{Registry: world.Registry},
-		RIB:          world.RIB,
-		VRPs:         validation.VRPs,
-		HTTPArchive:  ha,
-		BinWidth:     binWidth,
-		CDNThreshold: cfg.CDNThreshold,
-		DNSSEC:       cfg.DNSSEC,
+		Resolver:    dns.RegistryResolver{Registry: world.Registry},
+		RIB:         world.RIB,
+		VRPs:        validation.VRPs,
+		HTTPArchive: ha,
+		BinWidth:    binWidth,
+		DNSSEC:      cfg.DNSSEC,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ripki: measuring: %w", err)
@@ -127,8 +110,9 @@ func (s *Study) asRegistry() []measure.ASRegistryEntry {
 // CDNStudy runs the §4.2 keyword-spotting analysis; measure.CDNStudyTable
 // renders it.
 func (s *Study) CDNStudy() []measure.CDNStudyRow {
-	names := make([]string, 0, len(s.World.Cfg.CDNs))
-	for _, spec := range s.World.Cfg.CDNs {
+	cdns := webworld.CDNs()
+	names := make([]string, 0, len(cdns))
+	for _, spec := range cdns {
 		names = append(names, spec.Name)
 	}
 	return measure.CDNStudy(names, s.asRegistry(), s.VRPs)

@@ -55,8 +55,12 @@ func TestStudyServeService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := serve.NewFromWorld(s.World)
+	dt, err := serve.BuildDomainTable(s.World)
 	if err != nil {
+		t.Fatal(err)
+	}
+	svc := serve.New(dt)
+	if _, err := svc.PublishSet(s.VRPs, "world", 0); err != nil {
 		t.Fatal(err)
 	}
 	sn := svc.Current()
