@@ -2,18 +2,18 @@ package vrp
 
 import "slices"
 
-// build is the one constructor of a table that is loaded whole: it
-// takes ownership of rows — checked VRPs in any order, repeats allowed
-// — sorts them by Compare if they did not arrive so, drops repeats and
-// fills the tree from the sorted array. The table's per-prefix values
-// are windows of rows (see fill), so the array lives as long as any
-// prefix that was in it.
+// build is the one constructor of a table that is loaded whole from
+// one array: it takes ownership of rows — checked VRPs in any order,
+// repeats allowed — sorts them by Compare if they did not arrive so,
+// drops repeats and fills the tree from the sorted array. The table's
+// per-prefix values are windows of rows (see fill), so the array lives
+// as long as any prefix that was in it.
 func build(rows []VRP) table {
 	if !slices.IsSortedFunc(rows, Compare) {
 		slices.SortFunc(rows, Compare)
 	}
 	var t table
-	t.fill(slices.Compact(rows))
+	t.fill([][]VRP{slices.Compact(rows)})
 	return t
 }
 
@@ -33,11 +33,14 @@ func buildChecked(vs []VRP) (table, error) {
 // builderChunk is the most rows a Builder holds per allocation (4096
 // VRPs are 192 KiB); chunks double from builderFirst up to it, so a
 // table of a few thousand VRPs — a simulated relying party's — does not
-// pay for a validator's. The row count is unknown until the input ends;
-// bounded chunks, copied once into a slice of exactly that size, leave
-// behind the final size in garbage where growing one slice leaves up to
-// four times it (a large slice grows by a quarter), which showed in a
-// starting daemon's peak resident size.
+// pay for a validator's. The row count is unknown until the input ends.
+// Rows that arrived strictly in Compare order — an RTR cache's full
+// response, a sorted export — need no array of their own: the table is
+// filled from the chunks where they lie. Any other input is copied once
+// into a slice of exactly its size and sorted there, which leaves behind
+// the final size in garbage where growing one slice leaves up to four
+// times it (a large slice grows by a quarter); that showed in a starting
+// daemon's peak resident size.
 const (
 	builderFirst = 64
 	builderChunk = 4096
@@ -45,11 +48,14 @@ const (
 
 // Builder collects the rows of a set that is loaded whole from an input
 // of unknown length — a CSV file, an RTR full response — and builds it
-// once, at the end, by the same constructor as FromVRPs. Collecting
-// touches no set and takes no lock. The zero value is ready to use.
+// once, at the end, by the same fill as FromVRPs. Collecting touches no
+// set and takes no lock. The zero value is ready to use.
 type Builder struct {
 	chunks [][]VRP
 	n      int
+	// disordered says some row did not come strictly after the one
+	// before it in Compare order: out of order, or a repeat.
+	disordered bool
 	// dead maps a removed VRP to the number of rows held when it was
 	// last removed: rows before that position holding it are dropped.
 	dead map[VRP]int
@@ -69,6 +75,10 @@ func (b *Builder) Add(v VRP) error {
 // add appends a checked row.
 func (b *Builder) add(v VRP) {
 	last := len(b.chunks) - 1
+	if last >= 0 && !b.disordered {
+		c := b.chunks[last]
+		b.disordered = Compare(c[len(c)-1], v) >= 0
+	}
 	if last < 0 || len(b.chunks[last]) == cap(b.chunks[last]) {
 		size := builderFirst
 		if last >= 0 {
@@ -96,8 +106,24 @@ func (b *Builder) Remove(v VRP) {
 }
 
 // Set builds the set from the rows collected and leaves the builder
-// empty.
+// empty. Rows that arrived strictly in order, none removed, become the
+// table where they lie: each prefix's value is a window of its chunk.
+// Anything else is copied out and built as FromVRPs builds.
 func (b *Builder) Set() *Set {
+	var t table
+	if !b.disordered && b.dead == nil {
+		t.fill(b.chunks)
+	} else {
+		t = build(b.copyRows())
+	}
+	*b = Builder{}
+	return &Set{table: t}
+}
+
+// copyRows copies the rows still wanted — not those a later Remove
+// cancelled — into one slice of exactly their number, releasing each
+// chunk as it is copied.
+func (b *Builder) copyRows() []VRP {
 	rows := make([]VRP, 0, b.n)
 	at := 0 // how many rows were added before the one in hand
 	for i, c := range b.chunks {
@@ -113,6 +139,5 @@ func (b *Builder) Set() *Set {
 		}
 		b.chunks[i] = nil
 	}
-	*b = Builder{}
-	return &Set{table: build(rows)}
+	return rows
 }

@@ -2,12 +2,16 @@ package vrp
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"ripki/internal/netutil"
+	"ripki/internal/radix"
 )
 
 // insertOneByOne is how every table was built before build: a lookup, a
@@ -243,5 +247,181 @@ func TestBuilderLastRecordDecides(t *testing.T) {
 	sameTable(t, "builder", b.Set(), model.all())
 	if got := b.Set(); got.Len() != 0 {
 		t.Errorf("a builder that has built holds %d VRPs, want none", got.Len())
+	}
+}
+
+// runOfThree returns n distinct VRPs in Compare order, three to a /32
+// and offset by one — the first two at a /24 that covers the rest — so
+// that rows k-1 and k share a prefix whenever k ≡ 0 or 1 (mod 3): every
+// chunk boundary a Builder has below 8128 rows (64, 192, 448, 960,
+// 1984, 4032) falls inside a prefix's run.
+func runOfThree(n int) []VRP {
+	vs := make([]VRP, n)
+	for k := range vs {
+		m := (k + 1) / 3
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{1, byte(m >> 16), byte(m >> 8), byte(m)}), 32)
+		if k < 2 {
+			p = netip.PrefixFrom(netip.AddrFrom4([4]byte{1, 0, 0, 0}), 24)
+		}
+		vs[k] = VRP{Prefix: p, MaxLength: 32, ASN: uint32(64500 + (k+1)%3)}
+	}
+	return vs
+}
+
+// collect feeds vs to a Builder and returns it with a copy of its chunk
+// list, taken before Set drops it.
+func collect(t testing.TB, vs []VRP) (*Builder, [][]VRP) {
+	t.Helper()
+	b := new(Builder)
+	for _, v := range vs {
+		if err := b.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b, slices.Clone(b.chunks)
+}
+
+// windows counts the table's per-prefix values that lie in the given
+// chunks and those that do not, failing on a value with spare capacity.
+func windows(t *testing.T, s *Set, chunks [][]VRP) (in, out int) {
+	t.Helper()
+	rows := make(map[*VRP]bool)
+	for _, c := range chunks {
+		for i := range c {
+			rows[&c[i]] = true
+		}
+	}
+	s.tree.Walk(func(p netip.Prefix, vs []VRP) bool {
+		if cap(vs) != len(vs) {
+			t.Errorf("value at %v has capacity %d for %d VRPs", p, cap(vs), len(vs))
+		}
+		if rows[&vs[0]] {
+			in++
+		} else {
+			out++
+		}
+		return true
+	})
+	return in, out
+}
+
+// TestSortedBuilderWindowsItsChunks: rows that reach a Builder strictly
+// in Compare order become the table where they lie. Every prefix's
+// value is a window of its chunk except one whose rows straddle a chunk
+// boundary, which gets a slice of its own; the table is the one
+// FromVRPs builds from the same rows, at sizes on both sides of the
+// first two boundaries, past the chunk-size cap, and for one prefix
+// whose rows fill whole chunks.
+func TestSortedBuilderWindowsItsChunks(t *testing.T) {
+	manyAtOne := make([]VRP, 0, 300)
+	for asn := uint32(1); len(manyAtOne) < cap(manyAtOne); asn++ {
+		for ml := 8; ml <= 32 && len(manyAtOne) < cap(manyAtOne); ml++ {
+			manyAtOne = append(manyAtOne, VRP{Prefix: netutil.MustPrefix("10.0.0.0/8"), MaxLength: ml, ASN: asn})
+		}
+	}
+	slices.SortFunc(manyAtOne, Compare)
+	type input struct {
+		vs        []VRP
+		straddles int // runs that cross a chunk boundary
+	}
+	cases := map[string]input{"one prefix in three chunks": {manyAtOne, 1}}
+	for _, n := range []int{63, 64, 65, 192, 193, 4097} {
+		straddles := 0
+		for _, boundary := range []int{64, 192, 448, 960, 1984, 4032} {
+			if boundary < n {
+				straddles++
+			}
+		}
+		cases[fmt.Sprintf("%d rows", n)] = input{runOfThree(n), straddles}
+	}
+	rnd := rand.New(rand.NewSource(17))
+	for name, tc := range cases {
+		oracle, err := FromVRPs(tc.vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oracle.All()
+		if !slices.Equal(want, tc.vs) {
+			t.Fatalf("%s: the input is not strictly in Compare order", name)
+		}
+		b, chunks := collect(t, tc.vs)
+		built := b.Set()
+		sameTable(t, name, built, want)
+		if in, out := windows(t, built, chunks); out != tc.straddles {
+			t.Errorf("%s: %d values are windows of the chunks and %d are not, want %d not (the straddling runs)", name, in, out, tc.straddles)
+		}
+		for i := 0; i < 300; i++ {
+			v := want[rnd.Intn(len(want))]
+			route := netip.PrefixFrom(v.Prefix.Addr(), v.Prefix.Bits()+rnd.Intn(33-v.Prefix.Bits()))
+			asn := v.ASN + uint32(rnd.Intn(2))
+			wantState, wantCov := oracle.ValidateExplain(route, asn)
+			if state, cov := built.ValidateExplain(route, asn); state != wantState || !slices.Equal(cov, wantCov) {
+				t.Fatalf("%s: ValidateExplain(%v, AS%d) = %v %v, FromVRPs %v %v", name, route, asn, state, cov, wantState, wantCov)
+			}
+		}
+	}
+}
+
+// TestBuilderFallsBackToACopy: a repeat row, a Remove or rows out of
+// order each send the builder down the copy-and-sort path, so no value
+// of the table lies in the builder's chunks, and the table is still the
+// one the rows describe.
+func TestBuilderFallsBackToACopy(t *testing.T) {
+	vs := runOfThree(500)
+	shuffled := slices.Clone(vs)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for name, tc := range map[string]struct {
+		rows   []VRP
+		remove []VRP
+		want   []VRP
+	}{
+		"a repeat row": {slices.Insert(slices.Clone(vs), 100, vs[100]), nil, vs},
+		"a remove":     {vs, vs[10:11], slices.Delete(slices.Clone(vs), 10, 11)},
+		"out of order": {shuffled, nil, vs},
+	} {
+		b, chunks := collect(t, tc.rows)
+		for _, v := range tc.remove {
+			b.Remove(v)
+		}
+		built := b.Set()
+		sameTable(t, name, built, tc.want)
+		if in, _ := windows(t, built, chunks); in != 0 {
+			t.Errorf("%s: %d values are windows of the builder's chunks, want a copy", name, in)
+		}
+	}
+}
+
+// TestSortedBuilderCopiesNoRows: building 300 000 rows that came in
+// order allocates the tree's nodes and next to nothing else — not the
+// 14.4 MB array a copy of the rows would take. The nodes are measured
+// by inserting the same prefixes into an empty tree.
+func TestSortedBuilderCopiesNoRows(t *testing.T) {
+	const n = 300000
+	vs := runOfThree(n)
+	b, _ := collect(t, vs)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var set *Set
+	setBytes := allocated(func() { set = b.Set() })
+	prefixes := prefixesIn(vs)
+	nodeBytes := allocated(func() {
+		var tree radix.Tree[[]VRP]
+		for _, p := range prefixes {
+			_ = tree.Insert(p, nil)
+		}
+	})
+	if set.Len() != n {
+		t.Fatalf("built %d VRPs from %d rows", set.Len(), n)
+	}
+	if beyond := int64(setBytes) - int64(nodeBytes); beyond >= n*int64(unsafe.Sizeof(VRP{})) {
+		t.Errorf("Set() allocated %d bytes beyond the %d of the nodes, want less than a copy of the rows (%d)",
+			beyond, nodeBytes, n*unsafe.Sizeof(VRP{}))
+	} else {
+		t.Logf("Set() allocated %d bytes: %d of nodes and %d beyond", setBytes, nodeBytes, beyond)
 	}
 }

@@ -72,24 +72,45 @@ func (t *table) insert(v VRP) (bool, error) {
 }
 
 // fill loads an empty table from checked VRPs in Compare order without
-// repeats — what all returns — with one tree insertion per distinct
-// prefix and no allocation but the nodes: each prefix's value is a
-// window of vs, its capacity clipped to its length so that nothing can
-// append into the next prefix's rows. That is sound because a value is
-// only ever replaced (insert and Remove store a fresh slice), and it
-// puts the payloads in memory, like the nodes, in the order a walk
-// visits them (see ReadCSV for why that matters). vs stays reachable
-// while any of its prefixes keeps its original value.
-func (t *table) fill(vs []VRP) {
-	t.count = len(vs)
-	for i := 0; i < len(vs); {
+// repeats — what all returns — held in one or more chunks (none empty
+// but a lone one), with one tree insertion per distinct prefix and no
+// allocation but the nodes: each prefix's value is a window of its
+// chunk, its capacity clipped to its length so that nothing can append
+// into the next prefix's rows. A prefix whose rows straddle the end of
+// a chunk is the exception: its rows are copied into a slice of its
+// own. Windows are sound because a value is only ever replaced (insert
+// and Remove store a fresh slice), and they put the payloads in memory,
+// like the nodes, in the order a walk visits them (see ReadCSV for why
+// that matters). A chunk stays reachable while any of its prefixes
+// keeps its original value, so a table that churns returns its rows a
+// chunk at a time.
+func (t *table) fill(chunks [][]VRP) {
+	for ci, i := 0, 0; ci < len(chunks); {
+		c := chunks[ci]
+		if i == len(c) {
+			ci, i = ci+1, 0
+			continue
+		}
+		p := c[i].Prefix
 		j := i + 1
-		for j < len(vs) && vs[j].Prefix == vs[i].Prefix {
+		for j < len(c) && c[j].Prefix == p {
 			j++
 		}
-		// The prefix is canonical: Insert cannot fail.
-		_ = t.tree.Insert(vs[i].Prefix, vs[i:j:j])
+		run := c[i:j:j]
 		i = j
+		for i == len(c) && ci+1 < len(chunks) && chunks[ci+1][0].Prefix == p {
+			// The run goes on in the next chunk. run's capacity is its
+			// length, so the append copies it out of the chunk.
+			ci, c = ci+1, chunks[ci+1]
+			i = 1
+			for i < len(c) && c[i].Prefix == p {
+				i++
+			}
+			run = append(run, c[:i]...)
+		}
+		t.count += len(run)
+		// The prefix is canonical: Insert cannot fail.
+		_ = t.tree.Insert(p, slices.Clip(run))
 	}
 }
 

@@ -34,18 +34,23 @@
 // # Loaded whole, or edited
 //
 // A table is either loaded whole — FromVRPs, NewIndex, ReadCSV and a
-// Builder (an RTR full sync) all end in the one constructor, build:
-// sort if needed, drop repeats, fill the tree in order — or edited one
+// Builder (an RTR full sync) all end in the one fill: sort if needed,
+// drop repeats, fill the tree in order — or edited one
 // VRP at a time by Insert and Remove. The values of a table built whole
-// are windows of the one sorted array it was built from, capacity
-// clipped to length, not a slice each: nothing is allocated per prefix
-// and the payloads lie in memory in the order a walk visits them. The
-// rule above is what makes that safe — a window is never written or
-// appended to, an edit at its prefix stores a fresh slice in its place
-// — and its cost is that the array stays reachable while any prefix
-// still holds its original value, even after most have been replaced.
-// For a set that churns for days that is memory a rebuild would return
-// (ROADMAP's compaction item owns that case).
+// are windows of the sorted rows it was built from, capacity clipped to
+// length, not a slice each: nothing is allocated per prefix and the
+// payloads lie in memory in the order a walk visits them. Those rows
+// are one array for FromVRPs, NewIndex and input that came out of
+// order; for a Builder fed in Compare order (an RTR full response, a
+// sorted export) they are the builder's own 4096-row chunks, never
+// copied. The rule above is what makes windows safe — a window is never
+// written or appended to, an edit at its prefix stores a fresh slice in
+// its place — and their cost is that an array stays reachable while
+// any prefix in it still holds its original value. A chunked table
+// returns a chunk once every prefix in it has been replaced; one array
+// stays whole while any of its prefixes is left. For a set that churns
+// for days that is memory a rebuild would return (ROADMAP's compaction
+// item owns that case).
 package vrp
 
 import (

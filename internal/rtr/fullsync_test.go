@@ -2,8 +2,10 @@ package rtr
 
 import (
 	"net"
+	"runtime"
 	"slices"
 	"testing"
+	"weak"
 
 	"ripki/internal/netutil"
 	"ripki/internal/rpki/vrp"
@@ -211,5 +213,33 @@ func TestFullSyncIsLenientAndAtomic(t *testing.T) {
 	}
 	if got := c.TakeDelta(); len(got) != 0 {
 		t.Errorf("second TakeDelta = %v, want nothing", got)
+	}
+}
+
+// TestCacheResetReleasesTheReplacedTable: nothing in the client holds
+// the table a mid-session Cache Reset replaced — the changed-prefix
+// record keeps its prefixes, not the table — so once the delta is
+// drained a collection frees it.
+func TestCacheResetReleasesTheReplacedTable(t *testing.T) {
+	c, script, _ := primed(t)
+	c.TakeDelta()
+	replaced := weak.Make(c.View())
+	script <- rawReply{bytes: wire(&CacheReset{})}
+	script <- rawReply{bytes: wire(append(append([]PDU{&CacheResponse{SessionID: 10}},
+		announce(v("10.0.0.0/8", 8, 1), v("203.0.113.0/24", 24, 6))...),
+		&EndOfData{SessionID: 10, Serial: 1})...)}
+	if err := c.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Resets() != 2 {
+		t.Fatalf("%d full syncs, want the first and the Cache Reset's", c.Resets())
+	}
+	// Held before: 10/8, 192.0.2/24, 198.51.100/24, 2001:db8::/32.
+	if n := len(c.TakeDelta()); n != 5 {
+		t.Errorf("TakeDelta lists %d prefixes, want the 5 held before or after", n)
+	}
+	runtime.GC()
+	if replaced.Value() != nil {
+		t.Error("the replaced table is still reachable after the drain")
 	}
 }

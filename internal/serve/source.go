@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -38,6 +39,13 @@ func (s *Service) RunRTR(ctx context.Context, addr string) error {
 	// for the life of the session, and its size is how big the update
 	// just published was; sync says which kind of sync delivered it, so
 	// a poll the cache answered with Cache Reset shows as a reset.
+	//
+	// After a full sync nothing references the table the snapshot just
+	// superseded. A cycle that ran during the sync found it live beside
+	// the one being collected and set its goal from both, so the heap
+	// would grow toward twice two tables before a cycle returned it; a
+	// collection here sets the goal from the table that is left. A
+	// serial delta replaces a few nodes and pays no cycle.
 	resets := 0
 	publish := func() {
 		sync := "serial"
@@ -47,6 +55,9 @@ func (s *Service) RunRTR(ctx context.Context, addr string) error {
 		changed := len(client.TakeDelta())
 		s.publishIndex(vrp.IndexOf(client.View()), "rtr", client.Serial(),
 			map[string]string{"changed_prefixes": strconv.Itoa(changed), "sync": sync})
+		if sync == "reset" {
+			runtime.GC()
+		}
 	}
 	if err := client.Reset(); err != nil {
 		return s.sourceErr(ctx, fmt.Errorf("serve: initial RTR sync: %w", err))

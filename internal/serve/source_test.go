@@ -3,9 +3,11 @@ package serve
 import (
 	"context"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"weak"
 
 	"ripki/internal/netutil"
 	"ripki/internal/rpki/vrp"
@@ -158,4 +160,92 @@ func TestRunSimComposedScenario(t *testing.T) {
 	if sn.Serial < 3 {
 		t.Fatalf("serial = %d; the composed scenario should have driven several republishes", sn.Serial)
 	}
+}
+
+// TestRTRFullSyncReleasesTheSupersededTable: once the first RTR full
+// sync is published, nothing in the service holds the CSV snapshot's
+// table it superseded — not the events ring, not the source stats, not
+// the RTR client — so a collection frees it. The source makes that collection itself, at the swap, once per
+// full sync: a serial delta's publish makes none.
+func TestRTRFullSyncReleasesTheSupersededTable(t *testing.T) {
+	at := func(prefix string, maxLen int, asn uint32) vrp.VRP {
+		return vrp.VRP{Prefix: netutil.MustPrefix(prefix), MaxLength: maxLen, ASN: asn}
+	}
+	set, err := vrp.FromVRPs([]vrp.VRP{at("10.0.0.0/8", 8, 1), at("192.0.2.0/24", 24, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := rtr.NewServer(set, 7)
+	srv.Logf = func(string, ...any) {}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	s := New(nil)
+	csvSet, csvIndex := publishCSV(t, s, "10.0.0.0/8,8,1\n198.51.100.0/24,24,2\n")
+	forced := func() uint32 {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.NumForcedGC
+	}
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !done() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: not after 5s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	published := func(serial uint64) func() bool {
+		return func() bool { sn := s.Current(); return sn.Serial >= serial }
+	}
+	beforeSync := forced()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- s.RunRTR(ctx, ln.Addr().String()) }()
+	waitFor("the first RTR publish", published(2))
+	waitFor("a collection at the swap", func() bool { return forced() > beforeSync })
+	runtime.GC()
+	if csvIndex.Value() != nil || csvSet.Value() != nil {
+		t.Errorf("the CSV snapshot's table is reachable after the full sync's publish (index %v, set %v)",
+			csvIndex.Value() != nil, csvSet.Value() != nil)
+	}
+
+	afterSync := forced()
+	srv.UpdateDelta([]vrp.VRP{at("10.2.0.0/16", 16, 5)}, nil)
+	waitFor("the first serial publish", published(3))
+	// The source publishes one sync at a time, so once the next publish
+	// is seen, any collection the one before it made has been counted.
+	srv.UpdateDelta(nil, []vrp.VRP{at("10.2.0.0/16", 16, 5)})
+	waitFor("the second serial publish", published(4))
+	if n := forced() - afterSync; n != 0 {
+		t.Errorf("a serial delta's publish forced %d collections, want none", n)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// publishCSV publishes the VRPs of a CSV export as the daemon's initial
+// snapshot and returns weak pointers to the set read and the index the
+// snapshot holds, keeping neither.
+func publishCSV(t *testing.T, s *Service, csv string) (weak.Pointer[vrp.Set], weak.Pointer[vrp.Index]) {
+	t.Helper()
+	set, err := vrp.ReadCSV(strings.NewReader(csv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := s.PublishSet(set, "csv", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return weak.Make(set), weak.Make(sn.Index)
 }
