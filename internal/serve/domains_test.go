@@ -125,6 +125,40 @@ func TestBuildDomainTableMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestBuildAllocatesLittleBeyondWhatItKeeps: the build runs while the
+// whole world is live, and at start-up no collection lands inside it,
+// so every byte it allocates is resident at the daemon's peak. What it
+// allocates and drops again (arenas, maps, the workers' forks) must be
+// small beside the (prefix, origin) mentions it packs: at most 40 bytes
+// a mention, which one 40-byte pair copied per mention would exceed on
+// its own. The worker count is pinned because each worker's fork and
+// map is a fixed cost.
+func TestBuildAllocatesLittleBeyondWhatItKeeps(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	w, err := webworld.Generate(webworld.Config{Seed: 1, Domains: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	dt, err := BuildDomainTable(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(w)
+	kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	dropped := int64(after.TotalAlloc-before.TotalAlloc) - kept
+	perMention := float64(dropped) / float64(len(dt.routeIDs))
+	t.Logf("%d mentions: %d B allocated, %d B kept, %.1f B dropped a mention",
+		len(dt.routeIDs), after.TotalAlloc-before.TotalAlloc, kept, perMention)
+	if perMention > 40 {
+		t.Errorf("the build dropped %.1f B a (prefix, origin) mention, want at most 40", perMention)
+	}
+}
+
 // handWorld is a world of the given ranked names with one address each,
 // enough for BuildDomainTable.
 func handWorld(names ...string) *webworld.World {
@@ -136,7 +170,7 @@ func handWorld(names ...string) *webworld.World {
 }
 
 // TestLookupAsksTheOneNameMap: a domain is found by the string table's
-// own map — there is no second index — under the spellings the API
+// own name index — there is no second one — under the spellings the API
 // accepts: any case, one trailing dot, an optional "www." label tried
 // only after the name as given.
 func TestLookupAsksTheOneNameMap(t *testing.T) {
@@ -160,8 +194,8 @@ func TestLookupAsksTheOneNameMap(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("lookup(%q) = %d, want %d", tc.name, got, tc.want)
 		}
-		// The single map is the oracle: what lookup finds is what it holds
-		// under the canonical spelling, with or without the www label.
+		// The single index is the oracle: what lookup finds is what it
+		// holds under the canonical spelling, with or without the www label.
 		canon := strings.ToLower(strings.TrimSuffix(tc.name, "."))
 		id, held := dt.names.Lookup(canon)
 		if !held {

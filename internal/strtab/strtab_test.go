@@ -57,8 +57,10 @@ func TestAppendArenaMode(t *testing.T) {
 	if tab.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", tab.Len())
 	}
-	if tab.Bytes() != 6 {
-		t.Fatalf("Bytes = %d, want 6", tab.Bytes())
+	// Footprint counts by capacity: the 64-byte slab and 5 offsets
+	// asked for, and no index, because Append builds none.
+	if tab.Footprint() != 64+4*5 {
+		t.Fatalf("Footprint = %d, want %d", tab.Footprint(), 64+4*5)
 	}
 }
 
@@ -89,10 +91,12 @@ func TestStableAcrossGrowth(t *testing.T) {
 	}
 }
 
-// FuzzIntern round-trips arbitrary token lists through a table and
-// cross-checks against a plain map copy: dedup must be exact, Get must
-// return byte-identical content, and no earlier string may be aliased
-// or clobbered by later inserts.
+// FuzzIntern round-trips arbitrary token lists through two tables —
+// one from New, one from NewSized(2, 0), whose index doubles several
+// times within one input — and cross-checks against a plain map copy:
+// dedup must be exact, Get must return byte-identical content, Lookup
+// must find every interned token and no other, and no earlier string
+// may be aliased or clobbered by later inserts.
 func FuzzIntern(f *testing.F) {
 	f.Add("google.com\nfacebook.com\ngoogle.com")
 	f.Add("")
@@ -100,32 +104,41 @@ func FuzzIntern(f *testing.F) {
 	f.Add("a\xff\x00b\nsame\nsame\nsame")
 	f.Add(strings.Repeat("x", 300) + "\n" + strings.Repeat("x", 300))
 	f.Fuzz(func(t *testing.T, input string) {
+		if _, ok := New().Lookup(input); ok {
+			t.Fatalf("an empty table found %q", input)
+		}
 		tokens := strings.Split(input, "\n")
-		tab := New()
-		ref := make(map[string]uint32) // reference copies own their bytes
-		var order []string
-		for _, tok := range tokens {
-			id := tab.Intern(tok)
-			clone := strings.Clone(tok)
-			if prev, ok := ref[clone]; ok {
-				if id != prev {
-					t.Fatalf("Intern(%q) = %d, earlier id %d", tok, id, prev)
+		for _, tab := range []*Table{New(), NewSized(2, 0)} {
+			ref := make(map[string]uint32) // reference copies own their bytes
+			var order []string
+			for _, tok := range tokens {
+				id := tab.Intern(tok)
+				clone := strings.Clone(tok)
+				if prev, ok := ref[clone]; ok {
+					if id != prev {
+						t.Fatalf("Intern(%q) = %d, earlier id %d", tok, id, prev)
+					}
+					continue
 				}
-				continue
+				ref[clone] = id
+				order = append(order, clone)
 			}
-			ref[clone] = id
-			order = append(order, clone)
-		}
-		if tab.Len() != len(ref) {
-			t.Fatalf("Len = %d, want %d unique", tab.Len(), len(ref))
-		}
-		for _, s := range order {
-			id := ref[s]
-			if got := tab.Get(id); got != s {
-				t.Fatalf("Get(%d) = %q, want %q", id, got, s)
+			if tab.Len() != len(ref) {
+				t.Fatalf("Len = %d, want %d unique", tab.Len(), len(ref))
 			}
-			if got, ok := tab.Lookup(s); !ok || got != id {
-				t.Fatalf("Lookup(%q) = %d,%v want %d,true", s, got, ok, id)
+			for _, s := range order {
+				id := ref[s]
+				if got := tab.Get(id); got != s {
+					t.Fatalf("Get(%d) = %q, want %q", id, got, s)
+				}
+				if got, ok := tab.Lookup(s); !ok || got != id {
+					t.Fatalf("Lookup(%q) = %d,%v want %d,true", s, got, ok, id)
+				}
+				if _, interned := ref[s+"\x00"]; !interned {
+					if got, ok := tab.Lookup(s + "\x00"); ok {
+						t.Fatalf("Lookup(%q) = %d, but it was never interned", s+"\x00", got)
+					}
+				}
 			}
 		}
 	})
