@@ -172,6 +172,12 @@ func TestUnpackRejectsPointerLoops(t *testing.T) {
 	}
 }
 
+// AddCNAME is shorthand for a CNAME record, for the tests that write
+// registries by hand.
+func (r *Registry) AddCNAME(name, target string, ttl uint32) {
+	r.Add(RR{Name: name, Type: TypeCNAME, TTL: ttl, Target: target})
+}
+
 func newWorld() *Registry {
 	reg := NewRegistry()
 	reg.Add(RR{Name: "example.com", Type: TypeA, TTL: 60, Addr: netutil.MustAddr("198.51.100.10")})

@@ -1,7 +1,8 @@
 // Package dns implements the subset of the Domain Name System needed by
 // the measurement pipeline: RFC 1035 wire format with name compression,
 // a UDP server, a stub resolver client, and an in-memory zone registry
-// with CNAME chasing.
+// with CNAME chasing: a column store built once from bulk records, with
+// an overlay for the writes made after.
 //
 // Methodology step (2) of the paper resolves every Alexa domain (with
 // and without the "www" label) through several public resolvers,

@@ -2,10 +2,14 @@ package dns
 
 import (
 	"fmt"
+	"math"
+	"net/netip"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+
+	"ripki/internal/strtab"
 )
 
 // maxChase bounds CNAME chain length, defending against loops. Real
@@ -16,29 +20,148 @@ const maxChase = 16
 // synthetic world publishes. It acts as the backing store for
 // authoritative servers and supports in-process resolution through the
 // same CNAME-chasing logic the wire path uses.
+//
+// It has two layers. The base is a column store a Builder made once and
+// nobody writes again: one name table, a record range per name, and
+// records as 9-byte rows (type, TTL, and a payload that is an IPv4
+// address, a name id or an index into a pool). Every write made after
+// that lands in the overlay, this registry's own version of each owner
+// name it has written, which reads consult first. Clones share the base.
 type Registry struct {
-	mu      sync.RWMutex
-	records map[string][]RR // canonical name → records
-	// shared is set once another registry may alias records (see Clone),
-	// and stays set: nobody writes an aliased map or a slice in it ever
-	// again. A shared registry writes into over instead — its own version
-	// of every owner name it has written, an empty slice where it removed
-	// the last record — and reads over before records. added is how many
-	// owner names over adds to records, less how many it empties.
-	shared bool
-	over   map[string][]RR
-	added  int
-	hook   func(name string)
+	mu   sync.RWMutex
+	base *store
+	// over holds this registry's own version of every owner name it has
+	// written — an empty slice where it removed the last record. added
+	// is how many owner names over adds to base, less how many it
+	// empties.
+	over  map[string][]RR
+	added int
+	hook  func(name string)
 }
 
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry { return NewRegistrySized(0) }
+// store is a registry's base layer, immutable once built: owner names
+// and CNAME/NS targets in one table, the records of name id in rows
+// first[id] .. first[id+1], and each row's payload in val — an A
+// record's address itself, an index into aaaa for AAAA, the target's
+// name id for CNAME and NS, an index into rdata for any other type. A
+// name that is only ever a target has an empty range.
+type store struct {
+	names  *strtab.Table
+	first  []uint32
+	typ    []uint8
+	ttl    []uint32
+	val    []uint32
+	aaaa   [][16]byte
+	rdata  []*RData
+	owners int // names with a record
+}
 
-// NewRegistrySized creates an empty registry with space for about n
-// owner names, so web-scale worlds (a million domains, two-plus names
-// each) fill it without rehashing the map a dozen times.
-func NewRegistrySized(n int) *Registry {
-	return &Registry{records: make(map[string][]RR, n)}
+// empty is the base of a registry nothing was built into.
+var empty = &store{names: strtab.New(), first: []uint32{0}}
+
+// NewRegistry creates an empty registry; everything added to it lands
+// in its overlay. A Builder makes a registry from bulk data.
+func NewRegistry() *Registry { return &Registry{base: empty} }
+
+// rr materialises row i, owned by name id.
+func (s *store) rr(i, id uint32) RR {
+	rr := RR{Name: s.names.Get(id), Type: uint16(s.typ[i]), Class: ClassINET, TTL: s.ttl[i]}
+	switch rr.Type {
+	case TypeA, TypeAAAA:
+		rr.Addr = s.addr(i)
+	case TypeCNAME, TypeNS:
+		rr.Target = s.names.Get(s.val[i])
+	default:
+		rr.Data = s.rdata[s.val[i]]
+	}
+	return rr
+}
+
+// addr is the address of A or AAAA row i.
+func (s *store) addr(i uint32) netip.Addr {
+	v := s.val[i]
+	if s.typ[i] == TypeA {
+		return netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)})
+	}
+	return netip.AddrFrom16(s.aaaa[v])
+}
+
+// owner is where one owner name's records are: base rows lo .. hi of
+// name id when s is set, the overlay's slice rrs otherwise. The zero
+// owner holds nothing.
+type owner struct {
+	s          *store
+	rrs        []RR
+	id, lo, hi uint32
+}
+
+// find locates name's records. Called with r.mu held.
+func (r *Registry) find(name string) owner {
+	if len(r.over) > 0 {
+		if rrs, ok := r.over[name]; ok {
+			return owner{rrs: rrs}
+		}
+	}
+	if id, ok := r.base.names.Lookup(name); ok {
+		return owner{s: r.base, id: id, lo: r.base.first[id], hi: r.base.first[id+1]}
+	}
+	return owner{}
+}
+
+// findID locates the records of base name id, which a base row names:
+// no hashing unless the overlay holds something. Called with r.mu held.
+func (r *Registry) findID(id uint32) owner {
+	if len(r.over) > 0 {
+		if rrs, ok := r.over[r.base.names.Get(id)]; ok {
+			return owner{rrs: rrs}
+		}
+	}
+	return owner{s: r.base, id: id, lo: r.base.first[id], hi: r.base.first[id+1]}
+}
+
+func (o *owner) len() int {
+	if o.s == nil {
+		return len(o.rrs)
+	}
+	return int(o.hi - o.lo)
+}
+
+func (o *owner) typ(j int) uint16 {
+	if o.s == nil {
+		return o.rrs[j].Type
+	}
+	return uint16(o.s.typ[o.lo+uint32(j)])
+}
+
+func (o *owner) rr(j int) RR {
+	if o.s == nil {
+		return o.rrs[j]
+	}
+	return o.s.rr(o.lo+uint32(j), o.id)
+}
+
+func (o *owner) addr(j int) netip.Addr {
+	if o.s == nil {
+		return o.rrs[j].Addr
+	}
+	return o.s.addr(o.lo + uint32(j))
+}
+
+// target is the name CNAME or NS record j points at.
+func (o *owner) target(j int) string {
+	if o.s == nil {
+		return o.rrs[j].Target
+	}
+	return o.s.names.Get(o.s.val[o.lo+uint32(j)])
+}
+
+// follow locates the records of the name CNAME record j of o points
+// at. Called with r.mu held.
+func (r *Registry) follow(o *owner, j int) owner {
+	if o.s == nil {
+		return r.find(o.rrs[j].Target)
+	}
+	return r.findID(o.s.val[o.lo+uint32(j)])
 }
 
 // SetMutationHook registers fn to observe every record mutation (nil
@@ -65,44 +188,21 @@ func canonicalise(rr *RR) {
 }
 
 // Add inserts a record. The owner name is canonicalised.
-func (r *Registry) Add(rr RR) {
-	canonicalise(&rr)
-	r.mu.Lock()
-	r.put(rr.Name, append(r.own(rr.Name), rr))
-	hook := r.hook
-	r.mu.Unlock()
-	if hook != nil {
-		hook(rr.Name)
-	}
-}
+func (r *Registry) Add(rr RR) { r.AddBatch([]RR{rr}) }
 
-// AddBatch inserts many records under one lock acquisition, preserving
-// slice order, and takes ownership of rrs: the records are canonicalised
-// in place and the caller must not touch the slice again. It is the bulk
-// path for sharded world generation, which emits each owner's records
-// side by side: a maximal run of one owner the registry does not hold is
-// adopted, not copied — its records become the window rrs[i:j:j] (an
-// append reallocates), and rrs lives while any window into it does. A
-// run whose owner holds records, or any run into a registry that shares
-// its map (see Clone), is appended as by Add.
+// AddBatch inserts records in slice order under one lock acquisition,
+// each as Add would: canonicalised, and appended to its owner's records
+// in the overlay. rrs is not retained.
 func (r *Registry) AddBatch(rrs []RR) {
 	r.mu.Lock()
 	hook := r.hook
-	var names []string // per record, for the hook
-	for i := range rrs {
-		canonicalise(&rrs[i])
+	var one [1]string
+	names := one[:0] // per record, for the hook
+	for _, rr := range rrs {
+		canonicalise(&rr)
+		r.put(rr.Name, append(r.own(rr.Name), rr))
 		if hook != nil {
-			names = append(names, rrs[i].Name)
-		}
-	}
-	for i, j := 0, 0; i < len(rrs); i = j {
-		name := rrs[i].Name
-		for j = i + 1; j < len(rrs) && rrs[j].Name == name; j++ {
-		}
-		if r.shared || len(r.records[name]) > 0 {
-			r.put(name, append(r.own(name), rrs[i:j]...))
-		} else {
-			r.records[name] = rrs[i:j:j]
+			names = append(names, rr.Name)
 		}
 	}
 	r.mu.Unlock()
@@ -113,23 +213,20 @@ func (r *Registry) AddBatch(rrs []RR) {
 
 // Clone returns a registry that resolves identically to its source and
 // can be mutated independently of it, in time proportional to what the
-// source has written since it was itself cloned — O(1) for a source that
-// has not. From then on both sides alias the record map for ever and
-// neither writes it: a write on either side copies the records of the
-// one owner name it touches into that side's overlay and lands there, so
-// a run that re-points a few hundred hosts of a 60 000-name world pays
-// for a few hundred names. Reads consult the overlay first and cost one
-// map lookup while it is empty; Len, Names and the zone dump merge the
-// two. Shared-world simulations clone the registry per run — it is the
-// only part of a generated world that scenarios mutate. The hook is not
-// inherited. Clone is safe to call concurrently with anything.
+// source has written since its base was built — O(1) for a source that
+// has not. Both share the immutable base; a write on either side copies
+// the records of the one owner name it touches into that side's overlay
+// and lands there, so a run that re-points a few hundred hosts of a
+// 60 000-name world pays for a few hundred names. Reads consult the
+// overlay first and cost nothing extra while it is empty; Len, Names
+// and the zone dump merge the two. Shared-world simulations clone the
+// registry per run — it is the only part of a generated world that
+// scenarios mutate. The hook is not inherited. Clone is safe to call
+// concurrently with anything.
 func (r *Registry) Clone() *Registry {
-	// The write lock, because the source is marked too: its next write
-	// must leave the map its clones still read alone.
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.shared = true
-	c := &Registry{records: r.records, shared: true, added: r.added}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	c := &Registry{base: r.base, added: r.added}
 	if len(r.over) > 0 {
 		// Add appends to and Remove filters an overlay slice in place.
 		c.over = make(map[string][]RR, len(r.over))
@@ -140,53 +237,35 @@ func (r *Registry) Clone() *Registry {
 	return c
 }
 
-// Written reports whether the registry has diverged from the record map
-// it shares with its clone family: false for a clone until its first
-// write, and for a registry nothing was ever cloned from (it shares
-// nothing and writes in place). What was derived from one unwritten
-// member of a family holds for every other.
+// Written reports whether the registry has diverged from the base it
+// shares with its clone family: false until its first write. What was
+// derived from one unwritten member of a family holds for every other.
 func (r *Registry) Written() bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.over) > 0
 }
 
-// at returns name's records: this registry's own version if it wrote the
-// name, the shared map's otherwise. Called with r.mu held.
-func (r *Registry) at(name string) []RR {
-	if len(r.over) > 0 {
-		if rrs, ok := r.over[name]; ok {
-			return rrs
-		}
-	}
-	return r.records[name]
-}
-
 // own returns name's records as a slice the caller may append to or
 // filter in place and must hand back to put. Called with r.mu held for
 // writing.
 func (r *Registry) own(name string) []RR {
-	if !r.shared {
-		return r.records[name]
-	}
 	if rrs, ok := r.over[name]; ok {
 		return rrs
 	}
-	return slices.Clone(r.records[name])
+	o := r.find(name)               // the base's records, if any
+	rrs := make([]RR, 0, o.len()+1) // room for the Add that often follows
+	for j := range o.len() {
+		rrs = append(rrs, o.rr(j))
+	}
+	return rrs
 }
 
 // put stores rrs, possibly empty, as name's records. Called with r.mu
 // held for writing.
 func (r *Registry) put(name string, rrs []RR) {
-	if !r.shared {
-		if len(rrs) == 0 {
-			delete(r.records, name)
-		} else {
-			r.records[name] = rrs
-		}
-		return
-	}
-	if had := len(r.at(name)) > 0; had && len(rrs) == 0 {
+	o := r.find(name)
+	if had := o.len() > 0; had && len(rrs) == 0 {
 		r.added--
 	} else if !had && len(rrs) > 0 {
 		r.added++
@@ -197,11 +276,6 @@ func (r *Registry) put(name string, rrs []RR) {
 	r.over[name] = rrs
 }
 
-// AddCNAME is shorthand for a CNAME record.
-func (r *Registry) AddCNAME(name, target string, ttl uint32) {
-	r.Add(RR{Name: name, Type: TypeCNAME, TTL: ttl, Target: target})
-}
-
 // Remove deletes every record of the given type at name and reports how
 // many were removed. It exists for time-evolving worlds (simulation
 // scenarios re-point cache hosts and delivery chains); pass e.g. TypeA
@@ -209,9 +283,10 @@ func (r *Registry) AddCNAME(name, target string, ttl uint32) {
 func (r *Registry) Remove(name string, typ uint16) int {
 	name = CanonicalName(name)
 	r.mu.Lock()
+	o := r.find(name)
 	removed := 0
-	for _, rr := range r.at(name) {
-		if rr.Type == typ {
+	for j := range o.len() {
+		if o.typ(j) == typ {
 			removed++
 		}
 	}
@@ -241,10 +316,11 @@ func (r *Registry) Lookup(name string, typ uint16) []RR {
 	name = CanonicalName(name)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	o := r.find(name)
 	var out []RR
-	for _, rr := range r.at(name) {
-		if rr.Type == typ {
-			out = append(out, rr)
+	for j := range o.len() {
+		if o.typ(j) == typ {
+			out = append(out, o.rr(j))
 		}
 	}
 	return out
@@ -254,7 +330,19 @@ func (r *Registry) Lookup(name string, typ uint16) []RR {
 func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.records) + r.added
+	return r.base.owners + r.added
+}
+
+// Interned returns the registry's own copy of name — a string that
+// aliases its name table — when its base holds name as an owner or a
+// target. A caller that keeps many of the registry's names, a ranked
+// list of its domains, keeps them once so. name is not retained.
+func (r *Registry) Interned(name string) (string, bool) {
+	id, ok := r.base.names.Lookup(name)
+	if !ok {
+		return "", false
+	}
+	return r.base.names.Get(id), true
 }
 
 // Names returns all owner names in sorted order (for dumps).
@@ -279,11 +367,16 @@ func (r *Registry) NamesUnder(suffixes ...string) []string {
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	s := r.base
 	var out []string
 	if len(dotted) == 0 {
-		out = make([]string, 0, len(r.records)+r.added)
+		out = make([]string, 0, s.owners+r.added)
 	}
-	for name := range r.records {
+	for id := range uint32(s.names.Len()) {
+		if s.first[id] == s.first[id+1] {
+			continue
+		}
+		name := s.names.Get(id)
 		if _, written := r.over[name]; !written && keep(name) {
 			out = append(out, name)
 		}
@@ -306,11 +399,11 @@ func (r *Registry) Resolve(name string, typ uint16) (answers []RR, rcode uint8) 
 	name = CanonicalName(name)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	cur := name
+	o := r.find(name)
 	for i := 0; i < maxChase; i++ {
-		rrs := r.at(cur)
-		if len(rrs) == 0 {
-			if cur == name && len(answers) == 0 {
+		n := o.len()
+		if n == 0 {
+			if i == 0 {
 				return nil, RCodeNameError
 			}
 			// Dangling CNAME: the chain exists but the target does not.
@@ -318,9 +411,9 @@ func (r *Registry) Resolve(name string, typ uint16) (answers []RR, rcode uint8) 
 		}
 		// Exact-type matches first.
 		matched := false
-		for _, rr := range rrs {
-			if rr.Type == typ {
-				answers = append(answers, rr)
+		for j := range n {
+			if o.typ(j) == typ {
+				answers = append(answers, o.rr(j))
 				matched = true
 			}
 		}
@@ -328,18 +421,18 @@ func (r *Registry) Resolve(name string, typ uint16) (answers []RR, rcode uint8) 
 			return answers, RCodeSuccess
 		}
 		// Chase a CNAME if present.
-		var cname *RR
-		for i := range rrs {
-			if rrs[i].Type == TypeCNAME {
-				cname = &rrs[i]
+		cname := -1
+		for j := range n {
+			if o.typ(j) == TypeCNAME {
+				cname = j
 				break
 			}
 		}
-		if cname == nil {
+		if cname < 0 {
 			return answers, RCodeSuccess // NODATA
 		}
-		answers = append(answers, *cname)
-		cur = cname.Target
+		answers = append(answers, o.rr(cname))
+		o = r.follow(&o, cname)
 	}
 	// Chain too long or looping: answer what was collected.
 	return answers, RCodeSuccess
@@ -351,20 +444,21 @@ func (r *Registry) Resolve(name string, typ uint16) (answers []RR, rcode uint8) 
 // arrays behind Addrs and Chain to append into. Both queries follow the
 // same CNAMEs from name and each stops at the first owner holding its
 // type, so the walk goes on until both have, and the CNAMEs it crossed
-// are the longer of the two chains. Chain strings are the registry's
-// own; name is not retained.
+// are the longer of the two chains. Only name is hashed: a CNAME in the
+// base names its target by id. Chain strings are the registry's own;
+// name is not retained.
 func (r *Registry) resolveWeb(res *Result, name string) {
 	*res = Result{Addrs: res.Addrs[:0], Chain: res.Chain[:0]}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	// The A answers come first whichever query ended first, so where the
 	// AAAA query ended is only noted until the walk is over.
-	var aaaaAt []RR
+	var aaaaAt owner
 	needA, needAAAA := true, true
-	cur := CanonicalName(name)
+	o := r.find(CanonicalName(name))
 	for i := 0; i < maxChase; i++ {
-		rrs := r.at(cur)
-		if len(rrs) == 0 {
+		n := o.len()
+		if n == 0 {
 			// The queried name itself is missing (NXDOMAIN), or a CNAME
 			// dangles: the chain exists but its target does not.
 			res.NXDomain = i == 0
@@ -372,12 +466,12 @@ func (r *Registry) resolveWeb(res *Result, name string) {
 		}
 		cname := -1
 		hasA, hasAAAA := false, false
-		for j := range rrs {
-			switch rrs[j].Type {
+		for j := range n {
+			switch o.typ(j) {
 			case TypeA:
 				hasA = true
 				if needA {
-					res.Addrs = append(res.Addrs, rrs[j].Addr)
+					res.Addrs = append(res.Addrs, o.addr(j))
 				}
 			case TypeAAAA:
 				hasAAAA = true
@@ -389,17 +483,17 @@ func (r *Registry) resolveWeb(res *Result, name string) {
 		}
 		needA = needA && !hasA
 		if needAAAA && hasAAAA {
-			needAAAA, aaaaAt = false, rrs
+			needAAAA, aaaaAt = false, o
 		}
 		if cname < 0 || !(needA || needAAAA) {
 			break // NODATA for whatever is still wanted, or nothing is
 		}
-		res.Chain = append(res.Chain, rrs[cname].Target)
-		cur = rrs[cname].Target
+		res.Chain = append(res.Chain, o.target(cname))
+		o = r.follow(&o, cname)
 	}
-	for j := range aaaaAt {
-		if aaaaAt[j].Type == TypeAAAA {
-			res.Addrs = append(res.Addrs, aaaaAt[j].Addr)
+	for j := range aaaaAt.len() {
+		if aaaaAt.typ(j) == TypeAAAA {
+			res.Addrs = append(res.Addrs, aaaaAt.addr(j))
 		}
 	}
 }
@@ -427,4 +521,162 @@ func (r *Registry) Query(q Question) ([]RR, uint8) {
 // String summarises the registry.
 func (r *Registry) String() string {
 	return fmt.Sprintf("dns.Registry(%d names)", r.Len())
+}
+
+// Builder collects records for a registry's base layer: owner names and
+// targets go into a name table as written, and each record into a row
+// of columns, with no lookup per record. Several builders, filled
+// concurrently (one per generation shard), make one registry with
+// Build. The zero Builder is ready to use; it is not safe for
+// concurrent use.
+type Builder struct {
+	names *strtab.Table // owners and targets as written, not deduplicated
+	owner []uint32      // per record, its owner in names
+	typ   []uint8
+	ttl   []uint32
+	val   []uint32 // as a store's, a target naming names
+	aaaa  [][16]byte
+	rdata []*RData
+}
+
+// NewBuilder returns a builder with room for about records records
+// whose names — owners and targets, once a record — total about bytes,
+// so that a caller who knows its size fills it without regrowing it.
+func NewBuilder(records, bytes int) *Builder {
+	return &Builder{
+		names: strtab.NewSized(records+records/8, bytes),
+		owner: make([]uint32, 0, records),
+		typ:   make([]uint8, 0, records),
+		ttl:   make([]uint32, 0, records),
+		val:   make([]uint32, 0, records),
+	}
+}
+
+// Add appends a record, canonicalised as Registry.Add does it. The base
+// layer keeps only what a record's type makes meaningful: the address
+// of an A or AAAA record, the target of a CNAME or NS, Data for any
+// other type. A record the columns cannot hold — a class other than IN,
+// a type above 255, an A record without an IPv4 address, an AAAA record
+// without an IPv6 one or with a zone — panics: no world or zone dump
+// writes one, and Registry.Add takes any record.
+func (b *Builder) Add(rr RR) {
+	canonicalise(&rr)
+	if rr.Class != ClassINET || rr.Type > math.MaxUint8 || rr.Addr.Zone() != "" ||
+		(rr.Type == TypeA && !rr.Addr.Is4()) || (rr.Type == TypeAAAA && !rr.Addr.Is6()) {
+		panic(fmt.Sprintf("dns: Builder.Add: class %d type %d record at %q has no column", rr.Class, rr.Type, rr.Name))
+	}
+	if b.names == nil {
+		b.names = strtab.New()
+	}
+	if n := len(b.owner); n > 0 && b.names.Get(b.owner[n-1]) == rr.Name {
+		b.owner = append(b.owner, b.owner[n-1])
+	} else {
+		b.owner = append(b.owner, b.names.Append([]byte(rr.Name)))
+	}
+	var v uint32
+	switch rr.Type {
+	case TypeA:
+		a := rr.Addr.As4()
+		v = uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])
+	case TypeAAAA:
+		v = uint32(len(b.aaaa))
+		b.aaaa = append(b.aaaa, rr.Addr.As16())
+	case TypeCNAME, TypeNS:
+		v = b.names.Append([]byte(rr.Target))
+	default:
+		v = uint32(len(b.rdata))
+		b.rdata = append(b.rdata, rr.Data)
+	}
+	b.typ = append(b.typ, uint8(rr.Type))
+	b.ttl = append(b.ttl, rr.TTL)
+	b.val = append(b.val, v)
+}
+
+// Build makes a registry whose base holds every record of parts, an
+// owner's records in the order they were added — parts in order, an
+// owner written in several runs or several parts included. Names are
+// interned once, here. Build empties the builders, each as soon as it
+// is read, so their memory goes while the registry's grows.
+func Build(parts ...*Builder) *Registry {
+	n, bytes, rows, aaaa, rdata := 0, 0, 0, 0, 0
+	for _, b := range parts {
+		if b.names == nil {
+			continue
+		}
+		n += b.names.Len()
+		for id := range uint32(b.names.Len()) {
+			bytes += len(b.names.Get(id))
+		}
+		rows, aaaa, rdata = rows+len(b.owner), aaaa+len(b.aaaa), rdata+len(b.rdata)
+	}
+	if rows == 0 {
+		return NewRegistry() // the empty base every such registry shares
+	}
+	// Builder names to registry names, in the order they were written.
+	tab := strtab.NewSized(n, bytes)
+	remaps := make([][]uint32, len(parts))
+	for k, b := range parts {
+		if b.names == nil {
+			continue
+		}
+		remap := make([]uint32, b.names.Len())
+		for id := range remap {
+			remap[id] = tab.Intern(b.names.Get(uint32(id)))
+		}
+		remaps[k], b.names = remap, nil
+	}
+	s := &store{
+		names: tab,
+		first: make([]uint32, tab.Len()+1),
+		typ:   make([]uint8, rows),
+		ttl:   make([]uint32, rows),
+		val:   make([]uint32, rows),
+		aaaa:  make([][16]byte, 0, aaaa),
+		rdata: make([]*RData, 0, rdata),
+	}
+	// A counting sort by owner: first[id] counts id's records, becomes
+	// where they start, then where they end as each is placed, and is
+	// shifted back to where they start.
+	for k, b := range parts {
+		for _, o := range b.owner {
+			s.first[remaps[k][o]]++
+		}
+	}
+	at := uint32(0)
+	for id, c := range s.first[:tab.Len()] {
+		if c > 0 {
+			s.owners++
+		}
+		s.first[id], at = at, at+c
+	}
+	s.first[tab.Len()] = at
+	for k, b := range parts {
+		remap := remaps[k]
+		aaaaBase, rdataBase := uint32(len(s.aaaa)), uint32(len(s.rdata))
+		for j, o := range b.owner {
+			id := remap[o]
+			i := s.first[id]
+			s.first[id]++
+			v := b.val[j]
+			switch b.typ[j] {
+			case TypeA:
+			case TypeAAAA:
+				v += aaaaBase
+			case TypeCNAME, TypeNS:
+				v = remap[v]
+			default:
+				v += rdataBase
+			}
+			s.typ[i], s.ttl[i], s.val[i] = b.typ[j], b.ttl[j], v
+		}
+		s.aaaa = append(s.aaaa, b.aaaa...)
+		s.rdata = append(s.rdata, b.rdata...)
+		*b, remaps[k] = Builder{}, nil
+	}
+	copy(s.first[1:], s.first[:tab.Len()])
+	s.first[0] = 0
+	// The table was sized for every name of every part, a target once
+	// per record; it is trimmed once the parts are gone.
+	tab.Clip()
+	return &Registry{base: s}
 }

@@ -61,11 +61,12 @@ func resolvesTo(r *Registry, name string) []netip.Addr {
 // however many clones deep it sits.
 func TestRegistryCloneOnFirstWrite(t *testing.T) {
 	a1, a2, a3 := netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2"), netip.MustParseAddr("192.0.2.3")
-	base := NewRegistry()
-	base.Add(RR{Name: "cache.example.", Type: TypeA, TTL: 60, Addr: a1})
-	base.Add(RR{Name: "cache.example.", Type: TypeAAAA, TTL: 60, Addr: netip.MustParseAddr("2001:db8::1")})
-	base.Add(RR{Name: "cache.example.", Type: TypeA, TTL: 60, Addr: a2})
-	base.AddCNAME("www.example.", "cache.example.", 60)
+	var b Builder
+	b.Add(RR{Name: "cache.example.", Type: TypeA, TTL: 60, Addr: a1})
+	b.Add(RR{Name: "cache.example.", Type: TypeAAAA, TTL: 60, Addr: netip.MustParseAddr("2001:db8::1")})
+	b.Add(RR{Name: "cache.example.", Type: TypeA, TTL: 60, Addr: a2})
+	b.Add(RR{Name: "www.example.", Type: TypeCNAME, TTL: 60, Target: "cache.example."})
+	base := Build(&b)
 	hooked := 0
 	base.SetMutationHook(func(string) { hooked++ })
 
@@ -89,8 +90,8 @@ func TestRegistryCloneOnFirstWrite(t *testing.T) {
 	}
 	check("cloning")
 
-	// Remove filters the per-name slice in place: on a map that is still
-	// shared that would shift a2 over a1 under every other reader.
+	// Remove filters the name's records in place: on records that are
+	// still shared that would shift a2 over a1 under every other reader.
 	if n := left.Remove("cache.example.", TypeA); n != 2 {
 		t.Fatalf("left.Remove removed %d records, want 2", n)
 	}
@@ -116,9 +117,9 @@ func TestRegistryCloneOnFirstWrite(t *testing.T) {
 	want["grandchild"] = nil
 	check("a write on a clone's clone")
 
-	// right never wrote and still aliases the original map.
-	if !right.shared {
-		t.Error("a clone that never wrote holds a private copy")
+	// right never wrote and reads the base alone.
+	if right.Written() {
+		t.Error("a clone that never wrote holds an overlay")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // modelRegistry pairs a registry of a clone tree with what it must hold:
@@ -224,21 +225,20 @@ func TestRegistryCloneTreeMatchesModel(t *testing.T) {
 // registry — the first write on a fresh clone included — and reads on a
 // clone that never wrote touch no overlay.
 func TestRegistryWriteCostsTheNamesWritten(t *testing.T) {
-	base := NewRegistrySized(60000)
-	batch := make([]RR, 0, 60000)
+	var b Builder
 	for i := 0; i < 60000; i++ {
-		batch = append(batch, RR{Name: fmt.Sprintf("h%d.example", i), Type: TypeA, TTL: 60,
+		b.Add(RR{Name: fmt.Sprintf("h%d.example", i), Type: TypeA, TTL: 60,
 			Addr: netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})})
 	}
-	base.AddBatch(batch)
+	base := Build(&b)
 	repoint := func(r *Registry) {
 		r.Remove("h777.example", TypeA)
 		r.Add(RR{Name: "h777.example", Type: TypeA, TTL: 20, Addr: netip.MustParseAddr("198.51.100.1")})
 	}
 
 	// A constant: the clone, the overlay map, the one name's records and
-	// what Add's append grows. The whole-map copy this replaced made
-	// 60 000 allocations here.
+	// what Add's append grows. A whole-registry copy would make 60 000
+	// allocations here.
 	const bound = 8
 	if n := testing.AllocsPerRun(20, func() { repoint(base.Clone()) }); n > bound {
 		t.Errorf("first write on a fresh clone of a 60k-name registry: %.0f allocations, want at most %d", n, bound)
@@ -263,136 +263,244 @@ func TestRegistryWriteCostsTheNamesWritten(t *testing.T) {
 	}
 }
 
-// TestAdoptedBatchesMatchModel drives AddBatch's adoption where a window
-// into the caller's slice could leak into a neighbour's records: runs of
-// several owners in one batch, an owner split across two runs, an
-// in-place Remove and an Add on an adopted window, a batch into a cloned
-// registry, and the adopted slice scribbled over after a clone wrote the
-// owner scribbled on. After every step every member answers as its model
-// does, so no neighbour's records moved.
-func TestAdoptedBatchesMatchModel(t *testing.T) {
-	names := []string{"a.example", "www.a.example", "b.example", "e1.cdn.wld", "e2.cdn.wld", "ghost.example"}
-	a := func(name string, last byte) RR {
-		return RR{Name: name, Type: TypeA, TTL: 60, Addr: netip.AddrFrom4([4]byte{192, 0, 2, last})}
-	}
-	root := &modelRegistry{reg: NewRegistry(), want: map[string][]RR{}}
-	root.attach()
-	members := []*modelRegistry{root}
-	batch := func(m *modelRegistry, rrs ...RR) []RR {
+// built is the model of a registry Build made from parts: every record
+// in the order it was added, and no hook call.
+func built(parts ...[]RR) *modelRegistry {
+	m := &modelRegistry{want: map[string][]RR{}}
+	bs := make([]*Builder, len(parts))
+	for k, rrs := range parts {
+		bs[k] = new(Builder)
 		for _, rr := range rrs {
-			m.add(rr)
+			bs[k].Add(rr)
+			rr = canon(rr)
+			m.want[rr.Name] = append(m.want[rr.Name], rr)
 		}
-		m.reg.AddBatch(rrs)
-		return rrs
 	}
+	m.reg = Build(bs...)
+	m.attach()
+	return m
+}
+
+// TestBuildMatchesModel builds a base from three parts the way a world
+// is generated — a pool part, shards, fixtures — with an owner written
+// in interleaved runs (the kickass.to fixture alternates its apex and
+// its cache host), owners split across parts, a CNAME to a name nobody
+// owns and a name that is only ever a target; then writes on it and on
+// clones of it. After every step every member answers as its model
+// does, the base's reads and the overlay's alike.
+func TestBuildMatchesModel(t *testing.T) {
+	names := []string{"kickass.to", "www.kickass.to", "ka.cdn.wld", "a.example", "www.a.example",
+		"e1.cdn.wld", "e2.cdn.wld", "ghost.example", "dangling.example", "only.target"}
+	a := func(name string, last byte) RR {
+		return RR{Name: name, Type: TypeA, TTL: uint32(last), Addr: netip.AddrFrom4([4]byte{192, 0, 2, last})}
+	}
+	cname := func(name, target string) RR { return RR{Name: name, Type: TypeCNAME, TTL: 300, Target: target} }
+	key := &RData{DNSKEY: &DNSKEYData{Flags: 257, Protocol: 3, Algorithm: 8, PublicKey: []byte{1, 2, 3}}}
+	root := built(
+		[]RR{a("e1.cdn.wld", 1), {Name: "E1.cdn.wld.", Type: TypeAAAA, TTL: 20, Addr: netip.MustParseAddr("2001:db8::1")}, a("e2.cdn.wld", 2)},
+		[]RR{{Name: "a.example", Type: TypeDNSKEY, TTL: 3600, Data: key}, a("a.example", 3),
+			cname("www.a.example", "e1.cdn.wld"), cname("dangling.example", "Only.Target."), a("e2.cdn.wld", 4)},
+		[]RR{a("ka.cdn.wld", 5), a("kickass.to", 5), a("ka.cdn.wld", 6), a("kickass.to", 6), cname("www.kickass.to", "ka.cdn.wld"),
+			{Name: "a.example", Type: TypeTXT, TTL: 60, Data: &RData{TXT: []string{"v=spf1"}}}},
+	)
+	members := []*modelRegistry{root}
 	checkAll := func(after string) {
 		t.Helper()
 		for i, m := range members {
 			m.check(t, fmt.Sprintf("member %d", i), after, names)
 		}
 	}
-
-	// Three owners in five runs: a.example (two spellings, one run), www
-	// (a CNAME and a TXT), b.example, then a.example again — held by now,
-	// so appended, not adopted — and e1.
-	first := batch(root,
-		a("a.example", 1), a("A.Example.", 2),
-		RR{Name: "www.a.example", Type: TypeCNAME, TTL: 60, Target: "A.example."}, RR{Name: "www.a.example", Type: TypeTXT, TTL: 60},
-		a("b.example", 3), a("b.example", 4),
-		a("a.example", 5), a("e1.cdn.wld", 6))
-	checkAll("a batch of five runs")
-	if first[1].Name != "a.example" || first[2].Target != "a.example" || first[0].Class != ClassINET {
-		t.Errorf("the batch was not canonicalised in place: %+v", first[:3])
+	checkAll("Build")
+	if got := root.reg.Len(); got != 8 {
+		t.Errorf("Len %d, want the 8 owners (a name only a CNAME points at is none)", got)
+	}
+	if _, rcode := root.reg.Resolve("only.target", TypeA); rcode != RCodeNameError {
+		t.Errorf("a name that is only a target answers rcode %d, want NXDOMAIN", rcode)
+	}
+	ka := root.reg.Lookup("ka.cdn.wld", TypeA)
+	if got, ok := root.reg.Interned("ka.cdn.wld"); !ok || len(ka) != 2 || unsafe.StringData(got) != unsafe.StringData(ka[0].Name) {
+		t.Errorf("Interned and a record's Name are not one string in the name table")
+	}
+	if got, ok := root.reg.Interned("only.target"); !ok || got != "only.target" {
+		t.Errorf("Interned of a name only a CNAME points at: %q, %v", got, ok)
+	}
+	if got, ok := root.reg.Interned("nosuch.example"); ok {
+		t.Errorf("Interned of a name the registry does not hold: %q", got)
 	}
 
-	// www's window is first[2:4]. Remove filters it in place and Add
-	// appends into the room that left — first[3] — and no further.
-	if got, want := root.reg.Remove("www.a.example", TypeTXT), root.remove("www.a.example", TypeTXT); got != want {
+	// Writes on the built registry land in its overlay; a clone shares
+	// the base, and each side sees only its own writes.
+	if got, want := root.reg.Remove("kickass.to", TypeA), root.remove("kickass.to", TypeA); got != want {
 		t.Fatalf("Remove removed %d, want %d", got, want)
 	}
-	checkAll("Remove on an adopted window")
-	root.reg.Add(a("www.a.example", 7))
-	root.add(a("www.a.example", 7))
-	root.reg.Add(a("www.a.example", 8)) // the window is full: this one moves www out of the batch
-	root.add(a("www.a.example", 8))
-	checkAll("Add on an adopted window")
-	if !reflect.DeepEqual(first[4], canon(a("b.example", 3))) {
-		t.Errorf("Add on www's window wrote its neighbour: %+v", first[4])
-	}
-
-	// A batch into a clone appends to private copies, whether the shared
-	// map holds the owner (b) or not (e2), and the source sees neither.
+	root.reg.Add(a("only.target", 7))
+	root.add(a("only.target", 7))
+	checkAll("writes on the built registry")
 	clone := &modelRegistry{reg: root.reg.Clone(), want: map[string][]RR{}}
 	for name, rrs := range root.want {
 		clone.want[name] = slices.Clone(rrs)
 	}
 	clone.attach()
 	members = append(members, clone)
-	second := batch(clone, a("b.example", 9), a("e2.cdn.wld", 10), a("e2.cdn.wld", 11))
-	checkAll("a batch into a clone")
-	batch(root, a("e2.cdn.wld", 12), a("ghost.example", 13)) // the source is shared now, too
-	checkAll("a batch into a cloned-from registry")
-
-	// The clone wrote b.example, so it reads its own copy: scribbling over
-	// b's window in the first batch, and over the whole second batch,
-	// moves nothing the clone answers. (The source still reads the
-	// window — AddBatch took the slice — so it is put back before the
-	// source is checked again.)
-	saved := slices.Clone(first[4:6])
-	first[4], first[5] = a("scribble.example", 99), a("scribble.example", 98)
-	for i := range second {
-		second[i] = a("scribble.example", 97)
+	for _, typ := range []uint16{TypeA, TypeAAAA} {
+		if got, want := clone.reg.Remove("e1.cdn.wld", typ), clone.remove("e1.cdn.wld", typ); got != want {
+			t.Fatalf("Remove removed %d, want %d", got, want)
+		}
 	}
-	clone.check(t, "the clone", "the adopted slices were scribbled over", names)
-	copy(first[4:6], saved)
-	checkAll("the scribble was undone")
+	batch := []RR{a("ka.cdn.wld", 8), cname("ghost.example", "kickass.to")}
+	clone.reg.AddBatch(batch)
+	for _, rr := range batch {
+		clone.add(rr)
+	}
+	checkAll("a clone emptied an owner of the base and wrote two more")
+	root.reg.Add(a("e1.cdn.wld", 9))
+	root.add(a("e1.cdn.wld", 9))
+	checkAll("the source wrote after the clone")
 }
 
-// TestAddBatchAdoptsRuns: a batch of runs of new owners costs what the
-// map costs — nothing when the registry was sized for them — and no
-// allocation per owner or per record, because each owner's records are a
-// window into the batch; the same batch into a registry that shares its
-// map is copied owner by owner, as before.
-func TestAddBatchAdoptsRuns(t *testing.T) {
+// TestBuildAllocatesPerColumnNotPerRecord: filling a builder costs the
+// growth of its columns, not an allocation per owner or per record, and
+// Build makes a fixed number of allocations whatever the number of
+// owners — no map entry and no slice per name.
+func TestBuildAllocatesPerColumnNotPerRecord(t *testing.T) {
 	const owners = 4096
-	fresh := func() []RR {
-		batch := make([]RR, 0, 2*owners)
-		for i := 0; i < owners; i++ {
-			name := fmt.Sprintf("h%d.example", i)
-			batch = append(batch, RR{Name: name, Type: TypeA, TTL: 60, Addr: netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)})},
-				RR{Name: name, Type: TypeTXT, TTL: 60})
+	names := make([]string, owners)
+	for i := range names {
+		names[i] = fmt.Sprintf("h%d.example", i)
+	}
+	fill := func(b *Builder) {
+		for i, name := range names {
+			b.Add(RR{Name: name, Type: TypeA, TTL: 60, Addr: netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)})})
+			b.Add(RR{Name: name, Type: TypeCNAME, TTL: 60, Target: names[(i+1)%owners]})
 		}
-		return batch
+	}
+	if n := testing.AllocsPerRun(5, func() { fill(new(Builder)) }); n > 150 {
+		t.Errorf("adding %d owners of two records: %.0f allocations, want column growth only", owners, n)
 	}
 	// AllocsPerRun calls its function once more than it is asked to.
 	const runs = 5
-	measure := func(newRegistry func() *Registry) float64 {
-		regs, batches := make([]*Registry, runs+1), make([][]RR, runs+1)
-		for i := range regs {
-			regs[i], batches[i] = newRegistry(), fresh()
+	parts := make([][2]*Builder, runs+1)
+	for i := range parts {
+		parts[i] = [2]*Builder{new(Builder), new(Builder)}
+		fill(parts[i][0])
+		fill(parts[i][1])
+	}
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() { Build(parts[next][0], parts[next][1]); next++ }); n > 24 {
+		t.Errorf("Build of two parts of %d owners: %.0f allocations, want a fixed few", owners, n)
+	}
+}
+
+// TestBuilderRefusesWhatItCannotHold: a record the columns have no room
+// for panics at Add, rather than coming back changed; the overlay, which
+// keeps whole records, takes the same record as it is.
+func TestBuilderRefusesWhatItCannotHold(t *testing.T) {
+	for _, rr := range []RR{
+		{Name: "chaos.example", Type: TypeTXT, Class: 3, TTL: 60},
+		{Name: "big.example", Type: 300, TTL: 60},
+		{Name: "v6.example", Type: TypeA, TTL: 60, Addr: netip.MustParseAddr("2001:db8::1")},
+		{Name: "v4.example", Type: TypeAAAA, TTL: 60, Addr: netip.MustParseAddr("192.0.2.1")},
+		{Name: "scoped.example", Type: TypeAAAA, TTL: 60, Addr: netip.MustParseAddr("fe80::1%eth0")},
+		{Name: "none.example", Type: TypeA, TTL: 60},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Builder.Add(%+v) did not panic", rr)
+				}
+			}()
+			new(Builder).Add(rr)
+		}()
+		r := NewRegistry()
+		r.Add(rr)
+		if got := r.Lookup(rr.Name, rr.Type); len(got) != 1 || !reflect.DeepEqual(got[0], canon(rr)) {
+			t.Errorf("Registry.Add(%+v) holds %+v", rr, got)
 		}
-		next := 0
-		return testing.AllocsPerRun(runs, func() {
-			regs[next].AddBatch(batches[next])
-			next++
-		})
 	}
-	if n := measure(func() *Registry { return NewRegistrySized(owners) }); n > 0 {
-		t.Errorf("AddBatch of %d new owners into a registry sized for them: %.0f allocations, want 0", owners, n)
-	}
-	if n := measure(NewRegistry); n > owners/8 {
-		t.Errorf("AddBatch of %d new owners into an empty registry: %.0f allocations, want map growth only", owners, n)
-	}
-	if n := measure(func() *Registry { return NewRegistrySized(owners).Clone() }); n < owners {
-		t.Errorf("AddBatch of %d owners into a shared registry: %.0f allocations; it must copy each owner's records", owners, n)
-	}
-	r := NewRegistrySized(owners)
-	batch := fresh()
-	r.AddBatch(batch)
-	if got := r.Lookup("h7.example", TypeTXT); len(got) != 1 || &r.records["h7.example"][0] != &batch[14] {
-		t.Errorf("h7.example's records are not the batch's own: %v", got)
-	}
-	if rrs := r.records["h7.example"]; len(rrs) != 2 || cap(rrs) != 2 {
-		t.Errorf("h7.example's window has len %d cap %d, want 2 and 2", len(rrs), cap(rrs))
-	}
+}
+
+// FuzzRegistry runs a byte script against the model: a base built from
+// a few parts, then Add, AddBatch, Remove and Clone on members of the
+// family, every member held to its model (Len, Names, NamesUnder,
+// Lookup, Resolve, LookupWebInto and the zone dump, and every hook
+// call) after every step. The committed seeds cover an owner written in
+// interleaved runs across parts, a CNAME that dangles, and a clone that
+// removes a base owner's last record.
+func FuzzRegistry(f *testing.F) {
+	names := []string{"a.example", "www.a.example", "WWW.A.example.", "ka.cdn.wld", "e1.cdn.wld", "E2.CDN.wld.", "cdn.wld", "ghost.example"}
+	addrs := []netip.Addr{netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("198.51.100.7"), netip.MustParseAddr("2001:db8::1")}
+	key := &RData{DNSKEY: &DNSKEYData{Flags: 257, Protocol: 3, Algorithm: 8, PublicKey: []byte{7}}}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		next := func() int {
+			if len(script) == 0 {
+				return 0
+			}
+			b := script[0]
+			script = script[1:]
+			return int(b)
+		}
+		// Two bytes a record: its owner and TTL, then its kind and payload.
+		record := func() RR {
+			n, k := next(), next()
+			rr := RR{Name: names[n%len(names)], TTL: uint32(n)}
+			switch v := k / 5; k % 5 {
+			case 0:
+				rr.Type, rr.Target = TypeCNAME, names[v%len(names)]
+			case 1:
+				rr.Type = TypeTXT
+			case 2:
+				rr.Type, rr.Data = TypeDNSKEY, key
+			default:
+				rr.Type, rr.Addr = TypeA, addrs[v%2]
+				if k%5 == 4 {
+					rr.Type, rr.Addr = TypeAAAA, addrs[2]
+				}
+			}
+			return rr
+		}
+		parts := make([][]RR, 1+next()%3)
+		for k := range parts {
+			for range next() % 8 {
+				parts[k] = append(parts[k], record())
+			}
+		}
+		members := []*modelRegistry{built(parts...)}
+		members[0].check(t, "member 0", "Build", names)
+		for step := 0; step < 24 && len(script) > 0; step++ {
+			m := members[next()%len(members)]
+			var after string
+			switch op := next() % 4; op {
+			case 0:
+				rr := record()
+				m.reg.Add(rr)
+				m.add(rr)
+				after = fmt.Sprintf("Add(%s %d)", rr.Name, rr.Type)
+			case 1:
+				batch := make([]RR, 1+next()%3)
+				for i := range batch {
+					batch[i] = record()
+					m.add(batch[i])
+				}
+				m.reg.AddBatch(batch)
+				after = fmt.Sprintf("AddBatch(%d)", len(batch))
+			case 2:
+				name, typ := names[next()%len(names)], []uint16{TypeA, TypeAAAA, TypeCNAME, TypeTXT, TypeDNSKEY}[next()%5]
+				if got, want := m.reg.Remove(name, typ), m.remove(name, typ); got != want {
+					t.Fatalf("step %d: Remove(%q, %d) removed %d, want %d", step, name, typ, got, want)
+				}
+				after = fmt.Sprintf("Remove(%s %d)", name, typ)
+			default:
+				c := &modelRegistry{reg: m.reg.Clone(), want: make(map[string][]RR, len(m.want))}
+				for name, rrs := range m.want {
+					c.want[name] = slices.Clone(rrs)
+				}
+				c.attach()
+				members = append(members, c)
+				after = "Clone"
+			}
+			for i, m := range members {
+				m.check(t, fmt.Sprintf("step %d member %d", step, i), after, names)
+			}
+		}
+	})
 }

@@ -37,11 +37,12 @@ func (r *Registry) WriteZoneTSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadZoneTSV reads the WriteZoneTSV format into a fresh registry.
-// Unknown record types and blank lines are skipped; malformed lines are
-// errors, a name or CNAME target that zoneName refuses among them.
+// LoadZoneTSV reads the WriteZoneTSV format into a fresh registry, built
+// as its base. Unknown record types and blank lines are skipped;
+// malformed lines are errors, a name or CNAME target that zoneName
+// refuses among them.
 func LoadZoneTSV(r io.Reader) (*Registry, error) {
-	reg := NewRegistry()
+	var b Builder
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	line := 0
@@ -69,18 +70,18 @@ func LoadZoneTSV(r io.Reader) (*Registry, error) {
 			if typ == "AAAA" {
 				t = TypeAAAA
 			}
-			if (t == TypeA) != addr.Is4() {
+			if (t == TypeA) != addr.Is4() || addr.Zone() != "" {
 				return nil, fmt.Errorf("dns: zone line %d: %s record with %v", line, typ, addr)
 			}
-			reg.Add(RR{Name: name, Type: t, TTL: 300, Addr: addr})
+			b.Add(RR{Name: name, Type: t, TTL: 300, Addr: addr})
 		case "CNAME":
-			reg.AddCNAME(name, val, 300)
+			b.Add(RR{Name: name, Type: TypeCNAME, TTL: 300, Target: val})
 		case "DNSKEY":
 			key := make([]byte, len(val)/2)
 			if _, err := fmt.Sscanf(val, "%x", &key); err != nil {
 				return nil, fmt.Errorf("dns: zone line %d: bad DNSKEY hex: %w", line, err)
 			}
-			reg.Add(RR{Name: name, Type: TypeDNSKEY, TTL: 3600, Data: &RData{DNSKEY: &DNSKEYData{Flags: 257, Protocol: 3, Algorithm: 8, PublicKey: key}}})
+			b.Add(RR{Name: name, Type: TypeDNSKEY, TTL: 3600, Data: &RData{DNSKEY: &DNSKEYData{Flags: 257, Protocol: 3, Algorithm: 8, PublicKey: key}}})
 		default:
 			// Tolerate future record types in dumps.
 		}
@@ -88,7 +89,7 @@ func LoadZoneTSV(r io.Reader) (*Registry, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return reg, nil
+	return Build(&b), nil
 }
 
 // zoneName reports whether a dump may carry s as a name: labels that are

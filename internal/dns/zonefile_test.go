@@ -49,6 +49,7 @@ func TestLoadZoneTSVValidation(t *testing.T) {
 		"a.com\tA\tnotanip",         // bad address
 		"a.com\tA\t2001:db8::1",     // family mismatch
 		"a.com\tAAAA\t198.51.100.1", // family mismatch
+		"a.com\tAAAA\tfe80::1%eth0", // a scoped address: a record carries no zone
 		"a.com\tDNSKEY\tzz",         // bad hex
 		"a.com..\tA\t198.51.100.1",  // a second trailing dot: "a.com." would be written
 		".a.com\tA\t198.51.100.1",   // empty first label

@@ -161,7 +161,7 @@ func driveFork(t *testing.T, w *webworld.World, f *Incremental, cfg *Config, reg
 			to := "www." + entries[rnd.Intn(len(entries))].Domain
 			reg.Remove(from, dns.TypeA)
 			reg.Remove(from, dns.TypeCNAME)
-			reg.AddCNAME(from, to, 60)
+			reg.Add(dns.RR{Name: from, Type: dns.TypeCNAME, TTL: 60, Target: to})
 		},
 		func() {
 			if rnd.Intn(4) == 0 {

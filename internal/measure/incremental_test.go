@@ -80,7 +80,7 @@ func TestIncrementalTinyUniverse(t *testing.T) {
 	// CNAME repoint: cdnstyle's www chain now terminates on secure's
 	// address; chained owner names were recorded, so this must dirty it.
 	reg.Remove("cust.fastcdn.wld", dns.TypeCNAME)
-	reg.AddCNAME("cust.fastcdn.wld", "www.secure.example", 60)
+	reg.Add(dns.RR{Name: "cust.fastcdn.wld", Type: dns.TypeCNAME, TTL: 60, Target: "www.secure.example"})
 	check("cname repoint")
 
 	// Swap the whole validation source: a fork validates against the set
@@ -195,7 +195,7 @@ func runInterleaving(t *testing.T, w *webworld.World, seed int64) {
 			to := "www." + entries[rnd.Intn(len(entries))].Domain
 			w.Registry.Remove(from, dns.TypeA)
 			w.Registry.Remove(from, dns.TypeCNAME)
-			w.Registry.AddCNAME(from, to, 60)
+			w.Registry.Add(dns.RR{Name: from, Type: dns.TypeCNAME, TTL: 60, Target: to})
 		},
 	}
 

@@ -64,8 +64,8 @@ func newTinyFixture(t *testing.T) *tinyFixture {
 	// cdnstyle.example: www via 2 CNAMEs to a different prefix; apex
 	// separate → unequal prefix sets, CDN by chain.
 	reg.Add(dns.RR{Name: "cdnstyle.example", Type: dns.TypeA, TTL: 60, Addr: netutil.MustAddr("203.0.114.20")})
-	reg.AddCNAME("www.cdnstyle.example", "cust.fastcdn.wld", 60)
-	reg.AddCNAME("cust.fastcdn.wld", "e1.a.fastcdn.wld", 60)
+	reg.Add(dns.RR{Name: "www.cdnstyle.example", Type: dns.TypeCNAME, TTL: 60, Target: "cust.fastcdn.wld"})
+	reg.Add(dns.RR{Name: "cust.fastcdn.wld", Type: dns.TypeCNAME, TTL: 60, Target: "e1.a.fastcdn.wld"})
 	reg.Add(dns.RR{Name: "e1.a.fastcdn.wld", Type: dns.TypeA, TTL: 30, Addr: netutil.MustAddr("151.101.1.10")})
 	insert("151.101.0.0/16", 54113)
 

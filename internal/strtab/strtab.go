@@ -23,6 +23,7 @@ package strtab
 
 import (
 	"hash/maphash"
+	"slices"
 	"unsafe"
 )
 
@@ -131,6 +132,19 @@ func slotsFor(n int) int {
 		size *= 2
 	}
 	return size
+}
+
+// Clip gives back the spare capacity of the slab and the offsets, for a
+// table sized for more than it got: each that has any is copied to its
+// length. Strings Get returned before stay valid (they keep the old slab
+// alive); the name index is kept as it is.
+func (t *Table) Clip() {
+	if cap(t.slab) > len(t.slab) {
+		t.slab = slices.Clone(t.slab)
+	}
+	if cap(t.offs) > len(t.offs) {
+		t.offs = slices.Clone(t.offs)
+	}
 }
 
 // Get returns string id. The result aliases the slab (zero-copy) and

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ripki/internal/bgp"
-	"ripki/internal/dns"
 	"ripki/internal/mrt"
 	"ripki/internal/rib"
 	"ripki/internal/rpki/cert"
@@ -28,11 +27,7 @@ func Generate(cfg Config) (*World, error) {
 		cfg.Domains = defaultDomains
 	}
 	w := &World{
-		Cfg: cfg,
-		// Roughly a name for the apex, one for www (when not a CNAME of
-		// the apex), plus CDN edge/pool names: presizing near the final
-		// count keeps million-domain generation from rehashing the map.
-		Registry:    dns.NewRegistrySized(cfg.Domains*9/4 + 4096),
+		Cfg:         cfg,
 		RIB:         rib.New(),
 		rnd:         rand.New(rand.NewSource(cfg.Seed)),
 		alloc:       newAllocator(),
@@ -61,12 +56,11 @@ func Generate(cfg Config) (*World, error) {
 	if err := w.buildDomains(lap); err != nil {
 		return nil, err
 	}
-	// Seal the generated records: the world's registry is from here on a
-	// clone of them, so nothing ever writes the generated map again (a
-	// write lands in the writer's overlay) and Registry.Written says, for
-	// this world and every clone of it, whether its DNS is still as
-	// generated — which is what lets values derived from it be shared.
-	w.Registry = w.Registry.Clone()
+	// The generated records are the registry's base, which nothing
+	// writes again (a write lands in the writer's overlay), so
+	// Registry.Written says, for this world and every clone of it,
+	// whether its DNS is still as generated — which is what lets values
+	// derived from it be shared.
 	lap("registry")
 	return w, nil
 }

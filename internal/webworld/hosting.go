@@ -11,7 +11,6 @@ import (
 
 	"ripki/internal/alexa"
 	"ripki/internal/dns"
-	"ripki/internal/strtab"
 )
 
 // cachePoolEntry is one CDN delivery hostname: the terminal name of
@@ -21,11 +20,12 @@ type cachePoolEntry struct {
 	addrs []netip.Addr
 }
 
-// buildCachePools provisions each CDN's delivery hostnames. A fraction
-// of cache addresses live in third-party eyeball ISP networks; those
-// inherit whatever RPKI coverage the ISP created — the §4.2 finding
-// "every RPKI-enabled CDN-content is served by a third party network".
-func (w *World) buildCachePools() map[string][]cachePoolEntry {
+// buildCachePools provisions each CDN's delivery hostnames, writing
+// their records into b. A fraction of cache addresses live in
+// third-party eyeball ISP networks; those inherit whatever RPKI coverage
+// the ISP created — the §4.2 finding "every RPKI-enabled CDN-content is
+// served by a third party network".
+func (w *World) buildCachePools(b *dns.Builder) map[string][]cachePoolEntry {
 	pools := make(map[string][]cachePoolEntry, len(w.orgs.cdns))
 	size := clamp(w.Cfg.Domains/500, 40, 2000)
 	for _, cdnOrg := range w.orgs.cdns {
@@ -48,11 +48,11 @@ func (w *World) buildCachePools() map[string][]cachePoolEntry {
 				e.addrs = append(e.addrs, hostAddr(p, 1+w.rnd.Intn(4000)))
 			}
 			for _, a := range e.addrs {
-				w.Registry.Add(dns.RR{Name: e.host, Type: dns.TypeA, TTL: 20, Addr: a})
+				b.Add(dns.RR{Name: e.host, Type: dns.TypeA, TTL: 20, Addr: a})
 			}
 			if v6 := w.v6PrefixOf(cdnOrg); v6.IsValid() && w.rnd.Float64() < 0.3 {
 				a6 := hostAddr(v6, 1+w.rnd.Intn(4000))
-				w.Registry.Add(dns.RR{Name: e.host, Type: dns.TypeAAAA, TTL: 20, Addr: a6})
+				b.Add(dns.RR{Name: e.host, Type: dns.TypeAAAA, TTL: 20, Addr: a6})
 			}
 			entries = append(entries, e)
 		}
@@ -118,38 +118,22 @@ func (s *Stats) merge(o Stats) {
 }
 
 // domainBuilder accumulates one shard's per-domain output: DNS records
-// and stat tallies go into private buffers, handed to the shared world
-// in rank order after all shards finish. The rnd stream is re-seeded per
-// domain from (Seed, rank), which is the whole determinism argument: no
-// draw ever depends on which shard made it. The registry adopts the
-// record chunks (dns.Registry.AddBatch), so a domain emits each owner's
-// records side by side, and a chunk is sized for the records still
-// expected, never grown, and never shared by the two halves of a domain.
+// go into the shard's own columns and stat tallies into its own Stats,
+// handed to the shared world in rank order after all shards finish. The
+// rnd stream is re-seeded per domain from (Seed, rank), which is the
+// whole determinism argument: no draw ever depends on which shard made
+// it.
 type domainBuilder struct {
-	w      *World
-	rnd    *rand.Rand
-	names  *strtab.Table
-	chunks [][]dns.RR
-	stats  Stats
+	w     *World
+	rnd   *rand.Rand
+	dns   *dns.Builder
+	stats Stats
+	// A domain's prefixes and addresses, kept to append into.
+	prefixes []netip.Prefix
+	addrs    []netip.Addr
 }
 
-const (
-	recChunk      = 4096 // the most records in a chunk (288 KiB)
-	maxDomainRecs = 8    // DNSKEY, three A and an AAAA at the apex, three A at www
-)
-
-// startDomain makes room for one more domain in the current chunk; left
-// domains of the shard are still to come.
-func (b *domainBuilder) startDomain(left int) {
-	if c := b.chunks; len(c) == 0 || cap(c[len(c)-1])-len(c[len(c)-1]) < maxDomainRecs {
-		b.chunks = append(c, make([]dns.RR, 0, min(recChunk, left*5/2+maxDomainRecs)))
-	}
-}
-
-func (b *domainBuilder) add(rr dns.RR) {
-	c := &b.chunks[len(b.chunks)-1]
-	*c = append(*c, rr)
-}
+func (b *domainBuilder) add(rr dns.RR) { b.dns.Add(rr) }
 
 func (b *domainBuilder) addCNAME(name, target string, ttl uint32) {
 	b.add(dns.RR{Name: name, Type: dns.TypeCNAME, TTL: ttl, Target: target})
@@ -158,11 +142,14 @@ func (b *domainBuilder) addCNAME(name, target string, ttl uint32) {
 // buildDomains creates the ranked population and all web DNS records.
 // The per-domain phase is sharded: the ranked list is split into one
 // contiguous range per GOMAXPROCS, each built concurrently into a private
-// buffer; the output is the same at every count.
+// builder; the output is the same at every count.
 // Fixtures are order-coupled (they share a rotating covered-prefix
-// counter), so they are rebuilt sequentially afterwards.
+// counter), so they are rebuilt sequentially afterwards. The registry is
+// built from the cache pools', the shards' and the fixtures' records, in
+// that order, and the ranked list's names are the registry's own.
 func (w *World) buildDomains(lap func(phase string)) error {
-	pools := w.buildCachePools()
+	parts := []*dns.Builder{new(dns.Builder)}
+	pools := w.buildCachePools(parts[0])
 
 	fixtures := make(map[int]topSite)
 	var fixtureList []topSite // ascending rank, as topSites guarantees
@@ -175,57 +162,81 @@ func (w *World) buildDomains(lap func(phase string)) error {
 
 	n := w.Cfg.Domains
 	shards := max(1, min(runtime.GOMAXPROCS(0), n))
-
-	names := make([]string, n)
-	builders := make([]*domainBuilder, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		lo, hi := n*s/shards, n*(s+1)/shards
-		b := &domainBuilder{
-			w:     w,
-			rnd:   rand.New(new(sm64)),
-			names: strtab.NewSized(hi-lo, (hi-lo)*13),
+	// eachShard runs fn over one contiguous range of ranks per shard,
+	// concurrently.
+	eachShard := func(fn func(s, lo, hi int)) {
+		var wg sync.WaitGroup
+		for s := 0; s < shards; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fn(s, n*s/shards, n*(s+1)/shards)
+			}()
 		}
-		builders[s] = b
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scratch []byte
-			for i := lo; i < hi; i++ {
-				rank := i + 1
-				if ts, ok := fixtures[rank]; ok {
-					names[i] = ts.name
-					continue
-				}
-				b.startDomain(hi - i)
-				b.rnd.Seed(domainSeed(w.Cfg.Seed, rank))
-				scratch = appendDomain(scratch[:0], b.rnd, rank)
-				names[i] = b.names.Get(b.names.Append(scratch))
-				b.buildRegularDomain(rank, names[i], pools)
-			}
-		}()
+		wg.Wait()
 	}
-	wg.Wait()
+
+	builders := make([]*domainBuilder, shards)
+	eachShard(func(s, lo, hi int) {
+		// Room for 2.6 records and 36 bytes of names a domain: a shard
+		// has measured up to about 2.5 and 35, the top ranks the most.
+		b := &domainBuilder{w: w, rnd: rand.New(new(sm64)), dns: dns.NewBuilder((hi-lo)*13/5, (hi-lo)*36)}
+		builders[s] = b
+		var scratch []byte
+		for i := lo; i < hi; i++ {
+			rank := i + 1
+			if _, ok := fixtures[rank]; ok {
+				continue
+			}
+			b.rnd.Seed(domainSeed(w.Cfg.Seed, rank))
+			scratch = appendDomain(append(scratch[:0], "www."...), b.rnd, rank)
+			b.buildRegularDomain(rank, string(scratch), pools)
+		}
+	})
 	lap("domains")
 
-	w.List = alexa.FromDomains(names)
 	for _, b := range builders {
-		for _, c := range b.chunks {
-			w.Registry.AddBatch(c)
-		}
+		parts = append(parts, b.dns)
 		w.Stats.merge(b.stats)
 	}
 
 	// Fixture streams are also rank-derived, so their draws (covered vs
 	// CDN prefix picks) are shard-count independent too.
+	fixed := new(dns.Builder)
 	frnd := rand.New(new(sm64))
 	fixISPNext := 0
 	for _, ts := range fixtureList {
 		frnd.Seed(domainSeed(w.Cfg.Seed, ts.rank))
-		if err := w.buildFixture(frnd, ts, &fixISPNext); err != nil {
+		if err := w.buildFixture(fixed, frnd, ts, &fixISPNext); err != nil {
 			return err
 		}
 	}
+	w.Registry = dns.Build(append(parts, fixed)...)
+
+	// The ranked list's names are the registry's own strings. A domain's
+	// name is the first thing its rank's stream draws, so it is drawn
+	// again here and looked up: nothing holds a copy of every name while
+	// the registry is built.
+	names := make([]string, n)
+	eachShard(func(_, lo, hi int) {
+		rnd := rand.New(new(sm64))
+		var scratch []byte
+		for i := lo; i < hi; i++ {
+			rank := i + 1
+			if ts, ok := fixtures[rank]; ok {
+				scratch = append(scratch[:0], ts.name...)
+			} else {
+				rnd.Seed(domainSeed(w.Cfg.Seed, rank))
+				scratch = appendDomain(scratch[:0], rnd, rank)
+			}
+			if name, ok := w.Registry.Interned(string(scratch)); ok {
+				names[i] = name
+			} else {
+				names[i] = string(scratch)
+			}
+		}
+	})
+	w.List = alexa.FromDomains(names)
 	return nil
 }
 
@@ -284,12 +295,13 @@ func (b *domainBuilder) maybeUnreachable(a netip.Addr) netip.Addr {
 	return hostAddr(p, 1+b.rnd.Intn(4000))
 }
 
-// buildRegularDomain provisions one generated domain. All reads of
-// shared world state (orgs, config) are immutable by this phase; all
-// writes land in the builder.
-func (b *domainBuilder) buildRegularDomain(rank int, domain string, pools map[string][]cachePoolEntry) {
+// buildRegularDomain provisions one generated domain, named by its www
+// name: the domain is what follows "www.", so one string holds both.
+// All reads of shared world state (orgs, config) are immutable by this
+// phase; all writes land in the builder.
+func (b *domainBuilder) buildRegularDomain(rank int, www string, pools map[string][]cachePoolEntry) {
 	w := b.w
-	www := "www." + domain
+	domain := www[len("www."):]
 	b.maybeSignZone(domain)
 
 	// A small fraction of domains answer only with special-purpose
@@ -307,7 +319,7 @@ func (b *domainBuilder) buildRegularDomain(rank int, domain string, pools map[st
 
 	if b.rnd.Float64() < w.cdnShare(rank) {
 		b.stats.DomainsCDN++
-		b.buildCDNDomain(domain, pools)
+		b.buildCDNDomain(www, pools)
 		return
 	}
 
@@ -317,7 +329,7 @@ func (b *domainBuilder) buildRegularDomain(rank int, domain string, pools map[st
 	if b.rnd.Float64() < 0.12 {
 		org = w.orgs.isps[b.rnd.Intn(len(w.orgs.isps))]
 	}
-	prefixes := []netip.Prefix{w.v4PrefixOf(b.rnd, org)}
+	prefixes := append(b.prefixes[:0], w.v4PrefixOf(b.rnd, org))
 	if rank <= 10000 && b.rnd.Float64() < multiPrefixTopShare {
 		// Prominent sites spread across prefixes — sometimes across a
 		// second organisation, which mixes RPKI postures (Table 1's
@@ -331,10 +343,11 @@ func (b *domainBuilder) buildRegularDomain(rank int, domain string, pools map[st
 			prefixes = append(prefixes, w.v4PrefixOf(b.rnd, o2))
 		}
 	}
-	var addrs []netip.Addr
+	addrs := b.addrs[:0]
 	for _, p := range prefixes {
 		addrs = append(addrs, b.maybeUnreachable(hostAddr(p, 1+b.rnd.Intn(60000))))
 	}
+	b.prefixes, b.addrs = prefixes, addrs
 	for _, a := range addrs {
 		b.add(dns.RR{Name: domain, Type: dns.TypeA, TTL: 300, Addr: a})
 	}
@@ -361,13 +374,14 @@ func (b *domainBuilder) buildRegularDomain(rank int, domain string, pools map[st
 	}
 }
 
-// buildCDNDomain provisions a CDN-served domain: the www variant rides
-// a CNAME chain into the CDN, the apex stays at an origin host because
-// apex names cannot be CNAMEs (RFC 1034) — except for single-CNAME
-// anycast CDNs that front the apex with their own addresses.
-func (b *domainBuilder) buildCDNDomain(domain string, pools map[string][]cachePoolEntry) {
+// buildCDNDomain provisions a CDN-served domain, named as in
+// buildRegularDomain: the www variant rides a CNAME chain into the CDN,
+// the apex stays at an origin host because apex names cannot be CNAMEs
+// (RFC 1034) — except for single-CNAME anycast CDNs that front the apex
+// with their own addresses.
+func (b *domainBuilder) buildCDNDomain(www string, pools map[string][]cachePoolEntry) {
 	w := b.w
-	www := "www." + domain
+	domain := www[len("www."):]
 	cdnOrg := b.pickCDN()
 	spec := cdnOrg.CDN
 	pool := pools[spec.Name]
@@ -399,9 +413,9 @@ func (b *domainBuilder) buildCDNDomain(domain string, pools map[string][]cachePo
 	}
 }
 
-// buildFixture realises one Table 1 row structurally, drawing from the
-// fixture's own rank-derived stream.
-func (w *World) buildFixture(rnd *rand.Rand, ts topSite, fixISPNext *int) error {
+// buildFixture realises one Table 1 row structurally into b, drawing
+// from the fixture's own rank-derived stream.
+func (w *World) buildFixture(b *dns.Builder, rnd *rand.Rand, ts topSite, fixISPNext *int) error {
 	www := "www." + ts.name
 	coveredPrefix := func() netip.Prefix {
 		p := w.orgs.fixISP.Prefixes[*fixISPNext%len(w.orgs.fixISP.Prefixes)]
@@ -416,11 +430,11 @@ func (w *World) buildFixture(rnd *rand.Rand, ts topSite, fixISPNext *int) error 
 		}
 		for i := 0; i < ts.wwwTotal; i++ {
 			a := hostAddr(org.Prefixes[i%len(org.Prefixes)], 10+i)
-			w.Registry.Add(dns.RR{Name: www, Type: dns.TypeA, TTL: 300, Addr: a})
+			b.Add(dns.RR{Name: www, Type: dns.TypeA, TTL: 300, Addr: a})
 		}
 		for i := 0; i < ts.apexTotal; i++ {
 			a := hostAddr(org.Prefixes[i%len(org.Prefixes)], 30+i)
-			w.Registry.Add(dns.RR{Name: ts.name, Type: dns.TypeA, TTL: 300, Addr: a})
+			b.Add(dns.RR{Name: ts.name, Type: dns.TypeA, TTL: 300, Addr: a})
 		}
 		return nil
 	}
@@ -454,10 +468,10 @@ func (w *World) buildFixture(rnd *rand.Rand, ts topSite, fixISPNext *int) error 
 			addrs = append(addrs, hostAddr(p, 42))
 		}
 		for _, a := range addrs {
-			w.Registry.Add(dns.RR{Name: cache, Type: dns.TypeA, TTL: 30, Addr: a})
-			w.Registry.Add(dns.RR{Name: ts.name, Type: dns.TypeA, TTL: 300, Addr: a})
+			b.Add(dns.RR{Name: cache, Type: dns.TypeA, TTL: 30, Addr: a})
+			b.Add(dns.RR{Name: ts.name, Type: dns.TypeA, TTL: 300, Addr: a})
 		}
-		w.Registry.AddCNAME(www, cache, 300)
+		b.Add(dns.RR{Name: www, Type: dns.TypeCNAME, TTL: 300, Target: cache})
 		return nil
 	}
 
@@ -479,11 +493,11 @@ func (w *World) buildFixture(rnd *rand.Rand, ts topSite, fixISPNext *int) error 
 			addrs = append(addrs, hostAddr(p, 60))
 		}
 		for _, a := range addrs {
-			w.Registry.Add(dns.RR{Name: cache, Type: dns.TypeA, TTL: 30, Addr: a})
+			b.Add(dns.RR{Name: cache, Type: dns.TypeA, TTL: 30, Addr: a})
 		}
 		edge := www + "." + suffix
-		w.Registry.AddCNAME(www, edge, 300)
-		w.Registry.AddCNAME(edge, cache, 300)
+		b.Add(dns.RR{Name: www, Type: dns.TypeCNAME, TTL: 300, Target: edge})
+		b.Add(dns.RR{Name: edge, Type: dns.TypeCNAME, TTL: 300, Target: cache})
 	}
 
 	// Apex (or the bare cache-domain for the noWWW fixture): covered
@@ -503,7 +517,7 @@ func (w *World) buildFixture(rnd *rand.Rand, ts topSite, fixISPNext *int) error 
 		apexAddrs = append(apexAddrs, hostAddr(p, 80+i))
 	}
 	for _, a := range apexAddrs {
-		w.Registry.Add(dns.RR{Name: ts.name, Type: dns.TypeA, TTL: 300, Addr: a})
+		b.Add(dns.RR{Name: ts.name, Type: dns.TypeA, TTL: 300, Addr: a})
 	}
 	return nil
 }
