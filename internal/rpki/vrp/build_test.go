@@ -155,15 +155,15 @@ func TestBulkBuiltValuesAreClippedWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.tree.Walk(func(p netip.Prefix, vs []VRP) bool {
-		if cap(vs) != len(vs) {
-			t.Errorf("value at %v has capacity %d for %d VRPs: an append would write its neighbour", p, cap(vs), len(vs))
+	set.tree.Walk(func(p netip.Prefix, pls []payload) bool {
+		if cap(pls) != len(pls) {
+			t.Errorf("value at %v has capacity %d for %d VRPs: an append would write its neighbour", p, cap(pls), len(pls))
 		}
 		return true
 	})
 	want := set.All()
 	first, _ := set.tree.Lookup(want[0].Prefix)
-	_ = append(first, VRP{Prefix: want[0].Prefix, MaxLength: 32, ASN: 1})
+	_ = append(first, payload{asn: 1, maxLen: 32})
 	if got := set.All(); !slices.Equal(got, want) {
 		t.Fatalf("appending to a prefix's value changed the table:\n got %v\nwant %v", got, want)
 	}
@@ -268,51 +268,36 @@ func runOfThree(n int) []VRP {
 	return vs
 }
 
-// collect feeds vs to a Builder and returns it with a copy of its chunk
-// list, taken before Set drops it.
-func collect(t testing.TB, vs []VRP) (*Builder, [][]VRP) {
+// oneArray fails unless every per-prefix value of s is a window of one
+// array: its capacity clipped to its length, and starting where the
+// value before it in walk order ends.
+func oneArray(t *testing.T, what string, s *Set) {
 	t.Helper()
-	b := new(Builder)
-	for _, v := range vs {
-		if err := b.Add(v); err != nil {
-			t.Fatal(err)
+	var end uintptr
+	s.tree.Walk(func(p netip.Prefix, pls []payload) bool {
+		at := uintptr(unsafe.Pointer(&pls[0]))
+		switch {
+		case cap(pls) != len(pls):
+			t.Errorf("%s: value at %v has capacity %d for %d VRPs", what, p, cap(pls), len(pls))
+		case end != 0 && at != end:
+			t.Errorf("%s: value at %v does not start where the one before it ends", what, p)
+		default:
+			end = at + uintptr(len(pls))*unsafe.Sizeof(payload{})
+			return true
 		}
-	}
-	return b, slices.Clone(b.chunks)
-}
-
-// windows counts the table's per-prefix values that lie in the given
-// chunks and those that do not, failing on a value with spare capacity.
-func windows(t *testing.T, s *Set, chunks [][]VRP) (in, out int) {
-	t.Helper()
-	rows := make(map[*VRP]bool)
-	for _, c := range chunks {
-		for i := range c {
-			rows[&c[i]] = true
-		}
-	}
-	s.tree.Walk(func(p netip.Prefix, vs []VRP) bool {
-		if cap(vs) != len(vs) {
-			t.Errorf("value at %v has capacity %d for %d VRPs", p, cap(vs), len(vs))
-		}
-		if rows[&vs[0]] {
-			in++
-		} else {
-			out++
-		}
-		return true
+		return false
 	})
-	return in, out
 }
 
-// TestSortedBuilderWindowsItsChunks: rows that reach a Builder strictly
-// in Compare order become the table where they lie. Every prefix's
-// value is a window of its chunk except one whose rows straddle a chunk
-// boundary, which gets a slice of its own; the table is the one
-// FromVRPs builds from the same rows, at sizes on both sides of the
-// first two boundaries, past the chunk-size cap, and for one prefix
-// whose rows fill whole chunks.
-func TestSortedBuilderWindowsItsChunks(t *testing.T) {
+// TestBuiltValuesAreWindowsOfOneArray: every way of loading a table
+// whole ends in one array of payloads, one a VRP, of which each prefix's
+// value is a clipped window — a Builder fed in Compare order, at sizes
+// on both sides of its first chunk boundaries, past the chunk-size cap
+// and for one prefix whose rows fill three chunks; a Builder that falls
+// back to copy-and-sort on a repeat, a Remove or rows out of order; and
+// FromVRPs, NewIndex and ReadCSV. The builder's table is the one
+// FromVRPs builds from the rows it kept, with the same answers.
+func TestBuiltValuesAreWindowsOfOneArray(t *testing.T) {
 	manyAtOne := make([]VRP, 0, 300)
 	for asn := uint32(1); len(manyAtOne) < cap(manyAtOne); asn++ {
 		for ml := 8; ml <= 32 && len(manyAtOne) < cap(manyAtOne); ml++ {
@@ -321,37 +306,54 @@ func TestSortedBuilderWindowsItsChunks(t *testing.T) {
 	}
 	slices.SortFunc(manyAtOne, Compare)
 	type input struct {
-		vs        []VRP
-		straddles int // runs that cross a chunk boundary
+		rows, remove, want []VRP
 	}
-	cases := map[string]input{"one prefix in three chunks": {manyAtOne, 1}}
-	for _, n := range []int{63, 64, 65, 192, 193, 4097} {
-		straddles := 0
-		for _, boundary := range []int{64, 192, 448, 960, 1984, 4032} {
-			if boundary < n {
-				straddles++
-			}
-		}
-		cases[fmt.Sprintf("%d rows", n)] = input{runOfThree(n), straddles}
+	cases := map[string]input{"one prefix in three chunks": {manyAtOne, nil, manyAtOne}}
+	for _, n := range []int{1, 63, 64, 65, 192, 193, 4097} {
+		vs := runOfThree(n)
+		cases[fmt.Sprintf("%d rows in order", n)] = input{vs, nil, vs}
 	}
+	vs := runOfThree(500)
+	shuffled := slices.Clone(vs)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	cases["a repeat row"] = input{slices.Insert(slices.Clone(vs), 100, vs[100]), nil, vs}
+	cases["a remove"] = input{vs, vs[10:11], slices.Delete(slices.Clone(vs), 10, 11)}
+	cases["out of order"] = input{shuffled, nil, vs}
+
 	rnd := rand.New(rand.NewSource(17))
 	for name, tc := range cases {
-		oracle, err := FromVRPs(tc.vs)
+		oracle, err := FromVRPs(tc.want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := oracle.All()
-		if !slices.Equal(want, tc.vs) {
-			t.Fatalf("%s: the input is not strictly in Compare order", name)
+		if !slices.Equal(oracle.All(), tc.want) {
+			t.Fatalf("%s: the table wanted is not strictly in Compare order", name)
 		}
-		b, chunks := collect(t, tc.vs)
+		var b Builder
+		for _, v := range tc.rows {
+			if err := b.Add(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, v := range tc.remove {
+			b.Remove(v)
+		}
+		read, err := ReadCSV(bytes.NewReader(csvOf(tc.rows)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := NewIndex(tc.rows)
+		if err != nil {
+			t.Fatal(err)
+		}
 		built := b.Set()
-		sameTable(t, name, built, want)
-		if in, out := windows(t, built, chunks); out != tc.straddles {
-			t.Errorf("%s: %d values are windows of the chunks and %d are not, want %d not (the straddling runs)", name, in, out, tc.straddles)
-		}
+		sameTable(t, name, built, tc.want)
+		oneArray(t, name+": Builder", built)
+		oneArray(t, name+": FromVRPs", oracle)
+		oneArray(t, name+": ReadCSV", read)
+		oneArray(t, name+": NewIndex", &Set{table: ix.table})
 		for i := 0; i < 300; i++ {
-			v := want[rnd.Intn(len(want))]
+			v := tc.want[rnd.Intn(len(tc.want))]
 			route := netip.PrefixFrom(v.Prefix.Addr(), v.Prefix.Bits()+rnd.Intn(33-v.Prefix.Bits()))
 			asn := v.ASN + uint32(rnd.Intn(2))
 			wantState, wantCov := oracle.ValidateExplain(route, asn)
@@ -362,43 +364,43 @@ func TestSortedBuilderWindowsItsChunks(t *testing.T) {
 	}
 }
 
-// TestBuilderFallsBackToACopy: a repeat row, a Remove or rows out of
-// order each send the builder down the copy-and-sort path, so no value
-// of the table lies in the builder's chunks, and the table is still the
-// one the rows describe.
-func TestBuilderFallsBackToACopy(t *testing.T) {
-	vs := runOfThree(500)
-	shuffled := slices.Clone(vs)
-	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	for name, tc := range map[string]struct {
-		rows   []VRP
-		remove []VRP
-		want   []VRP
-	}{
-		"a repeat row": {slices.Insert(slices.Clone(vs), 100, vs[100]), nil, vs},
-		"a remove":     {vs, vs[10:11], slices.Delete(slices.Clone(vs), 10, 11)},
-		"out of order": {shuffled, nil, vs},
-	} {
-		b, chunks := collect(t, tc.rows)
-		for _, v := range tc.remove {
-			b.Remove(v)
+// TestFillReleasesEachChunk: fill drops its hold on every chunk it has
+// read, so a chunk's rows are garbage once their payloads are written.
+func TestFillReleasesEachChunk(t *testing.T) {
+	var b Builder
+	for _, v := range runOfThree(3 * builderChunk) {
+		b.add(rowOf(v))
+	}
+	chunks := b.chunks
+	if len(chunks) < 3 {
+		t.Fatalf("%d chunks, want several", len(chunks))
+	}
+	var tab table
+	tab.fill(chunks)
+	for i, c := range chunks {
+		if c != nil {
+			t.Errorf("fill kept chunk %d of %d", i, len(chunks))
 		}
-		built := b.Set()
-		sameTable(t, name, built, tc.want)
-		if in, _ := windows(t, built, chunks); in != 0 {
-			t.Errorf("%s: %d values are windows of the builder's chunks, want a copy", name, in)
-		}
+	}
+	if tab.count != 3*builderChunk {
+		t.Errorf("filled %d VRPs, want %d", tab.count, 3*builderChunk)
 	}
 }
 
-// TestSortedBuilderCopiesNoRows: building 300 000 rows that came in
-// order allocates the tree's nodes and next to nothing else — not the
-// 14.4 MB array a copy of the rows would take. The nodes are measured
-// by inserting the same prefixes into an empty tree.
-func TestSortedBuilderCopiesNoRows(t *testing.T) {
+// TestSortedBuilderAllocatesNodesAndPayloads: building 300 000 rows
+// that came in order allocates the tree's nodes and one 8-byte payload a
+// VRP — not a copy of the rows. The nodes are measured by inserting the
+// same prefixes into an empty tree; the slack is the payload array's
+// rounding to whole pages and the Set header.
+func TestSortedBuilderAllocatesNodesAndPayloads(t *testing.T) {
 	const n = 300000
 	vs := runOfThree(n)
-	b, _ := collect(t, vs)
+	var b Builder
+	for _, v := range vs {
+		if err := b.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
 	allocated := func(f func()) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -410,7 +412,7 @@ func TestSortedBuilderCopiesNoRows(t *testing.T) {
 	setBytes := allocated(func() { set = b.Set() })
 	prefixes := prefixesIn(vs)
 	nodeBytes := allocated(func() {
-		var tree radix.Tree[[]VRP]
+		var tree radix.Tree[[]payload]
 		for _, p := range prefixes {
 			_ = tree.Insert(p, nil)
 		}
@@ -418,9 +420,11 @@ func TestSortedBuilderCopiesNoRows(t *testing.T) {
 	if set.Len() != n {
 		t.Fatalf("built %d VRPs from %d rows", set.Len(), n)
 	}
-	if beyond := int64(setBytes) - int64(nodeBytes); beyond >= n*int64(unsafe.Sizeof(VRP{})) {
-		t.Errorf("Set() allocated %d bytes beyond the %d of the nodes, want less than a copy of the rows (%d)",
-			beyond, nodeBytes, n*unsafe.Sizeof(VRP{}))
+	const slack = 8 << 10
+	limit := n*int64(unsafe.Sizeof(payload{})) + slack
+	if beyond := int64(setBytes) - int64(nodeBytes); beyond > limit {
+		t.Errorf("Set() allocated %d bytes beyond the %d of the nodes, want at most %d (a payload a VRP)",
+			beyond, nodeBytes, limit)
 	} else {
 		t.Logf("Set() allocated %d bytes: %d of nodes and %d beyond", setBytes, nodeBytes, beyond)
 	}

@@ -56,7 +56,7 @@ func ReadCSV(r io.Reader) (*Set, error) {
 		if err != nil {
 			return nil, fmt.Errorf("vrp: line %d: %w", line, err)
 		}
-		rows.add(v)
+		rows.add(rowOf(v))
 	}
 	if err := sc.Err(); err != nil {
 		// The scanner gives up inside the line after the last one it

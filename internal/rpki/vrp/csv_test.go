@@ -265,15 +265,14 @@ func TestReadCSVMatchesOracle(t *testing.T) {
 	}
 }
 
-// BenchmarkReadCSV is a daemon's -vrps start-up at the size the
-// real RPKI has: 300 000 rows, as a validator exports them (in order)
-// and as the repository benchmark hands them over (shuffled).
-func BenchmarkReadCSV(b *testing.B) {
-	const rows = 300000
+// validatorVRPs draws n distinct VRPs shaped like a validator's export
+// (seed 1): six in seven IPv4, /12 to /24 with room to a /24, the rest
+// IPv6 /32 to /48, nearly one a prefix.
+func validatorVRPs(n int) []VRP {
 	rnd := rand.New(rand.NewSource(1))
-	seen := make(map[VRP]bool, rows)
-	vs := make([]VRP, 0, rows)
-	for len(vs) < rows {
+	seen := make(map[VRP]bool, n)
+	vs := make([]VRP, 0, n)
+	for len(vs) < n {
 		v := VRP{ASN: uint32(64500 + rnd.Intn(40000))}
 		if rnd.Intn(7) == 0 {
 			bits := 32 + 4*rnd.Intn(5)
@@ -289,6 +288,15 @@ func BenchmarkReadCSV(b *testing.B) {
 			vs = append(vs, v)
 		}
 	}
+	return vs
+}
+
+// BenchmarkReadCSV is a daemon's -vrps start-up at the size the
+// real RPKI has: 300 000 rows, as a validator exports them (in order)
+// and as the repository benchmark hands them over (shuffled).
+func BenchmarkReadCSV(b *testing.B) {
+	const rows = 300000
+	vs := validatorVRPs(rows)
 	ordered := slices.Clone(vs)
 	slices.SortFunc(ordered, Compare)
 	for _, bc := range []struct {

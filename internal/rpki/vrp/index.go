@@ -11,12 +11,36 @@ import (
 )
 
 // table is the one VRP structure behind both access disciplines: a
-// radix tree of per-prefix VRP slices and the triple count. Set wraps it
+// radix tree of per-prefix payloads and the triple count. Set wraps it
 // in a lock and mutates it; Index is a frozen copy nothing writes. Its
 // methods do no locking of their own.
 type table struct {
-	tree  radix.Tree[[]VRP]
+	tree  radix.Tree[[]payload]
 	count int
+}
+
+// payload is what a VRP says beyond the prefix of the node that holds
+// it: 8 bytes with no pointer, so the collector never scans a table's
+// payloads. A prefix's payloads are kept in (maxLength, ASN) order,
+// which is Compare's order at one prefix.
+type payload struct {
+	asn    uint32
+	maxLen uint8
+}
+
+// payloadOf is the payload of a checked VRP.
+func payloadOf(v VRP) payload { return payload{asn: v.ASN, maxLen: uint8(v.MaxLength)} }
+
+// vrp rebuilds the VRP a payload at prefix p stands for.
+func (pl payload) vrp(p netip.Prefix) VRP {
+	return VRP{Prefix: p, MaxLength: int(pl.maxLen), ASN: pl.asn}
+}
+
+func comparePayloads(a, b payload) int {
+	if c := cmp.Compare(a.maxLen, b.maxLen); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.asn, b.asn)
 }
 
 // freeze returns an O(1) copy that shares every node with t
@@ -56,13 +80,14 @@ func (t *table) insert(v VRP) (bool, error) {
 		return false, err
 	}
 	existing, _ := t.tree.Lookup(v.Prefix)
-	i, found := slices.BinarySearchFunc(existing, v, Compare)
+	pl := payloadOf(v)
+	i, found := slices.BinarySearchFunc(existing, pl, comparePayloads)
 	if found {
 		return false, nil
 	}
-	next := make([]VRP, len(existing)+1)
+	next := make([]payload, len(existing)+1)
 	copy(next, existing[:i])
-	next[i] = v
+	next[i] = pl
 	copy(next[i+1:], existing[i:])
 	if err := t.tree.Insert(v.Prefix, next); err != nil {
 		return false, err
@@ -71,47 +96,45 @@ func (t *table) insert(v VRP) (bool, error) {
 	return true, nil
 }
 
-// fill loads an empty table from checked VRPs in Compare order without
-// repeats — what all returns — held in one or more chunks (none empty
-// but a lone one), with one tree insertion per distinct prefix and no
-// allocation but the nodes: each prefix's value is a window of its
-// chunk, its capacity clipped to its length so that nothing can append
-// into the next prefix's rows. A prefix whose rows straddle the end of
-// a chunk is the exception: its rows are copied into a slice of its
-// own. Windows are sound because a value is only ever replaced (insert
-// and Remove store a fresh slice), and they put the payloads in memory,
-// like the nodes, in the order a walk visits them (see ReadCSV for why
-// that matters). A chunk stays reachable while any of its prefixes
-// keeps its original value, so a table that churns returns its rows a
-// chunk at a time.
-func (t *table) fill(chunks [][]VRP) {
-	for ci, i := 0, 0; ci < len(chunks); {
-		c := chunks[ci]
-		if i == len(c) {
-			ci, i = ci+1, 0
-			continue
-		}
-		p := c[i].Prefix
-		j := i + 1
-		for j < len(c) && c[j].Prefix == p {
-			j++
-		}
-		run := c[i:j:j]
-		i = j
-		for i == len(c) && ci+1 < len(chunks) && chunks[ci+1][0].Prefix == p {
-			// The run goes on in the next chunk. run's capacity is its
-			// length, so the append copies it out of the chunk.
-			ci, c = ci+1, chunks[ci+1]
-			i = 1
-			for i < len(c) && c[i].Prefix == p {
-				i++
-			}
-			run = append(run, c[:i]...)
-		}
-		t.count += len(run)
-		// The prefix is canonical: Insert cannot fail.
-		_ = t.tree.Insert(p, slices.Clip(run))
+// fill loads an empty table from rows in Compare order without repeats,
+// held in one or more chunks, with one tree insertion per distinct
+// prefix and one allocation besides the nodes: an array of exactly one
+// payload a row, written in row order, of which each prefix's value is
+// the window holding its run, its capacity clipped to its length so that
+// nothing can append into the next prefix's payloads. Each chunk is
+// released as it is read. Windows are sound because a value is only ever
+// replaced (insert and Remove store a fresh slice), and they put the
+// payloads in memory, like the nodes, in the order a walk visits them
+// (see ReadCSV for why that matters). The array stays reachable while
+// any prefix keeps its original value.
+func (t *table) fill(chunks [][]row) {
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
 	}
+	if n == 0 {
+		return
+	}
+	payloads := make([]payload, n)
+	at, start := 0, 0 // the next payload, and the first of the run in hand
+	var head row      // the run's first row
+	for i, c := range chunks {
+		for _, r := range c {
+			if at > start && !r.samePrefix(head) {
+				// The prefix is canonical: Insert cannot fail.
+				_ = t.tree.Insert(head.prefix(), payloads[start:at:at])
+				start = at
+			}
+			if at == start {
+				head = r
+			}
+			payloads[at] = payload{asn: r.asn, maxLen: r.maxLen}
+			at++
+		}
+		chunks[i] = nil
+	}
+	_ = t.tree.Insert(head.prefix(), payloads[start:at:at])
+	t.count = n
 }
 
 // validate classifies a route without listing what covered it: the
@@ -122,7 +145,7 @@ func (t *table) validate(prefix netip.Prefix, originAS uint32) State {
 	if err != nil {
 		return NotFound
 	}
-	var buf [8]radix.Entry[[]VRP]
+	var buf [8]radix.Entry[[]payload]
 	return classify(t.tree.CoveringPrefix(cp, buf[:0]), cp, originAS)
 }
 
@@ -132,7 +155,7 @@ func (t *table) validateExplain(prefix netip.Prefix, originAS uint32) (State, []
 	if err != nil {
 		return NotFound, nil
 	}
-	var buf [8]radix.Entry[[]VRP]
+	var buf [8]radix.Entry[[]payload]
 	entries := t.tree.CoveringPrefix(cp, buf[:0])
 	return classify(entries, cp, originAS), listed(entries)
 }
@@ -140,11 +163,13 @@ func (t *table) validateExplain(prefix netip.Prefix, originAS uint32) (State, []
 // all lists every VRP in Compare order, with no sort: Walk visits
 // prefixes in netutil.ComparePrefixes order (IPv4 first, a prefix before
 // what it covers, the 0 branch before the 1 branch) and insert keeps
-// each prefix's slice in order.
+// each prefix's payloads in order.
 func (t *table) all() []VRP {
 	out := make([]VRP, 0, t.count)
-	t.tree.Walk(func(_ netip.Prefix, vs []VRP) bool {
-		out = append(out, vs...)
+	t.tree.Walk(func(p netip.Prefix, pls []payload) bool {
+		for _, pl := range pls {
+			out = append(out, pl.vrp(p))
+		}
 		return true
 	})
 	return out
@@ -197,13 +222,13 @@ func (ix *Index) ValidateExplain(prefix netip.Prefix, originAS uint32) (State, [
 // classify applies the RFC 6811 decision to the covering entries of a
 // canonical route prefix — the single implementation Set and Index,
 // Validate and ValidateExplain share.
-func classify(entries []radix.Entry[[]VRP], cp netip.Prefix, originAS uint32) State {
+func classify(entries []radix.Entry[[]payload], cp netip.Prefix, originAS uint32) State {
 	if len(entries) == 0 {
 		return NotFound
 	}
 	for _, e := range entries {
-		for _, v := range e.Value {
-			if v.ASN == originAS && originAS != 0 && cp.Bits() <= v.MaxLength {
+		for _, pl := range e.Value {
+			if pl.asn == originAS && originAS != 0 && cp.Bits() <= int(pl.maxLen) {
 				return Valid
 			}
 		}
@@ -213,10 +238,12 @@ func classify(entries []radix.Entry[[]VRP], cp netip.Prefix, originAS uint32) St
 
 // listed flattens covering entries into the VRPs ValidateExplain
 // reports, shortest prefix first; nil when nothing covers.
-func listed(entries []radix.Entry[[]VRP]) []VRP {
+func listed(entries []radix.Entry[[]payload]) []VRP {
 	var covering []VRP
 	for _, e := range entries {
-		covering = append(covering, e.Value...)
+		for _, pl := range e.Value {
+			covering = append(covering, pl.vrp(e.Prefix))
+		}
 	}
 	return covering
 }

@@ -14,19 +14,21 @@
 //
 // # One table, two access disciplines
 //
-// Set and Index are the same structure — a radix tree of per-prefix VRP
-// slices (the unexported table, with one insert and one classify) — held
-// two ways: a Set is mutable behind a read-write lock, an Index is
-// frozen and read without any lock. Set.Clone and IndexOf do not copy
-// the tree: they are radix.Tree.Clone, O(1) whatever the size, after
-// which both sides share every node and a writer copies only the path a
-// write descends (about 25 nodes in a 300 000-VRP set). Because Clone
-// also re-tags the tree it is called on, both take the set's write
-// lock, not the read lock.
+// Set and Index are the same structure — a radix tree of per-prefix
+// payloads (the unexported table, with one insert and one classify) —
+// held two ways: a Set is mutable behind a read-write lock, an Index is
+// frozen and read without any lock. A payload is what a VRP says beyond
+// its prefix, which the node holding it already says: the maxLength and
+// the ASN, 8 bytes with no pointer; a VRP is rebuilt from the two on
+// the way out. Set.Clone and IndexOf do not copy the tree: they are
+// radix.Tree.Clone, O(1) whatever the size, after which both sides share
+// every node and a writer copies only the path a write descends (about
+// 25 nodes in a 300 000-VRP set). Because Clone also re-tags the tree it
+// is called on, both take the set's write lock, not the read lock.
 //
 // Sharing is sound on one condition, the one radix.Tree.Clone states:
 // a value reached through a cloned tree is immutable. Here the values
-// are the per-prefix []VRP slices, so Add and Remove always store a
+// are the per-prefix payload slices, so Add and Remove always store a
 // freshly built slice and never append to, or edit, the one they found
 // — an append would write into spare capacity that an index frozen
 // earlier, or a sibling clone appending at the same prefix, also sees.
@@ -35,30 +37,30 @@
 //
 // A table is either loaded whole — FromVRPs, NewIndex, ReadCSV and a
 // Builder (an RTR full sync) all end in the one fill: sort if needed,
-// drop repeats, fill the tree in order — or edited one
-// VRP at a time by Insert and Remove. The values of a table built whole
-// are windows of the sorted rows it was built from, capacity clipped to
-// length, not a slice each: nothing is allocated per prefix and the
-// payloads lie in memory in the order a walk visits them. Those rows
-// are one array for FromVRPs, NewIndex and input that came out of
-// order; for a Builder fed in Compare order (an RTR full response, a
-// sorted export) they are the builder's own 4096-row chunks, never
-// copied. The rule above is what makes windows safe — a window is never
-// written or appended to, an edit at its prefix stores a fresh slice in
-// its place — and their cost is that an array stays reachable while
-// any prefix in it still holds its original value. A chunked table
-// returns a chunk once every prefix in it has been replaced; one array
-// stays whole while any of its prefixes is left. For a set that churns
-// for days that is memory a rebuild would return (ROADMAP's compaction
-// item owns that case).
+// drop repeats, fill the tree in order — or edited one VRP at a time by
+// Insert and Remove. What a table is loaded from are rows: 24 bytes a
+// VRP with no pointer, ordered on machine words exactly as Compare
+// orders VRPs. A Builder fed in Compare order (an RTR full response, a
+// sorted export) is filled from its own chunks of rows; any other input
+// is copied into one array of rows and sorted there. Either way fill
+// writes one payload a row into one array of exactly that size, and the
+// values of the table are windows of that array, capacity clipped to
+// length, not a slice each: nothing else is allocated per prefix and
+// the payloads lie in memory in the order a walk visits them. The rows
+// are garbage once fill returns. The rule above is what makes windows
+// safe — a window is never written or appended to, an edit at its
+// prefix stores a fresh slice in its place — and their cost is that the
+// array stays reachable while any prefix in it still holds its original
+// value: 8 bytes a VRP loaded, 2.4 MB for 300 000. For a set that
+// churns for days that is memory a rebuild would return (ROADMAP's
+// compaction item owns that case).
 package vrp
 
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
-
-	"ripki/internal/netutil"
 )
 
 // State is an RFC 6811 origin-validation outcome.
@@ -140,56 +142,44 @@ func (s *Set) Insert(v VRP) (added bool, err error) {
 // node is dropped when its last payload goes, so covering queries never
 // see a prefix with no VRPs behind it.
 func (s *Set) Remove(v VRP) bool {
-	cp, err := netutil.Canonical(v.Prefix)
+	v, err := checked(v)
 	if err != nil {
 		return false
 	}
-	v.Prefix = cp
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	existing, ok := s.tree.Lookup(cp)
-	if !ok {
+	existing, _ := s.tree.Lookup(v.Prefix)
+	i := slices.Index(existing, payloadOf(v))
+	switch {
+	case i < 0:
 		return false
-	}
-	for i, e := range existing {
-		if e != v {
-			continue
+	case len(existing) == 1:
+		s.tree.Delete(v.Prefix)
+	default:
+		// A fresh slice, never an edit of existing: clones and frozen
+		// indexes may still be reading it (see the package comment).
+		rest := make([]payload, 0, len(existing)-1)
+		rest = append(rest, existing[:i]...)
+		rest = append(rest, existing[i+1:]...)
+		if err := s.tree.Insert(v.Prefix, rest); err != nil {
+			return false
 		}
-		if len(existing) == 1 {
-			s.tree.Delete(cp)
-		} else {
-			// A fresh slice, never an edit of existing: clones and frozen
-			// indexes may still be reading it (see the package comment).
-			rest := make([]VRP, 0, len(existing)-1)
-			rest = append(rest, existing[:i]...)
-			rest = append(rest, existing[i+1:]...)
-			if err := s.tree.Insert(cp, rest); err != nil {
-				return false
-			}
-		}
-		s.count--
-		return true
 	}
-	return false
+	s.count--
+	return true
 }
 
 // Contains reports whether the set holds exactly v (after prefix
 // canonicalisation).
 func (s *Set) Contains(v VRP) bool {
-	cp, err := netutil.Canonical(v.Prefix)
+	v, err := checked(v)
 	if err != nil {
 		return false
 	}
-	v.Prefix = cp
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	existing, _ := s.tree.Lookup(cp)
-	for _, e := range existing {
-		if e == v {
-			return true
-		}
-	}
-	return false
+	existing, _ := s.tree.Lookup(v.Prefix)
+	return slices.Contains(existing, payloadOf(v))
 }
 
 // Clone returns an independent set holding the same VRPs, in O(1): the
@@ -244,7 +234,7 @@ func (s *Set) Prefixes() []netip.Prefix {
 		return nil
 	}
 	out := make([]netip.Prefix, 0, s.tree.Len())
-	s.tree.Walk(func(p netip.Prefix, _ []VRP) bool {
+	s.tree.Walk(func(p netip.Prefix, _ []payload) bool {
 		out = append(out, p)
 		return true
 	})

@@ -18,10 +18,17 @@ import (
 // A full sync (Reset, or a Poll the cache answers with Cache Reset) is
 // invisible until it completes: the response is collected beside the
 // session state and the new table, session id and serial are installed
-// together at End of Data. A response that ends any other way — an
-// Error Report, a PDU that has no place in it, a dropped connection —
-// leaves the table, the serial and the changed-prefix record exactly as
-// they were, so the next Poll asks from a state the client still holds.
+// together at End of Data. Collected means held as a vrp.Builder's
+// rows, 24 bytes a record with no pointer; a cache answers in Compare
+// order, so at End of Data the table is filled from those rows where
+// they lie, one 8-byte payload a VRP beside its tree nodes, and the rows
+// are then garbage. Until the swap the table being replaced, the rows
+// and the new table are live together.
+//
+// A response that ends any other way — an Error Report, a PDU that has
+// no place in it, a dropped connection — leaves the table, the serial
+// and the changed-prefix record exactly as they were, so the next Poll
+// asks from a state the client still holds.
 type Client struct {
 	conn net.Conn
 	// r buffers conn for every PDU read (a PDU is a header read and a
@@ -163,8 +170,8 @@ func (c *Client) readResponse(full bool) error {
 // full one is collected into rows without touching the session — a
 // withdrawal or a repeat inside it keeps its lenient meaning, the last
 // record for a triple decides — and at End of Data the table built from
-// rows replaces the live one under the same lock acquisition that
-// installs the session id and the serial.
+// rows (see Client) replaces the live one under the same lock
+// acquisition that installs the session id and the serial.
 func (c *Client) readRecords(session uint16, rows *vrp.Builder) error {
 	for {
 		raw, err := readFrame(c.r, &c.buf)
