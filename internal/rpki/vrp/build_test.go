@@ -289,37 +289,19 @@ func oneArray(t *testing.T, what string, s *Set) {
 	})
 }
 
-// TestBuiltValuesAreWindowsOfOneArray: every way of loading a table
-// whole ends in one array of payloads, one a VRP, of which each prefix's
-// value is a clipped window — a Builder fed in Compare order, at sizes
-// on both sides of its first chunk boundaries, past the chunk-size cap
-// and for one prefix whose rows fill three chunks; a Builder that falls
-// back to copy-and-sort on a repeat, a Remove or rows out of order; and
-// FromVRPs, NewIndex and ReadCSV. The builder's table is the one
-// FromVRPs builds from the rows it kept, with the same answers.
-func TestBuiltValuesAreWindowsOfOneArray(t *testing.T) {
-	manyAtOne := make([]VRP, 0, 300)
-	for asn := uint32(1); len(manyAtOne) < cap(manyAtOne); asn++ {
-		for ml := 8; ml <= 32 && len(manyAtOne) < cap(manyAtOne); ml++ {
-			manyAtOne = append(manyAtOne, VRP{Prefix: netutil.MustPrefix("10.0.0.0/8"), MaxLength: ml, ASN: asn})
-		}
-	}
-	slices.SortFunc(manyAtOne, Compare)
-	type input struct {
-		rows, remove, want []VRP
-	}
-	cases := map[string]input{"one prefix in three chunks": {manyAtOne, nil, manyAtOne}}
-	for _, n := range []int{1, 63, 64, 65, 192, 193, 4097} {
-		vs := runOfThree(n)
-		cases[fmt.Sprintf("%d rows in order", n)] = input{vs, nil, vs}
-	}
-	vs := runOfThree(500)
-	shuffled := slices.Clone(vs)
-	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	cases["a repeat row"] = input{slices.Insert(slices.Clone(vs), 100, vs[100]), nil, vs}
-	cases["a remove"] = input{vs, vs[10:11], slices.Delete(slices.Clone(vs), 10, 11)}
-	cases["out of order"] = input{shuffled, nil, vs}
+// loadCase is a table loaded whole: the rows a Builder is fed, the VRPs
+// then removed from it, and the table those leave.
+type loadCase struct {
+	rows, remove, want []VRP
+}
 
+// checkLoads loads each case through a Builder, FromVRPs, NewIndex and
+// ReadCSV and fails unless every one ends in one array of payloads of
+// which each prefix's value is a clipped window, the builder took the
+// copy-and-sort path exactly when copied says so, and its table is the
+// one FromVRPs builds from the rows it kept, with the same answers.
+func checkLoads(t *testing.T, cases map[string]loadCase, copied bool) {
+	t.Helper()
 	rnd := rand.New(rand.NewSource(17))
 	for name, tc := range cases {
 		oracle, err := FromVRPs(tc.want)
@@ -337,6 +319,9 @@ func TestBuiltValuesAreWindowsOfOneArray(t *testing.T) {
 		}
 		for _, v := range tc.remove {
 			b.Remove(v)
+		}
+		if got := b.disordered || b.dead != nil; got != copied {
+			t.Errorf("%s: the builder copies and sorts = %v, want %v", name, got, copied)
 		}
 		read, err := ReadCSV(bytes.NewReader(csvOf(tc.rows)))
 		if err != nil {
@@ -362,6 +347,44 @@ func TestBuiltValuesAreWindowsOfOneArray(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSortedBuilderWindowsItsChunks: rows that reach a Builder strictly
+// in Compare order are filled from the chunks they lie in, without a
+// copy-and-sort, into one payload array of which every prefix's value is
+// a clipped window — at sizes on both sides of the first chunk
+// boundaries, past the chunk-size cap, and for one prefix whose rows
+// fill three chunks. FromVRPs, NewIndex and ReadCSV of the same rows
+// end the same way.
+func TestSortedBuilderWindowsItsChunks(t *testing.T) {
+	manyAtOne := make([]VRP, 0, 300)
+	for asn := uint32(1); len(manyAtOne) < cap(manyAtOne); asn++ {
+		for ml := 8; ml <= 32 && len(manyAtOne) < cap(manyAtOne); ml++ {
+			manyAtOne = append(manyAtOne, VRP{Prefix: netutil.MustPrefix("10.0.0.0/8"), MaxLength: ml, ASN: asn})
+		}
+	}
+	slices.SortFunc(manyAtOne, Compare)
+	cases := map[string]loadCase{"one prefix in three chunks": {manyAtOne, nil, manyAtOne}}
+	for _, n := range []int{1, 63, 64, 65, 192, 193, 4097} {
+		vs := runOfThree(n)
+		cases[fmt.Sprintf("%d rows in order", n)] = loadCase{vs, nil, vs}
+	}
+	checkLoads(t, cases, false)
+}
+
+// TestBuilderFallsBackToACopy: a repeat row, a Remove or rows out of
+// order each send the builder down the copy-and-sort path, and the table
+// is still the one the rows describe, its values windows of one payload
+// array as on the in-order path.
+func TestBuilderFallsBackToACopy(t *testing.T) {
+	vs := runOfThree(500)
+	shuffled := slices.Clone(vs)
+	rand.New(rand.NewSource(3)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	checkLoads(t, map[string]loadCase{
+		"a repeat row": {slices.Insert(slices.Clone(vs), 100, vs[100]), nil, vs},
+		"a remove":     {vs, vs[10:11], slices.Delete(slices.Clone(vs), 10, 11)},
+		"out of order": {shuffled, nil, vs},
+	}, true)
 }
 
 // TestFillReleasesEachChunk: fill drops its hold on every chunk it has
