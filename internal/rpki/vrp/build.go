@@ -23,8 +23,15 @@ type row struct {
 
 // rowOf packs a checked VRP.
 func rowOf(v VRP) row {
-	r := row{asn: v.ASN, bits: uint8(v.Prefix.Bits()), maxLen: uint8(v.MaxLength)}
-	if a := v.Prefix.Addr(); a.Is4() {
+	r := keyOf(v.Prefix)
+	r.asn, r.maxLen = v.ASN, uint8(v.MaxLength)
+	return r
+}
+
+// keyOf packs a canonical prefix into a row's prefix fields.
+func keyOf(p netip.Prefix) row {
+	r := row{bits: uint8(p.Bits())}
+	if a := p.Addr(); a.Is4() {
 		b := a.As4()
 		r.hi = uint64(binary.BigEndian.Uint32(b[:])) << 32
 	} else {
@@ -35,17 +42,7 @@ func rowOf(v VRP) row {
 }
 
 // prefix rebuilds the row's canonical prefix in its own family.
-func (r row) prefix() netip.Prefix {
-	if !r.v6 {
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], uint32(r.hi>>32))
-		return netip.PrefixFrom(netip.AddrFrom4(b), int(r.bits))
-	}
-	var b [16]byte
-	binary.BigEndian.PutUint64(b[:8], r.hi)
-	binary.BigEndian.PutUint64(b[8:], r.lo)
-	return netip.PrefixFrom(netip.AddrFrom16(b), int(r.bits))
-}
+func (r row) prefix() netip.Prefix { return prefixOf(r.hi, r.lo, r.v6, r.bits) }
 
 // samePrefix reports whether two rows are at one prefix.
 func (r row) samePrefix(s row) bool {
@@ -55,6 +52,17 @@ func (r row) samePrefix(s row) bool {
 // compareRows is Compare on rows: IPv4 first, then address, prefix
 // length, maxLength and ASN.
 func compareRows(a, b row) int {
+	if c := compareKeys(a, b); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.maxLen, b.maxLen); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.asn, b.asn)
+}
+
+// compareKeys is netutil.ComparePrefixes on the prefix fields of rows.
+func compareKeys(a, b row) int {
 	if a.v6 != b.v6 {
 		if a.v6 {
 			return 1
@@ -67,27 +75,19 @@ func compareRows(a, b row) int {
 	if c := cmp.Compare(a.lo, b.lo); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.bits, b.bits); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.maxLen, b.maxLen); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.asn, b.asn)
+	return cmp.Compare(a.bits, b.bits)
 }
 
 // build is the one constructor of a table that is loaded whole from
 // one array: it takes ownership of rows — checked rows in any order,
 // repeats allowed — sorts them if they did not arrive in order, drops
-// repeats and fills the tree from the sorted array (see fill). The rows
+// repeats and freezes the sorted array into the table's base. The rows
 // are garbage once it returns.
 func build(rows []row) table {
 	if !slices.IsSortedFunc(rows, compareRows) {
 		slices.SortFunc(rows, compareRows)
 	}
-	var t table
-	t.fill([][]row{slices.Compact(rows)})
-	return t
+	return loaded(frozenFrom([][]row{slices.Compact(rows)}))
 }
 
 // buildChecked is build over a caller's slice: the VRPs are checked
@@ -109,7 +109,7 @@ func buildChecked(vs []VRP) (table, error) {
 // table of a few thousand VRPs — a simulated relying party's — does not
 // pay for a validator's. The row count is unknown until the input ends.
 // Rows that arrived strictly in order — an RTR cache's full response, a
-// sorted export — are read into the table's payloads where they lie.
+// sorted export — are frozen into the table's base where they lie.
 // Any other input is copied once into a slice of exactly its size and
 // sorted there, which leaves behind the final size in garbage where
 // growing one slice leaves up to four times it (a large slice grows by a
@@ -121,8 +121,8 @@ const (
 
 // Builder collects the rows of a set that is loaded whole from an input
 // of unknown length — a CSV file, an RTR full response — and builds it
-// once, at the end, by the same fill as FromVRPs. Collecting touches no
-// set and takes no lock. The zero value is ready to use.
+// once, at the end, into the same frozen base as FromVRPs. Collecting
+// touches no set and takes no lock. The zero value is ready to use.
 type Builder struct {
 	chunks [][]row
 	n      int
@@ -179,13 +179,13 @@ func (b *Builder) Remove(v VRP) {
 }
 
 // Set builds the set from the rows collected and leaves the builder
-// empty. Rows that arrived strictly in order, none removed, are filled
-// into the table from the chunks they lie in; anything else is copied
-// out and built as FromVRPs builds.
+// empty. Rows that arrived strictly in order, none removed, are frozen
+// into the table's base from the chunks they lie in; anything else is
+// copied out and built as FromVRPs builds.
 func (b *Builder) Set() *Set {
 	var t table
 	if !b.disordered && b.dead == nil {
-		t.fill(b.chunks)
+		t = loaded(frozenFrom(b.chunks))
 	} else {
 		t = build(b.copyRows())
 	}

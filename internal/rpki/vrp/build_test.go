@@ -137,11 +137,12 @@ func prefixesIn(vs []VRP) []netip.Prefix {
 }
 
 // TestBulkBuiltValuesAreClippedWindows: the per-prefix values of a
-// table built whole are windows of one array, so a prefix's neighbours
-// in Compare order sit right behind its last VRP. Nothing may reach
-// them: every window's capacity is its length (an append reallocates),
-// and Insert and Remove at a prefix replace its value, so an index
-// frozen before a run of writes lists afterwards what it listed then.
+// table built whole are windows of its base's one payload array, so a
+// prefix's neighbours in Compare order sit right behind its last VRP.
+// Nothing may reach them: every window's capacity is its length (an
+// append reallocates), and Insert and Remove at a prefix replace its
+// value in the overlay, so an index frozen before a run of writes lists
+// afterwards what it listed then.
 func TestBulkBuiltValuesAreClippedWindows(t *testing.T) {
 	universe := sharedUniverse()
 	rnd := rand.New(rand.NewSource(9))
@@ -155,14 +156,13 @@ func TestBulkBuiltValuesAreClippedWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.tree.Walk(func(p netip.Prefix, pls []payload) bool {
+	set.each(func(k row, pls []payload) {
 		if cap(pls) != len(pls) {
-			t.Errorf("value at %v has capacity %d for %d VRPs: an append would write its neighbour", p, cap(pls), len(pls))
+			t.Errorf("value at %v has capacity %d for %d VRPs: an append would write its neighbour", k.prefix(), cap(pls), len(pls))
 		}
-		return true
 	})
 	want := set.All()
-	first, _ := set.tree.Lookup(want[0].Prefix)
+	first, _ := set.at(want[0].Prefix)
 	_ = append(first, payload{asn: 1, maxLen: 32})
 	if got := set.All(); !slices.Equal(got, want) {
 		t.Fatalf("appending to a prefix's value changed the table:\n got %v\nwant %v", got, want)
@@ -268,25 +268,42 @@ func runOfThree(n int) []VRP {
 	return vs
 }
 
-// oneArray fails unless every per-prefix value of s is a window of one
-// array: its capacity clipped to its length, and starting where the
-// value before it in walk order ends.
+// oneArray fails unless s is a base alone — no overlay — whose nodes
+// lie in walk order with every prefix's payloads a clipped window of one
+// array, starting where the window of the prefix before it ends.
 func oneArray(t *testing.T, what string, s *Set) {
 	t.Helper()
-	var end uintptr
-	s.tree.Walk(func(p netip.Prefix, pls []payload) bool {
+	if s.over.Len() != 0 {
+		t.Errorf("%s: %d overlay entries in a table loaded whole", what, s.over.Len())
+	}
+	if len(s.base.payloads) != s.Len() || cap(s.base.payloads) != s.Len() {
+		t.Errorf("%s: payload array of length %d, capacity %d for %d VRPs", what, len(s.base.payloads), cap(s.base.payloads), s.Len())
+	}
+	var end, prev uintptr
+	var last row
+	for i := range max(len(s.base.nodes)-1, 0) {
+		k := s.base.nodes[i].key()
+		if i > 0 && compareKeys(last, k) >= 0 {
+			t.Errorf("%s: node %d (%v) does not come after %v", what, i, k.prefix(), last.prefix())
+			return
+		}
+		last = k
+		pls := s.base.at(uint32(i))
+		if len(pls) == 0 {
+			continue
+		}
 		at := uintptr(unsafe.Pointer(&pls[0]))
 		switch {
 		case cap(pls) != len(pls):
-			t.Errorf("%s: value at %v has capacity %d for %d VRPs", what, p, cap(pls), len(pls))
-		case end != 0 && at != end:
-			t.Errorf("%s: value at %v does not start where the one before it ends", what, p)
+			t.Errorf("%s: value at %v has capacity %d for %d VRPs", what, k.prefix(), cap(pls), len(pls))
+		case prev != 0 && at != end:
+			t.Errorf("%s: value at %v does not start where the one before it ends", what, k.prefix())
 		default:
-			end = at + uintptr(len(pls))*unsafe.Sizeof(payload{})
-			return true
+			prev, end = at, at+uintptr(len(pls))*unsafe.Sizeof(payload{})
+			continue
 		}
-		return false
-	})
+		return
+	}
 }
 
 // loadCase is a table loaded whole: the rows a Builder is fed, the VRPs
@@ -387,8 +404,9 @@ func TestBuilderFallsBackToACopy(t *testing.T) {
 	}, true)
 }
 
-// TestFillReleasesEachChunk: fill drops its hold on every chunk it has
-// read, so a chunk's rows are garbage once their payloads are written.
+// TestFillReleasesEachChunk: frozenFrom drops its hold on every chunk
+// it has read, so a chunk's rows are garbage once their payloads and
+// nodes are written.
 func TestFillReleasesEachChunk(t *testing.T) {
 	var b Builder
 	for _, v := range runOfThree(3 * builderChunk) {
@@ -398,23 +416,25 @@ func TestFillReleasesEachChunk(t *testing.T) {
 	if len(chunks) < 3 {
 		t.Fatalf("%d chunks, want several", len(chunks))
 	}
-	var tab table
-	tab.fill(chunks)
+	f := frozenFrom(chunks)
 	for i, c := range chunks {
 		if c != nil {
-			t.Errorf("fill kept chunk %d of %d", i, len(chunks))
+			t.Errorf("frozenFrom kept chunk %d of %d", i, len(chunks))
 		}
 	}
-	if tab.count != 3*builderChunk {
-		t.Errorf("filled %d VRPs, want %d", tab.count, 3*builderChunk)
+	if len(f.payloads) != 3*builderChunk {
+		t.Errorf("froze %d VRPs, want %d", len(f.payloads), 3*builderChunk)
 	}
 }
 
 // TestSortedBuilderAllocatesNodesAndPayloads: building 300 000 rows
-// that came in order allocates the tree's nodes and one 8-byte payload a
-// VRP — not a copy of the rows. The nodes are measured by inserting the
-// same prefixes into an empty tree; the slack is the payload array's
-// rounding to whole pages and the Set header.
+// that came in order allocates the base's node array and one 8-byte
+// payload a VRP, each exactly sized, and a few KiB besides — not a copy
+// of the rows, and no pointer tree on the way. The base has a node for
+// every node a radix tree over the same prefixes has, and one more that
+// ends the payloads; the tree's are counted from what inserting the
+// prefixes into an empty one allocates, a 64-byte node at a time (see
+// radix's TestNodeSizeUnchangedByOwnership).
 func TestSortedBuilderAllocatesNodesAndPayloads(t *testing.T) {
 	const n = 300000
 	vs := runOfThree(n)
@@ -424,31 +444,35 @@ func TestSortedBuilderAllocatesNodesAndPayloads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	allocated := func(f func()) uint64 {
+	allocated := func(f func()) int64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		f()
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return int64(after.TotalAlloc - before.TotalAlloc)
 	}
 	var set *Set
 	setBytes := allocated(func() { set = b.Set() })
+	if set.Len() != n {
+		t.Fatalf("built %d VRPs from %d rows", set.Len(), n)
+	}
 	prefixes := prefixesIn(vs)
-	nodeBytes := allocated(func() {
+	treeNodes := allocated(func() {
 		var tree radix.Tree[[]payload]
 		for _, p := range prefixes {
 			_ = tree.Insert(p, nil)
 		}
-	})
-	if set.Len() != n {
-		t.Fatalf("built %d VRPs from %d rows", set.Len(), n)
+	}) / 64
+	// The runtime may make a stray small allocation of its own meanwhile.
+	if got := int64(len(set.base.nodes)) - 1; got != treeNodes && got != treeNodes-1 {
+		t.Errorf("the base has %d nodes, a radix tree over its prefixes %d", got, treeNodes)
 	}
-	const slack = 8 << 10
-	limit := n*int64(unsafe.Sizeof(payload{})) + slack
-	if beyond := int64(setBytes) - int64(nodeBytes); beyond > limit {
-		t.Errorf("Set() allocated %d bytes beyond the %d of the nodes, want at most %d (a payload a VRP)",
-			beyond, nodeBytes, limit)
+	need := int64(len(set.base.nodes))*int64(unsafe.Sizeof(node{})) + n*int64(unsafe.Sizeof(payload{}))
+	// Each of the two arrays is rounded up to whole 8 KiB pages.
+	const slack = 2*8<<10 + 4<<10
+	if setBytes > need+slack {
+		t.Errorf("Set() allocated %d bytes for %d of nodes and payloads, want at most %d more", setBytes, need, slack)
 	} else {
-		t.Logf("Set() allocated %d bytes: %d of nodes and %d beyond", setBytes, nodeBytes, beyond)
+		t.Logf("Set() allocated %d bytes for %d of nodes and payloads", setBytes, need)
 	}
 }

@@ -2,11 +2,13 @@ package vrp
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net/netip"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // WriteCSV emits the set as "prefix,maxLength,asn" lines (the format
@@ -27,14 +29,10 @@ func (s *Set) WriteCSV(w io.Writer) error {
 // ReadCSV parses the WriteCSV format (header line optional, "AS" prefix
 // on the ASN optional, blank and #-comment lines skipped). Rows may
 // come in any order and may repeat: every row is parsed and checked as
-// it is read, the rows are sorted by Compare if they did not arrive so
-// (WriteCSV and the validators' exports do), and the set is then built
-// once, in that order. Building in Compare order lays the tree's nodes
-// out in memory the way a walk visits them. An index frozen from the
-// set (IndexOf) inherits the layout, and the collector's mark phase
-// walks it on every cycle: over a 300 000-VRP tree grown in shuffled
-// order a cycle takes three times as long, a fifth more CPU for a
-// serving daemon under load.
+// it is read, straight from the scanner's buffer, the rows are sorted by
+// Compare if they did not arrive so (WriteCSV and the validators'
+// exports do), and the set's base is then built once from them (see
+// Builder). Nothing is allocated per row.
 func ReadCSV(r io.Reader) (*Set, error) {
 	var rows Builder
 	sc := bufio.NewScanner(r)
@@ -42,7 +40,11 @@ func ReadCSV(r io.Reader) (*Set, error) {
 	first := true
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
+		// A view of the scanner's buffer, not a copy: nothing parsed from
+		// it keeps it (ParsePrefix refuses zones, and strconv copies what
+		// it quotes), and it is read before the next Scan overwrites it.
+		b := bytes.TrimSpace(sc.Bytes())
+		text := unsafe.String(unsafe.SliceData(b), len(b))
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
@@ -54,6 +56,9 @@ func ReadCSV(r io.Reader) (*Set, error) {
 		}
 		v, err := parseCSVRow(text)
 		if err != nil {
+			// Parsed again from a copy: ParsePrefix's error quotes its
+			// input, and the view dies with the scanner.
+			_, err = parseCSVRow(string(b))
 			return nil, fmt.Errorf("vrp: line %d: %w", line, err)
 		}
 		rows.add(rowOf(v))

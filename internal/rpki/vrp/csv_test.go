@@ -173,8 +173,8 @@ func csvOf(vs []VRP) []byte {
 	return b.Bytes()
 }
 
-// sameTable fails unless the set holds exactly want, in order, under a
-// tree of one node-held slice per distinct prefix.
+// sameTable fails unless the set holds exactly want, in order, as a
+// base alone with one node holding payloads per distinct prefix.
 func sameTable(t testing.TB, what string, s *Set, want []VRP) {
 	t.Helper()
 	if got := s.All(); !slices.Equal(got, want) || s.Len() != len(want) {
@@ -186,8 +186,8 @@ func sameTable(t testing.TB, what string, s *Set, want []VRP) {
 			prefixes++
 		}
 	}
-	if s.tree.Len() != prefixes {
-		t.Fatalf("%s: %d tree entries for %d distinct prefixes", what, s.tree.Len(), prefixes)
+	if s.base.prefixes != prefixes || s.over.Len() != 0 {
+		t.Fatalf("%s: %d base prefixes and %d overlay entries for %d distinct prefixes", what, s.base.prefixes, s.over.Len(), prefixes)
 	}
 }
 

@@ -11,13 +11,39 @@ import (
 )
 
 // table is the one VRP structure behind both access disciplines: a
-// radix tree of per-prefix payloads and the triple count. Set wraps it
-// in a lock and mutates it; Index is a frozen copy nothing writes. Its
-// methods do no locking of their own.
+// frozen base, shared and never written, under a path-copied radix
+// overlay that holds what the writes since the base was built changed.
+// An overlay entry is a prefix's whole value — every payload the table
+// holds there, or none (a tombstone: the base's VRPs at the prefix are
+// all gone) — and wins over the base at its prefix; the overlay holds a
+// prefix only while its value differs from the base's. count is the
+// number of triples in the table. Set wraps a table in a lock and
+// mutates it; Index is a frozen copy nothing writes. Its methods do no
+// locking of their own.
 type table struct {
-	tree  radix.Tree[[]payload]
+	base  frozen
+	over  radix.Tree[[]payload]
 	count int
+	// compactions counts the rebuilds of the base since the table was
+	// loaded (see compact).
+	compactions int
 }
+
+// loaded is the table of a frozen base and no overlay.
+func loaded(f frozen) table { return table{base: f, count: len(f.payloads)} }
+
+// The overlay is folded into a new base (compact) by the write that
+// takes it past 1/compactShare of the base's prefixes, once it holds
+// more than compactFloor: a table that churns for days never holds more
+// overlay prefixes than an eighth of its base's, and a small one — a
+// simulated relying party's, a few thousand VRPs at most — never
+// compacts at all, however long it runs. A compaction is one pass over
+// the table, and the overlay must grow by an eighth of the table before
+// the next, so a write pays a constant share of one on average.
+const (
+	compactFloor = 4096
+	compactShare = 8
+)
 
 // payload is what a VRP says beyond the prefix of the node that holds
 // it: 8 bytes with no pointer, so the collector never scans a table's
@@ -43,13 +69,15 @@ func comparePayloads(a, b payload) int {
 	return cmp.Compare(a.asn, b.asn)
 }
 
-// freeze returns an O(1) copy that shares every node with t
-// (radix.Tree.Clone): from here on a write to either copies the path it
-// descends before it lands, so neither sees the other's. Clone stamps a
-// new owner id on the receiver too, which makes freeze a write to t —
-// callers exclude readers and writers of t alike.
+// freeze returns an O(1) copy: the base is shared as it is, and the
+// overlay is radix.Tree.Clone, after which a write to either copies the
+// path it descends before it lands, so neither sees the other's. Clone
+// stamps a new owner id on the receiver too, which makes freeze a write
+// to t — callers exclude readers and writers of t alike.
 func (t *table) freeze() table {
-	return table{tree: *t.tree.Clone(), count: t.count}
+	c := *t
+	c.over = *t.over.Clone()
+	return c
 }
 
 // checked returns v with its prefix canonicalised, or why no table
@@ -67,19 +95,45 @@ func checked(v VRP) (VRP, error) {
 	return v, nil
 }
 
+// at returns the payloads the table holds at the canonical prefix p and
+// those its base holds there.
+func (t *table) at(p netip.Prefix) (cur, inBase []payload) {
+	inBase = t.base.lookup(keyOf(p))
+	if pls, ok := t.over.Lookup(p); ok {
+		return pls, inBase
+	}
+	return inBase, inBase
+}
+
+// put makes pls the table's value at the canonical prefix p: an
+// overlay entry, or no entry when pls is what the base holds there (so
+// a write that undoes another leaves nothing behind). A value is only
+// ever replaced, never edited, so a slice a frozen copy or the base
+// holds is never written.
+func (t *table) put(p netip.Prefix, pls, inBase []payload) {
+	if slices.Equal(pls, inBase) {
+		t.over.Delete(p)
+	} else {
+		// The prefix is canonical: Insert cannot fail.
+		_ = t.over.Insert(p, pls)
+	}
+	if t.over.Len() > max(compactFloor, t.base.prefixes/compactShare) {
+		t.compact()
+	}
+}
+
 // insert validates, canonicalises and stores one VRP, reporting whether
-// it was new. The per-prefix slice is replaced by a fresh one, never
-// appended to: a frozen copy may hold the old slice, and an append into
-// its spare capacity would put this table's element where another
-// table's append at the same prefix also writes. The new element goes
-// in at its Compare position, so what a query lists for a prefix
-// depends on what the table holds and not on the order it arrived in.
+// it was new. The prefix's value is replaced by a fresh slice, never
+// appended to: the old one may be the base's, or a frozen copy's. The
+// new element goes in at its Compare position, so what a query lists
+// for a prefix depends on what the table holds and not on the order it
+// arrived in.
 func (t *table) insert(v VRP) (bool, error) {
 	v, err := checked(v)
 	if err != nil {
 		return false, err
 	}
-	existing, _ := t.tree.Lookup(v.Prefix)
+	existing, inBase := t.at(v.Prefix)
 	pl := payloadOf(v)
 	i, found := slices.BinarySearchFunc(existing, pl, comparePayloads)
 	if found {
@@ -89,64 +143,135 @@ func (t *table) insert(v VRP) (bool, error) {
 	copy(next, existing[:i])
 	next[i] = pl
 	copy(next[i+1:], existing[i:])
-	if err := t.tree.Insert(v.Prefix, next); err != nil {
-		return false, err
-	}
 	t.count++
+	t.put(v.Prefix, next, inBase)
 	return true, nil
 }
 
-// fill loads an empty table from rows in Compare order without repeats,
-// held in one or more chunks, with one tree insertion per distinct
-// prefix and one allocation besides the nodes: an array of exactly one
-// payload a row, written in row order, of which each prefix's value is
-// the window holding its run, its capacity clipped to its length so that
-// nothing can append into the next prefix's payloads. Each chunk is
-// released as it is read. Windows are sound because a value is only ever
-// replaced (insert and Remove store a fresh slice), and they put the
-// payloads in memory, like the nodes, in the order a walk visits them
-// (see ReadCSV for why that matters). The array stays reachable while
-// any prefix keeps its original value.
-func (t *table) fill(chunks [][]row) {
-	n := 0
-	for _, c := range chunks {
-		n += len(c)
+// remove deletes one VRP, reporting whether it was held. The prefix's
+// value is replaced by a fresh slice without it; when it was the last,
+// the base's VRPs there are hidden by a tombstone, or the overlay entry
+// goes if the base holds none there, so covering queries never see a
+// prefix with no VRPs behind it.
+func (t *table) remove(v VRP) bool {
+	v, err := checked(v)
+	if err != nil {
+		return false
 	}
-	if n == 0 {
+	existing, inBase := t.at(v.Prefix)
+	i := slices.Index(existing, payloadOf(v))
+	if i < 0 {
+		return false
+	}
+	var rest []payload
+	if len(existing) > 1 {
+		rest = make([]payload, 0, len(existing)-1)
+		rest = append(rest, existing[:i]...)
+		rest = append(rest, existing[i+1:]...)
+	}
+	t.count--
+	t.put(v.Prefix, rest, inBase)
+	return true
+}
+
+// contains reports whether the table holds exactly v.
+func (t *table) contains(v VRP) bool {
+	v, err := checked(v)
+	if err != nil {
+		return false
+	}
+	existing, _ := t.at(v.Prefix)
+	return slices.Contains(existing, payloadOf(v))
+}
+
+// compact rebuilds the base from the table as it stands and empties the
+// overlay. It runs inside the write that crossed the line, never on a
+// reader; a frozen copy keeps the base and overlay it was taken with.
+func (t *table) compact() {
+	rows := make([]row, 0, t.count)
+	t.each(func(k row, pls []payload) {
+		for _, pl := range pls {
+			k.asn, k.maxLen = pl.asn, pl.maxLen
+			rows = append(rows, k)
+		}
+	})
+	t.base = frozenFrom([][]row{rows})
+	t.over = radix.Tree[[]payload]{}
+	t.compactions++
+}
+
+// each calls fn with every prefix the table holds VRPs at and their
+// payloads, in Compare order: the base's nodes in array order merged
+// with the overlay's entries in walk order, the overlay's value winning
+// at a prefix both hold and a tombstone listing nothing.
+func (t *table) each(fn func(k row, pls []payload)) {
+	if len(t.base.nodes) == 0 {
+		// Overlay alone (a set built VRP by VRP): no tombstone to skip.
+		t.over.Walk(func(p netip.Prefix, pls []payload) bool {
+			fn(keyOf(p), pls)
+			return true
+		})
 		return
 	}
-	payloads := make([]payload, n)
-	at, start := 0, 0 // the next payload, and the first of the run in hand
-	var head row      // the run's first row
-	for i, c := range chunks {
-		for _, r := range c {
-			if at > start && !r.samePrefix(head) {
-				// The prefix is canonical: Insert cannot fail.
-				_ = t.tree.Insert(head.prefix(), payloads[start:at:at])
-				start = at
-			}
-			if at == start {
-				head = r
-			}
-			payloads[at] = payload{asn: r.asn, maxLen: r.maxLen}
-			at++
-		}
-		chunks[i] = nil
+	type entry struct {
+		k   row
+		pls []payload
 	}
-	_ = t.tree.Insert(head.prefix(), payloads[start:at:at])
-	t.count = n
+	var over []entry
+	if t.over.Len() > 0 {
+		over = make([]entry, 0, t.over.Len())
+		t.over.Walk(func(p netip.Prefix, pls []payload) bool {
+			over = append(over, entry{keyOf(p), pls})
+			return true
+		})
+	}
+	j := 0
+	nodes := t.base.nodes
+	for i := 0; i+1 < len(nodes); i++ {
+		if nodes[i+1].off == nodes[i].off {
+			continue
+		}
+		k := nodes[i].key()
+		c := -1
+		for ; j < len(over); j++ {
+			if c = compareKeys(over[j].k, k); c >= 0 {
+				break
+			}
+			if len(over[j].pls) > 0 {
+				fn(over[j].k, over[j].pls)
+			}
+		}
+		if j < len(over) && c == 0 {
+			if len(over[j].pls) > 0 {
+				fn(k, over[j].pls)
+			}
+			j++
+			continue
+		}
+		fn(k, t.base.at(uint32(i)))
+	}
+	for ; j < len(over); j++ {
+		if len(over[j].pls) > 0 {
+			fn(over[j].k, over[j].pls)
+		}
+	}
 }
 
 // validate classifies a route without listing what covered it: the
-// covering entries rarely number more than a handful, so they fit a
-// buffer on the stack and the call allocates nothing.
+// covering entries rarely number more than a handful, so they fit
+// buffers on the stack and the call allocates nothing.
 func (t *table) validate(prefix netip.Prefix, originAS uint32) State {
 	cp, err := netutil.Canonical(prefix)
 	if err != nil {
 		return NotFound
 	}
-	var buf [8]radix.Entry[[]payload]
-	return classify(t.tree.CoveringPrefix(cp, buf[:0]), cp, originAS)
+	var bb [8]uint32
+	base := t.base.covering(keyOf(cp), bb[:0])
+	if t.over.Len() == 0 {
+		return t.classify(nil, base, cp.Bits(), originAS)
+	}
+	var ob [8]radix.Entry[[]payload]
+	return t.classify(t.over.CoveringPrefix(cp, ob[:0]), base, cp.Bits(), originAS)
 }
 
 // validateExplain is validate plus the covering VRPs it decided over.
@@ -155,23 +280,34 @@ func (t *table) validateExplain(prefix netip.Prefix, originAS uint32) (State, []
 	if err != nil {
 		return NotFound, nil
 	}
-	var buf [8]radix.Entry[[]payload]
-	entries := t.tree.CoveringPrefix(cp, buf[:0])
-	return classify(entries, cp, originAS), listed(entries)
+	var bb [8]uint32
+	var ob [8]radix.Entry[[]payload]
+	base := t.base.covering(keyOf(cp), bb[:0])
+	over := t.over.CoveringPrefix(cp, ob[:0])
+	return t.classify(over, base, cp.Bits(), originAS), t.listed(over, base)
 }
 
-// all lists every VRP in Compare order, with no sort: Walk visits
-// prefixes in netutil.ComparePrefixes order (IPv4 first, a prefix before
-// what it covers, the 0 branch before the 1 branch) and insert keeps
-// each prefix's payloads in order.
+// all lists every VRP in Compare order, with no sort: each visits
+// prefixes in that order and a prefix's payloads are kept in it.
 func (t *table) all() []VRP {
 	out := make([]VRP, 0, t.count)
-	t.tree.Walk(func(p netip.Prefix, pls []payload) bool {
+	t.each(func(k row, pls []payload) {
+		p := k.prefix()
 		for _, pl := range pls {
 			out = append(out, pl.vrp(p))
 		}
-		return true
 	})
+	return out
+}
+
+// prefixes lists every prefix the table holds a VRP at, in
+// netutil.ComparePrefixes order; nil for an empty table.
+func (t *table) prefixes() []netip.Prefix {
+	if t.count == 0 {
+		return nil
+	}
+	out := make([]netip.Prefix, 0, t.base.prefixes+t.over.Len())
+	t.each(func(k row, _ []payload) { out = append(out, k.prefix()) })
 	return out
 }
 
@@ -220,30 +356,79 @@ func (ix *Index) ValidateExplain(prefix netip.Prefix, originAS uint32) (State, [
 }
 
 // classify applies the RFC 6811 decision to the covering entries of a
-// canonical route prefix — the single implementation Set and Index,
+// route prefix of length bits: the overlay's, and the base's that no
+// overlay entry of the same length (the same prefix: both lists cover
+// one route) overrides. It is the single implementation Set and Index,
 // Validate and ValidateExplain share.
-func classify(entries []radix.Entry[[]payload], cp netip.Prefix, originAS uint32) State {
-	if len(entries) == 0 {
-		return NotFound
-	}
-	for _, e := range entries {
-		for _, pl := range e.Value {
-			if pl.asn == originAS && originAS != 0 && cp.Bits() <= int(pl.maxLen) {
-				return Valid
-			}
+func (t *table) classify(over []radix.Entry[[]payload], base []uint32, bits int, originAS uint32) State {
+	state := NotFound
+	for _, e := range over {
+		if len(e.Value) > 0 {
+			state = Invalid
+		}
+		if authorises(e.Value, bits, originAS) {
+			return Valid
 		}
 	}
-	return Invalid
+	for _, i := range base {
+		if shadowed(over, t.base.nodes[i].bits) {
+			continue
+		}
+		state = Invalid
+		if authorises(t.base.at(i), bits, originAS) {
+			return Valid
+		}
+	}
+	return state
+}
+
+// authorises reports whether a payload at a covering prefix makes a
+// route of length bits from originAS valid.
+func authorises(pls []payload, bits int, originAS uint32) bool {
+	for _, pl := range pls {
+		if pl.asn == originAS && originAS != 0 && bits <= int(pl.maxLen) {
+			return true
+		}
+	}
+	return false
+}
+
+// shadowed reports whether an overlay entry of the given length is
+// among the covering ones.
+func shadowed(over []radix.Entry[[]payload], bits uint8) bool {
+	for _, e := range over {
+		if e.Prefix.Bits() == int(bits) {
+			return true
+		}
+	}
+	return false
 }
 
 // listed flattens covering entries into the VRPs ValidateExplain
-// reports, shortest prefix first; nil when nothing covers.
-func listed(entries []radix.Entry[[]payload]) []VRP {
+// reports, shortest prefix first, the overlay's entry winning at a
+// length both lists hold; nil when nothing covers.
+func (t *table) listed(over []radix.Entry[[]payload], base []uint32) []VRP {
 	var covering []VRP
-	for _, e := range entries {
-		for _, pl := range e.Value {
-			covering = append(covering, pl.vrp(e.Prefix))
+	add := func(p netip.Prefix, pls []payload) {
+		for _, pl := range pls {
+			covering = append(covering, pl.vrp(p))
 		}
+	}
+	j := 0
+	for _, i := range base {
+		n := &t.base.nodes[i]
+		for ; j < len(over) && over[j].Prefix.Bits() < int(n.bits); j++ {
+			add(over[j].Prefix, over[j].Value)
+		}
+		if j < len(over) && over[j].Prefix.Bits() == int(n.bits) {
+			add(over[j].Prefix, over[j].Value)
+			j++
+			continue
+		}
+		add(prefixOf(n.hi, n.lo, n.v6, n.bits), t.base.at(i))
+	}
+	for ; j < len(over); j++ {
+		add(over[j].Prefix, over[j].Value)
 	}
 	return covering
 }

@@ -294,3 +294,81 @@ func TestDiffMatchesOracle(t *testing.T) {
 		check("edited clone, reversed", a, edited)
 	}
 }
+
+// TestOverlayHoldsOnlyTheDifference: a write that undoes another leaves
+// no overlay entry behind, removing a prefix's last VRP from the base
+// leaves a tombstone that hides it, and the writer that takes the
+// overlay past its share of the base folds it into a new base in that
+// same write — not before — while an index frozen earlier keeps its
+// base and overlay, and a set that stays under the floor never compacts.
+func TestOverlayHoldsOnlyTheDifference(t *testing.T) {
+	rnd := rand.New(rand.NewSource(29))
+	vs := validatorVRPs(2 * compactShare * compactFloor)
+	set, err := FromVRPs(vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := vs[0]
+	if err := set.Add(VRP{Prefix: v.Prefix, MaxLength: v.Prefix.Addr().BitLen(), ASN: 1}); err != nil {
+		t.Fatal(err)
+	}
+	set.Remove(VRP{Prefix: v.Prefix, MaxLength: v.Prefix.Addr().BitLen(), ASN: 1})
+	if n := set.over.Len(); n != 0 {
+		t.Fatalf("an add and its undo left %d overlay entries", n)
+	}
+	for _, w := range set.All() {
+		if w.Prefix == v.Prefix {
+			set.Remove(w)
+		}
+	}
+	if pls, ok := set.over.Lookup(v.Prefix); !ok || len(pls) != 0 {
+		t.Fatalf("removing every VRP at a base prefix left %v (held %v), want a tombstone", pls, ok)
+	}
+	if state, cov := set.ValidateExplain(v.Prefix, v.ASN); state != NotFound && slices.ContainsFunc(cov, func(c VRP) bool { return c.Prefix == v.Prefix }) {
+		t.Fatalf("the tombstoned prefix still covers: %v %v", state, cov)
+	}
+	frozen := IndexOf(set)
+	frozenAll := frozen.all()
+
+	// New prefixes, one VRP each, until the write that crosses the line.
+	line := max(compactFloor, set.base.prefixes/compactShare)
+	for i := 0; set.over.Len() < line; i++ {
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{240, byte(i >> 8), byte(i), 0}), 24)
+		if err := set.Add(VRP{Prefix: p, MaxLength: 24, ASN: uint32(rnd.Intn(9))}); err != nil {
+			t.Fatal(err)
+		}
+		if set.Compactions() != 0 {
+			t.Fatalf("compacted at %d overlay entries, before the line at %d", set.over.Len(), line)
+		}
+	}
+	want := set.All()
+	if err := set.Add(VRP{Prefix: netutil.MustPrefix("241.0.0.0/24"), MaxLength: 24, ASN: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if set.Compactions() != 1 || set.over.Len() != 0 {
+		t.Fatalf("after the write that crossed the line: %d compactions, %d overlay entries", set.Compactions(), set.over.Len())
+	}
+	want = append(want, VRP{Prefix: netutil.MustPrefix("241.0.0.0/24"), MaxLength: 24, ASN: 7})
+	slices.SortFunc(want, Compare)
+	sameTable(t, "compacted", set, want)
+	if got := frozen.all(); !slices.Equal(got, frozenAll) {
+		t.Fatal("the compaction reached an index frozen before it")
+	}
+
+	// A set of half the floor that churns through six times as many.
+	small := NewSet()
+	at := func(i int) VRP {
+		return VRP{Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24), MaxLength: 24, ASN: 1}
+	}
+	for i := 0; i < 3*compactFloor; i++ {
+		if err := small.Add(at(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i >= compactFloor/2 {
+			small.Remove(at(i - compactFloor/2))
+		}
+	}
+	if n := small.Compactions(); n != 0 || small.Len() != compactFloor/2 {
+		t.Fatalf("a set of %d VRPs compacted %d times", small.Len(), n)
+	}
+}

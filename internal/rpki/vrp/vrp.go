@@ -14,52 +14,67 @@
 //
 // # One table, two access disciplines
 //
-// Set and Index are the same structure — a radix tree of per-prefix
-// payloads (the unexported table, with one insert and one classify) —
-// held two ways: a Set is mutable behind a read-write lock, an Index is
-// frozen and read without any lock. A payload is what a VRP says beyond
-// its prefix, which the node holding it already says: the maxLength and
-// the ASN, 8 bytes with no pointer; a VRP is rebuilt from the two on
-// the way out. Set.Clone and IndexOf do not copy the tree: they are
-// radix.Tree.Clone, O(1) whatever the size, after which both sides share
-// every node and a writer copies only the path a write descends (about
-// 25 nodes in a 300 000-VRP set). Because Clone also re-tags the tree it
-// is called on, both take the set's write lock, not the read lock.
+// Set and Index are the same structure — the unexported table, with one
+// insert, one remove and one classify — held two ways: a Set is mutable
+// behind a read-write lock, an Index is frozen and read without any
+// lock. A payload is what a VRP says beyond its prefix: the maxLength
+// and the ASN, 8 bytes with no pointer; a VRP is rebuilt from its prefix
+// and a payload on the way out.
+//
+// # A frozen base under a small overlay
+//
+// A table is a frozen base and an overlay. The base is what the table
+// was loaded with — FromVRPs, NewIndex, ReadCSV and a Builder (an RTR
+// full sync) all end in it: the rows are sorted if they did not arrive
+// in order, repeats dropped, and the rows frozen (see frozenFrom) into
+// two arrays with no pointer in them: the nodes of a path-compressed
+// trie in walk order, 32 bytes each with uint32 child indices, and one
+// payload a VRP, each prefix's a window of that array. However large,
+// a base is two objects the collector never scans: the repository
+// benchmark's 300 000-VRP table is 18.3 MiB live, where as a radix tree
+// of 64-byte pointer nodes it was 34.2 MiB and every collection marked
+// each of its ≈ 523 000 nodes.
+//
+// What a table is loaded from are rows: 24 bytes a VRP, ordered on
+// machine words exactly as Compare orders VRPs. A Builder fed in Compare
+// order (an RTR full response, a sorted export) is frozen from its own
+// chunks of rows; any other input is copied into one array of rows and
+// sorted there. The rows are garbage once the base is built.
+//
+// The overlay is a radix.Tree of what Insert and Remove changed since:
+// at each prefix they touched, the prefix's whole new value — every
+// payload the table holds there, or none, a tombstone hiding the base's
+// — and nothing at a prefix whose value is the base's again. Every query
+// merges the two, the overlay winning at a prefix: covering lists by
+// prefix length, listings (All, Prefixes, Diff) in Compare order. A
+// NewSet has an empty base, so a set built VRP by VRP is overlay alone.
+// The write that takes the overlay past an eighth of the base's
+// prefixes, once it holds more than a floor that a simulated relying
+// party's set never reaches, rebuilds the base from the table as it
+// stands and empties the overlay (compact) — on the writer, inside that
+// write, never on a reader.
+//
+// Set.Clone and IndexOf copy neither layer: the base is shared as it
+// is, and the overlay is radix.Tree.Clone, O(1) whatever its size, after
+// which both sides share every overlay node and a writer copies only the
+// path a write descends. Because Clone also re-tags the tree it is
+// called on, both take the set's write lock, not the read lock.
 //
 // Sharing is sound on one condition, the one radix.Tree.Clone states:
 // a value reached through a cloned tree is immutable. Here the values
 // are the per-prefix payload slices, so Add and Remove always store a
 // freshly built slice and never append to, or edit, the one they found
 // — an append would write into spare capacity that an index frozen
-// earlier, or a sibling clone appending at the same prefix, also sees.
-//
-// # Loaded whole, or edited
-//
-// A table is either loaded whole — FromVRPs, NewIndex, ReadCSV and a
-// Builder (an RTR full sync) all end in the one fill: sort if needed,
-// drop repeats, fill the tree in order — or edited one VRP at a time by
-// Insert and Remove. What a table is loaded from are rows: 24 bytes a
-// VRP with no pointer, ordered on machine words exactly as Compare
-// orders VRPs. A Builder fed in Compare order (an RTR full response, a
-// sorted export) is filled from its own chunks of rows; any other input
-// is copied into one array of rows and sorted there. Either way fill
-// writes one payload a row into one array of exactly that size, and the
-// values of the table are windows of that array, capacity clipped to
-// length, not a slice each: nothing else is allocated per prefix and
-// the payloads lie in memory in the order a walk visits them. The rows
-// are garbage once fill returns. The rule above is what makes windows
-// safe — a window is never written or appended to, an edit at its
-// prefix stores a fresh slice in its place — and their cost is that the
-// array stays reachable while any prefix in it still holds its original
-// value: 8 bytes a VRP loaded, 2.4 MB for 300 000. For a set that
-// churns for days that is memory a rebuild would return (ROADMAP's
-// compaction item owns that case).
+// earlier, or a sibling clone appending at the same prefix, also sees,
+// and a base's window is clipped to its length so that an append
+// reallocates instead of writing its neighbour's payloads. A compaction
+// replaces the compacting table's base and overlay; a copy frozen
+// before it keeps the ones it was taken with.
 package vrp
 
 import (
 	"fmt"
 	"net/netip"
-	"slices"
 	"sync"
 )
 
@@ -138,48 +153,21 @@ func (s *Set) Insert(v VRP) (added bool, err error) {
 	return s.insert(v)
 }
 
-// Remove deletes a VRP, reporting whether it was present. The radix
-// node is dropped when its last payload goes, so covering queries never
-// see a prefix with no VRPs behind it.
+// Remove deletes a VRP, reporting whether it was present. Covering
+// queries never see a prefix with no VRPs behind it once its last one
+// goes.
 func (s *Set) Remove(v VRP) bool {
-	v, err := checked(v)
-	if err != nil {
-		return false
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	existing, _ := s.tree.Lookup(v.Prefix)
-	i := slices.Index(existing, payloadOf(v))
-	switch {
-	case i < 0:
-		return false
-	case len(existing) == 1:
-		s.tree.Delete(v.Prefix)
-	default:
-		// A fresh slice, never an edit of existing: clones and frozen
-		// indexes may still be reading it (see the package comment).
-		rest := make([]payload, 0, len(existing)-1)
-		rest = append(rest, existing[:i]...)
-		rest = append(rest, existing[i+1:]...)
-		if err := s.tree.Insert(v.Prefix, rest); err != nil {
-			return false
-		}
-	}
-	s.count--
-	return true
+	return s.remove(v)
 }
 
 // Contains reports whether the set holds exactly v (after prefix
 // canonicalisation).
 func (s *Set) Contains(v VRP) bool {
-	v, err := checked(v)
-	if err != nil {
-		return false
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	existing, _ := s.tree.Lookup(v.Prefix)
-	return slices.Contains(existing, payloadOf(v))
+	return s.contains(v)
 }
 
 // Clone returns an independent set holding the same VRPs, in O(1): the
@@ -230,15 +218,16 @@ func (s *Set) All() []VRP {
 func (s *Set) Prefixes() []netip.Prefix {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.count == 0 {
-		return nil
-	}
-	out := make([]netip.Prefix, 0, s.tree.Len())
-	s.tree.Walk(func(p netip.Prefix, _ []payload) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
+	return s.prefixes()
+}
+
+// Compactions returns how many times the set's writes have folded its
+// overlay into a new base since it was loaded or created (see the
+// package comment); a clone starts from its original's count.
+func (s *Set) Compactions() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.compactions
 }
 
 // Diff computes the VRPs to announce and withdraw to transform old into

@@ -20,10 +20,13 @@ import (
 // session state and the new table, session id and serial are installed
 // together at End of Data. Collected means held as a vrp.Builder's
 // rows, 24 bytes a record with no pointer; a cache answers in Compare
-// order, so at End of Data the table is filled from those rows where
-// they lie, one 8-byte payload a VRP beside its tree nodes, and the rows
-// are then garbage. Until the swap the table being replaced, the rows
-// and the new table are live together.
+// order, so at End of Data the rows are frozen where they lie into the
+// new table's base — two pointer-free arrays, a 32-byte trie node a
+// prefix or branch point and an 8-byte payload a VRP — and are then
+// garbage. Until the swap the table being replaced, the rows and the new
+// table are live together. The records of an incremental response land
+// in the live set's overlay (see package vrp), which the record that
+// takes it past its share of the base folds into a new base.
 //
 // A response that ends any other way — an Error Report, a PDU that has
 // no place in it, a dropped connection — leaves the table, the serial

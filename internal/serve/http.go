@@ -10,6 +10,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"ripki/internal/measure"
@@ -79,13 +80,49 @@ func (s *Service) instrument(name string, h http.HandlerFunc) http.Handler {
 	})
 }
 
+// jsonEncoder is an indenting json.Encoder kept for reuse, with the
+// writer it writes through: re-pointed at each response in turn, and
+// counting what it is handed. An Encoder keeps the buffer it indents
+// into from one Encode to the next, so reusing one reuses that buffer —
+// rendering a fresh encoder's indenting buffer was over a third of what
+// the daemon allocated under validate traffic.
+type jsonEncoder struct {
+	enc *json.Encoder
+	w   io.Writer // the response being written
+	n   int       // the bytes handed to w
+}
+
+func (e *jsonEncoder) Write(p []byte) (int, error) {
+	e.n += len(p)
+	return e.w.Write(p)
+}
+
+// maxPooledJSON is the largest body an encoder may have written and
+// still go back to the pool: a big /v1/domains page or validate batch
+// leaves a buffer its size behind, not worth keeping for the small
+// validate bodies that make up most responses.
+const maxPooledJSON = 64 << 10
+
+var jsonEncoders = sync.Pool{New: func() any {
+	e := new(jsonEncoder)
+	e.enc = json.NewEncoder(e)
+	e.enc.SetIndent("", "  ")
+	return e
+}}
+
 // writeJSON renders v with a status code.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	e := jsonEncoders.Get().(*jsonEncoder)
+	e.w, e.n = w, 0
+	err := e.enc.Encode(v)
+	e.w = nil
+	// An Encoder that failed to write keeps the error and refuses every
+	// later Encode, so it is dropped too.
+	if err == nil && e.n <= maxPooledJSON {
+		jsonEncoders.Put(e)
+	}
 }
 
 // apiError is the uniform error body.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"slices"
 	"strconv"
 	"strings"
@@ -718,6 +719,24 @@ func TestPublishSetMatchesRebuild(t *testing.T) {
 	w, dt := testSetup(t)
 	set := w.Validation().VRPs.Clone()
 	rnd := rand.New(rand.NewSource(8))
+	// A wrong-origin VRP at every route the table serves, and filler
+	// beside them, crossing the line at which the set folds its writes
+	// into a new base: the deltas below then land on that base.
+	var added []vrp.VRP
+	for _, po := range dt.routes {
+		added = append(added, vrp.VRP{Prefix: po.Prefix, MaxLength: po.Prefix.Bits(), ASN: 64998})
+	}
+	for i := 0; i < 5000; i++ {
+		added = append(added, vrp.VRP{Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{240, byte(i >> 8), byte(i), 0}), 24), MaxLength: 24, ASN: 1})
+	}
+	for _, v := range added {
+		if err := set.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if set.Compactions() == 0 {
+		t.Fatalf("%d added VRPs did not compact the set", len(added))
+	}
 	all := set.All()
 	rnd.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 	for i, v := range all {

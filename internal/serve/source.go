@@ -46,15 +46,29 @@ func (s *Service) RunRTR(ctx context.Context, addr string) error {
 	// would grow toward twice two tables before a cycle returned it; a
 	// collection here sets the goal from the table that is left. A
 	// serial delta replaces a few nodes and pays no cycle.
+	//
+	// A serial delta lands in the live set's overlay; the one that takes
+	// the overlay past its share of the base rebuilds the base inside
+	// that write (see package vrp), and the event that publishes it says
+	// compacted=true. A full sync builds a new set, which has compacted
+	// nothing yet.
 	resets := 0
+	var live *vrp.Set
+	compactions := 0
 	publish := func() {
 		sync := "serial"
 		if n := client.Resets(); n != resets {
 			resets, sync = n, "reset"
 		}
 		changed := len(client.TakeDelta())
-		s.publishIndex(vrp.IndexOf(client.View()), "rtr", client.Serial(),
-			map[string]string{"changed_prefixes": strconv.Itoa(changed), "sync": sync})
+		view := client.View()
+		attrs := map[string]string{"changed_prefixes": strconv.Itoa(changed), "sync": sync}
+		n := view.Compactions()
+		if view == live && n != compactions {
+			attrs["compacted"] = "true"
+		}
+		live, compactions = view, n
+		s.publishIndex(vrp.IndexOf(view), "rtr", client.Serial(), attrs)
 		if sync == "reset" {
 			runtime.GC()
 		}

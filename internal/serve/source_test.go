@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"net"
+	"net/netip"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +91,79 @@ func TestRunRTRReportsChangedPrefixes(t *testing.T) {
 		a := events[i].Attributes
 		if events[i].EventType != "serve.snapshot_publish" || a["changed_prefixes"] != want.changed || a["vrps"] != want.vrps || a["sync"] != want.sync {
 			t.Errorf("publish %d: %s %v, want changed_prefixes=%s vrps=%s sync=%s", i+1, events[i].EventType, a, want.changed, want.vrps, want.sync)
+		}
+	}
+}
+
+// TestRunRTRReportsCompaction: the serial delta whose records take the
+// client's live set past its overlay's share folds the overlay into a
+// new base inside the poll, and the publish of that delta — and no
+// other — says compacted=true on the feed; the snapshot still holds
+// exactly the cache's set.
+func TestRunRTRReportsCompaction(t *testing.T) {
+	vrpAt := func(i int, asn uint32) vrp.VRP {
+		return vrp.VRP{Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24), MaxLength: 24, ASN: asn}
+	}
+	var base, many []vrp.VRP
+	for i := 0; i < 100; i++ {
+		base = append(base, vrpAt(i, 1))
+	}
+	for i := 100; i < 6000; i++ {
+		many = append(many, vrpAt(i, 2))
+	}
+	set, err := vrp.FromVRPs(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := rtr.NewServer(set, 7)
+	srv.Logf = func(string, ...any) {}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	s := New(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- s.RunRTR(ctx, ln.Addr().String()) }()
+	waitSerial := func(serial uint64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for sn := s.Current(); sn == nil || sn.Serial < serial; sn = s.Current() {
+			if time.Now().After(deadline) {
+				t.Fatalf("snapshot %d not published after 10s", serial)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitSerial(1)
+	srv.UpdateDelta(many, nil)
+	waitSerial(2)
+	srv.UpdateDelta(nil, base[:10])
+	waitSerial(3)
+	if got, want := s.Current().Index.Len(), len(base)+len(many)-10; got != want {
+		t.Errorf("the snapshot holds %d VRPs, want %d", got, want)
+	}
+	for _, v := range append(slices.Clone(base[:12]), many[:3]...) {
+		_, covering := s.Current().Index.ValidateExplain(v.Prefix, v.ASN)
+		if held := slices.Contains(covering, v); held != !slices.Contains(base[:10], v) {
+			t.Errorf("the snapshot holds %v: %v", v, held)
+		}
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	events, _, _ := s.events.since(0, 10)
+	if len(events) != 3 {
+		t.Fatalf("feed holds %d events, want the three publishes", len(events))
+	}
+	for i, want := range []string{"", "true", ""} {
+		if got := events[i].Attributes["compacted"]; got != want {
+			t.Errorf("publish %d: compacted=%q, want %q (%v)", i+1, got, want, events[i].Attributes)
 		}
 	}
 }
