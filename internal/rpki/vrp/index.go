@@ -201,58 +201,41 @@ func (t *table) compact() {
 }
 
 // each calls fn with every prefix the table holds VRPs at and their
-// payloads, in Compare order: the base's nodes in array order merged
-// with the overlay's entries in walk order, the overlay's value winning
-// at a prefix both hold and a tombstone listing nothing.
+// payloads, in Compare order: the overlay's walk, with the base's nodes
+// that come before each overlay entry emitted ahead of it, the overlay's
+// value winning at a prefix both hold and a tombstone listing nothing.
+// Nothing is allocated.
 func (t *table) each(fn func(k row, pls []payload)) {
-	if len(t.base.nodes) == 0 {
-		// Overlay alone (a set built VRP by VRP): no tombstone to skip.
-		t.over.Walk(func(p netip.Prefix, pls []payload) bool {
-			fn(keyOf(p), pls)
-			return true
-		})
-		return
-	}
-	type entry struct {
-		k   row
-		pls []payload
-	}
-	var over []entry
-	if t.over.Len() > 0 {
-		over = make([]entry, 0, t.over.Len())
-		t.over.Walk(func(p netip.Prefix, pls []payload) bool {
-			over = append(over, entry{keyOf(p), pls})
-			return true
-		})
-	}
-	j := 0
 	nodes := t.base.nodes
-	for i := 0; i+1 < len(nodes); i++ {
-		if nodes[i+1].off == nodes[i].off {
-			continue
-		}
-		k := nodes[i].key()
-		c := -1
-		for ; j < len(over); j++ {
-			if c = compareKeys(over[j].k, k); c >= 0 {
-				break
+	i := 0 // the next base node not yet emitted or overridden
+	upTo := func(k row) {
+		for ; i+1 < len(nodes); i++ {
+			if nodes[i+1].off == nodes[i].off {
+				continue
 			}
-			if len(over[j].pls) > 0 {
-				fn(over[j].k, over[j].pls)
+			nk := nodes[i].key()
+			c := compareKeys(nk, k)
+			if c == 0 {
+				i++
 			}
-		}
-		if j < len(over) && c == 0 {
-			if len(over[j].pls) > 0 {
-				fn(k, over[j].pls)
+			if c >= 0 {
+				return
 			}
-			j++
-			continue
+			fn(nk, t.base.at(uint32(i)))
 		}
-		fn(k, t.base.at(uint32(i)))
 	}
-	for ; j < len(over); j++ {
-		if len(over[j].pls) > 0 {
-			fn(over[j].k, over[j].pls)
+	t.over.Walk(func(p netip.Prefix, pls []payload) bool {
+		k := keyOf(p)
+		upTo(k)
+		if len(pls) > 0 {
+			fn(k, pls)
+		}
+		return true
+	})
+	// The base's nodes after the overlay's last entry.
+	for ; i+1 < len(nodes); i++ {
+		if nodes[i+1].off != nodes[i].off {
+			fn(nodes[i].key(), t.base.at(uint32(i)))
 		}
 	}
 }
