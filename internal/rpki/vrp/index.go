@@ -248,8 +248,13 @@ func (t *table) validate(prefix netip.Prefix, originAS uint32) State {
 	if err != nil {
 		return NotFound
 	}
+	// Each layer is asked only when it holds something: a set built VRP
+	// by VRP has no base, and a table just loaded has no overlay.
 	var bb [8]uint32
-	base := t.base.covering(keyOf(cp), bb[:0])
+	var base []uint32
+	if len(t.base.nodes) > 0 {
+		base = t.base.covering(keyOf(cp), bb[:0])
+	}
 	if t.over.Len() == 0 {
 		return t.classify(nil, base, cp.Bits(), originAS)
 	}
