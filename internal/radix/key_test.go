@@ -41,8 +41,8 @@ func bitAfterBytes(addr netip.Addr, bits int) int {
 	return netutil.Bit(addr, bits)
 }
 
-// TestWordKeysMatchByteOracles holds the word-wise commonBits and
-// bitAfter to the byte-wise ones on random pairs of both families that
+// TestWordKeysMatchByteOracles holds the word-wise CommonBits and
+// Key.Bit to the byte-wise ones on random pairs of both families that
 // agree on a random number of leading bits — none, all, all but the
 // last — with max below, at and above the true common length.
 func TestWordKeysMatchByteOracles(t *testing.T) {
@@ -76,24 +76,24 @@ func TestWordKeysMatchByteOracles(t *testing.T) {
 			}
 		}
 		b, _ := netip.AddrFromSlice(other)
-		ka, kb := keyOf(a), keyOf(b)
+		ka, kb := KeyOf(a), KeyOf(b)
 		for _, max := range []int{0, same - 1, same, same + 1, width, rnd.Intn(width + 1)} {
 			if max < 0 || max > width {
 				continue
 			}
-			if got, want := commonBits(ka, kb, max), commonBitsBytes(a, b, max); got != want {
-				t.Fatalf("commonBits(%v, %v, %d) = %d, bytes say %d", a, b, max, got, want)
+			if got, want := CommonBits(ka, kb, max), commonBitsBytes(a, b, max); got != want {
+				t.Fatalf("CommonBits(%v, %v, %d) = %d, bytes say %d", a, b, max, got, want)
 			}
 		}
 		for _, at := range []int{0, same, width - 1, width, rnd.Intn(width + 1)} {
-			if got, want := bitAfter(ka, at), bitAfterBytes(a, at); got != want {
-				t.Fatalf("bitAfter(%v, %d) = %d, bytes say %d", a, at, got, want)
+			if got, want := ka.Bit(at), bitAfterBytes(a, at); got != want {
+				t.Fatalf("Bit(%v, %d) = %d, bytes say %d", a, at, got, want)
 			}
 		}
 		// A key masked to a length is the key of the masked prefix.
 		bits := rnd.Intn(width + 1)
-		if got, want := ka.masked(bits), keyOf(netip.PrefixFrom(a, bits).Masked().Addr()); got != want {
-			t.Fatalf("keyOf(%v).masked(%d) = %x, netip says %x", a, bits, got, want)
+		if got, want := ka.Masked(bits), KeyOf(netip.PrefixFrom(a, bits).Masked().Addr()); got != want {
+			t.Fatalf("KeyOf(%v).Masked(%d) = %x, netip says %x", a, bits, got, want)
 		}
 	}
 }

@@ -43,55 +43,71 @@ import (
 	"sync/atomic"
 )
 
-// key is an address as the tree compares it: its bits left-aligned in
+// Key is an address as the tree compares it: its bits left-aligned in
 // two machine words, most significant first. An IPv4 address fills the
-// top half of hi, so bit i of either family is bit 63-i of hi (or 127-i
-// of lo) and a key of either family masked to its prefix length is zero
-// from there on.
-type key struct{ hi, lo uint64 }
+// top half of Hi, so bit i of either family is bit 63-i of Hi (or 127-i
+// of Lo) and a key of either family masked to its prefix length is zero
+// from there on. It is exported, with the word arithmetic below, for
+// tables that keep prefixes in other layouts over the same keys.
+type Key struct{ Hi, Lo uint64 }
 
-func keyOf(a netip.Addr) key {
+// KeyOf returns the key of an address of either family.
+func KeyOf(a netip.Addr) Key {
 	if a.Is4() {
 		b := a.As4()
-		return key{hi: uint64(binary.BigEndian.Uint32(b[:])) << 32}
+		return Key{Hi: uint64(binary.BigEndian.Uint32(b[:])) << 32}
 	}
 	b := a.As16()
-	return key{hi: binary.BigEndian.Uint64(b[:8]), lo: binary.BigEndian.Uint64(b[8:])}
+	return Key{Hi: binary.BigEndian.Uint64(b[:8]), Lo: binary.BigEndian.Uint64(b[8:])}
 }
 
-// masked returns k with every bit from position length on cleared.
-func (k key) masked(length int) key {
+// Masked returns k with every bit from position length on cleared.
+func (k Key) Masked(length int) Key {
 	switch {
 	case length < 64:
-		return key{hi: k.hi &^ (^uint64(0) >> length)}
+		return Key{Hi: k.Hi &^ (^uint64(0) >> length)}
 	case length < 128:
-		return key{hi: k.hi, lo: k.lo &^ (^uint64(0) >> (length - 64))}
+		return Key{Hi: k.Hi, Lo: k.Lo &^ (^uint64(0) >> (length - 64))}
 	}
 	return k
 }
 
-// commonBits returns the length of the longest common prefix of a and b,
+// CommonBits returns the length of the longest common prefix of a and b,
 // capped at max.
-func commonBits(a, b key, max int) int {
+func CommonBits(a, b Key, max int) int {
 	n := 128
-	if x := a.hi ^ b.hi; x != 0 {
+	if x := a.Hi ^ b.Hi; x != 0 {
 		n = bits.LeadingZeros64(x)
-	} else if y := a.lo ^ b.lo; y != 0 {
+	} else if y := a.Lo ^ b.Lo; y != 0 {
 		n = 64 + bits.LeadingZeros64(y)
 	}
 	return min(n, max)
 }
 
-// bitAfter returns the bit of k at position i (the first bit after a
-// prefix of length i), or 0 at and past the address width.
-func bitAfter(k key, i int) int {
+// Bit returns the bit of k at position i (the first bit after a prefix
+// of length i), or 0 at and past the address width.
+func (k Key) Bit(i int) int {
 	if i < 64 {
-		return int(k.hi >> (63 - i) & 1)
+		return int(k.Hi >> (63 - i) & 1)
 	}
 	if i < 128 {
-		return int(k.lo >> (127 - i) & 1)
+		return int(k.Lo >> (127 - i) & 1)
 	}
 	return 0
+}
+
+// Prefix rebuilds the netip form of a masked key of the given length,
+// in its own family: exactly the canonical prefix it was made from.
+func (k Key) Prefix(is4 bool, length int) netip.Prefix {
+	if is4 {
+		var b [4]byte
+		binary.BigEndian.PutUint32(b[:], uint32(k.Hi>>32))
+		return netip.PrefixFrom(netip.AddrFrom4(b), length)
+	}
+	var b [16]byte
+	binary.BigEndian.PutUint64(b[:8], k.Hi)
+	binary.BigEndian.PutUint64(b[8:], k.Lo)
+	return netip.PrefixFrom(netip.AddrFrom16(b), length)
 }
 
 // Tag layout, low bits first: whether the node carries a value, its
@@ -111,7 +127,7 @@ const (
 // compression is achieved by storing full prefixes at nodes and
 // branching on the first bit after the node's prefix length.
 type node[V any] struct {
-	key   key // the prefix's address, masked
+	key   Key // the prefix's address, masked
 	value V
 	child [2]*node[V]
 	// tag is the id of the tree that created the node — which may
@@ -129,15 +145,7 @@ func (n *node[V]) bits() int      { return int(n.tag >> tagLength & 0xff) }
 // prefix rebuilds the netip form of the node's key: exactly the
 // canonical prefix Insert was given, in its own family.
 func (n *node[V]) prefix() netip.Prefix {
-	if n.tag&tagV4 != 0 {
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], uint32(n.key.hi>>32))
-		return netip.PrefixFrom(netip.AddrFrom4(b), n.bits())
-	}
-	var b [16]byte
-	binary.BigEndian.PutUint64(b[:8], n.key.hi)
-	binary.BigEndian.PutUint64(b[8:], n.key.lo)
-	return netip.PrefixFrom(netip.AddrFrom16(b), n.bits())
+	return n.key.Prefix(n.tag&tagV4 != 0, n.bits())
 }
 
 // set stores or clears the node's value.
@@ -186,7 +194,7 @@ func (t *Tree[V]) Clone() *Tree[V] {
 // query is a prefix at the boundary: the words the tree compares, the
 // length, and the family's tag bit and root.
 type query struct {
-	key  key
+	key  Key
 	bits int
 	fam  uint64 // tagV4 or 0
 }
@@ -197,7 +205,7 @@ func split(p netip.Prefix) (query, bool) {
 	if !p.IsValid() {
 		return query{}, false
 	}
-	q := query{key: keyOf(p.Addr()).masked(p.Bits()), bits: p.Bits()}
+	q := query{key: KeyOf(p.Addr()).Masked(p.Bits()), bits: p.Bits()}
 	if p.Addr().Is4() {
 		q.fam = tagV4
 	}
@@ -259,7 +267,7 @@ func (t *Tree[V]) insert(np **node[V], q query, value V) bool {
 			return true
 		}
 		nb := n.bits()
-		cb := commonBits(n.key, q.key, min(nb, q.bits))
+		cb := CommonBits(n.key, q.key, min(nb, q.bits))
 		switch {
 		case cb == nb && cb == q.bits:
 			// Same prefix: replace or set value.
@@ -269,20 +277,20 @@ func (t *Tree[V]) insert(np **node[V], q query, value V) bool {
 			return created
 		case cb == nb:
 			// q is longer and inside n: descend.
-			np = &t.own(np).child[bitAfter(q.key, nb)]
+			np = &t.own(np).child[q.key.Bit(nb)]
 		case cb == q.bits:
 			// q is shorter and covers n: q becomes the parent of n, which
 			// is linked, not written, and so stays whoever's it was.
 			nn := t.newNode(q, value, true)
-			nn.child[bitAfter(n.key, q.bits)] = n
+			nn.child[n.key.Bit(q.bits)] = n
 			*np = nn
 			return true
 		default:
 			// Diverge below cb: create a glue node.
 			var none V
-			glue := t.newNode(query{key: q.key.masked(cb), bits: cb, fam: q.fam}, none, false)
-			glue.child[bitAfter(n.key, cb)] = n
-			glue.child[bitAfter(q.key, cb)] = t.newNode(q, value, true)
+			glue := t.newNode(query{key: q.key.Masked(cb), bits: cb, fam: q.fam}, none, false)
+			glue.child[n.key.Bit(cb)] = n
+			glue.child[q.key.Bit(cb)] = t.newNode(q, value, true)
 			*np = glue
 			return true
 		}
@@ -296,9 +304,9 @@ func (t *Tree[V]) Lookup(p netip.Prefix) (V, bool) {
 	if !ok {
 		return zero, false
 	}
-	for n := *t.root(q); n != nil; n = n.child[bitAfter(q.key, n.bits())] {
+	for n := *t.root(q); n != nil; n = n.child[q.key.Bit(n.bits())] {
 		nb := n.bits()
-		if nb > q.bits || commonBits(n.key, q.key, nb) < nb {
+		if nb > q.bits || CommonBits(n.key, q.key, nb) < nb {
 			break
 		}
 		if nb == q.bits {
@@ -330,7 +338,7 @@ func (t *Tree[V]) Delete(p netip.Prefix) bool {
 	var parent **node[V] // the slot of the node that np is a child slot of
 	for (*np).bits() != q.bits {
 		n := t.own(np)
-		parent, np = np, &n.child[bitAfter(q.key, n.bits())]
+		parent, np = np, &n.child[q.key.Bit(n.bits())]
 	}
 	// Slots on the way down are this tree's now; nodes linked into them
 	// below stay whoever's they were, as in insert.
@@ -375,9 +383,9 @@ func (t *Tree[V]) CoveringPrefix(p netip.Prefix, dst []Entry[V]) []Entry[V] {
 	if !ok {
 		return dst
 	}
-	for n := *t.root(q); n != nil; n = n.child[bitAfter(q.key, n.bits())] {
+	for n := *t.root(q); n != nil; n = n.child[q.key.Bit(n.bits())] {
 		nb := n.bits()
-		if nb > q.bits || commonBits(n.key, q.key, nb) < nb {
+		if nb > q.bits || CommonBits(n.key, q.key, nb) < nb {
 			break
 		}
 		if n.hasValue() {
@@ -425,9 +433,9 @@ func (t *Tree[V]) WalkSubtree(p netip.Prefix, fn func(netip.Prefix, V) bool) {
 	if !ok {
 		return
 	}
-	for n := *t.root(q); n != nil; n = n.child[bitAfter(q.key, n.bits())] {
+	for n := *t.root(q); n != nil; n = n.child[q.key.Bit(n.bits())] {
 		nb := n.bits()
-		cb := commonBits(n.key, q.key, min(nb, q.bits))
+		cb := CommonBits(n.key, q.key, min(nb, q.bits))
 		if nb >= q.bits {
 			if cb == q.bits {
 				walk(n, fn)

@@ -1,24 +1,19 @@
 package vrp
 
-import (
-	"encoding/binary"
-	"math/bits"
-	"net/netip"
-)
+import "ripki/internal/radix"
 
-// node is one prefix of a frozen base: its address as the two
-// left-aligned key words a row holds, its length and family, its
-// children as indices into the base's node array (0 for none: the
-// first node is a root, and a root is no node's child) and the offset
-// of its first payload. Its payloads run up to the next node's offset,
+// node is one prefix of a frozen base: its address as the radix key a
+// row holds, its length and family, its children as indices into the
+// base's node array (0 for none: the first node is a root, and a root
+// is no node's child) and the offset of its first payload. Its payloads run up to the next node's offset,
 // so a node that only branches holds none. It is 32 bytes with no
 // pointer in it: the collector never scans a base, however large.
 type node struct {
-	hi, lo uint64
-	child  [2]uint32
-	off    uint32
-	bits   uint8
-	v6     bool
+	key   radix.Key
+	child [2]uint32
+	off   uint32
+	bits  uint8
+	v6    bool
 }
 
 // frozen is an immutable path-compressed binary trie of prefixes and
@@ -51,59 +46,14 @@ func (f *frozen) at(i uint32) []payload {
 	return f.payloads[f.nodes[i].off:end:end]
 }
 
-// holds reports whether the node's prefix contains the address (hi, lo)
-// of its family. A shift by 64 or more is zero in Go, so a /0 holds
-// everything and a /64 compares hi alone.
-func (n *node) holds(hi, lo uint64) bool {
-	if n.bits <= 64 {
-		return (hi^n.hi)>>(64-n.bits) == 0
-	}
-	return hi == n.hi && (lo^n.lo)>>(128-n.bits) == 0
+// holds reports whether the node's prefix contains the key k of its
+// family.
+func (n *node) holds(k radix.Key) bool {
+	return radix.CommonBits(n.key, k, int(n.bits)) == int(n.bits)
 }
 
-// bitAt returns bit i of the key (hi, lo), 0 the most significant.
-func bitAt(hi, lo uint64, i uint8) int {
-	if i < 64 {
-		return int(hi >> (63 - i) & 1)
-	}
-	return int(lo >> (127 - i) & 1)
-}
-
-// commonLen is the length of the longest common prefix of two keys,
-// capped at limit.
-func commonLen(ahi, alo, bhi, blo uint64, limit uint8) uint8 {
-	n := 128
-	if x := ahi ^ bhi; x != 0 {
-		n = bits.LeadingZeros64(x)
-	} else if y := alo ^ blo; y != 0 {
-		n = 64 + bits.LeadingZeros64(y)
-	}
-	return uint8(min(n, int(limit)))
-}
-
-// maskKey clears every bit of (hi, lo) from position length on.
-func maskKey(hi, lo uint64, length uint8) (uint64, uint64) {
-	if length < 64 {
-		return hi &^ (^uint64(0) >> length), 0
-	}
-	return hi, lo &^ (^uint64(0) >> (length - 64))
-}
-
-// prefixOf rebuilds a canonical prefix from its key words.
-func prefixOf(hi, lo uint64, v6 bool, length uint8) netip.Prefix {
-	if !v6 {
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], uint32(hi>>32))
-		return netip.PrefixFrom(netip.AddrFrom4(b), int(length))
-	}
-	var b [16]byte
-	binary.BigEndian.PutUint64(b[:8], hi)
-	binary.BigEndian.PutUint64(b[8:], lo)
-	return netip.PrefixFrom(netip.AddrFrom16(b), int(length))
-}
-
-// key returns the node's prefix as a row, with no payload.
-func (n *node) key() row { return row{hi: n.hi, lo: n.lo, v6: n.v6, bits: n.bits} }
+// row returns the node's prefix as a row, with no payload.
+func (n *node) row() row { return row{key: n.key, v6: n.v6, bits: n.bits} }
 
 // covering appends, shortest first, the index of every node with
 // payloads whose prefix covers the canonical prefix q (a row's prefix
@@ -112,7 +62,7 @@ func (f *frozen) covering(q row, dst []uint32) []uint32 {
 	i, ok := f.root(q.v6)
 	for ok {
 		n := &f.nodes[i]
-		if n.bits > q.bits || !n.holds(q.hi, q.lo) {
+		if n.bits > q.bits || !n.holds(q.key) {
 			break
 		}
 		if f.nodes[i+1].off != n.off {
@@ -121,121 +71,142 @@ func (f *frozen) covering(q row, dst []uint32) []uint32 {
 		if n.bits == q.bits {
 			break
 		}
-		i = n.child[bitAt(q.hi, q.lo, n.bits)]
+		i = n.child[q.key.Bit(int(n.bits))]
 		ok = i != 0
 	}
 	return dst
 }
 
 // lookup returns the payloads at exactly the canonical prefix q; nil
-// when the base holds none there.
+// when the base holds none there. It is the last covering node, if that
+// one is q's own.
 func (f *frozen) lookup(q row) []payload {
-	i, ok := f.root(q.v6)
-	for ok {
-		n := &f.nodes[i]
-		if n.bits > q.bits || !n.holds(q.hi, q.lo) {
-			break
-		}
-		if n.bits == q.bits {
-			if pls := f.at(i); len(pls) > 0 {
-				return pls
-			}
-			break
-		}
-		i = n.child[bitAt(q.hi, q.lo, n.bits)]
-		ok = i != 0
+	var buf [8]uint32
+	c := f.covering(q, buf[:0])
+	if len(c) == 0 || f.nodes[c[len(c)-1]].bits != q.bits {
+		return nil
 	}
-	return nil
+	return f.at(c[len(c)-1])
 }
 
-// frozenFrom builds the base of rows in strict Compare order (no
-// repeats), held in one or more chunks, into arrays of exactly the size
-// it needs and nothing else of any size: no pointer tree on the way and
-// no copy of the rows. A first pass counts the prefixes and the
+// rowSource hands fn rows in strict Compare order (no repeats), the
+// same rows each time it is called. frozenOf reads it twice, the second
+// time with last set: a source may let go of what it has handed over
+// then.
+type rowSource func(last bool, fn func(row))
+
+// chunkRows is the source of rows held in chunks, releasing each chunk
+// on the last read.
+func chunkRows(chunks [][]row) rowSource {
+	return func(last bool, fn func(row)) {
+		for i, c := range chunks {
+			for _, r := range c {
+				fn(r)
+			}
+			if last {
+				chunks[i] = nil
+			}
+		}
+	}
+}
+
+// frozenFrom builds the base of rows held in one or more chunks.
+func frozenFrom(chunks [][]row) frozen { return frozenOf(chunkRows(chunks)) }
+
+// frozenOf builds the base of a source's rows into arrays of exactly the
+// size it needs and nothing else of any size: no pointer tree on the way
+// and no copy of the rows. A first read counts the prefixes and the
 // branch-only nodes the trie needs (shape). The second writes every
 // payload and, at the far end of the node array, every prefix's node in
-// order, releasing each chunk as it is read. The trie is then laid out
-// from the front of the same array in walk order (lay), each prefix's
-// node read before the write cursor can reach it.
-func frozenFrom(chunks [][]row) frozen {
-	n, prefixes, v4, glue := shape(chunks)
-	if n == 0 {
+// order. The trie is then laid out from the front of the same array in
+// walk order (lay), each prefix's node read before the write cursor can
+// reach it.
+func frozenOf(rows rowSource) frozen {
+	var sh shape
+	rows(false, sh.add)
+	if sh.n == 0 {
 		return frozen{}
 	}
 	f := frozen{
-		nodes:    make([]node, prefixes+glue+1),
-		payloads: make([]payload, n),
-		prefixes: prefixes,
+		nodes:    make([]node, sh.prefixes+sh.glue+1),
+		payloads: make([]payload, sh.n),
+		prefixes: sh.prefixes,
 	}
-	tail := glue // where the prefixes' nodes wait, in order
-	at := 0
-	var prev row
-	for i, c := range chunks {
-		for _, r := range c {
-			if at == 0 || !r.samePrefix(prev) {
-				f.nodes[tail] = node{hi: r.hi, lo: r.lo, off: uint32(at), bits: r.bits, v6: r.v6}
-				tail++
-			}
-			f.payloads[at] = payload{asn: r.asn, maxLen: r.maxLen}
-			at++
-			prev = r
-		}
-		chunks[i] = nil
-	}
-	f.nodes[len(f.nodes)-1] = node{off: uint32(n)}
+	w := filler{nodes: f.nodes, payloads: f.payloads, tail: sh.glue}
+	rows(true, w.add)
+	f.nodes[len(f.nodes)-1] = node{off: uint32(sh.n)}
 	l := layout{nodes: f.nodes}
-	if v4 > 0 {
-		l.lay(glue, glue+v4)
+	if sh.v4 > 0 {
+		l.lay(sh.glue, sh.glue+sh.v4)
 	}
 	f.v6 = l.next
-	if v4 < prefixes {
-		l.lay(glue+v4, glue+prefixes)
+	if sh.v4 < sh.prefixes {
+		l.lay(sh.glue+sh.v4, sh.glue+sh.prefixes)
 	}
 	return f
 }
 
-// shape counts what frozenFrom lays out from sorted rows: the rows, the
-// distinct prefixes and the IPv4 ones among them, and the branch-only
-// nodes a path-compressed trie over those prefixes needs. Walking the
-// prefixes in order, a prefix either lies inside the one before it or
-// branches away from it at their common length c; each branch point is
-// met exactly once that way (where the walk crosses from its 0 side to
-// its 1 side), and it needs a node of its own unless a prefix of length
-// c covers both — which then lies on the chain of prefixes covering the
-// one before.
-func shape(chunks [][]row) (n, prefixes, v4, glue int) {
-	var chain [129]uint8 // lengths of the prefixes covering the one in hand
-	depth := 0
-	var prev row
-	for _, c := range chunks {
-		for _, r := range c {
-			n++
-			if n > 1 && r.samePrefix(prev) {
-				continue
-			}
-			switch {
-			case n == 1:
-			case r.v6 != prev.v6:
-				depth = 0
-			default:
-				cl := commonLen(prev.hi, prev.lo, r.hi, r.lo, min(prev.bits, r.bits))
-				for depth > 0 && chain[depth-1] > cl {
-					depth--
-				}
-				if cl < prev.bits && (depth == 0 || chain[depth-1] != cl) {
-					glue++
-				}
-			}
-			chain[depth] = r.bits
-			depth++
-			prefixes++
-			if !r.v6 {
-				v4++
-			}
-			prev = r
+// shape counts what frozenOf lays out from sorted rows, one row at a
+// time: the rows, the distinct prefixes and the IPv4 ones among them,
+// and the branch-only nodes a path-compressed trie over those prefixes
+// needs. Walking the prefixes in order, a prefix either lies inside the
+// one before it or branches away from it at their common length c; each
+// branch point is met exactly once that way (where the walk crosses from
+// its 0 side to its 1 side), and it needs a node of its own unless a
+// prefix of length c covers both — which then lies on the chain of
+// prefixes covering the one before.
+type shape struct {
+	n, prefixes, v4, glue int
+	chain                 [129]uint8 // lengths of the prefixes covering the one in hand
+	depth                 int
+	prev                  row
+}
+
+func (s *shape) add(r row) {
+	s.n++
+	if s.n > 1 && r.samePrefix(s.prev) {
+		return
+	}
+	switch {
+	case s.n == 1:
+	case r.v6 != s.prev.v6:
+		s.depth = 0
+	default:
+		cl := uint8(radix.CommonBits(s.prev.key, r.key, int(min(s.prev.bits, r.bits))))
+		for s.depth > 0 && s.chain[s.depth-1] > cl {
+			s.depth--
+		}
+		if cl < s.prev.bits && (s.depth == 0 || s.chain[s.depth-1] != cl) {
+			s.glue++
 		}
 	}
-	return n, prefixes, v4, glue
+	s.chain[s.depth] = r.bits
+	s.depth++
+	s.prefixes++
+	if !r.v6 {
+		s.v4++
+	}
+	s.prev = r
+}
+
+// filler writes the rows into a base's arrays, one row at a time: every
+// payload, and each prefix's node at the far end of the node array
+// (from tail on), in order.
+type filler struct {
+	nodes    []node
+	payloads []payload
+	tail, at int
+	prev     row
+}
+
+func (w *filler) add(r row) {
+	if w.at == 0 || !r.samePrefix(w.prev) {
+		w.nodes[w.tail] = node{key: r.key, off: uint32(w.at), bits: r.bits, v6: r.v6}
+		w.tail++
+	}
+	w.payloads[w.at] = payload{asn: r.asn, maxLen: r.maxLen}
+	w.at++
+	w.prev = r
 }
 
 // layout writes a trie into a node array whose far end holds the
@@ -256,14 +227,14 @@ type layout struct {
 // than the trie needs have been laid while a prefix still waits.
 func (l *layout) lay(lo, hi int) uint32 {
 	first, last := l.nodes[lo], l.nodes[hi-1]
-	c := commonLen(first.hi, first.lo, last.hi, last.lo, min(first.bits, last.bits))
+	c := uint8(radix.CommonBits(first.key, last.key, int(min(first.bits, last.bits))))
 	n := first
 	if first.bits == c {
 		lo++
 	} else {
 		// A branch-only node: its payloads run to the next node's offset,
 		// which is its first prefix's, so it holds none.
-		n.hi, n.lo = maskKey(first.hi, first.lo, c)
+		n.key = first.key.Masked(int(c))
 		n.bits = c
 	}
 	at := l.next
@@ -276,7 +247,7 @@ func (l *layout) lay(lo, hi int) uint32 {
 	split, end := lo, hi
 	for split < end {
 		mid := int(uint(split+end) >> 1)
-		if bitAt(l.nodes[mid].hi, l.nodes[mid].lo, c) == 0 {
+		if l.nodes[mid].key.Bit(int(c)) == 0 {
 			split = mid + 1
 		} else {
 			end = mid

@@ -98,7 +98,7 @@ func frozenScript(t *testing.T, script []byte) {
 			t.Fatalf("node %d's 1 child is node %d", i, n.child[1])
 		}
 		if len(f.at(uint32(i))) == 0 && (n.child[0] == 0 || n.child[1] == 0) {
-			t.Fatalf("branch-only node %d (%v) does not branch", i, n.key().prefix())
+			t.Fatalf("branch-only node %d (%v) does not branch", i, n.row().prefix())
 		}
 	}
 	type entry struct {
@@ -112,7 +112,7 @@ func frozenScript(t *testing.T, script []byte) {
 	})
 	for i := 0; i+1 < len(f.nodes); i++ {
 		if pls := f.at(uint32(i)); len(pls) > 0 {
-			listed = append(listed, entry{f.nodes[i].key().prefix(), pls})
+			listed = append(listed, entry{f.nodes[i].row().prefix(), pls})
 		}
 	}
 	same := func(a, b entry) bool { return a.p == b.p && slices.Equal(a.pls, b.pls) }
@@ -133,7 +133,7 @@ func frozenScript(t *testing.T, script []byte) {
 			}
 			var got []entry
 			for _, i := range f.covering(keyOf(q), nil) {
-				got = append(got, entry{f.nodes[i].key().prefix(), f.at(i)})
+				got = append(got, entry{f.nodes[i].row().prefix(), f.at(i)})
 			}
 			if !slices.EqualFunc(got, want, same) {
 				t.Fatalf("covering(%v) = %v, the tree's %v", q, got, want)

@@ -2,20 +2,21 @@ package vrp
 
 import (
 	"cmp"
-	"encoding/binary"
 	"net/netip"
 	"slices"
+
+	"ripki/internal/radix"
 )
 
 // row is a checked VRP as a table is built from it: the prefix's
-// address left-aligned in two machine words, as a radix key holds it (an
-// IPv4 address fills the top half of hi), its family, its length, the
+// address as a radix key (left-aligned in two machine words, an IPv4
+// address in the top half of the first), its family, its length, the
 // maxLength and the ASN. It is 24 bytes with no pointer in it, where a
 // VRP is 48 with the address's zone pointer, so the collector never
 // scans a builder's chunks and compareRows orders rows on words, not
 // through netip.Addr.Compare.
 type row struct {
-	hi, lo       uint64
+	key          radix.Key
 	asn          uint32
 	v6           bool
 	bits, maxLen uint8
@@ -30,23 +31,15 @@ func rowOf(v VRP) row {
 
 // keyOf packs a canonical prefix into a row's prefix fields.
 func keyOf(p netip.Prefix) row {
-	r := row{bits: uint8(p.Bits())}
-	if a := p.Addr(); a.Is4() {
-		b := a.As4()
-		r.hi = uint64(binary.BigEndian.Uint32(b[:])) << 32
-	} else {
-		b := a.As16()
-		r.hi, r.lo, r.v6 = binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:]), true
-	}
-	return r
+	return row{key: radix.KeyOf(p.Addr()), v6: !p.Addr().Is4(), bits: uint8(p.Bits())}
 }
 
 // prefix rebuilds the row's canonical prefix in its own family.
-func (r row) prefix() netip.Prefix { return prefixOf(r.hi, r.lo, r.v6, r.bits) }
+func (r row) prefix() netip.Prefix { return r.key.Prefix(!r.v6, int(r.bits)) }
 
 // samePrefix reports whether two rows are at one prefix.
 func (r row) samePrefix(s row) bool {
-	return r.hi == s.hi && r.lo == s.lo && r.v6 == s.v6 && r.bits == s.bits
+	return r.key == s.key && r.v6 == s.v6 && r.bits == s.bits
 }
 
 // compareRows is Compare on rows: IPv4 first, then address, prefix
@@ -69,10 +62,10 @@ func compareKeys(a, b row) int {
 		}
 		return -1
 	}
-	if c := cmp.Compare(a.hi, b.hi); c != 0 {
+	if c := cmp.Compare(a.key.Hi, b.key.Hi); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.lo, b.lo); c != 0 {
+	if c := cmp.Compare(a.key.Lo, b.key.Lo); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.bits, b.bits)

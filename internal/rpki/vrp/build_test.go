@@ -282,7 +282,7 @@ func oneArray(t *testing.T, what string, s *Set) {
 	var end, prev uintptr
 	var last row
 	for i := range max(len(s.base.nodes)-1, 0) {
-		k := s.base.nodes[i].key()
+		k := s.base.nodes[i].row()
 		if i > 0 && compareKeys(last, k) >= 0 {
 			t.Errorf("%s: node %d (%v) does not come after %v", what, i, k.prefix(), last.prefix())
 			return

@@ -3,9 +3,11 @@ package vrp
 import (
 	"math/rand"
 	"net/netip"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"ripki/internal/netutil"
 )
@@ -299,8 +301,9 @@ func TestDiffMatchesOracle(t *testing.T) {
 // no overlay entry behind, removing a prefix's last VRP from the base
 // leaves a tombstone that hides it, and the writer that takes the
 // overlay past its share of the base folds it into a new base in that
-// same write — not before — while an index frozen earlier keeps its
-// base and overlay, and a set that stays under the floor never compacts.
+// same write — not before — allocating the new base's two arrays and no
+// copy of the table's rows, while an index frozen earlier keeps its base
+// and overlay, and a set that stays under the floor never compacts.
 func TestOverlayHoldsOnlyTheDifference(t *testing.T) {
 	rnd := rand.New(rand.NewSource(29))
 	vs := validatorVRPs(2 * compactShare * compactFloor)
@@ -342,11 +345,22 @@ func TestOverlayHoldsOnlyTheDifference(t *testing.T) {
 		}
 	}
 	want := set.All()
-	if err := set.Add(VRP{Prefix: netutil.MustPrefix("241.0.0.0/24"), MaxLength: 24, ASN: 7}); err != nil {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = set.Add(VRP{Prefix: netutil.MustPrefix("241.0.0.0/24"), MaxLength: 24, ASN: 7})
+	runtime.ReadMemStats(&after)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if set.Compactions() != 1 || set.over.Len() != 0 {
 		t.Fatalf("after the write that crossed the line: %d compactions, %d overlay entries", set.Compactions(), set.over.Len())
+	}
+	// Beyond the arrays, each rounded up to whole 8 KiB pages: the
+	// write's own path copy and the builder's state. A copy of the rows
+	// would be 24 bytes a VRP.
+	need := int64(len(set.base.nodes))*int64(unsafe.Sizeof(node{})) + int64(set.Len())*int64(unsafe.Sizeof(payload{}))
+	if got, slack := int64(after.TotalAlloc-before.TotalAlloc), int64(2*8<<10+16<<10); got > need+slack {
+		t.Errorf("the compacting write allocated %d bytes for %d of nodes and payloads, want at most %d more", got, need, slack)
 	}
 	want = append(want, VRP{Prefix: netutil.MustPrefix("241.0.0.0/24"), MaxLength: 24, ASN: 7})
 	slices.SortFunc(want, Compare)

@@ -48,7 +48,7 @@
 // merges the two, the overlay winning at a prefix: covering lists by
 // prefix length, listings (All, Prefixes, Diff) in Compare order. A
 // NewSet has an empty base, so a set built VRP by VRP is overlay alone.
-// The write that takes the overlay past an eighth of the base's
+// The write that takes the overlay past a thirty-second of the base's
 // prefixes, once it holds more than a floor that a simulated relying
 // party's set never reaches, rebuilds the base from the table as it
 // stands and empties the overlay (compact) — on the writer, inside that
