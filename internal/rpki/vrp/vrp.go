@@ -50,7 +50,7 @@
 // NewSet has an empty base, so a set built VRP by VRP is overlay alone.
 // The write that takes the overlay past a thirty-second of the base's
 // prefixes, once it holds more than a floor that a simulated relying
-// party's set never reaches, rebuilds the base from the table as it
+// party's set stays far below, rebuilds the base from the table as it
 // stands and empties the overlay (compact) — on the writer, inside that
 // write, never on a reader.
 //
