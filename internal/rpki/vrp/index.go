@@ -37,12 +37,12 @@ func loaded(f frozen) table { return table{base: f, count: len(f.payloads)} }
 // more than compactFloor. The overlay is what the collector still marks,
 // about 0.22 ms a collection per thousand prefixes on the repository
 // benchmark's 300 000-VRP table, against 0.2 ms for the base alone;
-// rebuilding that base takes about 90 ms. At a thirty-second share the
-// overlay stays under 2 ms of marking and a write pays about 10 µs of
+// rebuilding that base takes about 80 ms. At a thirty-second share the
+// overlay stays under 2 ms of marking and a write pays about 9 µs of
 // compaction on average, which is the better trade until a table
 // changes hundreds of prefixes a second (an eighth let the overlay reach
-// 8–9 ms). The floor spares a small table, whose overlay marks in under
-// a millisecond anyway, any compaction: a simulated relying party's set
+// 8–9 ms). The floor spares a small table, whose overlay marks in about a
+// millisecond at most, any compaction: a simulated relying party's set
 // peaks below a thousand prefixes in the benchmark's sweeps.
 const (
 	compactFloor = 4096
