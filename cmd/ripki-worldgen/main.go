@@ -1,20 +1,18 @@
 // Command ripki-worldgen generates a synthetic web ecosystem and writes
-// its artifacts to disk in the formats the real study consumed:
+// the two artifacts the other commands read back:
 //
-//	alexa.csv       ranked domain list ("rank,domain")
-//	rib.mrt         collector routing table (MRT TABLE_DUMP_V2)
-//	vrps.csv        validated ROA payloads ("prefix,maxLength,ASN")
-//	asregistry.tsv  AS assignment list for keyword spotting
-//	zones.tsv       every DNS record ("name type value"; with -zones)
+//	vrps.csv   validated ROA payloads ("prefix,maxLength,ASN"), read by
+//	           ripki-rtrd -vrps, ripki-served -vrps and ripki-validate -vrps
+//	zones.tsv  every DNS record ("name type value"; with -zones), read by
+//	           ripki-dnsd -zones
 //
-// Two of them are read back: vrps.csv by ripki-rtrd -vrps, ripki-served
-// -vrps and ripki-validate -vrps, and zones.tsv by ripki-dnsd -zones.
-// The other three are written for inspection and pinned byte for byte;
-// a tool that takes -seed/-domains regenerates the same world instead.
+// The ranked list, the collector table and the AS registry are not
+// written: a tool that takes -seed/-domains regenerates the same world.
+// The writers for them (alexa.csv, an MRT TABLE_DUMP_V2 rib.mrt and
+// asregistry.tsv) are in git history at commit 57822a8.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"log"
@@ -59,24 +57,11 @@ func main() {
 		fmt.Printf("wrote %s\n", path)
 	}
 
-	write("alexa.csv", func(f *os.File) error { return w.List.WriteCSV(f) })
-	write("rib.mrt", func(f *os.File) error {
-		// Stamped when the world's objects were issued.
-		return w.RIB.DumpMRT(f, w.RIB.Peers()[0].BGPID, "rrc-ripki", w.Repo.Clock)
-	})
 	res := w.Repo.Validate(w.MeasureTime())
 	if len(res.Problems) != 0 {
 		log.Fatalf("RPKI validation produced %d problems; first: %v", len(res.Problems), res.Problems[0])
 	}
 	write("vrps.csv", func(f *os.File) error { return res.VRPs.WriteCSV(f) })
-	write("asregistry.tsv", func(f *os.File) error {
-		bw := bufio.NewWriter(f)
-		fmt.Fprintln(bw, "asn\tname\torg")
-		for _, e := range w.ASRegistry {
-			fmt.Fprintf(bw, "%d\t%s\t%s\n", e.ASN, e.Name, e.Org)
-		}
-		return bw.Flush()
-	})
 	if *zones {
 		write("zones.tsv", func(f *os.File) error { return w.Registry.WriteZoneTSV(f) })
 	}

@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"net/netip"
 	"os"
 
 	"ripki"
@@ -53,6 +54,12 @@ func main() {
 	// network": for each CDN-hosted domain with coverage, check who owns
 	// the covered prefixes.
 	resolver := dns.RegistryResolver{Registry: study.World.Registry}
+	owner := make(map[netip.Prefix]*webworld.Org)
+	for _, o := range study.World.Orgs {
+		for _, p := range o.Prefixes {
+			owner[p] = o
+		}
+	}
 	covered, viaThirdParty := 0, 0
 	var inside []string // domains covered inside their CDN's own network
 	for i := range study.Dataset.Results {
@@ -71,7 +78,7 @@ func main() {
 				if study.VRPs.Validate(po.Prefix, po.Origin) == vrp.NotFound {
 					continue
 				}
-				org := study.World.OrgOfPrefix(po.Prefix)
+				org := owner[po.Prefix]
 				switch {
 				case org == nil:
 				case org.Kind == webworld.KindISP:

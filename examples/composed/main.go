@@ -29,6 +29,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"ripki/internal/sim"
@@ -64,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("== composition ==\n%s\n%s\n\n", sc.Name(), sc.Description())
+	fmt.Printf("== composition ==\n%s\ncomposition: %s event streams in one world\n\n", sc.Name(), strings.Join(sc.Components(), " + "))
 
 	run, err := sim.New(cfg)
 	if err != nil {

@@ -42,7 +42,7 @@ func main() {
 
 	victimPrefix := netutil.MustPrefix("203.0.112.0/22")
 	hijackPrefix := netutil.MustPrefix("203.0.112.0/24")
-	userAddr := netutil.MustAddr("203.0.112.80") // a visitor hits the website here
+	userAddr := netip.MustParseAddr("203.0.112.80") // a visitor hits the website here
 
 	// --- 1. The content owner creates a ROA. ---------------------------
 	clock := time.Now().Add(-time.Hour)
@@ -57,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := rpki.AddROA(owner, victimAS, []roa.Prefix{{Prefix: victimPrefix, MaxLength: victimPrefix.Bits()}}); err != nil {
+	if _, err := rpki.AddROAs(owner, []repo.ROASpec{{ASID: victimAS, Prefixes: []roa.Prefix{{Prefix: victimPrefix, MaxLength: victimPrefix.Bits()}}}}); err != nil {
 		log.Fatal(err)
 	}
 	result := rpki.Validate(time.Now())
@@ -87,16 +87,16 @@ func main() {
 
 	// --- 3. Announcements arrive. ---------------------------------------
 	legitimate := bgp.RouteEvent{
-		PeerAS: 3333, PeerID: netutil.MustAddr("10.0.0.1"),
+		PeerAS: 3333, PeerID: netip.MustParseAddr("10.0.0.1"),
 		Prefix:  victimPrefix,
 		Path:    []bgp.Segment{{Type: bgp.SegmentSequence, ASNs: []uint32{3333, victimAS}}},
-		NextHop: netutil.MustAddr("10.0.0.1"),
+		NextHop: netip.MustParseAddr("10.0.0.1"),
 	}
 	hijack := bgp.RouteEvent{
-		PeerAS: 3333, PeerID: netutil.MustAddr("10.0.0.1"),
+		PeerAS: 3333, PeerID: netip.MustParseAddr("10.0.0.1"),
 		Prefix:  hijackPrefix,
 		Path:    []bgp.Segment{{Type: bgp.SegmentSequence, ASNs: []uint32{3333, attackerAS}}},
-		NextHop: netutil.MustAddr("10.0.0.66"),
+		NextHop: netip.MustParseAddr("10.0.0.66"),
 	}
 	for _, r := range []*router.Router{protected, unprotected} {
 		for _, ev := range []bgp.RouteEvent{legitimate, hijack} {
@@ -104,8 +104,10 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
+			// The route is in use when the router now forwards its
+			// prefix over it.
 			verdict := "accepted"
-			if !d.Accepted {
+			if best, _ := r.Forward(ev.Prefix.Addr()); best.Prefix != ev.Prefix {
 				verdict = "REJECTED"
 			}
 			fmt.Printf("%s: %v from AS%d -> %s (%s)\n", r, ev.Prefix, ev.Path[0].ASNs[1], d.State, verdict)
@@ -114,8 +116,7 @@ func main() {
 
 	// Where does user traffic for the website go now?
 	show := func(name string, r *router.Router) {
-		pairs := r.Table().OriginPairs(userAddr)
-		best := pairs[len(pairs)-1]
+		best, _ := r.Forward(userAddr)
 		owner := "the website (AS64500)"
 		if best.Origin == attackerAS {
 			owner = "THE ATTACKER (AS64666)"

@@ -1,13 +1,16 @@
-// Origin validation walks the full relying-party chain over real
-// sockets, the way a network operator would deploy it:
+// Origin validation walks the full relying-party chain, the way a
+// network operator would deploy it, with the VRPs carried over a real
+// RTR session:
 //
 //	RPKI repository ──validate──▶ VRPs ──RTR/TCP──▶ router
 //	                                                  │
-//	web visitor ──DNS/UDP──▶ resolver ──▶ IP ─────────┴─▶ valid/invalid/not found
+//	web visitor ──▶ resolver ──▶ IP ──────────────────┴─▶ valid/invalid/not found
 //
 // A synthetic world provides the repository, the zones, and the routing
-// table; everything in between (DNS wire format, RTR wire format,
-// RFC 6811 validation) is the real protocol machinery.
+// table. The names resolve in process against the world's zones, as the
+// commands resolve them (ripki-dnsd serves the same zones over UDP);
+// the RTR wire format and RFC 6811 validation are the real protocol
+// machinery.
 //
 //	go run ./examples/originvalidation
 package main
@@ -55,21 +58,14 @@ func main() {
 	vrps := rc.Set()
 	fmt.Printf("router: synced %d VRPs over RTR from %s\n", vrps.Len(), rtrLn.Addr())
 
-	// Resolver: serve the world's zones over UDP, query like a client.
-	udp, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	dnsSrv := dns.NewServer(world.Registry)
-	go dnsSrv.Serve(udp)
-	defer dnsSrv.Close()
-	client := dns.NewClient(udp.LocalAddr().String())
+	// Resolver: the world's zones, in process.
+	resolver := dns.RegistryResolver{Registry: world.Registry}
 
 	// Validate the web presence of a handful of domains through the
 	// whole chain.
-	for _, e := range world.List.Top(8).Entries() {
+	for _, e := range world.List.Entries()[:8] {
 		for _, name := range []string{"www." + e.Domain, e.Domain} {
-			res, err := client.LookupWeb(name)
+			res, err := resolver.LookupWeb(name)
 			if err != nil {
 				log.Fatal(err)
 			}

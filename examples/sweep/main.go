@@ -55,7 +55,11 @@ func main() {
 	// many replicates per cell — a replicates=10000 version of this grid —
 	// and at 4 it only shows the option (neither mode keeps a run's series
 	// past its fold, and a finished cell holds its aggregate in both).
-	res, err := sweep.Run(context.Background(), grid, sweep.Options{
+	plan, err := grid.Plan()
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := sweep.RunPlan(context.Background(), plan, sweep.Options{
 		ShareWorlds: true,
 		Streaming:   true,
 		Progress: func(done, total int, rr *sweep.RunResult) {

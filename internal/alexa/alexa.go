@@ -1,16 +1,10 @@
-// Package alexa handles ranked website lists in the format of the Alexa
-// "Top 1M Sites" CSV: one "rank,domain" pair per line, rank starting at
+// Package alexa holds ranked website lists as the Alexa "Top 1M Sites"
+// list ranks them: one (rank, domain) pair a site, rank starting at
 // one. The paper's methodology step (1) selects its sample set from this
-// list; ripki-worldgen writes the synthetic one as alexa.csv, which no
-// command reads back.
+// list; the synthetic world builds one in memory.
 package alexa
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"strings"
-)
+import "strings"
 
 // Entry is one ranked domain.
 type Entry struct {
@@ -50,23 +44,3 @@ func (l *List) Len() int { return len(l.entries) }
 
 // Entries returns the underlying slice (not a copy; treat as read-only).
 func (l *List) Entries() []Entry { return l.entries }
-
-// Top returns a new list containing the first n entries (or all, if
-// fewer).
-func (l *List) Top(n int) *List {
-	if n > len(l.entries) {
-		n = len(l.entries)
-	}
-	return &List{entries: l.entries[:n]}
-}
-
-// WriteCSV emits the list in "rank,domain" form.
-func (l *List) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range l.entries {
-		if _, err := fmt.Fprintf(bw, "%d,%s\n", e.Rank, e.Domain); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

@@ -53,7 +53,11 @@ func render(t *testing.T, res *sweep.Result) (tsv, js []byte) {
 // topology must reproduce.
 func reference(t *testing.T, g sweep.Grid, streaming bool) (tsv, js []byte) {
 	t.Helper()
-	res, err := sweep.Run(context.Background(), g, sweep.Options{Workers: 2, ShareWorlds: true, Streaming: streaming})
+	plan, err := g.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sweep.RunPlan(context.Background(), plan, sweep.Options{Workers: 2, ShareWorlds: true, Streaming: streaming})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,47 @@ import (
 )
 
 // lookupWebOracle is RegistryResolver.LookupWeb as it was before the
-// one-walk kernel: two Registry.Query calls merged by lookupWeb, the
-// path the wire client still takes.
+// one-walk kernel: two Registry.Query calls merged by lookupWeb.
 func lookupWebOracle(reg *Registry, name string) (Result, error) {
 	return lookupWeb(name, func(q Question) ([]RR, uint8, error) {
 		ans, rcode := reg.Query(q)
 		return ans, rcode, nil
 	})
+}
+
+// lookupWeb merges an A and an AAAA query made through query: the
+// two-query path RegistryResolver's one walk is tested against.
+func lookupWeb(name string, query func(Question) ([]RR, uint8, error)) (Result, error) {
+	res := Result{Name: CanonicalName(name)}
+	nx := 0
+	for _, typ := range []uint16{TypeA, TypeAAAA} {
+		answers, rcode, err := query(Question{Name: name, Type: typ, Class: ClassINET})
+		if err != nil {
+			return res, err
+		}
+		if rcode == RCodeNameError {
+			nx++
+			continue
+		}
+		if rcode != RCodeSuccess {
+			return res, fmt.Errorf("dns: lookup %q type %d: rcode %d", name, typ, rcode)
+		}
+		var chain []string
+		for _, rr := range answers {
+			switch rr.Type {
+			case TypeCNAME:
+				chain = append(chain, rr.Target)
+			case TypeA, TypeAAAA:
+				res.Addrs = append(res.Addrs, rr.Addr)
+			}
+		}
+		// Both queries traverse the same chain; keep the longer one.
+		if len(chain) > len(res.Chain) {
+			res.Chain = chain
+		}
+	}
+	res.NXDomain = nx == 2
+	return res, nil
 }
 
 // randomWebRegistry fills a registry from a small pool of owner names so

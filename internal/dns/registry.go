@@ -438,9 +438,9 @@ func (r *Registry) Resolve(name string, typ uint16) (answers []RR, rcode uint8) 
 	return answers, RCodeSuccess
 }
 
-// resolveWeb is the combined A + AAAA lookup of name — exactly what
-// lookupWeb makes of Resolve(name, TypeA) then Resolve(name, TypeAAAA) —
-// as one walk under one read lock. res is reset first, keeping the
+// resolveWeb is the combined A + AAAA lookup of name — exactly what the
+// test oracle lookupWeb makes of Resolve(name, TypeA) then
+// Resolve(name, TypeAAAA) — as one walk under one read lock. res is reset first, keeping the
 // arrays behind Addrs and Chain to append into. Both queries follow the
 // same CNAMEs from name and each stops at the first owner holding its
 // type, so the walk goes on until both have, and the CNAMEs it crossed

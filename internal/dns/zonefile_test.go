@@ -2,18 +2,17 @@ package dns
 
 import (
 	"bytes"
+	"net/netip"
 	"strings"
 	"testing"
-
-	"ripki/internal/netutil"
 )
 
 func TestZoneTSVRoundTrip(t *testing.T) {
 	reg := NewRegistry()
-	reg.Add(RR{Name: "example.com", Type: TypeA, TTL: 60, Addr: netutil.MustAddr("198.51.100.10")})
-	reg.Add(RR{Name: "example.com", Type: TypeAAAA, TTL: 60, Addr: netutil.MustAddr("2001:db8::1")})
+	reg.Add(RR{Name: "example.com", Type: TypeA, TTL: 60, Addr: netip.MustParseAddr("198.51.100.10")})
+	reg.Add(RR{Name: "example.com", Type: TypeAAAA, TTL: 60, Addr: netip.MustParseAddr("2001:db8::1")})
 	reg.AddCNAME("www.example.com", "edge.cdn.wld", 300)
-	reg.Add(RR{Name: "edge.cdn.wld", Type: TypeA, TTL: 30, Addr: netutil.MustAddr("203.0.113.5")})
+	reg.Add(RR{Name: "edge.cdn.wld", Type: TypeA, TTL: 30, Addr: netip.MustParseAddr("203.0.113.5")})
 	reg.Add(RR{Name: "signed.example", Type: TypeDNSKEY, TTL: 3600, Data: &RData{DNSKEY: &DNSKEYData{Flags: 257, Protocol: 3, Algorithm: 8, PublicKey: []byte{1, 2, 3, 4}}}})
 
 	var buf bytes.Buffer
@@ -31,7 +30,7 @@ func TestZoneTSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CNAMECount() != 1 || len(res.Addrs) != 1 || res.Addrs[0] != netutil.MustAddr("203.0.113.5") {
+	if res.CNAMECount() != 1 || len(res.Addrs) != 1 || res.Addrs[0] != netip.MustParseAddr("203.0.113.5") {
 		t.Errorf("reloaded resolution: %+v", res)
 	}
 	signed, err := (RegistryResolver{Registry: got}).HasDNSKEY("signed.example")

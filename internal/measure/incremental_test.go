@@ -9,7 +9,6 @@ import (
 	"ripki/internal/bgp"
 	"ripki/internal/dns"
 	"ripki/internal/httparchive"
-	"ripki/internal/mrt"
 	"ripki/internal/netutil"
 	"ripki/internal/rib"
 	"ripki/internal/rpki/vrp"
@@ -57,15 +56,15 @@ func TestIncrementalTinyUniverse(t *testing.T) {
 	reg := f.cfg.Resolver.(dns.RegistryResolver).Registry
 	reg.SetMutationHook(inc.DirtyHost)
 	defer reg.SetMutationHook(nil)
-	reg.Add(dns.RR{Name: "ghost.example", Type: dns.TypeA, TTL: 60, Addr: netutil.MustAddr("193.0.6.99")})
+	reg.Add(dns.RR{Name: "ghost.example", Type: dns.TypeA, TTL: 60, Addr: netip.MustParseAddr("193.0.6.99")})
 	check("nxdomain resurrect")
 
 	// dark.example gets routed: an address recorded as unreachable gains
 	// a covering route. RIB mutations have no index: DirtyAll.
-	pk := f.cfg.RIB.AddPeer(mrt.Peer{BGPID: netutil.MustAddr("10.0.0.2"), Addr: netutil.MustAddr("10.0.0.2"), ASN: 200})
+	pk := f.cfg.RIB.AddPeer(rib.Peer{BGPID: netip.MustParseAddr("10.0.0.2"), Addr: netip.MustParseAddr("10.0.0.2"), ASN: 200})
 	if err := f.cfg.RIB.Insert(rib.Route{
 		Prefix: netutil.MustPrefix("203.0.112.0/24"), PeerIndex: pk,
-		Path: []ribSegment{{Type: 2, ASNs: []uint32{200, 64999}}}, NextHop: netutil.MustAddr("10.0.0.2"),
+		Path: []ribSegment{{Type: 2, ASNs: []uint32{200, 64999}}}, NextHop: netip.MustParseAddr("10.0.0.2"),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +72,7 @@ func TestIncrementalTinyUniverse(t *testing.T) {
 	check("route appears")
 
 	// ...and unrouted again.
-	f.cfg.RIB.WithdrawEvent(bgp.RouteEvent{PeerAS: 200, PeerID: netutil.MustAddr("10.0.0.2"), Prefix: netutil.MustPrefix("203.0.112.0/24"), Withdraw: true})
+	f.cfg.RIB.WithdrawEvent(bgp.RouteEvent{PeerAS: 200, PeerID: netip.MustParseAddr("10.0.0.2"), Prefix: netutil.MustPrefix("203.0.112.0/24"), Withdraw: true})
 	inc.DirtyAll()
 	check("route withdrawn")
 
@@ -135,7 +134,7 @@ func runInterleaving(t *testing.T, w *webworld.World, seed int64) {
 	rnd := rand.New(rand.NewSource(seed))
 	routed := w.RoutedV4Prefixes()
 	entries := w.List.Entries()
-	pk := w.RIB.AddPeer(mrt.Peer{BGPID: netutil.MustAddr("10.9.9.9"), Addr: netutil.MustAddr("10.9.9.9"), ASN: 65000})
+	pk := w.RIB.AddPeer(rib.Peer{BGPID: netip.MustParseAddr("10.9.9.9"), Addr: netip.MustParseAddr("10.9.9.9"), ASN: 65000})
 	leaked := map[netip.Prefix]bool{}
 
 	ops := []func(){
@@ -163,10 +162,10 @@ func runInterleaving(t *testing.T, w *webworld.World, seed int64) {
 			}
 			more := netip.PrefixFrom(base.Addr(), base.Bits()+1).Masked()
 			if leaked[more] {
-				w.RIB.WithdrawEvent(bgp.RouteEvent{PeerAS: 65000, PeerID: netutil.MustAddr("10.9.9.9"), Prefix: more, Withdraw: true})
+				w.RIB.WithdrawEvent(bgp.RouteEvent{PeerAS: 65000, PeerID: netip.MustParseAddr("10.9.9.9"), Prefix: more, Withdraw: true})
 			} else if err := w.RIB.Insert(rib.Route{
 				Prefix: more, PeerIndex: pk,
-				Path: []ribSegment{{Type: 2, ASNs: []uint32{65000, 64666}}}, NextHop: netutil.MustAddr("10.9.9.9"),
+				Path: []ribSegment{{Type: 2, ASNs: []uint32{65000, 64666}}}, NextHop: netip.MustParseAddr("10.9.9.9"),
 			}); err != nil {
 				t.Fatal(err)
 			}

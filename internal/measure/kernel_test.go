@@ -9,7 +9,6 @@ import (
 
 	"ripki/internal/bgp"
 	"ripki/internal/dns"
-	"ripki/internal/mrt"
 	"ripki/internal/netutil"
 	"ripki/internal/rib"
 	"ripki/internal/rpki/vrp"
@@ -118,13 +117,13 @@ func TestMeasureVariantMatchesOracle(t *testing.T) {
 	entries := w.List.Entries()
 
 	// An AS_SET-only announcement over space nothing else routes.
-	asSetOnly := netutil.MustAddr("45.77.1.10")
+	asSetOnly := netip.MustParseAddr("45.77.1.10")
 	if netutil.IsSpecialPurpose(asSetOnly) || w.RIB.Reachable(asSetOnly) {
 		t.Fatalf("%v is not free public space in this world", asSetOnly)
 	}
-	pk := w.RIB.AddPeer(mrt.Peer{BGPID: netutil.MustAddr("10.9.9.9"), Addr: netutil.MustAddr("10.9.9.9"), ASN: 65000})
+	pk := w.RIB.AddPeer(rib.Peer{BGPID: netip.MustParseAddr("10.9.9.9"), Addr: netip.MustParseAddr("10.9.9.9"), ASN: 65000})
 	if err := w.RIB.Insert(rib.Route{
-		Prefix: netutil.MustPrefix("45.77.0.0/16"), PeerIndex: pk, NextHop: netutil.MustAddr("10.9.9.9"),
+		Prefix: netutil.MustPrefix("45.77.0.0/16"), PeerIndex: pk, NextHop: netip.MustParseAddr("10.9.9.9"),
 		Path: []bgp.Segment{
 			{Type: bgp.SegmentSequence, ASNs: []uint32{65000}},
 			{Type: bgp.SegmentSet, ASNs: []uint32{64700, 64701}},
@@ -145,7 +144,7 @@ func TestMeasureVariantMatchesOracle(t *testing.T) {
 		w.Registry.Remove(name, dns.TypeCNAME)
 		w.Registry.Add(dns.RR{Name: name, Type: dns.TypeA, TTL: 60, Addr: asSetOnly})
 	}
-	w.Registry.Add(dns.RR{Name: mixed, Type: dns.TypeA, TTL: 60, Addr: netutil.MustAddr("127.0.0.9")})
+	w.Registry.Add(dns.RR{Name: mixed, Type: dns.TypeA, TTL: 60, Addr: netip.MustParseAddr("127.0.0.9")})
 	for _, from := range []string{entries[5].Domain, entries[5000].Domain} {
 		for _, a := range answer(from) {
 			if a.Is4() {

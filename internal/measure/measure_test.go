@@ -2,6 +2,7 @@ package measure
 
 import (
 	"math"
+	"net/netip"
 	"slices"
 	"strings"
 	"testing"
@@ -10,7 +11,6 @@ import (
 	"ripki/internal/bgp"
 	"ripki/internal/dns"
 	"ripki/internal/httparchive"
-	"ripki/internal/mrt"
 	"ripki/internal/netutil"
 	"ripki/internal/rib"
 	"ripki/internal/rpki/vrp"
@@ -29,7 +29,7 @@ func newTinyFixture(t *testing.T) *tinyFixture {
 	t.Helper()
 	reg := dns.NewRegistry()
 	table := rib.New()
-	p0 := table.AddPeer(mrt.Peer{BGPID: netutil.MustAddr("10.0.0.1"), Addr: netutil.MustAddr("10.0.0.1"), ASN: 100})
+	p0 := table.AddPeer(rib.Peer{BGPID: netip.MustParseAddr("10.0.0.1"), Addr: netip.MustParseAddr("10.0.0.1"), ASN: 100})
 	vrps := vrp.NewSet()
 
 	seq := func(asns ...uint32) []ribSegment {
@@ -38,44 +38,44 @@ func newTinyFixture(t *testing.T) *tinyFixture {
 	insert := func(prefix string, origin uint32) {
 		if err := table.Insert(rib.Route{
 			Prefix: netutil.MustPrefix(prefix), PeerIndex: p0,
-			Path: seq(100, origin), NextHop: netutil.MustAddr("10.0.0.1"),
+			Path: seq(100, origin), NextHop: netip.MustParseAddr("10.0.0.1"),
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	// secure.example: one address, covered and valid.
-	reg.Add(dns.RR{Name: "secure.example", Type: dns.TypeA, TTL: 60, Addr: netutil.MustAddr("193.0.6.10")})
-	reg.Add(dns.RR{Name: "www.secure.example", Type: dns.TypeA, TTL: 60, Addr: netutil.MustAddr("193.0.6.10")})
+	reg.Add(dns.RR{Name: "secure.example", Type: dns.TypeA, TTL: 60, Addr: netip.MustParseAddr("193.0.6.10")})
+	reg.Add(dns.RR{Name: "www.secure.example", Type: dns.TypeA, TTL: 60, Addr: netip.MustParseAddr("193.0.6.10")})
 	insert("193.0.6.0/24", 3333)
 	vrps.Add(vrp.VRP{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24, ASN: 3333})
 
 	// hijacked.example: covered, wrong origin → invalid.
-	reg.Add(dns.RR{Name: "hijacked.example", Type: dns.TypeA, TTL: 60, Addr: netutil.MustAddr("198.51.0.10")})
-	reg.Add(dns.RR{Name: "www.hijacked.example", Type: dns.TypeA, TTL: 60, Addr: netutil.MustAddr("198.51.0.10")})
+	reg.Add(dns.RR{Name: "hijacked.example", Type: dns.TypeA, TTL: 60, Addr: netip.MustParseAddr("198.51.0.10")})
+	reg.Add(dns.RR{Name: "www.hijacked.example", Type: dns.TypeA, TTL: 60, Addr: netip.MustParseAddr("198.51.0.10")})
 	insert("198.51.0.0/16", 666)
 	vrps.Add(vrp.VRP{Prefix: netutil.MustPrefix("198.51.0.0/16"), MaxLength: 16, ASN: 3333})
 
 	// plain.example: routed, not covered.
-	reg.Add(dns.RR{Name: "plain.example", Type: dns.TypeA, TTL: 60, Addr: netutil.MustAddr("203.0.114.10")})
-	reg.Add(dns.RR{Name: "www.plain.example", Type: dns.TypeA, TTL: 60, Addr: netutil.MustAddr("203.0.114.10")})
+	reg.Add(dns.RR{Name: "plain.example", Type: dns.TypeA, TTL: 60, Addr: netip.MustParseAddr("203.0.114.10")})
+	reg.Add(dns.RR{Name: "www.plain.example", Type: dns.TypeA, TTL: 60, Addr: netip.MustParseAddr("203.0.114.10")})
 	insert("203.0.114.0/24", 64500)
 
 	// cdnstyle.example: www via 2 CNAMEs to a different prefix; apex
 	// separate → unequal prefix sets, CDN by chain.
-	reg.Add(dns.RR{Name: "cdnstyle.example", Type: dns.TypeA, TTL: 60, Addr: netutil.MustAddr("203.0.114.20")})
+	reg.Add(dns.RR{Name: "cdnstyle.example", Type: dns.TypeA, TTL: 60, Addr: netip.MustParseAddr("203.0.114.20")})
 	reg.Add(dns.RR{Name: "www.cdnstyle.example", Type: dns.TypeCNAME, TTL: 60, Target: "cust.fastcdn.wld"})
 	reg.Add(dns.RR{Name: "cust.fastcdn.wld", Type: dns.TypeCNAME, TTL: 60, Target: "e1.a.fastcdn.wld"})
-	reg.Add(dns.RR{Name: "e1.a.fastcdn.wld", Type: dns.TypeA, TTL: 30, Addr: netutil.MustAddr("151.101.1.10")})
+	reg.Add(dns.RR{Name: "e1.a.fastcdn.wld", Type: dns.TypeA, TTL: 30, Addr: netip.MustParseAddr("151.101.1.10")})
 	insert("151.101.0.0/16", 54113)
 
 	// bogus.example: only special-purpose answers → excluded.
-	reg.Add(dns.RR{Name: "bogus.example", Type: dns.TypeA, TTL: 60, Addr: netutil.MustAddr("127.0.0.1")})
-	reg.Add(dns.RR{Name: "www.bogus.example", Type: dns.TypeA, TTL: 60, Addr: netutil.MustAddr("10.1.2.3")})
+	reg.Add(dns.RR{Name: "bogus.example", Type: dns.TypeA, TTL: 60, Addr: netip.MustParseAddr("127.0.0.1")})
+	reg.Add(dns.RR{Name: "www.bogus.example", Type: dns.TypeA, TTL: 60, Addr: netip.MustParseAddr("10.1.2.3")})
 
 	// dark.example: resolves to un-announced public space → unreachable.
-	reg.Add(dns.RR{Name: "dark.example", Type: dns.TypeA, TTL: 60, Addr: netutil.MustAddr("203.0.112.10")})
-	reg.Add(dns.RR{Name: "www.dark.example", Type: dns.TypeA, TTL: 60, Addr: netutil.MustAddr("203.0.112.10")})
+	reg.Add(dns.RR{Name: "dark.example", Type: dns.TypeA, TTL: 60, Addr: netip.MustParseAddr("203.0.112.10")})
+	reg.Add(dns.RR{Name: "www.dark.example", Type: dns.TypeA, TTL: 60, Addr: netip.MustParseAddr("203.0.112.10")})
 
 	// ghost.example: NXDOMAIN everywhere (in the list but unregistered).
 
@@ -473,6 +473,12 @@ func TestPaperFindingsEmerge(t *testing.T) {
 	// an ISP's prefix or in the one CDN that signs ROAs. The world puts a
 	// few inside internap's own network; the paper saw none.
 	resolver := dns.RegistryResolver{Registry: w.Registry}
+	owner := make(map[netip.Prefix]*webworld.Org)
+	for _, o := range w.Orgs {
+		for _, p := range o.Prefixes {
+			owner[p] = o
+		}
+	}
 	viaISP, viaSigner := 0, 0
 	for i := range ds.Results {
 		r := &ds.Results[i]
@@ -488,7 +494,7 @@ func TestPaperFindingsEmerge(t *testing.T) {
 				if res.VRPs.Validate(po.Prefix, po.Origin) == vrp.NotFound {
 					continue
 				}
-				switch org := w.OrgOfPrefix(po.Prefix); {
+				switch org := owner[po.Prefix]; {
 				case org == nil:
 					t.Errorf("%s is covered by %v, which no organisation owns", r.Name, po.Prefix)
 				case org.Kind == webworld.KindISP:

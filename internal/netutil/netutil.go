@@ -33,16 +33,6 @@ func MustPrefix(s string) netip.Prefix {
 	return p.Masked()
 }
 
-// MustAddr parses s as an address and panics on error. It is intended for
-// tests and static tables.
-func MustAddr(s string) netip.Addr {
-	a, err := netip.ParseAddr(s)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 // Covers reports whether outer contains the whole of inner: both must be
 // the same address family, outer must be no longer than inner, and
 // inner's network address must fall inside outer.

@@ -46,7 +46,7 @@ func TestCovers(t *testing.T) {
 }
 
 func TestBit(t *testing.T) {
-	a := MustAddr("128.0.0.1")
+	a := netip.MustParseAddr("128.0.0.1")
 	if Bit(a, 0) != 1 {
 		t.Errorf("Bit(%v, 0) = %d, want 1", a, Bit(a, 0))
 	}
@@ -56,7 +56,7 @@ func TestBit(t *testing.T) {
 	if Bit(a, 31) != 1 {
 		t.Errorf("Bit(%v, 31) = %d, want 1", a, Bit(a, 31))
 	}
-	v6 := MustAddr("8000::1")
+	v6 := netip.MustParseAddr("8000::1")
 	if Bit(v6, 0) != 1 || Bit(v6, 127) != 1 || Bit(v6, 64) != 0 {
 		t.Errorf("v6 bits wrong: %d %d %d", Bit(v6, 0), Bit(v6, 127), Bit(v6, 64))
 	}
@@ -68,14 +68,14 @@ func TestBitPanics(t *testing.T) {
 			t.Error("Bit out of range did not panic")
 		}
 	}()
-	Bit(MustAddr("10.0.0.1"), 32)
+	Bit(netip.MustParseAddr("10.0.0.1"), 32)
 }
 
 func TestFamilyBits(t *testing.T) {
-	if FamilyBits(MustAddr("10.0.0.1")) != 32 {
+	if FamilyBits(netip.MustParseAddr("10.0.0.1")) != 32 {
 		t.Error("IPv4 family bits != 32")
 	}
-	if FamilyBits(MustAddr("2001:db8::1")) != 128 {
+	if FamilyBits(netip.MustParseAddr("2001:db8::1")) != 128 {
 		t.Error("IPv6 family bits != 128")
 	}
 }
@@ -88,7 +88,7 @@ func TestIsSpecialPurpose(t *testing.T) {
 		"2001:db8::1", "ff02::1", "100::9",
 	}
 	for _, s := range special {
-		if !IsSpecialPurpose(MustAddr(s)) {
+		if !IsSpecialPurpose(netip.MustParseAddr(s)) {
 			t.Errorf("IsSpecialPurpose(%s) = false, want true", s)
 		}
 	}
@@ -97,14 +97,14 @@ func TestIsSpecialPurpose(t *testing.T) {
 		"2600:1406::17", "91.198.174.192",
 	}
 	for _, s := range public {
-		if IsSpecialPurpose(MustAddr(s)) {
+		if IsSpecialPurpose(netip.MustParseAddr(s)) {
 			t.Errorf("IsSpecialPurpose(%s) = true, want false", s)
 		}
 	}
 	if !IsSpecialPurpose(netip.Addr{}) {
 		t.Error("zero Addr should be special")
 	}
-	if !IsSpecialPurpose(netip.AddrFrom16(MustAddr("::ffff:8.8.8.8").As16())) {
+	if !IsSpecialPurpose(netip.AddrFrom16(netip.MustParseAddr("::ffff:8.8.8.8").As16())) {
 		t.Error("4-in-6 mapped address should be special")
 	}
 }
@@ -143,7 +143,7 @@ func lastAddr(p netip.Prefix) netip.Addr {
 // probes, the zero Addr, and a sweep of every first octet in both
 // families.
 func TestIsSpecialPurposeMatchesScan(t *testing.T) {
-	probes := []netip.Addr{{}, MustAddr("fe80::1%eth0"), MustAddr("::ffff:10.0.0.1"), MustAddr("::ffff:8.8.8.8")}
+	probes := []netip.Addr{{}, netip.MustParseAddr("fe80::1%eth0"), netip.MustParseAddr("::ffff:10.0.0.1"), netip.MustParseAddr("::ffff:8.8.8.8")}
 	for _, p := range specialPurpose {
 		first, last := p.Addr(), lastAddr(p)
 		probes = append(probes, first, last, first.Prev(), last.Next()) // Prev of 0.0.0.0 and :: is the zero Addr

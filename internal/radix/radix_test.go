@@ -100,7 +100,7 @@ func TestCovering(t *testing.T) {
 	for _, p := range []string{"0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.2.0.0/16"} {
 		tr.Insert(netutil.MustPrefix(p), p)
 	}
-	got := tr.Covering(netutil.MustAddr("10.1.2.3"), nil)
+	got := tr.Covering(netip.MustParseAddr("10.1.2.3"), nil)
 	want := []string{"0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24"}
 	if len(got) != len(want) {
 		t.Fatalf("Covering returned %d entries, want %d (%v)", len(got), len(want), got)
@@ -110,11 +110,11 @@ func TestCovering(t *testing.T) {
 			t.Errorf("Covering[%d] = %s, want %s", i, got[i].Prefix, w)
 		}
 	}
-	got = tr.Covering(netutil.MustAddr("10.2.9.9"), nil)
+	got = tr.Covering(netip.MustParseAddr("10.2.9.9"), nil)
 	if len(got) != 3 || got[2].Prefix.String() != "10.2.0.0/16" {
 		t.Errorf("Covering(10.2.9.9) = %v", got)
 	}
-	if got := tr.Covering(netutil.MustAddr("2001:db8::1"), nil); len(got) != 0 {
+	if got := tr.Covering(netip.MustParseAddr("2001:db8::1"), nil); len(got) != 0 {
 		t.Errorf("v6 Covering on v4-only tree = %v, want empty", got)
 	}
 	if got := tr.Covering(netip.Addr{}, nil); len(got) != 0 {
@@ -151,11 +151,11 @@ func TestLongestMatch(t *testing.T) {
 	for _, p := range []string{"10.0.0.0/8", "10.1.0.0/16"} {
 		tr.Insert(netutil.MustPrefix(p), p)
 	}
-	es := tr.Covering(netutil.MustAddr("10.1.200.3"), nil)
+	es := tr.Covering(netip.MustParseAddr("10.1.200.3"), nil)
 	if len(es) == 0 || es[len(es)-1].Prefix.String() != "10.1.0.0/16" || es[len(es)-1].Value != "10.1.0.0/16" {
 		t.Errorf("Covering = %v, want it to end at 10.1.0.0/16", es)
 	}
-	if es := tr.Covering(netutil.MustAddr("11.0.0.1"), nil); len(es) != 0 {
+	if es := tr.Covering(netip.MustParseAddr("11.0.0.1"), nil); len(es) != 0 {
 		t.Errorf("Covering matched an uncovered address: %v", es)
 	}
 }

@@ -11,26 +11,29 @@ package rib
 import (
 	"cmp"
 	"fmt"
-	"io"
 	"maps"
 	"net/netip"
 	"slices"
 	"sync"
-	"time"
 
 	"ripki/internal/bgp"
-	"ripki/internal/mrt"
 	"ripki/internal/netutil"
 	"ripki/internal/radix"
 )
 
 // Route is one peer's path to a prefix.
 type Route struct {
-	Prefix     netip.Prefix
-	PeerIndex  uint16
-	Path       []bgp.Segment
-	NextHop    netip.Addr
-	Originated time.Time
+	Prefix    netip.Prefix
+	PeerIndex uint16
+	Path      []bgp.Segment
+	NextHop   netip.Addr
+}
+
+// Peer is one collector peer, the session its routes were heard on.
+type Peer struct {
+	BGPID netip.Addr // IPv4 router ID
+	Addr  netip.Addr // peer address (IPv4 or IPv6)
+	ASN   uint32
 }
 
 // PrefixOrigin is the unit of analysis in the paper: a routed prefix
@@ -43,7 +46,7 @@ type PrefixOrigin struct {
 // Table is a collector RIB. It is safe for concurrent use.
 type Table struct {
 	mu      sync.RWMutex
-	peers   []mrt.Peer
+	peers   []Peer
 	peerIdx map[peerKey]uint16
 	// tree maps each routed prefix to its routes, sorted by peer index.
 	// A stored slice is never written again — Insert and WithdrawEvent build
@@ -82,13 +85,13 @@ func (t *Table) Clone() *Table {
 
 // AddPeer registers a collector peer and returns its index. Registering
 // the same (ASN, BGP ID) again returns the existing index.
-func (t *Table) AddPeer(p mrt.Peer) uint16 {
+func (t *Table) AddPeer(p Peer) uint16 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.addPeerLocked(p)
 }
 
-func (t *Table) addPeerLocked(p mrt.Peer) uint16 {
+func (t *Table) addPeerLocked(p Peer) uint16 {
 	k := peerKey{asn: p.ASN, id: p.BGPID}
 	if i, ok := t.peerIdx[k]; ok {
 		return i
@@ -102,11 +105,11 @@ func (t *Table) addPeerLocked(p mrt.Peer) uint16 {
 // eventPeerLocked resolves (registering it as needed) the peer a
 // collector event came from.
 func (t *Table) eventPeerLocked(ev bgp.RouteEvent) uint16 {
-	return t.addPeerLocked(mrt.Peer{BGPID: ev.PeerID, Addr: ev.PeerID, ASN: ev.PeerAS})
+	return t.addPeerLocked(Peer{BGPID: ev.PeerID, Addr: ev.PeerID, ASN: ev.PeerAS})
 }
 
 // Peers returns a copy of the registered peer table.
-func (t *Table) Peers() []mrt.Peer {
+func (t *Table) Peers() []Peer {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return slices.Clone(t.peers)
@@ -126,7 +129,6 @@ func byPeer(r Route, peer uint16) int { return cmp.Compare(r.PeerIndex, peer) }
 // path by its contents.
 func sameRoute(a, b Route) bool {
 	return a.Prefix == b.Prefix && a.PeerIndex == b.PeerIndex && a.NextHop == b.NextHop &&
-		a.Originated == b.Originated &&
 		slices.EqualFunc(a.Path, b.Path, func(x, y bgp.Segment) bool {
 			return x.Type == y.Type && slices.Equal(x.ASNs, y.ASNs)
 		})
@@ -292,38 +294,4 @@ func (t *Table) WalkRoutes(fn func(Route) bool) {
 		}
 		return true
 	})
-}
-
-// DumpMRT writes the table as a TABLE_DUMP_V2 stream.
-func (t *Table) DumpMRT(w io.Writer, collectorID netip.Addr, view string, stamp time.Time) error {
-	mw := mrt.NewWriter(w, stamp)
-	if err := mw.WritePeerIndexTable(collectorID, view, t.Peers()); err != nil {
-		return err
-	}
-	var outer error
-	t.mu.RLock()
-	t.tree.Walk(func(p netip.Prefix, rs []Route) bool {
-		entries := make([]mrt.RIBEntry, 0, len(rs))
-		for _, r := range rs {
-			entries = append(entries, mrt.RIBEntry{
-				PeerIndex:  r.PeerIndex,
-				Originated: r.Originated,
-				Attrs: bgp.PathAttrs{
-					Origin:  bgp.OriginIGP,
-					ASPath:  r.Path,
-					NextHop: r.NextHop,
-				},
-			})
-		}
-		if err := mw.WriteRIB(p, entries); err != nil {
-			outer = err
-			return false
-		}
-		return true
-	})
-	t.mu.RUnlock()
-	if outer != nil {
-		return outer
-	}
-	return mw.Flush()
 }

@@ -1,20 +1,15 @@
 package rib
 
 import (
-	"bytes"
 	"math/rand"
 	"net/netip"
 	"slices"
 	"sort"
 	"testing"
-	"time"
 
 	"ripki/internal/bgp"
-	"ripki/internal/mrt"
 	"ripki/internal/netutil"
 )
-
-var stamp = time.Date(2015, 7, 1, 8, 0, 0, 0, time.UTC)
 
 func seq(asns ...uint32) []bgp.Segment {
 	return []bgp.Segment{{Type: bgp.SegmentSequence, ASNs: asns}}
@@ -41,8 +36,8 @@ func withdraw(tb *Table, peer uint16, prefix netip.Prefix) bool {
 func newTable(t *testing.T) (*Table, uint16, uint16) {
 	t.Helper()
 	tb := New()
-	p0 := tb.AddPeer(mrt.Peer{BGPID: netutil.MustAddr("10.0.0.1"), Addr: netutil.MustAddr("10.0.0.1"), ASN: 3333})
-	p1 := tb.AddPeer(mrt.Peer{BGPID: netutil.MustAddr("10.0.0.2"), Addr: netutil.MustAddr("2001:db8::2"), ASN: 196615})
+	p0 := tb.AddPeer(Peer{BGPID: netip.MustParseAddr("10.0.0.1"), Addr: netip.MustParseAddr("10.0.0.1"), ASN: 3333})
+	p1 := tb.AddPeer(Peer{BGPID: netip.MustParseAddr("10.0.0.2"), Addr: netip.MustParseAddr("2001:db8::2"), ASN: 196615})
 	return tb, p0, p1
 }
 
@@ -54,14 +49,14 @@ func TestInsertAndQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(tb.Insert(Route{Prefix: netutil.MustPrefix("193.0.0.0/16"), PeerIndex: p0, Path: seq(3333, 680), NextHop: netutil.MustAddr("10.0.0.1"), Originated: stamp}))
-	must(tb.Insert(Route{Prefix: netutil.MustPrefix("193.0.6.0/24"), PeerIndex: p0, Path: seq(3333, 680, 25152), NextHop: netutil.MustAddr("10.0.0.1"), Originated: stamp}))
-	must(tb.Insert(Route{Prefix: netutil.MustPrefix("193.0.6.0/24"), PeerIndex: p1, Path: seq(196615, 25152), NextHop: netutil.MustAddr("10.0.0.2"), Originated: stamp}))
+	must(tb.Insert(Route{Prefix: netutil.MustPrefix("193.0.0.0/16"), PeerIndex: p0, Path: seq(3333, 680), NextHop: netip.MustParseAddr("10.0.0.1")}))
+	must(tb.Insert(Route{Prefix: netutil.MustPrefix("193.0.6.0/24"), PeerIndex: p0, Path: seq(3333, 680, 25152), NextHop: netip.MustParseAddr("10.0.0.1")}))
+	must(tb.Insert(Route{Prefix: netutil.MustPrefix("193.0.6.0/24"), PeerIndex: p1, Path: seq(196615, 25152), NextHop: netip.MustParseAddr("10.0.0.2")}))
 
 	if tb.Len() != 2 || len(snapshot(tb)) != 3 {
 		t.Fatalf("Len/Routes = %d/%d, want 2/3", tb.Len(), len(snapshot(tb)))
 	}
-	addr := netutil.MustAddr("193.0.6.139")
+	addr := netip.MustParseAddr("193.0.6.139")
 	cov := tb.Covering(addr)
 	if len(cov) != 2 || cov[0].String() != "193.0.0.0/16" || cov[1].String() != "193.0.6.0/24" {
 		t.Fatalf("Covering = %v", cov)
@@ -69,7 +64,7 @@ func TestInsertAndQueries(t *testing.T) {
 	if !tb.Reachable(addr) {
 		t.Error("Reachable = false")
 	}
-	if tb.Reachable(netutil.MustAddr("8.8.8.8")) {
+	if tb.Reachable(netip.MustParseAddr("8.8.8.8")) {
 		t.Error("unrouted address reported reachable")
 	}
 	pairs := tb.OriginPairs(addr)
@@ -87,17 +82,17 @@ func TestOriginPairsExcludesASSet(t *testing.T) {
 	tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: p0, Path: []bgp.Segment{
 		{Type: bgp.SegmentSequence, ASNs: []uint32{3333}},
 		{Type: bgp.SegmentSet, ASNs: []uint32{1, 2}},
-	}, NextHop: netutil.MustAddr("10.0.0.1")})
-	if got := tb.OriginPairs(netutil.MustAddr("10.1.2.3")); len(got) != 0 {
+	}, NextHop: netip.MustParseAddr("10.0.0.1")})
+	if got := tb.OriginPairs(netip.MustParseAddr("10.1.2.3")); len(got) != 0 {
 		t.Fatalf("AS_SET route produced origin pairs: %v", got)
 	}
 	// But the prefix is still "reachable" (announced).
-	if !tb.Reachable(netutil.MustAddr("10.1.2.3")) {
+	if !tb.Reachable(netip.MustParseAddr("10.1.2.3")) {
 		t.Error("AS_SET route not counted as reachable")
 	}
 	// A second peer with a clean path yields exactly one pair.
-	tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: p1, Path: seq(196615, 7), NextHop: netutil.MustAddr("10.0.0.2")})
-	got := tb.OriginPairs(netutil.MustAddr("10.1.2.3"))
+	tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: p1, Path: seq(196615, 7), NextHop: netip.MustParseAddr("10.0.0.2")})
+	got := tb.OriginPairs(netip.MustParseAddr("10.1.2.3"))
 	if len(got) != 1 || got[0].Origin != 7 {
 		t.Fatalf("OriginPairs = %v", got)
 	}
@@ -106,9 +101,9 @@ func TestOriginPairsExcludesASSet(t *testing.T) {
 func TestOriginPairsDeduplicates(t *testing.T) {
 	tb, p0, p1 := newTable(t)
 	// Two peers, same origin.
-	tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: p0, Path: seq(3333, 7), NextHop: netutil.MustAddr("10.0.0.1")})
-	tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: p1, Path: seq(196615, 9, 7), NextHop: netutil.MustAddr("10.0.0.2")})
-	got := tb.OriginPairs(netutil.MustAddr("10.0.0.1"))
+	tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: p0, Path: seq(3333, 7), NextHop: netip.MustParseAddr("10.0.0.1")})
+	tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: p1, Path: seq(196615, 9, 7), NextHop: netip.MustParseAddr("10.0.0.2")})
+	got := tb.OriginPairs(netip.MustParseAddr("10.0.0.1"))
 	if len(got) != 1 || got[0].Origin != 7 {
 		t.Fatalf("OriginPairs = %v, want single AS7 entry", got)
 	}
@@ -117,9 +112,9 @@ func TestOriginPairsDeduplicates(t *testing.T) {
 func TestMOASVisible(t *testing.T) {
 	tb, p0, p1 := newTable(t)
 	// Multi-origin AS conflict: two peers see different origins.
-	tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: p0, Path: seq(3333, 7), NextHop: netutil.MustAddr("10.0.0.1")})
-	tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: p1, Path: seq(196615, 8), NextHop: netutil.MustAddr("10.0.0.2")})
-	got := tb.OriginPairs(netutil.MustAddr("10.0.0.1"))
+	tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: p0, Path: seq(3333, 7), NextHop: netip.MustParseAddr("10.0.0.1")})
+	tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: p1, Path: seq(196615, 8), NextHop: netip.MustParseAddr("10.0.0.2")})
+	got := tb.OriginPairs(netip.MustParseAddr("10.0.0.1"))
 	if len(got) != 2 {
 		t.Fatalf("MOAS OriginPairs = %v, want 2", got)
 	}
@@ -128,8 +123,8 @@ func TestMOASVisible(t *testing.T) {
 func TestWithdraw(t *testing.T) {
 	tb, p0, p1 := newTable(t)
 	pfx := netutil.MustPrefix("10.0.0.0/8")
-	tb.Insert(Route{Prefix: pfx, PeerIndex: p0, Path: seq(7), NextHop: netutil.MustAddr("10.0.0.1")})
-	tb.Insert(Route{Prefix: pfx, PeerIndex: p1, Path: seq(8), NextHop: netutil.MustAddr("10.0.0.2")})
+	tb.Insert(Route{Prefix: pfx, PeerIndex: p0, Path: seq(7), NextHop: netip.MustParseAddr("10.0.0.1")})
+	tb.Insert(Route{Prefix: pfx, PeerIndex: p1, Path: seq(8), NextHop: netip.MustParseAddr("10.0.0.2")})
 	if !withdraw(tb, p0, pfx) {
 		t.Fatal("Withdraw returned false")
 	}
@@ -142,7 +137,7 @@ func TestWithdraw(t *testing.T) {
 	if !withdraw(tb, p1, pfx) {
 		t.Fatal("second Withdraw failed")
 	}
-	if tb.Len() != 0 || tb.Reachable(netutil.MustAddr("10.0.0.1")) {
+	if tb.Len() != 0 || tb.Reachable(netip.MustParseAddr("10.0.0.1")) {
 		t.Error("prefix still present after full withdrawal")
 	}
 }
@@ -160,9 +155,9 @@ func TestInsertValidation(t *testing.T) {
 func TestApplyEvents(t *testing.T) {
 	tb := New()
 	ev := bgp.RouteEvent{
-		PeerAS: 3333, PeerID: netutil.MustAddr("10.0.0.1"),
+		PeerAS: 3333, PeerID: netip.MustParseAddr("10.0.0.1"),
 		Prefix: netutil.MustPrefix("193.0.0.0/16"),
-		Path:   seq(3333, 680), NextHop: netutil.MustAddr("10.0.0.1"),
+		Path:   seq(3333, 680), NextHop: netip.MustParseAddr("10.0.0.1"),
 	}
 	if err := tb.Apply(ev); err != nil {
 		t.Fatal(err)
@@ -171,7 +166,7 @@ func TestApplyEvents(t *testing.T) {
 		t.Fatal("route not applied")
 	}
 	// Withdraw via event.
-	if err := tb.Apply(bgp.RouteEvent{PeerAS: 3333, PeerID: netutil.MustAddr("10.0.0.1"), Prefix: netutil.MustPrefix("193.0.0.0/16"), Withdraw: true}); err != nil {
+	if err := tb.Apply(bgp.RouteEvent{PeerAS: 3333, PeerID: netip.MustParseAddr("10.0.0.1"), Prefix: netutil.MustPrefix("193.0.0.0/16"), Withdraw: true}); err != nil {
 		t.Fatal(err)
 	}
 	if tb.Len() != 0 {
@@ -179,52 +174,11 @@ func TestApplyEvents(t *testing.T) {
 	}
 }
 
-// TestDumpMRT: the dump is the table's peers, then one RIB record per
-// prefix in lexical order, each route an entry in peer order with its own
-// origination time and an IGP ORIGIN — the writer calls spelled out.
-func TestDumpMRT(t *testing.T) {
-	tb, p0, p1 := newTable(t)
-	v6 := Route{Prefix: netutil.MustPrefix("2001:67c:2e8::/48"), PeerIndex: p1, Path: seq(196615, 680), NextHop: netutil.MustAddr("2001:db8::2"), Originated: stamp.Add(-time.Hour)}
-	b := Route{Prefix: netutil.MustPrefix("193.0.6.0/24"), PeerIndex: p1, Path: seq(196615, 25152), NextHop: netutil.MustAddr("10.0.0.2"), Originated: stamp}
-	a := Route{Prefix: netutil.MustPrefix("193.0.6.0/24"), PeerIndex: p0, Path: seq(3333, 25152), NextHop: netutil.MustAddr("10.0.0.1"), Originated: stamp}
-	for _, r := range []Route{v6, b, a} {
-		if err := tb.Insert(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got bytes.Buffer
-	if err := tb.DumpMRT(&got, netutil.MustAddr("193.0.4.28"), "rrc00", stamp); err != nil {
-		t.Fatal(err)
-	}
-
-	var want bytes.Buffer
-	w := mrt.NewWriter(&want, stamp)
-	entry := func(r Route) mrt.RIBEntry {
-		return mrt.RIBEntry{PeerIndex: r.PeerIndex, Originated: r.Originated,
-			Attrs: bgp.PathAttrs{Origin: bgp.OriginIGP, ASPath: r.Path, NextHop: r.NextHop}}
-	}
-	if err := w.WritePeerIndexTable(netutil.MustAddr("193.0.4.28"), "rrc00", tb.Peers()); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteRIB(a.Prefix, []mrt.RIBEntry{entry(a), entry(b)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteRIB(v6.Prefix, []mrt.RIBEntry{entry(v6)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("DumpMRT wrote\n% x\nwant\n% x", got.Bytes(), want.Bytes())
-	}
-}
-
 func TestWalkRoutesOrderAndStop(t *testing.T) {
 	tb, p0, p1 := newTable(t)
-	tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: p1, Path: seq(1), NextHop: netutil.MustAddr("10.0.0.2")})
-	tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: p0, Path: seq(2), NextHop: netutil.MustAddr("10.0.0.1")})
-	tb.Insert(Route{Prefix: netutil.MustPrefix("11.0.0.0/8"), PeerIndex: p0, Path: seq(3), NextHop: netutil.MustAddr("10.0.0.1")})
+	tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: p1, Path: seq(1), NextHop: netip.MustParseAddr("10.0.0.2")})
+	tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: p0, Path: seq(2), NextHop: netip.MustParseAddr("10.0.0.1")})
+	tb.Insert(Route{Prefix: netutil.MustPrefix("11.0.0.0/8"), PeerIndex: p0, Path: seq(3), NextHop: netip.MustParseAddr("10.0.0.1")})
 	var seen []Route
 	tb.WalkRoutes(func(r Route) bool {
 		seen = append(seen, r)
@@ -245,9 +199,9 @@ func TestWalkRoutesOrderAndStop(t *testing.T) {
 
 func TestSnapshotMutationSafe(t *testing.T) {
 	tb := New()
-	p0 := tb.AddPeer(mrt.Peer{BGPID: netutil.MustAddr("10.0.0.1"), ASN: 1})
-	tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: p0, Path: seq(1), NextHop: netutil.MustAddr("10.0.0.1")})
-	tb.Insert(Route{Prefix: netutil.MustPrefix("11.0.0.0/8"), PeerIndex: p0, Path: seq(2), NextHop: netutil.MustAddr("10.0.0.1")})
+	p0 := tb.AddPeer(Peer{BGPID: netip.MustParseAddr("10.0.0.1"), ASN: 1})
+	tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: p0, Path: seq(1), NextHop: netip.MustParseAddr("10.0.0.1")})
+	tb.Insert(Route{Prefix: netutil.MustPrefix("11.0.0.0/8"), PeerIndex: p0, Path: seq(2), NextHop: netip.MustParseAddr("10.0.0.1")})
 	snap := snapshot(tb)
 	if len(snap) != 2 {
 		t.Fatalf("snapshot has %d routes, want 2", len(snap))
@@ -309,16 +263,16 @@ func randomRoute(rnd *rand.Rand, peers int) Route {
 
 func TestOriginPairsMatchesOracle(t *testing.T) {
 	probes := []netip.Addr{
-		netutil.MustAddr("10.0.0.1"), netutil.MustAddr("10.0.16.9"), netutil.MustAddr("10.1.32.1"),
-		netutil.MustAddr("10.1.0.255"), netutil.MustAddr("11.0.0.1"),
-		netutil.MustAddr("2001:db8::1"), netutil.MustAddr("2001:db8:100::1"), netutil.MustAddr("2001:db9::1"),
+		netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.16.9"), netip.MustParseAddr("10.1.32.1"),
+		netip.MustParseAddr("10.1.0.255"), netip.MustParseAddr("11.0.0.1"),
+		netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("2001:db8:100::1"), netip.MustParseAddr("2001:db9::1"),
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
 		tb := New()
 		const peers = 5
 		for i := 0; i < peers; i++ {
-			tb.AddPeer(mrt.Peer{BGPID: netip.AddrFrom4([4]byte{10, 255, 0, byte(i)}), ASN: uint32(64500 + i)})
+			tb.AddPeer(Peer{BGPID: netip.AddrFrom4([4]byte{10, 255, 0, byte(i)}), ASN: uint32(64500 + i)})
 		}
 		for step := 0; step < 300; step++ {
 			r := randomRoute(rnd, peers)
@@ -362,7 +316,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	a, b := base.Clone(), base.Clone()
 	// Each side goes its own way: a new peer and routes on a, withdrawals
 	// on b; the base and the sibling must not notice.
-	p2 := a.AddPeer(mrt.Peer{BGPID: netutil.MustAddr("10.0.0.3"), ASN: 64999})
+	p2 := a.AddPeer(Peer{BGPID: netip.MustParseAddr("10.0.0.3"), ASN: 64999})
 	for i := 0; i < 40; i++ {
 		r := randomRoute(rnd, 2)
 		r.PeerIndex = p2
@@ -406,8 +360,8 @@ func TestCloneIsIndependent(t *testing.T) {
 func TestEqualInsertIsNoop(t *testing.T) {
 	tb, p0, _ := newTable(t)
 	p := netutil.MustPrefix("203.0.113.0/24")
-	hop := netutil.MustAddr("10.0.0.1")
-	route := Route{Prefix: p, PeerIndex: p0, Path: seq(3333, 64500), NextHop: hop, Originated: stamp}
+	hop := netip.MustParseAddr("10.0.0.1")
+	route := Route{Prefix: p, PeerIndex: p0, Path: seq(3333, 64500), NextHop: hop}
 	ev := bgp.RouteEvent{PeerAS: 3333, PeerID: hop, Prefix: netutil.MustPrefix("198.51.100.0/24"), Path: seq(3333, 64501), NextHop: hop}
 	if err := tb.Insert(route); err != nil {
 		t.Fatal(err)
@@ -446,9 +400,8 @@ func TestEqualInsertIsNoop(t *testing.T) {
 	}
 
 	for name, differ := range map[string]func(*Route){
-		"Path":       func(r *Route) { r.Path = seq(3333, 64999) },
-		"NextHop":    func(r *Route) { r.NextHop = netutil.MustAddr("10.0.0.9") },
-		"Originated": func(r *Route) { r.Originated = stamp.Add(time.Second) },
+		"Path":    func(r *Route) { r.Path = seq(3333, 64999) },
+		"NextHop": func(r *Route) { r.NextHop = netip.MustParseAddr("10.0.0.9") },
 	} {
 		next := route
 		differ(&next)

@@ -16,9 +16,9 @@ import (
 // ribContents flattens a router's local RIB to "prefix via peer" → path,
 // independent of the order the table first met its peers in.
 func ribContents(r *Router) map[string]string {
-	peers := r.Table().Peers()
+	peers := r.table.Peers()
 	out := make(map[string]string)
-	r.Table().WalkRoutes(func(rt rib.Route) bool {
+	r.table.WalkRoutes(func(rt rib.Route) bool {
 		p := peers[rt.PeerIndex]
 		out[fmt.Sprintf("%v via AS%d/%v", rt.Prefix, p.ASN, p.BGPID)] = fmt.Sprint(rt.Path)
 		return true

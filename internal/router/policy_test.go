@@ -1,9 +1,9 @@
 package router
 
 import (
+	"net/netip"
 	"testing"
 
-	"ripki/internal/netutil"
 	"ripki/internal/rpki/vrp"
 )
 
@@ -11,7 +11,7 @@ import (
 // same hijack: drop-invalid protects fully, prefer-valid protects as
 // long as a legitimate covering route exists, accept-all loses.
 func TestPolicyAblation(t *testing.T) {
-	victim := netutil.MustAddr("193.0.6.139")
+	victim := netip.MustParseAddr("193.0.6.139")
 	legit := announce("193.0.6.0/24", 3333)
 	hijack := announce("193.0.6.128/25", 666)
 
@@ -46,7 +46,7 @@ func TestPolicyAblation(t *testing.T) {
 // route (the victim's own prefix was withdrawn or never announced),
 // prefer-valid still forwards to the attacker.
 func TestPreferValidWeakness(t *testing.T) {
-	victim := netutil.MustAddr("193.0.6.139")
+	victim := netip.MustParseAddr("193.0.6.139")
 	hijack := announce("193.0.6.128/25", 666)
 
 	prefer := NewWithPolicy(StaticVRPs{VRPs: newVRPs(t)}, PolicyPreferValid)
@@ -69,19 +69,21 @@ func TestPreferValidWeakness(t *testing.T) {
 
 func TestPreferValidDecisionFlags(t *testing.T) {
 	r := NewWithPolicy(StaticVRPs{VRPs: newVRPs(t)}, PolicyPreferValid)
-	d, err := r.Process(announce("193.0.7.0/24", 666)) // invalid
+	invalid := announce("193.0.7.0/24", 666)
+	d, err := r.Process(invalid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Accepted || !d.Deprefered || d.State != vrp.Invalid {
-		t.Errorf("decision = %+v", d)
+	if !installed(r, invalid) || !d.Deprefered || d.State != vrp.Invalid {
+		t.Errorf("decision = %+v, installed %v", d, installed(r, invalid))
 	}
-	d, err = r.Process(announce("193.0.6.0/24", 3333)) // valid
+	valid := announce("193.0.6.0/24", 3333)
+	d, err = r.Process(valid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Accepted || d.Deprefered {
-		t.Errorf("valid decision = %+v", d)
+	if !installed(r, valid) || d.Deprefered {
+		t.Errorf("valid decision = %+v, installed %v", d, installed(r, valid))
 	}
 }
 
@@ -98,7 +100,7 @@ func TestPolicyString(t *testing.T) {
 
 func TestForwardUnrouted(t *testing.T) {
 	r := NewWithPolicy(StaticVRPs{VRPs: newVRPs(t)}, PolicyDropInvalid)
-	if _, ok := r.Forward(netutil.MustAddr("8.8.8.8")); ok {
+	if _, ok := r.Forward(netip.MustParseAddr("8.8.8.8")); ok {
 		t.Error("Forward on empty table returned a route")
 	}
 }

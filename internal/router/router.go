@@ -55,12 +55,11 @@ func (p Policy) String() string {
 	}
 }
 
-// Decision is the policy outcome for one route.
+// Decision is the policy outcome for one route. Whether the route was
+// installed shows in the router's forwarding (Forward).
 type Decision struct {
 	// State is the origin-validation outcome.
 	State vrp.State
-	// Accepted is false when policy dropped the route.
-	Accepted bool
 	// Deprefered is true when PolicyPreferValid kept the route but
 	// marked it less attractive.
 	Deprefered bool
@@ -176,9 +175,6 @@ func validateRoute(set *vrp.Set, prefix netip.Prefix, path []bgp.Segment, policy
 	return vrp.NotFound, 0, false
 }
 
-// Table exposes the router's local RIB.
-func (r *Router) Table() *rib.Table { return r.table }
-
 // Process applies origin validation and policy to one route event and
 // updates the Adj-RIB-In and the local RIB accordingly. An announcement
 // replaces the same peer's previous one for the prefix (RFC 4271
@@ -191,7 +187,7 @@ func (r *Router) Process(ev bgp.RouteEvent) (Decision, error) {
 		if err := r.table.Apply(ev); err != nil {
 			return Decision{}, err
 		}
-		return Decision{State: vrp.NotFound, Accepted: true}, nil
+		return Decision{State: vrp.NotFound}, nil
 	}
 	set := r.source.Set()
 	r.mu.Lock()
@@ -273,7 +269,6 @@ func (r *Router) applyLocked(set *vrp.Set, ev bgp.RouteEvent) (d Decision, dropp
 	if err != nil {
 		return d, false, false, err
 	}
-	d.Accepted = true
 	if r.Policy == PolicyPreferValid && ok {
 		d.Deprefered = state == vrp.Invalid
 		pair := rib.PrefixOrigin{Prefix: ev.Prefix.Masked(), Origin: origin}

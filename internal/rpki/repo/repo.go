@@ -196,16 +196,6 @@ type ROASpec struct {
 	Prefixes []roa.Prefix
 }
 
-// AddROA signs a ROA under ca authorising asID to originate prefixes,
-// and re-signs ca's manifest.
-func (r *Repository) AddROA(ca *CA, asID uint32, prefixes []roa.Prefix) (*roa.ROA, error) {
-	ros, err := r.AddROAs(ca, []ROASpec{{ASID: asID, Prefixes: prefixes}})
-	if err != nil {
-		return nil, err
-	}
-	return ros[0], nil
-}
-
 // AddROAs signs one ROA per spec under ca, in order, and then ca's
 // manifest once over all of them. It publishes what as many AddROA calls
 // would, for one manifest signature instead of one per ROA. On an error

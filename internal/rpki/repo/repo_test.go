@@ -30,6 +30,15 @@ func newRepo(t *testing.T) *Repository {
 	return r
 }
 
+// addROA signs one ROA under ca, as a batch of one.
+func addROA(r *Repository, ca *CA, asID uint32, prefixes []roa.Prefix) (*roa.ROA, error) {
+	ros, err := r.AddROAs(ca, []ROASpec{{ASID: asID, Prefixes: prefixes}})
+	if err != nil {
+		return nil, err
+	}
+	return ros[0], nil
+}
+
 func TestNewHasAnchors(t *testing.T) {
 	r, err := New(RIRNames, clock, ttl)
 	if err != nil {
@@ -56,7 +65,7 @@ func TestValidateCleanRepo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.AddROA(isp, 3333, []roa.Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24}}); err != nil {
+	if _, err := addROA(r, isp, 3333, []roa.Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24}}); err != nil {
 		t.Fatal(err)
 	}
 	res := r.Validate(at)
@@ -91,7 +100,7 @@ func TestValidateMultiLevelHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.AddROA(lir, 1500, []roa.Prefix{{Prefix: netutil.MustPrefix("80.1.2.0/24"), MaxLength: 25}}); err != nil {
+	if _, err := addROA(r, lir, 1500, []roa.Prefix{{Prefix: netutil.MustPrefix("80.1.2.0/24"), MaxLength: 25}}); err != nil {
 		t.Fatal(err)
 	}
 	res := r.Validate(at)
@@ -165,7 +174,7 @@ func TestValidateDiscardsTamperedROA(t *testing.T) {
 		Prefixes: []pfx{netutil.MustPrefix("193.0.0.0/16")},
 		ASNs:     []cert.ASRange{{Min: 3333, Max: 3333}},
 	})
-	ro, err := r.AddROA(isp, 3333, []roa.Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24}})
+	ro, err := addROA(r, isp, 3333, []roa.Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +202,7 @@ func TestValidateManifestHashMismatch(t *testing.T) {
 		Prefixes: []pfx{netutil.MustPrefix("193.0.0.0/16")},
 		ASNs:     []cert.ASRange{{Min: 3333, Max: 3333}},
 	})
-	if _, err := r.AddROA(isp, 3333, []roa.Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24}}); err != nil {
+	if _, err := addROA(r, isp, 3333, []roa.Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24}}); err != nil {
 		t.Fatal(err)
 	}
 	// Substitute the ROA without refreshing the manifest: hash mismatch.
@@ -222,7 +231,7 @@ func TestValidateStaleManifestVoidsPP(t *testing.T) {
 		Prefixes: []pfx{netutil.MustPrefix("193.0.0.0/16")},
 		ASNs:     []cert.ASRange{{Min: 3333, Max: 3333}},
 	})
-	if _, err := r.AddROA(isp, 3333, []roa.Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24}}); err != nil {
+	if _, err := addROA(r, isp, 3333, []roa.Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24}}); err != nil {
 		t.Fatal(err)
 	}
 	// Validate after the manifest expired.
@@ -239,7 +248,7 @@ func TestMissingManifestVoidsPP(t *testing.T) {
 		Prefixes: []pfx{netutil.MustPrefix("193.0.0.0/16")},
 		ASNs:     []cert.ASRange{{Min: 3333, Max: 3333}},
 	})
-	if _, err := r.AddROA(isp, 3333, []roa.Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24}}); err != nil {
+	if _, err := addROA(r, isp, 3333, []roa.Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24}}); err != nil {
 		t.Fatal(err)
 	}
 	isp.Manifest = nil
@@ -260,7 +269,7 @@ func TestValidateAnchorIsolatesSubtree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.AddROA(ispEU, 3333, []roa.Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24}}); err != nil {
+	if _, err := addROA(r, ispEU, 3333, []roa.Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24}}); err != nil {
 		t.Fatal(err)
 	}
 	ispUS, err := r.NewCA(arin, "isp-us", cert.Resources{
@@ -270,7 +279,7 @@ func TestValidateAnchorIsolatesSubtree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.AddROA(ispUS, 15169, []roa.Prefix{{Prefix: netutil.MustPrefix("8.8.8.0/24"), MaxLength: 24}}); err != nil {
+	if _, err := addROA(r, ispUS, 15169, []roa.Prefix{{Prefix: netutil.MustPrefix("8.8.8.0/24"), MaxLength: 24}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -313,13 +322,13 @@ func TestValidateRecordsEachAnchor(t *testing.T) {
 		}
 		for j := 0; j < 3; j++ {
 			p := netutil.MustPrefix(fmt.Sprintf("%d.%d.0.0/16", 60+i, 9-j))
-			if _, err := r.AddROA(ca, uint32(64500+j), []roa.Prefix{{Prefix: p, MaxLength: 16 + j}}); err != nil {
+			if _, err := addROA(r, ca, uint32(64500+j), []roa.Prefix{{Prefix: p, MaxLength: 16 + j}}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		switch rir {
 		case "ripe", "arin": // the same payload under two anchors
-			if _, err := r.AddROA(ca, 64555, shared); err != nil {
+			if _, err := addROA(r, ca, 64555, shared); err != nil {
 				t.Fatal(err)
 			}
 		case "apnic": // voided: nothing beneath it counts

@@ -183,11 +183,6 @@ func (c *Composite) Components() []string {
 	return out
 }
 
-// Description joins the component descriptions.
-func (c *Composite) Description() string {
-	return "composition: " + strings.Join(c.Components(), " + ") + " event streams in one world"
-}
-
 // Setup runs every component's Setup in canonical order, repointing
 // s.Rand at the component's own derived stream first. Components that
 // draw randomness at event time capture s.Rand during Setup (see

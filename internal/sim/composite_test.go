@@ -46,9 +46,6 @@ func TestCompositeConstruction(t *testing.T) {
 	if _, err := NewScenario("roa-churn+no-such-thing", nil); err == nil {
 		t.Error("unknown component accepted")
 	}
-	if d := comp.Description(); !strings.Contains(d, "roa-churn") || !strings.Contains(d, "rp-lag") {
-		t.Errorf("Description = %q, want both component names", d)
-	}
 }
 
 // params returns the params routed to each component of a spec, by name.

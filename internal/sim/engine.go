@@ -13,7 +13,6 @@ import (
 	"ripki/internal/bgp"
 	"ripki/internal/dns"
 	"ripki/internal/measure"
-	"ripki/internal/mrt"
 	"ripki/internal/obs"
 	"ripki/internal/rib"
 	"ripki/internal/router"
@@ -85,7 +84,7 @@ type Simulation struct {
 	Series *TimeSeries
 
 	// vantage is the collector peer injected routes are heard from.
-	vantage mrt.Peer
+	vantage rib.Peer
 	// truth is the ground-truth VRP set, maintained by delta-apply: this
 	// run's own O(1) clone of the world's memoised validation (which is
 	// shared across sweep cells), edited in place.
@@ -108,7 +107,6 @@ type Simulation struct {
 	tick     int
 	session  uint16
 	err      error
-	ln       net.Listener
 	headCut  int
 	hijacks  []*Hijack
 	closed   bool
@@ -196,7 +194,6 @@ func New(cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: listening: %w", err)
 	}
-	s.ln = ln
 	s.Server = rtr.NewServer(validation.VRPs, s.session)
 	s.Server.Logf = func(string, ...any) {} // connection teardown noise
 	go s.Server.Serve(ln)

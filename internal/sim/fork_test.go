@@ -4,11 +4,29 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"ripki/internal/rib"
 	"ripki/internal/router"
 	"ripki/internal/webworld"
 )
+
+// localTable is a router's local RIB. Router exports no accessor for
+// it, as no command needs one, so the test reads the unexported field.
+func localTable(r *router.Router) *rib.Table {
+	f := reflect.ValueOf(r).Elem().FieldByName("table")
+	return *(**rib.Table)(unsafe.Pointer(f.UnsafeAddr()))
+}
+
+// localRoutes lists a router's local RIB in table order.
+func localRoutes(r *router.Router) []rib.Route {
+	var out []rib.Route
+	localTable(r).WalkRoutes(func(rt rib.Route) bool {
+		out = append(out, rt)
+		return true
+	})
+	return out
+}
 
 // assertStartsLikeReplay checks, for every relying party of a freshly
 // built simulation, that the router New forked from the world's seeded
@@ -18,16 +36,6 @@ import (
 // depreference marks show), and that a synced client holds exactly the
 // world's validated set, which is what the template was validated
 // against.
-// localRoutes lists a router's local RIB in table order.
-func localRoutes(r *router.Router) []rib.Route {
-	var out []rib.Route
-	r.Table().WalkRoutes(func(rt rib.Route) bool {
-		out = append(out, rt)
-		return true
-	})
-	return out
-}
-
 func assertStartsLikeReplay(t *testing.T, s *Simulation) {
 	t.Helper()
 	validated := s.World.Validation().VRPs.All()
@@ -47,7 +55,7 @@ func assertStartsLikeReplay(t *testing.T, s *Simulation) {
 			t.Fatal(err)
 		}
 		got, want := rp.Router, replay
-		if g, w := got.Table().Peers(), want.Table().Peers(); !reflect.DeepEqual(g, w) {
+		if g, w := localTable(got).Peers(), localTable(want).Peers(); !reflect.DeepEqual(g, w) {
 			t.Errorf("%s: fork knows peers %v, replay %v", rp.Spec.Name, g, w)
 		}
 		if g, w := localRoutes(got), localRoutes(want); !reflect.DeepEqual(g, w) {

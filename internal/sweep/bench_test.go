@@ -29,7 +29,7 @@ func runSweepBench(b *testing.B, opt Options) {
 	grid := benchGrid()
 	totalRuns := 0
 	for i := 0; i < b.N; i++ {
-		res, err := Run(context.Background(), grid, opt)
+		res, err := run(context.Background(), grid, opt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func composedGrid() Grid {
 func TestComposedCellDeterminism(t *testing.T) {
 	render := func(opt Options) []byte {
 		t.Helper()
-		res, err := Run(context.Background(), composedGrid(), opt)
+		res, err := run(context.Background(), composedGrid(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}

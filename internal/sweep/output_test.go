@@ -95,7 +95,7 @@ func TestWriteTSVMatchesFprintf(t *testing.T) {
 	g.Scenarios = []string{"route-leak", "hijack-window"}
 	g.Params = map[string][]string{"end_frac": {"0.8"}}
 	for _, streaming := range []bool{false, true} {
-		res, err := Run(context.Background(), g, Options{Workers: 2, ShareWorlds: true, Streaming: streaming})
+		res, err := run(context.Background(), g, Options{Workers: 2, ShareWorlds: true, Streaming: streaming})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,23 +90,12 @@ type Result struct {
 	Streaming bool
 }
 
-// Run expands the grid, shards the runs across a worker pool, and
-// aggregates. Individual run failures are recorded in their RunResult
-// (and excluded from aggregates), not fatal; only a malformed grid
-// errors. Cancelling ctx stops dispatching, cancels in-flight
-// simulations within one tick, and returns ctx's error.
-func Run(ctx context.Context, g Grid, opt Options) (*Result, error) {
-	plan, err := g.Plan()
-	if err != nil {
-		return nil, err
-	}
-	return RunPlan(ctx, plan, opt)
-}
-
-// RunPlan executes an already-expanded plan — callers that need the
-// plan up front (progress headers, sizing) expand once and hand it in
-// instead of paying the grid expansion twice. A local sweep is the
-// distributed one with a single lease over every cell.
+// RunPlan executes an expanded plan (Grid.Plan), sharding the runs
+// across a worker pool, and aggregates. Individual run failures are
+// recorded in their RunResult (and excluded from aggregates), not fatal.
+// Cancelling ctx stops dispatching, cancels in-flight simulations within
+// one tick, and returns ctx's error. A local sweep is the distributed
+// one with a single lease over every cell.
 func RunPlan(ctx context.Context, plan *Plan, opt Options) (*Result, error) {
 	partials, err := RunCells(ctx, plan, opt, 0, len(plan.Cells))
 	if err != nil {

@@ -17,7 +17,7 @@ func TestWorldShardingInvariantOutput(t *testing.T) {
 	render := func(procs int) []byte {
 		t.Helper()
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		res, err := Run(context.Background(), composedGrid(), Options{Workers: 2, ShareWorlds: true})
+		res, err := run(context.Background(), composedGrid(), Options{Workers: 2, ShareWorlds: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,11 +28,11 @@ func render(t *testing.T, res *Result) (tsv, js []byte) {
 func TestSharedWorldsByteIdentical(t *testing.T) {
 	g := testGrid()
 	g.Scenarios = []string{"baseline", "roa-churn", "cdn-migration"}
-	regen, err := Run(context.Background(), g, Options{Workers: 4})
+	regen, err := run(context.Background(), g, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := Run(context.Background(), g, Options{Workers: 4, ShareWorlds: true})
+	shared, err := run(context.Background(), g, Options{Workers: 4, ShareWorlds: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSharedWorldCloneIsolation(t *testing.T) {
 	g := testGrid()
 	g.Scenarios = []string{"cdn-migration", "baseline"}
 	g.Replicates = 3
-	res, err := Run(context.Background(), g, Options{Workers: 3, ShareWorlds: true})
+	res, err := run(context.Background(), g, Options{Workers: 3, ShareWorlds: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSharedWorldCloneIsolation(t *testing.T) {
 	// migration mutations leaked into the shared snapshot, the baseline
 	// replicate of the same seed would see a different world than an
 	// isolated run.
-	solo, err := Run(context.Background(), Grid{
+	solo, err := run(context.Background(), Grid{
 		Scenarios:     []string{"baseline"},
 		Seeds:         []int64{res.Plan.Seeds[0]},
 		Domains:       g.Domains,
@@ -107,7 +107,7 @@ func TestStreamingDeterministicAcrossWorkers(t *testing.T) {
 		{Workers: 4, Streaming: true},
 		{Workers: 4, Streaming: true, ShareWorlds: true},
 	} {
-		res, err := Run(context.Background(), g, opt)
+		res, err := run(context.Background(), g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,11 +132,11 @@ func TestStreamingDeterministicAcrossWorkers(t *testing.T) {
 func TestStreamingMatchesExactAggregates(t *testing.T) {
 	g := testGrid()
 	g.Replicates = 4
-	exact, err := Run(context.Background(), g, Options{Workers: 4})
+	exact, err := run(context.Background(), g, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, err := Run(context.Background(), g, Options{Workers: 4, Streaming: true, ShareWorlds: true})
+	stream, err := run(context.Background(), g, Options{Workers: 4, Streaming: true, ShareWorlds: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestStreamingMatchesExactAggregates(t *testing.T) {
 // scalar summaries (the time series themselves are gone in both modes:
 // a RunResult has no field for one) and marks its result.
 func TestStreamingReleasesSeries(t *testing.T) {
-	res, err := Run(context.Background(), testGrid(), Options{Workers: 2, Streaming: true})
+	res, err := run(context.Background(), testGrid(), Options{Workers: 2, Streaming: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestStreamingRecordsErrors(t *testing.T) {
 	g.Scenarios = []string{"cdn-migration"}
 	g.Replicates = 2
 	g.Params = map[string][]string{"from": {"no-such-cdn"}}
-	res, err := Run(context.Background(), g, Options{Workers: 2, Streaming: true})
+	res, err := run(context.Background(), g, Options{Workers: 2, Streaming: true})
 	if err != nil {
 		t.Fatal(err)
 	}

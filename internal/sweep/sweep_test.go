@@ -27,6 +27,15 @@ func testGrid() Grid {
 	}
 }
 
+// run expands g and runs the plan, as ripki-sweep does.
+func run(ctx context.Context, g Grid, opt Options) (*Result, error) {
+	plan, err := g.Plan()
+	if err != nil {
+		return nil, err
+	}
+	return RunPlan(ctx, plan, opt)
+}
+
 func TestPlanExpansion(t *testing.T) {
 	g := testGrid()
 	g.Scenarios = []string{"roa-churn", "rp-lag"} // both declare issue
@@ -124,7 +133,7 @@ func TestDeriveSeedStable(t *testing.T) {
 func TestDeterminismAcrossWorkers(t *testing.T) {
 	outputs := make([][2][]byte, 0, 2)
 	for _, workers := range []int{1, 4} {
-		res, err := Run(context.Background(), testGrid(), Options{Workers: workers})
+		res, err := run(context.Background(), testGrid(), Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +159,7 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 
 // TestAggregates sanity-checks the folded output on a real small sweep.
 func TestAggregates(t *testing.T) {
-	res, err := Run(context.Background(), testGrid(), Options{Workers: 4})
+	res, err := run(context.Background(), testGrid(), Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +209,7 @@ func TestRunErrorsRecorded(t *testing.T) {
 	g.Scenarios = []string{"cdn-migration"}
 	g.Replicates = 1
 	g.Params = map[string][]string{"from": {"no-such-cdn"}}
-	res, err := Run(context.Background(), g, Options{Workers: 2})
+	res, err := run(context.Background(), g, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

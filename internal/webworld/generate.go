@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ripki/internal/bgp"
-	"ripki/internal/mrt"
 	"ripki/internal/rib"
 	"ripki/internal/rpki/cert"
 	"ripki/internal/rpki/repo"
@@ -454,7 +453,7 @@ func (w *World) prefixOrigin(p netip.Prefix, asn uint32) {
 func (w *World) announce() {
 	peers := make([]uint16, 0, 3)
 	for i := 0; i < 3 && i < len(w.orgs.transit); i++ {
-		peers = append(peers, w.RIB.AddPeer(mrt.Peer{
+		peers = append(peers, w.RIB.AddPeer(rib.Peer{
 			BGPID: netip.AddrFrom4([4]byte{10, 0, byte(i), 1}),
 			Addr:  netip.AddrFrom4([4]byte{10, 0, byte(i), 1}),
 			ASN:   w.orgs.transit[i],
@@ -466,11 +465,10 @@ func (w *World) announce() {
 			for pi, peerIdx := range peers {
 				path := w.path(w.orgs.transit[pi], origin)
 				w.RIB.Insert(rib.Route{
-					Prefix:     p,
-					PeerIndex:  peerIdx,
-					Path:       path,
-					NextHop:    netip.AddrFrom4([4]byte{10, 0, byte(pi), 1}),
-					Originated: epoch,
+					Prefix:    p,
+					PeerIndex: peerIdx,
+					Path:      path,
+					NextHop:   netip.AddrFrom4([4]byte{10, 0, byte(pi), 1}),
 				})
 			}
 		}

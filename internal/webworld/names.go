@@ -14,9 +14,6 @@ type topSite struct {
 	noWWW bool
 	// cdn names the CDN serving the www variant ("" = none).
 	cdn string
-	// chainLen is the number of CNAMEs for the www variant when CDN
-	// served (the paper's examples traverse 2).
-	chainLen int
 
 	wwwCovered, wwwTotal   int
 	apexCovered, apexTotal int
@@ -33,12 +30,12 @@ func topSites() []topSite {
 	return []topSite{
 		{rank: 1, name: "google.com", cdn: "", wwwCovered: 0, wwwTotal: 4, apexCovered: 0, apexTotal: 4},
 		{rank: 2, name: "facebook.com", cdn: "", wwwCovered: 3, wwwTotal: 3, apexCovered: 2, apexTotal: 2},
-		{rank: 70, name: "cdncache1-a.akamaihd.net", noWWW: true, cdn: "akamai", chainLen: 2, apexCovered: 1, apexTotal: 3},
-		{rank: 73, name: "huffingtonpost.com", cdn: "akamai", chainLen: 2, wwwCovered: 1, wwwTotal: 3, apexCovered: 0, apexTotal: 3},
-		{rank: 92, name: "cnet.com", cdn: "akamai", chainLen: 2, wwwCovered: 1, wwwTotal: 3, apexCovered: 0, apexTotal: 2},
-		{rank: 95, name: "dailymail.co.uk", cdn: "edgecast", chainLen: 2, wwwCovered: 1, wwwTotal: 3, apexCovered: 0, apexTotal: 1},
-		{rank: 117, name: "indiatimes.com", cdn: "akamai", chainLen: 2, wwwCovered: 1, wwwTotal: 3, apexCovered: 0, apexTotal: 1},
-		{rank: 120, name: "kickass.to", cdn: "cloudflare", chainLen: 2, wwwCovered: 1, wwwTotal: 10, apexCovered: 1, apexTotal: 10},
+		{rank: 70, name: "cdncache1-a.akamaihd.net", noWWW: true, cdn: "akamai", apexCovered: 1, apexTotal: 3},
+		{rank: 73, name: "huffingtonpost.com", cdn: "akamai", wwwCovered: 1, wwwTotal: 3, apexCovered: 0, apexTotal: 3},
+		{rank: 92, name: "cnet.com", cdn: "akamai", wwwCovered: 1, wwwTotal: 3, apexCovered: 0, apexTotal: 2},
+		{rank: 95, name: "dailymail.co.uk", cdn: "edgecast", wwwCovered: 1, wwwTotal: 3, apexCovered: 0, apexTotal: 1},
+		{rank: 117, name: "indiatimes.com", cdn: "akamai", wwwCovered: 1, wwwTotal: 3, apexCovered: 0, apexTotal: 1},
+		{rank: 120, name: "kickass.to", cdn: "cloudflare", wwwCovered: 1, wwwTotal: 10, apexCovered: 1, apexTotal: 10},
 		{rank: 130, name: "booking.com", cdn: "", wwwCovered: 4, wwwTotal: 4, apexCovered: 2, apexTotal: 2},
 	}
 }

@@ -163,7 +163,7 @@ func TestBatchedROAsValidateAsOneAtATime(t *testing.T) {
 			t.Errorf("%s: manifest: %v", from.Cert.Subject, err)
 		}
 		for _, ro := range from.ROAs {
-			if _, err := replay.AddROA(to, ro.ASID, ro.Prefixes); err != nil {
+			if _, err := replay.AddROAs(to, []repo.ROASpec{{ASID: ro.ASID, Prefixes: ro.Prefixes}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -368,7 +368,7 @@ func TestMostResolvedAddressesAreRouted(t *testing.T) {
 	w := smallWorld(t)
 	resolver := dns.RegistryResolver{Registry: w.Registry}
 	routed, unrouted, special := 0, 0, 0
-	for _, e := range w.List.Top(2000).Entries() {
+	for _, e := range w.List.Entries()[:2000] {
 		for _, name := range []string{e.Domain, "www." + e.Domain} {
 			r, err := resolver.LookupWeb(name)
 			if err != nil {
@@ -431,17 +431,22 @@ func TestStatsPlausible(t *testing.T) {
 	}
 }
 
+// TestOrgOfPrefix: the map the generator keeps its prefixes unique by
+// holds each organisation's prefixes, each owned by that organisation,
+// and nothing else.
 func TestOrgOfPrefix(t *testing.T) {
 	w := smallWorld(t)
-	for _, o := range w.Orgs[:5] {
+	n := 0
+	for _, o := range w.Orgs {
 		for _, p := range o.Prefixes {
-			if w.OrgOfPrefix(p) != o {
-				t.Fatalf("OrgOfPrefix(%v) wrong", p)
+			if w.prefixOrg[p] != o {
+				t.Fatalf("prefixOrg[%v] wrong", p)
 			}
+			n++
 		}
 	}
-	if w.OrgOfPrefix(netutil.MustPrefix("192.0.2.0/24")) != nil {
-		t.Error("OrgOfPrefix of foreign prefix not nil")
+	if len(w.prefixOrg) != n {
+		t.Errorf("prefixOrg holds %d prefixes, the organisations %d", len(w.prefixOrg), n)
 	}
 }
 

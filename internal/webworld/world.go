@@ -259,8 +259,8 @@ type World struct {
 	// validation at MeasureTime, seeded routers); shared by clones (see
 	// snapshot.go).
 	memo *sync.Map
-	// prefixOrg maps each allocated prefix to its owner, for tests and
-	// diagnostics.
+	// prefixOrg maps each allocated prefix to its owner; generation
+	// reads it to keep sub-prefixes from colliding.
 	prefixOrg map[netip.Prefix]*Org
 	// pinnedOrigin fixes the announcing AS per prefix so ROAs and
 	// announcements agree.
@@ -307,9 +307,4 @@ type Stats struct {
 // (30 days after creation, well inside every validity window).
 func (w *World) MeasureTime() time.Time {
 	return epoch.Add(30 * 24 * time.Hour)
-}
-
-// OrgOfPrefix returns the owner of a generated prefix, if any.
-func (w *World) OrgOfPrefix(p netip.Prefix) *Org {
-	return w.prefixOrg[p]
 }

@@ -5,7 +5,10 @@ package ripki
 // type-checks the non-test files with go/types, and walks the call graph
 // from every main and every package-level initialiser. A function no
 // command reaches is deleted, or named in reachAllowlist with the test
-// that needs it.
+// that needs it. The commands are the mains under cmd/, tools/ and
+// bench/; examples/ is left out, so an example cannot keep alive what
+// no command uses (nothing imports an example, and `go build ./...`
+// still compiles them).
 
 import (
 	"bytes"
@@ -144,7 +147,7 @@ func loadReachGraph(t *testing.T) *reachGraph {
 		} else if err != nil {
 			t.Fatal(err)
 		}
-		if lp.Module == nil || !lp.Module.Main {
+		if lp.Module == nil || !lp.Module.Main || strings.HasPrefix(lp.ImportPath, "ripki/examples/") {
 			continue
 		}
 		var files []*ast.File
