@@ -1,6 +1,7 @@
 package rtr
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -167,6 +168,31 @@ func TestServerCloseDisconnectsClients(t *testing.T) {
 	defer ln.Close()
 	if err := srv.Serve(ln); err == nil {
 		t.Error("Serve on closed server succeeded")
+	}
+}
+
+// TestServeAfterCloseClosesListener: a listener handed to a closed
+// server is closed, not left accepting connections nobody serves.
+func TestServeAfterCloseClosesListener(t *testing.T) {
+	srv := NewServer(vrp.NewSet(), 1)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// Bounds the Accept below when the listener is left open.
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(time.Second))
+	if err := srv.Serve(ln); err == nil {
+		t.Error("Serve on closed server succeeded")
+	}
+	if conn, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+		if conn != nil {
+			conn.Close()
+		}
+		t.Errorf("Accept after Serve on a closed server: %v, want net.ErrClosed", err)
 	}
 }
 

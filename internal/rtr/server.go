@@ -177,11 +177,13 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // Serve accepts router sessions on ln until Close is called. It returns
-// the listener error after shutdown.
+// the listener error after shutdown. Serve on a closed server closes ln
+// and returns an error, as net/http's Server.Serve does.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		ln.Close()
 		return errors.New("rtr: server closed")
 	}
 	s.ln = ln
