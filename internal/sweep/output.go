@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -193,13 +194,17 @@ type gridJSON struct {
 }
 
 // ParseGrid reads a JSON grid file. Unknown fields are rejected, so a
-// typo'd axis name fails loudly instead of silently sweeping nothing.
+// typo'd axis name fails loudly instead of silently sweeping nothing, and
+// so is anything but white space after the grid object.
 func ParseGrid(data []byte) (Grid, error) {
 	var gj gridJSON
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&gj); err != nil {
 		return Grid{}, fmt.Errorf("sweep: parsing grid: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Grid{}, errors.New("sweep: parsing grid: data after the grid object")
 	}
 	g := gj.Grid
 	for _, s := range gj.Ticks {

@@ -137,3 +137,40 @@ func TestWriteTSVMatchesFprintf(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseGrid holds the grid reader that ripki-sweep -grid and every
+// distributed worker's hello go through: it never panics; a grid it
+// accepts, MarshalGrid renders as bytes that parse back and render to
+// the same bytes (compared as bytes: a nil and an empty axis are the
+// same grid); and a grid followed by anything but white space is
+// rejected.
+func FuzzParseGrid(f *testing.F) {
+	f.Add([]byte(`{"scenarios": ["route-leak"], "replicates": 2, "ticks": ["10s"], "durations": ["8m"]}`))
+	f.Add([]byte(`{"replicates": 1} {"bogus": 7}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ParseGrid(data)
+		if err != nil {
+			return
+		}
+		out, err := MarshalGrid(g)
+		if err != nil {
+			t.Fatalf("MarshalGrid of an accepted grid: %v", err)
+		}
+		back, err := ParseGrid(out)
+		if err != nil {
+			t.Fatalf("ParseGrid rejects MarshalGrid's %s: %v", out, err)
+		}
+		again, err := MarshalGrid(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, again) {
+			t.Fatalf("not a fixed point:\n%s\n%s", out, again)
+		}
+		for _, tail := range []string{"0", "{}", "x"} {
+			if _, err := ParseGrid(append(data[:len(data):len(data)], tail...)); err == nil {
+				t.Fatalf("accepted %q after the grid", tail)
+			}
+		}
+	})
+}

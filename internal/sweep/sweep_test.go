@@ -289,6 +289,12 @@ func TestParseGrid(t *testing.T) {
 	if _, err := ParseGrid([]byte(`{"scenario": ["baseline"]}`)); err == nil {
 		t.Error("unknown field (typo'd axis) accepted")
 	}
+	if _, err := ParseGrid([]byte(`{"replicates": 1} {"bogus": 7}`)); err == nil {
+		t.Error("a second object after the grid accepted")
+	}
+	if _, err := ParseGrid([]byte("{\"replicates\": 1}\n\t ")); err != nil {
+		t.Errorf("trailing white space rejected: %v", err)
+	}
 }
 
 func TestFormatParams(t *testing.T) {
