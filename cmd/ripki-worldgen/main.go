@@ -8,8 +8,6 @@
 //
 // The ranked list, the collector table and the AS registry are not
 // written: a tool that takes -seed/-domains regenerates the same world.
-// The writers for them (alexa.csv, an MRT TABLE_DUMP_V2 rib.mrt and
-// asregistry.tsv) are in git history at commit 57822a8.
 package main
 
 import (
