@@ -68,8 +68,9 @@ golden-update:
 # world generation throughput, the packed domain table's build cost and
 # bytes/domain, the lookup path against a million-domain table, and a
 # daemon's -vrps start-up read of 300 000 CSV rows, shuffled and in order
-# — and the paper's own pipeline, measure.Run over the 100 000-domain
-# study world. allocs/op and B/op are what the gate holds them all to.
+# — the paper's own pipeline, measure.Run over the 100 000-domain
+# study world, and a world's RPKI (21 CAs, 72 ROAs) issued and validated.
+# allocs/op and B/op are what the gate holds them all to.
 # Fixed -benchtime keeps run time bounded; -count $(BENCH_COUNT) gives
 # benchgate best-of folding.
 bench:
@@ -92,6 +93,7 @@ bench:
 	@$(GO) test -run '^$$' -bench 'BenchmarkServeValidate1M$$' -benchtime 20000x -benchmem -count $(BENCH_COUNT) ./internal/serve
 	@$(GO) test -run '^$$' -bench 'BenchmarkReadCSV$$' -benchtime 3x -benchmem -count $(BENCH_COUNT) ./internal/rpki/vrp
 	@$(GO) test -run '^$$' -bench 'BenchmarkPipeline$$' -benchtime 3x -benchmem -count $(BENCH_COUNT) .
+	@$(GO) test -run '^$$' -bench 'BenchmarkRepository(Issue|Validate)$$' -benchtime 20x -benchmem -count $(BENCH_COUNT) ./internal/rpki/repo
 
 bench-baseline:
 	@$(MAKE) --no-print-directory bench | $(GO) run ./tools/benchgate -write $(BENCH_FILE)

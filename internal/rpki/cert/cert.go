@@ -8,22 +8,22 @@
 // is valid only if its resources are a subset of the issuer's and it has
 // not expired.
 //
-// Cryptography is real: ECDSA over P-256 with SHA-256, via the standard
-// library. Objects whose signatures do not verify are discarded by the
-// validator, exactly as the paper's methodology requires ("Only
-// cryptographically correct ROAs are further used").
+// Cryptography is real: Ed25519 from the standard library, signing the
+// DER bytes themselves (PureEdDSA, as RFC 8410 and RFC 8419 use it).
+// RFC 7935's algorithm profile for the RPKI is RSA-2048 with SHA-256, so
+// Ed25519 is a stand-in, as ECDSA P-256 was before it: it signs and
+// verifies faster (see docs/webworld.md), and the validator's rules do
+// not depend on the algorithm. Objects whose signatures do not verify
+// are discarded by the validator, exactly as the paper's methodology
+// requires ("Only cryptographically correct ROAs are further used").
 package cert
 
 import (
-	"crypto/ecdsa"
-	"crypto/elliptic"
-	"crypto/rand"
-	"crypto/sha256"
+	"crypto/ed25519"
 	"crypto/x509"
 	"encoding/asn1"
 	"errors"
 	"fmt"
-	"io"
 	"net/netip"
 	"time"
 
@@ -97,10 +97,9 @@ type Certificate struct {
 	NotAfter     time.Time
 	IsCA         bool
 	Resources    Resources
-	PublicKey    *ecdsa.PublicKey
+	PublicKey    ed25519.PublicKey
 
-	// Signature is the issuer's ECDSA signature (ASN.1 form) over the
-	// SHA-256 digest of RawTBS.
+	// Signature is the issuer's Ed25519 signature over RawTBS.
 	Signature []byte
 	// RawTBS is the DER encoding of the to-be-signed portion.
 	RawTBS []byte
@@ -162,27 +161,18 @@ type Template struct {
 	NotAfter     time.Time
 	IsCA         bool
 	Resources    Resources
-	PublicKey    *ecdsa.PublicKey
-}
-
-// GenerateKey creates a new P-256 key pair. If r is nil, crypto/rand is
-// used.
-func GenerateKey(r io.Reader) (*ecdsa.PrivateKey, error) {
-	if r == nil {
-		r = rand.Reader
-	}
-	return ecdsa.GenerateKey(elliptic.P256(), r)
+	PublicKey    ed25519.PublicKey
 }
 
 // Issue creates a certificate from tmpl signed by issuerKey in the name
 // of issuer. For self-signed trust anchors pass issuer == tmpl.Subject
-// and the anchor's own key.
-func Issue(tmpl Template, issuer string, issuerKey *ecdsa.PrivateKey) (*Certificate, error) {
-	if tmpl.PublicKey == nil {
-		return nil, errors.New("cert: template missing public key")
+// and the anchor's own key. A key of the wrong length is an error.
+func Issue(tmpl Template, issuer string, issuerKey ed25519.PrivateKey) (*Certificate, error) {
+	if len(tmpl.PublicKey) != ed25519.PublicKeySize {
+		return nil, fmt.Errorf("cert: template public key is %d bytes, want %d", len(tmpl.PublicKey), ed25519.PublicKeySize)
 	}
-	if issuerKey == nil {
-		return nil, errors.New("cert: missing issuer key")
+	if err := CheckPrivateKey(issuerKey); err != nil {
+		return nil, err
 	}
 	if !tmpl.NotAfter.After(tmpl.NotBefore) {
 		return nil, fmt.Errorf("cert: validity window inverted (%v .. %v)", tmpl.NotBefore, tmpl.NotAfter)
@@ -207,11 +197,6 @@ func Issue(tmpl Template, issuer string, issuerKey *ecdsa.PrivateKey) (*Certific
 	if err != nil {
 		return nil, fmt.Errorf("cert: encoding TBS: %w", err)
 	}
-	digest := sha256.Sum256(rawTBS)
-	sig, err := ecdsa.SignASN1(rand.Reader, issuerKey, digest[:])
-	if err != nil {
-		return nil, fmt.Errorf("cert: signing: %w", err)
-	}
 	c := &Certificate{
 		SerialNumber: tmpl.SerialNumber,
 		Subject:      tmpl.Subject,
@@ -221,7 +206,7 @@ func Issue(tmpl Template, issuer string, issuerKey *ecdsa.PrivateKey) (*Certific
 		IsCA:         tmpl.IsCA,
 		Resources:    tmpl.Resources,
 		PublicKey:    tmpl.PublicKey,
-		Signature:    sig,
+		Signature:    ed25519.Sign(issuerKey, rawTBS),
 		RawTBS:       rawTBS,
 	}
 	return c, nil
@@ -239,14 +224,11 @@ func (c *Certificate) Marshal() ([]byte, error) {
 	})
 }
 
-// CheckSignatureFrom verifies that issuer's key signed c.
-func (c *Certificate) CheckSignatureFrom(issuer *Certificate) error {
-	if issuer.PublicKey == nil {
-		return errors.New("cert: issuer has no public key")
-	}
-	digest := sha256.Sum256(c.RawTBS)
-	if !ecdsa.VerifyASN1(issuer.PublicKey, digest[:], c.Signature) {
-		return fmt.Errorf("cert: signature on %q does not verify against issuer %q", c.Subject, issuer.Subject)
+// CheckPrivateKey reports a signing key of the wrong length as an
+// error: ed25519.Sign panics on one.
+func CheckPrivateKey(key ed25519.PrivateKey) error {
+	if len(key) != ed25519.PrivateKeySize {
+		return fmt.Errorf("cert: signing key is %d bytes, want %d", len(key), ed25519.PrivateKeySize)
 	}
 	return nil
 }
@@ -255,6 +237,25 @@ func (c *Certificate) CheckSignatureFrom(issuer *Certificate) error {
 type VerifyOptions struct {
 	// Now is the validation time; the zero value means time.Now().
 	Now time.Time
+	// Signatures, if not nil, is incremented for every signature
+	// checked under these options, whether it verifies or not.
+	Signatures *int
+}
+
+// CheckSignature verifies sig over msg under pub and counts it in
+// o.Signatures. A key of the wrong length does not verify: it is
+// reported as an error, where ed25519.Verify would panic.
+func (o VerifyOptions) CheckSignature(pub ed25519.PublicKey, msg, sig []byte) error {
+	if o.Signatures != nil {
+		*o.Signatures++
+	}
+	if len(pub) != ed25519.PublicKeySize {
+		return fmt.Errorf("public key is %d bytes, want %d", len(pub), ed25519.PublicKeySize)
+	}
+	if !ed25519.Verify(pub, msg, sig) {
+		return errors.New("signature does not verify")
+	}
+	return nil
 }
 
 func (o VerifyOptions) now() time.Time {
@@ -287,5 +288,8 @@ func (c *Certificate) Verify(issuer *Certificate, opts VerifyOptions) error {
 			return fmt.Errorf("cert: %q claims resources beyond issuer %q", c.Subject, issuer.Subject)
 		}
 	}
-	return c.CheckSignatureFrom(issuer)
+	if err := opts.CheckSignature(issuer.PublicKey, c.RawTBS, c.Signature); err != nil {
+		return fmt.Errorf("cert: %q against issuer %q: %w", c.Subject, issuer.Subject, err)
+	}
+	return nil
 }

@@ -1,8 +1,7 @@
 package cert
 
 import (
-	"crypto/ecdsa"
-	"math/rand"
+	"crypto/ed25519"
 	"net/netip"
 	"testing"
 	"time"
@@ -26,7 +25,7 @@ func selfSigned(t *testing.T, subject string, res Resources) (*Certificate, *key
 		NotAfter:     t1,
 		IsCA:         true,
 		Resources:    res,
-		PublicKey:    &kp.key.PublicKey,
+		PublicKey:    kp.pub,
 	}, subject, kp.key)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +34,8 @@ func selfSigned(t *testing.T, subject string, res Resources) (*Certificate, *key
 }
 
 type keyPair struct {
-	key *ecdsa.PrivateKey
+	pub ed25519.PublicKey
+	key ed25519.PrivateKey
 }
 
 type prefixType = netip.Prefix
@@ -60,7 +60,7 @@ func TestIssueAndVerifyChain(t *testing.T) {
 			Prefixes: netip2("193.0.0.0/16", "2001:db8::/32"),
 			ASNs:     []ASRange{{Min: 3333, Max: 3333}},
 		},
-		PublicKey: &childKey.key.PublicKey,
+		PublicKey: childKey.pub,
 	}, "ta-ripe", taKey.key)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestVerifyRejectsResourceEscalation(t *testing.T) {
 			Prefixes: netip2("11.0.0.0/8"), // not delegated by ta
 			ASNs:     []ASRange{{Min: 100, Max: 100}},
 		},
-		PublicKey: &childKey.key.PublicKey,
+		PublicKey: childKey.pub,
 	}, "ta", taKey.key)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestVerifyRejectsResourceEscalation(t *testing.T) {
 			Prefixes: netip2("10.1.0.0/16"),
 			ASNs:     []ASRange{{Min: 100, Max: 300}},
 		},
-		PublicKey: &childKey.key.PublicKey,
+		PublicKey: childKey.pub,
 	}, "ta", taKey.key)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestVerifyRejectsWrongIssuer(t *testing.T) {
 		NotBefore:    t0,
 		NotAfter:     t1,
 		Resources:    Resources{Prefixes: netip2("10.0.0.0/8")},
-		PublicKey:    &childKey.key.PublicKey,
+		PublicKey:    childKey.pub,
 	}, "ta", taKey.key)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestVerifyRejectsNonCAIssuer(t *testing.T) {
 		SerialNumber: 2, Subject: "ee", NotBefore: t0, NotAfter: t1,
 		IsCA:      false,
 		Resources: Resources{Prefixes: netip2("10.0.0.0/8")},
-		PublicKey: &midKey.key.PublicKey,
+		PublicKey: midKey.pub,
 	}, "ta", taKey.key)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestVerifyRejectsNonCAIssuer(t *testing.T) {
 	leaf, err := Issue(Template{
 		SerialNumber: 3, Subject: "leaf", NotBefore: t0, NotAfter: t1,
 		Resources: Resources{Prefixes: netip2("10.0.0.0/16")},
-		PublicKey: &leafKey.key.PublicKey,
+		PublicKey: leafKey.pub,
 	}, "ee", midKey.key)
 	if err != nil {
 		t.Fatal(err)
@@ -209,14 +209,38 @@ func TestResourcesSubsetOf(t *testing.T) {
 
 func TestIssueValidation(t *testing.T) {
 	kp := newKeyPair(t)
-	if _, err := Issue(Template{Subject: "x", NotBefore: t1, NotAfter: t0, PublicKey: &kp.key.PublicKey}, "x", kp.key); err == nil {
+	if _, err := Issue(Template{Subject: "x", NotBefore: t1, NotAfter: t0, PublicKey: kp.pub}, "x", kp.key); err == nil {
 		t.Error("inverted validity accepted")
 	}
 	if _, err := Issue(Template{Subject: "x", NotBefore: t0, NotAfter: t1}, "x", kp.key); err == nil {
 		t.Error("missing public key accepted")
 	}
-	if _, err := Issue(Template{Subject: "x", NotBefore: t0, NotAfter: t1, PublicKey: &kp.key.PublicKey}, "x", nil); err == nil {
+	if _, err := Issue(Template{Subject: "x", NotBefore: t0, NotAfter: t1, PublicKey: kp.pub}, "x", nil); err == nil {
 		t.Error("missing issuer key accepted")
+	}
+	// ed25519.Sign panics on a key of the wrong length; Issue must not.
+	if _, err := Issue(Template{Subject: "x", NotBefore: t0, NotAfter: t1, PublicKey: kp.pub[:31]}, "x", kp.key); err == nil {
+		t.Error("31-byte public key accepted")
+	}
+	if _, err := Issue(Template{Subject: "x", NotBefore: t0, NotAfter: t1, PublicKey: kp.pub}, "x", kp.key[:32]); err == nil {
+		t.Error("32-byte issuer key accepted")
+	}
+}
+
+// TestVerifyRejectsIssuerKeyOfTheWrongLength: an issuer key that is not
+// 32 bytes fails verification, where ed25519.Verify would panic, and
+// the check is counted like any other.
+func TestVerifyRejectsIssuerKeyOfTheWrongLength(t *testing.T) {
+	for _, size := range []int{0, 31, 33} {
+		ta, _ := selfSigned(t, "ta", AllResources())
+		ta.PublicKey = append(append(ed25519.PublicKey(nil), ta.PublicKey...), 0)[:size]
+		checked := 0
+		if err := ta.Verify(ta, VerifyOptions{Now: tv, Signatures: &checked}); err == nil {
+			t.Errorf("a %d-byte issuer key verified", size)
+		}
+		if checked != 1 {
+			t.Errorf("%d signatures counted, want 1", checked)
+		}
 	}
 }
 
@@ -224,16 +248,11 @@ func TestIssueValidation(t *testing.T) {
 
 func newKeyPair(t *testing.T) *keyPair {
 	t.Helper()
-	k, err := GenerateKey(rand.New(rand.NewSource(int64(rand.Int()))))
+	pub, key, err := ed25519.GenerateKey(nil)
 	if err != nil {
-		// crypto/ecdsa requires a real random stream; fall back.
-		k2, err2 := GenerateKey(nil)
-		if err2 != nil {
-			t.Fatal(err2)
-		}
-		return &keyPair{key: k2}
+		t.Fatal(err)
 	}
-	return &keyPair{key: k}
+	return &keyPair{pub: pub, key: key}
 }
 
 func netip2(ss ...string) []prefixType {

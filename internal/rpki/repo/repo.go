@@ -9,11 +9,14 @@
 // mismatching the manifest, over-claiming resources), and emits the
 // surviving ROAs' payloads as VRPs. Nothing here is ever revoked, so
 // there are no CRLs: a ROA leaves the RPKI by not being issued.
+//
+// Certificates, manifests and ROAs are signed with Ed25519, a stand-in
+// for RFC 7935's RSA-2048 (see package cert); object hashes are SHA-256,
+// as RFC 6486 has them.
 package repo
 
 import (
-	"crypto/ecdsa"
-	"crypto/rand"
+	"crypto/ed25519"
 	"crypto/sha256"
 	"fmt"
 	"sort"
@@ -83,9 +86,8 @@ func (m *Manifest) Verify(issuer *cert.Certificate, opts cert.VerifyOptions) err
 	if now.After(m.NextUpdate) {
 		return fmt.Errorf("repo: manifest %q stale (nextUpdate %v)", m.Issuer, m.NextUpdate)
 	}
-	digest := sha256.Sum256(m.raw)
-	if !ecdsa.VerifyASN1(issuer.PublicKey, digest[:], m.Signature) {
-		return fmt.Errorf("repo: manifest signature from %q does not verify", m.Issuer)
+	if err := opts.CheckSignature(issuer.PublicKey, m.raw, m.Signature); err != nil {
+		return fmt.Errorf("repo: manifest from %q: %w", m.Issuer, err)
 	}
 	return nil
 }
@@ -95,7 +97,7 @@ func (m *Manifest) Verify(issuer *cert.Certificate, opts cert.VerifyOptions) err
 // manifest consistent (or deliberately, to inject faults in tests).
 type CA struct {
 	Cert *cert.Certificate
-	Key  *ecdsa.PrivateKey
+	Key  ed25519.PrivateKey
 
 	Children []*CA
 	ROAs     []*roa.ROA
@@ -124,7 +126,7 @@ var RIRNames = []string{"apnic", "afrinic", "arin", "lacnic", "ripe"}
 func New(names []string, clock time.Time, ttl time.Duration) (*Repository, error) {
 	r := &Repository{Clock: clock, TTL: ttl}
 	for _, name := range names {
-		key, err := cert.GenerateKey(nil)
+		pub, key, err := ed25519.GenerateKey(nil)
 		if err != nil {
 			return nil, fmt.Errorf("repo: generating key for %s: %w", name, err)
 		}
@@ -135,7 +137,7 @@ func New(names []string, clock time.Time, ttl time.Duration) (*Repository, error
 			NotAfter:     clock.Add(ttl),
 			IsCA:         true,
 			Resources:    cert.AllResources(),
-			PublicKey:    &key.PublicKey,
+			PublicKey:    pub,
 		}, "ta-"+name, key)
 		if err != nil {
 			return nil, fmt.Errorf("repo: issuing TA %s: %w", name, err)
@@ -161,7 +163,7 @@ func (r *Repository) Anchor(name string) *CA {
 
 // NewCA issues a child CA under parent with the given resources.
 func (r *Repository) NewCA(parent *CA, subject string, res cert.Resources) (*CA, error) {
-	key, err := cert.GenerateKey(nil)
+	pub, key, err := ed25519.GenerateKey(nil)
 	if err != nil {
 		return nil, fmt.Errorf("repo: generating key for %s: %w", subject, err)
 	}
@@ -173,7 +175,7 @@ func (r *Repository) NewCA(parent *CA, subject string, res cert.Resources) (*CA,
 		NotAfter:     r.Clock.Add(r.TTL),
 		IsCA:         true,
 		Resources:    res,
-		PublicKey:    &key.PublicKey,
+		PublicKey:    pub,
 	}, parent.Cert.Subject, parent.Key)
 	if err != nil {
 		return nil, fmt.Errorf("repo: issuing CA %s: %w", subject, err)
@@ -256,6 +258,9 @@ func (ca *CA) objects() ([]Object, error) {
 // number is one past the CA's previous manifest's, so equal issuance
 // gives equal numbers.
 func (ca *CA) refreshManifest(clock time.Time, ttl time.Duration) error {
+	if err := cert.CheckPrivateKey(ca.Key); err != nil {
+		return fmt.Errorf("repo: manifest of %q: %w", ca.Cert.Subject, err)
+	}
 	objs, err := ca.objects()
 	if err != nil {
 		return err
@@ -276,12 +281,7 @@ func (ca *CA) refreshManifest(clock time.Time, ttl time.Duration) error {
 		Entries:    entries,
 	}
 	m.raw = manifestTBS(m.Issuer, m.Number, m.ThisUpdate, m.NextUpdate, entries)
-	digest := sha256.Sum256(m.raw)
-	sig, err := signASN1(ca.Key, digest[:])
-	if err != nil {
-		return err
-	}
-	m.Signature = sig
+	m.Signature = ed25519.Sign(ca.Key, m.raw)
 	ca.Manifest = m
 	return nil
 }
@@ -306,6 +306,10 @@ type ValidationResult struct {
 	ROAsSeen  int
 	ROAsValid int
 
+	// signatures counts the signatures checked: a trust anchor's own,
+	// a manifest's, a child CA certificate's, and a ROA's two (its EE
+	// certificate's and its payload's), each once.
+	signatures int
 	// anchors is what Validate found under each trust anchor, by RIR
 	// name (see AnchorVRPs).
 	anchors map[string][]vrp.VRP
@@ -337,6 +341,7 @@ func (r *Repository) Validate(at time.Time) *ValidationResult {
 		res.Problems = append(res.Problems, sub.Problems...)
 		res.ROAsSeen += sub.ROAsSeen
 		res.ROAsValid += sub.ROAsValid
+		res.signatures += sub.signatures
 	}
 	return res
 }
@@ -346,7 +351,7 @@ func (r *Repository) Validate(at time.Time) *ValidationResult {
 // point goes dark.
 func (r *Repository) validateAnchor(ta *CA, at time.Time) *ValidationResult {
 	res := &ValidationResult{VRPs: vrp.NewSet()}
-	opts := cert.VerifyOptions{Now: at}
+	opts := cert.VerifyOptions{Now: at, Signatures: &res.signatures}
 	if err := ta.Cert.Verify(ta.Cert, opts); err != nil {
 		res.Problems = append(res.Problems, ValidationProblem{CA: ta.Cert.Subject, Object: "ta.cer", Err: err})
 		return res
@@ -423,9 +428,4 @@ func (r *Repository) validateCA(ca *CA, opts cert.VerifyOptions, res *Validation
 		}
 		r.validateCA(child, opts, res)
 	}
-}
-
-// signASN1 isolates the ecdsa dependency for the manifest signer.
-func signASN1(key *ecdsa.PrivateKey, digest []byte) ([]byte, error) {
-	return ecdsa.SignASN1(rand.Reader, key, digest)
 }

@@ -1,6 +1,7 @@
 package repo
 
 import (
+	"crypto/ed25519"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -129,12 +130,12 @@ func TestValidateDiscardsOverclaimingCA(t *testing.T) {
 	// than RIPE delegated, signed by RIPE's real key (a malicious or
 	// buggy parent could do this; resource check must still reject it at
 	// verification because SubsetOf fails).
-	key, _ := cert.GenerateKey(nil)
+	pub, _, _ := ed25519.GenerateKey(nil)
 	big, err := cert.Issue(cert.Template{
 		SerialNumber: 99, Subject: "isp", NotBefore: clock, NotAfter: clock.Add(ttl),
 		IsCA:      true,
 		Resources: cert.Resources{Prefixes: []pfx{netutil.MustPrefix("0.0.0.0/1")}},
-		PublicKey: &key.PublicKey,
+		PublicKey: pub,
 	}, ripe.Cert.Subject, ripe.Key)
 	if err != nil {
 		t.Fatal(err)
@@ -146,12 +147,12 @@ func TestValidateDiscardsOverclaimingCA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forgedKey, _ := cert.GenerateKey(nil)
+	forgedPub, forgedKey, _ := ed25519.GenerateKey(nil)
 	forged, err := cert.Issue(cert.Template{
 		SerialNumber: 100, Subject: "sub", NotBefore: clock, NotAfter: clock.Add(ttl),
 		IsCA:      true,
 		Resources: cert.Resources{Prefixes: []pfx{netutil.MustPrefix("200.0.0.0/8")}},
-		PublicKey: &forgedKey.PublicKey,
+		PublicKey: forgedPub,
 	}, isp.Cert.Subject, isp.Key)
 	if err != nil {
 		t.Fatal(err)
@@ -390,5 +391,237 @@ func TestValidateRecordsEachAnchor(t *testing.T) {
 	}
 	if full.AnchorVRPs("nosuch") != nil || r.validateAnchor(r.Anchor("ripe"), at).AnchorVRPs("ripe") != nil {
 		t.Error("AnchorVRPs answers for an unknown anchor, or on a single-anchor result")
+	}
+}
+
+// ispWithROA returns a repository with one CA under RIPE, holding
+// 193.0.0.0/16 and one ROA for 193.0.6.0/24 that validates.
+func ispWithROA(t *testing.T) (*Repository, *CA) {
+	t.Helper()
+	r := newRepo(t)
+	isp, err := r.NewCA(r.Anchor("ripe"), "isp", cert.Resources{
+		Prefixes: []pfx{netutil.MustPrefix("193.0.0.0/16")},
+		ASNs:     []cert.ASRange{{Min: 3333, Max: 3333}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := addROA(r, isp, 3333, []roa.Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24"), MaxLength: 24}}); err != nil {
+		t.Fatal(err)
+	}
+	if res := r.Validate(at); res.VRPs.Len() != 1 || len(res.Problems) != 0 {
+		t.Fatalf("fixture: %d VRPs, problems %v", res.VRPs.Len(), res.Problems)
+	}
+	return r, isp
+}
+
+// discarded fails unless Validate finds no VRP and reports object of
+// ca among its problems.
+func discarded(t *testing.T, r *Repository, ca, object string) {
+	t.Helper()
+	res := r.Validate(at)
+	if res.VRPs.Len() != 0 {
+		t.Errorf("Validate kept %v", res.VRPs.All())
+	}
+	for _, p := range res.Problems {
+		if p.CA == ca && p.Object == object {
+			return
+		}
+	}
+	t.Errorf("no problem for %s/%s in %v", ca, object, res.Problems)
+}
+
+// TestValidateDiscardsTamperedManifestSignature: a manifest whose
+// signature does not verify voids its publication point, though it is
+// fresh and lists every object with the right hash.
+func TestValidateDiscardsTamperedManifestSignature(t *testing.T) {
+	r, isp := ispWithROA(t)
+	isp.Manifest.Signature[5] ^= 0x10
+	discarded(t, r, "isp", "manifest")
+}
+
+// TestValidateDiscardsCertificatesSignedByAnotherKey: a child CA
+// certificate and a ROA's EE certificate that name the right issuer,
+// claim only what it holds and are listed on its manifest, but were
+// signed with a key other than the issuer's, are discarded.
+func TestValidateDiscardsCertificatesSignedByAnotherKey(t *testing.T) {
+	_, otherKey, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("child CA", func(t *testing.T) {
+		r, isp := ispWithROA(t)
+		ripe := r.Anchor("ripe")
+		c := isp.Cert
+		forged, err := cert.Issue(cert.Template{
+			SerialNumber: c.SerialNumber, Subject: c.Subject, NotBefore: c.NotBefore, NotAfter: c.NotAfter,
+			IsCA: true, Resources: c.Resources, PublicKey: c.PublicKey,
+		}, ripe.Cert.Subject, otherKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		isp.Cert = forged
+		if err := ripe.refreshManifest(r.Clock, r.TTL); err != nil {
+			t.Fatal(err)
+		}
+		discarded(t, r, "ta-ripe", "ca-0.cer")
+	})
+	t.Run("EE", func(t *testing.T) {
+		r, isp := ispWithROA(t)
+		prefixes := []roa.Prefix{{Prefix: netutil.MustPrefix("193.0.7.0/24"), MaxLength: 24}}
+		ee, eeKey, err := roa.NewEE(50, "isp-roa-50", prefixes, r.Clock, r.Clock.Add(r.TTL), isp.Cert, otherKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forged, err := roa.Sign(3333, prefixes, ee, eeKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		isp.ROAs[0] = forged
+		if err := isp.refreshManifest(r.Clock, r.TTL); err != nil {
+			t.Fatal(err)
+		}
+		discarded(t, r, "isp", "roa-0.roa")
+	})
+}
+
+// TestValidateDiscardsKeysOfTheWrongLength: a public key that is not 32
+// bytes, on a trust anchor, a CA or an EE certificate, is a problem the
+// validator records, not a panic. The certificates' signed bytes are
+// untouched, so every manifest still lists them with the right hash.
+func TestValidateDiscardsKeysOfTheWrongLength(t *testing.T) {
+	for _, size := range []int{0, 31, 33, 64} {
+		resize := func(k ed25519.PublicKey) ed25519.PublicKey {
+			return append(append(ed25519.PublicKey(nil), k...), make([]byte, 64)...)[:size]
+		}
+		t.Run(fmt.Sprintf("trust anchor/%d", size), func(t *testing.T) {
+			r, _ := ispWithROA(t)
+			ripe := r.Anchor("ripe")
+			ripe.Cert.PublicKey = resize(ripe.Cert.PublicKey)
+			discarded(t, r, "ta-ripe", "ta.cer")
+		})
+		t.Run(fmt.Sprintf("CA/%d", size), func(t *testing.T) {
+			r, isp := ispWithROA(t)
+			isp.Cert.PublicKey = resize(isp.Cert.PublicKey)
+			discarded(t, r, "isp", "manifest")
+		})
+		t.Run(fmt.Sprintf("EE/%d", size), func(t *testing.T) {
+			r, isp := ispWithROA(t)
+			isp.ROAs[0].EE.PublicKey = resize(isp.ROAs[0].EE.PublicKey)
+			discarded(t, r, "isp", "roa-0.roa")
+		})
+	}
+}
+
+// TestIssuingWithAKeyOfTheWrongLengthFails: a CA whose signing key is
+// not 64 bytes cannot sign a manifest, a child or a ROA; each is an
+// error, not a panic, and publishes nothing.
+func TestIssuingWithAKeyOfTheWrongLengthFails(t *testing.T) {
+	r, isp := ispWithROA(t)
+	isp.Key = isp.Key[:32]
+	if err := isp.refreshManifest(r.Clock, r.TTL); err == nil {
+		t.Error("a manifest signed with a 32-byte key")
+	}
+	if _, err := r.NewCA(isp, "sub", cert.Resources{Prefixes: []pfx{netutil.MustPrefix("193.0.1.0/24")}}); err == nil {
+		t.Error("a child CA issued with a 32-byte key")
+	}
+	if _, err := addROA(r, isp, 3333, []roa.Prefix{{Prefix: netutil.MustPrefix("193.0.9.0/24")}}); err == nil {
+		t.Error("a ROA issued with a 32-byte key")
+	}
+	if len(isp.Children) != 0 || len(isp.ROAs) != 1 {
+		t.Errorf("%d children and %d ROAs published, want 0 and 1", len(isp.Children), len(isp.ROAs))
+	}
+}
+
+// TestValidateChecksEverySignatureOnce: a clean walk checks each trust
+// anchor's own signature, each manifest's, each child certificate's and
+// each ROA's two, once apiece — on the shape of a generated world and
+// on a deeper tree — and a skipped publication point none of its own.
+func TestValidateChecksEverySignatureOnce(t *testing.T) {
+	want := func(r *Repository) int {
+		n := len(r.Anchors)
+		var walk func(*CA)
+		walk = func(ca *CA) {
+			n += 1 + len(ca.Children) + 2*len(ca.ROAs)
+			for _, c := range ca.Children {
+				walk(c)
+			}
+		}
+		for _, ta := range r.Anchors {
+			walk(ta)
+		}
+		return n
+	}
+	world := worldShaped(t)
+	if got := world.Validate(at).signatures; got != want(world) || got != 186 {
+		t.Errorf("a world-shaped repository: %d signatures checked, want %d (186 in a generated world)", got, want(world))
+	}
+
+	r := newRepo(t)
+	nir, err := r.NewCA(r.Anchor("ripe"), "nir", cert.Resources{Prefixes: []pfx{netutil.MustPrefix("80.0.0.0/8")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		lir, err := r.NewCA(nir, fmt.Sprintf("lir-%d", i), cert.Resources{Prefixes: []pfx{netutil.MustPrefix(fmt.Sprintf("80.%d.0.0/16", i))}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < i; j++ {
+			if _, err := addROA(r, lir, 1500, []roa.Prefix{{Prefix: netutil.MustPrefix(fmt.Sprintf("80.%d.%d.0/24", i, j))}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	res := r.Validate(at)
+	if len(res.Problems) != 0 || res.signatures != want(r) {
+		t.Errorf("a three-level tree: %d signatures checked, want %d; problems %v", res.signatures, want(r), res.Problems)
+	}
+	// With lir-2's manifest gone, its two ROAs are not looked at: the
+	// count loses their four signatures, and the manifest's.
+	nir.Children[2].Manifest = nil
+	if got := r.Validate(at).signatures; got != want(r)-5 {
+		t.Errorf("with a voided publication point: %d signatures checked, want %d", got, want(r)-5)
+	}
+}
+
+// TestValidateDiscardsStaleManifest: a manifest past its nextUpdate
+// voids its publication point while every certificate is still valid.
+func TestValidateDiscardsStaleManifest(t *testing.T) {
+	r, isp := ispWithROA(t)
+	if err := isp.refreshManifest(r.Clock, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	discarded(t, r, "isp", "manifest")
+}
+
+// TestValidateReportsManifestListing: an object the manifest does not
+// list is discarded, and an object it lists that is not published is
+// reported, each under its own reason.
+func TestValidateReportsManifestListing(t *testing.T) {
+	reason := func(r *Repository, object string) string {
+		for _, p := range r.Validate(at).Problems {
+			if p.CA == "isp" && p.Object == object {
+				return p.Err.Error()
+			}
+		}
+		return ""
+	}
+	r, isp := ispWithROA(t)
+	extra, err := r.issueROA(isp, ROASpec{ASID: 3333, Prefixes: []roa.Prefix{{Prefix: netutil.MustPrefix("193.0.7.0/24")}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	isp.ROAs = append(isp.ROAs, extra)
+	if got := reason(r, "roa-1.roa"); got != "repo: object not in manifest" {
+		t.Errorf("an unlisted ROA: problem %q", got)
+	}
+	if res := r.Validate(at); res.VRPs.Len() != 1 || res.ROAsValid != 1 {
+		t.Errorf("an unlisted ROA: %d VRPs from %d valid ROAs, want the listed one's alone", res.VRPs.Len(), res.ROAsValid)
+	}
+
+	isp.ROAs = isp.ROAs[:0]
+	if got := reason(r, "roa-0.roa"); got != "repo: manifest lists missing object" {
+		t.Errorf("a withheld ROA: problem %q", got)
 	}
 }

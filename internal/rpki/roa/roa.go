@@ -4,14 +4,14 @@
 // to originate a set of IP prefixes, each optionally up to a maximum
 // more-specific length. Real ROAs are CMS-wrapped; here the signed
 // object carries its one-time end-entity (EE) certificate, the DER
-// eContent, and an ECDSA signature made with the EE key, which preserves
-// the validation chain: TA → CA → EE cert → ROA payload.
+// eContent, and an Ed25519 signature over it made with the EE key, which
+// preserves the validation chain: TA → CA → EE cert → ROA payload.
+// RFC 7935 profiles RSA-2048 for this; Ed25519 is a stand-in (see
+// package cert).
 package roa
 
 import (
-	"crypto/ecdsa"
-	"crypto/rand"
-	"crypto/sha256"
+	"crypto/ed25519"
 	"encoding/asn1"
 	"errors"
 	"fmt"
@@ -68,9 +68,12 @@ const contentVersion = 1
 // EE certificate and its private key. The EE certificate should already
 // be issued by the owning CA; Sign does not check resource containment
 // (Validate does).
-func Sign(asID uint32, prefixes []Prefix, ee *cert.Certificate, eeKey *ecdsa.PrivateKey) (*ROA, error) {
-	if ee == nil || eeKey == nil {
-		return nil, errors.New("roa: missing EE certificate or key")
+func Sign(asID uint32, prefixes []Prefix, ee *cert.Certificate, eeKey ed25519.PrivateKey) (*ROA, error) {
+	if ee == nil {
+		return nil, errors.New("roa: missing EE certificate")
+	}
+	if err := cert.CheckPrivateKey(eeKey); err != nil {
+		return nil, fmt.Errorf("roa: %w", err)
 	}
 	if len(prefixes) == 0 {
 		return nil, errors.New("roa: a ROA must authorise at least one prefix")
@@ -96,12 +99,7 @@ func Sign(asID uint32, prefixes []Prefix, ee *cert.Certificate, eeKey *ecdsa.Pri
 	if err != nil {
 		return nil, fmt.Errorf("roa: encoding content: %w", err)
 	}
-	digest := sha256.Sum256(raw)
-	sig, err := ecdsa.SignASN1(rand.Reader, eeKey, digest[:])
-	if err != nil {
-		return nil, fmt.Errorf("roa: signing: %w", err)
-	}
-	out := &ROA{ASID: asID, EE: ee, Signature: sig, RawContent: raw}
+	out := &ROA{ASID: asID, EE: ee, Signature: ed25519.Sign(eeKey, raw), RawContent: raw}
 	for _, p := range wire.Prefixes {
 		a, _ := netip.AddrFromSlice(p.Addr)
 		out.Prefixes = append(out.Prefixes, Prefix{
@@ -145,9 +143,8 @@ func (r *ROA) Validate(ca *cert.Certificate, opts cert.VerifyOptions) error {
 	if err := r.EE.Verify(ca, opts); err != nil {
 		return fmt.Errorf("roa: EE certificate invalid: %w", err)
 	}
-	digest := sha256.Sum256(r.RawContent)
-	if !ecdsa.VerifyASN1(r.EE.PublicKey, digest[:], r.Signature) {
-		return errors.New("roa: payload signature does not verify")
+	if err := opts.CheckSignature(r.EE.PublicKey, r.RawContent, r.Signature); err != nil {
+		return fmt.Errorf("roa: payload: %w", err)
 	}
 	for _, p := range r.Prefixes {
 		if !r.EE.Resources.ContainsPrefix(p.Prefix) {
@@ -169,8 +166,8 @@ func (r *ROA) String() string {
 // NewEE issues a one-time end-entity certificate for a ROA covering
 // exactly the given prefixes, signed by the CA. The returned key signs
 // the ROA payload.
-func NewEE(serial int64, subject string, prefixes []Prefix, notBefore, notAfter time.Time, caCert *cert.Certificate, caKey *ecdsa.PrivateKey) (*cert.Certificate, *ecdsa.PrivateKey, error) {
-	key, err := cert.GenerateKey(nil)
+func NewEE(serial int64, subject string, prefixes []Prefix, notBefore, notAfter time.Time, caCert *cert.Certificate, caKey ed25519.PrivateKey) (*cert.Certificate, ed25519.PrivateKey, error) {
+	pub, key, err := ed25519.GenerateKey(nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("roa: generating EE key: %w", err)
 	}
@@ -185,7 +182,7 @@ func NewEE(serial int64, subject string, prefixes []Prefix, notBefore, notAfter 
 		NotAfter:     notAfter,
 		IsCA:         false,
 		Resources:    res,
-		PublicKey:    &key.PublicKey,
+		PublicKey:    pub,
 	}, caCert.Subject, caKey)
 	if err != nil {
 		return nil, nil, fmt.Errorf("roa: issuing EE certificate: %w", err)

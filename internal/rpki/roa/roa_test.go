@@ -1,7 +1,7 @@
 package roa
 
 import (
-	"crypto/ecdsa"
+	"crypto/ed25519"
 	"net/netip"
 	"testing"
 	"time"
@@ -19,25 +19,25 @@ var (
 type fixture struct {
 	ta     *cert.Certificate
 	caCert *cert.Certificate
-	caKey  *ecdsa.PrivateKey
+	caKey  ed25519.PrivateKey
 }
 
 type pfx = netip.Prefix
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	taKey, err := cert.GenerateKey(nil)
+	taPub, taKey, err := ed25519.GenerateKey(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ta, err := cert.Issue(cert.Template{
 		SerialNumber: 1, Subject: "ta", NotBefore: t0, NotAfter: t1,
-		IsCA: true, Resources: cert.AllResources(), PublicKey: &taKey.PublicKey,
+		IsCA: true, Resources: cert.AllResources(), PublicKey: taPub,
 	}, "ta", taKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	caKey, err := cert.GenerateKey(nil)
+	caPub, caKey, err := ed25519.GenerateKey(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func newFixture(t *testing.T) *fixture {
 			Prefixes: []pfx{netutil.MustPrefix("193.0.0.0/16"), netutil.MustPrefix("2001:db8::/32")},
 			ASNs:     []cert.ASRange{{Min: 3333, Max: 3340}},
 		},
-		PublicKey: &caKey.PublicKey,
+		PublicKey: caPub,
 	}, "ta", taKey)
 	if err != nil {
 		t.Fatal(err)
@@ -105,6 +105,9 @@ func TestSignRejectsBadInput(t *testing.T) {
 	}
 	if _, err := Sign(1, []Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24")}}, nil, eeKey); err == nil {
 		t.Error("missing EE accepted")
+	}
+	if _, err := Sign(1, []Prefix{{Prefix: netutil.MustPrefix("193.0.6.0/24")}}, ee, eeKey[:32]); err == nil {
+		t.Error("32-byte EE key accepted")
 	}
 }
 

@@ -427,14 +427,30 @@ func TestFillReleasesEachChunk(t *testing.T) {
 	}
 }
 
+// trieNodes counts the nodes of a radix tree over prefixes, given in
+// ComparePrefixes order: one a prefix and one a branch point. That order
+// is the tree's pre-order, so every branch point is where two prefixes
+// that are neighbours in it part, and every such place is a node.
+func trieNodes(prefixes []netip.Prefix) int {
+	nodes := make(map[netip.Prefix]struct{}, 2*len(prefixes))
+	for i, p := range prefixes {
+		nodes[p] = struct{}{}
+		if i == 0 || prefixes[i-1].Addr().Is4() != p.Addr().Is4() {
+			continue
+		}
+		q := prefixes[i-1]
+		n := radix.CommonBits(radix.KeyOf(q.Addr()), radix.KeyOf(p.Addr()), min(q.Bits(), p.Bits()))
+		nodes[netip.PrefixFrom(p.Addr(), n).Masked()] = struct{}{}
+	}
+	return len(nodes)
+}
+
 // TestSortedBuilderAllocatesNodesAndPayloads: building 300 000 rows
 // that came in order allocates the base's node array and one 8-byte
 // payload a VRP, each exactly sized, and a few KiB besides — not a copy
 // of the rows, and no pointer tree on the way. The base has a node for
-// every node a radix tree over the same prefixes has, and one more that
-// ends the payloads; the tree's are counted from what inserting the
-// prefixes into an empty one allocates, a 64-byte node at a time (see
-// radix's TestNodeSizeUnchangedByOwnership).
+// every node a radix tree over the same prefixes has (trieNodes), and
+// one more that ends the payloads.
 func TestSortedBuilderAllocatesNodesAndPayloads(t *testing.T) {
 	const n = 300000
 	vs := runOfThree(n)
@@ -456,16 +472,8 @@ func TestSortedBuilderAllocatesNodesAndPayloads(t *testing.T) {
 	if set.Len() != n {
 		t.Fatalf("built %d VRPs from %d rows", set.Len(), n)
 	}
-	prefixes := prefixesIn(vs)
-	treeNodes := allocated(func() {
-		var tree radix.Tree[[]payload]
-		for _, p := range prefixes {
-			_ = tree.Insert(p, nil)
-		}
-	}) / 64
-	// The runtime may make a stray small allocation of its own meanwhile.
-	if got := int64(len(set.base.nodes)) - 1; got != treeNodes && got != treeNodes-1 {
-		t.Errorf("the base has %d nodes, a radix tree over its prefixes %d", got, treeNodes)
+	if got, want := len(set.base.nodes)-1, trieNodes(prefixesIn(vs)); got != want {
+		t.Errorf("the base has %d nodes, a radix tree over its prefixes %d", got, want)
 	}
 	need := int64(len(set.base.nodes))*int64(unsafe.Sizeof(node{})) + n*int64(unsafe.Sizeof(payload{}))
 	// Each of the two arrays is rounded up to whole 8 KiB pages.

@@ -24,9 +24,11 @@ import (
 // new table's base — two pointer-free arrays, a 32-byte trie node a
 // prefix or branch point and an 8-byte payload a VRP — and are then
 // garbage. Until the swap the table being replaced, the rows and the new
-// table are live together. The records of an incremental response land
-// in the live set's overlay (see package vrp), which the record that
-// takes it past its share of the base folds into a new base.
+// table are live together. An incremental response is staged too: its
+// records are collected as they arrive and applied in order at End of
+// Data, under the lock acquisition that installs the serial, to the live
+// set's overlay (see package vrp), which the record that takes it past
+// its share of the base folds into a new base.
 //
 // A response that ends any other way — an Error Report, a PDU that has
 // no place in it, a dropped connection — leaves the table, the serial
@@ -40,6 +42,9 @@ type Client struct {
 	// buf is that goroutine's PDU buffer, one for the session (readFrame).
 	r   *bufio.Reader
 	buf []byte
+	// staged is the incremental response being read, that goroutine's
+	// too; it is applied at End of Data and dropped on any other end.
+	staged []Prefix
 
 	mu        sync.Mutex
 	sessionID uint16
@@ -168,14 +173,15 @@ func (c *Client) readResponse(full bool) error {
 	}
 }
 
-// readRecords consumes prefix PDUs until End of Data. An incremental
-// response (rows nil) is applied to the live set record by record. A
-// full one is collected into rows without touching the session — a
-// withdrawal or a repeat inside it keeps its lenient meaning, the last
-// record for a triple decides — and at End of Data the table built from
-// rows (see Client) replaces the live one under the same lock
-// acquisition that installs the session id and the serial.
+// readRecords consumes prefix PDUs until End of Data, without touching
+// the session. An incremental response (rows nil) is staged record by
+// record. A full one is collected into rows — a withdrawal or a repeat
+// inside it keeps its lenient meaning, the last record for a triple
+// decides. At End of Data the staged records are applied to the live
+// set, or the table built from rows (see Client) replaces it, under the
+// same lock acquisition that installs the session id and the serial.
 func (c *Client) readRecords(session uint16, rows *vrp.Builder) error {
+	c.staged = c.staged[:0]
 	for {
 		raw, err := readFrame(c.r, &c.buf)
 		if err != nil {
@@ -189,7 +195,7 @@ func (c *Client) readRecords(session uint16, rows *vrp.Builder) error {
 			case err != nil:
 				return fmt.Errorf("rtr: reading records: %w", err)
 			case rows == nil:
-				c.apply(p)
+				c.staged = append(c.staged, p)
 			case p.Announce:
 				_ = rows.Add(p.VRP)
 			default:
@@ -216,6 +222,9 @@ func (c *Client) readRecords(session uint16, rows *vrp.Builder) error {
 				c.live, c.replaced = next, true
 				c.resets++
 			}
+			for _, p := range c.staged {
+				c.apply(p)
+			}
 			c.sessionID, c.serial, c.haveState = session, p.Serial, true
 			if n := c.overtaken; n != nil && n.Serial == c.serial && n.SessionID == c.sessionID {
 				c.overtaken = nil
@@ -230,12 +239,10 @@ func (c *Client) readRecords(session uint16, rows *vrp.Builder) error {
 	}
 }
 
-// apply folds one record of an incremental response into the live set.
-// A duplicate announcement and a withdrawal of something not held
-// change nothing and mark nothing.
+// apply folds one record of an incremental response into the live set;
+// c.mu is held. A duplicate announcement and a withdrawal of something
+// not held change nothing and mark nothing.
 func (c *Client) apply(p Prefix) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var changed bool
 	if p.Announce {
 		changed, _ = c.live.Insert(p.VRP)
