@@ -61,7 +61,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res := w.Repo.Validate(w.MeasureTime())
+		res := w.Validation()
 		for _, p := range res.Problems {
 			log.Printf("validation: %v", p)
 		}

@@ -3,8 +3,8 @@
 //
 //	vrps.csv   validated ROA payloads ("prefix,maxLength,ASN"), read by
 //	           ripki-rtrd -vrps, ripki-served -vrps and ripki-validate -vrps
-//	zones.tsv  every DNS record ("name type value"; with -zones), read by
-//	           ripki-dnsd -zones
+//	zones.tsv  every DNS record ("name type TTL value"; with -zones), read
+//	           by ripki-dnsd -zones
 //
 // The ranked list, the collector table and the AS registry are not
 // written: a tool that takes -seed/-domains regenerates the same world.
@@ -55,7 +55,7 @@ func main() {
 		fmt.Printf("wrote %s\n", path)
 	}
 
-	res := w.Repo.Validate(w.MeasureTime())
+	res := w.Validation()
 	if len(res.Problems) != 0 {
 		log.Fatalf("RPKI validation produced %d problems; first: %v", len(res.Problems), res.Problems[0])
 	}

@@ -5,13 +5,14 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"strconv"
 	"strings"
 	"unicode"
 )
 
 // WriteZoneTSV dumps every A, AAAA, CNAME and DNSKEY record as
-// tab-separated "name TYPE value" lines, the format ripki-worldgen
-// emits and LoadZoneTSV reads back.
+// tab-separated "name TYPE TTL value" lines, the TTL in seconds: the
+// format ripki-worldgen emits and LoadZoneTSV reads back.
 func (r *Registry) WriteZoneTSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, name := range r.Names() {
@@ -20,13 +21,13 @@ func (r *Registry) WriteZoneTSV(w io.Writer) error {
 				var err error
 				switch typ {
 				case TypeCNAME:
-					_, err = fmt.Fprintf(bw, "%s\tCNAME\t%s\n", name, rr.Target)
+					_, err = fmt.Fprintf(bw, "%s\tCNAME\t%d\t%s\n", name, rr.TTL, rr.Target)
 				case TypeA:
-					_, err = fmt.Fprintf(bw, "%s\tA\t%s\n", name, rr.Addr)
+					_, err = fmt.Fprintf(bw, "%s\tA\t%d\t%s\n", name, rr.TTL, rr.Addr)
 				case TypeAAAA:
-					_, err = fmt.Fprintf(bw, "%s\tAAAA\t%s\n", name, rr.Addr)
+					_, err = fmt.Fprintf(bw, "%s\tAAAA\t%d\t%s\n", name, rr.TTL, rr.Addr)
 				case TypeDNSKEY:
-					_, err = fmt.Fprintf(bw, "%s\tDNSKEY\t%x\n", name, rr.Data.DNSKEY.PublicKey)
+					_, err = fmt.Fprintf(bw, "%s\tDNSKEY\t%d\t%x\n", name, rr.TTL, rr.Data.DNSKEY.PublicKey)
 				}
 				if err != nil {
 					return err
@@ -53,13 +54,18 @@ func LoadZoneTSV(r io.Reader) (*Registry, error) {
 			continue
 		}
 		parts := strings.Split(text, "\t")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("dns: zone line %d: want 3 fields, got %d", line, len(parts))
+		if len(parts) != 4 {
+			return nil, fmt.Errorf("dns: zone line %d: want 4 fields, got %d", line, len(parts))
 		}
-		name, typ, val := parts[0], parts[1], parts[2]
+		name, typ, val := parts[0], parts[1], parts[3]
 		if !zoneName(name) || (typ == "CNAME" && !zoneName(val)) {
 			return nil, fmt.Errorf("dns: zone line %d: bad name in %q", line, text)
 		}
+		n, err := strconv.ParseUint(parts[2], 10, 32)
+		if err != nil {
+			return nil, fmt.Errorf("dns: zone line %d: bad TTL: %w", line, err)
+		}
+		ttl := uint32(n)
 		switch typ {
 		case "A", "AAAA":
 			addr, err := netip.ParseAddr(val)
@@ -73,15 +79,15 @@ func LoadZoneTSV(r io.Reader) (*Registry, error) {
 			if (t == TypeA) != addr.Is4() || addr.Zone() != "" {
 				return nil, fmt.Errorf("dns: zone line %d: %s record with %v", line, typ, addr)
 			}
-			b.Add(RR{Name: name, Type: t, TTL: 300, Addr: addr})
+			b.Add(RR{Name: name, Type: t, TTL: ttl, Addr: addr})
 		case "CNAME":
-			b.Add(RR{Name: name, Type: TypeCNAME, TTL: 300, Target: val})
+			b.Add(RR{Name: name, Type: TypeCNAME, TTL: ttl, Target: val})
 		case "DNSKEY":
 			key := make([]byte, len(val)/2)
 			if _, err := fmt.Sscanf(val, "%x", &key); err != nil {
 				return nil, fmt.Errorf("dns: zone line %d: bad DNSKEY hex: %w", line, err)
 			}
-			b.Add(RR{Name: name, Type: TypeDNSKEY, TTL: 3600, Data: &RData{DNSKEY: &DNSKEYData{Flags: 257, Protocol: 3, Algorithm: 8, PublicKey: key}}})
+			b.Add(RR{Name: name, Type: TypeDNSKEY, TTL: ttl, Data: &RData{DNSKEY: &DNSKEYData{Flags: 257, Protocol: 3, Algorithm: 8, PublicKey: key}}})
 		default:
 			// Tolerate future record types in dumps.
 		}

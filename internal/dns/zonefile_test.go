@@ -40,21 +40,34 @@ func TestZoneTSVRoundTrip(t *testing.T) {
 	if keys := got.Lookup("signed.example", TypeDNSKEY); len(keys) != 1 || !bytes.Equal(keys[0].Data.DNSKEY.PublicKey, []byte{1, 2, 3, 4}) {
 		t.Errorf("DNSKEY payload mismatch: %+v", keys)
 	}
+	for _, name := range reg.Names() {
+		for _, typ := range []uint16{TypeA, TypeAAAA, TypeCNAME, TypeDNSKEY} {
+			want, have := reg.Lookup(name, typ), got.Lookup(name, typ)
+			for i := range min(len(want), len(have)) {
+				if have[i].TTL != want[i].TTL {
+					t.Errorf("%s type %d: TTL %d read back, %d written", name, typ, have[i].TTL, want[i].TTL)
+				}
+			}
+		}
+	}
 }
 
 func TestLoadZoneTSVValidation(t *testing.T) {
 	bad := []string{
-		"a.com\tA",                  // missing value
-		"a.com\tA\tnotanip",         // bad address
-		"a.com\tA\t2001:db8::1",     // family mismatch
-		"a.com\tAAAA\t198.51.100.1", // family mismatch
-		"a.com\tAAAA\tfe80::1%eth0", // a scoped address: a record carries no zone
-		"a.com\tDNSKEY\tzz",         // bad hex
-		"a.com..\tA\t198.51.100.1",  // a second trailing dot: "a.com." would be written
-		".a.com\tA\t198.51.100.1",   // empty first label
-		"a b.com\tA\t198.51.100.1",  // white space in a name
-		"a.com\tCNAME\tb.com .",     // " ." would be written as a trailing space
-		"a.com\tCNAME\tb..com",      // empty label in a target
+		"a.com\tA\t300",                      // missing value
+		"a.com\tA\t198.51.100.1",             // missing TTL
+		"a.com\tA\t-1\t198.51.100.1",         // negative TTL
+		"a.com\tA\t4294967296\t198.51.100.1", // TTL beyond 32 bits
+		"a.com\tA\t300\tnotanip",             // bad address
+		"a.com\tA\t300\t2001:db8::1",         // family mismatch
+		"a.com\tAAAA\t300\t198.51.100.1",     // family mismatch
+		"a.com\tAAAA\t300\tfe80::1%eth0",     // a scoped address: a record carries no zone
+		"a.com\tDNSKEY\t3600\tzz",            // bad hex
+		"a.com..\tA\t300\t198.51.100.1",      // a second trailing dot: "a.com." would be written
+		".a.com\tA\t300\t198.51.100.1",       // empty first label
+		"a b.com\tA\t300\t198.51.100.1",      // white space in a name
+		"a.com\tCNAME\t300\tb.com .",         // " ." would be written as a trailing space
+		"a.com\tCNAME\t300\tb..com",          // empty label in a target
 	}
 	for _, in := range bad {
 		if _, err := LoadZoneTSV(strings.NewReader(in)); err == nil {
@@ -62,7 +75,7 @@ func TestLoadZoneTSVValidation(t *testing.T) {
 		}
 	}
 	// Comments, blanks and unknown types are tolerated.
-	reg, err := LoadZoneTSV(strings.NewReader("# c\n\na.com\tMX\t10 mail\na.com\tA\t198.51.100.1\n"))
+	reg, err := LoadZoneTSV(strings.NewReader("# c\n\na.com\tMX\t300\t10 mail\na.com\tA\t300\t198.51.100.1\n"))
 	if err != nil || reg.Len() != 1 {
 		t.Errorf("tolerant parse failed: %v %d", err, reg.Len())
 	}

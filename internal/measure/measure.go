@@ -52,8 +52,8 @@ import (
 
 // Config wires the pipeline to its data sources.
 type Config struct {
-	// Resolver answers the DNS lookups (a stub client or an in-process
-	// registry resolver).
+	// Resolver answers the DNS lookups (dns.RegistryResolver, in
+	// process).
 	Resolver dns.Lookuper
 	// RIB is the collector routing table (step 3).
 	RIB *rib.Table

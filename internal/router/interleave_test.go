@@ -111,23 +111,16 @@ func (x *interleaver) step() (what string, err error) {
 			changed = append(changed, v.Prefix)
 		}
 		what = fmt.Sprintf("VRP moves at %v", changed)
-		if res := x.r.RevalidateAffected(changed); res.Deprefered != len(x.r.deprefered) {
-			err = fmt.Errorf("result counts %d marks, router holds %d", res.Deprefered, len(x.r.deprefered))
-		}
+		x.r.RevalidateAffected(changed)
 	}
 	return what, err
 }
 
 // sameRouting reports how two routers differ in what they route: local
-// RIB, depreference marks, and Forward for an address inside every
-// prefix in play.
+// RIB and Forward for an address inside every prefix in play.
 func sameRouting(got, want *Router) error {
 	if g, w := ribContents(got), ribContents(want); !reflect.DeepEqual(g, w) {
 		return fmt.Errorf("local RIB diverged\n got %v\nwant %v", g, w)
-	}
-	if !reflect.DeepEqual(got.deprefered, want.deprefered) {
-		return fmt.Errorf("depreference marks diverged (%d vs %d)\n got %v\nwant %v",
-			len(got.deprefered), len(want.deprefered), got.deprefered, want.deprefered)
 	}
 	for _, p := range ilPrefixes {
 		g, gok := got.Forward(p.Addr().Next())
@@ -143,12 +136,12 @@ func sameRouting(got, want *Router) error {
 // measure's TestIncrementalRandomInterleavings: under seeded random
 // interleavings of announcements, withdrawals and VRP issues/revokes
 // from several peers, a router kept current by Process and
-// RevalidateAffected must be indistinguishable — local RIB, Forward for
-// an address inside every prefix in play, depreference marks — from a
+// RevalidateAffected must be indistinguishable — local RIB and Forward
+// for an address inside every prefix in play — from a
 // fresh router that is handed the surviving Adj-RIB-In under the
 // current VRP set.
 func TestRevalidateAffectedRandomInterleavings(t *testing.T) {
-	for _, policy := range []Policy{PolicyAcceptAll, PolicyDropInvalid, PolicyPreferValid} {
+	for _, policy := range []Policy{PolicyAcceptAll, PolicyDropInvalid} {
 		for seed := int64(1); seed <= 12; seed++ {
 			set := vrp.NewSet()
 			x := &interleaver{r: NewWithPolicy(StaticVRPs{VRPs: set}, policy), set: set, rnd: rand.New(rand.NewSource(seed))}
@@ -176,11 +169,11 @@ func TestRevalidateAffectedRandomInterleavings(t *testing.T) {
 // on: K forks of one seeded template, each driven by its own random
 // stream on its own goroutine (run under -race), must each end up
 // exactly where a fresh router ends up that replayed the seed and then
-// the same stream through Process — local RIB, marks, Forward and
-// Counts — and the template must afterwards still equal a fresh seed.
+// the same stream through Process — local RIB, Forward and Adj-RIB-In
+// — and the template must afterwards still equal a fresh seed.
 func TestForksReplayIndependently(t *testing.T) {
 	const forks, steps = 6, 200
-	for _, policy := range []Policy{PolicyAcceptAll, PolicyDropInvalid, PolicyPreferValid} {
+	for _, policy := range []Policy{PolicyAcceptAll, PolicyDropInvalid} {
 		// The seed: a VRP set and a table's worth of announcements, some
 		// of them invalid under it.
 		seedSet := vrp.NewSet()

@@ -52,7 +52,7 @@ func TestNoFlipRevalidationAllocatesNothing(t *testing.T) {
 	if routed := w.RoutedV4Prefixes(); len(routed) > 0 {
 		changed = append(changed, routed[0], routed[0])
 	}
-	for _, policy := range []Policy{PolicyAcceptAll, PolicyDropInvalid, PolicyPreferValid} {
+	for _, policy := range []Policy{PolicyAcceptAll, PolicyDropInvalid} {
 		seeded := seedFromTable(t, w.RIB, set, policy)
 		for name, r := range map[string]*Router{"seed": seeded, "fork": seeded.Fork(StaticVRPs{VRPs: set})} {
 			var res RevalidationResult
@@ -75,7 +75,7 @@ func TestNoFlipRevalidationAllocatesNothing(t *testing.T) {
 // the router where a full Revalidate does and tallies what the sorted,
 // de-duplicated list tallies, each affected route once.
 func TestRevalidateAffectedAnyOrder(t *testing.T) {
-	for _, policy := range []Policy{PolicyAcceptAll, PolicyDropInvalid, PolicyPreferValid} {
+	for _, policy := range []Policy{PolicyAcceptAll, PolicyDropInvalid} {
 		for seed := int64(1); seed <= 20; seed++ {
 			set := vrp.NewSet()
 			x := &interleaver{r: NewWithPolicy(StaticVRPs{VRPs: set}, policy), set: set, rnd: rand.New(rand.NewSource(seed))}
@@ -125,7 +125,7 @@ func TestRevalidateAffectedAnyOrder(t *testing.T) {
 				t.Fatalf("%s: shuffled list %v tallied %+v, sorted %+v", at, messy, got, want)
 			}
 			whole := full.Revalidate()
-			if whole.Flipped != want.Flipped || whole.Dropped != want.Dropped || whole.Deprefered != want.Deprefered {
+			if whole.Flipped != want.Flipped || whole.Dropped != want.Dropped {
 				t.Fatalf("%s: full pass flipped %+v, scoped pass %+v", at, whole, want)
 			}
 			for name, r := range map[string]*Router{"sorted": sorted, "shuffled": shuffled} {

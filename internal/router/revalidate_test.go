@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ripki/internal/bgp"
-	"ripki/internal/rib"
 	"ripki/internal/rpki/vrp"
 )
 
@@ -104,30 +103,6 @@ func TestRevalidateWithdrawnRouteStaysGone(t *testing.T) {
 	}
 }
 
-// TestRevalidatePreferValid rebuilds depreference marks instead of
-// dropping.
-func TestRevalidatePreferValid(t *testing.T) {
-	src := &swapSource{set: vrp.NewSet()}
-	r := NewWithPolicy(src, PolicyPreferValid)
-	revAnnounce(t, r, "203.0.0.0/20", 65001)
-	revAnnounce(t, r, "203.0.4.0/22", 65551)
-	victim := netip.MustParseAddr("203.0.4.7")
-
-	src.set = revMustSet(t, vrp.VRP{Prefix: netip.MustParsePrefix("203.0.0.0/20"), MaxLength: 20, ASN: 65001})
-	res := r.Revalidate()
-	if res.Dropped != 0 || res.Deprefered != 1 {
-		t.Errorf("revalidation = %+v", res)
-	}
-	// The hijacked more-specific is still installed but deprefered: the
-	// valid covering route wins.
-	if po, ok := r.Forward(victim); !ok || po.Origin != 65001 {
-		t.Errorf("forward = %+v, %v (want legit origin)", po, ok)
-	}
-	if r.table.Len() != 2 {
-		t.Errorf("prefer-valid dropped a route: %d prefixes", r.table.Len())
-	}
-}
-
 // TestRevalidateAcceptAll only tallies; the RIB is untouched.
 func TestRevalidateAcceptAll(t *testing.T) {
 	src := &swapSource{set: vrp.NewSet()}
@@ -141,39 +116,5 @@ func TestRevalidateAcceptAll(t *testing.T) {
 	}
 	if r.table.Len() != 2 {
 		t.Errorf("accept-all mutated the RIB: %d prefixes", r.table.Len())
-	}
-}
-
-// TestReannounceClearsDepreferenceMark: a depreference mark must not
-// outlive the validation outcome it recorded. The invalid more-specific
-// is withdrawn, its ROA revoked while it is absent (so delta-scoped
-// revalidation finds no Adj-RIB-In entry to clear the mark on), and
-// then re-announced — now NotFound, so traffic must follow it again.
-func TestReannounceClearsDepreferenceMark(t *testing.T) {
-	roa := vrp.VRP{Prefix: netip.MustParsePrefix("203.0.0.0/20"), MaxLength: 20, ASN: 65001}
-	src := &swapSource{set: revMustSet(t, roa)}
-	r := NewWithPolicy(src, PolicyPreferValid)
-	revAnnounce(t, r, "203.0.0.0/20", 65001)
-	if d := revAnnounce(t, r, "203.0.4.0/22", 65551); !d.Deprefered {
-		t.Fatalf("invalid more-specific not deprefered: %+v", d)
-	}
-	if _, err := r.Process(bgp.RouteEvent{
-		PeerAS: 64500, PeerID: netip.MustParseAddr("10.0.0.1"),
-		Prefix: netip.MustParsePrefix("203.0.4.0/22"), Withdraw: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	src.set = vrp.NewSet()
-	r.RevalidateAffected([]netip.Prefix{roa.Prefix})
-
-	if d := revAnnounce(t, r, "203.0.4.0/22", 65551); d.State != vrp.NotFound || d.Deprefered {
-		t.Fatalf("re-announced route: %+v", d)
-	}
-	want := rib.PrefixOrigin{Prefix: netip.MustParsePrefix("203.0.4.0/22"), Origin: 65551}
-	if po, ok := r.Forward(netip.MustParseAddr("203.0.4.7")); !ok || po != want {
-		t.Errorf("forward = %+v, %v (want the NotFound more-specific %+v)", po, ok, want)
-	}
-	if res := r.Revalidate(); res.Deprefered != 0 {
-		t.Errorf("full revalidation still finds marks: %+v", res)
 	}
 }

@@ -12,7 +12,6 @@ package router
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"net/netip"
 	"slices"
 	"sync"
@@ -34,11 +33,6 @@ const (
 	PolicyAcceptAll Policy = iota
 	// PolicyDropInvalid rejects invalid routes outright.
 	PolicyDropInvalid
-	// PolicyPreferValid accepts everything but deprefers invalid
-	// routes: an invalid more-specific still loses to a valid or
-	// not-found less-specific covering route. A softer rollout stance;
-	// the hijack ablation shows why it is weaker than dropping.
-	PolicyPreferValid
 )
 
 // String names the policy.
@@ -48,8 +42,6 @@ func (p Policy) String() string {
 		return "accept-all"
 	case PolicyDropInvalid:
 		return "drop-invalid"
-	case PolicyPreferValid:
-		return "prefer-valid"
 	default:
 		return fmt.Sprintf("Policy(%d)", uint8(p))
 	}
@@ -60,13 +52,10 @@ func (p Policy) String() string {
 type Decision struct {
 	// State is the origin-validation outcome.
 	State vrp.State
-	// Deprefered is true when PolicyPreferValid kept the route but
-	// marked it less attractive.
-	Deprefered bool
 }
 
-// VRPSource yields the current validated payload set; *vrp.Set itself
-// and the RTR client both satisfy it.
+// VRPSource yields the current validated payload set; StaticVRPs and
+// the RTR client both satisfy it.
 type VRPSource interface {
 	Set() *vrp.Set
 }
@@ -87,13 +76,6 @@ type Router struct {
 	table  *rib.Table
 
 	mu sync.Mutex
-	// deprefered marks the (prefix, origin) pairs PolicyPreferValid
-	// currently routes around: exactly the pairs some Adj-RIB-In entry
-	// announces and the last validation found Invalid. After a Fork the
-	// map is aliased by another router (marksShared) and copied before
-	// the next write.
-	deprefered  map[rib.PrefixOrigin]bool
-	marksShared bool
 	// adjIn retains every received (non-withdrawn) announcement — the
 	// Adj-RIB-In — as one slice per announced prefix, sorted by peer.
 	// Policy filters what reaches the local RIB, but revalidation must
@@ -112,42 +94,24 @@ type Router struct {
 // NewWithPolicy creates a router fed by the given VRP source, applying
 // the given validation policy.
 func NewWithPolicy(source VRPSource, policy Policy) *Router {
-	return &Router{
-		Policy:     policy,
-		source:     source,
-		table:      rib.New(),
-		deprefered: make(map[rib.PrefixOrigin]bool),
-	}
+	return &Router{Policy: policy, source: source, table: rib.New()}
 }
 
 // Fork returns an independent router in the receiver's exact state —
-// Adj-RIB-In, local RIB, depreference marks, tallies — validating
-// against source from now on, in time independent of the table size:
-// both trees are forked copy-on-write (radix.Tree.Clone) and the marks
-// are copied by whichever side writes them first. Nothing either router
-// does afterwards is visible in the other. The state forked is only as
-// good as the claim that source currently yields the set the receiver
-// last validated against; Fork does not revalidate.
+// Adj-RIB-In and local RIB — validating against source from now on, in
+// time independent of the table size: both trees are forked
+// copy-on-write (radix.Tree.Clone). Nothing either router does
+// afterwards is visible in the other. The state forked is only as good
+// as the claim that source currently yields the set the receiver last
+// validated against; Fork does not revalidate.
 func (r *Router) Fork(source VRPSource) *Router {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.marksShared = true
 	return &Router{
-		Policy:      r.Policy,
-		source:      source,
-		table:       r.table.Clone(),
-		deprefered:  r.deprefered,
-		marksShared: true,
-		adjIn:       *r.adjIn.Clone(),
-	}
-}
-
-// ownMarksLocked makes the depreference marks private before a write.
-// Called with r.mu held.
-func (r *Router) ownMarksLocked() {
-	if r.marksShared {
-		r.deprefered = maps.Clone(r.deprefered)
-		r.marksShared = false
+		Policy: r.Policy,
+		source: source,
+		table:  r.table.Clone(),
+		adjIn:  *r.adjIn.Clone(),
 	}
 }
 
@@ -160,19 +124,16 @@ func byPeer(a, b bgp.RouteEvent) int {
 }
 
 // validateRoute classifies one announcement against a VRP set under a
-// policy: the origin-validation outcome, the extracted origin, and
-// whether the path had a usable origin. AS_SET paths cannot be
-// validated; deployed policy treats them as invalid (their use is
-// deprecated for exactly this reason).
-func validateRoute(set *vrp.Set, prefix netip.Prefix, path []bgp.Segment, policy Policy) (state vrp.State, origin uint32, ok bool) {
-	origin, ok = bgp.OriginAS(path)
-	if ok {
-		return set.Validate(prefix, origin), origin, true
+// policy. AS_SET paths cannot be validated; deployed policy treats them
+// as invalid (their use is deprecated for exactly this reason).
+func validateRoute(set *vrp.Set, prefix netip.Prefix, path []bgp.Segment, policy Policy) vrp.State {
+	if origin, ok := bgp.OriginAS(path); ok {
+		return set.Validate(prefix, origin)
 	}
 	if policy != PolicyAcceptAll {
-		return vrp.Invalid, 0, false
+		return vrp.Invalid
 	}
-	return vrp.NotFound, 0, false
+	return vrp.NotFound
 }
 
 // Process applies origin validation and policy to one route event and
@@ -197,10 +158,8 @@ func (r *Router) Process(ev bgp.RouteEvent) (Decision, error) {
 }
 
 // replaceLocked removes the sending peer's previous announcement of
-// ev's prefix from the Adj-RIB-In — and, once no other peer announces
-// the same (prefix, origin), the pair's depreference mark with it —
-// and, unless ev is a withdrawal, records ev in its place. Called with
-// r.mu held.
+// ev's prefix from the Adj-RIB-In and, unless ev is a withdrawal,
+// records ev in its place. Called with r.mu held.
 func (r *Router) replaceLocked(ev bgp.RouteEvent) {
 	prefix := ev.Prefix.Masked()
 	old, _ := r.adjIn.Lookup(prefix)
@@ -225,64 +184,26 @@ func (r *Router) replaceLocked(ev bgp.RouteEvent) {
 		// rejects too: Process reports that error.
 		_ = r.adjIn.Insert(prefix, next)
 	}
-	if !had || len(r.deprefered) == 0 {
-		return
-	}
-	origin, ok := bgp.OriginAS(old[i].Path)
-	if !ok || announces(old, origin, i) {
-		return
-	}
-	r.ownMarksLocked()
-	delete(r.deprefered, rib.PrefixOrigin{Prefix: prefix, Origin: origin})
-}
-
-// announces reports whether any of a prefix's announcements, other than
-// the one at index skip, has the given origin.
-func announces(evs []bgp.RouteEvent, origin uint32, skip int) bool {
-	for i, ev := range evs {
-		if o, ok := bgp.OriginAS(ev.Path); i != skip && ok && o == origin {
-			return true
-		}
-	}
-	return false
 }
 
 // applyLocked runs one announcement through origin validation against
 // set and then policy: under PolicyDropInvalid an Invalid route leaves
-// the local RIB (dropped reports whether it was installed), anything
-// else is installed, and under PolicyPreferValid the pair's depreference
-// mark becomes state == Invalid. flipped reports whether any of that
-// moved: a route dropped, a route installed that was not, a mark set or
-// cleared. When nothing moved nothing was written — installing a route
-// the local RIB already holds is rib.Table's no-op — so re-applying an
-// unchanged decision allocates nothing and leaves a forked router
-// sharing its seed. Process and both revalidation passes decide every
-// route here, so they cannot drift apart. Called with r.mu held.
+// the local RIB (dropped reports whether it was installed), and anything
+// else is installed. flipped reports whether that moved a route into or
+// out of the local RIB. When nothing moved nothing was written —
+// installing a route the local RIB already holds is rib.Table's no-op —
+// so re-applying an unchanged decision allocates nothing and leaves a
+// forked router sharing its seed. Process and both revalidation passes
+// decide every route here, so they cannot drift apart. Called with r.mu
+// held.
 func (r *Router) applyLocked(set *vrp.Set, ev bgp.RouteEvent) (d Decision, dropped, flipped bool, err error) {
-	state, origin, ok := validateRoute(set, ev.Prefix, ev.Path, r.Policy)
-	d.State = state
-	if r.Policy == PolicyDropInvalid && state == vrp.Invalid {
+	d.State = validateRoute(set, ev.Prefix, ev.Path, r.Policy)
+	if r.Policy == PolicyDropInvalid && d.State == vrp.Invalid {
 		dropped = r.table.WithdrawEvent(ev)
 		return d, dropped, dropped, nil
 	}
 	flipped, err = r.table.AnnounceEvent(ev)
-	if err != nil {
-		return d, false, false, err
-	}
-	if r.Policy == PolicyPreferValid && ok {
-		d.Deprefered = state == vrp.Invalid
-		pair := rib.PrefixOrigin{Prefix: ev.Prefix.Masked(), Origin: origin}
-		if d.Deprefered != r.deprefered[pair] {
-			flipped = true
-			r.ownMarksLocked()
-			if d.Deprefered {
-				r.deprefered[pair] = true
-			} else {
-				delete(r.deprefered, pair)
-			}
-		}
-	}
-	return d, false, flipped, nil
+	return d, false, flipped, err
 }
 
 // RevalidationResult tallies one Revalidate pass.
@@ -294,15 +215,10 @@ type RevalidationResult struct {
 	// Dropped is how many now-invalid routes PolicyDropInvalid removed
 	// from the local RIB.
 	Dropped int
-	// Flipped is how many of the routes examined the pass changed
-	// anything for: dropped from the local RIB, installed back into it,
-	// or — once per (prefix, origin) pair — depreferenced or restored.
-	// Routes - Flipped re-applications found their decision standing
-	// and wrote nothing.
+	// Flipped is how many of the routes examined the pass dropped from
+	// the local RIB or installed back into it. Routes - Flipped
+	// re-applications found their decision standing and wrote nothing.
 	Flipped int
-	// Deprefered is how many (prefix, origin) pairs PolicyPreferValid
-	// now marks less attractive.
-	Deprefered int
 }
 
 // Revalidate re-applies origin validation and policy to every route in
@@ -312,10 +228,7 @@ type RevalidationResult struct {
 // issued — the hijack-window case), and a route dropped as Invalid
 // comes back once the offending ROA is revoked. Under PolicyDropInvalid
 // now-invalid routes are withdrawn from the local RIB and everything
-// else is installed; under PolicyPreferValid every announced pair's
-// depreference mark is set afresh and a mark no announcement backs is
-// dropped (and counted in Flipped), so the marks end up what a rebuild
-// from scratch would make them. Routes are reconsidered in prefix order
+// else is installed. Routes are reconsidered in prefix order
 // (IPv4 before IPv6, peers ascending within a prefix) — the order the
 // Adj-RIB-In tree walks in — so a pass is reproducible run to run.
 func (r *Router) Revalidate() RevalidationResult {
@@ -327,15 +240,6 @@ func (r *Router) Revalidate() RevalidationResult {
 		r.revalidateLocked(set, evs, &res)
 		return true
 	})
-	r.ownMarksLocked()
-	for pair := range r.deprefered {
-		evs, _ := r.adjIn.Lookup(pair.Prefix)
-		if r.Policy != PolicyPreferValid || !announces(evs, pair.Origin, -1) {
-			delete(r.deprefered, pair)
-			res.Flipped++
-		}
-	}
-	res.Deprefered = len(r.deprefered)
 	return res
 }
 
@@ -380,7 +284,6 @@ func (r *Router) RevalidateAffected(changed []netip.Prefix) RevalidationResult {
 		walked = p
 		r.adjIn.WalkSubtree(p, visit)
 	}
-	res.Deprefered = len(r.deprefered)
 	return res
 }
 
@@ -421,22 +324,13 @@ func (r *Router) revalidateLocked(set *vrp.Set, evs []bgp.RouteEvent, res *Reval
 	}
 }
 
-// Forward resolves where traffic to addr goes under the router's
-// policy: the preferred (prefix, origin) after depreferencing. ok is
-// false when the address is unrouted.
+// Forward resolves where traffic to addr goes: the local RIB's longest
+// matching (prefix, origin), the highest origin among a MOAS prefix's.
+// ok is false when the address is unrouted.
 func (r *Router) Forward(addr netip.Addr) (rib.PrefixOrigin, bool) {
 	pairs := r.table.OriginPairs(addr)
 	if len(pairs) == 0 {
 		return rib.PrefixOrigin{}, false
-	}
-	// Longest match wins among non-deprefered routes; deprefered ones
-	// are used only if nothing else covers the address.
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := len(pairs) - 1; i >= 0; i-- {
-		if !r.deprefered[pairs[i]] {
-			return pairs[i], true
-		}
 	}
 	return pairs[len(pairs)-1], true
 }

@@ -266,8 +266,10 @@ func (o VerifyOptions) now() time.Time {
 }
 
 // Verify checks c against its issuer: signature, validity window, CA
-// linkage (issuer must be a CA unless self-signed), and resource
-// containment. Self-signed trust anchors pass issuer == c.
+// linkage (issuer must be a CA) and resource containment. Only a
+// self-signed trust anchor, handed as its own issuer (issuer == c),
+// skips the last two; a child that repeats its issuer's subject and
+// serial is not self-signed.
 func (c *Certificate) Verify(issuer *Certificate, opts VerifyOptions) error {
 	now := opts.now()
 	if now.Before(c.NotBefore) {
@@ -279,7 +281,7 @@ func (c *Certificate) Verify(issuer *Certificate, opts VerifyOptions) error {
 	if c.Issuer != issuer.Subject {
 		return fmt.Errorf("cert: %q names issuer %q, got certificate for %q", c.Subject, c.Issuer, issuer.Subject)
 	}
-	selfSigned := issuer == c || (issuer.Subject == c.Subject && issuer.SerialNumber == c.SerialNumber)
+	selfSigned := issuer == c
 	if !selfSigned {
 		if !issuer.IsCA {
 			return fmt.Errorf("cert: issuer %q is not a CA", issuer.Subject)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -483,6 +484,45 @@ func TestValidateDiscardsCertificatesSignedByAnotherKey(t *testing.T) {
 		}
 		discarded(t, r, "isp", "roa-0.roa")
 	})
+}
+
+// TestValidateDiscardsChildRepeatingItsIssuersName: a child certificate
+// that repeats its issuer's subject and serial is not self-signed — it
+// is not its issuer — so its claim to every resource is held against
+// what the issuer holds, and the ROA under it yields nothing.
+func TestValidateDiscardsChildRepeatingItsIssuersName(t *testing.T) {
+	r, isp := ispWithROA(t)
+	pub, key, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cert.Issue(cert.Template{
+		SerialNumber: isp.Cert.SerialNumber, Subject: isp.Cert.Subject,
+		NotBefore: r.Clock, NotAfter: r.Clock.Add(r.TTL),
+		IsCA: true, Resources: cert.AllResources(), PublicKey: pub,
+	}, isp.Cert.Subject, isp.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := &CA{Cert: c, Key: key, nextSerial: 1}
+	isp.Children = append(isp.Children, twin)
+	if err := isp.refreshManifest(r.Clock, r.TTL); err != nil {
+		t.Fatal(err)
+	}
+	google := netutil.MustPrefix("8.8.8.0/24")
+	if _, err := addROA(r, twin, 15169, []roa.Prefix{{Prefix: google, MaxLength: 24}}); err != nil {
+		t.Fatal(err)
+	}
+	res := r.Validate(at)
+	if got := res.VRPs.Validate(google, 15169); got == vrp.Valid || res.VRPs.Len() != 1 {
+		t.Errorf("%v AS15169 is %v; VRPs %v, want only the isp's own", google, got, res.VRPs.All())
+	}
+	for _, p := range res.Problems {
+		if p.CA == "isp" && p.Object == "ca-0.cer" && strings.Contains(p.Err.Error(), "claims resources beyond issuer") {
+			return
+		}
+	}
+	t.Errorf("no over-claim recorded for the child: %v", res.Problems)
 }
 
 // TestValidateDiscardsKeysOfTheWrongLength: a public key that is not 32

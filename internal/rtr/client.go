@@ -188,9 +188,9 @@ func (c *Client) readRecords(session uint16, rows *vrp.Builder) error {
 			return fmt.Errorf("rtr: reading records: %w", err)
 		}
 		if typ := raw[1]; typ == TypeIPv4Prefix || typ == TypeIPv6Prefix {
-			// decodePrefix only yields VRPs that pass the checks a set
+			// parsePrefix only yields VRPs that pass the checks a set
 			// makes, so storing one cannot fail.
-			p, err := decodePrefix(raw)
+			p, err := parsePrefix(raw)
 			switch {
 			case err != nil:
 				return fmt.Errorf("rtr: reading records: %w", err)

@@ -22,7 +22,7 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("Decode consumed %d of %d bytes", n, len(data))
 		}
 		if framed, ferr := frame(data); ferr == nil && (framed[1] == TypeIPv4Prefix || framed[1] == TypeIPv6Prefix) {
-			rec, rerr := decodePrefix(framed)
+			rec, rerr := parsePrefix(framed)
 			if (rerr == nil) != (err == nil) {
 				t.Fatalf("record decode: %v, Decode: %v", rerr, err)
 			}

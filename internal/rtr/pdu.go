@@ -276,7 +276,7 @@ func Decode(buf []byte) (PDU, int, error) {
 		}
 		return &CacheReset{}, n, nil
 	case TypeIPv4Prefix, TypeIPv6Prefix:
-		p, err := decodePrefix(buf)
+		p, err := parsePrefix(buf)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -303,11 +303,11 @@ func Decode(buf []byte) (PDU, int, error) {
 	}
 }
 
-// decodePrefix parses a framed IPv4 or IPv6 Prefix PDU into a value the
+// parsePrefix parses a framed IPv4 or IPv6 Prefix PDU into a value the
 // caller owns: a sync reads one per VRP, and through Decode each would
 // cost an allocation to box it. What it accepts always passes the
 // checks a vrp.Set makes.
-func decodePrefix(pdu []byte) (Prefix, error) {
+func parsePrefix(pdu []byte) (Prefix, error) {
 	body, v6, fam, asnOff := pdu[headerLen:], pdu[1] == TypeIPv6Prefix, 32, 8
 	if v6 {
 		fam, asnOff = 128, 20
@@ -358,7 +358,7 @@ func readPDU(r io.Reader, buf *[]byte) (PDU, error) {
 // readFrame reads the bytes of exactly one PDU from r into *buf, which
 // grows to the longest PDU read so far, so a session's records stop
 // costing a buffer each. It makes the checks frame makes, so what it
-// returns may go to decodePrefix directly. The bytes are valid until the
+// returns may go to parsePrefix directly. The bytes are valid until the
 // next read.
 func readFrame(r io.Reader, buf *[]byte) ([]byte, error) {
 	if cap(*buf) < headerLen {

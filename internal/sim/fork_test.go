@@ -32,9 +32,8 @@ func localRoutes(r *router.Router) []rib.Route {
 // built simulation, that the router New forked from the world's seeded
 // template is the router the pre-fork engine built — the world's whole
 // routing table replayed through Process against that RP's own VRP
-// view — in local RIB and forwarding (which is where
-// depreference marks show), and that a synced client holds exactly the
-// world's validated set, which is what the template was validated
+// view — in local RIB and forwarding, and that a synced client holds
+// exactly the world's validated set, which is what the template was validated
 // against.
 func assertStartsLikeReplay(t *testing.T, s *Simulation) {
 	t.Helper()
@@ -98,7 +97,7 @@ func TestForkedRoutersMatchReplay(t *testing.T) {
 	}
 
 	var roster []RPSpec
-	for _, policy := range []router.Policy{router.PolicyAcceptAll, router.PolicyDropInvalid, router.PolicyPreferValid} {
+	for _, policy := range []router.Policy{router.PolicyAcceptAll, router.PolicyDropInvalid} {
 		roster = append(roster,
 			RPSpec{Name: "synced-" + policy.String(), RefreshTicks: 2, Policy: policy},
 			RPSpec{Name: "unsynced-" + policy.String(), Policy: policy})

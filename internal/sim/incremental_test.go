@@ -86,10 +86,9 @@ func runEverythingDirty(t *testing.T, cfg Config) []byte {
 // relying party that just refreshed and fails if it moved anything: a route in or out of
 // the local RIB, or where traffic to a hijack victim is forwarded.
 // Revalidation re-applies the very events the table was built from, so
-// it can only withdraw an installed route (counted in Dropped), install
-// a missing one (the route count grows) or move a depreference mark —
-// each of which it counts in Flipped; none happening means the router
-// is unchanged.
+// it can only withdraw an installed route (counted in Dropped) or
+// install a missing one (the route count grows) — each of which it
+// counts in Flipped; neither happening means the router is unchanged.
 func assertRevalidateIsNoop(t *testing.T, s *Simulation) {
 	t.Helper()
 	forwards := func(rp *RP) []rib.PrefixOrigin {
@@ -145,11 +144,11 @@ func TestParallelRefreshRace(t *testing.T) {
 		{Name: "rp-a", RefreshTicks: 1, Policy: router.PolicyDropInvalid},
 		{Name: "rp-b", RefreshTicks: 1, Policy: router.PolicyDropInvalid},
 		{Name: "rp-c", RefreshTicks: 2, Policy: router.PolicyDropInvalid},
-		{Name: "rp-d", RefreshTicks: 2, Policy: router.PolicyPreferValid},
+		{Name: "rp-d", RefreshTicks: 2, Policy: router.PolicyDropInvalid},
 		{Name: "rp-e", RefreshTicks: 3, Policy: router.PolicyDropInvalid},
 		{Name: "rp-f", RefreshTicks: 3, Policy: router.PolicyAcceptAll},
 		{Name: "legacy", RefreshTicks: 0, Policy: router.PolicyAcceptAll},
-		{Name: "rp-g", RefreshTicks: 1, Policy: router.PolicyPreferValid},
+		{Name: "rp-g", RefreshTicks: 1, Policy: router.PolicyDropInvalid},
 	}
 	cfg := testConfig("roa-churn+route-leak+" + registerRoster(t, roster))
 	cfg.Duration = 5 * time.Minute

@@ -10,8 +10,9 @@
 //
 //   - a Scenario mutates the webworld ecosystem and the ground-truth
 //     VRP state via events on a virtual clock,
-//   - VRP deltas flow through rtr.Server.Update to relying parties
-//     (rtr.Client instances) that refresh at configurable lag,
+//   - VRP deltas flow through rtr.Server.UpdateDelta (the full set
+//     through rtr.Server.Update, after a cold cache restart) to relying
+//     parties (rtr.Client instances) that refresh at configurable lag,
 //   - each relying party feeds an origin-validating router.Router whose
 //     local RIB holds both the world's routes and any active hijacks,
 //   - a sampling probe runs the measure pipeline over a rank-stratified

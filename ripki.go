@@ -5,12 +5,11 @@
 // protected by RPKI prefix origin validation, and finds that popular,
 // CDN-hosted websites are *less* protected than obscure ones. This
 // module rebuilds the full measurement stack — DNS, BGP as a collector's
-// routing table (written out as an MRT TABLE_DUMP_V2 dump that no
-// command reads back; internal/bgp says where in git history the session
-// layer, message framing and dump reader are), RPKI (certificates, ROAs,
-// relying-party validation), the RPKI-to-Router protocol, and a
-// synthetic web ecosystem standing in for the live Internet — and
-// re-runs the paper's methodology end to end.
+// routing table (held in process; internal/bgp says where in git history
+// the session layer, message framing and MRT dump writer are), RPKI
+// (certificates, ROAs, relying-party validation), the RPKI-to-Router
+// protocol, and a synthetic web ecosystem standing in for the live
+// Internet — and re-runs the paper's methodology end to end.
 //
 // This package holds only what joins those packages: a Study generates a
 // world, validates its RPKI and measures it, and answers the two
