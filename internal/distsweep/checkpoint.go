@@ -75,7 +75,8 @@ func (j *journal) write(p *sweep.CellPartial) error {
 }
 
 // load reads every complete record in the directory, verifying each
-// against the plan hash and mode. Leftover .tmp files (a crash mid-
+// against the plan hash and mode, and that it holds the cell its file
+// is named for (so no two records can claim one cell). Leftover .tmp files (a crash mid-
 // write) are ignored: the cell they were for simply re-runs.
 func (j *journal) load() (map[int]sweep.CellPartial, error) {
 	entries, err := os.ReadDir(j.dir)
@@ -104,6 +105,9 @@ func (j *journal) load() (map[int]sweep.CellPartial, error) {
 		}
 		if rec.Streaming != j.streaming {
 			return nil, fmt.Errorf("distsweep: checkpoint %s was written in %s mode, this sweep is %s", name, mode(rec.Streaming), mode(j.streaming))
+		}
+		if want := filepath.Base(j.cellPath(rec.Partial.Cell)); name != want {
+			return nil, fmt.Errorf("distsweep: checkpoint %s holds cell %d, whose record is %s — refusing to resume a misfiled record", name, rec.Partial.Cell, want)
 		}
 		if rec.Partial.Agg == nil {
 			return nil, fmt.Errorf("distsweep: checkpoint %s holds cell %d as accumulator state, not an aggregate — a streaming journal written before protocol 2; delete the record to re-run the cell", name, rec.Partial.Cell)

@@ -526,6 +526,48 @@ func TestJournalRefusesForeignPlan(t *testing.T) {
 	}
 }
 
+// TestJournalRefusesMisfiledCell: a record is resumed only as the cell
+// its file is named for. A record holding cell 5 under cell 3's name —
+// moved by hand, or copied beside the real one — is refused by name,
+// not resumed as cell 5 nor left to overwrite cell 5's own record.
+func TestJournalRefusesMisfiledCell(t *testing.T) {
+	dir := t.TempDir()
+	j, err := openJournal(dir, "hash-a", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.write(&sweep.CellPartial{Cell: 5, Agg: &sweep.Cell{}}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(j.cellPath(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, keep := range map[string]bool{"moved": false, "copied": true} {
+		if err := os.WriteFile(j.cellPath(3), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if !keep {
+			if err := os.Remove(j.cellPath(5)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recs, err := j.load()
+		if err == nil || !strings.Contains(err.Error(), "cell-000003.json holds cell 5") {
+			t.Errorf("%s: a record of cell 5 named cell-000003.json loaded as %d records, err %v", name, len(recs), err)
+		}
+		if err := os.WriteFile(j.cellPath(5), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(j.cellPath(3)); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := j.load(); err != nil || len(recs) != 1 || recs[5].Cell != 5 {
+		t.Fatalf("the record at its own name: %v, %d records", err, len(recs))
+	}
+}
+
 // TestWorkerCancelsOnDroppedCoordinator: when the coordinator vanishes
 // mid-lease, the worker's watchdog cancels the in-flight simulations
 // and Work returns an error promptly instead of computing for nobody.

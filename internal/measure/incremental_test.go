@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"ripki/internal/bgp"
 	"ripki/internal/dns"
 	"ripki/internal/httparchive"
 	"ripki/internal/netutil"
@@ -62,7 +61,7 @@ func TestIncrementalTinyUniverse(t *testing.T) {
 	// dark.example gets routed: an address recorded as unreachable gains
 	// a covering route. RIB mutations have no index: DirtyAll.
 	pk := f.cfg.RIB.AddPeer(rib.Peer{BGPID: netip.MustParseAddr("10.0.0.2"), Addr: netip.MustParseAddr("10.0.0.2"), ASN: 200})
-	if err := f.cfg.RIB.Insert(rib.Route{
+	if _, err := f.cfg.RIB.Insert(rib.Route{
 		Prefix: netutil.MustPrefix("203.0.112.0/24"), PeerIndex: pk,
 		Path: []ribSegment{{Type: 2, ASNs: []uint32{200, 64999}}}, NextHop: netip.MustParseAddr("10.0.0.2"),
 	}); err != nil {
@@ -72,7 +71,7 @@ func TestIncrementalTinyUniverse(t *testing.T) {
 	check("route appears")
 
 	// ...and unrouted again.
-	f.cfg.RIB.WithdrawEvent(bgp.RouteEvent{PeerAS: 200, PeerID: netip.MustParseAddr("10.0.0.2"), Prefix: netutil.MustPrefix("203.0.112.0/24"), Withdraw: true})
+	f.cfg.RIB.Withdraw(pk, netutil.MustPrefix("203.0.112.0/24"))
 	inc.DirtyAll()
 	check("route withdrawn")
 
@@ -162,8 +161,8 @@ func runInterleaving(t *testing.T, w *webworld.World, seed int64) {
 			}
 			more := netip.PrefixFrom(base.Addr(), base.Bits()+1).Masked()
 			if leaked[more] {
-				w.RIB.WithdrawEvent(bgp.RouteEvent{PeerAS: 65000, PeerID: netip.MustParseAddr("10.9.9.9"), Prefix: more, Withdraw: true})
-			} else if err := w.RIB.Insert(rib.Route{
+				w.RIB.Withdraw(pk, more)
+			} else if _, err := w.RIB.Insert(rib.Route{
 				Prefix: more, PeerIndex: pk,
 				Path: []ribSegment{{Type: 2, ASNs: []uint32{65000, 64666}}}, NextHop: netip.MustParseAddr("10.9.9.9"),
 			}); err != nil {

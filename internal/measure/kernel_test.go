@@ -122,7 +122,7 @@ func TestMeasureVariantMatchesOracle(t *testing.T) {
 		t.Fatalf("%v is not free public space in this world", asSetOnly)
 	}
 	pk := w.RIB.AddPeer(rib.Peer{BGPID: netip.MustParseAddr("10.9.9.9"), Addr: netip.MustParseAddr("10.9.9.9"), ASN: 65000})
-	if err := w.RIB.Insert(rib.Route{
+	if _, err := w.RIB.Insert(rib.Route{
 		Prefix: netutil.MustPrefix("45.77.0.0/16"), PeerIndex: pk, NextHop: netip.MustParseAddr("10.9.9.9"),
 		Path: []bgp.Segment{
 			{Type: bgp.SegmentSequence, ASNs: []uint32{65000}},

@@ -36,7 +36,7 @@ func newTinyFixture(t *testing.T) *tinyFixture {
 		return []ribSegment{{Type: 2, ASNs: asns}}
 	}
 	insert := func(prefix string, origin uint32) {
-		if err := table.Insert(rib.Route{
+		if _, err := table.Insert(rib.Route{
 			Prefix: netutil.MustPrefix(prefix), PeerIndex: p0,
 			Path: seq(100, origin), NextHop: netip.MustParseAddr("10.0.0.1"),
 		}); err != nil {

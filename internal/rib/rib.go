@@ -49,7 +49,7 @@ type Table struct {
 	peers   []Peer
 	peerIdx map[peerKey]uint16
 	// tree maps each routed prefix to its routes, sorted by peer index.
-	// A stored slice is never written again — Insert and WithdrawEvent build
+	// A stored slice is never written again — Insert and Withdraw build
 	// the next one and replace it — because after Clone other tables
 	// reach the same slice through the nodes they share. Storing a route
 	// the table already holds, field for field, builds nothing: the tree
@@ -102,12 +102,6 @@ func (t *Table) addPeerLocked(p Peer) uint16 {
 	return i
 }
 
-// eventPeerLocked resolves (registering it as needed) the peer a
-// collector event came from.
-func (t *Table) eventPeerLocked(ev bgp.RouteEvent) uint16 {
-	return t.addPeerLocked(Peer{BGPID: ev.PeerID, Addr: ev.PeerID, ASN: ev.PeerAS})
-}
-
 // Peers returns a copy of the registered peer table.
 func (t *Table) Peers() []Peer {
 	t.mu.RLock()
@@ -134,22 +128,17 @@ func sameRoute(a, b Route) bool {
 		})
 }
 
-// Insert stores or replaces the route from the given peer. Inserting a
-// route equal, field for field, to the one the peer already has there
-// is a no-op: nothing is allocated and the tree is not written.
-func (t *Table) Insert(r Route) error {
+// Insert stores or replaces the route from the given peer and reports
+// whether it is new to the table — the peer had none for the prefix —
+// as opposed to replacing or matching one. Inserting a route equal,
+// field for field, to the one the peer already has there is a no-op:
+// nothing is allocated and the tree is not written.
+func (t *Table) Insert(r Route) (added bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if int(r.PeerIndex) >= len(t.peers) {
-		return fmt.Errorf("rib: unknown peer index %d", r.PeerIndex)
+		return false, fmt.Errorf("rib: unknown peer index %d", r.PeerIndex)
 	}
-	_, err := t.insertLocked(r)
-	return err
-}
-
-// insertLocked reports whether the route is new to the table — the peer
-// had none for the prefix — as opposed to replacing or matching one.
-func (t *Table) insertLocked(r Route) (added bool, err error) {
 	cp, err := netutil.Canonical(r.Prefix)
 	if err != nil {
 		return false, fmt.Errorf("rib: %w", err)
@@ -169,7 +158,11 @@ func (t *Table) insertLocked(r Route) (added bool, err error) {
 	return !replace, t.tree.Insert(cp, next)
 }
 
-func (t *Table) withdrawLocked(peer uint16, prefix netip.Prefix) bool {
+// Withdraw removes the given peer's route for prefix and reports
+// whether there was one.
+func (t *Table) Withdraw(peer uint16, prefix netip.Prefix) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	cp, err := netutil.Canonical(prefix)
 	if err != nil {
 		return false
@@ -186,43 +179,6 @@ func (t *Table) withdrawLocked(peer uint16, prefix netip.Prefix) bool {
 		_ = t.tree.Insert(cp, slices.Delete(slices.Clone(old), i, i+1))
 	}
 	return true
-}
-
-// Apply ingests one collector route event (registering the peer as
-// needed). An announcement of a route the table already holds is the
-// no-op Insert makes of it.
-func (t *Table) Apply(ev bgp.RouteEvent) error {
-	if ev.Withdraw {
-		t.WithdrawEvent(ev)
-		return nil
-	}
-	_, err := t.AnnounceEvent(ev)
-	return err
-}
-
-// AnnounceEvent stores the route a collector announcement carries
-// (registering the peer as needed) and reports whether the peer had no
-// route for the prefix before — Apply's announce path, with the outcome
-// exposed for callers that count installs.
-func (t *Table) AnnounceEvent(ev bgp.RouteEvent) (added bool, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.insertLocked(Route{
-		Prefix:    ev.Prefix,
-		PeerIndex: t.eventPeerLocked(ev),
-		Path:      ev.Path,
-		NextHop:   ev.NextHop,
-	})
-}
-
-// WithdrawEvent removes the route named by a collector event
-// (registering the peer as needed) and reports whether a route was
-// actually removed — Apply's withdraw path, with the outcome exposed
-// for callers that count drops.
-func (t *Table) WithdrawEvent(ev bgp.RouteEvent) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.withdrawLocked(t.eventPeerLocked(ev), ev.Prefix)
 }
 
 // Covering returns all routed prefixes containing addr, shortest first.
@@ -282,16 +238,29 @@ func (t *Table) AppendOriginPairs(dst []PrefixOrigin, addr netip.Addr) []PrefixO
 }
 
 // WalkRoutes visits every route, grouped by prefix in lexical order
-// (peers ascending within a prefix).
+// (peer indexes ascending within a prefix).
 func (t *Table) WalkRoutes(fn func(Route) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.tree.Walk(func(_ netip.Prefix, rs []Route) bool {
+	t.tree.Walk(eachRoute(fn))
+}
+
+// WalkSubtree is WalkRoutes restricted to the routes at p and at the
+// prefixes p covers.
+func (t *Table) WalkSubtree(p netip.Prefix, fn func(Route) bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	t.tree.WalkSubtree(p, eachRoute(fn))
+}
+
+// eachRoute adapts a per-route visitor to the tree's per-prefix walk.
+func eachRoute(fn func(Route) bool) func(netip.Prefix, []Route) bool {
+	return func(_ netip.Prefix, rs []Route) bool {
 		for _, r := range rs {
 			if !fn(r) {
 				return false
 			}
 		}
 		return true
-	})
+	}
 }

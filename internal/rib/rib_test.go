@@ -25,14 +25,6 @@ func snapshot(tb *Table) []Route {
 	return out
 }
 
-// withdraw removes peer's route for prefix: WithdrawEvent's path, by
-// peer index.
-func withdraw(tb *Table, peer uint16, prefix netip.Prefix) bool {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	return tb.withdrawLocked(peer, prefix)
-}
-
 func newTable(t *testing.T) (*Table, uint16, uint16) {
 	t.Helper()
 	tb := New()
@@ -43,7 +35,7 @@ func newTable(t *testing.T) (*Table, uint16, uint16) {
 
 func TestInsertAndQueries(t *testing.T) {
 	tb, p0, p1 := newTable(t)
-	must := func(err error) {
+	must := func(_ bool, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
@@ -125,16 +117,16 @@ func TestWithdraw(t *testing.T) {
 	pfx := netutil.MustPrefix("10.0.0.0/8")
 	tb.Insert(Route{Prefix: pfx, PeerIndex: p0, Path: seq(7), NextHop: netip.MustParseAddr("10.0.0.1")})
 	tb.Insert(Route{Prefix: pfx, PeerIndex: p1, Path: seq(8), NextHop: netip.MustParseAddr("10.0.0.2")})
-	if !withdraw(tb, p0, pfx) {
+	if !tb.Withdraw(p0, pfx) {
 		t.Fatal("Withdraw returned false")
 	}
-	if withdraw(tb, p0, pfx) {
+	if tb.Withdraw(p0, pfx) {
 		t.Fatal("double Withdraw returned true")
 	}
 	if tb.Len() != 1 || len(snapshot(tb)) != 1 {
 		t.Fatalf("Len/Routes = %d/%d", tb.Len(), len(snapshot(tb)))
 	}
-	if !withdraw(tb, p1, pfx) {
+	if !tb.Withdraw(p1, pfx) {
 		t.Fatal("second Withdraw failed")
 	}
 	if tb.Len() != 0 || tb.Reachable(netip.MustParseAddr("10.0.0.1")) {
@@ -144,33 +136,11 @@ func TestWithdraw(t *testing.T) {
 
 func TestInsertValidation(t *testing.T) {
 	tb, _, _ := newTable(t)
-	if err := tb.Insert(Route{Prefix: netip.Prefix{}, PeerIndex: 0}); err == nil {
+	if _, err := tb.Insert(Route{Prefix: netip.Prefix{}, PeerIndex: 0}); err == nil {
 		t.Error("invalid prefix accepted")
 	}
-	if err := tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: 99}); err == nil {
+	if _, err := tb.Insert(Route{Prefix: netutil.MustPrefix("10.0.0.0/8"), PeerIndex: 99}); err == nil {
 		t.Error("unknown peer accepted")
-	}
-}
-
-func TestApplyEvents(t *testing.T) {
-	tb := New()
-	ev := bgp.RouteEvent{
-		PeerAS: 3333, PeerID: netip.MustParseAddr("10.0.0.1"),
-		Prefix: netutil.MustPrefix("193.0.0.0/16"),
-		Path:   seq(3333, 680), NextHop: netip.MustParseAddr("10.0.0.1"),
-	}
-	if err := tb.Apply(ev); err != nil {
-		t.Fatal(err)
-	}
-	if tb.Len() != 1 {
-		t.Fatal("route not applied")
-	}
-	// Withdraw via event.
-	if err := tb.Apply(bgp.RouteEvent{PeerAS: 3333, PeerID: netip.MustParseAddr("10.0.0.1"), Prefix: netutil.MustPrefix("193.0.0.0/16"), Withdraw: true}); err != nil {
-		t.Fatal(err)
-	}
-	if tb.Len() != 0 {
-		t.Fatal("route not withdrawn")
 	}
 }
 
@@ -197,6 +167,43 @@ func TestWalkRoutesOrderAndStop(t *testing.T) {
 	}
 }
 
+// TestWalkSubtree: the routes WalkSubtree visits under a prefix are
+// exactly WalkRoutes' routes at that prefix or below, in WalkRoutes'
+// order, and a visitor returning false stops the walk.
+func TestWalkSubtree(t *testing.T) {
+	rnd := rand.New(rand.NewSource(3))
+	tb, _, _ := newTable(t)
+	for i := 0; i < 80; i++ {
+		if _, err := tb.Insert(randomRoute(rnd, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := snapshot(tb)
+	for _, q := range []netip.Prefix{
+		netutil.MustPrefix("0.0.0.0/0"), netutil.MustPrefix("10.0.0.0/8"), netutil.MustPrefix("10.1.0.0/16"),
+		netutil.MustPrefix("10.0.16.0/20"), netutil.MustPrefix("11.0.0.0/8"), netutil.MustPrefix("2001:db8::/32"),
+	} {
+		var want, got []Route
+		for _, r := range all {
+			if netutil.Covers(q, r.Prefix) {
+				want = append(want, r)
+			}
+		}
+		tb.WalkSubtree(q, func(r Route) bool {
+			got = append(got, r)
+			return true
+		})
+		if !slices.EqualFunc(got, want, sameRoute) {
+			t.Errorf("WalkSubtree(%v) visited %d routes, want %d", q, len(got), len(want))
+		}
+		n := 0
+		tb.WalkSubtree(q, func(Route) bool { n++; return false })
+		if want := min(len(want), 1); n != want {
+			t.Errorf("WalkSubtree(%v) with early stop visited %d, want %d", q, n, want)
+		}
+	}
+}
+
 func TestSnapshotMutationSafe(t *testing.T) {
 	tb := New()
 	p0 := tb.AddPeer(Peer{BGPID: netip.MustParseAddr("10.0.0.1"), ASN: 1})
@@ -209,7 +216,7 @@ func TestSnapshotMutationSafe(t *testing.T) {
 	// Mutating the table while iterating a copy of its routes must be
 	// safe.
 	for _, r := range snap {
-		if !withdraw(tb, r.PeerIndex, r.Prefix) {
+		if !tb.Withdraw(r.PeerIndex, r.Prefix) {
 			t.Errorf("withdraw %v failed", r.Prefix)
 		}
 	}
@@ -277,8 +284,8 @@ func TestOriginPairsMatchesOracle(t *testing.T) {
 		for step := 0; step < 300; step++ {
 			r := randomRoute(rnd, peers)
 			if rnd.Intn(4) == 0 {
-				withdraw(tb, r.PeerIndex, r.Prefix)
-			} else if err := tb.Insert(r); err != nil {
+				tb.Withdraw(r.PeerIndex, r.Prefix)
+			} else if _, err := tb.Insert(r); err != nil {
 				t.Fatal(err)
 			}
 			if step%10 != 9 {
@@ -307,7 +314,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	base, _, _ := newTable(t)
 	for i := 0; i < 60; i++ {
-		if err := base.Insert(randomRoute(rnd, 2)); err != nil {
+		if _, err := base.Insert(randomRoute(rnd, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -320,12 +327,12 @@ func TestCloneIsIndependent(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		r := randomRoute(rnd, 2)
 		r.PeerIndex = p2
-		if err := a.Insert(r); err != nil {
+		if _, err := a.Insert(r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, r := range want[:len(want)/2] {
-		if !withdraw(b, r.PeerIndex, r.Prefix) {
+		if !b.Withdraw(r.PeerIndex, r.Prefix) {
 			t.Fatalf("withdraw %v from clone failed", r.Prefix)
 		}
 	}
@@ -345,7 +352,7 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Errorf("clone b holds %d routes, want the %d not withdrawn", len(got), len(want)-len(want)/2)
 	}
 	// And the other direction: a write on the base after cloning.
-	if !withdraw(base, want[len(want)-1].PeerIndex, want[len(want)-1].Prefix) {
+	if !base.Withdraw(want[len(want)-1].PeerIndex, want[len(want)-1].Prefix) {
 		t.Fatal("withdraw from base failed")
 	}
 	if got := snapshot(b); !same(got, want[len(want)/2:]) {
@@ -355,19 +362,18 @@ func TestCloneIsIndependent(t *testing.T) {
 
 // TestEqualInsertIsNoop: storing the route a peer already has for a
 // prefix, field for field, writes nothing — no allocation, so no node of
-// a tree shared with a clone is copied — through Insert and through
-// Apply alike, while a route that differs in any one field replaces.
+// a tree shared with a clone is copied — and reports the route as not
+// added, while a route that differs in any one field replaces.
 func TestEqualInsertIsNoop(t *testing.T) {
 	tb, p0, _ := newTable(t)
 	p := netutil.MustPrefix("203.0.113.0/24")
 	hop := netip.MustParseAddr("10.0.0.1")
 	route := Route{Prefix: p, PeerIndex: p0, Path: seq(3333, 64500), NextHop: hop}
-	ev := bgp.RouteEvent{PeerAS: 3333, PeerID: hop, Prefix: netutil.MustPrefix("198.51.100.0/24"), Path: seq(3333, 64501), NextHop: hop}
-	if err := tb.Insert(route); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Apply(ev); err != nil {
-		t.Fatal(err)
+	other := Route{Prefix: netutil.MustPrefix("198.51.100.0/24"), PeerIndex: p0, Path: seq(3333, 64501), NextHop: hop}
+	for _, r := range []Route{route, other} {
+		if _, err := tb.Insert(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	clone := tb.Clone()
 	held := func(tb *Table, p netip.Prefix) Route {
@@ -385,18 +391,18 @@ func TestEqualInsertIsNoop(t *testing.T) {
 	again := route
 	again.Path = seq(3333, 64500)
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := tb.Insert(again); err != nil {
+		if _, err := tb.Insert(again); err != nil {
 			t.Fatal(err)
 		}
-		if err := tb.Apply(ev); err != nil {
+		if _, err := tb.Insert(other); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 || len(snapshot(tb)) != 2 {
 		t.Errorf("re-storing equal routes: %v allocations, %d routes; want 0 and 2", allocs, len(snapshot(tb)))
 	}
-	if added, err := tb.AnnounceEvent(ev); added || err != nil {
-		t.Errorf("AnnounceEvent of a held route = %v, %v; want false, nil", added, err)
+	if added, err := tb.Insert(other); added || err != nil {
+		t.Errorf("Insert of a held route = %v, %v; want false, nil", added, err)
 	}
 
 	for name, differ := range map[string]func(*Route){
@@ -405,21 +411,21 @@ func TestEqualInsertIsNoop(t *testing.T) {
 	} {
 		next := route
 		differ(&next)
-		if err := tb.Insert(next); err != nil {
+		if _, err := tb.Insert(next); err != nil {
 			t.Fatal(err)
 		}
 		got := held(tb, p)
 		if sameRoute(got, route) || !sameRoute(got, next) || len(snapshot(tb)) != 2 {
 			t.Errorf("a route differing only in %s did not replace: holds %+v (%d routes)", name, got, len(snapshot(tb)))
 		}
-		if err := tb.Insert(route); err != nil {
+		if _, err := tb.Insert(route); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := held(clone, p); !sameRoute(got, route) || len(snapshot(clone)) != 2 {
 		t.Errorf("writes after Clone reached the clone: %+v (%d routes)", got, len(snapshot(clone)))
 	}
-	if added, err := tb.AnnounceEvent(bgp.RouteEvent{PeerAS: 3333, PeerID: hop, Prefix: netutil.MustPrefix("192.0.2.0/24"), Path: seq(3333, 64502), NextHop: hop}); !added || err != nil || len(snapshot(tb)) != 3 {
-		t.Errorf("AnnounceEvent of a new route = %v, %v (%d routes); want true, nil, 3", added, err, len(snapshot(tb)))
+	if added, err := tb.Insert(Route{Prefix: netutil.MustPrefix("192.0.2.0/24"), PeerIndex: p0, Path: seq(3333, 64502), NextHop: hop}); !added || err != nil || len(snapshot(tb)) != 3 {
+		t.Errorf("Insert of a new route = %v, %v (%d routes); want true, nil, 3", added, err, len(snapshot(tb)))
 	}
 }

@@ -1,14 +1,17 @@
 package router
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"ripki/internal/bgp"
+	"ripki/internal/netutil"
 	"ripki/internal/rib"
 	"ripki/internal/rpki/vrp"
 )
@@ -26,12 +29,20 @@ func ribContents(r *Router) map[string]string {
 	return out
 }
 
-// adjRoutes lists a router's Adj-RIB-In in tree order.
+// adjRoutes lists a router's Adj-RIB-In as the announcements it holds,
+// ordered by prefix and then by the sending peer's AS and ID: not by
+// peer index, which follows the order a table first met its peers in
+// and so differs between a seeded router and a replayed one.
 func adjRoutes(r *Router) []bgp.RouteEvent {
+	peers := r.adjIn.Peers()
 	var out []bgp.RouteEvent
-	r.adjIn.Walk(func(_ netip.Prefix, evs []bgp.RouteEvent) bool {
-		out = append(out, evs...)
+	r.adjIn.WalkRoutes(func(rt rib.Route) bool {
+		p := peers[rt.PeerIndex]
+		out = append(out, bgp.RouteEvent{PeerAS: p.ASN, PeerID: p.BGPID, Prefix: rt.Prefix, Path: rt.Path, NextHop: rt.NextHop})
 		return true
+	})
+	slices.SortFunc(out, func(a, b bgp.RouteEvent) int {
+		return cmp.Or(netutil.ComparePrefixes(a.Prefix, b.Prefix), cmp.Compare(a.PeerAS, b.PeerAS), a.PeerID.Compare(b.PeerID))
 	})
 	return out
 }

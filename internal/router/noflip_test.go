@@ -14,8 +14,8 @@ import (
 	"ripki/internal/webworld"
 )
 
-// seedFromTable replays a routing table through a fresh router, as
-// sim.New does once per world.
+// seedFromTable replays a routing table through a fresh router: what
+// NewFromTable must amount to.
 func seedFromTable(t testing.TB, table *rib.Table, set *vrp.Set, policy Policy) *Router {
 	t.Helper()
 	r := NewWithPolicy(StaticVRPs{VRPs: set}, policy)
@@ -39,7 +39,9 @@ func seedFromTable(t testing.TB, table *rib.Table, set *vrp.Set, policy Policy) 
 // routes and writes nothing — not the local RIB, not the marks, not a
 // scratch list. Zero allocations on a fork is also the sharing proof: a
 // copy-on-write tree cannot be written without copying a node, so the
-// fork still shares every node with the seed it came from.
+// fork still shares every node with the seed it came from. It holds for
+// a router seeded from the table, as sim.New seeds one, and for one that
+// replayed it.
 func TestNoFlipRevalidationAllocatesNothing(t *testing.T) {
 	w, err := webworld.Generate(webworld.Config{Seed: 1, Domains: 2000})
 	if err != nil {
@@ -53,8 +55,12 @@ func TestNoFlipRevalidationAllocatesNothing(t *testing.T) {
 		changed = append(changed, routed[0], routed[0])
 	}
 	for _, policy := range []Policy{PolicyAcceptAll, PolicyDropInvalid} {
-		seeded := seedFromTable(t, w.RIB, set, policy)
-		for name, r := range map[string]*Router{"seed": seeded, "fork": seeded.Fork(StaticVRPs{VRPs: set})} {
+		seeded := NewFromTable(w.RIB, StaticVRPs{VRPs: set}, policy)
+		for name, r := range map[string]*Router{
+			"seed":   seeded,
+			"fork":   seeded.Fork(StaticVRPs{VRPs: set}),
+			"replay": seedFromTable(t, w.RIB, set, policy),
+		} {
 			var res RevalidationResult
 			allocs := testing.AllocsPerRun(5, func() { res = r.RevalidateAffected(changed) })
 			if res.Routes == 0 || res.Invalid == 0 {
@@ -151,7 +157,7 @@ func BenchmarkRevalidateAffected(b *testing.B) {
 		b.Fatal(err)
 	}
 	set := w.Validation().VRPs.Clone()
-	seeded := seedFromTable(b, w.RIB, set, PolicyDropInvalid)
+	seeded := NewFromTable(w.RIB, StaticVRPs{VRPs: set}, PolicyDropInvalid)
 	prefixes := w.RoutedV4Prefixes()
 
 	b.Run("no-flip", func(b *testing.B) {

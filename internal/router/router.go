@@ -10,7 +10,6 @@
 package router
 
 import (
-	"cmp"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -18,7 +17,6 @@ import (
 
 	"ripki/internal/bgp"
 	"ripki/internal/netutil"
-	"ripki/internal/radix"
 	"ripki/internal/rib"
 	"ripki/internal/rpki/vrp"
 )
@@ -73,34 +71,58 @@ type Router struct {
 	Policy Policy
 
 	source VRPSource
-	table  *rib.Table
 
 	mu sync.Mutex
 	// adjIn retains every received (non-withdrawn) announcement — the
-	// Adj-RIB-In — as one slice per announced prefix, sorted by peer.
-	// Policy filters what reaches the local RIB, but revalidation must
-	// reconsider everything ever received: a route dropped as Invalid
-	// comes back once the offending ROA is revoked, exactly as RFC 6811
-	// routers re-apply policy to Adj-RIB-In. Keyed by prefix so that
-	// revalidation scoped to a VRP delta finds the affected
-	// announcements without scanning all of it: a VRP change at prefix Q
-	// can only flip routes announced at Q or below (RFC 6811 consults
-	// covering VRPs), and those are exactly the subtree of Q here. A
-	// stored slice is never written again (forks share it); a change
-	// replaces it.
-	adjIn radix.Tree[[]bgp.RouteEvent]
+	// Adj-RIB-In. Policy filters what reaches the local RIB, but
+	// revalidation must reconsider everything ever received: a route
+	// dropped as Invalid comes back once the offending ROA is revoked,
+	// exactly as RFC 6811 routers re-apply policy to Adj-RIB-In. Its
+	// tree is keyed by prefix so that revalidation scoped to a VRP delta
+	// finds the affected announcements without scanning all of it: a
+	// VRP change at prefix Q can only flip routes announced at Q or
+	// below (RFC 6811 consults covering VRPs), and those are exactly the
+	// subtree of Q here. Within a prefix the routes are ordered by peer
+	// index, the order in which the table first met its peers.
+	adjIn *rib.Table
+	// table is the local RIB: the Adj-RIB-In's routes that policy
+	// accepts. It numbers its peers as adjIn does — every peer is
+	// registered in both, in the same order — so a route moves from one
+	// to the other as it is.
+	table *rib.Table
 }
 
 // NewWithPolicy creates a router fed by the given VRP source, applying
 // the given validation policy.
 func NewWithPolicy(source VRPSource, policy Policy) *Router {
-	return &Router{Policy: policy, source: source, table: rib.New()}
+	return &Router{Policy: policy, source: source, adjIn: rib.New(), table: rib.New()}
+}
+
+// NewFromTable returns the router NewWithPolicy returns once it has
+// processed every route of table. The Adj-RIB-In is a copy-on-write
+// clone of table, and so is the local RIB, from which the routes
+// rejected against the source's current set are withdrawn: a seed costs
+// a walk and a validation per route, and writes — allocates — only for
+// the rejected ones. Peers keep table's numbering. Nothing written to
+// table afterwards reaches the router, nor the other way round.
+func NewFromTable(table *rib.Table, source VRPSource, policy Policy) *Router {
+	r := &Router{Policy: policy, source: source, adjIn: table.Clone(), table: table.Clone()}
+	if policy == PolicyDropInvalid {
+		set := source.Set()
+		r.adjIn.WalkRoutes(func(rt rib.Route) bool {
+			if validateRoute(set, rt.Prefix, rt.Path, policy) == vrp.Invalid {
+				r.table.Withdraw(rt.PeerIndex, rt.Prefix)
+			}
+			return true
+		})
+	}
+	return r
 }
 
 // Fork returns an independent router in the receiver's exact state —
 // Adj-RIB-In and local RIB — validating against source from now on, in
-// time independent of the table size: both trees are forked
-// copy-on-write (radix.Tree.Clone). Nothing either router does
+// time independent of the table size: both tables are cloned
+// copy-on-write (rib.Table.Clone). Nothing either router does
 // afterwards is visible in the other. The state forked is only as good
 // as the claim that source currently yields the set the receiver last
 // validated against; Fork does not revalidate.
@@ -110,17 +132,9 @@ func (r *Router) Fork(source VRPSource) *Router {
 	return &Router{
 		Policy: r.Policy,
 		source: source,
+		adjIn:  r.adjIn.Clone(),
 		table:  r.table.Clone(),
-		adjIn:  *r.adjIn.Clone(),
 	}
-}
-
-// byPeer orders a prefix's announcements by sending peer.
-func byPeer(a, b bgp.RouteEvent) int {
-	if c := cmp.Compare(a.PeerAS, b.PeerAS); c != 0 {
-		return c
-	}
-	return a.PeerID.Compare(b.PeerID)
 }
 
 // validateRoute classifies one announcement against a VRP set under a
@@ -141,69 +155,47 @@ func validateRoute(set *vrp.Set, prefix netip.Prefix, path []bgp.Segment, policy
 // replaces the same peer's previous one for the prefix (RFC 4271
 // implicit withdraw), whatever policy then decides about the new route.
 func (r *Router) Process(ev bgp.RouteEvent) (Decision, error) {
-	r.mu.Lock()
-	r.replaceLocked(ev)
-	r.mu.Unlock()
-	if ev.Withdraw {
-		if err := r.table.Apply(ev); err != nil {
-			return Decision{}, err
-		}
-		return Decision{State: vrp.NotFound}, nil
+	var set *vrp.Set
+	if !ev.Withdraw {
+		set = r.source.Set()
 	}
-	set := r.source.Set()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	d, _, _, err := r.applyLocked(set, ev)
-	return d, err
+	peer := rib.Peer{BGPID: ev.PeerID, Addr: ev.PeerID, ASN: ev.PeerAS}
+	idx := r.adjIn.AddPeer(peer)
+	r.table.AddPeer(peer)
+	if ev.Withdraw {
+		r.adjIn.Withdraw(idx, ev.Prefix)
+		r.table.Withdraw(idx, ev.Prefix)
+		return Decision{State: vrp.NotFound}, nil
+	}
+	rt := rib.Route{Prefix: ev.Prefix.Masked(), PeerIndex: idx, Path: ev.Path, NextHop: ev.NextHop}
+	if _, err := r.adjIn.Insert(rt); err != nil {
+		return Decision{}, err
+	}
+	d, _, _ := r.applyLocked(set, rt)
+	return d, nil
 }
 
-// replaceLocked removes the sending peer's previous announcement of
-// ev's prefix from the Adj-RIB-In and, unless ev is a withdrawal,
-// records ev in its place. Called with r.mu held.
-func (r *Router) replaceLocked(ev bgp.RouteEvent) {
-	prefix := ev.Prefix.Masked()
-	old, _ := r.adjIn.Lookup(prefix)
-	i, had := slices.BinarySearchFunc(old, ev, byPeer)
-	if !had && ev.Withdraw {
-		return
-	}
-	rest := old[i:]
-	if had {
-		rest = rest[1:]
-	}
-	next := make([]bgp.RouteEvent, 0, len(old)+1)
-	next = append(next, old[:i]...)
-	if !ev.Withdraw {
-		next = append(next, ev)
-	}
-	next = append(next, rest...)
-	if len(next) == 0 {
-		r.adjIn.Delete(prefix)
-	} else {
-		// Insert fails only on an invalid prefix, which the local RIB
-		// rejects too: Process reports that error.
-		_ = r.adjIn.Insert(prefix, next)
-	}
-}
-
-// applyLocked runs one announcement through origin validation against
-// set and then policy: under PolicyDropInvalid an Invalid route leaves
-// the local RIB (dropped reports whether it was installed), and anything
-// else is installed. flipped reports whether that moved a route into or
-// out of the local RIB. When nothing moved nothing was written —
+// applyLocked runs one Adj-RIB-In route through origin validation
+// against set and then policy: under PolicyDropInvalid an Invalid route
+// leaves the local RIB (dropped reports whether it was installed), and
+// anything else is installed. flipped reports whether that moved a route
+// into or out of the local RIB. When nothing moved nothing was written —
 // installing a route the local RIB already holds is rib.Table's no-op —
 // so re-applying an unchanged decision allocates nothing and leaves a
 // forked router sharing its seed. Process and both revalidation passes
-// decide every route here, so they cannot drift apart. Called with r.mu
-// held.
-func (r *Router) applyLocked(set *vrp.Set, ev bgp.RouteEvent) (d Decision, dropped, flipped bool, err error) {
-	d.State = validateRoute(set, ev.Prefix, ev.Path, r.Policy)
+// decide every route here, so they cannot drift apart. The route is one
+// the Adj-RIB-In holds, so the local RIB knows its peer and its prefix
+// is canonical: the install cannot fail. Called with r.mu held.
+func (r *Router) applyLocked(set *vrp.Set, rt rib.Route) (d Decision, dropped, flipped bool) {
+	d.State = validateRoute(set, rt.Prefix, rt.Path, r.Policy)
 	if r.Policy == PolicyDropInvalid && d.State == vrp.Invalid {
-		dropped = r.table.WithdrawEvent(ev)
-		return d, dropped, dropped, nil
+		dropped = r.table.Withdraw(rt.PeerIndex, rt.Prefix)
+		return d, dropped, dropped
 	}
-	flipped, err = r.table.AnnounceEvent(ev)
-	return d, false, flipped, err
+	flipped, _ = r.table.Insert(rt)
+	return d, false, flipped
 }
 
 // RevalidationResult tallies one Revalidate pass.
@@ -229,15 +221,16 @@ type RevalidationResult struct {
 // comes back once the offending ROA is revoked. Under PolicyDropInvalid
 // now-invalid routes are withdrawn from the local RIB and everything
 // else is installed. Routes are reconsidered in prefix order
-// (IPv4 before IPv6, peers ascending within a prefix) — the order the
-// Adj-RIB-In tree walks in — so a pass is reproducible run to run.
+// (IPv4 before IPv6; within a prefix, in the order the Adj-RIB-In first
+// met their peers) — the order the Adj-RIB-In walks in — so a pass is
+// reproducible run to run.
 func (r *Router) Revalidate() RevalidationResult {
 	set := r.source.Set()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var res RevalidationResult
-	r.adjIn.Walk(func(_ netip.Prefix, evs []bgp.RouteEvent) bool {
-		r.revalidateLocked(set, evs, &res)
+	r.adjIn.WalkRoutes(func(rt rib.Route) bool {
+		r.revalidateLocked(set, rt, &res)
 		return true
 	})
 	return res
@@ -272,8 +265,8 @@ func (r *Router) RevalidateAffected(changed []netip.Prefix) RevalidationResult {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var res RevalidationResult
-	visit := func(_ netip.Prefix, evs []bgp.RouteEvent) bool {
-		r.revalidateLocked(set, evs, &res)
+	visit := func(rt rib.Route) bool {
+		r.revalidateLocked(set, rt, &res)
 		return true
 	}
 	var walked netip.Prefix // the last prefix whose subtree was walked
@@ -298,29 +291,24 @@ func inWalkOrder(ps []netip.Prefix) bool {
 	return true
 }
 
-// revalidateLocked applies set to one prefix's Adj-RIB-In entries and
-// adds the outcome to res. Called with r.mu held.
-func (r *Router) revalidateLocked(set *vrp.Set, evs []bgp.RouteEvent, res *RevalidationResult) {
-	for _, ev := range evs {
-		// An entry is in the Adj-RIB-In because Process already applied
-		// it, so the only error applyLocked can return — a malformed
-		// prefix — was reported then.
-		d, dropped, flipped, _ := r.applyLocked(set, ev)
-		res.Routes++
-		switch d.State {
-		case vrp.Valid:
-			res.Valid++
-		case vrp.Invalid:
-			res.Invalid++
-		default:
-			res.NotFound++
-		}
-		if dropped {
-			res.Dropped++
-		}
-		if flipped {
-			res.Flipped++
-		}
+// revalidateLocked applies set to one Adj-RIB-In route and adds the
+// outcome to res. Called with r.mu held.
+func (r *Router) revalidateLocked(set *vrp.Set, rt rib.Route, res *RevalidationResult) {
+	d, dropped, flipped := r.applyLocked(set, rt)
+	res.Routes++
+	switch d.State {
+	case vrp.Valid:
+		res.Valid++
+	case vrp.Invalid:
+		res.Invalid++
+	default:
+		res.NotFound++
+	}
+	if dropped {
+		res.Dropped++
+	}
+	if flipped {
+		res.Flipped++
 	}
 }
 

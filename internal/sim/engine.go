@@ -235,12 +235,7 @@ func New(cfg Config) (*Simulation, error) {
 		// Every RP of every run on this world starts from the same routing
 		// table and one of two VRP views, so the seeded router is built
 		// once per world and forked here in O(1).
-		seeded, err := seededRouter(world, spec.Policy, rp.Client != nil)
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("sim: seeding routers: %w", err)
-		}
-		rp.Router = seeded.Fork(rp.source)
+		rp.Router = seededRouter(world, spec.Policy, rp.Client != nil).Fork(rp.source)
 	}
 
 	// Runs are labelled by the canonical spec (components in sorted-name
@@ -301,43 +296,17 @@ type seedKey struct {
 	synced bool
 }
 
-type seedResult struct {
-	router *router.Router
-	err    error
-}
-
 // seededRouter returns the world's router for (policy, synced) with the
 // whole routing table already processed: built on first use, kept on
 // the world's memo, and never written again — callers Fork it.
-func seededRouter(world *webworld.World, policy router.Policy, synced bool) (*router.Router, error) {
-	res := world.Derived(seedKey{policy, synced}, func() any {
+func seededRouter(world *webworld.World, policy router.Policy, synced bool) *router.Router {
+	return world.Derived(seedKey{policy, synced}, func() any {
 		set := vrp.NewSet()
 		if synced {
 			set = world.Validation().VRPs
 		}
-		r, err := seedRouter(world.RIB, router.StaticVRPs{VRPs: set}, policy)
-		return seedResult{r, err}
-	}).(seedResult)
-	return res.router, res.err
-}
-
-// seedRouter replays a routing table through a fresh router.
-func seedRouter(table *rib.Table, source router.VRPSource, policy router.Policy) (*router.Router, error) {
-	r := router.NewWithPolicy(source, policy)
-	peers := table.Peers()
-	var err error
-	table.WalkRoutes(func(rt rib.Route) bool {
-		peer := peers[rt.PeerIndex]
-		_, err = r.Process(bgp.RouteEvent{
-			PeerAS:  peer.ASN,
-			PeerID:  peer.BGPID,
-			Prefix:  rt.Prefix,
-			Path:    rt.Path,
-			NextHop: rt.NextHop,
-		})
-		return err == nil
-	})
-	return r, err
+		return router.NewFromTable(world.RIB, router.StaticVRPs{VRPs: set}, policy)
+	}).(*router.Router)
 }
 
 // columns builds the time-series header for the configured RP roster.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"ripki/internal/bgp"
 	"ripki/internal/rib"
 	"ripki/internal/router"
 	"ripki/internal/webworld"
@@ -26,6 +27,26 @@ func localRoutes(r *router.Router) []rib.Route {
 		return true
 	})
 	return out
+}
+
+// seedRouter replays a routing table through a fresh router: the oracle
+// for router.NewFromTable, which sim.New seeds through.
+func seedRouter(table *rib.Table, source router.VRPSource, policy router.Policy) (*router.Router, error) {
+	r := router.NewWithPolicy(source, policy)
+	peers := table.Peers()
+	var err error
+	table.WalkRoutes(func(rt rib.Route) bool {
+		peer := peers[rt.PeerIndex]
+		_, err = r.Process(bgp.RouteEvent{
+			PeerAS:  peer.ASN,
+			PeerID:  peer.BGPID,
+			Prefix:  rt.Prefix,
+			Path:    rt.Path,
+			NextHop: rt.NextHop,
+		})
+		return err == nil
+	})
+	return r, err
 }
 
 // assertStartsLikeReplay checks, for every relying party of a freshly
